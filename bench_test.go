@@ -224,11 +224,6 @@ func benchmarkPrimitives(b *testing.B, preset string) {
 			c.ScalarMult(k, p)
 		}
 	})
-	b.Run("ScalarMultWNAF", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.ScalarMultWNAF(k, p)
-		}
-	})
 	b.Run("ScalarMultAffine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.ScalarMultAffine(k, p)
@@ -256,13 +251,13 @@ func benchmarkPrimitives(b *testing.B, preset string) {
 func BenchmarkE4_Test160(b *testing.B) { benchmarkPrimitives(b, "Test160") }
 func BenchmarkE4_SS512(b *testing.B)   { benchmarkPrimitives(b, "SS512") }
 
-// --- Pairing paths: affine reference vs optimised implementations -----------
+// --- Pairing paths: affine oracle vs production ------------------------------
 
-// benchmarkPairingPaths compares every Miller-loop evaluation strategy on
-// one point pair: the affine reference (one field inversion per loop
-// iteration), the inversion-free projective loop (the default Pair), the
-// fixed-argument prepared path, and the n-pair product with its shared
-// final exponentiation. `make bench-pairing` renders the same comparison
+// benchmarkPairingPaths compares every pairing evaluation strategy on
+// one point pair: the affine math/big oracle (one field inversion per
+// Miller step and a plain final exponentiation), the production Pair
+// (inversion-free projective loop on limbs), the fixed-argument prepared
+// path, and the n-pair product with its shared final exponentiation. `make bench-pairing` renders the same comparison
 // into BENCH_pairing.json.
 func benchmarkPairingPaths(b *testing.B, preset string) {
 	set := tre.MustPreset(preset)

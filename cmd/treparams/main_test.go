@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -48,6 +49,15 @@ func TestGenAndValidateFile(t *testing.T) {
 	}
 	if err := run([]string{"validate", "-in", out}); err == nil {
 		t.Fatal("validate of corrupted params must fail")
+	}
+}
+
+// TestGenRejectsOversizeField: a field wider than the Type-1 stack
+// supports is refused at once with a pointer to the BLS12-381 backend.
+func TestGenRejectsOversizeField(t *testing.T) {
+	err := run([]string{"gen", "-pbits", "3072", "-qbits", "256"})
+	if err == nil || !strings.Contains(err.Error(), "-backend bls12381") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("gen -pbits 3072: err = %v, want a one-line error pointing at -backend bls12381", err)
 	}
 }
 

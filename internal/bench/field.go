@@ -84,9 +84,6 @@ func RunField(cfg Config) (*FieldReport, *Table, error) {
 		}
 		f := set.Curve.F
 		m := f.Mont()
-		if m == nil {
-			return nil, nil, fmt.Errorf("bench: preset %s has no Montgomery backend", name)
-		}
 		iters := cfg.iters(20)
 		a, err := f.Rand(rand.Reader)
 		if err != nil {

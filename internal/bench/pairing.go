@@ -10,19 +10,19 @@ import (
 	"timedrelease/internal/params"
 )
 
-// PairingRow holds one preset's timings of every Miller-loop evaluation
+// PairingRow holds one preset's timings of every pairing evaluation
 // strategy, in nanoseconds per operation. The speedups are relative to
-// the affine reference loop — the implementation the repository shipped
-// before the inversion-free rewrite — so they quantify exactly what the
-// optimisation bought.
+// the affine oracle — the textbook math/big pairing, per-step inversion
+// and plain final exponentiation included — so they quantify what the
+// production path buys over the obviously-correct one.
 type PairingRow struct {
 	Preset  string `json:"preset"`
-	Backend string `json:"backend"` // "bigint" (reference), "montgomery" (fixed-limb) or "bls12381" (Type-3)
+	Backend string `json:"backend"` // "montgomery" (Type-1, fixed-limb) or "bls12381" (Type-3)
 	PBits   int    `json:"p_bits"`
 	QBits   int    `json:"q_bits"`
 	Iters   int    `json:"iters"`
 
-	AffineNS     int64 `json:"affine_ns"`     // reference: one F_p inversion per loop iteration
+	AffineNS     int64 `json:"affine_ns"`     // oracle: PairAffine, one F_p inversion per step + plain final exponentiation
 	ProjectiveNS int64 `json:"projective_ns"` // inversion-free Jacobian loop (Pair default)
 	PrecomputeNS int64 `json:"precompute_ns"` // one-off cost of Precompute(P)
 	PreparedNS   int64 `json:"prepared_ns"`   // PairPrepared with the schedule amortised away
@@ -33,8 +33,8 @@ type PairingRow struct {
 	SpeedupPrepared   float64 `json:"speedup_prepared"`   // affine / prepared
 
 	// Allocation discipline of the steady-state paths (-benchmem style:
-	// heap allocations and bytes per operation). The montgomery rows are
-	// the ones the zero-alloc contract in docs/PERFORMANCE.md covers.
+	// heap allocations and bytes per operation), which the zero-alloc
+	// contract in docs/PERFORMANCE.md covers.
 	ProjectiveAllocs int64 `json:"projective_allocs_per_op"`
 	ProjectiveBytes  int64 `json:"projective_bytes_per_op"`
 	PreparedAllocs   int64 `json:"prepared_allocs_per_op"`
@@ -60,11 +60,11 @@ func RunPairing(cfg Config) (*PairingReport, *Table, error) {
 		names = []string{cfg.Preset}
 	}
 	rep := &PairingReport{
-		Description: "pairing evaluation strategies: Type-1 Tate rows vs their affine reference Miller loop (speedups are affine_ns / strategy_ns), plus the Type-3 BLS12-381 optimal ate row (no affine reference; zeros there)",
+		Description: "pairing evaluation strategies: Type-1 Tate rows vs their affine math/big oracle, final exponentiation included (speedups are affine_ns / strategy_ns), plus the Type-3 BLS12-381 optimal ate row (no affine oracle; zeros there)",
 	}
 	t := &Table{
 		ID:    "PAIRING",
-		Title: "Miller-loop strategies: affine reference vs inversion-free vs prepared",
+		Title: "Pairing strategies: affine oracle vs inversion-free vs prepared",
 		Claim: "the pairing dominates every protocol cost (§4); removing per-iteration inversions and precomputing fixed-argument line schedules attacks it directly",
 		Columns: []string{
 			"params", "affine", "projective", "prepared", "precompute", "product/4 pairs", "speedup (proj)", "speedup (prep)", "prep allocs/op", "prep B/op",
@@ -103,85 +103,53 @@ func RunPairing(cfg Config) (*PairingReport, *Table, error) {
 		var sink any
 		affine := timeOp(iters, func() { sink = pr.PairAffine(p, q) })
 		precompute := timeOp(iters, func() { sink = pr.Precompute(p) })
+		projective := timeOp(iters, func() { sink = pr.Pair(p, q) })
+		prepared := timeOp(iters, func() { sink = pr.PairPrepared(prep, q) })
+		product := timeOp(iters, func() { sink = pr.PairProduct(pairs) })
+		verify := timeOp(iters, func() {
+			if !pr.SamePairingPrepared(prep, q, prep, q) {
+				panic("trivially equal pairings differ")
+			}
+		})
+		projAllocs, projBytes := memPerOp(iters, func() { sink = pr.Pair(p, q) })
+		prepAllocs, prepBytes := memPerOp(iters, func() { sink = pr.PairPrepared(prep, q) })
 		_ = sink
 
-		// One row per backend: "bigint" pins the reference code paths
-		// (the implementation of record before the fixed-limb backend),
-		// "montgomery" the routed defaults. Both are re-measured on the
-		// same machine so the ablation is apples-to-apples.
-		type backendOps struct {
-			name       string
-			projective func() any
-			prepared   func() any
-			product    func() any
-			verify     func() bool
+		row := PairingRow{
+			Preset:            set.Name,
+			Backend:           "montgomery",
+			PBits:             set.P.BitLen(),
+			QBits:             set.Q.BitLen(),
+			Iters:             iters,
+			AffineNS:          affine.Nanoseconds(),
+			ProjectiveNS:      projective.Nanoseconds(),
+			PrecomputeNS:      precompute.Nanoseconds(),
+			PreparedNS:        prepared.Nanoseconds(),
+			ProductNS:         product.Nanoseconds(),
+			VerifyNS:          verify.Nanoseconds(),
+			SpeedupProjective: float64(affine.Nanoseconds()) / float64(projective.Nanoseconds()),
+			SpeedupPrepared:   float64(affine.Nanoseconds()) / float64(prepared.Nanoseconds()),
+			ProjectiveAllocs:  projAllocs,
+			ProjectiveBytes:   projBytes,
+			PreparedAllocs:    prepAllocs,
+			PreparedBytes:     prepBytes,
 		}
-		backends := []backendOps{
-			{
-				name:       "bigint",
-				projective: func() any { return pr.PairBig(p, q) },
-				prepared:   func() any { return pr.PairPreparedBig(prep, q) },
-				product:    func() any { return pr.PairProductBig(pairs) },
-				verify:     func() bool { return pr.SamePairingPreparedBig(prep, q, prep, q) },
-			},
-			{
-				name:       "montgomery",
-				projective: func() any { return pr.Pair(p, q) },
-				prepared:   func() any { return pr.PairPrepared(prep, q) },
-				product:    func() any { return pr.PairProduct(pairs) },
-				verify:     func() bool { return pr.SamePairingPrepared(prep, q, prep, q) },
-			},
-		}
-		for _, b := range backends {
-			projective := timeOp(iters, func() { sink = b.projective() })
-			prepared := timeOp(iters, func() { sink = b.prepared() })
-			product := timeOp(iters, func() { sink = b.product() })
-			verify := timeOp(iters, func() {
-				if !b.verify() {
-					panic("trivially equal pairings differ")
-				}
-			})
-			projAllocs, projBytes := memPerOp(iters, func() { sink = b.projective() })
-			prepAllocs, prepBytes := memPerOp(iters, func() { sink = b.prepared() })
-			_ = sink
-
-			row := PairingRow{
-				Preset:            set.Name,
-				Backend:           b.name,
-				PBits:             set.P.BitLen(),
-				QBits:             set.Q.BitLen(),
-				Iters:             iters,
-				AffineNS:          affine.Nanoseconds(),
-				ProjectiveNS:      projective.Nanoseconds(),
-				PrecomputeNS:      precompute.Nanoseconds(),
-				PreparedNS:        prepared.Nanoseconds(),
-				ProductNS:         product.Nanoseconds(),
-				VerifyNS:          verify.Nanoseconds(),
-				SpeedupProjective: float64(affine.Nanoseconds()) / float64(projective.Nanoseconds()),
-				SpeedupPrepared:   float64(affine.Nanoseconds()) / float64(prepared.Nanoseconds()),
-				ProjectiveAllocs:  projAllocs,
-				ProjectiveBytes:   projBytes,
-				PreparedAllocs:    prepAllocs,
-				PreparedBytes:     prepBytes,
-			}
-			rep.Rows = append(rep.Rows, row)
-			t.Add(fmt.Sprintf("%s/%s (|p|=%d,|q|=%d)", set.Name, b.name, row.PBits, row.QBits),
-				ms(affine), ms(projective), ms(prepared), ms(precompute), ms(product),
-				fmt.Sprintf("%.2fx", row.SpeedupProjective), fmt.Sprintf("%.2fx", row.SpeedupPrepared),
-				fmt.Sprintf("%d", row.PreparedAllocs), fmt.Sprintf("%d", row.PreparedBytes))
-		}
+		rep.Rows = append(rep.Rows, row)
+		t.Add(fmt.Sprintf("%s/%s (|p|=%d,|q|=%d)", set.Name, row.Backend, row.PBits, row.QBits),
+			ms(affine), ms(projective), ms(prepared), ms(precompute), ms(product),
+			fmt.Sprintf("%.2fx", row.SpeedupProjective), fmt.Sprintf("%.2fx", row.SpeedupPrepared),
+			fmt.Sprintf("%d", row.PreparedAllocs), fmt.Sprintf("%d", row.PreparedBytes))
 	}
-	t.Note("affine = per-iteration field inversion (the pre-optimisation reference, kept as PairAffine); projective = Jacobian inversion-free loop (Pair)")
-	t.Note("bigint rows pin the *Big reference methods; montgomery rows are the routed defaults on the fixed-limb backend")
+	t.Note("affine = the textbook oracle PairAffine: math/big arithmetic, one field inversion per Miller step, plain f^((p²−1)/q) final exponentiation included; projective = the production Pair, Jacobian inversion-free loop + Frobenius final exponentiation on fixed-limb Montgomery vectors")
 	t.Note("prepared excludes the one-off Precompute cost (shown separately); it amortises after one reuse of the fixed argument")
 	t.Note("product = PairProduct over 4 pairs: parallel Miller loops, one shared final exponentiation")
-	t.Note("bls12381 rows time the Type-3 optimal ate pairing; the Tate affine reference loop does not exist there, so the affine column and the speedups are n/a (0 in the JSON)")
+	t.Note("bls12381 rows time the Type-3 optimal ate pairing; the Tate affine oracle does not exist there, so the affine column and the speedups are n/a (0 in the JSON)")
 	t.Note("allocs/op and B/op are -benchmem-style means over the prepared path; the JSON also records the projective path's")
 	return rep, t, nil
 }
 
 // pairingRowBLS times the BLS12-381 optimal ate strategies via the
-// backend's bench hooks. The affine reference loop is a Tate-pairing
+// backend's bench hooks. The affine oracle is a Tate-pairing
 // artifact with no Type-3 counterpart, so AffineNS and the speedup
 // ratios stay zero.
 func pairingRowBLS(set *params.Set, iters int) PairingRow {

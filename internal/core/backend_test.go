@@ -8,18 +8,18 @@ import (
 )
 
 // TestRoundTripAcrossBackendsAndPresets is the end-to-end differential
-// check of the Montgomery field backend: at both the fast test preset
-// and the paper-scale SS512 preset, a full Encrypt/Decrypt round trip
-// must succeed, and the encapsulated pairing value computed on the
-// routed (Montgomery) path must agree bit-for-bit with the big.Int
-// reference pairing.
+// check of the production symmetric stack: at the fast test preset, the
+// paper-scale SS512 and (unless -short) the 16-limb SS1024, a full
+// Encrypt/Decrypt round trip must succeed, and the scheme's own key
+// material and pairing value must agree bit-for-bit with the affine
+// math/big oracle.
 func TestRoundTripAcrossBackendsAndPresets(t *testing.T) {
-	for _, name := range []string{"Test160", "SS512"} {
+	for _, name := range []string{"Test160", "SS512", "SS1024"} {
 		t.Run(name, func(t *testing.T) {
-			set := params.MustPreset(name)
-			if set.Curve.F.Mont() == nil {
-				t.Fatalf("%s: no Montgomery backend", name)
+			if testing.Short() && name == "SS1024" {
+				t.Skip("16-limb row skipped under -short")
 			}
+			set := params.MustPreset(name)
 			sc := NewScheme(set)
 			server, err := sc.ServerKeyGen(nil)
 			if err != nil {
@@ -30,21 +30,22 @@ func TestRoundTripAcrossBackendsAndPresets(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Key material must match the big.Int scalar ladder exactly.
+			// Key material must match the affine oracle ladder exactly.
 			c := set.Curve
-			if !c.Equal(user.Pub.AG, c.ScalarMultBig(user.A, set.G)) ||
-				!c.Equal(user.Pub.ASG, c.ScalarMultBig(user.A, server.Pub.SG)) {
-				t.Fatal("fixed-base keygen disagrees with reference ladder")
+			if !c.Equal(user.Pub.AG, c.ScalarMultAffine(user.A, set.G)) ||
+				!c.Equal(user.Pub.ASG, c.ScalarMultAffine(user.A, server.Pub.SG)) {
+				t.Fatal("fixed-base keygen disagrees with the oracle ladder")
 			}
 
-			// Pairing backends must agree on the scheme's own points.
+			// The pairing must agree with the oracle on the scheme's own
+			// points.
 			upd := sc.IssueUpdate(server, testLabel)
 			h := sc.hashLabel(testLabel)
 			if !set.Pairing.E2.Equal(
 				set.Pairing.Pair(user.Pub.ASG, h),
-				set.Pairing.PairBig(user.Pub.ASG, h),
+				set.Pairing.PairAffine(user.Pub.ASG, h),
 			) {
-				t.Fatal("Pair and PairBig disagree on scheme points")
+				t.Fatal("Pair and PairAffine disagree on scheme points")
 			}
 
 			msg := []byte("release at T, not before")

@@ -14,135 +14,94 @@ import (
 const baseWindow = 8
 
 // BaseTable holds the precomputed odd multiples (2i+1)·P of a fixed
-// base point in affine form, plus Montgomery-domain copies when the
-// field has a limb backend so ScalarMultBase runs mixed additions
-// (Z = 1) without any per-call conversion of the table.
+// base point in affine form, in the Montgomery domain, so
+// ScalarMultBase runs mixed additions (Z = 1) without any per-call
+// conversion of the table.
 //
 // A BaseTable is immutable after construction and safe for concurrent
 // use by multiple goroutines.
 type BaseTable struct {
-	infinity bool
+	base Point // 1·P as handed to PrecomputeBase
 
-	// x, y are the affine coordinates of (2i+1)·P; inf marks the (only
+	// xm, ym are the affine coordinates of (2i+1)·P; inf marks the (only
 	// theoretically reachable) identity entries of low-order bases.
-	x, y []*big.Int
-	inf  []bool
-
-	// xm, ym are the same coordinates in Montgomery form (nil without a
-	// limb backend).
 	xm, ym []ff.MontElem
+	inf    []bool
 }
 
 // PrecomputeBase builds the fixed-base table for p: the odd multiples
 // 1·P, 3·P, …, 127·P, computed in Jacobian coordinates and normalised
-// to affine with ONE modular inversion (ff.InvBatch).
+// to affine with ONE modular inversion (Field.InvBatch, on math/big, where
+// an inversion is ~40× cheaper than the limb layer's Fermat ladder).
 func (c *Curve) PrecomputeBase(p Point) *BaseTable {
 	if p.IsInfinity() {
-		return &BaseTable{infinity: true}
+		return &BaseTable{base: Infinity()}
 	}
 	const tableSize = 1 << (baseWindow - 2)
-	jac := make([]jacPoint, tableSize)
-	jac[0] = c.toJac(p)
-	twoP := c.jacDouble(jac[0])
+	m := c.F.Mont()
+	a := m.GetArena()
+	defer a.Release()
+	var o jacMontOps
+	jacMontOpsIn(&o, m, a)
+	jac := make([]jacMontPoint, tableSize)
+	jac[0] = o.toJacMontIn(p, a)
+	twoP := newJacMontPointIn(a)
+	o.double(twoP, jac[0])
 	for i := 1; i < tableSize; i++ {
-		jac[i] = c.jacAdd(jac[i-1], twoP)
+		jac[i] = newJacMontPointIn(a)
+		o.add(jac[i], jac[i-1], twoP)
 	}
 
 	t := &BaseTable{
-		x:   make([]*big.Int, tableSize),
-		y:   make([]*big.Int, tableSize),
-		inf: make([]bool, tableSize),
+		base: p.Clone(),
+		xm:   make([]ff.MontElem, tableSize),
+		ym:   make([]ff.MontElem, tableSize),
+		inf:  make([]bool, tableSize),
 	}
 	// Batch inversion rejects zeros, so identity entries (possible only
 	// for bases of order < 2^baseWindow, which the subgroup never
 	// produces) are masked with Z = 1 and flagged.
 	zs := make([]*big.Int, tableSize)
 	for i := range jac {
-		if jac[i].isInf() {
+		if m.IsZero(jac[i].Z) {
 			t.inf[i] = true
-			zs[i] = big.NewInt(1)
+			zs[i] = big1
 		} else {
-			zs[i] = jac[i].Z
+			zs[i] = m.FromMont(nil, jac[i].Z)
 		}
 	}
-	inv := c.F.InvBatch(zs)
-	m := c.F.Mont()
-	if m != nil {
-		t.xm = make([]ff.MontElem, tableSize)
-		t.ym = make([]ff.MontElem, tableSize)
-	}
-	for i := range jac {
+	zi := a.Elem()
+	for i, inv := range c.F.InvBatch(zs) {
+		t.xm[i], t.ym[i] = m.NewElem(), m.NewElem()
 		if t.inf[i] {
-			t.x[i], t.y[i] = new(big.Int), new(big.Int)
-		} else {
-			zi2 := c.F.Sqr(inv[i])
-			t.x[i] = c.F.Mul(jac[i].X, zi2)
-			t.y[i] = c.F.Mul(jac[i].Y, c.F.Mul(zi2, inv[i]))
+			continue
 		}
-		if m != nil {
-			t.xm[i], t.ym[i] = m.NewElem(), m.NewElem()
-			m.ToMont(t.xm[i], t.x[i])
-			m.ToMont(t.ym[i], t.y[i])
-		}
+		m.ToMont(zi, inv)
+		o.toAffine(t.xm[i], t.ym[i], jac[i], zi)
 	}
 	return t
 }
 
 // IsInfinity reports whether the table's base point is the identity.
-func (t *BaseTable) IsInfinity() bool { return t.infinity }
+func (t *BaseTable) IsInfinity() bool { return t.base.inf }
 
 // Base returns the table's base point 1·P.
-func (t *BaseTable) Base() Point {
-	if t.infinity {
-		return Infinity()
-	}
-	return Point{X: new(big.Int).Set(t.x[0]), Y: new(big.Int).Set(t.y[0])}
-}
+func (t *BaseTable) Base() Point { return t.base.Clone() }
 
 // ScalarMultBase computes k·P from the fixed-base table: one doubling
 // per scalar bit and one mixed addition (table entry has Z = 1) per
 // non-zero wNAF digit, with negative digits costing only a Y negation.
-// It returns exactly ScalarMult(k, P) (property-tested), on the
-// Montgomery backend when available.
+// It returns exactly ScalarMult(k, P); every temporary comes from a
+// pooled arena.
 func (c *Curve) ScalarMultBase(t *BaseTable, k *big.Int) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")
 	}
-	if k.Sign() == 0 || t.infinity {
+	if k.Sign() == 0 || t.base.inf {
 		return Infinity()
 	}
-	digits := wnaf(k, baseWindow)
-	if m := c.F.Mont(); m != nil && t.xm != nil {
-		return c.scalarMultBaseMont(m, t, digits)
-	}
-
-	acc := jacInfinity()
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc = c.jacDouble(acc)
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		j := d
-		if j < 0 {
-			j = -j
-		}
-		j = (j - 1) / 2
-		if t.inf[j] {
-			continue
-		}
-		e := jacPoint{X: t.x[j], Y: t.y[j], Z: big1}
-		if d < 0 {
-			e.Y = c.F.Neg(e.Y)
-		}
-		acc = c.jacAdd(acc, e)
-	}
-	return c.fromJac(acc)
-}
-
-// scalarMultBaseMont is the table ladder on Montgomery limb vectors;
-// every temporary comes from a pooled arena.
-func (c *Curve) scalarMultBaseMont(m *ff.Mont, t *BaseTable, digits []int) Point {
+	digits := ff.WNAF(k, baseWindow)
+	m := c.F.Mont()
 	a := m.GetArena()
 	defer a.Release()
 	var o jacMontOps

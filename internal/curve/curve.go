@@ -8,9 +8,14 @@
 // distortion map ψ(x, y) = (−x, i·y) into E(F_{p²}) makes the Tate
 // pairing symmetric (Type-1).
 //
-// The package provides affine and Jacobian arithmetic, scalar
-// multiplication, hashing to the subgroup (the paper's H1), and a
-// canonical compressed point encoding.
+// The package provides the group law, scalar multiplication, hashing to
+// the subgroup (the paper's H1), and a canonical compressed point
+// encoding. Scalar multiplication has one production implementation —
+// Jacobian ladders on the field's Montgomery limb layer (montjac.go,
+// basetable.go) — and one oracle: the affine math/big group law
+// (Add, Double) under the textbook ladder ScalarMultAffine, a different
+// algorithm on a different number type, which the differential tests
+// hold the production ladders to.
 package curve
 
 import (
@@ -195,10 +200,10 @@ func (c *Curve) Sub(p, q Point) Point { return c.Add(p, c.Neg(q)) }
 
 // ScalarMult returns k·p. Scalars may be any non-negative integer; they
 // are used as-is (callers working in the subgroup reduce mod q). The
-// computation uses Jacobian coordinates with a single final inversion,
-// on the Montgomery limb backend when the field provides one and on the
-// big.Int reference ladder (ScalarMultBig) otherwise. The two paths
-// return identical points.
+// computation is a most-significant-bit-first double-and-add walk in
+// Jacobian coordinates on Montgomery limb vectors, with one inversion
+// and two conversions at the end; every temporary comes from a pooled
+// arena.
 func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")
@@ -206,36 +211,28 @@ func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	if k.Sign() == 0 || p.inf {
 		return Infinity()
 	}
-	if m := c.F.Mont(); m != nil {
-		return c.scalarMultMont(m, k, p)
-	}
-	return c.ScalarMultBig(k, p)
-}
-
-// ScalarMultBig is the big.Int reference Jacobian ladder. It computes
-// the same result as ScalarMult and pins the Montgomery backend in the
-// differential tests and the backend ablation of experiment E4.
-func (c *Curve) ScalarMultBig(k *big.Int, p Point) Point {
-	if k.Sign() < 0 {
-		panic("curve: negative scalar")
-	}
-	if k.Sign() == 0 || p.inf {
-		return Infinity()
-	}
-	acc := jacInfinity()
-	base := c.toJac(p)
+	m := c.F.Mont()
+	a := m.GetArena()
+	defer a.Release()
+	var o jacMontOps
+	jacMontOpsIn(&o, m, a)
+	base := o.toJacMontIn(p, a)
+	acc := newJacMontPointIn(a)
+	o.setInfinity(acc)
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc = c.jacDouble(acc)
+		o.double(acc, acc)
 		if k.Bit(i) == 1 {
-			acc = c.jacAdd(acc, base)
+			o.add(acc, acc, base)
 		}
 	}
-	return c.fromJac(acc)
+	return o.fromJacMont(acc)
 }
 
-// ScalarMultAffine is the pure-affine double-and-add ladder. It computes
-// the same result as ScalarMult and exists for the coordinate-system
-// ablation in experiment E4.
+// ScalarMultAffine is the oracle for ScalarMult and ScalarMultBase: the
+// textbook double-and-add ladder over the affine math/big group law,
+// one field inversion per step. It shares no formula and no number
+// representation with the production ladders, computes the same point,
+// and is also the affine side of the E4 coordinate-system ablation.
 func (c *Curve) ScalarMultAffine(k *big.Int, p Point) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")

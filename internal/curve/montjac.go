@@ -1,23 +1,15 @@
 package curve
 
-import (
-	"math/big"
-
-	"timedrelease/internal/ff"
-)
+import "timedrelease/internal/ff"
 
 // jacMontPoint is a Jacobian point on Montgomery limb vectors:
 // (X : Y : Z) ↔ affine (X/Z², Y/Z³), Z = 0 encoding infinity, with
-// every coordinate in the Montgomery domain of the base field. It is
-// the limb-backend twin of jacPoint; the two arithmetic sets are kept
-// formula-for-formula parallel and pinned to exact agreement by the
-// differential tests.
+// every coordinate in the Montgomery domain of the base field. Jacobian
+// arithmetic avoids the per-operation field inversion of the affine
+// formulas, which dominates scalar-multiplication cost (measured in
+// experiment E4); the differential tests pin it to the affine oracle.
 type jacMontPoint struct {
 	X, Y, Z ff.MontElem
-}
-
-func newJacMontPoint(m *ff.Mont) jacMontPoint {
-	return jacMontPoint{X: m.NewElem(), Y: m.NewElem(), Z: m.NewElem()}
 }
 
 // newJacMontPointIn carves the point's coordinates out of a pooled
@@ -32,14 +24,6 @@ func newJacMontPointIn(a *ff.Arena) jacMontPoint {
 type jacMontOps struct {
 	m                          *ff.Mont
 	t1, t2, t3, t4, t5, t6, t7 ff.MontElem
-}
-
-func newJacMontOps(m *ff.Mont) *jacMontOps {
-	return &jacMontOps{
-		m:  m,
-		t1: m.NewElem(), t2: m.NewElem(), t3: m.NewElem(), t4: m.NewElem(),
-		t5: m.NewElem(), t6: m.NewElem(), t7: m.NewElem(),
-	}
 }
 
 // jacMontOpsIn fills o with scratch carved from a pooled arena so a
@@ -63,9 +47,9 @@ func (o *jacMontOps) set(dst, p jacMontPoint) {
 	o.m.Set(dst.Z, p.Z)
 }
 
-// double computes dst = 2p with the jacDouble formulas (a = 1):
+// double computes dst = 2p on y² = x³ + a·x with a = 1:
 //
-//	M  = 3X² + Z⁴,  S = 4XY²
+//	M  = 3X² + a·Z⁴,  S = 4XY²
 //	X' = M² − 2S,  Y' = M(S − X') − 8Y⁴,  Z' = 2YZ
 //
 // dst may alias p.
@@ -107,7 +91,7 @@ func (o *jacMontOps) double(dst, p jacMontPoint) {
 	m.Set(dst.Z, zNew)
 }
 
-// add computes dst = p + q with the general jacAdd formulas:
+// add computes dst = p + q with the general Jacobian formulas:
 //
 //	U1 = X1·Z2², U2 = X2·Z1², S1 = Y1·Z2³, S2 = Y2·Z1³
 //	H = U2 − U1, R = S2 − S1
@@ -170,23 +154,25 @@ func (o *jacMontOps) add(dst, p, q jacMontPoint) {
 	m.Set(dst.Z, zNew)
 }
 
-// toJacMont converts a non-identity affine point to Montgomery Jacobian
-// form (Z = 1).
-func (o *jacMontOps) toJacMont(p Point) jacMontPoint {
-	j := newJacMontPoint(o.m)
-	o.m.ToMont(j.X, p.X)
-	o.m.ToMont(j.Y, p.Y)
-	o.m.SetOne(j.Z)
-	return j
-}
-
-// toJacMontIn is toJacMont with the coordinates carved from a.
+// toJacMontIn converts a non-identity affine point to Montgomery
+// Jacobian form (Z = 1), the coordinates carved from a.
 func (o *jacMontOps) toJacMontIn(p Point, a *ff.Arena) jacMontPoint {
 	j := newJacMontPointIn(a)
 	o.m.ToMont(j.X, p.X)
 	o.m.ToMont(j.Y, p.Y)
 	o.m.SetOne(j.Z)
 	return j
+}
+
+// toAffine sets (x, y) = (X/Z², Y/Z³) given zi = Z⁻¹; x and y must not
+// alias j's coordinates or zi.
+func (o *jacMontOps) toAffine(x, y ff.MontElem, j jacMontPoint, zi ff.MontElem) {
+	m := o.m
+	zi2 := o.t2
+	m.Sqr(zi2, zi)
+	m.Mul(x, j.X, zi2)
+	m.Mul(zi2, zi2, zi) // Z⁻³
+	m.Mul(y, j.Y, zi2)
 }
 
 // fromJacMont normalises to affine with one Montgomery inversion and
@@ -196,35 +182,8 @@ func (o *jacMontOps) fromJacMont(j jacMontPoint) Point {
 	if m.IsZero(j.Z) {
 		return Infinity()
 	}
-	zi := o.t1
+	zi, x, y := o.t1, o.t3, o.t4
 	m.Inv(zi, j.Z)
-	zi2 := o.t2
-	m.Sqr(zi2, zi)
-	x := o.t3
-	m.Mul(x, j.X, zi2)
-	m.Mul(zi2, zi2, zi) // Z⁻³
-	y := o.t4
-	m.Mul(y, j.Y, zi2)
+	o.toAffine(x, y, j, zi)
 	return Point{X: m.FromMont(nil, x), Y: m.FromMont(nil, y)}
-}
-
-// scalarMultMont is ScalarMult on the Montgomery backend: the same
-// most-significant-bit-first double-and-add walk as ScalarMultBig, on
-// limb vectors, with one inversion and two conversions at the end.
-// k > 0 and p non-identity are the caller's invariants.
-func (c *Curve) scalarMultMont(m *ff.Mont, k *big.Int, p Point) Point {
-	a := m.GetArena()
-	defer a.Release()
-	var o jacMontOps
-	jacMontOpsIn(&o, m, a)
-	base := o.toJacMontIn(p, a)
-	acc := newJacMontPointIn(a)
-	o.setInfinity(acc)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		o.double(acc, acc)
-		if k.Bit(i) == 1 {
-			o.add(acc, acc, base)
-		}
-	}
-	return o.fromJacMont(acc)
 }

@@ -4,44 +4,75 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
+
+	"timedrelease/internal/ff"
 )
 
-// TestScalarMultBackendsAgree pins the Montgomery ladder (the routed
-// ScalarMult) against the big.Int reference on random scalars and
-// points, including the structural edge scalars 0, 1, 2, q−1, q, q+1
-// and the cofactor.
-func TestScalarMultBackendsAgree(t *testing.T) {
-	c := testCurve(t)
-	if c.F.Mont() == nil {
-		t.Fatal("test field has no Montgomery backend")
-	}
-	g := testGen(t, c)
+// oracleCurves is the table the differential tests run over: the small
+// test curve plus the preset sizes (primes duplicated from
+// params.Preset, which this package cannot import). The 16-limb SS1024
+// row is skipped under -short.
+var oracleCurves = []struct {
+	name, p, q string
+	random     int // random scalars on top of the edge cases
+}{
+	{"test96", "8f98a3660038a5b78edf9f53", "922af50d1a7f", 40},
+	{"Test160", "cab69233645ff2ec9acee7e93cf76c09cab9c52f", "ccf7a522ae5901e73051", 10},
+	{"SS512", "ad1b4018db0dcf94ca80575c821b9aefd402ad39db7a7d85fb0f8e71989659c2af8599a5b178cf01ddb933717119e7db4055e2b5e452590b660633ca3f0897b7", "eb390909eda970c020a00be910961312ae13722b", 4},
+	{"SS1024", "ad9a6e357557eb15668567fb42048d4265160edec9ae4d134bd4ab8d3cb48e659bf1198c17a1ac94870d40a0b013c456c52a86d827ba47dcadcdb78b45baa254d8bdd82e9c5c47088070a72b0b31238218a74808edb04c9da0be604bdc70995cc1e0c0b3664622935cc3eb7bf830b69e1145326b4e562226b65da09c6e4d447b", "d4d5f7f4ac6206c04a504269bfeb5b2f179f428d4530c35947146d33", 2},
+}
 
-	scalars := []*big.Int{
-		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3),
-		new(big.Int).Sub(c.Q, big.NewInt(1)), new(big.Int).Set(c.Q),
-		new(big.Int).Add(c.Q, big.NewInt(1)), new(big.Int).Set(c.H),
-	}
-	for i := 0; i < 40; i++ {
-		k, err := c.RandScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalars = append(scalars, k)
-	}
-	for _, k := range scalars {
-		want := c.ScalarMultBig(k, g)
-		got := c.ScalarMult(k, g)
-		if !c.Equal(got, want) {
-			t.Fatalf("backend mismatch at k=%v: mont %v, big %v", k, got, want)
-		}
-		if !c.Equal(c.ScalarMultWNAF(k, g), want) {
-			t.Fatalf("wNAF mismatch at k=%v", k)
-		}
+// forEachOracleCurve runs fn per table row with a random subgroup
+// generator and the scalars to try: the structural edges 0, 1, 2, 3,
+// the table edges 127 and 128 (largest odd multiple ScalarMultBase
+// stores), q−1, q, q+1, the cofactor, and the row's random scalars.
+func forEachOracleCurve(t *testing.T, fn func(t *testing.T, c *Curve, g Point, scalars []*big.Int)) {
+	for _, row := range oracleCurves {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			p, q := mustInt(row.p, 16), mustInt(row.q, 16)
+			if testing.Short() && p.BitLen() > 512 {
+				t.Skip("16-limb row skipped under -short")
+			}
+			f, err := ff.NewField(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(f, q, new(big.Int).Quo(new(big.Int).Add(p, big1), q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalars := []*big.Int{
+				big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3),
+				big.NewInt(127), big.NewInt(128),
+				new(big.Int).Sub(c.Q, big1), new(big.Int).Set(c.Q),
+				new(big.Int).Add(c.Q, big1), new(big.Int).Set(c.H),
+			}
+			for i := 0; i < row.random; i++ {
+				k, err := c.RandScalar(rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalars = append(scalars, k)
+			}
+			fn(t, c, testGen(t, c), scalars)
+		})
 	}
 }
 
-// TestScalarMultMontNonGenerator exercises the Montgomery ladder on
+// TestScalarMultBackendsAgree pins the production ladder (Jacobian, on
+// limbs) against the affine math/big oracle at every table size.
+func TestScalarMultBackendsAgree(t *testing.T) {
+	forEachOracleCurve(t, func(t *testing.T, c *Curve, g Point, scalars []*big.Int) {
+		for _, k := range scalars {
+			if got, want := c.ScalarMult(k, g), c.ScalarMultAffine(k, g); !c.Equal(got, want) {
+				t.Fatalf("ScalarMult != oracle at k=%v: got %v want %v", k, got, want)
+			}
+		}
+	})
+}
+
+// TestScalarMultMontNonGenerator exercises the production ladder on
 // points outside the subgroup (full-order and 2-torsion structure shows
 // up via the cofactor), where intermediate infinities and Y = 0 cases
 // are reachable.
@@ -56,44 +87,30 @@ func TestScalarMultMontNonGenerator(t *testing.T) {
 		big.NewInt(1), big.NewInt(2), c.H, order,
 		new(big.Int).Add(order, big.NewInt(5)),
 	} {
-		if !c.Equal(c.ScalarMult(k, p), c.ScalarMultBig(k, p)) {
-			t.Fatalf("backend mismatch on curve point at k=%v", k)
+		if !c.Equal(c.ScalarMult(k, p), c.ScalarMultAffine(k, p)) {
+			t.Fatalf("ScalarMult != oracle on curve point at k=%v", k)
 		}
 	}
 }
 
-// TestScalarMultBaseMatchesScalarMult is the satellite differential
-// test: the fixed-base table path must return exactly ScalarMult's
-// result for random and edge scalars.
+// TestScalarMultBaseMatchesScalarMult holds the fixed-base table path —
+// PrecomputeBase's Jacobian table and batch normalisation, then the
+// width-8 wNAF ladder — to the same oracle.
 func TestScalarMultBaseMatchesScalarMult(t *testing.T) {
-	c := testCurve(t)
-	g := testGen(t, c)
-	tab := c.PrecomputeBase(g)
-	if tab.IsInfinity() {
-		t.Fatal("table for non-identity base reports infinity")
-	}
-	if !c.Equal(tab.Base(), g) {
-		t.Fatal("table base point mismatch")
-	}
-
-	scalars := []*big.Int{
-		big.NewInt(0), big.NewInt(1), big.NewInt(2),
-		big.NewInt(127), big.NewInt(128), // table edge: largest odd multiple
-		new(big.Int).Sub(c.Q, big.NewInt(1)), new(big.Int).Set(c.Q),
-	}
-	for i := 0; i < 40; i++ {
-		k, err := c.RandScalar(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
+	forEachOracleCurve(t, func(t *testing.T, c *Curve, g Point, scalars []*big.Int) {
+		tab := c.PrecomputeBase(g)
+		if tab.IsInfinity() {
+			t.Fatal("table for non-identity base reports infinity")
 		}
-		scalars = append(scalars, k)
-	}
-	for _, k := range scalars {
-		want := c.ScalarMult(k, g)
-		if got := c.ScalarMultBase(tab, k); !c.Equal(got, want) {
-			t.Fatalf("ScalarMultBase mismatch at k=%v: got %v want %v", k, got, want)
+		if !c.Equal(tab.Base(), g) {
+			t.Fatal("table base point mismatch")
 		}
-	}
+		for _, k := range scalars {
+			if got, want := c.ScalarMultBase(tab, k), c.ScalarMultAffine(k, g); !c.Equal(got, want) {
+				t.Fatalf("ScalarMultBase != oracle at k=%v: got %v want %v", k, got, want)
+			}
+		}
+	})
 }
 
 // TestScalarMultBaseIdentityTable covers the identity base point and
@@ -116,9 +133,10 @@ func TestScalarMultBaseIdentityTable(t *testing.T) {
 	c.ScalarMultBase(c.PrecomputeBase(g), big.NewInt(-1))
 }
 
-// TestScalarMultBaseLowOrderBase exercises the table ladder on bases
-// outside the subgroup, including the 2-torsion point (0, 0) whose
-// doublings hit the identity mid-ladder, and a cofactor-order point.
+// TestScalarMultBaseLowOrderBase exercises PrecomputeBase and the table
+// ladder on bases outside the subgroup: the 2-torsion point (0, 0),
+// whose very first doubling is vertical so every table entry collapses
+// to P, and a cofactor-order point.
 func TestScalarMultBaseLowOrderBase(t *testing.T) {
 	c := testCurve(t)
 	two, err := c.NewPoint(new(big.Int), new(big.Int)) // (0,0): y²=x³+x holds
@@ -133,7 +151,7 @@ func TestScalarMultBaseLowOrderBase(t *testing.T) {
 		tab := c.PrecomputeBase(base)
 		for _, k := range []int64{0, 1, 2, 3, 63, 64, 127, 255, 1000} {
 			kk := big.NewInt(k)
-			if got, want := c.ScalarMultBase(tab, kk), c.ScalarMult(kk, base); !c.Equal(got, want) {
+			if got, want := c.ScalarMultBase(tab, kk), c.ScalarMultAffine(kk, base); !c.Equal(got, want) {
 				t.Fatalf("low-order base mismatch at k=%d: got %v want %v", k, got, want)
 			}
 		}

@@ -113,7 +113,7 @@ func UnitaryWNAF(k *big.Int) []int {
 	if k.Sign() < 0 {
 		panic("ff: negative exponent in F_{p²}")
 	}
-	return wnafDigits(k, expUnitaryWindow)
+	return WNAF(k, expUnitaryWindow)
 }
 
 // ExpUnitaryWNAFInto is ExpUnitaryInto with the exponent already

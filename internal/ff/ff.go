@@ -7,9 +7,15 @@
 // modulus and derived constants, so multiple parameter sets (e.g. test
 // and production sizes) can coexist in one process.
 //
-// The implementation favours clarity and auditability over raw speed and
-// is NOT constant time; see the repository README for the threat-model
-// discussion.
+// There are two layers. The math/big methods on Field and Fp2 are the
+// plain, allocating textbook arithmetic: API boundaries (encodings,
+// hashing, sampling) use them, and so does the affine oracle the
+// differential tests compare against. The hot paths — pairing, Jacobian
+// ladders, F_{p²} exponentiation — run on the fixed-limb Montgomery
+// layer (Mont, Fp2Mont) that every Field carries; TestMont* and the
+// Fuzz* targets pin it operation by operation against the math/big
+// layer. Neither layer is constant time; see the repository README for
+// the threat-model discussion.
 package ff
 
 import (
@@ -38,23 +44,25 @@ type Field struct {
 
 	pMinus1 *big.Int // p-1, cached for Rand and exponent reductions
 
-	// mont is the fixed-limb Montgomery backend, built automatically
-	// for every supported (odd, <= 2048-bit) modulus. The big.Int
-	// methods on Field remain the executable reference; hot paths
-	// (pairing, Jacobian ladders, F_{p²} exponentiation) run on the
-	// backend end-to-end. Nil when the modulus is unsupported.
+	// mont is the fixed-limb Montgomery layer, never nil: NewField
+	// refuses a modulus it cannot be built for.
 	mont *Mont
 }
 
-// NewField returns a field context for the odd prime p. The primality of
-// p is the caller's responsibility (parameter generation checks it); only
-// structural requirements are validated here.
+// NewField returns a field context for the odd prime p of at most
+// 64·maxMontLimbs bits. The primality of p is the caller's
+// responsibility (parameter generation checks it); only structural
+// requirements are validated here.
 func NewField(p *big.Int) (*Field, error) {
 	if p == nil || p.Sign() <= 0 {
 		return nil, errors.New("ff: modulus must be a positive integer")
 	}
 	if p.Bit(0) == 0 || p.Cmp(big3) < 0 {
 		return nil, errors.New("ff: modulus must be an odd prime >= 3")
+	}
+	if p.BitLen() > 64*maxMontLimbs {
+		return nil, fmt.Errorf("ff: modulus is %d bits, the Type-1 field stops at %d; for higher security use the BLS12-381 backend (-backend bls12381)",
+			p.BitLen(), 64*maxMontLimbs)
 	}
 	f := &Field{
 		p:       new(big.Int).Set(p),
@@ -136,46 +144,6 @@ func (f *Field) Exp(a, e *big.Int) *big.Int {
 	return new(big.Int).Exp(a, e, f.p)
 }
 
-// Destination-passing variants of the core operations. They write the
-// result into dst (which may alias either operand — math/big handles
-// aliasing) and return dst, so hot loops can reuse a fixed set of
-// integers instead of allocating one per operation. The Miller loop in
-// package pairing is the primary consumer.
-
-// AddInto sets dst = a+b mod p and returns dst.
-func (f *Field) AddInto(dst, a, b *big.Int) *big.Int {
-	dst.Add(a, b)
-	if dst.Cmp(f.p) >= 0 {
-		dst.Sub(dst, f.p)
-	}
-	return dst
-}
-
-// SubInto sets dst = a-b mod p and returns dst.
-func (f *Field) SubInto(dst, a, b *big.Int) *big.Int {
-	dst.Sub(a, b)
-	if dst.Sign() < 0 {
-		dst.Add(dst, f.p)
-	}
-	return dst
-}
-
-// DoubleInto sets dst = 2a mod p and returns dst.
-func (f *Field) DoubleInto(dst, a *big.Int) *big.Int {
-	return f.AddInto(dst, a, a)
-}
-
-// MulInto sets dst = a·b mod p and returns dst.
-func (f *Field) MulInto(dst, a, b *big.Int) *big.Int {
-	dst.Mul(a, b)
-	return dst.Mod(dst, f.p)
-}
-
-// SqrInto sets dst = a² mod p and returns dst.
-func (f *Field) SqrInto(dst, a *big.Int) *big.Int {
-	return f.MulInto(dst, a, a)
-}
-
 // InvBatch returns the inverses of all xs with a single modular
 // inversion (Montgomery's trick: invert the running product, then peel
 // the prefix products back off). It panics if any element is zero, like
@@ -190,15 +158,15 @@ func (f *Field) InvBatch(xs []*big.Int) []*big.Int {
 	}
 	// prefix[i] = x_0·…·x_{i-1}; prefix[0] = 1.
 	prefix := make([]*big.Int, n)
-	acc := big.NewInt(1)
+	acc := big1
 	for i, x := range xs {
-		prefix[i] = new(big.Int).Set(acc)
-		f.MulInto(acc, acc, x)
+		prefix[i] = acc
+		acc = f.Mul(acc, x)
 	}
 	inv := f.Inv(acc) // panics on zero product, i.e. any zero input
 	for i := n - 1; i >= 0; i-- {
 		out[i] = f.Mul(inv, prefix[i])
-		f.MulInto(inv, inv, xs[i])
+		inv = f.Mul(inv, xs[i])
 	}
 	return out
 }

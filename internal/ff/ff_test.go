@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,79 @@ func TestNewFieldRejectsBadModulus(t *testing.T) {
 	}
 	if _, err := NewField(big.NewInt(7)); err != nil {
 		t.Errorf("NewField(7): %v", err)
+	}
+
+	// The limb layer stops at 2048 bits; a wider modulus is an error
+	// that names the way out, not a field without a hot path.
+	widest := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 2048), big.NewInt(1))
+	if f, err := NewField(widest); err != nil || f.Mont() == nil {
+		t.Errorf("NewField(2^2048-1): field %v, err %v", f, err)
+	}
+	for _, bits := range []uint{2048, 3071} { // 2049- and 3072-bit odd moduli
+		p := new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), bits), big.NewInt(1))
+		_, err := NewField(p)
+		if err == nil || !strings.Contains(err.Error(), "bls12381") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("NewField(%d-bit modulus): err %v, want a one-line error naming bls12381", p.BitLen(), err)
+		}
+	}
+}
+
+func TestInvBatch(t *testing.T) {
+	f := testField(t)
+	for _, n := range []int{0, 1, 2, 17} {
+		xs := make([]*big.Int, n)
+		for i := range xs {
+			x, err := f.RandNonZero(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs[i] = x
+		}
+		invs := f.InvBatch(xs)
+		if len(invs) != n {
+			t.Fatalf("InvBatch returned %d results for %d inputs", len(invs), n)
+		}
+		for i := range xs {
+			if invs[i].Cmp(f.Inv(xs[i])) != 0 {
+				t.Fatalf("InvBatch[%d] != Inv", i)
+			}
+		}
+	}
+}
+
+func TestInvBatchPanicsOnZero(t *testing.T) {
+	f := testField(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InvBatch with a zero element must panic like Inv")
+		}
+	}()
+	f.InvBatch([]*big.Int{big.NewInt(5), new(big.Int)})
+}
+
+// TestWNAFRecoding: the recoded digits must reconstruct the scalar,
+// with every non-zero digit odd and within (−2^(w−1), 2^(w−1)), at the
+// two widths in use (5 for ExpUnitary, 8 for curve.ScalarMultBase).
+func TestWNAFRecoding(t *testing.T) {
+	for _, w := range []uint{5, 8} {
+		half := 1 << (w - 1)
+		prop := func(k uint64) bool {
+			n := new(big.Int).SetUint64(k)
+			digits := WNAF(n, w)
+			acc := new(big.Int)
+			for i := len(digits) - 1; i >= 0; i-- {
+				d := digits[i]
+				acc.Lsh(acc, 1)
+				acc.Add(acc, big.NewInt(int64(d)))
+				if d != 0 && (d%2 == 0 || d >= half || d <= -half) {
+					return false
+				}
+			}
+			return acc.Cmp(n) == 0
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("width %d: %v", w, err)
+		}
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 type Fp2 struct {
 	Fp *Field
 
-	// mont is the limb-vector twin of this context (nil when the base
-	// field has no Montgomery backend); Exp and ExpUnitary run on it
-	// end-to-end, converting once at the boundary.
+	// mont is the limb-vector layer of this context; Exp and ExpUnitary
+	// run on it end-to-end, converting once at the boundary.
 	mont *Fp2Mont
 }
 
@@ -34,11 +33,7 @@ func NewFp2(fp *Field) (*Fp2, error) {
 	if new(big.Int).Mod(fp.p, big4).Cmp(big3) != 0 {
 		return nil, errors.New("ff: F_{p²} = F_p[i]/(i²+1) needs p ≡ 3 (mod 4)")
 	}
-	e := &Fp2{Fp: fp}
-	if fp.mont != nil {
-		e.mont = &Fp2Mont{M: fp.mont}
-	}
-	return e, nil
+	return &Fp2{Fp: fp, mont: &Fp2Mont{M: fp.mont}}, nil
 }
 
 // Zero returns the additive identity.
@@ -125,70 +120,30 @@ func (e *Fp2) Inv(x Fp2Elem) Fp2Elem {
 	return Fp2Elem{A: e.Fp.Mul(x.A, nInv), B: e.Fp.Mul(e.Fp.Neg(x.B), nInv)}
 }
 
-// Scratch holds the temporaries the destination-passing F_{p²}
-// operations need. One Scratch serves any number of sequential MulInto/
-// SqrInto calls; it must not be shared between goroutines.
-type Scratch struct {
-	t0, t1, t2 *big.Int
-}
-
-// NewScratch allocates a scratch space for MulInto/SqrInto.
-func NewScratch() *Scratch {
-	return &Scratch{t0: new(big.Int), t1: new(big.Int), t2: new(big.Int)}
-}
-
-// MulInto sets dst = x·y, reusing dst's limbs and the scratch space, and
-// performing no heap allocation beyond what math/big grows internally.
-// dst may alias x or y. This is the hot-path variant of Mul used by the
-// Miller loop, where the accumulator is multiplied twice per iteration.
-func (e *Fp2) MulInto(dst *Fp2Elem, x, y Fp2Elem, s *Scratch) {
-	fp := e.Fp
-	fp.MulInto(s.t0, x.A, y.A) // ac
-	fp.MulInto(s.t1, x.B, y.B) // bd
-	s.t2.Add(x.A, x.B)
-	dst.A.Add(y.A, y.B) // dst.A as a 4th temp: all reads of x, y are done
-	fp.MulInto(s.t2, s.t2, dst.A)
-	fp.AddInto(dst.A, s.t0, s.t1)
-	fp.SubInto(dst.B, s.t2, dst.A) // (a+b)(c+d) − ac − bd
-	fp.SubInto(dst.A, s.t0, s.t1)  // ac − bd
-}
-
-// SqrInto sets dst = x² in place; dst may alias x.
-func (e *Fp2) SqrInto(dst *Fp2Elem, x Fp2Elem, s *Scratch) {
-	fp := e.Fp
-	s.t0.Add(x.A, x.B)
-	fp.SubInto(s.t1, x.A, x.B)
-	fp.MulInto(s.t2, x.A, x.B)
-	fp.MulInto(dst.A, s.t0, s.t1) // (a+b)(a−b); t0 < 2p is fine, MulInto reduces
-	fp.DoubleInto(dst.B, s.t2)
-}
-
-// Exp returns x^k for a non-negative exponent k. With a Montgomery
-// backend available the whole ladder runs on limb vectors (one
-// conversion each way at the boundary, no big.Int work per bit);
-// otherwise it falls back to destination-passing square-and-multiply
-// over Scratch, which allocates nothing per bit either.
+// Exp returns x^k for a non-negative exponent k. The whole ladder runs
+// on limb vectors: one conversion each way at the boundary, no big.Int
+// work per bit.
 func (e *Fp2) Exp(x Fp2Elem, k *big.Int) Fp2Elem {
 	if k.Sign() < 0 {
 		panic("ff: negative exponent in F_{p²}")
 	}
-	if em := e.mont; em != nil {
-		xm := em.NewElem()
-		em.ToMont(&xm, x)
-		em.ExpInto(&xm, xm, k, em.NewScratch())
-		return em.FromMont(xm)
-	}
-	return e.ExpBig(x, k)
+	em := e.mont
+	xm := em.NewElem()
+	em.ToMont(&xm, x)
+	em.ExpInto(&xm, xm, k, em.NewScratch())
+	return em.FromMont(xm)
 }
 
-// expBig is the big.Int reference ladder behind Exp.
+// ExpBig is the math/big oracle for Exp and ExpUnitary: textbook
+// square-and-multiply over the allocating Mul and Sqr, never touching
+// the limb layer. The differential tests and the affine reference
+// pairing's final exponentiation use it.
 func (e *Fp2) ExpBig(x Fp2Elem, k *big.Int) Fp2Elem {
 	r := e.One()
-	s := NewScratch()
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		e.SqrInto(&r, r, s)
+		r = e.Sqr(r)
 		if k.Bit(i) == 1 {
-			e.MulInto(&r, r, x, s)
+			r = e.Mul(r, x)
 		}
 	}
 	return r
@@ -206,45 +161,11 @@ func (e *Fp2) ExpUnitary(x Fp2Elem, k *big.Int) Fp2Elem {
 	if k.Sign() < 0 {
 		panic("ff: negative exponent in F_{p²}")
 	}
-	if em := e.mont; em != nil {
-		xm := em.NewElem()
-		em.ToMont(&xm, x)
-		em.ExpUnitaryInto(&xm, xm, k, em.NewScratch())
-		return em.FromMont(xm)
-	}
-	return e.ExpUnitaryBig(x, k)
-}
-
-// ExpUnitaryBig is the big.Int reference ladder behind ExpUnitary: the
-// same signed-window recoding, conjugating table entries for negative
-// digits. Exported for differential tests and the backend ablation.
-func (e *Fp2) ExpUnitaryBig(x Fp2Elem, k *big.Int) Fp2Elem {
-	if k.Sign() < 0 {
-		panic("ff: negative exponent in F_{p²}")
-	}
-	if k.Sign() == 0 {
-		return e.One()
-	}
-	const tableSize = 1 << (expUnitaryWindow - 2)
-	s := NewScratch()
-	var table [tableSize]Fp2Elem
-	table[0] = Fp2Elem{A: new(big.Int).Set(x.A), B: new(big.Int).Set(x.B)}
-	sq := e.Sqr(x)
-	for i := 1; i < tableSize; i++ {
-		table[i] = e.Mul(table[i-1], sq)
-	}
-	digits := wnafDigits(k, expUnitaryWindow)
-	r := e.One()
-	for i := len(digits) - 1; i >= 0; i-- {
-		e.SqrInto(&r, r, s)
-		switch d := digits[i]; {
-		case d > 0:
-			e.MulInto(&r, r, table[(d-1)/2], s)
-		case d < 0:
-			e.MulInto(&r, r, e.Conj(table[(-d-1)/2]), s)
-		}
-	}
-	return r
+	em := e.mont
+	xm := em.NewElem()
+	em.ToMont(&xm, x)
+	em.ExpUnitaryInto(&xm, xm, k, em.NewScratch())
+	return em.FromMont(xm)
 }
 
 // Rand returns a uniformly random element of F_{p²}.

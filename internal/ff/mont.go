@@ -6,9 +6,10 @@ import (
 	"sync"
 )
 
-// maxMontLimbs bounds the modulus size the fixed-limb backend accepts
-// (32 × 64 = 2048 bits, comfortably above the largest preset). Larger
-// moduli silently fall back to the big.Int reference path.
+// maxMontLimbs bounds the modulus size the fixed-limb layer accepts
+// (32 × 64 = 2048 bits, comfortably above the largest preset); it sizes
+// the stack buffers of Mul, Exp and FromMont. NewField refuses anything
+// wider.
 const maxMontLimbs = 32
 
 // MontElem is a field element as a little-endian vector of 64-bit limbs
@@ -17,11 +18,11 @@ const maxMontLimbs = 32
 // are only meaningful relative to the *Mont context that created them.
 type MontElem []uint64
 
-// Mont is the fixed-width-limb Montgomery arithmetic context for F_p.
-// It is the performance backend underneath the big.Int reference
-// implementation: the pairing's Miller loops, the final exponentiation
-// and the curve's Jacobian ladders all run on MontElem vectors
-// end-to-end and convert to big.Int only at API boundaries.
+// Mont is the fixed-width-limb Montgomery arithmetic context for F_p,
+// the one production representation of the hot paths: the pairing's
+// Miller loops, the final exponentiation and the curve's Jacobian
+// ladders all run on MontElem vectors end-to-end and convert to big.Int
+// only at API boundaries.
 //
 // A Mont context is immutable after construction and safe for
 // concurrent use; per-call scratch lives on the callers' stacks.
@@ -43,16 +44,10 @@ type Mont struct {
 	arenas sync.Pool
 }
 
-// newMont builds the Montgomery context for an odd modulus p, or
-// returns nil when p is unsupported (even, or wider than maxMontLimbs).
+// newMont builds the Montgomery context for the modulus p, which
+// NewField has checked to be odd and at most maxMontLimbs wide.
 func newMont(p *big.Int) *Mont {
-	if p.Bit(0) == 0 {
-		return nil
-	}
 	n := (p.BitLen() + 63) / 64
-	if n == 0 || n > maxMontLimbs {
-		return nil
-	}
 	m := &Mont{
 		n:   n,
 		p:   make([]uint64, n),
@@ -79,9 +74,7 @@ func newMont(p *big.Int) *Mont {
 	return m
 }
 
-// Mont returns the field's Montgomery backend, or nil when the modulus
-// does not support one (see newMont). Callers must treat a nil return
-// as "use the big.Int reference path".
+// Mont returns the field's Montgomery limb context; it is never nil.
 func (f *Field) Mont() *Mont { return f.mont }
 
 // Limbs returns the limb count of elements of this context.

@@ -3,7 +3,7 @@ package ff
 import "math/big"
 
 // Fp2MontElem is an element a + b·i of F_{p²} with both coordinates in
-// Montgomery form. It is the limb-vector twin of Fp2Elem: the pairing's
+// Montgomery form. It is the limb-vector form of Fp2Elem: the pairing's
 // Miller loops, the final exponentiation and the G2 exponentiation hot
 // paths all work on this representation and convert at the boundary.
 type Fp2MontElem struct {
@@ -12,14 +12,13 @@ type Fp2MontElem struct {
 
 // Fp2Mont bundles the quadratic-extension operations over the
 // Montgomery backend. Obtain one from Fp2.Mont; it is immutable and
-// safe for concurrent use (scratch is caller-provided, as with
-// Fp2.MulInto).
+// safe for concurrent use (scratch is caller-provided).
 type Fp2Mont struct {
 	M *Mont
 }
 
-// Mont returns the limb-vector backend of the extension field, or nil
-// when the base field has none.
+// Mont returns the limb-vector context of the extension field; it is
+// never nil.
 func (e *Fp2) Mont() *Fp2Mont { return e.mont }
 
 // NewElem returns a fresh zero element.
@@ -98,7 +97,7 @@ func (e *Fp2Mont) ConjInto(dst *Fp2MontElem, x Fp2MontElem) {
 }
 
 // Fp2MontScratch holds the temporaries of the destination-passing
-// F_{p²} limb operations; one per goroutine, exactly like Scratch.
+// F_{p²} limb operations; one per goroutine.
 type Fp2MontScratch struct {
 	t0, t1, t2, t3 MontElem
 }
@@ -202,14 +201,16 @@ func (e *Fp2Mont) ExpUnitaryInto(dst *Fp2MontElem, x Fp2MontElem, k *big.Int, s 
 	// and call ExpUnitaryWNAFInto directly (see arena.go).
 	a := e.M.GetArena()
 	defer a.Release()
-	e.ExpUnitaryWNAFInto(dst, x, wnafDigits(k, expUnitaryWindow), s, a)
+	e.ExpUnitaryWNAFInto(dst, x, WNAF(k, expUnitaryWindow), s, a)
 }
 
-// wnafDigits returns the width-w non-adjacent form of k, least
-// significant digit first: digits are zero or odd in
+// WNAF returns the width-w non-adjacent form of the non-negative k,
+// least significant digit first: digits are zero or odd in
 // (−2^(w−1), 2^(w−1)), and non-zero digits are separated by at least
-// w−1 zeros.
-func wnafDigits(k *big.Int, w uint) []int {
+// w−1 zeros. It is the one signed-window recoder of the symmetric
+// stack: the unitary F_{p²} ladder and the curve's fixed-base ladder
+// both consume it.
+func WNAF(k *big.Int, w uint) []int {
 	n := new(big.Int).Set(k)
 	mod := int64(1) << w
 	half := int64(1) << (w - 1)

@@ -5,35 +5,24 @@ import (
 	"timedrelease/internal/ff"
 )
 
-// montCtx carries everything the Montgomery-backend pairing paths need:
-// the limb contexts and the wNAF recoding of the cofactor used by the
-// final exponentiation. Built once in New when the field supports the
-// backend; nil otherwise, in which case every public entry point runs
-// the big.Int reference code.
-type montCtx struct {
-	m   *ff.Mont
-	e2m *ff.Fp2Mont
-
-	// hDigits is the signed-window recoding of the cofactor h, computed
-	// once so finalExpMontIn never touches big.Int arithmetic.
-	hDigits []int
-}
-
-func newMontCtx(e2 *ff.Fp2, h []int) *montCtx {
-	e2m := e2.Mont()
-	if e2m == nil {
-		return nil
-	}
-	return &montCtx{m: e2m.M, e2m: e2m, hDigits: h}
-}
-
-// millerStateMont is millerState on Montgomery limb vectors: the same
-// Jacobian walk and projective line coefficients, with every field
-// operation a fixed-width CIOS multiplication or lazy-reduced add/sub.
-// See millerState for the formula derivations; the two implementations
-// are kept line-for-line parallel and are pinned to exact agreement by
-// the differential tests. All state is carved from a caller-held arena,
-// so a full Miller loop allocates nothing.
+// millerStateMont walks the Miller loop's point accumulator in Jacobian
+// coordinates (X : Y : Z) ↔ affine (X/Z², Y/Z³) on Montgomery limb
+// vectors, producing for each doubling/addition step the coefficients
+// (A, B, C) of the line value
+//
+//	g = A·x_Q + B + C·y_Q·i  ∈ F_{p²}
+//
+// evaluated at the distorted point ψ(Q) = (−x_Q, i·y_Q). The
+// coefficients equal the affine line value scaled by a non-zero F_p
+// factor (2YZ³ for tangents, Z_new = Z·H for chords), which the final
+// exponentiation kills — the denominator-elimination argument extended
+// to projective denominators. No step performs a field inversion;
+// every field operation is a fixed-width CIOS multiplication or a
+// lazy-reduced add/sub. The affine oracle (MillerAffine, lineDouble,
+// lineAdd in pairing.go) computes the same lines with a different
+// algorithm, and the differential tests hold this walk to it. All state
+// is carved from a caller-held arena, so a full Miller loop allocates
+// nothing.
 type millerStateMont struct {
 	m       *ff.Mont
 	X, Y, Z ff.MontElem
@@ -56,9 +45,18 @@ func newMillerStateMontIn(m *ff.Mont, px, py ff.MontElem, a *ff.Arena) millerSta
 
 func (st *millerStateMont) isInf() bool { return st.m.IsZero(st.Z) }
 
-// dbl is millerState.dbl on limbs: advance V ← 2V, emit the tangent
-// line's projective coefficients (A, B, C) = (M·Z², M·X − 2Y², 2YZ³),
-// or return false for a factor-1 step.
+// dbl advances V ← 2V and writes the tangent-line coefficients into
+// (a, b, c). It returns false when the step contributes the factor 1
+// instead (V at infinity, or a vertical tangent at a 2-torsion point),
+// mirroring the affine lineDouble semantics exactly.
+//
+// With M = 3X² + Z⁴ (curve a-coefficient 1) and the affine tangent slope
+// λ = M/(2YZ), scaling the affine line by 2YZ³ gives
+//
+//	A = M·Z², B = M·X − 2Y², C = 2YZ³,
+//
+// and the point update is the standard Jacobian doubling
+// X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ with S = 4XY².
 func (st *millerStateMont) dbl(a, b, c ff.MontElem) bool {
 	if st.isInf() {
 		return false
@@ -109,10 +107,19 @@ func (st *millerStateMont) dbl(a, b, c ff.MontElem) bool {
 	return true
 }
 
-// add is millerState.add on limbs: advance V ← V + P for the fixed
-// Montgomery-form affine point (px, py), emitting the chord line's
-// coefficients (A, B, C) = (R, R·x_p − Z'·y_p, Z'), or false for a
-// factor-1 step.
+// add advances V ← V + P for the fixed Montgomery-form affine point
+// (px, py), which is never the identity, and writes the chord-line
+// coefficients into (a, b, c); it returns false when the step
+// contributes the factor 1 (V at infinity, or the vertical chord
+// V + (−V)), mirroring the affine lineAdd semantics.
+//
+// Mixed Jacobian+affine addition: with U2 = x_p·Z², S2 = y_p·Z³,
+// H = U2 − X, R = S2 − Y, the affine chord slope is λ = R/(Z·H);
+// scaling the affine line by Z' = Z·H gives
+//
+//	A = R, B = R·x_p − Z'·y_p, C = Z',
+//
+// and X3 = R² − H³ − 2XH², Y3 = R(XH² − X3) − Y·H³, Z3 = Z·H.
 func (st *millerStateMont) add(px, py ff.MontElem, a, b, c ff.MontElem) bool {
 	m := st.m
 	if st.isInf() {
@@ -134,7 +141,8 @@ func (st *millerStateMont) add(px, py ff.MontElem, a, b, c ff.MontElem) bool {
 	m.Sub(r, s2, st.Y) // R = S2 − Y
 	if m.IsZero(h) {
 		if m.IsZero(r) {
-			// V and P coincide: tangent step, as in the references.
+			// V and P coincide: the chord degenerates to the tangent,
+			// exactly as in the affine oracle.
 			return st.dbl(a, b, c)
 		}
 		// Vertical chord V + (−V): factor 1, accumulator to infinity.
@@ -171,24 +179,24 @@ func (st *millerStateMont) add(px, py ff.MontElem, a, b, c ff.MontElem) bool {
 
 // toMontPointIn converts an affine point's coordinates into Montgomery
 // form in arena storage (the point must not be the identity).
-func (mc *montCtx) toMontPointIn(p curve.Point, a *ff.Arena) (x, y ff.MontElem) {
+func (pr *Pairing) toMontPointIn(p curve.Point, a *ff.Arena) (x, y ff.MontElem) {
 	x, y = a.Elem(), a.Elem()
-	mc.m.ToMont(x, p.X)
-	mc.m.ToMont(y, p.Y)
+	pr.m.ToMont(x, p.X)
+	pr.m.ToMont(y, p.Y)
 	return x, y
 }
 
-// millerMontIn is the Montgomery-backend twin of Miller: the Jacobian
-// inversion-free loop entirely on limb vectors, every temporary carved
-// from the caller's arena. P and Q must be non-identity subgroup
-// points; the returned value is in Montgomery form (valid until the
-// arena is released) and bit-for-bit equal (after conversion) to
-// Miller's.
+// millerMontIn evaluates the Miller function f_{q,P} at ψ(Q) with the
+// Jacobian inversion-free loop, without the final exponentiation, every
+// temporary carved from the caller's arena. P and Q must be
+// non-identity subgroup points; the returned value is in Montgomery
+// form and valid until the arena is released. It differs from
+// MillerAffine's by a non-zero F_p^* factor per line, which the final
+// exponentiation eliminates.
 func (pr *Pairing) millerMontIn(p, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
-	mc := pr.mont
-	m, e2m := mc.m, mc.e2m
-	px, py := mc.toMontPointIn(p, ar)
-	qx, qy := mc.toMontPointIn(q, ar)
+	m, e2m := pr.m, pr.e2m
+	px, py := pr.toMontPointIn(p, ar)
+	qx, qy := pr.toMontPointIn(q, ar)
 	st := newMillerStateMontIn(m, px, py, ar)
 	f := e2m.OneIn(ar)
 	g := e2m.ElemIn(ar)
@@ -222,11 +230,10 @@ func (pr *Pairing) millerMontIn(p, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 // signed-window unitary ladder over the cached recoding of h. The
 // result lives in the arena.
 func (pr *Pairing) finalExpMontIn(f ff.Fp2MontElem, a *ff.Arena) ff.Fp2MontElem {
-	mc := pr.mont
-	e2m := mc.e2m
+	e2m := pr.e2m
 	if e2m.IsZero(f) {
-		// Cannot happen for valid subgroup inputs (see Miller); treat as
-		// degenerate, like the big.Int path.
+		// Cannot happen for valid subgroup inputs (every line value has
+		// imaginary part y_Q ≠ 0, see lineEval); treat as degenerate.
 		return e2m.OneIn(a)
 	}
 	s := e2m.ScratchIn(a)
@@ -235,27 +242,19 @@ func (pr *Pairing) finalExpMontIn(f ff.Fp2MontElem, a *ff.Arena) ff.Fp2MontElem 
 	conj := e2m.ElemIn(a)
 	e2m.ConjInto(&conj, f)
 	e2m.MulInto(&t, conj, t, s) // f^(p−1), unitary from here on
-	e2m.ExpUnitaryWNAFInto(&t, t, mc.hDigits, s, a)
+	e2m.ExpUnitaryWNAFInto(&t, t, pr.hDigits, s, a)
 	return t
 }
 
-// pairMont is Pair on the Montgomery backend end-to-end: limb-vector
-// Miller loop and final exponentiation over one pooled arena, with a
-// single conversion at the boundary.
-func (pr *Pairing) pairMont(p, q curve.Point) GT {
-	mc := pr.mont
-	a := mc.m.GetArena()
-	defer a.Release()
-	return mc.e2m.FromMont(pr.finalExpMontIn(pr.millerMontIn(p, q, a), a))
-}
-
-// millerPreparedMontIn evaluates a precomputed line schedule at ψ(Q) on
-// limb vectors: one CIOS multiplication and one addition per line, all
-// temporaries in the caller's arena.
+// millerPreparedMontIn evaluates the Miller function f_{q,P} at ψ(Q)
+// from the stored line schedule of P: one CIOS multiplication and one
+// addition per line, no point arithmetic, all temporaries in the
+// caller's arena. Q must be a non-identity subgroup point and pp must
+// not be the prepared identity. The value equals MillerAffine(P, Q)
+// exactly (same normalised lines).
 func (pr *Pairing) millerPreparedMontIn(pp *PreparedPoint, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
-	mc := pr.mont
-	m, e2m := mc.m, mc.e2m
-	qx, qy := mc.toMontPointIn(q, ar)
+	m, e2m := pr.m, pr.e2m
+	qx, qy := pr.toMontPointIn(q, ar)
 	f := e2m.OneIn(ar)
 	// The imaginary part of every line value is the constant y_Q.
 	g := ff.Fp2MontElem{A: ar.Elem(), B: qy}
@@ -264,13 +263,13 @@ func (pr *Pairing) millerPreparedMontIn(pp *PreparedPoint, q curve.Point, ar *ff
 		st := &pp.steps[k]
 		e2m.SqrInto(&f, f, s)
 		if !st.dbl.vertical {
-			m.Mul(g.A, st.dbl.lambdaM, qx)
-			m.Add(g.A, g.A, st.dbl.muM)
+			m.Mul(g.A, st.dbl.lambda, qx)
+			m.Add(g.A, g.A, st.dbl.mu)
 			e2m.MulInto(&f, f, g, s)
 		}
 		if st.hasAdd && !st.add.vertical {
-			m.Mul(g.A, st.add.lambdaM, qx)
-			m.Add(g.A, g.A, st.add.muM)
+			m.Mul(g.A, st.add.lambda, qx)
+			m.Add(g.A, g.A, st.add.mu)
 			e2m.MulInto(&f, f, g, s)
 		}
 	}

@@ -11,11 +11,19 @@
 // line evaluated at ψ(Q) = (−x_Q, i·y_Q) has value −x_Q − x ∈ F_p, and
 // the final exponentiation (p²−1)/q = (p−1)·h kills all of F_p*, so
 // vertical-line factors can be skipped entirely. The same argument
-// licenses the projective Miller loop (miller.go): line values may be
-// scaled by any non-zero F_p factor, so the loop runs in Jacobian
-// coordinates with zero per-iteration inversions. The affine loop is
-// kept as MillerAffine, the reference implementation for differential
-// testing (à la curve.ScalarMultAffine and experiment E4).
+// licenses the projective Miller loop: line values may be scaled by any
+// non-zero F_p factor, so the loop runs in Jacobian coordinates with
+// zero per-iteration inversions.
+//
+// There are exactly two implementations. Production — Pair,
+// PairPrepared, PairProduct, SamePairing*, FinalExp — is that
+// projective loop and a Frobenius final exponentiation on Montgomery
+// limb vectors (mont.go, which also carries the line derivations). The
+// oracle — MillerAffine, PairAffine — is the textbook algorithm in this
+// file: affine math/big arithmetic with one inversion per step and a
+// plain f^((p²−1)/q) exponentiation. It shares neither formulas nor
+// number representation with production, and the differential tests
+// hold every production entry point to it (à la curve.ScalarMultAffine).
 //
 // For pairings whose first argument is fixed across many evaluations
 // (update verification, BLS verification, user-key well-formedness
@@ -33,6 +41,11 @@ import (
 	"timedrelease/internal/parallel"
 )
 
+var (
+	big1 = big.NewInt(1)
+	big3 = big.NewInt(3)
+)
+
 // GT is the target group: the order-q subgroup of F_{p²}*.
 type GT = ff.Fp2Elem
 
@@ -42,7 +55,7 @@ type Pairing struct {
 	C  *curve.Curve
 	E2 *ff.Fp2
 
-	finalExp *big.Int // (p²−1)/q = (p−1)·h
+	finalExp *big.Int // (p²−1)/q = (p−1)·h, the oracle's exponent
 
 	// schedule[k] reports whether Miller iteration k (processing bit
 	// BitLen-2-k of q) performs an addition step after its doubling
@@ -50,13 +63,13 @@ type Pairing struct {
 	// every loop.
 	schedule []bool
 
-	// mont holds the fixed-limb Montgomery backend contexts (mont.go).
-	// When non-nil — every supported modulus — Pair, PairPrepared,
-	// PairProduct and FinalExp run on limb vectors end-to-end; the
-	// big.Int code remains reachable through the *Big methods as the
-	// executable reference for differential tests and the backend
-	// ablation benchmarks.
-	mont *montCtx
+	// m and e2m are the limb contexts every production entry point runs
+	// on end-to-end; hDigits is the signed-window recoding of the
+	// cofactor h, computed once so the final exponentiation never
+	// touches big.Int arithmetic.
+	m       *ff.Mont
+	e2m     *ff.Fp2Mont
+	hDigits []int
 }
 
 // New returns a pairing context for c.
@@ -79,49 +92,35 @@ func New(c *curve.Curve) (*Pairing, error) {
 		E2:       e2,
 		finalExp: new(big.Int).Mul(pm1, c.H),
 		schedule: schedule,
-		mont:     newMontCtx(e2, ff.UnitaryWNAF(c.H)),
+		m:        c.F.Mont(),
+		e2m:      e2.Mont(),
+		hDigits:  ff.UnitaryWNAF(c.H),
 	}, nil
 }
 
-// Pair computes ê(P, Q) with the projective (inversion-free) Miller
-// loop, on the fixed-limb Montgomery backend when available. Both
-// points must lie in the order-q subgroup; if either is the identity
-// the result is 1.
+// Pair computes ê(P, Q): the projective (inversion-free) Miller loop
+// and the final exponentiation on limb vectors over one pooled arena,
+// with a single conversion at the boundary. Both points must lie in the
+// order-q subgroup; if either is the identity the result is 1.
 func (pr *Pairing) Pair(p, q curve.Point) GT {
 	if p.IsInfinity() || q.IsInfinity() {
 		return pr.E2.One()
 	}
-	if pr.mont != nil {
-		return pr.pairMont(p, q)
-	}
-	return pr.finalExpBig(pr.Miller(p, q))
+	a := pr.m.GetArena()
+	defer a.Release()
+	return pr.e2m.FromMont(pr.finalExpMontIn(pr.millerMontIn(p, q, a), a))
 }
 
-// PairBig computes ê(P, Q) with the projective Miller loop and final
-// exponentiation entirely on the big.Int reference backend. It returns
-// bit-for-bit the same value as Pair and exists for differential
-// testing and the field-backend ablation (BENCH_pairing.json).
-func (pr *Pairing) PairBig(p, q curve.Point) GT {
-	if p.IsInfinity() || q.IsInfinity() {
-		return pr.E2.One()
-	}
-	return pr.finalExpBig(pr.Miller(p, q))
-}
-
-// PairAffine computes ê(P, Q) with the affine reference Miller loop,
-// all on the big.Int backend. It returns the same value as Pair and
-// exists for differential testing and the E4/pairing-bench ablations.
+// PairAffine is the oracle for every production pairing: the affine
+// Miller loop followed by the plain exponentiation f^((p²−1)/q), all on
+// math/big. It returns the same value as Pair and exists for
+// differential testing and the E4/pairing-bench ablations.
 func (pr *Pairing) PairAffine(p, q curve.Point) GT {
 	if p.IsInfinity() || q.IsInfinity() {
 		return pr.E2.One()
 	}
-	return pr.finalExpBig(pr.MillerAffine(p, q))
+	return pr.E2.ExpBig(pr.MillerAffine(p, q), pr.finalExp)
 }
-
-// PairAfterMiller exposes the two phases separately so callers can
-// multiply several Miller values and share one final exponentiation
-// (see PairProduct); it exists for the E5 ablation.
-func (pr *Pairing) PairAfterMiller(f GT) GT { return pr.FinalExp(f) }
 
 // FinalExp raises an unreduced Miller value to (p²−1)/q, mapping it into
 // the order-q target group. The (p−1) factor is applied via the
@@ -132,40 +131,22 @@ func (pr *Pairing) PairAfterMiller(f GT) GT { return pr.FinalExp(f) }
 // conjugation-as-inversion ladder. Because x ↦ x^((p²−1)/q) kills every
 // element of F_p^*, Miller values that differ by a non-zero F_p factor —
 // as the affine, projective and prepared loops' values do — map to the
-// same target-group element. On supported moduli the whole computation
-// runs on the Montgomery backend; FinalExpBig is the big.Int reference.
+// same target-group element.
 func (pr *Pairing) FinalExp(f GT) GT {
-	if mc := pr.mont; mc != nil {
-		a := mc.m.GetArena()
-		defer a.Release()
-		fm := mc.e2m.ElemIn(a)
-		mc.e2m.ToMont(&fm, f)
-		return mc.e2m.FromMont(pr.finalExpMontIn(fm, a))
-	}
-	return pr.finalExpBig(f)
-}
-
-// FinalExpBig is FinalExp pinned to the big.Int reference backend, for
-// differential tests and the backend ablation.
-func (pr *Pairing) FinalExpBig(f GT) GT { return pr.finalExpBig(f) }
-
-func (pr *Pairing) finalExpBig(f GT) GT {
-	e2 := pr.E2
-	if e2.IsZero(f) {
-		// Cannot happen for valid subgroup inputs (see Miller); treat as
-		// degenerate.
-		return e2.One()
-	}
-	t := e2.Mul(e2.Conj(f), e2.Inv(f)) // f^(p−1), unitary from here on
-	return e2.ExpUnitaryBig(t, pr.C.H) // then ^h, total (p−1)h = (p²−1)/q
+	a := pr.m.GetArena()
+	defer a.Release()
+	fm := pr.e2m.ElemIn(a)
+	pr.e2m.ToMont(&fm, f)
+	return pr.e2m.FromMont(pr.finalExpMontIn(fm, a))
 }
 
 // MillerAffine evaluates the Miller function f_{q,P} at ψ(Q) in affine
 // coordinates, without the final exponentiation. P and Q must be
-// non-identity subgroup points. This is the reference implementation:
-// one field inversion per doubling/addition step. Miller (miller.go)
-// computes a value equal up to an F_p^* factor with no inversions at
-// all; the two agree exactly after FinalExp.
+// non-identity subgroup points. This is the oracle's loop: one field
+// inversion per doubling/addition step. The production loop
+// (millerMontIn) computes a value equal up to an F_p^* factor with no
+// inversions at all; the two agree exactly after the final
+// exponentiation.
 func (pr *Pairing) MillerAffine(p, q curve.Point) GT {
 	e2 := pr.E2
 	f := e2.One()
@@ -255,54 +236,23 @@ const parallelThreshold = 2
 // values are then merged in index order (multiplication in F_{p²} is
 // commutative, so the result is bit-identical to the sequential loop).
 func (pr *Pairing) PairProduct(pairs []PointPair) GT {
-	if mc := pr.mont; mc != nil {
-		millers := make([]ff.Fp2MontElem, len(pairs))
-		work := func(i int) {
-			pq := pairs[i]
-			if pq.P.IsInfinity() || pq.Q.IsInfinity() {
-				millers[i] = mc.e2m.One()
-				return
-			}
-			// Each worker holds its own pooled arena for the loop's
-			// temporaries; the Miller value must outlive it, so it is
-			// copied into a caller-owned element before release.
-			a := mc.m.GetArena()
-			f := pr.millerMontIn(pq.P, pq.Q, a)
-			out := mc.e2m.NewElem()
-			mc.e2m.Set(&out, f)
-			millers[i] = out
-			a.Release()
-		}
-		if len(pairs) >= parallelThreshold {
-			parallel.For(len(pairs), work)
-		} else {
-			for i := range pairs {
-				work(i)
-			}
-		}
-		a := mc.m.GetArena()
-		defer a.Release()
-		acc := mc.e2m.OneIn(a)
-		s := mc.e2m.ScratchIn(a)
-		for _, m := range millers {
-			mc.e2m.MulInto(&acc, acc, m, s)
-		}
-		return mc.e2m.FromMont(pr.finalExpMontIn(acc, a))
-	}
-	return pr.PairProductBig(pairs)
-}
-
-// PairProductBig is PairProduct pinned to the big.Int reference
-// backend, for differential tests and the backend ablation.
-func (pr *Pairing) PairProductBig(pairs []PointPair) GT {
-	millers := make([]GT, len(pairs))
+	e2m := pr.e2m
+	millers := make([]ff.Fp2MontElem, len(pairs))
 	work := func(i int) {
 		pq := pairs[i]
 		if pq.P.IsInfinity() || pq.Q.IsInfinity() {
-			millers[i] = pr.E2.One()
+			millers[i] = e2m.One()
 			return
 		}
-		millers[i] = pr.Miller(pq.P, pq.Q)
+		// Each worker holds its own pooled arena for the loop's
+		// temporaries; the Miller value must outlive it, so it is
+		// copied into a caller-owned element before release.
+		a := pr.m.GetArena()
+		f := pr.millerMontIn(pq.P, pq.Q, a)
+		out := e2m.NewElem()
+		e2m.Set(&out, f)
+		millers[i] = out
+		a.Release()
 	}
 	if len(pairs) >= parallelThreshold {
 		parallel.For(len(pairs), work)
@@ -311,12 +261,14 @@ func (pr *Pairing) PairProductBig(pairs []PointPair) GT {
 			work(i)
 		}
 	}
-	acc := pr.E2.One()
-	s := ff.NewScratch()
+	a := pr.m.GetArena()
+	defer a.Release()
+	acc := e2m.OneIn(a)
+	s := e2m.ScratchIn(a)
 	for _, m := range millers {
-		pr.E2.MulInto(&acc, acc, m, s)
+		e2m.MulInto(&acc, acc, m, s)
 	}
-	return pr.finalExpBig(acc)
+	return e2m.FromMont(pr.finalExpMontIn(acc, a))
 }
 
 // SamePairing reports whether ê(a1, b1) == ê(a2, b2), evaluated as a

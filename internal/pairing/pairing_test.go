@@ -190,14 +190,6 @@ func TestPairAgreesWithNaiveExponentPath(t *testing.T) {
 	}
 }
 
-func TestMillerPlusFinalExpEqualsPair(t *testing.T) {
-	pr := testPairing(t)
-	p, q := gen(t, pr, 23), gen(t, pr, 24)
-	if !pr.E2.Equal(pr.FinalExp(pr.Miller(p, q)), pr.Pair(p, q)) {
-		t.Fatal("Miller + FinalExp must compose to Pair")
-	}
-}
-
 func TestNewRejectsNilCurve(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("New(nil) must fail")

@@ -7,19 +7,16 @@ import (
 	"timedrelease/internal/ff"
 )
 
-// lineCoeff is one precomputed Miller line in normalised affine form:
-// evaluated at ψ(Q) the line's value is
+// lineCoeff is one precomputed Miller line in normalised affine form,
+// in the Montgomery domain: evaluated at ψ(Q) the line's value is
 //
 //	g = λ·x_Q + μ + y_Q·i.
 //
 // vertical marks steps that contribute the factor 1 under denominator
-// elimination (the coefficients are then nil). lambdaM and muM are the
-// same coefficients in Montgomery form, filled when the field has a
-// limb backend so MillerPrepared evaluation runs without conversions.
+// elimination (the coefficients are then nil).
 type lineCoeff struct {
-	lambda, mu   *big.Int
-	lambdaM, muM ff.MontElem
-	vertical     bool
+	lambda, mu ff.MontElem
+	vertical   bool
 }
 
 // preparedStep is one iteration of the fixed Miller schedule: the
@@ -49,71 +46,52 @@ type PreparedPoint struct {
 
 // Precompute walks the Miller loop for the fixed first argument p and
 // stores every line's normalised (λ, μ) coefficients. The walk itself
-// runs in Jacobian coordinates; the projective denominators of all
-// steps are then inverted with ONE modular inversion (ff.InvBatch), so
-// preparation costs about one inversion plus one inversion-free Miller
-// loop.
+// runs in Jacobian coordinates on limbs; the projective denominators of
+// all steps are then inverted with ONE modular inversion (Field.InvBatch,
+// on math/big, where an inversion is ~40× cheaper than the limb layer's
+// Fermat ladder), so preparation costs about one inversion plus one
+// inversion-free Miller loop.
 func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 	if p.IsInfinity() {
 		return &PreparedPoint{infinity: true}
 	}
-	fp := pr.C.F
-	st := newMillerState(fp, p)
+	m := pr.m
+	ar := m.GetArena()
+	defer ar.Release()
+	px, py := pr.toMontPointIn(p, ar)
+	st := newMillerStateMontIn(m, px, py, ar)
 	steps := make([]preparedStep, len(pr.schedule))
 
-	// Record each step's projective line (A, B, C): λ = A/C, μ = B/C.
-	var as, bs, cs []*big.Int
-	record := func(ok bool) lineCoeff {
+	// Record each non-vertical step's projective line (A, B, C), in
+	// schedule order: λ = A/C, μ = B/C. Until the batch inversion below
+	// the stored coefficients are the numerators A and B.
+	var lines []*lineCoeff
+	var cs []*big.Int
+	a, b, c := ar.Elem(), ar.Elem(), ar.Elem()
+	record := func(lc *lineCoeff, ok bool) {
 		if !ok {
-			return lineCoeff{vertical: true}
+			lc.vertical = true
+			return
 		}
-		return lineCoeff{} // coefficients filled in after batch inversion
-	}
-	a, b, c := new(big.Int), new(big.Int), new(big.Int)
-	push := func() {
-		as = append(as, new(big.Int).Set(a))
-		bs = append(bs, new(big.Int).Set(b))
-		cs = append(cs, new(big.Int).Set(c))
+		lc.lambda, lc.mu = m.NewElem(), m.NewElem()
+		m.Set(lc.lambda, a)
+		m.Set(lc.mu, b)
+		lines = append(lines, lc)
+		cs = append(cs, m.FromMont(nil, c))
 	}
 	for k, addBit := range pr.schedule {
-		ok := st.dbl(a, b, c)
-		steps[k].dbl = record(ok)
-		if ok {
-			push()
-		}
+		record(&steps[k].dbl, st.dbl(a, b, c))
 		if addBit {
 			steps[k].hasAdd = true
-			ok = st.add(p, a, b, c)
-			steps[k].add = record(ok)
-			if ok {
-				push()
-			}
+			record(&steps[k].add, st.add(px, py, a, b, c))
 		}
 	}
 
 	// One inversion for every denominator in the schedule.
-	inv := fp.InvBatch(cs)
-	m := fp.Mont()
-	i := 0
-	normalise := func(lc *lineCoeff) {
-		if lc.vertical {
-			return
-		}
-		lc.lambda = fp.Mul(as[i], inv[i])
-		lc.mu = fp.Mul(bs[i], inv[i])
-		if m != nil {
-			lc.lambdaM = m.NewElem()
-			m.ToMont(lc.lambdaM, lc.lambda)
-			lc.muM = m.NewElem()
-			m.ToMont(lc.muM, lc.mu)
-		}
-		i++
-	}
-	for k := range steps {
-		normalise(&steps[k].dbl)
-		if steps[k].hasAdd {
-			normalise(&steps[k].add)
-		}
+	for i, inv := range pr.C.F.InvBatch(cs) {
+		m.ToMont(c, inv)
+		m.Mul(lines[i].lambda, lines[i].lambda, c)
+		m.Mul(lines[i].mu, lines[i].mu, c)
 	}
 	return &PreparedPoint{steps: steps}
 }
@@ -121,59 +99,15 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 // IsInfinity reports whether the prepared point is the group identity.
 func (pp *PreparedPoint) IsInfinity() bool { return pp.infinity }
 
-// MillerPrepared evaluates the Miller function f_{q,P} at ψ(Q) from the
-// stored line schedule of P: per line one field multiplication and one
-// addition, with no point arithmetic. Q must be a non-identity subgroup
-// point and pp must not be the prepared identity. The value equals
-// MillerAffine(P, Q) exactly (same normalised lines), so it can be
-// multiplied freely with other Miller values before a shared FinalExp.
-func (pr *Pairing) MillerPrepared(pp *PreparedPoint, q curve.Point) GT {
-	fp := pr.C.F
-	e2 := pr.E2
-	f := GT{A: big.NewInt(1), B: new(big.Int)}
-	// The imaginary part of every line value is the constant y_Q.
-	g := GT{A: new(big.Int), B: q.Y}
-	s := ff.NewScratch()
-	eval := func(lc *lineCoeff) {
-		fp.MulInto(g.A, lc.lambda, q.X)
-		fp.AddInto(g.A, g.A, lc.mu)
-		e2.MulInto(&f, f, g, s)
-	}
-	for k := range pp.steps {
-		st := &pp.steps[k]
-		e2.SqrInto(&f, f, s)
-		if !st.dbl.vertical {
-			eval(&st.dbl)
-		}
-		if st.hasAdd && !st.add.vertical {
-			eval(&st.add)
-		}
-	}
-	return f
-}
-
-// PairPrepared computes ê(P, Q) from the precomputed schedule of P, on
-// the Montgomery backend when available. It returns bit-for-bit the
-// same value as Pair(P, Q).
+// PairPrepared computes ê(P, Q) from the precomputed schedule of P. It
+// returns bit-for-bit the same value as Pair(P, Q).
 func (pr *Pairing) PairPrepared(pp *PreparedPoint, q curve.Point) GT {
 	if pp.infinity || q.IsInfinity() {
 		return pr.E2.One()
 	}
-	if mc := pr.mont; mc != nil {
-		a := mc.m.GetArena()
-		defer a.Release()
-		return mc.e2m.FromMont(pr.finalExpMontIn(pr.millerPreparedMontIn(pp, q, a), a))
-	}
-	return pr.finalExpBig(pr.MillerPrepared(pp, q))
-}
-
-// PairPreparedBig is PairPrepared pinned to the big.Int reference
-// backend, for differential tests and the backend ablation.
-func (pr *Pairing) PairPreparedBig(pp *PreparedPoint, q curve.Point) GT {
-	if pp.infinity || q.IsInfinity() {
-		return pr.E2.One()
-	}
-	return pr.finalExpBig(pr.MillerPrepared(pp, q))
+	a := pr.m.GetArena()
+	defer a.Release()
+	return pr.e2m.FromMont(pr.finalExpMontIn(pr.millerPreparedMontIn(pp, q, a), a))
 }
 
 // SamePairingPrepared reports whether ê(P1, q1) == ê(P2, q2) for two
@@ -194,39 +128,10 @@ func (pr *Pairing) SamePairingPrepared(p1 *PreparedPoint, q1 curve.Point, p2 *Pr
 	case rhsTrivial:
 		return e2.IsOne(pr.PairPrepared(p1, q1))
 	}
-	if mc := pr.mont; mc != nil {
-		a := mc.m.GetArena()
-		defer a.Release()
-		m := pr.millerPreparedMontIn(p1, pr.C.Neg(q1), a)
-		m2 := pr.millerPreparedMontIn(p2, q2, a)
-		mc.e2m.MulInto(&m, m, m2, mc.e2m.ScratchIn(a))
-		return mc.e2m.IsOne(pr.finalExpMontIn(m, a))
-	}
-	return pr.samePairingPreparedBig(p1, q1, p2, q2)
-}
-
-// SamePairingPreparedBig is the equality check pinned to the big.Int
-// reference backend, for differential tests and the backend ablation.
-func (pr *Pairing) SamePairingPreparedBig(p1 *PreparedPoint, q1 curve.Point, p2 *PreparedPoint, q2 curve.Point) bool {
-	e2 := pr.E2
-	lhsTrivial := p1.infinity || q1.IsInfinity()
-	rhsTrivial := p2.infinity || q2.IsInfinity()
-	switch {
-	case lhsTrivial && rhsTrivial:
-		return true
-	case lhsTrivial:
-		return e2.IsOne(pr.PairPreparedBig(p2, q2))
-	case rhsTrivial:
-		return e2.IsOne(pr.PairPreparedBig(p1, q1))
-	}
-	return pr.samePairingPreparedBig(p1, q1, p2, q2)
-}
-
-func (pr *Pairing) samePairingPreparedBig(p1 *PreparedPoint, q1 curve.Point, p2 *PreparedPoint, q2 curve.Point) bool {
-	e2 := pr.E2
-	m := e2.Mul(
-		pr.MillerPrepared(p1, pr.C.Neg(q1)),
-		pr.MillerPrepared(p2, q2),
-	)
-	return e2.IsOne(pr.finalExpBig(m))
+	a := pr.m.GetArena()
+	defer a.Release()
+	m := pr.millerPreparedMontIn(p1, pr.C.Neg(q1), a)
+	m2 := pr.millerPreparedMontIn(p2, q2, a)
+	pr.e2m.MulInto(&m, m, m2, pr.e2m.ScratchIn(a))
+	return pr.e2m.IsOne(pr.finalExpMontIn(m, a))
 }

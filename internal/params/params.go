@@ -168,6 +168,14 @@ func Generate(rng io.Reader, pBits, qBits int) (*Set, error) {
 	if qBits < 16 || pBits < qBits+8 {
 		return nil, fmt.Errorf("params: unusable sizes pBits=%d qBits=%d", pBits, qBits)
 	}
+	// A size the field layer refuses must fail here, not after the prime
+	// search, and the limit is ff's to state (it exports no constant for
+	// it): probe NewField with 2^(pBits−1)+1. That modulus is deliberately
+	// NOT a prime — NewField checks parity and width only — and the field
+	// is discarded.
+	if _, err := ff.NewField(new(big.Int).SetBit(big.NewInt(1), pBits-1, 1)); err != nil {
+		return nil, fmt.Errorf("params: %w", err)
+	}
 	rng = orRand(rng)
 	q, err := randPrime(rng, qBits)
 	if err != nil {

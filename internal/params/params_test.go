@@ -99,6 +99,27 @@ func TestFromPQRejections(t *testing.T) {
 	}
 }
 
+// TestOversizeModulusIsAnError: the Type-1 field stops at 2048 bits.
+// Every way into a parameter set must say so in one line that names the
+// BLS12-381 backend — Generate before it spends minutes searching for
+// primes.
+func TestOversizeModulusIsAnError(t *testing.T) {
+	// p = 3·2^2050 − 1 is odd, 2052 bits, and q = 3 divides p+1.
+	q := big.NewInt(3)
+	p := new(big.Int).Sub(new(big.Int).Lsh(q, 2050), big.NewInt(1))
+	_, errFromPQ := FromPQ("wide", p, q)
+	_, errUnmarshal := Unmarshal([]byte("tre-params-v1\nname=wide\np=" + p.Text(16) + "\nq=3\n"))
+	_, errGenerate := Generate(nil, 3072, 256)
+	for name, err := range map[string]error{"FromPQ": errFromPQ, "Unmarshal": errUnmarshal, "Generate": errGenerate} {
+		if err == nil || !strings.Contains(err.Error(), "-backend bls12381") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: err = %v, want a one-line error pointing at -backend bls12381", name, err)
+		}
+	}
+	if _, err := Generate(nil, 2049, 256); err == nil {
+		t.Error("Generate(2049) must fail")
+	}
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
 	good := MustPreset("Test160")
 	// Composite p.
