@@ -8,7 +8,7 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help build bench-build test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-pairing bench-field bench-server bench-server-bls bench-catchup bench-stream bench-rounds bench-tokens race experiments experiments-quick fuzz fuzz-smoke docker clean
+.PHONY: all help build bench-build test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-pairing bench-field bench-server bench-server-bls bench-catchup bench-stream bench-rounds bench-tokens race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
@@ -39,6 +39,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure), total and internal/archive"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -185,8 +186,8 @@ experiments-quick:
 # ciphertext format), the differential field-arithmetic targets
 # (Montgomery backend vs big.Int reference, plus the BLS12-381 base
 # field, Fp12 tower and compressed G2 decoder), the client's HTTP
-# update parsing, the beacon round↔label mapping and the metrics JSON
-# encoder.
+# update parsing, the beacon round↔label mapping, the metrics JSON
+# encoder and the crc-framed log replay under updates.log and spend.log.
 # Checked-in seed corpora live under <pkg>/testdata/fuzz/<Target>/.
 # Override the per-target budget with FUZZTIME=10s (nightly CI does).
 fuzz:
@@ -205,6 +206,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzG2Marshal -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzClientDecodeUpdate -fuzztime $(FUZZTIME) ./internal/timeserver
 	$(GO) test -run XXX -fuzz FuzzMetricsSnapshot -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run XXX -fuzz FuzzFrameReplay -fuzztime $(FUZZTIME) ./internal/archive
 
 # PR-tier fuzz smoke lane: only the attacker-reachable decoders (wire
 # formats, the armored ciphertext container, the token formats), each
@@ -218,6 +220,16 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
+
+# The size figure ROADMAP item 3 tracks: lines of non-test Go outside
+# the benchmark/ module (plain `wc -l`: blanks and comments count, so
+# deleting comments is visible as what it is), for the whole repo and
+# for internal/archive. Quote it in simplicity PRs.
+loc:
+	@printf 'non-test Go lines outside benchmark/: '; \
+		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/archive:                     '; \
+		find internal/archive -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

@@ -147,15 +147,10 @@ func run(ctx context.Context, cfg *config, stdout io.Writer) error {
 		stats := arch.Stats()
 		fmt.Fprintf(stdout, "treserver: recovered %d updates from %s in %v (torn tail: %d bytes dropped)\n",
 			stats.Records, cfg.archDir, stats.Elapsed.Round(time.Microsecond), stats.TornBytes)
-		fmt.Fprintf(stdout, "treserver: %d range checkpoints (%d rebuilt in %v)\n",
-			stats.Checkpoints, stats.CheckpointsRebuilt, stats.CheckpointRebuild.Round(time.Microsecond))
 		if metrics != nil {
 			metrics.Histogram("timeserver.recover_ns").ObserveNS(stats.Elapsed.Nanoseconds())
 			metrics.Counter("timeserver.recovered_updates").Add(int64(stats.Records))
 			metrics.Counter("timeserver.recovered_torn_bytes").Add(stats.TornBytes)
-			metrics.Histogram("timeserver.checkpoint_rebuild_ns").ObserveNS(stats.CheckpointRebuild.Nanoseconds())
-			metrics.Counter("timeserver.checkpoints").Add(int64(stats.Checkpoints))
-			metrics.Counter("timeserver.checkpoints_rebuilt").Add(int64(stats.CheckpointsRebuilt))
 		}
 		srvOpts = append(srvOpts, tre.WithArchive(arch))
 	}

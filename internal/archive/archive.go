@@ -49,13 +49,10 @@ func (a *Memory) Put(u core.KeyUpdate) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if prev, ok := a.m[u.Label]; ok {
-		if prev.Point.X == nil || u.Point.X == nil {
-			if prev.Point.IsInfinity() != u.Point.IsInfinity() {
-				return ErrConflict
-			}
-			return nil
-		}
-		if prev.Point.X.Cmp(u.Point.X) != 0 || prev.Point.Y.Cmp(u.Point.Y) != 0 {
+		// Point.Equal understands both the Type-1 and the external
+		// (BLS12-381) representation; comparing X/Y alone is blind on
+		// the latter.
+		if !prev.Point.Equal(u.Point) {
 			return ErrConflict
 		}
 		return nil

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,7 +17,17 @@ import (
 
 func fixtures(t *testing.T) (*core.Scheme, *core.ServerKeyPair, *wire.Codec) {
 	t.Helper()
-	set := params.MustPreset("Test160")
+	return fixturesOn(t, "Test160")
+}
+
+// bothBackends names one symmetric and one asymmetric preset: points
+// of the latter carry no X/Y, so anything comparing points must be
+// exercised on both.
+var bothBackends = []string{"Test160", params.PresetBLS12381}
+
+func fixturesOn(t *testing.T, preset string) (*core.Scheme, *core.ServerKeyPair, *wire.Codec) {
+	t.Helper()
+	set := params.MustPreset(preset)
 	sc := core.NewScheme(set)
 	key, err := sc.ServerKeyGen(nil)
 	if err != nil {
@@ -61,20 +72,31 @@ func testArchiveContract(t *testing.T, a Archive, sc *core.Scheme, key *core.Ser
 	if a.Len() != 3 {
 		t.Fatalf("Len after re-put = %d", a.Len())
 	}
-	// Conflicting update for the same label is rejected.
-	conflict := core.KeyUpdate{Label: labels[0], Point: sc.Set.G}
+	// Conflicting update for the same label is rejected (a valid point
+	// of the update group on either backend, just not this label's).
+	conflict := core.KeyUpdate{Label: labels[0], Point: sc.IssueUpdate(key, labels[1]).Point}
 	if err := a.Put(conflict); !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflicting Put: err=%v, want ErrConflict", err)
 	}
 }
 
 func TestMemoryArchive(t *testing.T) {
-	sc, key, _ := fixtures(t)
-	testArchiveContract(t, NewMemory(), sc, key)
+	for _, preset := range bothBackends {
+		t.Run(preset, func(t *testing.T) {
+			sc, key, _ := fixturesOn(t, preset)
+			testArchiveContract(t, NewMemory(), sc, key)
+		})
+	}
 }
 
 func TestLogArchive(t *testing.T) {
-	sc, key, codec := fixtures(t)
+	for _, preset := range bothBackends {
+		t.Run(preset, func(t *testing.T) { testLogArchive(t, preset) })
+	}
+}
+
+func testLogArchive(t *testing.T, preset string) {
+	sc, key, codec := fixturesOn(t, preset)
 	dir := t.TempDir()
 	a, err := OpenDir(dir, codec)
 	if err != nil {
@@ -227,7 +249,9 @@ func TestLogRecoverRejectsForgedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Append the forged record through the log itself (valid framing).
+	// Append the forged record through the log itself (valid framing),
+	// then an honest one after it, so "truncate at the bad record" would
+	// visibly lose data.
 	a, err := OpenDir(dir, codec)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +260,15 @@ func TestLogRecoverRejectsForgedRecord(t *testing.T) {
 	if err := a.Put(sc.IssueUpdate(impostor, forgedLabel)); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.Put(sc.IssueUpdate(key, "2026-07-05T12:00:00Z")); err != nil {
+		t.Fatal(err)
+	}
 	a.Close()
+	path := filepath.Join(dir, logName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	_, err = OpenDir(dir, codec, WithVerifier(func(u core.KeyUpdate) bool {
 		return sc.VerifyUpdate(key.Pub, u)
@@ -246,6 +278,15 @@ func TestLogRecoverRejectsForgedRecord(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), forgedLabel) {
 		t.Fatalf("error %v does not name the forged label", err)
+	}
+	// Refuse, never repair: cryptographic damage is evidence, and the
+	// file must be byte-for-byte what the operator will inspect.
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused open modified the log: %d bytes before, %d after", len(before), len(after))
 	}
 	// Without a verifier the structural checks alone accept it — which
 	// is exactly why treserver always installs one.
@@ -262,8 +303,8 @@ func TestLogRejectsForeignFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, logName), []byte("not an update log at all"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDir(dir, codec); !errors.Is(err, ErrNotLog) {
-		t.Fatalf("err = %v, want ErrNotLog", err)
+	if _, err := OpenDir(dir, codec); !errors.Is(err, ErrBadFrameMagic) {
+		t.Fatalf("err = %v, want ErrBadFrameMagic", err)
 	}
 }
 

@@ -1,25 +1,21 @@
 package archive
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/wire"
 )
 
-// The durable archive is an append-only log of wire-encoded updates in
-// a directory. Every record is independently framed and checksummed so
-// a crash mid-append (power loss, SIGKILL) leaves at worst a torn tail
-// that Recover detects and truncates — never a silently wrong update:
+// The durable archive is one FrameLog (framelog.go) of wire-encoded
+// updates in a directory — the paper's "list of old key updates" (§3)
+// and the only file the archive keeps:
 //
 //	file   = magic ‖ record…
 //	magic  = "TRELOG1\n"                      (8 bytes)
@@ -28,10 +24,17 @@ import (
 // The payload is the wire KeyUpdate encoding (docs/PROTOCOL.md). The
 // integrity chain is layered: the CRC catches torn or bit-rotted
 // records (structural damage → truncate and keep serving), while the
-// pairing check ê(G, I_T) = ê(sG, H1(T)) run by Recover's verifier
+// pairing check ê(G, I_T) = ê(sG, H1(T)) run by OpenDir's verifier
 // catches records an attacker rewrote wholesale, CRC included
 // (cryptographic damage → refuse to serve). CRCs are not authentication;
 // the pairing equation is.
+//
+// Everything else the Log serves from — the label index, the per-record
+// Merkle leaves, the prefix aggregates behind Range — is in-memory
+// state rebuilt from those records on every open. Older versions also
+// wrote the prefix aggregates to a sidecar file next to the log
+// (docs/PROTOCOL.md); nothing reads it any more, and a leftover one is
+// ignored.
 
 // logName is the log file inside an archive directory.
 const logName = "updates.log"
@@ -39,39 +42,24 @@ const logName = "updates.log"
 // logMagic identifies (and versions) the on-disk format.
 var logMagic = []byte("TRELOG1\n")
 
-// maxRecord bounds a single record; anything larger is structural
-// corruption (a real update is a label plus one compressed point).
-const maxRecord = 1 << 20
+// checkpointInterval is how many records each in-memory prefix
+// aggregate covers: 256 keeps range aggregation under ~512 point
+// additions however long the range is, while a year of minute epochs
+// needs only ~2k aggregates.
+const checkpointInterval = 256
 
-// ErrInvalidRecord reports a record that is structurally intact
-// (framing and checksum pass) but whose update fails the verifier —
-// i.e. the log was rewritten, not torn. Unlike a torn tail this is
-// never repaired automatically.
-var ErrInvalidRecord = errors.New("archive: record fails update verification")
-
-// ErrNotLog reports a file that does not start with the log magic.
-var ErrNotLog = errors.New("archive: not an update log (bad magic)")
-
-// RecoverStats describes what Recover found and repaired.
+// RecoverStats describes what opening the log found and repaired.
 type RecoverStats struct {
 	Records   int           // intact records now served
 	Verified  int           // records re-verified against the server key
 	TornBytes int64         // bytes truncated from the tail
 	Truncated bool          // whether a torn tail was dropped
 	Elapsed   time.Duration // replay wall time
-
-	// Checkpoint-sidecar reconciliation (see checkpoint.go). The
-	// sidecar is derived data: recovery recomputes every checkpoint
-	// from the verified main log and rewrites anything that disagrees,
-	// so a served aggregate is never sourced from a bad checkpoint.
-	Checkpoints        int           // checkpoints now on disk and serving
-	CheckpointsRebuilt int           // sidecar records recovery had to (re)write
-	CheckpointRebuild  time.Duration // sidecar reconciliation wall time
 }
 
-// recMeta is the in-memory per-record state behind checkpoint
-// aggregates and range serving: the label, the signature point and the
-// Merkle leaf of the record's wire payload, in append order.
+// recMeta is the in-memory per-record state behind range serving: the
+// label, the signature point and the Merkle leaf of the record's wire
+// payload, in append order.
 type recMeta struct {
 	label string
 	point curve.Point
@@ -84,41 +72,25 @@ type Log struct {
 	mem      *Memory
 	codec    *wire.Codec
 	verify   func(core.KeyUpdate) bool // nil → structural checks only
-	path     string
-	interval int // records per checkpoint (DefaultCheckpointInterval)
+	interval int                       // records per prefix aggregate (checkpointInterval)
+	stats    RecoverStats              // what OpenDir found; fixed afterwards
 
-	mu    sync.Mutex // serialises appends and recovery; Range only snapshots under it
-	f     *os.File
-	ckptF *os.File // checkpoints.log sidecar
-	stats RecoverStats
+	mu sync.Mutex // serialises appends; Range only snapshots under it
+	fl *FrameLog
 
-	// Range-serving state, maintained by Recover and Put. recs and
-	// ckpts are append-only (Recover swaps in fresh slices), so Range
-	// can snapshot their headers under mu and compute outside it.
-	recs   []recMeta    // every intact record, append order
-	ckpts  []checkpoint // prefix aggregates every interval records
-	agg    curve.Point  // running aggregate over recs
-	sorted bool         // recs are in ascending label order
+	// Range-serving state, maintained by index. recs and ckpts are
+	// append-only, so Range can snapshot their headers under mu and
+	// compute outside it.
+	recs   []recMeta     // every intact record, append order
+	ckpts  []curve.Point // ckpts[k] = Σ points of recs[:(k+1)·interval]
+	agg    curve.Point   // running aggregate over recs
+	sorted bool          // recs are in ascending label order
 }
 
 // LogOption configures a Log.
 type LogOption func(*Log)
 
-// WithCheckpointInterval sets how many records each checkpoint
-// aggregate covers (default DefaultCheckpointInterval). Smaller
-// intervals make range aggregation cheaper at the cost of a bigger
-// sidecar. The interval is a serving-time tuning knob, not a format
-// parameter: reopening a log with a different interval simply rebuilds
-// the sidecar.
-func WithCheckpointInterval(k int) LogOption {
-	return func(l *Log) {
-		if k > 0 {
-			l.interval = k
-		}
-	}
-}
-
-// WithVerifier makes Recover re-verify every replayed update (the
+// WithVerifier makes OpenDir re-verify every replayed update (the
 // paper's self-authentication check ê(G, I_T) = ê(sG, H1(T)) bound to
 // the server key) before it is served. A record that fails is reported
 // as ErrInvalidRecord — the archive refuses to serve it.
@@ -126,229 +98,86 @@ func WithVerifier(v func(core.KeyUpdate) bool) LogOption {
 	return func(l *Log) { l.verify = v }
 }
 
-// OpenDir opens (or creates) the durable archive in dir and runs
-// Recover, so a returned *Log is always consistent: torn tails have
-// been truncated and, with WithVerifier, every served update has been
-// re-verified.
+// OpenDir opens (or creates) the durable archive in dir and replays
+// it, rebuilding the in-memory index, so a returned *Log is always
+// consistent. A torn tail — short read, oversized length, checksum
+// mismatch or undecodable payload — is truncated away and everything
+// before it is kept, so a crash mid-append costs at most the record
+// being written. With WithVerifier, every replayed update is re-checked
+// against the server key; a checksummed record that fails is
+// cryptographic (not crash) damage and aborts the open with
+// ErrInvalidRecord, leaving the file untouched.
 func OpenDir(dir string, codec *wire.Codec, opts ...LogOption) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("archive: creating %s: %w", dir, err)
 	}
-	path := filepath.Join(dir, logName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("archive: opening %s: %w", path, err)
-	}
-	ckptPath := filepath.Join(dir, checkpointName)
-	ckptF, err := os.OpenFile(ckptPath, os.O_CREATE|os.O_RDWR, 0o600)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("archive: opening %s: %w", ckptPath, err)
-	}
-	l := &Log{mem: NewMemory(), codec: codec, path: path, f: f, ckptF: ckptF,
-		interval: DefaultCheckpointInterval}
+	l := &Log{mem: NewMemory(), codec: codec, interval: checkpointInterval,
+		agg: codec.Set.B.Infinity(backend.G2), sorted: true}
 	for _, o := range opts {
 		o(l)
 	}
-	if _, err := l.Recover(); err != nil {
-		f.Close()
-		ckptF.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// Recover replays the log from disk, rebuilding the in-memory index.
-// A torn tail — short read, oversized length, checksum mismatch or
-// undecodable payload — is truncated away and everything before it is
-// kept, so a crash mid-append costs at most the record being written.
-// With a verifier configured, every replayed update is re-checked
-// against the server key; a checksummed record that fails is
-// cryptographic (not crash) damage and aborts recovery with
-// ErrInvalidRecord. Recover is also safe to call on a live Log.
-func (l *Log) Recover() (RecoverStats, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	start := time.Now()
-
-	size, err := l.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return RecoverStats{}, fmt.Errorf("archive: sizing log: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return RecoverStats{}, fmt.Errorf("archive: seeking to start: %w", err)
-	}
-
-	stats := RecoverStats{}
-	mem := NewMemory()
-	var recs []recMeta
-	var offset int64
-
-	if size == 0 {
-		// Fresh log: stamp the magic durably before the first record.
-		if _, err := l.f.Write(logMagic); err != nil {
-			return RecoverStats{}, fmt.Errorf("archive: writing magic: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return RecoverStats{}, fmt.Errorf("archive: syncing magic: %w", err)
-		}
-		l.mem, l.recs = mem, nil
-		l.resetAggregates()
-		if err := l.recoverCheckpoints(&stats); err != nil {
-			return RecoverStats{}, err
-		}
-		l.stats = stats
-		return stats, nil
-	}
-
-	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(l.f, magic); err != nil || string(magic) != string(logMagic) {
-		// A file this short cannot even be an empty log; do not "repair"
-		// what was never ours to begin with.
-		return RecoverStats{}, fmt.Errorf("%w: %s", ErrNotLog, l.path)
-	}
-	offset = int64(len(logMagic))
-
-	var lenBuf [4]byte
-	crcBuf := make([]byte, 4)
-	for offset < size {
-		u, payload, recLen, err := readRecord(l.f, l.codec, lenBuf[:], crcBuf)
+	fl, fstats, err := OpenFrameLog(filepath.Join(dir, logName), logMagic, func(offset int64, payload []byte) error {
+		u, err := codec.UnmarshalKeyUpdate(payload)
 		if err != nil {
-			// Structural damage: everything from offset on is the torn
-			// tail. Truncate it and keep the intact prefix.
-			stats.Truncated = true
-			stats.TornBytes = size - offset
-			if err := l.f.Truncate(offset); err != nil {
-				return RecoverStats{}, fmt.Errorf("archive: truncating torn tail: %w", err)
-			}
-			if err := l.f.Sync(); err != nil {
-				return RecoverStats{}, fmt.Errorf("archive: syncing truncation: %w", err)
-			}
-			break
+			return fmt.Errorf("record decode: %w", err) // structural: the tail is torn here
 		}
 		if l.verify != nil {
 			if !l.verify(u) {
-				return RecoverStats{}, fmt.Errorf("%w (label %q, offset %d)", ErrInvalidRecord, u.Label, offset)
+				return fmt.Errorf("%w (label %q, offset %d)", ErrInvalidRecord, u.Label, offset)
 			}
-			stats.Verified++
+			l.stats.Verified++
 		}
-		if err := mem.Put(u); err != nil {
-			return RecoverStats{}, fmt.Errorf("archive: replay at offset %d: %w", offset, err)
+		if err := l.index(u, payload); err != nil {
+			// Two different checksummed updates for one label: rewritten, not torn.
+			return fmt.Errorf("%w: replay at offset %d: %w", ErrInvalidRecord, offset, err)
 		}
-		recs = append(recs, recMeta{label: u.Label, point: u.Point, leaf: LeafHash(payload)})
-		offset += recLen
-		stats.Records++
-	}
-
-	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
-		return RecoverStats{}, fmt.Errorf("archive: seeking to end: %w", err)
-	}
-	l.mem, l.recs = mem, recs
-	l.resetAggregates()
-	if err := l.recoverCheckpoints(&stats); err != nil {
-		return RecoverStats{}, err
-	}
-	stats.Elapsed = time.Since(start)
-	l.stats = stats
-	return stats, nil
-}
-
-// readFrame reads one crc-framed record (u32 len ‖ payload ‖ u32 crc)
-// at the current file position, returning the payload and total frame
-// length. Any error means structural damage at this offset.
-func readFrame(r io.Reader, lenBuf, crcBuf []byte) ([]byte, int64, error) {
-	if _, err := io.ReadFull(r, lenBuf); err != nil {
-		return nil, 0, fmt.Errorf("record length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lenBuf)
-	if n > maxRecord {
-		return nil, 0, errors.New("oversized record")
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("record body: %w", err)
-	}
-	if _, err := io.ReadFull(r, crcBuf); err != nil {
-		return nil, 0, fmt.Errorf("record checksum: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(lenBuf)
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(crcBuf) {
-		return nil, 0, errors.New("checksum mismatch")
-	}
-	return payload, int64(4 + len(payload) + 4), nil
-}
-
-// readRecord reads one update record at the current file position,
-// returning the decoded update, its wire payload and total record
-// length (frame + payload + crc). Any error means structural damage at
-// this offset.
-func readRecord(r io.Reader, codec *wire.Codec, lenBuf, crcBuf []byte) (core.KeyUpdate, []byte, int64, error) {
-	payload, recLen, err := readFrame(r, lenBuf, crcBuf)
+		return nil
+	})
 	if err != nil {
-		return core.KeyUpdate{}, nil, 0, err
+		return nil, err
 	}
-	u, err := codec.UnmarshalKeyUpdate(payload)
-	if err != nil {
-		return core.KeyUpdate{}, nil, 0, fmt.Errorf("record decode: %w", err)
-	}
-	return u, payload, recLen, nil
+	l.fl = fl
+	l.stats.Records, l.stats.TornBytes, l.stats.Truncated = fstats.Records, fstats.TornBytes, fstats.Truncated
+	l.stats.Elapsed = time.Since(start)
+	return l, nil
 }
 
-// appendFrame durably appends one crc-framed payload to f.
-func appendFrame(f *os.File, payload []byte) error {
-	rec := make([]byte, 0, 4+len(payload)+4)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	if _, err := f.Write(rec); err != nil {
-		return fmt.Errorf("archive: appending record: %w", err)
+// index admits one durable record to the in-memory state: the label
+// index, the record list and the prefix aggregates. Called under l.mu
+// by Put once the record is fsynced, and by OpenDir's replay before
+// the Log is shared — both build the serving state the same way.
+func (l *Log) index(u core.KeyUpdate, payload []byte) error {
+	if err := l.mem.Put(u); err != nil {
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("archive: syncing log: %w", err)
+	if n := len(l.recs); n > 0 && l.recs[n-1].label >= u.Label {
+		l.sorted = false
+	}
+	l.recs = append(l.recs, recMeta{label: u.Label, point: u.Point, leaf: LeafHash(payload)})
+	l.agg = l.codec.Set.B.Add(backend.G2, l.agg, u.Point)
+	if len(l.recs)%l.interval == 0 {
+		l.ckpts = append(l.ckpts, l.agg)
 	}
 	return nil
 }
 
-// appendRecord encodes and durably appends one update: the write is
+// Put implements Archive, appending new records durably: the write is
 // fsynced before the in-memory index (and therefore any reader) sees
-// it, so a served update is always a durable update. It returns the
-// wire payload for checkpoint bookkeeping.
-func (l *Log) appendRecord(u core.KeyUpdate) ([]byte, error) {
-	payload := l.codec.MarshalKeyUpdate(u)
-	if err := appendFrame(l.f, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// Put implements Archive, appending new records durably. A failed
-// append may leave a torn tail on disk; it is never indexed, and the
-// next Recover truncates it.
+// it, so a served update is always a durable update. A failed append
+// may leave a torn tail on disk; it is never indexed, and the next
+// OpenDir truncates it.
 func (l *Log) Put(u core.KeyUpdate) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.mem.Get(u.Label); ok {
 		return l.mem.Put(u) // dedupe/conflict check only; nothing to append
 	}
-	payload, err := l.appendRecord(u)
-	if err != nil {
+	payload := l.codec.MarshalKeyUpdate(u)
+	if err := l.fl.Append(payload); err != nil {
 		return err
 	}
-	if err := l.mem.Put(u); err != nil {
-		return err
-	}
-	l.note(u, payload)
-	if l.interval > 0 && len(l.recs)%l.interval == 0 {
-		// The update itself is already durable and indexed; a failed
-		// sidecar append is surfaced but costs only a rebuild on the
-		// next Recover — checkpoints are derived data.
-		if err := l.appendCheckpoint(l.currentCheckpoint()); err != nil {
-			return fmt.Errorf("archive: appending checkpoint: %w", err)
-		}
-	}
-	return nil
+	return l.index(u, payload)
 }
 
 // Get implements Archive.
@@ -360,26 +189,11 @@ func (l *Log) Labels() []string { return l.mem.Labels() }
 // Len implements Archive.
 func (l *Log) Len() int { return l.mem.Len() }
 
-// Stats returns what the last Recover found.
-func (l *Log) Stats() RecoverStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
+// Stats returns what OpenDir found.
+func (l *Log) Stats() RecoverStats { return l.stats }
 
-// Path returns the log file path (operator diagnostics).
-func (l *Log) Path() string { return l.path }
-
-// Close releases the underlying files.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.f.Close()
-	if cerr := l.ckptF.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close releases the underlying file.
+func (l *Log) Close() error { return l.fl.Close() }
 
 var _ Archive = (*Log)(nil)
 
@@ -396,60 +210,29 @@ type AuditReport struct {
 	Torn      bool          // structural damage found (framing/checksum/decode)
 	TornBytes int64         // bytes after the damage point
 	Invalid   int           // intact records failing the verifier
-
-	// Checkpoint-sidecar audit (checkpoints.log). The sidecar is
-	// derived data, so damage here never loses an update — but a bad
-	// checkpoint would let the server hand out a wrong range aggregate,
-	// so it fails Clean until Recover rebuilds it.
-	Checkpoints     int  // intact sidecar checkpoints replayed
-	CheckpointsBad  int  // checkpoints disagreeing with the log's records
-	CheckpointsTorn bool // structural damage in the sidecar
 }
 
 // Clean reports whether the log replayed with no damage at all.
-func (r AuditReport) Clean() bool {
-	return !r.Torn && r.Invalid == 0 && !r.CheckpointsTorn && r.CheckpointsBad == 0
-}
+func (r AuditReport) Clean() bool { return !r.Torn && r.Invalid == 0 }
 
 // AuditDir replays the log in dir without modifying it, classifying
 // every record: intact, torn (structural damage — the file is reported
-// from the first damaged byte, as Recover would truncate it) or
+// from the first damaged byte, as OpenDir would truncate it) or
 // invalid (checksummed but failing the verifier — cryptographic
-// damage Recover refuses to serve). Operators and CI run this through
+// damage OpenDir refuses to serve). Operators and CI run this through
 // `trectl archive verify`.
 func AuditDir(dir string, codec *wire.Codec, verify func(core.KeyUpdate) bool) (AuditReport, error) {
 	path := filepath.Join(dir, logName)
-	f, err := os.Open(path)
-	if err != nil {
+	if _, err := os.Stat(path); err != nil {
+		// Unlike OpenDir, an audit of a directory with no log is a
+		// mistyped -dir, not a fresh archive.
 		return AuditReport{}, fmt.Errorf("archive: opening %s: %w", path, err)
 	}
-	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return AuditReport{}, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return AuditReport{}, err
-	}
 	var rep AuditReport
-	if size == 0 {
-		return rep, nil // empty (or never-written) log: trivially clean
-	}
-	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != string(logMagic) {
-		return AuditReport{}, fmt.Errorf("%w: %s", ErrNotLog, path)
-	}
-	offset := int64(len(logMagic))
-	var lenBuf [4]byte
-	crcBuf := make([]byte, 4)
-	var recs []recMeta
-	for offset < size {
-		u, payload, recLen, err := readRecord(f, codec, lenBuf[:], crcBuf)
+	stats, err := ReplayFrames(path, logMagic, func(offset int64, payload []byte) error {
+		u, err := codec.UnmarshalKeyUpdate(payload)
 		if err != nil {
-			rep.Torn = true
-			rep.TornBytes = size - offset
-			rep.Records = append(rep.Records, AuditRecord{Offset: offset, Err: fmt.Errorf("torn: %w", err)})
-			break
+			return fmt.Errorf("record decode: %w", err)
 		}
 		rec := AuditRecord{Offset: offset, Label: u.Label}
 		if verify != nil && !verify(u) {
@@ -457,9 +240,14 @@ func AuditDir(dir string, codec *wire.Codec, verify func(core.KeyUpdate) bool) (
 			rep.Invalid++
 		}
 		rep.Records = append(rep.Records, rec)
-		recs = append(recs, recMeta{label: u.Label, point: u.Point, leaf: LeafHash(payload)})
-		offset += recLen
+		return nil
+	})
+	if err != nil {
+		return AuditReport{}, err
 	}
-	auditCheckpoints(dir, codec, recs, &rep)
+	if stats.Truncated {
+		rep.Torn, rep.TornBytes = true, stats.TornBytes
+		rep.Records = append(rep.Records, AuditRecord{Offset: stats.End, Err: fmt.Errorf("torn: %w", stats.Damage)})
+	}
 	return rep, nil
 }

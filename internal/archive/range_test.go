@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,10 +21,12 @@ func minuteLabels(n int) []string {
 	return out
 }
 
-// openCkptLog opens a Log with a small checkpoint interval for tests.
+// openCkptLog opens a Log with a prefix aggregate every 4 records, so a
+// dozen records already cross aggregate boundaries. The interval is one
+// production constant; only an in-package test can shrink the field.
 func openCkptLog(t *testing.T, dir string, codec *wire.Codec, opts ...LogOption) *Log {
 	t.Helper()
-	l, err := OpenDir(dir, codec, append([]LogOption{WithCheckpointInterval(4)}, opts...)...)
+	l, err := OpenDir(dir, codec, append([]LogOption{func(l *Log) { l.interval = 4 }}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +74,8 @@ func TestLogRangeMatchesDirectSum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Checkpoints() != 2 {
-		t.Fatalf("checkpoints = %d, want 2", l.Checkpoints())
+	if len(l.ckpts) != 2 {
+		t.Fatalf("prefix aggregates = %d, want 2", len(l.ckpts))
 	}
 	// Whole range, sub-ranges crossing checkpoint boundaries, single
 	// record, empty range, and a truncating limit.
@@ -132,14 +135,13 @@ func TestLogCheckpointRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: the sidecar must be accepted as-is (nothing rebuilt) and
-	// serve identical ranges.
+	// Reopen: the replay rebuilds the same prefix aggregates Put built
+	// and serves identical ranges.
 	l2 := openCkptLog(t, dir, codec, WithVerifier(func(u core.KeyUpdate) bool {
 		return sc.VerifyUpdate(key.Pub, u)
 	}))
-	st := l2.Stats()
-	if st.Checkpoints != 2 || st.CheckpointsRebuilt != 0 {
-		t.Fatalf("restart: checkpoints=%d rebuilt=%d, want 2/0", st.Checkpoints, st.CheckpointsRebuilt)
+	if len(l2.ckpts) != 2 {
+		t.Fatalf("restart: prefix aggregates = %d, want 2", len(l2.ckpts))
 	}
 	got, err := l2.Range(labels[0], labels[9], 0)
 	if err != nil {
@@ -148,161 +150,129 @@ func TestLogCheckpointRestartRoundTrip(t *testing.T) {
 	if !codec.Set.Curve.Equal(got.Aggregate, want.Aggregate) || got.Root != want.Root {
 		t.Fatal("range served after restart differs")
 	}
-	// And appends keep checkpointing where the old process left off.
+	// And appends keep aggregating where the old process left off.
 	for _, lab := range minuteLabels(12)[10:] {
 		if err := l2.Put(sc.IssueUpdate(key, lab)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l2.Checkpoints() != 3 {
-		t.Fatalf("checkpoints after more appends = %d, want 3", l2.Checkpoints())
+	if len(l2.ckpts) != 3 {
+		t.Fatalf("prefix aggregates after more appends = %d, want 3", len(l2.ckpts))
+	}
+	checkRange(t, l2, codec, labels[1], "2026-07-05T10:11:00Z", 0)
+}
+
+// TestLogOpensParentLayout is the upgrade path. testdata/parent_layout
+// holds two archive directories written by the last version that kept a
+// checkpoints.log sidecar (11 Test160 updates at interval 4, appended
+// in order and with two backfilled at the end), plus the server key
+// that signed them. The sidecar is no longer read or written: whatever
+// state it is in, the directory must open to the same records, serve
+// the same ranges as a direct recomputation, audit clean, and keep the
+// stale file byte-for-byte (deleting it is the operator's call).
+func TestLogOpensParentLayout(t *testing.T) {
+	const sidecar = "checkpoints.log"
+	sc, _, codec := fixtures(t)
+	rawPub, err := os.ReadFile(filepath.Join("testdata", "parent_layout", "server.pub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := codec.UnmarshalServerPublicKey(rawPub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func(u core.KeyUpdate) bool { return sc.VerifyUpdate(pub, u) }
+	labels := minuteLabels(11)
+
+	for _, tc := range []struct {
+		name   string
+		mangle func(valid []byte) []byte
+	}{
+		{"valid sidecar", func(b []byte) []byte { return b }},
+		{"torn sidecar", func(b []byte) []byte { return b[:len(b)-7] }},
+		{"foreign-magic sidecar", func([]byte) []byte { return []byte("not a sidecar") }},
+	} {
+		for _, layout := range []string{"sorted", "backfilled"} {
+			for _, tornTail := range []int64{0, 6} {
+				t.Run(fmt.Sprintf("%s/%s/torn=%d", tc.name, layout, tornTail), func(t *testing.T) {
+					dir := t.TempDir()
+					for _, name := range []string{logName, sidecar} {
+						raw, err := os.ReadFile(filepath.Join("testdata", "parent_layout", layout, name))
+						if err != nil {
+							t.Fatal(err)
+						}
+						switch {
+						case name == sidecar:
+							raw = tc.mangle(raw)
+						case tornTail > 0: // crash mid-append after the last checkpoint
+							raw = append(raw, []byte{0, 0, 0, 80, 'x', 'y'}[:tornTail]...)
+						}
+						if err := os.WriteFile(filepath.Join(dir, name), raw, 0o600); err != nil {
+							t.Fatal(err)
+						}
+					}
+					stale, _ := os.ReadFile(filepath.Join(dir, sidecar))
+
+					l := openCkptLog(t, dir, codec, WithVerifier(verify))
+					st := l.Stats()
+					if st.Records != 11 || st.Verified != 11 || st.TornBytes != tornTail || st.Truncated != (tornTail > 0) {
+						t.Fatalf("stats = %+v, want 11 verified records and %d torn bytes", st, tornTail)
+					}
+					if l.sorted != (layout == "sorted") {
+						t.Fatalf("sorted = %v on the %s layout", l.sorted, layout)
+					}
+					// Whole log, across the aggregate boundaries at 4 and 8,
+					// inside one interval, and a truncating limit.
+					checkRange(t, l, codec, labels[0], labels[10], 0)
+					checkRange(t, l, codec, labels[2], labels[9], 0)
+					checkRange(t, l, codec, labels[5], labels[6], 0)
+					if got := checkRange(t, l, codec, labels[1], labels[10], 5); got.Total != 10 {
+						t.Fatalf("limited range total = %d, want 10", got.Total)
+					}
+					full, _ := l.Range(labels[0], labels[10], 0)
+					if !sc.VerifyUpdateAggregate(pub, full.Updates, full.Aggregate) {
+						t.Fatal("served range aggregate must verify against the parent's server key")
+					}
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+
+					if rep, err := AuditDir(dir, codec, verify); err != nil || !rep.Clean() || len(rep.Records) != 11 {
+						t.Fatalf("audit after open: %+v (%v), want 11 clean records", rep, err)
+					}
+					if now, err := os.ReadFile(filepath.Join(dir, sidecar)); err != nil || !bytes.Equal(now, stale) {
+						t.Fatalf("stale sidecar was touched (%v): %d bytes, was %d", err, len(now), len(stale))
+					}
+				})
+			}
+		}
 	}
 }
 
-func TestLogCheckpointTornSidecarTail(t *testing.T) {
-	sc, key, codec := fixtures(t)
-	dir := t.TempDir()
-	labels := minuteLabels(9)
-	l := openCkptLog(t, dir, codec)
-	for _, lab := range labels {
-		if err := l.Put(sc.IssueUpdate(key, lab)); err != nil {
+// TestLogWritesParentFormat pins updates.log as a golden vector:
+// re-appending the fixture's updates through today's Put produces the
+// parent-written file byte for byte.
+func TestLogWritesParentFormat(t *testing.T) {
+	_, _, codec := fixtures(t)
+	for _, layout := range []string{"sorted", "backfilled"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "parent_layout", layout, logName))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the sidecar mid-record (crash during a checkpoint append).
-	side := filepath.Join(dir, checkpointName)
-	raw, err := os.ReadFile(side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(side, raw[:len(raw)-7], 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := AuditDir(dir, codec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.CheckpointsTorn || rep.Clean() {
-		t.Fatalf("audit must flag the torn sidecar: %+v", rep)
-	}
-
-	l2 := openCkptLog(t, dir, codec)
-	st := l2.Stats()
-	if st.Checkpoints != 2 || st.CheckpointsRebuilt != 1 {
-		t.Fatalf("torn tail: checkpoints=%d rebuilt=%d, want 2/1", st.Checkpoints, st.CheckpointsRebuilt)
-	}
-	checkRange(t, l2, codec, labels[0], labels[8], 0)
-	if rep, err := AuditDir(dir, codec, nil); err != nil || !rep.Clean() {
-		t.Fatalf("sidecar must audit clean after recovery: %+v (%v)", rep, err)
-	}
-}
-
-func TestLogCheckpointMismatchRebuilds(t *testing.T) {
-	// A checkpoint that disagrees with the log (bit-rot that kept its
-	// CRC consistent, i.e. a rewritten sidecar) must never be served:
-	// recovery rebuilds it from the verified records, and until then an
-	// audit refuses to call the directory clean.
-	sc, key, codec := fixtures(t)
-	dir := t.TempDir()
-	labels := minuteLabels(9)
-	l := openCkptLog(t, dir, codec)
-	for _, lab := range labels {
-		if err := l.Put(sc.IssueUpdate(key, lab)); err != nil {
+		src, dst := t.TempDir(), t.TempDir()
+		if err := os.WriteFile(filepath.Join(src, logName), want, 0o600); err != nil {
 			t.Fatal(err)
 		}
-	}
-	honest, err := l.Range(labels[0], labels[8], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the first checkpoint with a wrong (but well-formed,
-	// correctly CRC-framed) aggregate: the identity point.
-	side := filepath.Join(dir, checkpointName)
-	forged := checkpoint{count: 4, agg: curve.Infinity()}
-	var rest []checkpoint
-	{
-		l3 := openCkptLog(t, dir, codec)
-		rest = append([]checkpoint(nil), l3.ckpts[1:]...)
-		forged.root = l3.ckpts[0].root
-		l3.Close()
-	}
-	f, err := os.OpenFile(side, os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(checkpointMagic); err != nil {
-		t.Fatal(err)
-	}
-	for _, ck := range append([]checkpoint{forged}, rest...) {
-		if err := appendFrame(f, marshalCheckpoint(codec, ck)); err != nil {
-			t.Fatal(err)
+		out := openCkptLog(t, dst, codec)
+		for _, r := range openCkptLog(t, src, codec).recs {
+			if err := out.Put(core.KeyUpdate{Label: r.label, Point: r.point}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(filepath.Join(dst, logName)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: rewritten log differs from the parent-written one (%v)", layout, err)
 		}
 	}
-	f.Close()
-
-	rep, err := AuditDir(dir, codec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CheckpointsBad == 0 || rep.Clean() {
-		t.Fatalf("audit must flag the forged checkpoint: %+v", rep)
-	}
-
-	// Recovery must rebuild from the forged record on and serve the
-	// honest aggregate.
-	l2 := openCkptLog(t, dir, codec, WithVerifier(func(u core.KeyUpdate) bool {
-		return sc.VerifyUpdate(key.Pub, u)
-	}))
-	st := l2.Stats()
-	if st.CheckpointsRebuilt != 2 || st.Checkpoints != 2 {
-		t.Fatalf("mismatch: checkpoints=%d rebuilt=%d, want 2/2", st.Checkpoints, st.CheckpointsRebuilt)
-	}
-	got, err := l2.Range(labels[0], labels[8], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !codec.Set.Curve.Equal(got.Aggregate, honest.Aggregate) {
-		t.Fatal("recovery served a range built from the forged checkpoint")
-	}
-	if !sc.VerifyUpdateAggregate(key.Pub, got.Updates, got.Aggregate) {
-		t.Fatal("served aggregate must verify")
-	}
-	if rep, err := AuditDir(dir, codec, nil); err != nil || !rep.Clean() {
-		t.Fatalf("sidecar must audit clean after rebuild: %+v (%v)", rep, err)
-	}
-}
-
-func TestLogForeignSidecarRebuiltWholesale(t *testing.T) {
-	sc, key, codec := fixtures(t)
-	dir := t.TempDir()
-	labels := minuteLabels(8)
-	l := openCkptLog(t, dir, codec)
-	for _, lab := range labels {
-		if err := l.Put(sc.IssueUpdate(key, lab)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, checkpointName), []byte("not a sidecar"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	l2 := openCkptLog(t, dir, codec)
-	st := l2.Stats()
-	if st.Checkpoints != 2 || st.CheckpointsRebuilt != 2 {
-		t.Fatalf("foreign sidecar: checkpoints=%d rebuilt=%d, want 2/2", st.Checkpoints, st.CheckpointsRebuilt)
-	}
-	checkRange(t, l2, codec, labels[0], labels[7], 0)
 }
 
 func TestMerkleRootProperties(t *testing.T) {

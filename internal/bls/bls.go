@@ -119,7 +119,7 @@ func Aggregate(set *params.Set, sigs []Signature) Signature {
 // aggregate: AggregateInto(acc, s₁…sₙ) = acc + Σsᵢ. Starting from the
 // zero Signature (or one whose point is the identity) and folding every
 // signature of a set is equivalent to Aggregate over the whole set —
-// this is what the archive's checkpoint aggregates are built from, one
+// this is what the archive's prefix aggregates are built from, one
 // append at a time, without re-summing the prefix.
 func AggregateInto(set *params.Set, acc Signature, sigs ...Signature) Signature {
 	p := acc.Point

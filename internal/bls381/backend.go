@@ -33,11 +33,19 @@ type g1Ext struct{ p g1Affine }
 
 func (e *g1Ext) ExtBackend() string { return BackendName }
 func (e *g1Ext) ExtGroup() int      { return 1 }
+func (e *g1Ext) ExtEqual(o curve.ExtPoint) bool {
+	q, ok := o.(*g1Ext)
+	return ok && e.p.equal(&q.p)
+}
 
 type g2Ext struct{ p g2Affine }
 
 func (e *g2Ext) ExtBackend() string { return BackendName }
 func (e *g2Ext) ExtGroup() int      { return 2 }
+func (e *g2Ext) ExtEqual(o curve.ExtPoint) bool {
+	q, ok := o.(*g2Ext)
+	return ok && e.p.equal(&q.p)
+}
 
 func wrapG1(p *g1Affine) curve.Point { return curve.NewExtPoint(&g1Ext{p: *p}, p.inf) }
 func wrapG2(p *g2Affine) curve.Point { return curve.NewExtPoint(&g2Ext{p: *p}, p.inf) }

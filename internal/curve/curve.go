@@ -63,6 +63,9 @@ type ExtPoint interface {
 	ExtBackend() string
 	// ExtGroup returns the source group (1 or 2) the point belongs to.
 	ExtGroup() int
+	// ExtEqual reports whether o is the same point of the same backend
+	// and group.
+	ExtEqual(o ExtPoint) bool
 }
 
 // NewExtPoint wraps an external-backend point handle. isInf mirrors
@@ -142,9 +145,22 @@ func (c *Curve) InSubgroup(p Point) bool {
 }
 
 // Equal reports whether two points are equal.
-func (c *Curve) Equal(p, q Point) bool {
-	if p.inf || q.inf {
-		return p.inf == q.inf
+func (c *Curve) Equal(p, q Point) bool { return p.Equal(q) }
+
+// Equal reports whether p and q are the same point, whichever backend
+// owns them: Type-1 points compare coordinates, external-backend points
+// compare through their handle, and a point of one representation never
+// equals a finite point of the other. Code that holds points without a
+// backend in hand (the archive's conflict check) compares through this.
+func (p Point) Equal(q Point) bool {
+	// A coordinate-less, untagged point is the identity (zero value).
+	pInf := p.inf || (p.X == nil && p.Ext == nil)
+	qInf := q.inf || (q.X == nil && q.Ext == nil)
+	switch {
+	case pInf || qInf:
+		return pInf == qInf
+	case p.Ext != nil || q.Ext != nil:
+		return p.Ext != nil && q.Ext != nil && p.Ext.ExtEqual(q.Ext)
 	}
 	return p.X.Cmp(q.X) == 0 && p.Y.Cmp(q.Y) == 0
 }

@@ -91,7 +91,7 @@ func OpenLedger(dir string) (*Ledger, LedgerStats, error) {
 	l.init()
 	var stats LedgerStats
 	path := filepath.Join(dir, SpendLogName)
-	log, fstats, err := archive.OpenFrameLog(path, spendMagic, func(payload []byte) error {
+	log, fstats, err := archive.OpenFrameLog(path, spendMagic, func(_ int64, payload []byte) error {
 		if len(payload) != 32 {
 			return fmt.Errorf("token: spend record is %d bytes, want 32", len(payload))
 		}
