@@ -8,17 +8,18 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help build bench-build test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-pairing bench-field bench-server bench-server-bls bench-catchup bench-stream bench-rounds bench-tokens race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help build bench-build spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-pairing bench-field bench-server bench-server-bls bench-catchup bench-stream bench-rounds bench-tokens race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + shuffled tests + race tests"
+	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + spine + shuffled tests + race tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
+	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow"
 	@echo "  test               go test ./..."
 	@echo "  test-shuffle       go test -shuffle=on ./..."
 	@echo "  vet                go vet ./..."
@@ -39,7 +40,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure), total and internal/archive"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -54,6 +55,27 @@ build:
 bench-build:
 	GOFLAGS=-mod=mod $(GO) build -C benchmark -o /dev/null .
 	GOFLAGS=-mod=mod $(GO) vet -C benchmark .
+
+# The crypto-spine ratchet (ROADMAP item 3: one way into the pairing
+# layer). Everything above internal/backend should reach the pairing
+# through backend.Backend; the packages that still import
+# internal/pairing directly, outside their tests, are listed one per
+# line in .spine-allow. A package not on the list fails the build; a
+# listed package that no longer imports it passes with a reminder to
+# trim the list, so the count can only go down.
+spine:
+	@got=$$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \
+		| awk '{ for (i = 2; i <= NF; i++) if ($$i == "timedrelease/internal/pairing") print $$1 }' \
+		| sed 's#^timedrelease/##' | sort); \
+	new=$$(echo "$$got" | grep -vxF -f .spine-allow); \
+	gone=$$(grep -vxF -e "$$got" .spine-allow); \
+	echo "spine: $$(echo "$$got" | grep -c .) packages import internal/pairing directly ($$(grep -c . .spine-allow) allowed)"; \
+	if [ -n "$$gone" ]; then \
+		echo "spine: no longer importing it — trim .spine-allow:"; echo "$$gone"; \
+	fi; \
+	if [ -n "$$new" ]; then \
+		echo "spine ratchet FAILED: new direct importers of internal/pairing (go through backend.Backend):"; echo "$$new"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -87,12 +109,13 @@ lint:
 	fi
 
 # The CI gate: static checks, the nested benchmark module's build, one
-# shuffled test run, one race run — each pass exactly once (the race
+# import ratchet on the pairing layer, one shuffled test run, one race
+# run — each pass exactly once (the race
 # detector covers the WHOLE module;
 # the concurrency reaches from the sharded scheme caches and pooled
 # arenas up through the serving path, so nothing is exempt). This is
 # what .github/workflows/ci.yml executes.
-ci: vet fmt-check lint bench-build test-shuffle race
+ci: vet fmt-check lint bench-build spine test-shuffle race
 
 # Historical pre-commit name.
 check: ci
@@ -223,13 +246,16 @@ fuzz-smoke:
 
 # The size figure ROADMAP item 3 tracks: lines of non-test Go outside
 # the benchmark/ module (plain `wc -l`: blanks and comments count, so
-# deleting comments is visible as what it is), for the whole repo and
-# for internal/archive. Quote it in simplicity PRs.
+# deleting comments is visible as what it is), for the whole repo, for
+# internal/archive and for the BLS-over-backend layer. Quote it in
+# simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/archive:                     '; \
 		find internal/archive -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/bls + internal/backend:      '; \
+		find internal/bls internal/backend -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

@@ -241,7 +241,7 @@ func benchmarkPrimitives(b *testing.B, preset string) {
 	})
 	b.Run("BLSVerify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !bls.Verify(set, key.Pub, "time", msg, sig) {
+			if !bls.Verify(set, key.Pub, set.B.HashToG2("time", msg), sig) {
 				b.Fatal("verify failed")
 			}
 		}

@@ -42,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"timedrelease/internal/bls"
 	"timedrelease/internal/keyfile"
 	"timedrelease/internal/timeserver"
 	"timedrelease/tre"
@@ -167,7 +166,7 @@ func run(ctx context.Context, cfg *config, stdout io.Writer) error {
 			return fmt.Errorf("token issuance key %s equals the server key %s; delete it to generate a fresh one",
 				cfg.tokenKeyPath, cfg.keyPath)
 		}
-		iss, err := tre.TokenIssuerFromKey(set, &bls.PrivateKey{S: tkey.S, Pub: bls.PublicKey(tkey.Pub)})
+		iss, err := tre.TokenIssuerFromKey(set, tkey)
 		if err != nil {
 			return err
 		}

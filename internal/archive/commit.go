@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
@@ -117,7 +118,7 @@ func RangeOf(a Archive, codec *wire.Codec, from, to string, limit int) (RangeRes
 	if limit > 0 && total > limit {
 		hi = lo + limit
 	}
-	res := RangeResult{Aggregate: curve.Infinity(), Total: total}
+	res := RangeResult{Aggregate: codec.Set.B.Infinity(backend.G2), Total: total}
 	leaves := make([][32]byte, 0, hi-lo)
 	for _, label := range labels[lo:hi] {
 		u, ok := a.Get(label)
@@ -125,7 +126,7 @@ func RangeOf(a Archive, codec *wire.Codec, from, to string, limit int) (RangeRes
 			return RangeResult{}, errors.New("archive: label vanished during range scan: " + label)
 		}
 		res.Updates = append(res.Updates, u)
-		res.Aggregate = bls.AggregateInto(codec.Set, bls.Signature{Point: res.Aggregate}, bls.Signature{Point: u.Point}).Point
+		res.Aggregate = bls.AggregateInto(codec.Set, res.Aggregate, u.Point)
 		leaves = append(leaves, LeafHash(codec.MarshalKeyUpdate(u)))
 	}
 	res.Root = MerkleRoot(leaves)

@@ -85,31 +85,19 @@ type BaseTable interface {
 // Type-1 backends that is the Miller-loop line schedules of G and sG;
 // on Type-3 backends it is the prepared G2 line schedules of the
 // generator and sG2. A PreparedKey is immutable and safe for
-// concurrent use.
+// concurrent use. Both methods are bare pairing equations: validating
+// the varying points is the caller's job (package bls owns the
+// signature predicate).
 type PreparedKey interface {
-	// VerifySig checks the BLS equation ê(G, sig) = ê(sG, h) — the
-	// self-authentication of a key update sig = s·h for h = H1(T). It
-	// rejects identity or out-of-subgroup sig points. Both h and sig
-	// are G2 points.
-	VerifySig(h, sig curve.Point) bool
+	// PairCheck evaluates ê(G, sig) = ê(sG, h) — the BLS equation of a
+	// key update sig = s·h for h = H1(T). Both arguments are G2 points.
+	PairCheck(h, sig curve.Point) bool
 
 	// SameKey checks the user-key well-formedness equation
 	// ê(aG, sG) = ê(G, a·sG) (in Type-3 form: ê(aG, sG2) = ê(asG, G2)),
 	// proving asg = a·sG for the same a behind ag. Both arguments are
-	// G1 points; subgroup checks are the caller's job.
+	// G1 points.
 	SameKey(ag, asg curve.Point) bool
-
-	// VerifyAggregate checks a same-key aggregate signature against
-	// already-hashed messages: ê(G, agg) = ê(sG, Σ hᵢ), with the usual
-	// identity/subgroup rejection on agg. An empty hash list verifies
-	// iff agg is the identity. All points are G2 points.
-	VerifyAggregate(hashes []curve.Point, agg curve.Point) bool
-
-	// PairCheck evaluates the bare equation ê(G, sig) = ê(sG, h) with
-	// no identity or subgroup validation — for callers (batch
-	// verification) that have already validated every constituent
-	// point. Both arguments are G2 points.
-	PairCheck(h, sig curve.Point) bool
 }
 
 // Backend is one complete pairing setting: two source groups, the

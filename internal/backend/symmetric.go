@@ -123,18 +123,10 @@ func (b *Symmetric) PrepareKey(g, sg, _ curve.Point) PreparedKey {
 }
 
 // symPrepared is the Type-1 PreparedKey: the line schedules of the two
-// fixed first pairing arguments, exactly as bls.PreparedPublicKey has
-// always cached them.
+// fixed first pairing arguments.
 type symPrepared struct {
 	b     *Symmetric
 	g, sg *pairing.PreparedPoint
-}
-
-func (pk *symPrepared) VerifySig(h, sig curve.Point) bool {
-	if sig.IsInfinity() || !pk.b.c.InSubgroup(sig) {
-		return false
-	}
-	return pk.PairCheck(h, sig)
 }
 
 func (pk *symPrepared) PairCheck(h, sig curve.Point) bool {
@@ -144,20 +136,6 @@ func (pk *symPrepared) PairCheck(h, sig curve.Point) bool {
 func (pk *symPrepared) SameKey(ag, asg curve.Point) bool {
 	// ê(sG, aG) = ê(G, a·sG), fixed server points in the prepared slots.
 	return pk.b.pr.SamePairingPrepared(pk.sg, ag, pk.g, asg)
-}
-
-func (pk *symPrepared) VerifyAggregate(hashes []curve.Point, agg curve.Point) bool {
-	if len(hashes) == 0 {
-		return agg.IsInfinity()
-	}
-	if agg.IsInfinity() || !pk.b.c.InSubgroup(agg) {
-		return false
-	}
-	hsum := curve.Infinity()
-	for _, h := range hashes {
-		hsum = pk.b.c.Add(hsum, h)
-	}
-	return pk.b.pr.SamePairingPrepared(pk.g, agg, pk.sg, hsum)
 }
 
 // GTOne returns 1 ∈ F_{p²}.

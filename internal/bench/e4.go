@@ -61,7 +61,7 @@ func RunE4(cfg Config) (*Table, error) {
 		h1 := timeOp(iters, func() { sink = c.HashToGroup("bench-h1", msg) })
 		sign := timeOp(iters, func() { sink = key.Sign(set, "time", msg) })
 		verify := timeOp(iters, func() {
-			if !bls.Verify(set, key.Pub, "time", msg, sig) {
+			if !bls.Verify(set, key.Pub, set.B.HashToG2("time", msg), sig) {
 				panic("verify failed")
 			}
 		})

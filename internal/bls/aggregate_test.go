@@ -4,90 +4,89 @@ import (
 	"fmt"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/params"
 )
 
-func TestAggregateIntoMatchesAggregate(t *testing.T) {
-	set, k := testSetup(t)
-	var sigs []Signature
-	var msgs [][]byte
-	for i := 0; i < 7; i++ {
-		m := []byte(fmt.Sprintf("epoch-%d", i))
+// signMany signs n distinct messages, returning them with their hashes.
+func signMany(set *params.Set, k *PrivateKey, dst string, n int) (msgs [][]byte, hashes, sigs []curve.Point) {
+	for i := 0; i < n; i++ {
+		m := []byte(fmt.Sprintf("label-%d", i))
 		msgs = append(msgs, m)
-		sigs = append(sigs, k.Sign(set, "dst", m))
+		hashes = append(hashes, set.B.HashToG2(dst, m))
+		sigs = append(sigs, k.Sign(set, dst, m))
 	}
+	return msgs, hashes, sigs
+}
 
-	whole := Aggregate(set, sigs)
+// TestAggregateInto: folding one signature at a time and folding the
+// whole set in one variadic call land on the same point, which is
+// s·ΣH1(mᵢ).
+func TestAggregateInto(t *testing.T) {
+	set, k := testSetup(t)
+	_, hashes, sigs := signMany(set, k, "dst", 7)
+	inf := set.B.Infinity(backend.G2)
 
-	// Incremental folding — one at a time from the zero Signature —
-	// must land on the same point.
-	var acc Signature
+	acc := inf
 	for _, s := range sigs {
 		acc = AggregateInto(set, acc, s)
 	}
-	if !set.Curve.Equal(acc.Point, whole.Point) {
-		t.Fatal("incremental aggregation diverged from Aggregate")
+	whole := AggregateInto(set, inf, sigs...)
+	if !set.Curve.Equal(acc, whole) {
+		t.Fatal("incremental aggregation diverged from the variadic fold")
 	}
-
-	// And in one variadic call from an explicit empty aggregate.
-	batch := AggregateInto(set, Signature{Point: curve.Infinity()}, sigs...)
-	if !set.Curve.Equal(batch.Point, whole.Point) {
-		t.Fatal("variadic aggregation diverged from Aggregate")
+	want := set.Curve.ScalarMult(k.S, AggregateInto(set, inf, hashes...))
+	if !set.Curve.Equal(whole, want) {
+		t.Fatal("aggregate != s·ΣH1(mᵢ)")
 	}
-
-	if !VerifyAggregate(set, k.Pub, "dst", msgs, acc) {
-		t.Fatal("incrementally built aggregate must verify")
+	if !set.Curve.Equal(AggregateInto(set, inf), inf) {
+		t.Fatal("folding nothing must return the accumulator")
 	}
 }
 
-func TestVerifyAggregatePrepared(t *testing.T) {
+// TestVerifyAggregate covers the one aggregate verifier: dropped,
+// tampered and foreign-key components, and the empty list.
+func TestVerifyAggregate(t *testing.T) {
 	set, k := testSetup(t)
-	pk := PreparePublicKey(set, k.Pub)
+	pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
+	inf := set.B.Infinity(backend.G2)
+	msgs, hashes, sigs := signMany(set, k, "dst", 9)
+	agg := AggregateInto(set, inf, sigs...)
 
-	var sigs []Signature
-	var msgs [][]byte
-	var hashes []curve.Point
-	for i := 0; i < 9; i++ {
-		m := []byte(fmt.Sprintf("label-%d", i))
-		msgs = append(msgs, m)
-		hashes = append(hashes, set.Curve.HashToGroup("dst", m))
-		sigs = append(sigs, k.Sign(set, "dst", m))
+	if !VerifyAggregate(set, pk, hashes, agg) {
+		t.Fatal("genuine aggregate must verify")
 	}
-	agg := Aggregate(set, sigs)
-
-	if !pk.VerifyAggregatePrepared(set, hashes, agg) {
-		t.Fatal("genuine aggregate must verify on the prepared pre-hashed path")
-	}
-	// Differential against the unprepared verifier.
-	if pk.VerifyAggregatePrepared(set, hashes, agg) != VerifyAggregate(set, k.Pub, "dst", msgs, agg) {
-		t.Fatal("prepared and plain aggregate verification disagree")
-	}
-
-	// A dropped hash breaks the sum.
-	if pk.VerifyAggregatePrepared(set, hashes[:len(hashes)-1], agg) {
+	// A dropped hash breaks the sum, and so does a dropped signature.
+	if VerifyAggregate(set, pk, hashes[:len(hashes)-1], agg) {
 		t.Fatal("aggregate over a shorter message list must not verify")
+	}
+	if VerifyAggregate(set, pk, hashes, AggregateInto(set, inf, sigs[:8]...)) {
+		t.Fatal("partial aggregate must not verify")
+	}
+	if VerifyAggregate(set, pk, hashes, set.B.Add(backend.G2, agg, set.G)) {
+		t.Fatal("tampered aggregate must not verify")
 	}
 	// A signature by another key inside the aggregate breaks it.
 	other, err := GenerateKey(set, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := make([]Signature, len(sigs))
-	copy(forged, sigs)
+	forged := append([]curve.Point(nil), sigs...)
 	forged[4] = other.Sign(set, "dst", msgs[4])
-	if pk.VerifyAggregatePrepared(set, hashes, Aggregate(set, forged)) {
+	if VerifyAggregate(set, pk, hashes, AggregateInto(set, inf, forged...)) {
 		t.Fatal("aggregate containing a foreign-key signature must not verify")
 	}
 
 	// Empty list: verifies iff the aggregate is the identity.
-	if !pk.VerifyAggregatePrepared(set, nil, Signature{Point: curve.Infinity()}) {
+	if !VerifyAggregate(set, pk, nil, inf) {
 		t.Fatal("empty aggregate over no messages must verify")
 	}
-	if pk.VerifyAggregatePrepared(set, nil, agg) {
+	if VerifyAggregate(set, pk, nil, agg) {
 		t.Fatal("non-identity aggregate over no messages must not verify")
 	}
 	// Identity aggregate over a non-empty list is rejected outright.
-	if pk.VerifyAggregatePrepared(set, hashes, Signature{Point: curve.Infinity()}) {
+	if VerifyAggregate(set, pk, hashes, inf) {
 		t.Fatal("identity aggregate over messages must not verify")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
@@ -33,17 +34,10 @@ const batchExponentBits = 128
 // the sums are then folded in index order, so the result is identical to
 // the sequential computation.
 //
-// A false batch tells you *something* failed but not what; fall back to
-// per-signature Verify to locate offenders.
-func VerifyBatch(set *params.Set, pub PublicKey, dst string, msgs [][]byte, sigs []Signature, rng io.Reader) (bool, error) {
-	return verifyBatch(set, dst, msgs, sigs, rng, func(sigSum, hashSum curve.Point) bool {
-		return set.B.SamePairing(pub.G, sigSum, pub.SG, hashSum)
-	})
-}
-
-// verifyBatch computes the blinded sums Σeᵢσᵢ and ΣeᵢH1(mᵢ) and hands
-// them to check — the single pairing equation, prepared or not.
-func verifyBatch(set *params.Set, dst string, msgs [][]byte, sigs []Signature, rng io.Reader, check func(sigSum, hashSum curve.Point) bool) (bool, error) {
+// The fixed pairing arguments sit in the prepared key. A false batch
+// tells you *something* failed but not what; fall back to per-signature
+// VerifyPrepared to locate offenders.
+func VerifyBatch(set *params.Set, pk backend.PreparedKey, dst string, msgs [][]byte, sigs []curve.Point, rng io.Reader) (bool, error) {
 	if len(msgs) != len(sigs) {
 		return false, fmt.Errorf("bls: %d messages for %d signatures", len(msgs), len(sigs))
 	}
@@ -70,24 +64,18 @@ func verifyBatch(set *params.Set, dst string, msgs [][]byte, sigs []Signature, r
 	blindedHashes := make([]curve.Point, len(sigs))
 	bad := make([]bool, len(sigs))
 	parallel.For(len(sigs), func(i int) {
-		sig := sigs[i]
-		if sig.Point.IsInfinity() || !set.B.InSubgroup(backend.G2, sig.Point) {
+		if !validSig(set, sigs[i]) {
 			bad[i] = true
 			return
 		}
-		blindedSigs[i] = set.B.ScalarMult(backend.G2, blinders[i], sig.Point)
+		blindedSigs[i] = set.B.ScalarMult(backend.G2, blinders[i], sigs[i])
 		h := set.B.HashToG2(dst, msgs[i])
 		blindedHashes[i] = set.B.ScalarMult(backend.G2, blinders[i], h)
 	})
 
-	sigSum := set.B.Infinity(backend.G2)
-	hashSum := set.B.Infinity(backend.G2)
-	for i := range sigs {
-		if bad[i] {
-			return false, nil
-		}
-		sigSum = set.B.Add(backend.G2, sigSum, blindedSigs[i])
-		hashSum = set.B.Add(backend.G2, hashSum, blindedHashes[i])
+	if slices.Contains(bad, true) {
+		return false, nil
 	}
-	return check(sigSum, hashSum), nil
+	inf := set.B.Infinity(backend.G2)
+	return pk.PairCheck(AggregateInto(set, inf, blindedHashes...), AggregateInto(set, inf, blindedSigs...)), nil
 }

@@ -3,18 +3,21 @@ package bls
 import (
 	"fmt"
 	"testing"
+
+	"timedrelease/internal/curve"
 )
 
 func TestVerifyBatchAccepts(t *testing.T) {
 	set, k := testSetup(t)
+	pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
 	var msgs [][]byte
-	var sigs []Signature
+	var sigs []curve.Point
 	for i := 0; i < 8; i++ {
 		m := []byte(fmt.Sprintf("epoch-%d", i))
 		msgs = append(msgs, m)
 		sigs = append(sigs, k.Sign(set, "time", m))
 	}
-	ok, err := VerifyBatch(set, k.Pub, "time", msgs, sigs, nil)
+	ok, err := VerifyBatch(set, pk, "time", msgs, sigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,16 +28,17 @@ func TestVerifyBatchAccepts(t *testing.T) {
 
 func TestVerifyBatchDetectsOneBadSignature(t *testing.T) {
 	set, k := testSetup(t)
+	pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
 	var msgs [][]byte
-	var sigs []Signature
+	var sigs []curve.Point
 	for i := 0; i < 8; i++ {
 		m := []byte(fmt.Sprintf("epoch-%d", i))
 		msgs = append(msgs, m)
 		sigs = append(sigs, k.Sign(set, "time", m))
 	}
 	// Corrupt exactly one signature in the middle.
-	sigs[4].Point = set.Curve.Add(sigs[4].Point, set.G)
-	ok, err := VerifyBatch(set, k.Pub, "time", msgs, sigs, nil)
+	sigs[4] = set.Curve.Add(sigs[4], set.G)
+	ok, err := VerifyBatch(set, pk, "time", msgs, sigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +52,10 @@ func TestVerifyBatchDetectsSwappedSignatures(t *testing.T) {
 	// wrong even though the sums of naive (unblinded) combinations would
 	// match — the random blinders must catch it.
 	set, k := testSetup(t)
+	pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
 	msgs := [][]byte{[]byte("a"), []byte("b")}
-	sigs := []Signature{k.Sign(set, "time", msgs[1]), k.Sign(set, "time", msgs[0])}
-	ok, err := VerifyBatch(set, k.Pub, "time", msgs, sigs, nil)
+	sigs := []curve.Point{k.Sign(set, "time", msgs[1]), k.Sign(set, "time", msgs[0])}
+	ok, err := VerifyBatch(set, pk, "time", msgs, sigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,28 +66,29 @@ func TestVerifyBatchDetectsSwappedSignatures(t *testing.T) {
 
 func TestVerifyBatchEdgeCases(t *testing.T) {
 	set, k := testSetup(t)
+	pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
 	// Empty batch: vacuously true.
-	ok, err := VerifyBatch(set, k.Pub, "time", nil, nil, nil)
+	ok, err := VerifyBatch(set, pk, "time", nil, nil, nil)
 	if err != nil || !ok {
 		t.Fatalf("empty batch: %v %v", ok, err)
 	}
 	// Length mismatch is an error, not a false.
-	if _, err := VerifyBatch(set, k.Pub, "time", [][]byte{[]byte("m")}, nil, nil); err == nil {
+	if _, err := VerifyBatch(set, pk, "time", [][]byte{[]byte("m")}, nil, nil); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 	// Identity signature rejected.
-	ok, err = VerifyBatch(set, k.Pub, "time", [][]byte{[]byte("m")}, []Signature{{}}, nil)
+	ok, err = VerifyBatch(set, pk, "time", [][]byte{[]byte("m")}, []curve.Point{curve.Infinity()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("identity signature must fail")
 	}
-	// Single-element batch agrees with Verify.
+	// Single-element batch agrees with VerifyPrepared.
 	m := []byte("solo")
 	sig := k.Sign(set, "time", m)
-	ok, err = VerifyBatch(set, k.Pub, "time", [][]byte{m}, []Signature{sig}, nil)
-	if err != nil || !ok {
+	ok, err = VerifyBatch(set, pk, "time", [][]byte{m}, []curve.Point{sig}, nil)
+	if err != nil || ok != VerifyPrepared(set, pk, set.B.HashToG2("time", m), sig) || !ok {
 		t.Fatalf("single batch: %v %v", ok, err)
 	}
 }

@@ -1,17 +1,15 @@
-// Package bls implements Boneh–Lynn–Shacham short signatures over the
-// pairing backend. In the paper, a time-bound key update I_T is
-// exactly a BLS signature s·H1(T) by the time server — "self-
-// authenticated" because anyone can check ê(G, I_T) = ê(sG, H1(T))
-// without any additional signature (§5.3.1).
+// Package bls is the single owner of the Boneh–Lynn–Shacham short-
+// signature predicate over the pairing backend. In the paper, a
+// time-bound key update I_T is exactly a BLS signature s·H1(T) by the
+// time server — "self-authenticated" because anyone can check
+// ê(G, I_T) = ê(sG, H1(T)) without any additional signature (§5.3.1).
+// Threshold partials, identity keys, witness attestations and blind
+// tokens are the same signature under other hash domains, and all of
+// them verify here: Verify against a key used once, VerifyPrepared
+// against a cached one, VerifyAggregate and VerifyBatch over runs.
 //
 // Keys live in G1 and signatures (with the hashed messages) in G2; on
-// the paper's Type-1 backends the two groups coincide and every
-// operation below reduces bit-for-bit to the historical symmetric
-// code.
-//
-// The package also provides same-key aggregation (point addition of
-// signatures), which the policy-lock generalisation uses to combine the
-// updates of all conditions in an AND clause into one decryption key.
+// the paper's Type-1 backends the two groups coincide.
 package bls
 
 import (
@@ -38,11 +36,6 @@ type PublicKey struct {
 type PrivateKey struct {
 	S   *big.Int
 	Pub PublicKey
-}
-
-// Signature is a BLS short signature: a single compressed G2 element.
-type Signature struct {
-	Point curve.Point // s·H1(msg) ∈ G2
 }
 
 // GenerateKey creates a key pair over the canonical generator of set.
@@ -81,67 +74,64 @@ func NewPrivateKey(set *params.Set, g curve.Point, s *big.Int) (*PrivateKey, err
 	}, nil
 }
 
-// Sign produces the short signature s·H1(msg) under the domain-separated
-// hash oracle dst.
-func (k *PrivateKey) Sign(set *params.Set, dst string, msg []byte) Signature {
-	h := set.B.HashToG2(dst, msg)
-	return Signature{Point: set.B.ScalarMult(backend.G2, k.S, h)}
+// Sign produces the short signature s·H1(msg) ∈ G2 under the
+// domain-separated hash oracle dst. A signature is a bare curve.Point:
+// one compressed G2 element on the wire.
+func (k *PrivateKey) Sign(set *params.Set, dst string, msg []byte) curve.Point {
+	return set.B.ScalarMult(backend.G2, k.S, set.B.HashToG2(dst, msg))
 }
 
-// Verify checks ê(G, sig) = ê(sG, H1(msg)). It rejects identity or
-// out-of-subgroup signature points.
-func Verify(set *params.Set, pub PublicKey, dst string, msg []byte, sig Signature) bool {
-	if sig.Point.IsInfinity() || !set.B.InSubgroup(backend.G2, sig.Point) {
-		return false
-	}
-	h := set.B.HashToG2(dst, msg)
-	return set.B.SamePairing(pub.G, sig.Point, pub.SG, h)
+// validSig is the point half of the BLS predicate, shared by every
+// verifier: a signature must be a non-identity point of the G2
+// subgroup before any pairing equation means anything.
+func validSig(set *params.Set, sig curve.Point) bool {
+	return !sig.IsInfinity() && set.B.InSubgroup(backend.G2, sig)
 }
 
-// emptyAggregate reports whether p is a zero-value Signature point —
-// neither a Type-1 point, an external-backend point, nor the tagged
-// identity — which the aggregate folders treat as the empty aggregate.
-func emptyAggregate(p curve.Point) bool {
-	return p.X == nil && p.Ext == nil && !p.IsInfinity()
+// Verify checks ê(G, sig) = ê(sG, h) for h = H1(msg) against a key used
+// once (a threshold share, an identity key, an attestation): no
+// precomputation, one unprepared pairing product. The caller hashes —
+// it owns the domain (and, in core, the label cache). Identity and
+// out-of-subgroup signatures are rejected.
+func Verify(set *params.Set, pub PublicKey, h, sig curve.Point) bool {
+	return validSig(set, sig) && set.B.SamePairing(pub.G, sig, pub.SG, h)
 }
 
-// Aggregate sums signatures by the same key over distinct messages into
-// one signature: Σ s·H1(mᵢ) = s·ΣH1(mᵢ).
-func Aggregate(set *params.Set, sigs []Signature) Signature {
-	acc := set.B.Infinity(backend.G2)
+// VerifyPrepared is Verify against a cached key: pk = Backend.PrepareKey
+// holds the fixed-argument pairing precomputation (roughly one pairing
+// to build, repaid from the second check on), so the time-server trust
+// anchor and the token gate verify here. It accepts exactly what Verify
+// accepts.
+func VerifyPrepared(set *params.Set, pk backend.PreparedKey, h, sig curve.Point) bool {
+	return validSig(set, sig) && pk.PairCheck(h, sig)
+}
+
+// AggregateInto folds points into a running same-key aggregate:
+// acc + Σ sigᵢ = s·ΣH1(mᵢ). Start from Backend.Infinity(G2).
+func AggregateInto(set *params.Set, acc curve.Point, sigs ...curve.Point) curve.Point {
 	for _, s := range sigs {
-		acc = set.B.Add(backend.G2, acc, s.Point)
+		acc = set.B.Add(backend.G2, acc, s)
 	}
-	return Signature{Point: acc}
+	return acc
 }
 
-// AggregateInto folds more signatures into a running same-key
-// aggregate: AggregateInto(acc, s₁…sₙ) = acc + Σsᵢ. Starting from the
-// zero Signature (or one whose point is the identity) and folding every
-// signature of a set is equivalent to Aggregate over the whole set —
-// this is what the archive's prefix aggregates are built from, one
-// append at a time, without re-summing the prefix.
-func AggregateInto(set *params.Set, acc Signature, sigs ...Signature) Signature {
-	p := acc.Point
-	if emptyAggregate(p) {
-		p = set.B.Infinity(backend.G2)
+// VerifyAggregate checks a same-key aggregate against messages already
+// hashed onto the curve:
+//
+//	ê(G, agg) = ê(sG, Σ hᵢ)
+//
+// — one prepared pairing product however many messages the aggregate
+// covers (the O(1)-pairing catch-up check). An empty hash list verifies
+// iff agg is the identity.
+//
+// The equation binds agg to the SUM of the hashes: it proves every
+// listed message was signed provided the list itself is honest, and
+// messages must be distinct for the usual aggregate-security argument.
+// A transport that can alter the list is only caught by the per-update
+// checks — see the client's fallback.
+func VerifyAggregate(set *params.Set, pk backend.PreparedKey, hashes []curve.Point, agg curve.Point) bool {
+	if len(hashes) == 0 {
+		return agg.IsInfinity()
 	}
-	for _, s := range sigs {
-		p = set.B.Add(backend.G2, p, s.Point)
-	}
-	return Signature{Point: p}
-}
-
-// VerifyAggregate checks a same-key aggregate over the message list:
-// ê(G, agg) = ê(sG, Σ H1(mᵢ)). Messages must be distinct for the usual
-// aggregate-security argument; this function does not enforce that.
-func VerifyAggregate(set *params.Set, pub PublicKey, dst string, msgs [][]byte, agg Signature) bool {
-	if agg.Point.IsInfinity() || !set.B.InSubgroup(backend.G2, agg.Point) {
-		return false
-	}
-	hsum := set.B.Infinity(backend.G2)
-	for _, m := range msgs {
-		hsum = set.B.Add(backend.G2, hsum, set.B.HashToG2(dst, m))
-	}
-	return set.B.SamePairing(pub.G, agg.Point, pub.SG, hsum)
+	return VerifyPrepared(set, pk, AggregateInto(set, set.B.Infinity(backend.G2), hashes...), agg)
 }

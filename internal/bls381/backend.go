@@ -315,7 +315,7 @@ func (b *Backend) SamePairing(a1, b1, a2, b2 curve.Point) bool {
 // PrepareKey stores the G1 key points and precomputes the G2 line
 // schedules of the generator and sg2 — the two fixed G2 arguments of
 // the user-key well-formedness check, which is the hot prepared path
-// on this backend (VerifySig's G2 arguments vary per call and are
+// on this backend (PairCheck's G2 arguments vary per call and are
 // prepared on the fly).
 func (b *Backend) PrepareKey(g, sg, sg2 curve.Point) backend.PreparedKey {
 	ga, sga := unwrapG1(g), unwrapG1(sg)
@@ -333,14 +333,6 @@ type blsPrepared struct {
 	g2p, sg2p *g2Prepared
 }
 
-func (pk *blsPrepared) VerifySig(h, sig curve.Point) bool {
-	siga := unwrapG2(sig)
-	if siga.isInfinity() || !siga.inSubgroup() {
-		return false
-	}
-	return pk.PairCheck(h, sig)
-}
-
 func (pk *blsPrepared) PairCheck(h, sig curve.Point) bool {
 	ha, siga := unwrapG2(h), unwrapG2(sig)
 	return samePairing(&pk.g, prepareG2(&siga), &pk.sg, prepareG2(&ha))
@@ -350,27 +342,6 @@ func (pk *blsPrepared) SameKey(ag, asg curve.Point) bool {
 	// ê(aG, sG2) = ê(asG, G2): holds iff asg = a·sg for the a behind ag.
 	aga, asga := unwrapG1(ag), unwrapG1(asg)
 	return samePairing(&aga, pk.sg2p, &asga, pk.g2p)
-}
-
-func (pk *blsPrepared) VerifyAggregate(hashes []curve.Point, agg curve.Point) bool {
-	agga := unwrapG2(agg)
-	if len(hashes) == 0 {
-		return agga.isInfinity()
-	}
-	if agga.isInfinity() || !agga.inSubgroup() {
-		return false
-	}
-	var sum g2Jac
-	sum.setInfinity()
-	for _, h := range hashes {
-		ha := unwrapG2(h)
-		if ha.isInfinity() {
-			continue
-		}
-		sum.addAffine(&sum, &ha)
-	}
-	hsum := sum.toAffine()
-	return samePairing(&pk.g, prepareG2(&agga), &pk.sg, prepareG2(&hsum))
 }
 
 // gtElem wraps an fe12 pairing value as an opaque backend.GT.

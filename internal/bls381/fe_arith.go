@@ -116,7 +116,8 @@ func (z *fe) isZeroRaw() bool {
 func feMul(z, x, y *fe) { feMulUnrolled(z, x, y) }
 
 // feMulLoop is the loop-form CIOS Montgomery product, kept as the
-// differential reference for the unrolled ladder (FuzzFeArith).
+// differential reference for the unrolled ladder
+// (TestFeMulLoopMatchesUnrolled, FuzzFeArith).
 func feMulLoop(z, x, y *fe) {
 	var t [feLimbs + 2]uint64
 	for i := 0; i < feLimbs; i++ {

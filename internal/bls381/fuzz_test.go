@@ -39,6 +39,8 @@ func FuzzFeArith(f *testing.F) {
 		var r fe
 		r.mul(&a, &b)
 		check("mul", &r, new(big.Int).Mod(new(big.Int).Mul(av, bv), p))
+		feMulLoop(&r, &a, &b)
+		check("mul (loop form)", &r, new(big.Int).Mod(new(big.Int).Mul(av, bv), p))
 		r.sqr(&a)
 		check("sqr", &r, new(big.Int).Mod(new(big.Int).Mul(av, av), p))
 		r.add(&a, &b)

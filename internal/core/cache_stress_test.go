@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"timedrelease/internal/backend"
-	"timedrelease/internal/bls"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/params"
@@ -33,7 +32,7 @@ func TestPreparedCacheSingleFlight(t *testing.T) {
 
 	const goroutines = 16
 	const iters = 8
-	results := make([][distinctKeys]*bls.PreparedPublicKey, goroutines)
+	results := make([][distinctKeys]backend.PreparedKey, goroutines)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
@@ -43,7 +42,7 @@ func TestPreparedCacheSingleFlight(t *testing.T) {
 			<-start
 			for it := 0; it < iters; it++ {
 				for i, srv := range servers {
-					pk := sc.PreparedServerKey(srv.Pub)
+					pk := sc.preparedKey(srv.Pub)
 					if pk == nil {
 						t.Errorf("nil prepared key")
 						return

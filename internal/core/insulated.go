@@ -2,6 +2,7 @@ package core
 
 import (
 	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/rohash"
 )
@@ -59,11 +60,8 @@ func (sc *Scheme) DecryptCCAWithEpochKey(spub ServerPublicKey, ek EpochKey, ct *
 // key against the user's public key and the server's update:
 // ê(G, a·I_T) = ê(aG, I_T).
 func (sc *Scheme) VerifyEpochKey(spub ServerPublicKey, upub UserPublicKey, upd KeyUpdate, ek EpochKey) bool {
-	if ek.Label != upd.Label {
-		return false
-	}
-	if ek.D.IsInfinity() || !sc.Set.B.InSubgroup(backend.G2, ek.D) {
-		return false
-	}
-	return sc.Set.B.SamePairing(spub.G, ek.D, upub.AG, upd.Point)
+	// The BLS predicate with a as the signing scalar and I_T as the
+	// hashed message.
+	return ek.Label == upd.Label &&
+		bls.Verify(sc.Set, bls.PublicKey{G: spub.G, SG: upub.AG}, upd.Point, ek.D)
 }

@@ -34,7 +34,7 @@ func (sc *Scheme) VerifyReKeyedKey(certifiedAG curve.Point, newServer ServerPubl
 	// — the same-key equation over the new server's key. Both fixed
 	// arguments (the canonical generator and the new server's s'G') sit
 	// in the prepared cache.
-	pk := sc.PreparedServerKey(ServerPublicKey{G: sc.Set.G, SG: newServer.SG, SG2: newServer.SG2})
+	pk := sc.preparedKey(ServerPublicKey{G: sc.Set.G, SG: newServer.SG, SG2: newServer.SG2})
 	sc.met.pairings.Add(2)
 	return pk.SameKey(certifiedAG, newPub.ASG)
 }

@@ -62,7 +62,7 @@ type Scheme struct {
 	// The cache is sharded with lock-free reads, single-flight builds
 	// and LRU eviction (cache.go); in practice it holds one entry, or a
 	// handful under server change (§5.3.4).
-	prepared pointCache[bls.PreparedPublicKey]
+	prepared pointCache[backend.PreparedKey]
 
 	// bases caches fixed-base scalar-multiplication tables, keyed like
 	// prepared. The multiplied points of keygen and encryption are the
@@ -156,41 +156,30 @@ func (sc *Scheme) baseTable(g backend.Group, p curve.Point) backend.BaseTable {
 	}, sc.met.baseHit, sc.met.baseMiss)
 }
 
-// PreparedServerKey returns the cached fixed-argument pairing
+// preparedKey returns the cached fixed-argument pairing
 // precomputation for a server key, building it on first use. Safe for
 // concurrent use — reads are lock-free and a miss runs Precompute
 // exactly once per key (single-flight); the returned key is immutable.
-func (sc *Scheme) PreparedServerKey(spub ServerPublicKey) *bls.PreparedPublicKey {
-	return sc.prepared.getOrBuild(sc.pointKey2(backend.G1, spub.G, spub.SG), func() *bls.PreparedPublicKey {
-		return bls.PreparePublicKey(sc.Set, bls.PublicKey(spub))
+func (sc *Scheme) preparedKey(spub ServerPublicKey) backend.PreparedKey {
+	return *sc.prepared.getOrBuild(sc.pointKey2(backend.G1, spub.G, spub.SG), func() *backend.PreparedKey {
+		pk := sc.Set.B.PrepareKey(spub.G, spub.SG, spub.SG2)
+		return &pk
 	}, sc.met.preparedHit, sc.met.preparedMiss)
 }
 
 // ServerPublicKey is the time server's public key PK_S = (G, sG),
 // plus — on asymmetric backends — the G2 mirror sG2 = s·G2 that the
-// user-key well-formedness check pairs against. On symmetric backends
-// SG2 is the same point as SG. The field layout matches bls.PublicKey
-// so the two convert directly.
-type ServerPublicKey struct {
-	G   curve.Point // the server's generator ∈ G1
-	SG  curve.Point // s·G ∈ G1
-	SG2 curve.Point // s·G2 ∈ G2 (same point as SG when symmetric)
-}
+// user-key well-formedness check pairs against. It IS the BLS
+// verification key: a key update is a BLS signature on the label.
+type ServerPublicKey = bls.PublicKey
 
 // ServerKeyPair holds the time server's private scalar and public key.
-type ServerKeyPair struct {
-	S   *big.Int
-	Pub ServerPublicKey
-}
+type ServerKeyPair = bls.PrivateKey
 
 // ServerKeyGen generates a time-server key pair over the canonical
 // generator of the parameter set.
 func (sc *Scheme) ServerKeyGen(rng io.Reader) (*ServerKeyPair, error) {
-	k, err := bls.GenerateKey(sc.Set, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &ServerKeyPair{S: k.S, Pub: ServerPublicKey{G: k.Pub.G, SG: k.Pub.SG, SG2: k.Pub.SG2}}, nil
+	return bls.GenerateKey(sc.Set, rng)
 }
 
 // KeyUpdate is the time-bound key update I_T = s·H1(T): a BLS short
@@ -205,9 +194,7 @@ type KeyUpdate struct {
 // called by the time server exactly when the labelled instant arrives —
 // the scheme itself has no notion of clocks (see internal/timeserver).
 func (sc *Scheme) IssueUpdate(server *ServerKeyPair, label string) KeyUpdate {
-	k := bls.PrivateKey{S: server.S, Pub: bls.PublicKey(server.Pub)}
-	sig := k.Sign(sc.Set, TimeDomain, []byte(label))
-	return KeyUpdate{Label: label, Point: sig.Point}
+	return KeyUpdate{Label: label, Point: server.Sign(sc.Set, TimeDomain, []byte(label))}
 }
 
 // VerifyUpdate checks the self-authentication equation
@@ -217,7 +204,7 @@ func (sc *Scheme) IssueUpdate(server *ServerKeyPair, label string) KeyUpdate {
 // usually already hashed the same label).
 func (sc *Scheme) VerifyUpdate(spub ServerPublicKey, u KeyUpdate) bool {
 	sc.met.pairings.Add(2) // one pairing per side of the check
-	return sc.PreparedServerKey(spub).VerifyHash(sc.Set, sc.hashLabel(u.Label), bls.Signature{Point: u.Point})
+	return bls.VerifyPrepared(sc.Set, sc.preparedKey(spub), sc.hashLabel(u.Label), u.Point)
 }
 
 // VerifyUpdateBatch checks many updates against one blinded batched
@@ -229,13 +216,15 @@ func (sc *Scheme) VerifyUpdateBatch(spub ServerPublicKey, updates []KeyUpdate) (
 		return true, nil
 	}
 	msgs := make([][]byte, len(updates))
-	sigs := make([]bls.Signature, len(updates))
+	sigs := make([]curve.Point, len(updates))
 	for i, u := range updates {
 		msgs[i] = []byte(u.Label)
-		sigs[i] = bls.Signature{Point: u.Point}
+		sigs[i] = u.Point
 	}
 	sc.met.pairings.Add(2) // the whole batch collapses to one two-pairing check
-	return sc.PreparedServerKey(spub).VerifyBatch(sc.Set, TimeDomain, msgs, sigs, nil)
+	// bls.VerifyBatch hashes the labels itself, inside its worker pool
+	// and past the label cache: a cold catch-up must not serialise H1.
+	return bls.VerifyBatch(sc.Set, sc.preparedKey(spub), TimeDomain, msgs, sigs, nil)
 }
 
 // VerifyUpdateAggregate checks a whole run of updates against ONE
@@ -271,7 +260,7 @@ func (sc *Scheme) VerifyUpdateAggregate(spub ServerPublicKey, updates []KeyUpdat
 		return false
 	}
 	sc.met.pairings.Add(2) // the whole run collapses to one two-pairing check
-	return sc.PreparedServerKey(spub).VerifyAggregatePrepared(sc.Set, hashes, bls.Signature{Point: agg})
+	return bls.VerifyAggregate(sc.Set, sc.preparedKey(spub), hashes, agg)
 }
 
 // UserPublicKey is PK_U = (aG, a·sG). AG is always taken over the
@@ -343,7 +332,7 @@ func (sc *Scheme) VerifyUserPublicKey(spub ServerPublicKey, upub UserPublicKey) 
 	// backend the line schedules of G and sG; on BLS12-381 the prepared
 	// G2 schedules of the generator and sG2); the varying user points
 	// pair as cheap per-call arguments.
-	pk := sc.PreparedServerKey(ServerPublicKey{G: sc.Set.G, SG: spub.SG, SG2: spub.SG2})
+	pk := sc.preparedKey(ServerPublicKey{G: sc.Set.G, SG: spub.SG, SG2: spub.SG2})
 	sc.met.pairings.Add(2)
 	return pk.SameKey(upub.AG, upub.ASG)
 }

@@ -99,10 +99,6 @@ func New(f *ff.Field, q, h *big.Int) (*Curve, error) {
 	return &Curve{F: f, Q: new(big.Int).Set(q), H: new(big.Int).Set(h), qField: qf}, nil
 }
 
-// ScalarField returns the arithmetic context for Z_q, the scalar field
-// of the working subgroup.
-func (c *Curve) ScalarField() *ff.Field { return c.qField }
-
 // Infinity returns the point at infinity (the group identity).
 func Infinity() Point { return Point{inf: true} }
 

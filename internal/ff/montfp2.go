@@ -79,12 +79,6 @@ func (e *Fp2Mont) SubInto(dst *Fp2MontElem, x, y Fp2MontElem) {
 	e.M.Sub(dst.B, x.B, y.B)
 }
 
-// NegInto sets dst = -x; dst may alias x.
-func (e *Fp2Mont) NegInto(dst *Fp2MontElem, x Fp2MontElem) {
-	e.M.Neg(dst.A, x.A)
-	e.M.Neg(dst.B, x.B)
-}
-
 // ConjInto sets dst = conj(x) = a - b·i; dst may alias x. As in the
 // big.Int path, conjugation is the p-power Frobenius of F_{p²}, and for
 // unitary elements (norm 1) it equals inversion — the identity behind
@@ -131,13 +125,6 @@ func (e *Fp2Mont) SqrInto(dst *Fp2MontElem, x Fp2MontElem, s *Fp2MontScratch) {
 	m.Mul(s.t2, x.A, x.B)
 	m.Mul(dst.A, s.t0, s.t1)
 	m.Double(dst.B, s.t2)
-}
-
-// MulScalarInto sets dst = x·c for a base-field (Montgomery-form)
-// scalar c; dst may alias x.
-func (e *Fp2Mont) MulScalarInto(dst *Fp2MontElem, x Fp2MontElem, c MontElem) {
-	e.M.Mul(dst.A, x.A, c)
-	e.M.Mul(dst.B, x.B, c)
 }
 
 // InvInto sets dst = x⁻¹ = conj(x)/norm(x), with the one base-field

@@ -22,6 +22,7 @@ import (
 	"math/big"
 
 	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/pairing"
@@ -51,18 +52,13 @@ type UserPrivateKey struct {
 // paper's exposition the time server doubles as the key-issuing
 // authority; deployments may split the roles across two key pairs.
 func (sc *Scheme) ExtractUserKey(server *core.ServerKeyPair, id string) UserPrivateKey {
-	h := sc.Set.Curve.HashToGroup(IdentityDomain, []byte(id))
-	return UserPrivateKey{ID: id, D: sc.Set.Curve.ScalarMult(server.S, h)}
+	return UserPrivateKey{ID: id, D: server.Sign(sc.Set, IdentityDomain, []byte(id))}
 }
 
 // VerifyUserKey lets a user check an extracted key against the server's
 // public key: ê(G, D) = ê(sG, H1(ID)).
 func (sc *Scheme) VerifyUserKey(spub core.ServerPublicKey, priv UserPrivateKey) bool {
-	if priv.D.IsInfinity() || !sc.Set.Curve.InSubgroup(priv.D) {
-		return false
-	}
-	h := sc.Set.Curve.HashToGroup(IdentityDomain, []byte(priv.ID))
-	return sc.Set.Pairing.SamePairing(spub.G, priv.D, spub.SG, h)
+	return bls.Verify(sc.Set, spub, sc.Set.B.HashToG2(IdentityDomain, []byte(priv.ID)), priv.D)
 }
 
 // Ciphertext is the ID-TRE ciphertext ⟨U, V⟩.

@@ -26,26 +26,6 @@ var (
 	statActive  atomic.Int64 // workers currently running
 )
 
-// Stats is a point-in-time copy of the pool counters.
-type Stats struct {
-	Batches       int64 // fork-join batches that used workers
-	Inline        int64 // batches degenerate to the calling goroutine
-	Tasks         int64 // total indices executed
-	PendingTasks  int64 // queue depth right now
-	ActiveWorkers int64 // workers running right now
-}
-
-// ReadStats returns the current pool counters.
-func ReadStats() Stats {
-	return Stats{
-		Batches:       statBatches.Load(),
-		Inline:        statInline.Load(),
-		Tasks:         statTasks.Load(),
-		PendingTasks:  statPending.Load(),
-		ActiveWorkers: statActive.Load(),
-	}
-}
-
 // Instrument registers the pool counters on r as polled gauges under
 // parallel.* (worker utilisation = parallel.active_workers against
 // GOMAXPROCS; queue depth = parallel.pending_tasks). Multiple

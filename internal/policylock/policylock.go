@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/pairing"
@@ -54,17 +55,12 @@ type Attestation struct {
 // Attest produces the witness's attestation that condition holds. As
 // with time updates, the witness publishes it once for all users.
 func (sc *Scheme) Attest(witness *core.ServerKeyPair, condition string) Attestation {
-	h := sc.Set.Curve.HashToGroup(ConditionDomain, []byte(condition))
-	return Attestation{Condition: condition, Point: sc.Set.Curve.ScalarMult(witness.S, h)}
+	return Attestation{Condition: condition, Point: witness.Sign(sc.Set, ConditionDomain, []byte(condition))}
 }
 
 // VerifyAttestation checks ê(G, att) = ê(sG, H1(condition)).
 func (sc *Scheme) VerifyAttestation(wpub core.ServerPublicKey, att Attestation) bool {
-	if att.Point.IsInfinity() || !sc.Set.Curve.InSubgroup(att.Point) {
-		return false
-	}
-	h := sc.Set.Curve.HashToGroup(ConditionDomain, []byte(att.Condition))
-	return sc.Set.Pairing.SamePairing(wpub.G, att.Point, wpub.SG, h)
+	return bls.Verify(sc.Set, wpub, sc.Set.B.HashToG2(ConditionDomain, []byte(att.Condition)), att.Point)
 }
 
 // Policy is a monotone access structure in disjunctive normal form:

@@ -165,9 +165,6 @@ func (s *Simulator) H2(k pairing.GT, n int) []byte {
 	return rohash.Expand("TRE-H2", s.set.Pairing.E2.Bytes(k), n)
 }
 
-// H2Queries reports how many H2 queries were recorded.
-func (s *Simulator) H2Queries() int { return len(s.h2) }
-
 // ExtractCandidates turns the recorded H2 inputs into BDH candidates
 // for the challenge label: each query W yields W^{1/b}, and if 𝒜₃
 // succeeded, one of them equals ê(G, Q)^{xy}. (The paper picks one at

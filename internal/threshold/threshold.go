@@ -27,6 +27,7 @@ import (
 	"math/big"
 
 	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
@@ -75,15 +76,11 @@ func Deal(set *params.Set, rng io.Reader, k, n int) (*Setup, error) {
 		return acc
 	}
 
-	sg := set.B.ScalarMult(backend.G1, coeffs[0], set.G)
-	sg2 := sg
-	if set.Asymmetric() {
-		sg2 = set.B.ScalarMult(backend.G2, coeffs[0], set.G2)
+	group, err := bls.NewPrivateKey(set, set.G, coeffs[0])
+	if err != nil {
+		return nil, err
 	}
-	setup := &Setup{
-		K: k, N: n,
-		GroupPub: core.ServerPublicKey{G: set.G, SG: sg, SG2: sg2},
-	}
+	setup := &Setup{K: k, N: n, GroupPub: group.Pub}
 	for i := 1; i <= n; i++ {
 		si := eval(int64(i))
 		if si.Sign() == 0 {
@@ -121,11 +118,8 @@ func IssuePartial(set *params.Set, share Share, label string) PartialUpdate {
 // share point: ê(G, σᵢ) = ê(sᵢG, H1(T)). Run this before Combine so a
 // single Byzantine server cannot spoil reconstruction.
 func VerifyPartial(set *params.Set, sharePub curve.Point, pu PartialUpdate) bool {
-	if pu.Point.IsInfinity() || !set.B.InSubgroup(backend.G2, pu.Point) {
-		return false
-	}
 	h := set.B.HashToG2(core.TimeDomain, []byte(pu.Label))
-	return set.B.SamePairing(set.G, pu.Point, sharePub, h)
+	return bls.Verify(set, bls.PublicKey{G: set.G, SG: sharePub}, h, pu.Point)
 }
 
 // Combine interpolates any k distinct verified partials into the

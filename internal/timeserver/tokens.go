@@ -11,7 +11,6 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
-	"timedrelease/internal/core"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/token"
 )
@@ -110,7 +109,7 @@ func newTokenMetrics(r *obs.Registry) tokenMetrics {
 // server key: clients unblind against it, relays verify against it).
 func (v *publicView) handleTokenKey(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(v.codec.MarshalServerPublicKey(core.ServerPublicKey(v.issuer.Public())))
+	w.Write(v.codec.MarshalServerPublicKey(v.issuer.Public()))
 }
 
 // handleTokenIssue blind-signs a batch of blinded points. The server
@@ -270,7 +269,7 @@ func (c *Client) fetchIssuanceKey(ctx context.Context) (bls.PublicKey, error) {
 	if err != nil {
 		return bls.PublicKey{}, fmt.Errorf("timeserver: token key: %w", err)
 	}
-	return bls.PublicKey(pub), nil
+	return pub, nil
 }
 
 // popTokenHeader pops one wallet token and renders the redemption

@@ -12,18 +12,11 @@ import (
 	"testing"
 	"time"
 
-	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
 	"timedrelease/internal/timefmt"
 	"timedrelease/internal/token"
 )
-
-// serverAsBLSKey reinterprets the timed-release key pair as a BLS
-// signing key — ONLY to prove the server refuses it for issuance.
-func serverAsBLSKey(key *core.ServerKeyPair) *bls.PrivateKey {
-	return &bls.PrivateKey{S: key.S, Pub: bls.PublicKey(key.Pub)}
-}
 
 // gatedEnv is env plus token issuance and gating over a durable (or
 // in-memory) spend ledger.
@@ -86,7 +79,7 @@ func TestTokenIssuanceKeyMustDiffer(t *testing.T) {
 	// An issuer wrapping the TIMED-RELEASE key: blind issuance under s
 	// would sign s·H1(T_future) on request. The server must refuse to
 	// construct.
-	iss, err := token.NewIssuer(set, serverAsBLSKey(key))
+	iss, err := token.NewIssuer(set, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []cur
 	if len(signed) != len(pending) {
 		return nil, fmt.Errorf("token: issuer returned %d signatures for %d requests", len(signed), len(pending))
 	}
-	pk := bls.PreparePublicKey(set, pub)
+	pk := set.B.PrepareKey(pub.G, pub.SG, pub.SG2)
 	toks := make([]Token, len(pending))
 	for i, p := range pending {
 		if p.R == nil || p.R.Sign() <= 0 {
@@ -132,11 +132,7 @@ func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []cur
 			return nil, errors.New("token: blinding factor not invertible")
 		}
 		sig := set.B.ScalarMult(backend.G2, rInv, signed[i])
-		if sig.IsInfinity() || !set.B.InSubgroup(backend.G2, sig) {
-			return nil, ErrBadToken
-		}
-		h := set.B.HashToG2(Domain, p.Seed[:])
-		if !pk.VerifyHash(set, h, bls.Signature{Point: sig}) {
+		if !bls.VerifyPrepared(set, pk, set.B.HashToG2(Domain, p.Seed[:]), sig) {
 			return nil, ErrBadToken
 		}
 		toks[i] = Token{Seed: p.Seed, Sig: sig}

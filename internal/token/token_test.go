@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"timedrelease/internal/backend"
+	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 )
 
@@ -273,5 +274,65 @@ func TestWalletRoundTrip(t *testing.T) {
 	// Set mismatch fails closed.
 	if _, err := OpenWallet(path, params.MustPreset(params.PresetBLS12381)); err == nil {
 		t.Fatal("wallet opened under the wrong parameter set")
+	}
+}
+
+// TestRedeemRejectsOffSubgroupSig pins the one subgroup check on the
+// redemption path (bls.VerifyPrepared's). The forgery is a
+// genuine signature plus the 2-torsion point (0, 0): the reduced Tate
+// pairing kills the torsion component, so the pairing EQUATION still
+// holds and only the subgroup clause stands between this token and
+// admission.
+func TestRedeemRejectsOffSubgroupSig(t *testing.T) {
+	set := params.MustPreset("Test160")
+	iss, err := GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An explicit blinding factor with an odd inverse (3), so that
+	// unblinding keeps a 2-torsion component instead of doubling it away.
+	pending := []Pending{{Seed: [SeedLen]byte{1}, R: new(big.Int).ModInverse(big.NewInt(3), set.Q)}}
+	blinded := []curve.Point{blindPoint(set, set.B.HashToG2(Domain, pending[0].Seed[:]), pending[0].R)}
+	signed, err := iss.SignBlinded(blinded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks, err := Unblind(set, iss.Public(), pending, signed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	torsion := curve.Point{X: new(big.Int), Y: new(big.Int)}
+	forged := toks[0]
+	forged.Sig = set.Curve.Add(forged.Sig, torsion)
+	if set.Curve.InSubgroup(forged.Sig) {
+		t.Fatal("forgery landed in the subgroup")
+	}
+	pub := iss.Public()
+	h := set.B.HashToG2(Domain, forged.Seed[:])
+	if !set.B.SamePairing(pub.G, forged.Sig, pub.SG, h) {
+		t.Fatal("the torsion component should be invisible to the pairing equation")
+	}
+
+	v := NewVerifier(set, pub, NewLedger())
+	if err := v.Redeem(forged); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("off-subgroup signature: got %v, want ErrBadToken", err)
+	}
+	forged.Sig = set.B.Infinity(backend.G2)
+	if err := v.Redeem(forged); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("identity signature: got %v, want ErrBadToken", err)
+	}
+	if v.Ledger().Spent(forged.ID()) {
+		t.Fatal("a rejected token reached the ledger")
+	}
+	if err := v.Redeem(toks[0]); err != nil {
+		t.Fatalf("the genuine token must still redeem: %v", err)
+	}
+
+	// Unblind: an issuer answering with signature + torsion is refused
+	// before the wallet sees it.
+	signed[0] = set.Curve.Add(signed[0], torsion)
+	if _, err := Unblind(set, pub, pending, signed); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("unblind of an off-subgroup signature: got %v, want ErrBadToken", err)
 	}
 }

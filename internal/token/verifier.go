@@ -14,7 +14,7 @@ import (
 // to mint tokens.
 type Verifier struct {
 	set *params.Set
-	pk  *bls.PreparedPublicKey
+	pk  backend.PreparedKey
 	led *Ledger
 }
 
@@ -25,7 +25,7 @@ func NewVerifier(set *params.Set, pub bls.PublicKey, led *Ledger) *Verifier {
 	if led == nil {
 		led = NewLedger()
 	}
-	return &Verifier{set: set, pk: bls.PreparePublicKey(set, pub), led: led}
+	return &Verifier{set: set, pk: set.B.PrepareKey(pub.G, pub.SG, pub.SG2), led: led}
 }
 
 // Ledger exposes the spend ledger (metrics, shutdown).
@@ -50,18 +50,11 @@ func (v *Verifier) Redeem(t Token) error {
 	if v.led.Spent(id) {
 		return ErrDoubleSpend
 	}
-	if t.Sig.IsInfinity() || !v.set.B.InSubgroup(backend.G2, t.Sig) {
-		return ErrBadToken
-	}
-	h := v.set.B.HashToG2(Domain, t.Seed[:])
-	if !v.pk.VerifyHash(v.set, h, bls.Signature{Point: t.Sig}) {
+	if !bls.VerifyPrepared(v.set, v.pk, v.set.B.HashToG2(Domain, t.Seed[:]), t.Sig) {
 		return ErrBadToken
 	}
 	return v.led.Spend(id)
 }
-
-// Public returns the issuance public key the verifier admits against.
-func (v *Verifier) Public() bls.PublicKey { return v.pk.Pub }
 
 // errLedgerClosed distinguishes shutdown races from real failures in
 // tests.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/tre"
 )
 
@@ -235,5 +236,57 @@ func TestBLSQuorumOverHTTP(t *testing.T) {
 	got, err := scheme.DecryptCCA(setup.GroupPub, receiver, upd, ct)
 	if err != nil || !bytes.Equal(got, msg) {
 		t.Fatalf("decrypt with quorum update: %q %v", got, err)
+	}
+}
+
+// TestSignedVariantsOnBothBackends: identity-key extraction and witness
+// attestation are plain BLS signatures, so they (and their verifiers)
+// run on every backend and must not touch the Type-1 curve context,
+// which is nil on BLS12-381. Only Encrypt/Decrypt pair two G1 points
+// and stay symmetric-only.
+func TestSignedVariantsOnBothBackends(t *testing.T) {
+	for _, set := range []*tre.Params{tre.MustPreset("Test160"), blsParams(t)} {
+		t.Run(set.Name, func(t *testing.T) {
+			key, err := tre.NewScheme(set).ServerKeyGen(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := tre.NewScheme(set).ServerKeyGen(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			id := tre.NewIDScheme(set)
+			priv := id.ExtractUserKey(key, "bob@example.org")
+			if !id.VerifyUserKey(key.Pub, priv) {
+				t.Fatal("extracted identity key must verify")
+			}
+			if id.VerifyUserKey(other.Pub, priv) {
+				t.Fatal("identity key verified under a foreign server key")
+			}
+			priv.ID = "mallory@example.org"
+			if id.VerifyUserKey(key.Pub, priv) {
+				t.Fatal("identity key verified for a different identity")
+			}
+
+			pl := tre.NewPolicyScheme(set)
+			att := pl.Attest(key, "task X is complete")
+			if !pl.VerifyAttestation(key.Pub, att) {
+				t.Fatal("attestation must verify")
+			}
+			if pl.VerifyAttestation(other.Pub, att) {
+				t.Fatal("attestation verified under a foreign witness key")
+			}
+			att.Condition = "task Y is complete"
+			if pl.VerifyAttestation(key.Pub, att) {
+				t.Fatal("attestation verified for a different condition")
+			}
+
+			// The encryption gates are unchanged.
+			_, err = id.Encrypt(nil, key.Pub, "bob@example.org", "2026-07-05T12:00:00Z", []byte("m"))
+			if set.Asymmetric() != errors.Is(err, backend.ErrSymmetricOnly) {
+				t.Fatalf("ID-TRE Encrypt on %s: %v", set.Name, err)
+			}
+		})
 	}
 }

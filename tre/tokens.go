@@ -3,7 +3,6 @@ package tre
 import (
 	"io"
 
-	"timedrelease/internal/bls"
 	"timedrelease/internal/params"
 	"timedrelease/internal/timeserver"
 	"timedrelease/internal/token"
@@ -53,13 +52,13 @@ func NewTokenIssuer(set *params.Set, rng io.Reader) (*TokenIssuer, error) {
 }
 
 // TokenIssuerFromKey wraps an existing (persisted) issuance key.
-func TokenIssuerFromKey(set *params.Set, key *bls.PrivateKey) (*TokenIssuer, error) {
+func TokenIssuerFromKey(set *params.Set, key *ServerKeyPair) (*TokenIssuer, error) {
 	return token.NewIssuer(set, key)
 }
 
 // NewTokenVerifier builds the redemption gate for an issuance public
 // key over led (NewTokenLedger / OpenTokenLedger).
-func NewTokenVerifier(set *params.Set, pub bls.PublicKey, led *TokenLedger) *TokenVerifier {
+func NewTokenVerifier(set *params.Set, pub ServerPublicKey, led *TokenLedger) *TokenVerifier {
 	return token.NewVerifier(set, pub, led)
 }
 
