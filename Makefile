@@ -8,7 +8,7 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help build bench-build spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-pairing bench-field bench-server bench-server-bls bench-catchup bench-stream bench-rounds bench-tokens race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help build bench-build spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
@@ -26,21 +26,16 @@ help:
 	@echo "  cover              per-package coverage summary"
 	@echo "  cover-ratchet      fail if total coverage drops below the .covermin floor"
 	@echo "  bench              the full testing.B suite"
-	@echo "  bench-pairing      pairing backend/strategy ablation (incl. bls12381) -> BENCH_pairing.json"
-	@echo "  bench-field        field backend micro-benchmark (incl. bls12381) -> BENCH_field.json"
-	@echo "  bench-server       serving-path load harness -> BENCH_server.json"
-	@echo "  bench-server-bls   serving-path cells on the BLS12-381 backend -> BENCH_server.json"
-	@echo "  bench-catchup      cold-start catch-up (aggregate vs batch) -> BENCH_server.json"
 	@echo "  bench-stream       stream/relay fan-out at 1k and 50k subscribers -> BENCH_server.json"
-	@echo "  bench-rounds       quorum-combine latency on a 3-of-5 beacon network -> BENCH_server.json"
-	@echo "  bench-tokens       access-token issue/redeem/double-spend cells (both backends) -> BENCH_server.json"
+	@echo "  bench-rounds       quorum-combine latency on a 3-of-5 beacon network (Test160, BLS12-381) -> BENCH_server.json"
+	@echo "                     (everything else a user waits on: bash benchmark/run.sh --seed 1 -> benchmark/out/result.json)"
 	@echo "  lint               staticcheck + govulncheck when installed (CI installs them)"
 	@echo "  race               go test -race ./..."
 	@echo "  experiments        regenerate the EXPERIMENTS.md tables (slow)"
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, and the pre-benchmark harness (item 4)"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -140,56 +135,25 @@ cover-ratchet:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Pairing-strategy comparison (affine oracle vs projective vs prepared
-# vs product) at Test160 and SS512, plus the Type-3 BLS12-381 optimal
-# ate row, recorded as BENCH_pairing.json.
-bench-pairing:
-	$(GO) run ./cmd/trebench -pairing BENCH_pairing.json
-
-# Field-backend micro-benchmark (Mul/Sqr/Inv; bigint vs montgomery,
-# plus the BLS12-381 six-limb field), recorded as BENCH_field.json.
-bench-field:
-	$(GO) run ./cmd/trebench -field BENCH_field.json
-
-# Serving-path load harness: concurrent verifying clients against a
-# real HTTP time server, three workload mixes at two concurrency
-# levels, recorded as BENCH_server.json (see docs/OBSERVABILITY.md).
-bench-server:
-	$(GO) run ./cmd/treload -out BENCH_server.json
-
-# The same serving-path cells on the Type-3 BLS12-381 backend (fetch,
-# catchup, mixed, encdec and the 3-of-5 beacon rounds), merged into
-# BENCH_server.json alongside the symmetric presets' rows.
-bench-server-bls:
-	$(GO) run ./cmd/treload -preset BLS12-381 -mixes fetch,catchup,mixed,encdec,rounds -merge -out BENCH_server.json
-
-# Cold-start catch-up comparison only: one receiver recovering 1k/10k
-# missed epochs per op, aggregate range path vs per-label batch path,
-# recorded into BENCH_server.json (pairings_per_op shows the O(1) claim).
-bench-catchup:
-	$(GO) run ./cmd/treload -preset Test160 -mixes coldstart,coldstart-batch -out BENCH_server.json
+# The two targets below are the serving-path cells the repository
+# benchmark does not cover (benchmark/README.md, "Not covered on
+# purpose"); fetch, catch-up, seal/open, cold start, tokens and the
+# pairing/field probes are `bash benchmark/run.sh` workloads.
 
 # Broadcast fan-out cells only: N concurrent /v1/stream subscribers on
 # an origin server and on a stateless relay, publish→delivery wakeup
 # latency per event. Counts past the FD limit run over an in-memory
-# transport (transport=inmem in the row). -merge keeps the other mixes'
-# rows in BENCH_server.json intact.
+# transport (transport=inmem in the row). -merge keeps the rounds rows
+# in BENCH_server.json intact.
 bench-stream:
 	$(GO) run ./cmd/treload -preset Test160 -mixes stream,relay -subscribers 1000,50000 -merge -out BENCH_server.json
 
-# Beacon-round quorum cells only: concurrent receivers combining 3-of-5
-# partial updates per op (n parallel fetches + k pairing verifications
-# + one Lagrange combine). -merge keeps the other mixes' rows intact.
+# Beacon-round quorum cells only, on both backends: concurrent receivers
+# combining 3-of-5 partial updates per op (n parallel fetches + k
+# pairing verifications + one Lagrange combine). -merge keeps the
+# fan-out rows intact.
 bench-rounds:
-	$(GO) run ./cmd/treload -preset Test160 -mixes rounds -merge -out BENCH_server.json
-
-# Anonymous-access-token cells on both backends: per-batch blind
-# issuance latency (p50/p95/p99), sustained redemptions/sec through the
-# gated catch-up path, and deliberate double-spend rejects — merged
-# into BENCH_server.json alongside the other mixes' rows.
-bench-tokens:
-	$(GO) run ./cmd/treload -preset Test160 -mixes tokens -merge -out BENCH_server.json
-	$(GO) run ./cmd/treload -preset BLS12-381 -mixes tokens -merge -out BENCH_server.json
+	$(GO) run ./cmd/treload -preset Test160,BLS12-381 -mixes rounds -merge -out BENCH_server.json
 
 # Race detector across the whole module (exercises the parallel pairing
 # products, the batch verification pool and the chaos-test harness),
@@ -247,8 +211,9 @@ fuzz-smoke:
 # The size figure ROADMAP item 3 tracks: lines of non-test Go outside
 # the benchmark/ module (plain `wc -l`: blanks and comments count, so
 # deleting comments is visible as what it is), for the whole repo, for
-# internal/archive and for the BLS-over-backend layer. Quote it in
-# simplicity PRs.
+# internal/archive, for the BLS-over-backend layer and for the
+# pre-benchmark harness ROADMAP item 4 retires. Quote it in simplicity
+# PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l
@@ -256,6 +221,8 @@ loc:
 		find internal/archive -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/bls + internal/backend:      '; \
 		find internal/bls internal/backend -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/bench + cmd/treload + cmd/trebench: '; \
+		find internal/bench cmd/treload cmd/trebench -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

@@ -257,19 +257,18 @@ func BenchmarkE4_SS512(b *testing.B)   { benchmarkPrimitives(b, "SS512") }
 // one point pair: the affine math/big oracle (one field inversion per
 // Miller step and a plain final exponentiation), the production Pair
 // (inversion-free projective loop on limbs), the fixed-argument prepared
-// path, and the n-pair product with its shared final exponentiation. `make bench-pairing` renders the same comparison
-// into BENCH_pairing.json.
+// path, and the n-pair product with its shared final exponentiation.
 func benchmarkPairingPaths(b *testing.B, preset string) {
 	set := tre.MustPreset(preset)
 	pr := set.Pairing
-	p := set.Curve.HashToGroup("bench-pairing", []byte("P"))
-	q := set.Curve.HashToGroup("bench-pairing", []byte("Q"))
+	p := set.Curve.HashToGroup("pairing-paths", []byte("P"))
+	q := set.Curve.HashToGroup("pairing-paths", []byte("Q"))
 	prep := pr.Precompute(p)
 	pairs := make([]pairing.PointPair, 4)
 	for i := range pairs {
 		pairs[i] = pairing.PointPair{
-			P: set.Curve.HashToGroup("bench-pairing", []byte{byte(i)}),
-			Q: set.Curve.HashToGroup("bench-pairing", []byte{byte(16 + i)}),
+			P: set.Curve.HashToGroup("pairing-paths", []byte{byte(i)}),
+			Q: set.Curve.HashToGroup("pairing-paths", []byte{byte(16 + i)}),
 		}
 	}
 

@@ -1,5 +1,5 @@
 // Command trebench regenerates every experiment table in EXPERIMENTS.md
-// (E1–E10, one per quantitative claim of the paper; see DESIGN.md §3).
+// (E1–E12, one per quantitative claim of the paper; see DESIGN.md §3).
 //
 //	trebench                  # run everything at full scope (SS512)
 //	trebench -quick           # fast reduced sweeps (Test160)
@@ -7,8 +7,6 @@
 //	trebench -preset SS1024   # different parameter size
 //	trebench -backend bls12381 # pin the Type-3 BLS12-381 backend
 //	trebench -markdown        # emit markdown instead of aligned text
-//	trebench -pairing F.json  # pairing-strategy comparison → JSON file
-//	trebench -field F.json    # field-backend micro-benchmark → JSON file
 package main
 
 import (
@@ -24,12 +22,10 @@ import (
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "reduced sweeps and iteration counts")
-		exp      = flag.String("exp", "", "run a single experiment (E1..E10)")
+		exp      = flag.String("exp", "", "run a single experiment (E1..E12)")
 		preset   = flag.String("preset", "", "parameter preset (default SS512, Test160 with -quick)")
 		backendN = flag.String("backend", "", "pairing backend: symmetric (default) or bls12381")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavoured markdown")
-		pairingF = flag.String("pairing", "", "run the pairing-strategy comparison and write the JSON report to this file")
-		fieldF   = flag.String("field", "", "run the field-backend micro-benchmark and write the JSON report to this file")
 	)
 	flag.Parse()
 
@@ -47,54 +43,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Preset = set.Name
-	}
-
-	if *fieldF != "" {
-		rep, table, err := bench.RunField(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trebench:", err)
-			os.Exit(1)
-		}
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trebench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*fieldF, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trebench:", err)
-			os.Exit(1)
-		}
-		if *markdown {
-			fmt.Print(table.Markdown())
-		} else {
-			fmt.Print(table.String())
-		}
-		fmt.Fprintf(os.Stderr, "\ntrebench: field report written to %s\n", *fieldF)
-		return
-	}
-
-	if *pairingF != "" {
-		rep, table, err := bench.RunPairing(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trebench:", err)
-			os.Exit(1)
-		}
-		out, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trebench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*pairingF, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trebench:", err)
-			os.Exit(1)
-		}
-		if *markdown {
-			fmt.Print(table.Markdown())
-		} else {
-			fmt.Print(table.String())
-		}
-		fmt.Fprintf(os.Stderr, "\ntrebench: pairing report written to %s\n", *pairingF)
-		return
 	}
 
 	var (

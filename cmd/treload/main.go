@@ -1,23 +1,21 @@
-// Command treload drives a time server with N concurrent verifying
-// clients under mixed publish/fetch/catch-up workloads and reports
-// sustained RPS plus p50/p95/p99 per-operation latency.
+// Command treload runs the serving-path cells the repository benchmark
+// (benchmark/) does not cover — 3-of-5 beacon quorum rounds and
+// /v1/stream fan-out on an origin and behind a relay — and reports
+// sustained RPS plus p50/p95/p99 latency per cell.
 //
-//	treload -out BENCH_server.json             # in-process server, full sweep
+//	treload -out BENCH_server.json             # full sweep: rounds, stream, relay
 //	treload -quick                             # fast reduced sweep (Test160)
-//	treload -url http://host:8440              # drive a running treserver
-//	treload -clients 8,32 -mixes fetch,mixed   # custom cells
+//	treload -mixes rounds -clients 8,32        # quorum cells only
 //	treload -mixes stream,relay -subscribers 1000,50000   # fan-out cells
-//	treload -mixes tokens                      # gated access-token lifecycle
 //	treload -merge -out BENCH_server.json      # update matching rows in place
 //	treload -duration 5s -markdown
 //	treload -mutexprofile mutex.pb.gz          # lock-contention profile of the run
 //	treload -blockprofile block.pb.gz          # blocking profile of the run
 //
-// Without -url the harness boots an in-process server per preset over
-// real HTTP (httptest), pre-publishes a window of epochs and hammers
-// it. With -url it bootstraps parameters from the remote server; the
-// publish share of the mixed workload degrades to /v1/latest fetches
-// because the harness holds no signing key.
+// Every cell boots its servers in-process over real HTTP (httptest).
+// Fetch, catch-up, seal/open, cold-start and token latencies are
+// `bash benchmark/run.sh` workloads; their old mix names and the flags
+// only they read (-url, -coldstart) are errors naming the workload.
 package main
 
 import (
@@ -43,7 +41,7 @@ type options struct {
 
 	// merge folds this run's rows into an existing -out report instead
 	// of overwriting it: rows with the same cell identity (preset, mix,
-	// clients, epochs, subscribers) are replaced, everything else is
+	// clients, subscribers) are replaced, everything else is
 	// kept. Lets the cheap nightly stream sweep refresh its rows without
 	// discarding the full-sweep rows (and vice versa).
 	merge bool
@@ -55,9 +53,24 @@ type options struct {
 	blockProfile string
 }
 
+// removedFlags names, for each flag only a removed mix read, what
+// measures the same thing now.
+var removedFlags = map[string]string{
+	"url":       "the fetch/catchup/mixed mixes it aimed at a remote server are `bash benchmark/run.sh --workload message-bls12381`; to poke a running treserver use curl or trectl",
+	"coldstart": "the coldstart mixes are `bash benchmark/run.sh --workload coldstart-ss512`",
+}
+
 // parseFlags parses args (not including the program name) without
 // touching global flag state, so tests can exercise it directly.
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	for _, a := range args {
+		name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if instead, ok := removedFlags[name]; ok && strings.HasPrefix(a, "-") {
+			err := fmt.Errorf("-%s was removed: %s", name, instead)
+			fmt.Fprintln(stderr, "treload:", err)
+			return nil, err
+		}
+	}
 	fs := flag.NewFlagSet("treload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -65,7 +78,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		presets     string
 		clients     string
 		mixes       string
-		coldstart   string
 		subscribers string
 		duration    time.Duration
 	)
@@ -73,13 +85,11 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&opts.markdown, "markdown", false, "emit GitHub-flavoured markdown")
 	fs.BoolVar(&opts.cfg.Quick, "quick", false, "reduced sweep (Test160, short cells)")
 	fs.StringVar(&presets, "preset", "", "comma-separated parameter presets (default Test160,SS512)")
-	fs.StringVar(&clients, "clients", "", "comma-separated concurrency levels (default 4,16)")
-	fs.StringVar(&mixes, "mixes", "", "comma-separated workload mixes (default fetch,catchup,mixed)")
-	fs.StringVar(&coldstart, "coldstart", "", "comma-separated missed-epoch counts for the coldstart mixes (default 1000,10000)")
+	fs.StringVar(&clients, "clients", "", "comma-separated concurrency levels for the rounds mix (default 4,16)")
+	fs.StringVar(&mixes, "mixes", "", "comma-separated workload mixes (default rounds,stream,relay)")
 	fs.StringVar(&subscribers, "subscribers", "", "comma-separated subscriber counts for the stream/relay mixes (default 1000,50000)")
 	fs.BoolVar(&opts.merge, "merge", false, "merge rows into an existing -out report instead of overwriting it")
-	fs.DurationVar(&duration, "duration", 0, "wall time per cell (default 2s, 250ms with -quick)")
-	fs.StringVar(&opts.cfg.BaseURL, "url", "", "drive a running treserver at this base URL instead of in-process")
+	fs.DurationVar(&duration, "duration", 0, "wall time per rounds cell (default 2s, 250ms with -quick)")
 	fs.StringVar(&opts.mutexProfile, "mutexprofile", "", "write a mutex-contention profile of the sweep to this file")
 	fs.StringVar(&opts.blockProfile, "blockprofile", "", "write a goroutine-blocking profile of the sweep to this file")
 	if err := fs.Parse(args); err != nil {
@@ -97,13 +107,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 			return nil, fmt.Errorf("bad -clients value %q: want positive integers", c)
 		}
 		opts.cfg.Clients = append(opts.cfg.Clients, n)
-	}
-	for _, e := range splitList(coldstart) {
-		n, err := strconv.Atoi(e)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -coldstart value %q: want positive integers", e)
-		}
-		opts.cfg.ColdStartEpochs = append(opts.cfg.ColdStartEpochs, n)
 	}
 	for _, s := range splitList(subscribers) {
 		n, err := strconv.Atoi(s)
@@ -196,7 +199,7 @@ func run(opts *options, stdout, stderr io.Writer) error {
 // cellKey identifies one bench cell for -merge: two rows with the same
 // key describe the same measurement and the fresh one wins.
 func cellKey(r bench.ServerRow) string {
-	return fmt.Sprintf("%s/%s/c%d/e%d/s%d", r.Preset, r.Mix, r.Clients, r.Epochs, r.Subscribers)
+	return fmt.Sprintf("%s/%s/c%d/s%d", r.Preset, r.Mix, r.Clients, r.Subscribers)
 }
 
 // mergeReport prepends the rows of an existing report at path that this

@@ -18,19 +18,28 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.out != "" || opts.markdown || opts.cfg.Quick || opts.cfg.BaseURL != "" {
+	if opts.out != "" || opts.markdown || opts.cfg.Quick {
 		t.Fatalf("wrong defaults: %+v", opts)
 	}
 	if opts.cfg.Presets != nil || opts.cfg.Clients != nil || opts.cfg.Mixes != nil {
 		t.Fatalf("sweep lists must stay unset for bench defaults: %+v", opts.cfg)
+	}
+	// The bench defaults an unset -mixes resolves to are exactly the
+	// three mixes benchmark/ does not cover, and -help says so.
+	var usage bytes.Buffer
+	if _, err := parseFlags([]string{"-h"}, &usage); err == nil {
+		t.Fatal("-h must stop parsing")
+	}
+	if !strings.Contains(usage.String(), "default rounds,stream,relay") {
+		t.Fatalf("-mixes help does not name the default mixes:\n%s", usage.String())
 	}
 }
 
 func TestParseFlagsOverrides(t *testing.T) {
 	opts, err := parseFlags([]string{
 		"-out", "x.json", "-quick", "-markdown",
-		"-preset", "Test160, SS512", "-clients", "2,8", "-mixes", "fetch,mixed",
-		"-duration", "100ms", "-url", "http://localhost:8440",
+		"-preset", "Test160, SS512", "-clients", "2,8", "-mixes", "rounds,relay",
+		"-duration", "100ms",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +55,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 	}
 	if len(opts.cfg.Mixes) != 2 || opts.cfg.CellDuration != 100*time.Millisecond {
 		t.Fatalf("mixes/duration = %v/%v", opts.cfg.Mixes, opts.cfg.CellDuration)
-	}
-	if opts.cfg.BaseURL != "http://localhost:8440" {
-		t.Fatalf("url = %q", opts.cfg.BaseURL)
 	}
 }
 
@@ -78,7 +84,7 @@ func TestRunWritesProfiles(t *testing.T) {
 	mp := filepath.Join(dir, "mutex.pb.gz")
 	bp := filepath.Join(dir, "block.pb.gz")
 	opts, err := parseFlags([]string{
-		"-quick", "-clients", "2", "-mixes", "encdec", "-duration", "40ms",
+		"-quick", "-clients", "2", "-mixes", "rounds", "-duration", "40ms",
 		"-mutexprofile", mp, "-blockprofile", bp,
 	}, io.Discard)
 	if err != nil {
@@ -130,6 +136,36 @@ func TestParseFlagsErrors(t *testing.T) {
 			t.Fatalf("parseFlags(%v) accepted bad input", args)
 		}
 	}
+	// Flags only the removed mixes read fail loudly, naming the
+	// benchmark/ workload that measures the same thing now.
+	for _, tc := range []struct {
+		args     []string
+		workload string
+	}{
+		{[]string{"-url", "http://localhost:8440"}, "message-bls12381"},
+		{[]string{"--url=http://localhost:8440"}, "message-bls12381"},
+		{[]string{"-quick", "-coldstart", "1000"}, "coldstart-ss512"},
+	} {
+		var stderr bytes.Buffer
+		_, err := parseFlags(tc.args, &stderr)
+		want := "bash benchmark/run.sh --workload " + tc.workload
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(stderr.String(), want) {
+			t.Fatalf("parseFlags(%v): err = %v, stderr = %q; want both to name %q", tc.args, err, stderr.String(), want)
+		}
+	}
+}
+
+// TestRunRejectsRemovedMix checks a removed mix name reaches the user
+// as an error naming its replacement, not as an empty report.
+func TestRunRejectsRemovedMix(t *testing.T) {
+	opts, err := parseFlags([]string{"-quick", "-mixes", "fetch"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run(opts, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "bash benchmark/run.sh --workload message-bls12381") {
+		t.Fatalf("run(-mixes fetch) = %v, want an error naming message-bls12381", err)
+	}
 }
 
 // TestMergeReport checks the -merge row algebra: same-identity rows are
@@ -137,9 +173,9 @@ func TestParseFlagsErrors(t *testing.T) {
 func TestMergeReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_server.json")
 	old := &bench.ServerReport{Rows: []bench.ServerRow{
-		{Preset: "Test160", Mix: "fetch", Clients: 4, Ops: 1},
+		{Preset: "Test160", Mix: "rounds", Clients: 4, Ops: 1},
 		{Preset: "Test160", Mix: "stream", Subscribers: 1000, Ops: 2},
-		{Preset: "SS512", Mix: "fetch", Clients: 4, Ops: 3},
+		{Preset: "SS512", Mix: "rounds", Clients: 4, Ops: 3},
 	}}
 	raw, err := old.JSON()
 	if err != nil {
@@ -163,7 +199,7 @@ func TestMergeReport(t *testing.T) {
 			t.Fatalf("stale stream row survived the merge: %+v", r)
 		}
 	}
-	if fresh.Rows[0].Preset != "Test160" || fresh.Rows[0].Mix != "fetch" {
+	if fresh.Rows[0].Preset != "Test160" || fresh.Rows[0].Mix != "rounds" {
 		t.Fatalf("kept rows must precede fresh rows: %+v", fresh.Rows)
 	}
 
@@ -187,7 +223,7 @@ func TestRunWritesReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_server.json")
 	opts, err := parseFlags([]string{
 		"-quick", "-out", out,
-		"-clients", "2", "-mixes", "fetch,mixed", "-duration", "50ms",
+		"-clients", "2", "-mixes", "rounds,stream", "-duration", "50ms",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +232,7 @@ func TestRunWritesReport(t *testing.T) {
 	if err := run(opts, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stdout.String(), "Test160/fetch") {
+	if !strings.Contains(stdout.String(), "Test160/rounds:3-of-5") || !strings.Contains(stdout.String(), "Test160/stream:50") {
 		t.Fatalf("table missing cells:\n%s", stdout.String())
 	}
 	raw, err := os.ReadFile(out)

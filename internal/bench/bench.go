@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: one function per experiment
-// in DESIGN.md §3 (E1–E10), each reproducing a quantitative claim of the
+// in DESIGN.md §3 (E1–E12), each reproducing a quantitative claim of the
 // paper as a formatted table. The tables in EXPERIMENTS.md are generated
 // by cmd/trebench, which calls RunAll; bench_test.go exposes the same
 // workloads as testing.B benchmarks.
@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -147,25 +146,6 @@ func timeOp(n int, f func()) time.Duration {
 		f()
 	}
 	return time.Since(start) / time.Duration(n)
-}
-
-// memPerOp runs f n times and returns the mean heap allocations and
-// allocated bytes per call, from runtime.MemStats deltas — the same
-// counters behind testing.B's -benchmem. A GC first settles the heap so
-// background noise does not land in the window.
-func memPerOp(n int, f func()) (allocs, bytes int64) {
-	if n < 1 {
-		n = 1
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs-before.Mallocs) / int64(n),
-		int64(after.TotalAlloc-before.TotalAlloc) / int64(n)
 }
 
 // ms renders a duration in fixed-point milliseconds.

@@ -70,8 +70,8 @@ func RunE4(cfg Config) (*Table, error) {
 		t.Add(fmt.Sprintf("%s (|p|=%d,|q|=%d)", set.Name, set.P.BitLen(), set.Q.BitLen()),
 			ms(pair), ms(pairAffine), ms(pairPrepared), ms(finalExp), ms(smJac), ms(smAff), ms(h1), ms(sign), ms(verify))
 	}
-	t.Note("ablation: the (affine) columns are the textbook oracles the differential tests compare against — affine math/big arithmetic with one field inversion per step and, for the pairing, a plain f^((p²−1)/q) final exponentiation included; pairing, final exp and scalar mult (jac) are the one production path, Jacobian coordinates on fixed-limb Montgomery vectors (BENCH_field.json has the per-operation field comparison)")
-	t.Note("pairing (prepared) reuses a precomputed fixed-argument line schedule (see BENCH_pairing.json)")
+	t.Note("ablation: the (affine) columns are the textbook oracles the differential tests compare against — affine math/big arithmetic with one field inversion per step and, for the pairing, a plain f^((p²−1)/q) final exponentiation included; pairing, final exp and scalar mult (jac) are the one production path, Jacobian coordinates on fixed-limb Montgomery vectors (benchmark/'s ff.ss512_mul_ns / ff.ss512_inv_us probes time the field alone)")
+	t.Note("pairing (prepared) reuses a precomputed fixed-argument line schedule (BenchmarkPairing_* runs the same comparison under testing.B)")
 	t.Note("BLS verify uses the shared-final-exponentiation pairing-equation check (two Miller loops, one final exp)")
 	return t, nil
 }

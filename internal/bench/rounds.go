@@ -49,9 +49,9 @@ func runRounds(preset string, clients int, cfg ServerLoadConfig) (ServerRow, err
 	// published label).
 	sched := timefmt.MustSchedule(time.Second)
 	idx := sched.Index(time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC))
-	labels := make([]string, cfg.Window)
+	labels := make([]string, loadWindow)
 	for i := range labels {
-		labels[i] = sched.LabelAt(idx - int64(cfg.Window-1-i))
+		labels[i] = sched.LabelAt(idx - int64(loadWindow-1-i))
 	}
 	members := make([]*httptest.Server, roundsN)
 	memberSrvs := make([]*timeserver.Server, roundsN)
@@ -69,7 +69,8 @@ func runRounds(preset string, clients int, cfg ServerLoadConfig) (ServerRow, err
 
 	// One quorum client per worker (ops within a worker are sequential),
 	// all sharing one scheme and one registry — built up front, on one
-	// goroutine, like runCell.
+	// goroutine: WithClientMetrics instruments the shared scheme, and
+	// racing those writes from the workers is what -race must never see.
 	sc := core.NewScheme(set)
 	creg := obs.NewRegistry()
 	qreg := obs.NewRegistry()

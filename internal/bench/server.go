@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,21 +14,18 @@ import (
 	"timedrelease/internal/timeserver"
 )
 
+// loadWindow is how many labels every cell pre-publishes: the rounds
+// cell draws its ops from them, the relay cell converges on the newest.
+const loadWindow = 64
+
 // ServerLoadConfig controls the serving-path load harness
-// (cmd/treload, `make bench-server`). The zero value selects the
-// published-report defaults; Quick shrinks everything for tests.
+// (cmd/treload). The zero value selects the published-report defaults;
+// Quick shrinks everything for tests.
 type ServerLoadConfig struct {
 	Presets      []string      // parameter sets (default Test160, SS512; Quick: Test160)
-	Clients      []int         // concurrency levels (default 4, 16; Quick: 2, 4)
-	Mixes        []string      // workload mixes (default fetch, catchup, mixed)
-	CellDuration time.Duration // wall time per (preset, mix, clients) cell
-	Window       int           // pre-published labels the workload draws from
-	CatchUpBatch int           // labels per CatchUp call
-	// ColdStartEpochs are the missed-epoch counts measured by the
-	// coldstart mixes: one receiver returning after N epochs offline
-	// catches up in a single CatchUp call (default 1000, 10000; Quick:
-	// 96). Requires that much pre-published history.
-	ColdStartEpochs []int
+	Clients      []int         // rounds-mix concurrency levels (default 4, 16; Quick: 2, 4)
+	Mixes        []string      // workload mixes (default rounds, stream, relay)
+	CellDuration time.Duration // wall time per rounds cell
 	// Subscribers are the concurrent-connection counts measured by the
 	// stream and relay mixes (default 1000, 50000; Quick: 50). Counts
 	// that do not fit the process FD limit run over an in-memory
@@ -44,8 +37,33 @@ type ServerLoadConfig struct {
 	// shed (which the row then reports).
 	StreamPublishes int
 	StreamInterval  time.Duration
-	BaseURL         string // drive a remote server instead of in-process
 	Quick           bool
+}
+
+// replacedMixes names, for every mix this harness used to run, the
+// benchmark/ workload that measures the same thing now (the per-metric
+// mapping is the table in docs/OBSERVABILITY.md).
+var replacedMixes = map[string]string{
+	"fetch":           "message-bls12381",
+	"catchup":         "message-bls12381",
+	"mixed":           "message-bls12381",
+	"encdec":          "message-bls12381",
+	"coldstart":       "coldstart-ss512",
+	"coldstart-batch": "coldstart-ss512",
+	"tokens":          "tokens-bls12381",
+}
+
+// checkMix refuses a mix this harness does not run, pointing a removed
+// one at its replacement.
+func checkMix(mix string) error {
+	switch mix {
+	case "rounds", "stream", "relay":
+		return nil
+	}
+	if instead, ok := replacedMixes[mix]; ok {
+		return fmt.Errorf("bench: the %q mix was removed; `bash benchmark/run.sh --workload %s` measures it now", mix, instead)
+	}
+	return fmt.Errorf("bench: unknown workload mix %q (want rounds, stream or relay)", mix)
 }
 
 // withDefaults fills unset fields.
@@ -65,14 +83,7 @@ func (c ServerLoadConfig) withDefaults() ServerLoadConfig {
 		}
 	}
 	if len(c.Mixes) == 0 {
-		c.Mixes = []string{"fetch", "catchup", "mixed", "encdec", "coldstart", "coldstart-batch", "rounds", "stream", "relay", "tokens"}
-	}
-	if len(c.ColdStartEpochs) == 0 {
-		if c.Quick {
-			c.ColdStartEpochs = []int{96}
-		} else {
-			c.ColdStartEpochs = []int{1000, 10000}
-		}
+		c.Mixes = []string{"rounds", "stream", "relay"}
 	}
 	if len(c.Subscribers) == 0 {
 		if c.Quick {
@@ -102,33 +113,7 @@ func (c ServerLoadConfig) withDefaults() ServerLoadConfig {
 			c.CellDuration = 2 * time.Second
 		}
 	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.CatchUpBatch <= 0 {
-		c.CatchUpBatch = 8
-	}
-	if c.CatchUpBatch > c.Window {
-		c.CatchUpBatch = c.Window
-	}
 	return c
-}
-
-// coldStartDepth returns the deepest history the configured coldstart
-// cells need, or 0 when no coldstart mix is selected.
-func (c ServerLoadConfig) coldStartDepth() int {
-	depth := 0
-	for _, m := range c.Mixes {
-		if m != "coldstart" && m != "coldstart-batch" {
-			continue
-		}
-		for _, e := range c.ColdStartEpochs {
-			if e > depth {
-				depth = e
-			}
-		}
-	}
-	return depth
 }
 
 // ServerRow is one (preset, mix, concurrency) cell of the load report.
@@ -145,20 +130,12 @@ type ServerRow struct {
 	P95NS      int64   `json:"p95_ns"`
 	P99NS      int64   `json:"p99_ns"`
 
-	// Server-side accounting for the cell (0 when driving a remote
-	// server whose counters are not reachable).
+	// Server-side accounting for the cell.
 	ServerRequests int64 `json:"server_requests"`
 	Published      int64 `json:"published"`
 	// Client-side pairing evaluations — the cryptographic cost the
 	// passive-server design pushes to the edges.
 	ClientPairings int64 `json:"client_pairings"`
-
-	// Coldstart cells only: how many epochs one catch-up op spans, and
-	// the pairing evaluations each op cost. The aggregate path should
-	// hold PairingsPerOp at 2 however large Epochs grows; the batch
-	// path scales with it.
-	Epochs        int     `json:"epochs,omitempty"`
-	PairingsPerOp float64 `json:"pairings_per_op,omitempty"`
 
 	// Rounds cells only: the k-of-n shape of the measured beacon
 	// network, how many quorum combines succeeded, and how many partial
@@ -181,18 +158,9 @@ type ServerRow struct {
 	FDLimit      int64   `json:"fd_limit,omitempty"`
 	PerConnBytes float64 `json:"per_conn_bytes,omitempty"`
 	Sheds        int64   `json:"sheds,omitempty"`
-
-	// Tokens cells only: blind tokens issued, successful redemptions
-	// admitted through the gate, and deliberate double-spend attempts
-	// rejected with 409. For these cells P50/P95/P99 are per-batch
-	// issuance latency (blind + POST /v1/tokens/issue + unblind +
-	// verify) and Ops/RPS count successful redemptions.
-	TokensIssued       int64 `json:"tokens_issued,omitempty"`
-	Redemptions        int64 `json:"redemptions,omitempty"`
-	DoubleSpendRejects int64 `json:"double_spend_rejects,omitempty"`
 }
 
-// ServerReport is the JSON document `make bench-server` writes to
+// ServerReport is the JSON document cmd/treload writes to
 // BENCH_server.json.
 type ServerReport struct {
 	Description string      `json:"description"`
@@ -208,41 +176,26 @@ func (r *ServerReport) JSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// loadTarget is one server under load: a base URL to aim clients at
-// plus whatever in-process handles exist for publish ops and counters.
+// loadTarget is the in-process origin the stream and relay cells of one
+// preset attach to.
 type loadTarget struct {
-	set     *params.Set
-	spub    core.ServerPublicKey
-	sched   timefmt.Schedule
-	url     string
-	labels  []string // the pre-published window, ascending
-	history []string // deep pre-published history for coldstart cells (ends at labels)
+	set    *params.Set
+	spub   core.ServerPublicKey
+	sched  timefmt.Schedule
+	url    string
+	newest string // the last label of the pre-published window
+	srv    *timeserver.Server
+	close  func()
 
-	// sc is the ONE scheme shared by every client of every cell
-	// (timeserver.WithScheme), so the whole harness exercises the
-	// sharded caches the way a real multi-client process would. ukey,
-	// updates and msg are the fixtures of the encdec workload: a user
-	// bound to the server and a verified update per window label.
-	sc      *core.Scheme
-	ukey    *core.UserKeyPair
-	updates []core.KeyUpdate
-	msg     []byte
-
-	srv     *timeserver.Server // nil when remote
-	nextOld atomic.Int64       // next backwards epoch offset for publish ops
-	baseIdx int64
-	close   func()
-
-	// clockNS is the in-process server's mutable time source: the
-	// stream/relay cells publish FORWARD (later labels, as a live server
-	// would) by advancing it, while the mixed-workload publish op keeps
-	// backfilling older epochs. nextFwd is the next forward epoch index.
+	// clockNS is the server's mutable time source: the cells publish
+	// FORWARD (later labels, as a live server would) by advancing it.
+	// nextFwd is the next forward epoch index.
 	clockNS atomic.Int64
 	nextFwd atomic.Int64
 }
 
 // advanceTo moves the mutable clock forward to at least stamp (it
-// never goes backwards, so concurrent cells cannot re-refuse an epoch
+// never goes backwards, so a later cell cannot re-refuse an epoch
 // already reachable).
 func (t *loadTarget) advanceTo(stamp time.Time) {
 	ns := stamp.UnixNano()
@@ -254,27 +207,14 @@ func (t *loadTarget) advanceTo(stamp time.Time) {
 	}
 }
 
-// initCrypto fills the client-side crypto fixtures shared by all cells.
-func (t *loadTarget) initCrypto() error {
-	t.sc = core.NewScheme(t.set)
-	ukey, err := t.sc.UserKeyGen(t.spub, nil)
-	if err != nil {
-		return fmt.Errorf("bench: generating workload user key: %w", err)
-	}
-	t.ukey = ukey
-	t.msg = []byte("serving-path load harness plaintext")
-	return nil
-}
-
-// newLocalTarget boots an in-process server over real HTTP with Window
-// labels pre-published.
-func newLocalTarget(name string, cfg ServerLoadConfig) (*loadTarget, error) {
+// newLocalTarget boots an in-process server over real HTTP with
+// loadWindow labels pre-published.
+func newLocalTarget(name string) (*loadTarget, error) {
 	set, err := params.Preset(name)
 	if err != nil {
 		return nil, err
 	}
-	sc := core.NewScheme(set)
-	key, err := sc.ServerKeyGen(nil)
+	key, err := core.NewScheme(set).ServerKeyGen(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -286,487 +226,89 @@ func newLocalTarget(name string, cfg ServerLoadConfig) (*loadTarget, error) {
 		timeserver.WithClock(func() time.Time { return time.Unix(0, t.clockNS.Load()).UTC() }),
 		timeserver.WithMetrics(obs.NewRegistry()))
 	idx := sched.Index(now)
-	// Coldstart mixes need a history as deep as the largest missed-epoch
-	// count; the workload window is its newest suffix.
-	total := cfg.Window
-	if depth := cfg.coldStartDepth(); depth > total {
-		total = depth
-	}
-	history := make([]string, total)
-	for i := 0; i < total; i++ {
-		history[i] = sched.LabelAt(idx - int64(total-1-i))
-		if err := srv.PublishLabel(history[i]); err != nil {
-			return nil, fmt.Errorf("bench: pre-publishing %s: %w", history[i], err)
+	for i := int64(loadWindow - 1); i >= 0; i-- {
+		if err := srv.PublishLabel(sched.LabelAt(idx - i)); err != nil {
+			return nil, fmt.Errorf("bench: pre-publishing %s: %w", sched.LabelAt(idx-i), err)
 		}
 	}
-	labels := history[total-cfg.Window:]
 	ts := httptest.NewServer(srv.Handler())
-	t.url, t.labels, t.history, t.srv, t.baseIdx, t.close = ts.URL, labels, history, srv, idx, ts.Close
-	t.nextOld.Store(int64(total)) // offsets total, total+1, … are unpublished
-	t.nextFwd.Store(idx + 1)      // forward epochs for the stream cells
-	if err := t.initCrypto(); err != nil {
-		return nil, err
-	}
-	t.updates = make([]core.KeyUpdate, len(labels))
-	for i, l := range labels {
-		t.updates[i] = t.sc.IssueUpdate(key, l)
-	}
+	t.url, t.newest, t.srv, t.close = ts.URL, sched.LabelAt(idx), srv, ts.Close
+	t.nextFwd.Store(idx + 1)
 	return t, nil
 }
 
-// newRemoteTarget bootstraps against an already-running treserver.
-// Publish ops degrade to /v1/latest fetches (the harness has no signing
-// key, by design).
-func newRemoteTarget(baseURL string, cfg ServerLoadConfig) (*loadTarget, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	set, spub, sched, err := timeserver.FetchBootstrap(ctx, baseURL, nil)
-	if err != nil {
-		return nil, fmt.Errorf("bench: bootstrapping %s: %w", baseURL, err)
-	}
-	probe := timeserver.NewClient(baseURL, set, spub)
-	labels, err := probe.Labels(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(labels) == 0 {
-		return nil, fmt.Errorf("bench: remote server has no published updates yet")
-	}
-	if len(labels) > cfg.Window {
-		labels = labels[len(labels)-cfg.Window:]
-	}
-	t := &loadTarget{
-		set: set, spub: spub, sched: sched, url: baseURL,
-		labels: labels, history: labels, close: func() {},
-	}
-	if err := t.initCrypto(); err != nil {
-		return nil, err
-	}
-	// The encdec workload needs the verified update per label; fetch them
-	// once through the verifying client.
-	t.updates = make([]core.KeyUpdate, len(labels))
-	for i, l := range labels {
-		u, err := probe.Update(ctx, l)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fetching update %s: %w", l, err)
-		}
-		t.updates[i] = u
-	}
-	return t, nil
-}
-
-// publish signs and archives one not-yet-published (older) label,
-// exercising the server's signing path under concurrent read load.
-func (t *loadTarget) publish() error {
-	off := t.nextOld.Add(1) - 1
-	return t.srv.PublishLabel(t.sched.LabelAt(t.baseIdx - off))
-}
-
-// RunServerLoad measures sustained request throughput and latency of
-// the serving path for every (preset, mix, concurrency) cell: N
-// concurrent verifying clients (cache disabled, so every op crosses
-// the wire) run a closed loop for CellDuration against a real HTTP
-// server. Mixes:
+// RunServerLoad runs every (preset, mix, level) cell of the mixes the
+// repository benchmark does not cover (benchmark/README.md, "Not
+// covered on purpose"):
 //
-//	fetch   — GET /v1/update/{label} + decode + pairing verification
-//	catchup — CatchUp over CatchUpBatch labels (batched verification)
-//	mixed   — 70% fetch, 20% catchup, 10% publish (remote: /v1/latest)
-//	encdec  — one full Encrypt + Decrypt round trip per op, entirely
-//	          client-side compute through the ONE shared scheme — the
-//	          GOMAXPROCS-parallel crypto workload that exercises the
-//	          sharded caches and pooled arenas under contention
-//	coldstart       — ONE fresh (empty-cache) client catches up on N
-//	                  missed epochs per op via the aggregate range path:
-//	                  one /v1/catchup request, two pairing products
-//	                  (aggregate pre-filter + blinded batch admission)
-//	coldstart-batch — the same recovery forced down the pre-range path
-//	                  (per-label fetches + blinded batch verification),
-//	                  the before-side of the O(1)-pairing comparison
+//	rounds — Clients concurrent receivers combining 3-of-5 partial
+//	         updates per op against five member servers (rounds.go)
+//	stream — Subscribers concurrent /v1/stream connections parked on
+//	         the origin, publish→delivery wakeup latency (stream.go)
+//	relay  — the same behind a stateless fan-out relay
 //
-// Every client of a cell shares one core.Scheme (timeserver.WithScheme)
-// so prepared-key and base-table caches are hit concurrently, the way a
-// multi-tenant decryption service would hit them.
-//
-// This is the measured form of the paper's scalability argument (§3):
-// server cost per epoch is one signature regardless of load, so the
-// serving path must be read-dominated and flat — the report shows
-// whether it is.
+// The serving and crypto paths a single receiver waits on — fetch,
+// catch-up, seal/open, cold start, tokens — are measured by benchmark/
+// with a pinned cache state and an environment header; asking for one
+// of those mixes here is an error naming the workload.
 func RunServerLoad(cfg ServerLoadConfig) (*ServerReport, *Table, error) {
 	cfg = cfg.withDefaults()
+	for _, mix := range cfg.Mixes {
+		if err := checkMix(mix); err != nil {
+			return nil, nil, err
+		}
+	}
 	rep := &ServerReport{
-		Description: "sustained serving-path load: N concurrent verifying clients (no client cache) against a real HTTP time server; latencies are per-operation, RPS is completed operations per second",
+		Description: "serving-path cells benchmark/ does not cover: 3-of-5 beacon quorum rounds (closed loop, N verifying receivers) and /v1/stream fan-out on an origin and behind a relay; latencies are per-operation (rounds) or publish→delivery (stream, relay), RPS is completed operations per second",
 	}
 	table := &Table{
 		ID:    "SERVER",
-		Title: "Serving-path load: throughput and latency under concurrent clients",
-		Claim: "one passive broadcast serves all users (§3): the server path is read-dominated and stays flat as concurrency grows",
+		Title: "Serving-path load: quorum rounds and broadcast fan-out",
+		Claim: "one passive broadcast serves all users (§3): fan-out cost is per connection, and the k-of-n availability upgrade is paid by the receiver",
 		Columns: []string{
 			"params/mix", "clients", "rps", "p50", "p95", "p99", "ops", "errs",
 		},
 	}
-
-	targets := make(map[string]*loadTarget)
-	defer func() {
-		for _, t := range targets {
-			t.close()
-		}
-	}()
-	target := func(preset string) (*loadTarget, error) {
-		if t, ok := targets[preset]; ok {
-			return t, nil
-		}
-		var t *loadTarget
-		var err error
-		if cfg.BaseURL != "" {
-			t, err = newRemoteTarget(cfg.BaseURL, cfg)
-		} else {
-			t, err = newLocalTarget(preset, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		targets[preset] = t
-		return t, nil
+	add := func(cell string, level int, row ServerRow) {
+		rep.Rows = append(rep.Rows, row)
+		table.Add(cell, fmt.Sprintf("%d", level), fmt.Sprintf("%.0f", row.RPS),
+			nsHuman(row.P50NS), nsHuman(row.P95NS), nsHuman(row.P99NS),
+			fmt.Sprintf("%d", row.Ops), fmt.Sprintf("%d", row.Errors))
 	}
 
 	for _, preset := range cfg.Presets {
+		var target *loadTarget // booted by the first stream/relay cell
 		for _, mix := range cfg.Mixes {
-			if mix == "stream" || mix == "relay" {
-				if cfg.BaseURL != "" {
-					// The fan-out cells publish forward epochs, which needs
-					// the in-process signing key; surface that instead of
-					// silently skipping rows.
-					return nil, nil, fmt.Errorf("bench: the %s mix needs an in-process server (drop -url)", mix)
-				}
-				t, err := target(preset)
-				if err != nil {
-					return nil, nil, err
-				}
-				for _, subs := range cfg.Subscribers {
-					row, err := runStream(t, mix, subs, cfg)
-					if err != nil {
-						return nil, nil, err
-					}
-					rep.Rows = append(rep.Rows, row)
-					table.Add(
-						fmt.Sprintf("%s/%s:%d[%s]", t.set.Name, mix, row.Subscribers, row.Transport),
-						fmt.Sprintf("%d", row.Subscribers),
-						fmt.Sprintf("%.0f", row.RPS),
-						nsHuman(row.P50NS), nsHuman(row.P95NS), nsHuman(row.P99NS),
-						fmt.Sprintf("%d", row.Ops),
-						fmt.Sprintf("%d", row.Errors),
-					)
-				}
-				continue
-			}
-			if mix == "tokens" {
-				if cfg.BaseURL != "" {
-					// The token cell boots its own GATED server (the shared
-					// target must stay open for the other mixes) and needs
-					// its issuance key in-process.
-					return nil, nil, fmt.Errorf("bench: the tokens mix needs an in-process gated server (drop -url)")
-				}
-				for _, clients := range cfg.Clients {
-					row, err := runTokens(preset, clients, cfg)
-					if err != nil {
-						return nil, nil, err
-					}
-					rep.Rows = append(rep.Rows, row)
-					table.Add(
-						fmt.Sprintf("%s/tokens", row.Preset),
-						fmt.Sprintf("%d", clients),
-						fmt.Sprintf("%.0f", row.RPS),
-						nsHuman(row.P50NS), nsHuman(row.P95NS), nsHuman(row.P99NS),
-						fmt.Sprintf("%d", row.Ops),
-						fmt.Sprintf("%d", row.Errors),
-					)
-				}
-				continue
-			}
 			if mix == "rounds" {
-				if cfg.BaseURL != "" {
-					// The quorum cell measures a k-of-n member network it
-					// boots itself; one remote URL cannot stand in for it.
-					return nil, nil, fmt.Errorf("bench: the rounds mix needs in-process member servers (drop -url)")
-				}
 				for _, clients := range cfg.Clients {
 					row, err := runRounds(preset, clients, cfg)
 					if err != nil {
 						return nil, nil, err
 					}
-					rep.Rows = append(rep.Rows, row)
-					table.Add(
-						fmt.Sprintf("%s/rounds:%d-of-%d", row.Preset, row.Quorum, row.Members),
-						fmt.Sprintf("%d", clients),
-						fmt.Sprintf("%.0f", row.RPS),
-						nsHuman(row.P50NS), nsHuman(row.P95NS), nsHuman(row.P99NS),
-						fmt.Sprintf("%d", row.Ops),
-						fmt.Sprintf("%d", row.Errors),
-					)
+					add(fmt.Sprintf("%s/rounds:%d-of-%d", row.Preset, row.Quorum, row.Members), clients, row)
 				}
 				continue
 			}
-			if mix == "coldstart" || mix == "coldstart-batch" {
-				t, err := target(preset)
+			if target == nil {
+				t, err := newLocalTarget(preset)
 				if err != nil {
 					return nil, nil, err
 				}
-				for _, epochs := range cfg.ColdStartEpochs {
-					if mix == "coldstart-batch" && t.set.Name != "Test160" && epochs > 1000 {
-						// N per-label fetches + an N-wide pairing batch on a
-						// production-size field: minutes per op, and the point
-						// (linear growth) is already made by 1000.
-						continue
-					}
-					row, err := runColdStart(t, mix, epochs, cfg)
-					if err != nil {
-						return nil, nil, err
-					}
-					rep.Rows = append(rep.Rows, row)
-					table.Add(
-						fmt.Sprintf("%s/%s:%d", t.set.Name, mix, row.Epochs),
-						fmt.Sprintf("%d", row.Clients),
-						fmt.Sprintf("%.0f", row.RPS),
-						nsHuman(row.P50NS), nsHuman(row.P95NS), nsHuman(row.P99NS),
-						fmt.Sprintf("%d", row.Ops),
-						fmt.Sprintf("%d", row.Errors),
-					)
-				}
-				continue
+				defer t.close()
+				target = t
 			}
-			for _, clients := range cfg.Clients {
-				t, err := target(preset)
+			for _, subs := range cfg.Subscribers {
+				row, err := runStream(target, mix, subs, cfg)
 				if err != nil {
 					return nil, nil, err
 				}
-				row, err := runCell(t, mix, clients, cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				rep.Rows = append(rep.Rows, row)
-				table.Add(
-					fmt.Sprintf("%s/%s", t.set.Name, mix),
-					fmt.Sprintf("%d", clients),
-					fmt.Sprintf("%.0f", row.RPS),
-					nsHuman(row.P50NS), nsHuman(row.P95NS), nsHuman(row.P99NS),
-					fmt.Sprintf("%d", row.Ops),
-					fmt.Sprintf("%d", row.Errors),
-				)
+				add(fmt.Sprintf("%s/%s:%d[%s]", row.Preset, mix, subs, row.Transport), subs, row)
 			}
 		}
 	}
-	table.Note("fetch = one update request + decode + pairing verification per op; catchup = %d labels per op with one batched pairing equation; mixed = 70%% fetch / 20%% catchup / 10%% publish; encdec = one client-side Encrypt+Decrypt round trip per op (no HTTP)", cfg.CatchUpBatch)
-	table.Note("clients pin the server key and verify everything; the client-side cache is disabled so every op exercises the server")
-	table.Note("all clients of a cell share one core.Scheme, so its sharded precomputation caches are read concurrently")
-	table.Note("coldstart:N = one fresh client recovering N missed epochs per op (aggregate range path); coldstart-batch:N = the same recovery via per-label fetches + batched verification; pairings per op are in BENCH_server.json")
-	table.Note("rounds:k-of-n = quorum-combine latency on a threshold beacon network: each op fetches partial updates from n member servers concurrently and Lagrange-combines the first k that verify")
-	table.Note("tokens = anonymous-access-token lifecycle against a gated server: p50/p95/p99 are per-batch blind-issuance latency, rps is redemptions admitted per second (pairing check + fsynced spend-log append each), and every iteration deliberately double-spends one token to exercise the 409 path; issued/redeemed/rejected counts are in BENCH_server.json")
+	table.Note("rounds:k-of-n = quorum-combine latency on a threshold beacon network: each op fetches partial updates from n member servers concurrently and Lagrange-combines the first k that verify; receivers pin the group key, share one core.Scheme and run with the client-side cache disabled")
 	table.Note("stream:N / relay:N = N concurrent /v1/stream subscribers (relay: behind a stateless fan-out relay) receiving %d forward publishes; p50/p95/p99 are publish→delivery wakeup latency; [inmem] marks counts beyond the FD limit driven over an in-memory transport", cfg.StreamPublishes)
 	return rep, table, nil
-}
-
-// runColdStart measures one receiver returning after `epochs` missed
-// epochs: each op builds a FRESH client (empty verified cache — that is
-// the cold start) and issues one CatchUp over the missed labels. The
-// coldstart mix takes the aggregate range path; coldstart-batch pins
-// the legacy per-label path for the before/after comparison.
-func runColdStart(t *loadTarget, mix string, epochs int, cfg ServerLoadConfig) (ServerRow, error) {
-	if epochs > len(t.history) {
-		// Remote targets only expose their published window; measure what
-		// exists rather than failing the whole run.
-		epochs = len(t.history)
-	}
-	window := t.history[len(t.history)-epochs:]
-
-	creg := obs.NewRegistry()
-	servedBefore := int64(0)
-	if t.srv != nil {
-		servedBefore = t.srv.Served()
-	}
-	opts := []timeserver.ClientOption{
-		timeserver.WithScheme(t.sc),
-		timeserver.WithClientMetrics(creg),
-	}
-	if mix == "coldstart-batch" {
-		opts = append(opts, timeserver.WithoutAggregateCatchUp())
-	}
-
-	var (
-		samples []int64
-		errs    int64
-	)
-	deadline := time.Now().Add(cfg.CellDuration)
-	start := time.Now()
-	for time.Now().Before(deadline) {
-		client := timeserver.NewClient(t.url, t.set, t.spub, opts...)
-		opStart := time.Now()
-		_, err := client.CatchUp(context.Background(), window)
-		samples = append(samples, time.Since(opStart).Nanoseconds())
-		if err != nil {
-			errs++
-		}
-	}
-	elapsed := time.Since(start)
-
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	row := ServerRow{
-		Preset:     t.set.Name,
-		Mix:        mix,
-		Clients:    1,
-		Epochs:     epochs,
-		Ops:        int64(len(samples)),
-		Errors:     errs,
-		DurationNS: elapsed.Nanoseconds(),
-		RPS:        float64(len(samples)) / elapsed.Seconds(),
-		P50NS:      pct(samples, 0.50),
-		P95NS:      pct(samples, 0.95),
-		P99NS:      pct(samples, 0.99),
-	}
-	if t.srv != nil {
-		row.ServerRequests = t.srv.Served() - servedBefore
-	}
-	row.ClientPairings = creg.Snapshot().Counters["core.pairings"]
-	if row.Ops > 0 {
-		row.PairingsPerOp = float64(row.ClientPairings) / float64(row.Ops)
-	}
-	return row, nil
-}
-
-// runCell runs one (target, mix, clients) cell.
-func runCell(t *loadTarget, mix string, clients int, cfg ServerLoadConfig) (ServerRow, error) {
-	switch mix {
-	case "fetch", "catchup", "mixed", "encdec":
-	default:
-		return ServerRow{}, fmt.Errorf("bench: unknown workload mix %q (want fetch, catchup, mixed or encdec)", mix)
-	}
-
-	creg := obs.NewRegistry()
-	servedBefore := int64(0)
-	publishedBefore := int64(0)
-	if t.srv != nil {
-		servedBefore = t.srv.Served()
-		publishedBefore = t.srv.Published()
-	}
-
-	// Clients are built up front, on one goroutine: WithClientMetrics
-	// instruments the shared scheme, and racing those writes from the
-	// workers would be exactly the kind of bug -race should never see.
-	// All clients share t.sc, so the cell contends on its caches.
-	workers := make([]*timeserver.Client, clients)
-	for w := range workers {
-		workers[w] = timeserver.NewClient(t.url, t.set, t.spub,
-			timeserver.WithScheme(t.sc),
-			timeserver.WithoutCache(), timeserver.WithClientMetrics(creg))
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errs     atomic.Int64
-		samples  = make([][]int64, clients)
-		deadline = time.Now().Add(cfg.CellDuration)
-	)
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker RNG: no lock contention, distinct streams.
-			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
-			client := workers[w]
-			ctx := context.Background()
-			var local []int64
-			for time.Now().Before(deadline) {
-				opStart := time.Now()
-				err := runOp(ctx, t, client, mix, rng, cfg)
-				local = append(local, time.Since(opStart).Nanoseconds())
-				if err != nil {
-					errs.Add(1)
-				}
-			}
-			samples[w] = local
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var all []int64
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	row := ServerRow{
-		Preset:     t.set.Name,
-		Mix:        mix,
-		Clients:    clients,
-		Ops:        int64(len(all)),
-		Errors:     errs.Load(),
-		DurationNS: elapsed.Nanoseconds(),
-		RPS:        float64(len(all)) / elapsed.Seconds(),
-		P50NS:      pct(all, 0.50),
-		P95NS:      pct(all, 0.95),
-		P99NS:      pct(all, 0.99),
-	}
-	if t.srv != nil {
-		row.ServerRequests = t.srv.Served() - servedBefore
-		row.Published = t.srv.Published() - publishedBefore
-	}
-	row.ClientPairings = creg.Snapshot().Counters["core.pairings"]
-	return row, nil
-}
-
-// runOp executes one operation of the given mix.
-func runOp(ctx context.Context, t *loadTarget, client *timeserver.Client, mix string, rng *rand.Rand, cfg ServerLoadConfig) error {
-	op := mix
-	if mix == "mixed" {
-		switch r := rng.Float64(); {
-		case r < 0.7:
-			op = "fetch"
-		case r < 0.9:
-			op = "catchup"
-		default:
-			op = "publish"
-		}
-	}
-	switch op {
-	case "fetch":
-		_, err := client.Update(ctx, t.labels[rng.Intn(len(t.labels))])
-		return err
-	case "catchup":
-		n := cfg.CatchUpBatch
-		if n > len(t.labels) {
-			n = len(t.labels)
-		}
-		start := rng.Intn(len(t.labels) - n + 1)
-		_, err := client.CatchUp(ctx, t.labels[start:start+n])
-		return err
-	case "publish":
-		if t.srv == nil {
-			// Remote target: no signing key here — the closest
-			// server-touching op is the uncached latest fetch.
-			_, err := client.Latest(ctx)
-			return err
-		}
-		return t.publish()
-	case "encdec":
-		// Full client-side round trip through the shared scheme: sender
-		// encrypts to the workload user at a random released label, the
-		// receiver decrypts with the verified update. No HTTP at all —
-		// this cell measures the concurrent crypto hot path.
-		i := rng.Intn(len(t.labels))
-		ct, err := t.sc.Encrypt(nil, t.spub, t.ukey.Pub, t.labels[i], t.msg)
-		if err != nil {
-			return err
-		}
-		pt, err := t.sc.Decrypt(t.ukey, t.updates[i], ct)
-		if err != nil {
-			return err
-		}
-		if string(pt) != string(t.msg) {
-			return fmt.Errorf("bench: encdec round trip mismatch")
-		}
-		return nil
-	}
-	return fmt.Errorf("bench: unknown op %q", op)
 }
 
 // pct picks an exact percentile from sorted samples (nearest-rank).

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,17 +9,17 @@ import (
 
 func TestServerLoadDefaults(t *testing.T) {
 	full := ServerLoadConfig{}.withDefaults()
-	if len(full.Presets) != 2 || len(full.Clients) != 2 || len(full.Mixes) != 10 {
+	if len(full.Presets) != 2 || len(full.Clients) != 2 {
 		t.Fatalf("full defaults: %+v", full)
+	}
+	if !reflect.DeepEqual(full.Mixes, []string{"rounds", "stream", "relay"}) {
+		t.Fatalf("default mixes = %v, want exactly rounds, stream, relay", full.Mixes)
 	}
 	if len(full.Subscribers) != 2 || full.Subscribers[1] < 50000 {
 		t.Fatalf("full run must include a ≥50k subscriber level: %v", full.Subscribers)
 	}
 	if full.StreamPublishes <= 0 || full.StreamInterval <= 0 {
 		t.Fatalf("stream cell defaults missing: %+v", full)
-	}
-	if len(full.ColdStartEpochs) != 2 || full.coldStartDepth() != 10000 {
-		t.Fatalf("full coldstart defaults: %v", full.ColdStartEpochs)
 	}
 	quick := ServerLoadConfig{Quick: true}.withDefaults()
 	if len(quick.Presets) != 1 || quick.Presets[0] != "Test160" {
@@ -27,161 +28,97 @@ func TestServerLoadDefaults(t *testing.T) {
 	if len(quick.Subscribers) != 1 || quick.Subscribers[0] >= full.Subscribers[0] {
 		t.Fatalf("quick subscriber level must be smaller than full: %v", quick.Subscribers)
 	}
-	if quick.coldStartDepth() >= full.coldStartDepth() {
-		t.Fatal("quick coldstart history must be shallower than full")
-	}
-	noCold := ServerLoadConfig{Mixes: []string{"fetch"}}.withDefaults()
-	if noCold.coldStartDepth() != 0 {
-		t.Fatal("coldStartDepth must be 0 when no coldstart mix is selected")
-	}
 	if quick.CellDuration >= full.CellDuration {
 		t.Fatal("quick cells must be shorter than full cells")
-	}
-	clamped := ServerLoadConfig{Window: 4, CatchUpBatch: 9}.withDefaults()
-	if clamped.CatchUpBatch != 4 {
-		t.Fatalf("CatchUpBatch not clamped to Window: %d", clamped.CatchUpBatch)
 	}
 }
 
 func TestServerLoadRejectsUnknownMix(t *testing.T) {
-	_, _, err := RunServerLoad(ServerLoadConfig{
-		Quick: true, Mixes: []string{"stampede"},
-		Clients: []int{1}, CellDuration: 10 * time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "stampede") {
+	run := func(mix string) error {
+		_, _, err := RunServerLoad(ServerLoadConfig{Quick: true, Mixes: []string{mix}})
+		return err
+	}
+	if err := run("stampede"); err == nil || !strings.Contains(err.Error(), "stampede") {
 		t.Fatalf("unknown mix not rejected: %v", err)
+	}
+	// Every mix benchmark/ superseded fails loudly, naming the workload
+	// that measures it now.
+	if len(replacedMixes) != 7 {
+		t.Fatalf("replacedMixes = %v, want the seven removed mixes", replacedMixes)
+	}
+	for mix, workload := range replacedMixes {
+		err := run(mix)
+		if err == nil || !strings.Contains(err.Error(), "bash benchmark/run.sh --workload "+workload) {
+			t.Fatalf("removed mix %q: err = %v, want one naming workload %s", mix, err, workload)
+		}
 	}
 }
 
-// TestServerLoadQuickCell runs one real in-process cell per mix and
-// sanity-checks the accounting that BENCH_server.json is built from.
+// TestServerLoadQuickCell runs one real in-process cell per retained
+// mix and sanity-checks the accounting that BENCH_server.json is built
+// from.
 func TestServerLoadQuickCell(t *testing.T) {
 	rep, table, err := RunServerLoad(ServerLoadConfig{
 		Quick: true, Clients: []int{2}, CellDuration: 60 * time.Millisecond,
-		Window: 16, CatchUpBatch: 4, ColdStartEpochs: []int{24},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 10 {
-		t.Fatalf("got %d rows, want 10 (one per mix, incl. both coldstart cells, the quorum rounds cell, the stream/relay fan-out cells and the gated tokens cell)", len(rep.Rows))
-	}
-	var sawPublish bool
+	var mixes []string
 	for _, r := range rep.Rows {
-		if r.Mix == "stream" || r.Mix == "relay" {
-			// Fan-out cells: Ops counts delivered events (subscribers ×
-			// publishes), quantiles are publish→delivery wakeup latency.
-			if r.Subscribers <= 0 || r.Clients != 0 {
-				t.Fatalf("fan-out cell identity: %+v", r)
-			}
-			if r.Transport != "tcp" && r.Transport != "inmem" {
-				t.Fatalf("fan-out cell missing transport: %+v", r)
-			}
-			if r.Ops != int64(r.Subscribers)*r.Published || r.Errors != 0 || r.Sheds != 0 {
-				t.Fatalf("fan-out cell dropped deliveries: %+v", r)
-			}
-			if r.P50NS <= 0 || r.P95NS < r.P50NS || r.P99NS < r.P95NS {
-				t.Fatalf("fan-out quantiles not monotone: %+v", r)
-			}
-			if r.PerConnBytes <= 0 {
-				t.Fatalf("fan-out cell recorded no per-conn bytes: %+v", r)
-			}
-			if r.Mix == "stream" && r.ServerRequests != int64(r.Subscribers) {
-				t.Fatalf("stream cell: %d server requests for %d subscribers, want one each", r.ServerRequests, r.Subscribers)
-			}
-			continue
+		mixes = append(mixes, r.Mix)
+	}
+	if !reflect.DeepEqual(mixes, []string{"rounds", "stream", "relay"}) {
+		t.Fatalf("default sweep ran %v, want exactly one rounds, one stream and one relay cell", mixes)
+	}
+	for _, r := range rep.Rows {
+		if r.Preset != "Test160" {
+			t.Fatalf("wrong cell identity: %+v", r)
 		}
-		if r.Subscribers != 0 || r.Transport != "" || r.PerConnBytes != 0 {
-			t.Fatalf("non-fan-out cell carries fan-out fields: %+v", r)
+		if r.P50NS <= 0 || r.P95NS < r.P50NS || r.P99NS < r.P95NS {
+			t.Fatalf("quantiles not monotone: %+v", r)
 		}
 		if r.Mix == "rounds" {
 			// The quorum cell: every op combines k-of-n partials, so the
 			// combine counter must account for every successful op and the
 			// healthy fixture must lose no partial fetches.
-			if r.Members != 5 || r.Quorum != 3 {
+			if r.Clients != 2 || r.Members != 5 || r.Quorum != 3 {
 				t.Fatalf("rounds cell shape: %+v", r)
 			}
 			if r.QuorumCombines != r.Ops-r.Errors || r.PartialsFailed != 0 {
 				t.Fatalf("rounds cell accounting: %+v", r)
 			}
-		} else if r.Members != 0 || r.Quorum != 0 || r.QuorumCombines != 0 || r.PartialsFailed != 0 {
-			t.Fatalf("non-rounds cell carries quorum fields: %+v", r)
-		}
-		if r.Mix == "tokens" {
-			// The gated cell: every issued batch yields redemptions, every
-			// iteration deliberately double-spends exactly one token, and
-			// the server's own counters must balance the client loop.
-			if r.TokensIssued <= 0 || r.Redemptions <= 0 || r.DoubleSpendRejects <= 0 {
-				t.Fatalf("tokens cell accounting: %+v", r)
+			if r.Ops <= 0 || r.Errors != 0 || r.RPS <= 0 || r.ServerRequests <= 0 || r.ClientPairings <= 0 {
+				t.Fatalf("implausible rounds cell: %+v", r)
 			}
-			if r.Redemptions != r.Ops {
-				t.Fatalf("tokens cell Ops must count redemptions: %+v", r)
+			if r.Subscribers != 0 || r.Transport != "" || r.PerConnBytes != 0 || r.Published != 0 {
+				t.Fatalf("rounds cell carries fan-out fields: %+v", r)
 			}
-			if r.Redemptions > r.TokensIssued {
-				t.Fatalf("tokens cell redeemed more than issued: %+v", r)
-			}
-		} else if r.TokensIssued != 0 || r.Redemptions != 0 || r.DoubleSpendRejects != 0 {
-			t.Fatalf("non-tokens cell carries token fields: %+v", r)
+			continue
 		}
-		cold := r.Mix == "coldstart" || r.Mix == "coldstart-batch"
-		wantClients := 2
-		if cold {
-			wantClients = 1 // coldstart measures one recovering receiver
+		// Fan-out cells: Ops counts delivered events (subscribers ×
+		// publishes), quantiles are publish→delivery wakeup latency.
+		if r.Subscribers <= 0 || r.Clients != 0 {
+			t.Fatalf("fan-out cell identity: %+v", r)
 		}
-		if r.Preset != "Test160" || r.Clients != wantClients {
-			t.Fatalf("wrong cell identity: %+v", r)
+		if r.Transport != "tcp" && r.Transport != "inmem" {
+			t.Fatalf("fan-out cell missing transport: %+v", r)
 		}
-		if cold {
-			if r.Epochs != 24 || r.PairingsPerOp <= 0 {
-				t.Fatalf("implausible coldstart cell: %+v", r)
-			}
-			// The tentpole claim, measured: recovering N missed epochs
-			// costs TWO pairing products (4 pairings) per op on the
-			// aggregate path — the aggregate pre-filter plus the blinded
-			// batch admission check — and one range request instead of N
-			// per-label round trips.
-			if r.Mix == "coldstart" {
-				if r.PairingsPerOp != 4 {
-					t.Fatalf("aggregate coldstart cost %v pairings/op, want 4: %+v", r.PairingsPerOp, r)
-				}
-				if r.ServerRequests != r.Ops {
-					t.Fatalf("aggregate coldstart: %d requests for %d ops, want 1 per op", r.ServerRequests, r.Ops)
-				}
-			}
-			if r.Mix == "coldstart-batch" && r.ServerRequests < r.Ops*int64(r.Epochs) {
-				t.Fatalf("batch coldstart: %d requests for %d ops of %d epochs, want ≥ epochs per op",
-					r.ServerRequests, r.Ops, r.Epochs)
-			}
-		} else if r.Epochs != 0 || r.PairingsPerOp != 0 {
-			t.Fatalf("non-coldstart cell carries coldstart fields: %+v", r)
+		if r.Ops != int64(r.Subscribers)*r.Published || r.Errors != 0 || r.Sheds != 0 {
+			t.Fatalf("fan-out cell dropped deliveries: %+v", r)
 		}
-		if r.Ops <= 0 || r.Errors != 0 || r.RPS <= 0 {
-			t.Fatalf("implausible cell: %+v", r)
+		if r.PerConnBytes <= 0 {
+			t.Fatalf("fan-out cell recorded no per-conn bytes: %+v", r)
 		}
-		if r.P50NS <= 0 || r.P95NS < r.P50NS || r.P99NS < r.P95NS {
-			t.Fatalf("quantiles not monotone: %+v", r)
+		if r.Mix == "stream" && r.ServerRequests != int64(r.Subscribers) {
+			t.Fatalf("stream cell: %d server requests for %d subscribers, want one each", r.ServerRequests, r.Subscribers)
 		}
-		if r.Mix == "encdec" {
-			// Pure client-side compute: must NOT touch the server.
-			if r.ServerRequests != 0 {
-				t.Fatalf("encdec cell hit the server: %+v", r)
-			}
-		} else if r.ServerRequests <= 0 {
-			t.Fatalf("in-process cell recorded no server requests: %+v", r)
-		}
-		if r.ClientPairings <= 0 {
-			t.Fatalf("clients verified nothing: %+v", r)
-		}
-		if r.Mix == "mixed" && r.Published > 0 {
-			sawPublish = true
-		}
-		if r.Mix != "mixed" && r.Published != 0 {
-			t.Fatalf("non-mixed cell published: %+v", r)
+		if r.Members != 0 || r.Quorum != 0 || r.QuorumCombines != 0 || r.PartialsFailed != 0 {
+			t.Fatalf("fan-out cell carries quorum fields: %+v", r)
 		}
 	}
-	_ = sawPublish // publish share is probabilistic; tolerate zero in a 60ms cell
-	if !strings.Contains(table.String(), "Test160/catchup") {
-		t.Fatalf("table missing catchup cell:\n%s", table.String())
+	if !strings.Contains(table.String(), "Test160/rounds:3-of-5") {
+		t.Fatalf("table missing rounds cell:\n%s", table.String())
 	}
 }
 

@@ -36,8 +36,8 @@ func (c *countingConn) Read(p []byte) (int, error) {
 
 // sseLabel extracts the label from a wire-encoded KeyUpdate without
 // decompressing the point: the subscriber side of the bench measures
-// delivery, not verification (the verifying client path is pinned by
-// its own tests and the fetch cells).
+// delivery, not verification (the verifying edge client is measured by
+// benchmark/'s broadcast-test160 workload).
 func sseLabel(raw []byte) (string, bool) {
 	if len(raw) < 2 {
 		return "", false
@@ -116,7 +116,7 @@ func newFanout(t *loadTarget, mix string, subs int, fdlim int64) (*streamFanout,
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_, err := probe.Update(ctx, t.labels[len(t.labels)-1])
+			_, err := probe.Update(ctx, t.newest)
 			cancel()
 			if err == nil {
 				break

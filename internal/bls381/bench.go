@@ -2,11 +2,11 @@ package bls381
 
 import "math/big"
 
-// Benchmark hooks: the field and pairing internals are unexported (the
-// only supported API is the backend.Backend), but internal/bench needs
-// to time the raw operations for BENCH_field.json and
-// BENCH_pairing.json. These constructors hand it closures over live
-// operands without widening the package surface.
+// Benchmark hook: the field internals are unexported (the only
+// supported API is the backend.Backend), but benchmark/probes.go times
+// the raw base-field operations (bls381.fe_mul_ns, bls381.fe_inv_us).
+// This constructor hands it closures over live operands without
+// widening the package surface.
 
 // BenchFieldOps returns closures timing one base-field multiplication,
 // squaring and inversion on fixed non-trivial operands. Operands stay
@@ -21,45 +21,4 @@ func BenchFieldOps() (mul, sqr, inv func()) {
 	sqr = func() { r.sqr(&a) }
 	inv = func() { r.inv(&a) }
 	return mul, sqr, inv
-}
-
-// benchG1 derives a non-trivial G1 point as k·G1 (there is no hash-to-G1
-// in this implementation; only G2 carries hashed labels).
-func benchG1(k int64) *g1Affine {
-	var j g1Jac
-	j.fromAffine(&ctx.g1)
-	j.scalarMult(&j, big.NewInt(k))
-	p := j.toAffine()
-	return &p
-}
-
-// BenchPairingOps returns closures timing the ate pairing strategies on
-// fixed arguments: the full pairing, the Miller loop with a precomputed
-// G2 line schedule, the one-off schedule precomputation itself, a
-// 4-pair product (shared final exponentiation) and a two-pairing
-// equality check (the verification shape).
-func BenchPairingOps() (pairFull, pairWithPrep, precompute, product4, verify func()) {
-	initCtx()
-	p := benchG1(0x6265_6e63)
-	q := hashToG2([]byte("Q"), "bls381-bench-pairing")
-	prep := prepareG2(&q)
-	ps := make([]*g1Affine, 4)
-	qs := make([]*g2Prepared, 4)
-	for i := range ps {
-		ps[i] = benchG1(int64(1000 + i))
-		h := hashToG2([]byte{byte(16 + i)}, "bls381-bench-pairing")
-		qs[i] = prepareG2(&h)
-	}
-	var sink fe12
-	pairFull = func() { sink = pair(p, &q) }
-	pairWithPrep = func() { sink = pairPrepared(p, prep) }
-	precompute = func() { prep = prepareG2(&q) }
-	product4 = func() { sink = pairProduct(ps, qs) }
-	verify = func() {
-		if !samePairing(p, prep, p, prep) {
-			panic("bls381: trivially equal pairings differ")
-		}
-	}
-	_ = sink
-	return pairFull, pairWithPrep, precompute, product4, verify
 }

@@ -21,6 +21,7 @@ func randScalarT(t testing.TB) *big.Int {
 // randG1 returns a uniformly random point of G1 (a scalar multiple of
 // the generator).
 func randG1(t testing.TB) g1Affine {
+	initCtx()
 	var j g1Jac
 	j.fromAffine(&ctx.g1)
 	j.scalarMult(&j, randScalarT(t))
@@ -28,6 +29,7 @@ func randG1(t testing.TB) g1Affine {
 }
 
 func randG2(t testing.TB) g2Affine {
+	initCtx()
 	var j g2Jac
 	j.fromAffine(&ctx.g2)
 	j.scalarMult(&j, randScalarT(t))

@@ -132,6 +132,7 @@ func TestHashToG2(t *testing.T) {
 }
 
 func TestSvdwMapOnCurve(t *testing.T) {
+	initCtx()
 	for i := uint64(0); i < 20; i++ {
 		var u fe2
 		u.fromUint64(i, 3*i+1)

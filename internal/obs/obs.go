@@ -8,8 +8,9 @@
 // user (§3) — can be measured rather than asserted: per-endpoint
 // request counts and latencies, archive and verification cache hit
 // rates, pairing-operation counts and worker-pool utilisation all end
-// up in one JSON snapshot served at /metrics by cmd/treserver and
-// consumed by the cmd/treload load harness.
+// up in one JSON snapshot served at /metrics by cmd/treserver; the
+// load harnesses (cmd/treload, benchmark/) read the same registries
+// in-process.
 //
 // Every method is safe on a nil receiver and does nothing there, so
 // instrumented code needs no "is observability enabled?" branches: an

@@ -133,7 +133,7 @@ func (c *Client) CatchUp(ctx context.Context, labels []string) ([]core.KeyUpdate
 	// with two pairing products per page. A label a fully-covered range
 	// does not contain is not published; that is the same availability
 	// trust as a per-label 404, and costs zero extra round trips.
-	if !c.noAggregate && len(missing) >= catchupRangeMin {
+	if len(missing) >= catchupRangeMin {
 		if got, complete := c.rangeCatchUp(ctx, missing); got != nil {
 			rest := make([]string, 0, len(missing))
 			for _, label := range missing {

@@ -14,6 +14,7 @@ import (
 	"timedrelease/internal/archive"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/faulthttp"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/wire"
 )
@@ -214,11 +215,14 @@ func TestCatchUpRangeExcludesCachedPrefix(t *testing.T) {
 
 func TestCatchUpDuplicateLabelsFetchOnce(t *testing.T) {
 	// The same uncached label asked twice must cost one fetch — counted
-	// on the per-label path, where requests map 1:1 to labels.
+	// on the per-label path, where requests map 1:1 to labels. A
+	// pre-range server (404 on /v1/catchup, answered before it reaches
+	// the server's request counter) is how a client gets there.
 	e := newEnv(t)
 	labels := publishRun(t, e, 4)
-	c := NewClient(e.ts.URL, e.set, e.key.Pub,
-		WithHTTPClient(e.ts.Client()), WithoutAggregateCatchUp())
+	ft := faulthttp.New(e.ts.Client().Transport,
+		&faulthttp.Rule{PathContains: "/v1/catchup", Status: http.StatusNotFound})
+	c := NewClient(e.ts.URL, e.set, e.key.Pub, WithHTTPClient(ft.Client()))
 
 	ask := append(append([]string{}, labels...), labels[0], labels[1])
 	before := e.server.Served()

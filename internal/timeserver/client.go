@@ -34,15 +34,14 @@ var ErrBadUpdate = errors.New("timeserver: update failed verification against pi
 // malicious transport can cause unavailability but never a wrong
 // decryption key.
 type Client struct {
-	base        string
-	http        *http.Client
-	sc          *core.Scheme
-	spub        core.ServerPublicKey
-	codec       *wire.Codec
-	noCache     bool
-	noAggregate bool
-	retry       RetryPolicy
-	wallet      *token.Wallet // nil: no tokens attached (tokens.go)
+	base    string
+	http    *http.Client
+	sc      *core.Scheme
+	spub    core.ServerPublicKey
+	codec   *wire.Codec
+	noCache bool
+	retry   RetryPolicy
+	wallet  *token.Wallet // nil: no tokens attached (tokens.go)
 
 	mu    sync.RWMutex
 	cache map[string]core.KeyUpdate
@@ -113,18 +112,9 @@ func WithClientMetrics(r *obs.Registry) ClientOption {
 	}
 }
 
-// WithoutAggregateCatchUp disables the /v1/catchup range fast path:
-// CatchUp always fetches per label and batch-verifies, as a client of a
-// pre-range server would. Useful for before/after benchmarking
-// (cmd/treload's coldstart-batch mix) and for pinning down transport
-// faults per label.
-func WithoutAggregateCatchUp() ClientOption {
-	return func(c *Client) { c.noAggregate = true }
-}
-
 // WithoutCache disables the verified-update cache: every Update and
 // CatchUp hits the network and re-verifies. Useful for load generation
-// (cmd/treload must exercise the server, not the client's map) and for
+// (a harness must exercise the server, not the client's map) and for
 // memory-constrained receivers that trade CPU for space.
 func WithoutCache() ClientOption {
 	return func(c *Client) { c.noCache = true }

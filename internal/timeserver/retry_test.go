@@ -3,6 +3,7 @@ package timeserver
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
 	"syscall"
 	"testing"
@@ -184,18 +185,18 @@ func TestCatchUpDegradedReturnsVerifiedPrefix(t *testing.T) {
 	unreachable := labels[1]
 	future := e.sched.Label(e.clock.Now().Add(time.Hour))
 
+	// A pre-range server (404 on /v1/catchup) pins the per-label path:
+	// this test is about per-label degradation, which the aggregate
+	// range mode would route around (a range response does not care
+	// that one update's endpoint is unreachable).
 	ft := faulthttp.New(e.ts.Client().Transport,
+		&faulthttp.Rule{PathContains: "/v1/catchup", Status: http.StatusNotFound},
 		&faulthttp.Rule{PathContains: "/v1/update/" + unreachable, Err: syscall.ECONNRESET})
 	reg := obs.NewRegistry()
 	client := NewClient(e.ts.URL, e.set, e.key.Pub,
 		WithHTTPClient(ft.Client()),
 		WithRetry(NoRetry),
-		WithClientMetrics(reg),
-		// Pin the per-label path: this test is about per-label
-		// degradation, which the aggregate range mode would route
-		// around (a range response does not care that one update's
-		// endpoint is unreachable).
-		WithoutAggregateCatchUp())
+		WithClientMetrics(reg))
 
 	ask := append(append([]string{}, labels...), future)
 	got, err := client.CatchUp(context.Background(), ask)
