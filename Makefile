@@ -35,7 +35,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, and the pre-benchmark harness (item 4)"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), and the pre-benchmark harness (item 4)"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -211,9 +211,10 @@ fuzz-smoke:
 # The size figure ROADMAP item 3 tracks: lines of non-test Go outside
 # the benchmark/ module (plain `wc -l`: blanks and comments count, so
 # deleting comments is visible as what it is), for the whole repo, for
-# internal/archive, for the BLS-over-backend layer and for the
-# pre-benchmark harness ROADMAP item 4 retires. Quote it in simplicity
-# PRs.
+# internal/archive, for the BLS-over-backend layer, for the §5 variants,
+# baselines and the appendix reduction (what ROADMAP item 3(b) moves out
+# of the serving binaries' dependency graph) and for the pre-benchmark
+# harness ROADMAP item 4 retires. Quote it in simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l
@@ -221,6 +222,8 @@ loc:
 		find internal/archive -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/bls + internal/backend:      '; \
 		find internal/bls internal/backend -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'variants + baselines + reduction:     '; \
+		find internal/idtre internal/hibe internal/resilient internal/multiserver internal/policylock internal/reduction internal/baseline -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/bench + cmd/treload + cmd/trebench: '; \
 		find internal/bench cmd/treload cmd/trebench -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 

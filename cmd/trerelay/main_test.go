@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/tre"
 )
 
@@ -123,7 +124,7 @@ func TestRelaySmokeSubscribePublishDecrypt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bootstrap via relay: %v", err)
 	}
-	if bset.Name != set.Name || bsched.Granularity != sched.Granularity || !set.Curve.Equal(bpub.SG, key.Pub.SG) {
+	if bset.Name != set.Name || bsched.Granularity != sched.Granularity || !set.B.Equal(backend.G1, bpub.SG, key.Pub.SG) {
 		t.Fatal("relay-served bootstrap differs from origin")
 	}
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/keyfile"
 	"timedrelease/tre"
 )
@@ -34,7 +35,7 @@ func TestLoadOrCreateKey(t *testing.T) {
 	if k1.S.Cmp(k2.S) != 0 {
 		t.Fatal("reloaded key differs from created key")
 	}
-	if !set.Curve.Equal(k1.Pub.SG, k2.Pub.SG) {
+	if !set.B.Equal(backend.G1, k1.Pub.SG, k2.Pub.SG) {
 		t.Fatal("reloaded public key differs")
 	}
 }

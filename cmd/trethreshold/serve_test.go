@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/keyfile"
 	"timedrelease/tre"
 )
@@ -223,7 +224,7 @@ func TestDealWritesMemberPubFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tre.ShardServerKey(set, loaded.Share).Pub
-		if !set.Curve.Equal(mpub.SG, want.SG) {
+		if !set.B.Equal(backend.G1, mpub.SG, want.SG) {
 			t.Fatalf("member-%d.pub does not match share-%d.key", i, i)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/tre"
 )
 
@@ -68,7 +69,7 @@ func main() {
 	waitUntil(sched, startLabel)
 	upd := scheme.IssueUpdate(timeServer, startLabel)
 	fmt.Printf("update for %s broadcast (%d bytes, identical for every team)\n",
-		upd.Label, set.Curve.MarshalSize())
+		upd.Label, set.B.PointLen(backend.G2))
 
 	for name, team := range teams {
 		plain, err := scheme.DecryptHybrid(team, upd, distributed[name])

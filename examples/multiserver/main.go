@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"log"
 
+	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/tre"
 )
 
@@ -25,15 +27,14 @@ func main() {
 		group   tre.ServerGroup
 	)
 	for range names {
-		g, err := set.Curve.RandomSubgroupPoint(nil)
+		k, err := set.B.RandScalar(nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		s, err := set.Curve.RandScalar(nil)
+		kp, err := bls.GenerateKeyWithGenerator(set, set.B.ScalarMult(backend.G1, k, set.G), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		kp := &tre.ServerKeyPair{S: s, Pub: tre.ServerPublicKey{G: g, SG: set.Curve.ScalarMult(s, g)}}
 		servers = append(servers, kp)
 		group = append(group, kp.Pub)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 
+	"timedrelease/internal/backend"
 	"timedrelease/tre"
 )
 
@@ -60,7 +61,7 @@ func main() {
 		}
 	}
 	fmt.Printf("flat archive: downloaded %d updates (%d bytes) to open %d briefings\n",
-		missed, missed*set.Curve.MarshalSize(), opened)
+		missed, missed*set.B.PointLen(backend.G2), opened)
 
 	// --- Path 2: HIBE time tree ----------------------------------------
 	rs, err := tre.NewResilientScheme(set, 12) // 4096 epochs

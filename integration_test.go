@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/tre"
 )
 
@@ -217,7 +218,7 @@ func TestIntegrationRelayChainSurvivesRelayRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bootstrap via relay: %v", err)
 	}
-	if bootSet.Name != st.set.Name || !st.set.Curve.Equal(bootKey.SG, st.key.Pub.SG) {
+	if bootSet.Name != st.set.Name || !st.set.B.Equal(backend.G1, bootKey.SG, st.key.Pub.SG) {
 		t.Fatal("relay served a different authority than the origin")
 	}
 	down := tre.NewTimeClient("http://"+addr, bootSet, bootKey,

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/wire"
@@ -46,16 +47,16 @@ func checkRange(t *testing.T, l *Log, codec *wire.Codec, from, to string, limit 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := codec.Set.Curve
+	b := codec.Set.B
 	if got.Total != want.Total || len(got.Updates) != len(want.Updates) {
 		t.Fatalf("range shape: got %d/%d, want %d/%d", len(got.Updates), got.Total, len(want.Updates), want.Total)
 	}
 	for i := range got.Updates {
-		if got.Updates[i].Label != want.Updates[i].Label || !c.Equal(got.Updates[i].Point, want.Updates[i].Point) {
+		if got.Updates[i].Label != want.Updates[i].Label || !b.Equal(backend.G2, got.Updates[i].Point, want.Updates[i].Point) {
 			t.Fatalf("range update %d differs", i)
 		}
 	}
-	if !c.Equal(got.Aggregate, want.Aggregate) {
+	if !b.Equal(backend.G2, got.Aggregate, want.Aggregate) {
 		t.Fatal("checkpoint-backed aggregate differs from direct sum")
 	}
 	if got.Root != want.Root {
@@ -147,7 +148,7 @@ func TestLogCheckpointRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !codec.Set.Curve.Equal(got.Aggregate, want.Aggregate) || got.Root != want.Root {
+	if !codec.Set.B.Equal(backend.G2, got.Aggregate, want.Aggregate) || got.Root != want.Root {
 		t.Fatal("range served after restart differs")
 	}
 	// And appends keep aggregating where the old process left off.
@@ -327,7 +328,7 @@ func TestLogRangeConcurrentWithPut(t *testing.T) {
 			}
 		}
 	}()
-	c := codec.Set.Curve
+	b := codec.Set.B
 	for i := 0; i < 50; i++ {
 		res, err := l.Range(labels[0], labels[len(labels)-1], 0)
 		if err != nil {
@@ -339,10 +340,10 @@ func TestLogRangeConcurrentWithPut(t *testing.T) {
 		agg := curve.Infinity()
 		leaves := make([][32]byte, len(res.Updates))
 		for j, u := range res.Updates {
-			agg = c.Add(agg, u.Point)
+			agg = b.Add(backend.G2, agg, u.Point)
 			leaves[j] = LeafHash(codec.MarshalKeyUpdate(u))
 		}
-		if !c.Equal(agg, res.Aggregate) || MerkleRoot(leaves) != res.Root {
+		if !b.Equal(backend.G2, agg, res.Aggregate) || MerkleRoot(leaves) != res.Root {
 			t.Fatal("concurrent range not internally consistent")
 		}
 	}

@@ -8,12 +8,15 @@
 // the left and a G2 point on the right, and a Type-1 setting is simply
 // a backend whose two groups coincide (the Symmetric adapter).
 //
-// Scheme code that follows the G1/G2 split — keys and ciphertext
-// headers in G1, hashed time labels and key updates in G2 — runs
-// unchanged on both settings. Constructions that fundamentally require
-// symmetry (pairing two G1 points, e.g. the multi-server combined-key
-// check or the HIBE/ID-TRE variants) gate on Asymmetric and return
-// ErrSymmetricOnly rather than silently computing nonsense.
+// A parameter set's Backend is the only way to its groups and pairing.
+// Scheme code that follows the G1/G2 split — keys, generators and
+// ciphertext headers in G1; hashed labels, identities and conditions,
+// key updates, extracted keys and attestations in G2 — runs unchanged
+// on both settings, and that is the base scheme and every §5 variant
+// but one. The constructions that fundamentally require symmetry (the
+// multi-server combined-key check pairs two G1 points; the appendix
+// reduction states its problem in one group) gate on Asymmetric and
+// return ErrSymmetricOnly rather than silently computing nonsense.
 //
 // Points travel as curve.Point values: Type-1 backends use the affine
 // big.Int coordinates, asymmetric backends carry an opaque handle in
@@ -37,9 +40,10 @@ const (
 	// and ciphertext headers live here (the cheaper group on Type-3
 	// curves).
 	G1 Group = 1
-	// G2 is the right pairing argument's group: hashed time labels and
-	// key updates live here. On a Type-1 backend G2 is the same group
-	// as G1.
+	// G2 is the right pairing argument's group: hashed time labels,
+	// identities and conditions live here, and so does everything signed
+	// over them (key updates, identity keys, attestations). On a Type-1
+	// backend G2 is the same group as G1.
 	G2 Group = 2
 )
 

@@ -12,12 +12,12 @@ import (
 )
 
 // testBackends returns every backend under its display name. The
-// symmetric entry wraps the SS512 preset exactly as params does.
+// symmetric entry is the SS512 preset's own adapter.
 func testBackends(t *testing.T) map[string]backend.Backend {
 	t.Helper()
 	set := params.MustPreset("SS512")
 	return map[string]backend.Backend{
-		"symmetric": backend.NewSymmetric(set.Name, set.Curve, set.Pairing, set.G),
+		"symmetric": set.B,
 		"bls12381":  bls381.New(),
 	}
 }

@@ -29,6 +29,15 @@ func NewSymmetric(name string, c *curve.Curve, pr *pairing.Pairing, g curve.Poin
 	return &Symmetric{name: name, c: c, pr: pr, g: g}
 }
 
+// Type1 exposes the supersingular curve and modified Tate pairing
+// behind the adapter, for the code that measures or cross-checks the
+// Type-1 internals themselves: E4's affine-vs-production table, the
+// differential tests and params.Set.Field for the benchmark's F_p
+// probes. Scheme code has no business here. Reach it through
+// set.B.(*backend.Symmetric) — an assertion that fails on an asymmetric
+// set, where a field could only have been nil.
+func (b *Symmetric) Type1() (*curve.Curve, *pairing.Pairing) { return b.c, b.pr }
+
 // Name identifies the backend.
 func (b *Symmetric) Name() string { return "symmetric/" + b.name }
 

@@ -1,6 +1,7 @@
 // Package bfibe implements Boneh–Franklin BasicIdent identity-based
-// encryption over the same Type-1 pairing as the rest of the repository.
-// It serves two roles in the reproduction:
+// encryption over the same pairing backend as the rest of the repository
+// (master key and header in G1, hashed identities and extracted keys in
+// G2). It serves two roles in the reproduction:
 //
 //   - the IBE half of the hybrid PKE+IBE baseline (paper footnote 3)
 //     that the "50% reduction" claim is measured against (experiment E1);
@@ -16,7 +17,6 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -52,10 +52,7 @@ type PrivateKey struct {
 
 // MasterKeyGen creates the PKG key pair.
 func (sc *Scheme) MasterKeyGen(rng io.Reader) (*MasterKey, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	s, err := sc.Set.Curve.RandScalar(rng)
+	s, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, err
 	}
@@ -63,15 +60,15 @@ func (sc *Scheme) MasterKeyGen(rng io.Reader) (*MasterKey, error) {
 		S: s,
 		Pub: MasterPublicKey{
 			G:  sc.Set.G,
-			SG: sc.Set.Curve.ScalarMult(s, sc.Set.G),
+			SG: sc.Set.B.ScalarMult(backend.G1, s, sc.Set.G),
 		},
 	}, nil
 }
 
 // Extract derives the private key for an identity.
 func (sc *Scheme) Extract(mk *MasterKey, id string) PrivateKey {
-	h := sc.Set.Curve.HashToGroup(IdentityDomain, []byte(id))
-	return PrivateKey{ID: id, D: sc.Set.Curve.ScalarMult(mk.S, h)}
+	h := sc.Set.B.HashToG2(IdentityDomain, []byte(id))
+	return PrivateKey{ID: id, D: sc.Set.B.ScalarMult(backend.G2, mk.S, h)}
 }
 
 // Ciphertext is the BasicIdent ciphertext ⟨rG, M ⊕ H2(g_ID^r)⟩.
@@ -82,34 +79,28 @@ type Ciphertext struct {
 
 // Encrypt encrypts msg to an identity.
 func (sc *Scheme) Encrypt(rng io.Reader, pub MasterPublicKey, id string, msg []byte) (*Ciphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	r, err := sc.Set.Curve.RandScalar(rng)
+	b := sc.Set.B
+	r, err := b.RandScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: sampling randomness: %w", err)
 	}
-	c := sc.Set.Curve
-	h := c.HashToGroup(IdentityDomain, []byte(id))
-	k := sc.Set.Pairing.Pair(c.ScalarMult(r, pub.SG), h)
+	h := b.HashToG2(IdentityDomain, []byte(id))
+	k := b.Pair(b.ScalarMult(backend.G1, r, pub.SG), h)
 	return &Ciphertext{
-		U: c.ScalarMult(r, pub.G),
+		U: b.ScalarMult(backend.G1, r, pub.G),
 		V: rohash.XOR(msg, sc.mask(k, len(msg))),
 	}, nil
 }
 
 // Decrypt recovers the message with the extracted identity key.
 func (sc *Scheme) Decrypt(priv PrivateKey, ct *Ciphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || !sc.Set.Curve.IsOnCurve(ct.U) {
+	if ct == nil || !sc.Set.B.IsOnCurve(backend.G1, ct.U) {
 		return nil, fmt.Errorf("bfibe: malformed ciphertext")
 	}
-	k := sc.Set.Pairing.Pair(ct.U, priv.D)
+	k := sc.Set.B.Pair(ct.U, priv.D)
 	return rohash.XOR(ct.V, sc.mask(k, len(ct.V))), nil
 }
 
-func (sc *Scheme) mask(k pairing.GT, n int) []byte {
-	return rohash.Expand("BFIBE-H2", sc.Set.Pairing.E2.Bytes(k), n)
+func (sc *Scheme) mask(k backend.GT, n int) []byte {
+	return rohash.Expand("BFIBE-H2", sc.Set.B.GTBytes(k), n)
 }

@@ -4,21 +4,28 @@ import (
 	"bytes"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/params"
 )
 
-func setup(t *testing.T) (*Scheme, *MasterKey) {
-	t.Helper()
-	sc := NewScheme(params.MustPreset("Test160"))
-	mk, err := sc.MasterKeyGen(nil)
-	if err != nil {
-		t.Fatal(err)
+// onBothBackends runs body with a fresh scheme and master key on the
+// paper's Type-1 setting and on BLS12-381.
+func onBothBackends(t *testing.T, body func(*testing.T, *Scheme, *MasterKey)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) {
+			sc := NewScheme(params.MustPreset(preset))
+			mk, err := sc.MasterKeyGen(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body(t, sc, mk)
+		})
 	}
-	return sc, mk
 }
 
-func TestRoundTrip(t *testing.T) {
-	sc, mk := setup(t)
+func TestRoundTrip(t *testing.T) { onBothBackends(t, testRoundTrip) }
+
+func testRoundTrip(t *testing.T, sc *Scheme, mk *MasterKey) {
 	msg := []byte("to alice, via her identity alone")
 	ct, err := sc.Encrypt(nil, mk.Pub, "alice", msg)
 	if err != nil {
@@ -34,8 +41,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWrongIdentityFails(t *testing.T) {
-	sc, mk := setup(t)
+func TestWrongIdentityFails(t *testing.T) { onBothBackends(t, testWrongIdentityFails) }
+
+func testWrongIdentityFails(t *testing.T, sc *Scheme, mk *MasterKey) {
 	msg := []byte("alice only")
 	ct, err := sc.Encrypt(nil, mk.Pub, "alice", msg)
 	if err != nil {
@@ -51,8 +59,9 @@ func TestWrongIdentityFails(t *testing.T) {
 	}
 }
 
-func TestWrongMasterFails(t *testing.T) {
-	sc, mk := setup(t)
+func TestWrongMasterFails(t *testing.T) { onBothBackends(t, testWrongMasterFails) }
+
+func testWrongMasterFails(t *testing.T, sc *Scheme, mk *MasterKey) {
 	other, err := sc.MasterKeyGen(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -72,19 +81,21 @@ func TestWrongMasterFails(t *testing.T) {
 	}
 }
 
-func TestMalformedCiphertext(t *testing.T) {
-	sc, mk := setup(t)
+func TestMalformedCiphertext(t *testing.T) { onBothBackends(t, testMalformedCiphertext) }
+
+func testMalformedCiphertext(t *testing.T, sc *Scheme, mk *MasterKey) {
 	priv := sc.Extract(mk, "alice")
 	if _, err := sc.Decrypt(priv, nil); err == nil {
 		t.Fatal("nil ciphertext must be rejected")
 	}
 }
 
-func TestExtractIsDeterministic(t *testing.T) {
-	sc, mk := setup(t)
+func TestExtractIsDeterministic(t *testing.T) { onBothBackends(t, testExtractIsDeterministic) }
+
+func testExtractIsDeterministic(t *testing.T, sc *Scheme, mk *MasterKey) {
 	a := sc.Extract(mk, "alice")
 	b := sc.Extract(mk, "alice")
-	if !sc.Set.Curve.Equal(a.D, b.D) {
+	if !sc.Set.B.Equal(backend.G2, a.D, b.D) {
 		t.Fatal("extraction must be deterministic")
 	}
 }

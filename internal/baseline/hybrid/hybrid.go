@@ -53,14 +53,11 @@ type ReceiverKey struct {
 
 // ReceiverKeyGen creates the receiver's PKE key pair.
 func (sc *Scheme) ReceiverKeyGen(rng io.Reader) (*ReceiverKey, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	b, err := sc.Set.Curve.RandScalar(rng)
+	b, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, err
 	}
-	return &ReceiverKey{B: b, Pub: sc.Set.Curve.ScalarMult(b, sc.Set.G)}, nil
+	return &ReceiverKey{B: b, Pub: sc.Set.B.ScalarMult(backend.G1, b, sc.Set.G)}, nil
 }
 
 // Ciphertext carries both encapsulations and the DEM body:
@@ -77,13 +74,10 @@ type Ciphertext struct {
 // Encrypt produces a timed-release ciphertext for (receiver, release
 // label) under the time server's IBE master public key.
 func (sc *Scheme) Encrypt(rng io.Reader, server bfibe.MasterPublicKey, receiver curve.Point, label string, msg []byte) (*Ciphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if rng == nil {
 		rng = rand.Reader
 	}
-	c := sc.Set.Curve
+	b := sc.Set.B
 
 	k1 := make([]byte, subKeyLen)
 	k2 := make([]byte, subKeyLen)
@@ -95,13 +89,12 @@ func (sc *Scheme) Encrypt(rng io.Reader, server bfibe.MasterPublicKey, receiver 
 	}
 
 	// PKE half: hashed ElGamal.
-	r1, err := c.RandScalar(rng)
+	r1, err := b.RandScalar(rng)
 	if err != nil {
 		return nil, err
 	}
-	u1 := c.ScalarMult(r1, sc.Set.G)
-	shared := c.ScalarMult(r1, receiver)
-	w1 := rohash.XOR(k1, rohash.Expand("HYB-PKE", c.Marshal(shared), subKeyLen))
+	u1 := b.ScalarMult(backend.G1, r1, sc.Set.G)
+	w1 := rohash.XOR(k1, sc.pkeMask(b.ScalarMult(backend.G1, r1, receiver)))
 
 	// IBE half: BasicIdent with the release label as identity.
 	ibeCT, err := sc.ibe.Encrypt(rng, server, label, k2)
@@ -119,16 +112,12 @@ func (sc *Scheme) Encrypt(rng io.Reader, server bfibe.MasterPublicKey, receiver 
 // Decrypt combines the receiver's ElGamal key with the time server's
 // published IBE key for the release label.
 func (sc *Scheme) Decrypt(receiver *ReceiverKey, labelKey bfibe.PrivateKey, ct *Ciphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || !sc.Set.Curve.IsOnCurve(ct.U1) || !sc.Set.Curve.IsOnCurve(ct.U2) ||
+	b := sc.Set.B
+	if ct == nil || !b.IsOnCurve(backend.G1, ct.U1) || !b.IsOnCurve(backend.G1, ct.U2) ||
 		len(ct.W1) != subKeyLen || len(ct.W2) != subKeyLen {
 		return nil, fmt.Errorf("hybrid: malformed ciphertext")
 	}
-	c := sc.Set.Curve
-	shared := c.ScalarMult(receiver.B, ct.U1)
-	k1 := rohash.XOR(ct.W1, rohash.Expand("HYB-PKE", c.Marshal(shared), subKeyLen))
+	k1 := rohash.XOR(ct.W1, sc.pkeMask(b.ScalarMult(backend.G1, receiver.B, ct.U1)))
 	k2, err := sc.ibe.Decrypt(labelKey, &bfibe.Ciphertext{U: ct.U2, V: ct.W2})
 	if err != nil {
 		return nil, err
@@ -139,8 +128,12 @@ func (sc *Scheme) Decrypt(receiver *ReceiverKey, labelKey bfibe.PrivateKey, ct *
 // Size returns the wire size of the ciphertext for a given message
 // length (used by the E1 size comparison).
 func (sc *Scheme) Size(msgLen int) int {
-	point := sc.Set.Curve.MarshalSize()
-	return 2*point + 2*subKeyLen + msgLen
+	return 2*sc.Set.B.PointLen(backend.G1) + 2*subKeyLen + msgLen
+}
+
+// pkeMask hashes the ElGamal shared point r₁·bG into the K₁ wrap.
+func (sc *Scheme) pkeMask(shared curve.Point) []byte {
+	return rohash.Expand("HYB-PKE", sc.Set.B.AppendPoint(nil, backend.G1, shared), subKeyLen)
 }
 
 // demMask combines the sub-keys into the DEM keystream.

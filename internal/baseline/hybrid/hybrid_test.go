@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/baseline/bfibe"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
@@ -18,9 +19,17 @@ type env struct {
 	receiver *ReceiverKey
 }
 
-func setup(t *testing.T) *env {
+// onBothBackends runs body against a fresh fixture on the paper's Type-1
+// setting and on BLS12-381.
+func onBothBackends(t *testing.T, body func(*testing.T, *env)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) { body(t, setup(t, preset)) })
+	}
+}
+
+func setup(t *testing.T, preset string) *env {
 	t.Helper()
-	set := params.MustPreset("Test160")
+	set := params.MustPreset(preset)
 	sc := NewScheme(set)
 	ibe := bfibe.NewScheme(set)
 	mk, err := ibe.MasterKeyGen(nil)
@@ -34,8 +43,9 @@ func setup(t *testing.T) *env {
 	return &env{sc: sc, ibe: ibe, master: mk, receiver: rk}
 }
 
-func TestRoundTrip(t *testing.T) {
-	e := setup(t)
+func TestRoundTrip(t *testing.T) { onBothBackends(t, testRoundTrip) }
+
+func testRoundTrip(t *testing.T, e *env) {
 	msg := []byte("the hybrid strawman works, just bigger and slower")
 	ct, err := e.sc.Encrypt(nil, e.master.Pub, e.receiver.Pub, label, msg)
 	if err != nil {
@@ -51,8 +61,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNeedsBothKeys(t *testing.T) {
-	e := setup(t)
+func TestNeedsBothKeys(t *testing.T) { onBothBackends(t, testNeedsBothKeys) }
+
+func testNeedsBothKeys(t *testing.T, e *env) {
 	msg := []byte("both sub-keys required")
 	ct, err := e.sc.Encrypt(nil, e.master.Pub, e.receiver.Pub, label, msg)
 	if err != nil {
@@ -74,13 +85,14 @@ func TestNeedsBothKeys(t *testing.T) {
 	}
 }
 
-func TestCiphertextSizeVersusTRE(t *testing.T) {
+func TestCiphertextSizeVersusTRE(t *testing.T) { onBothBackends(t, testCiphertextSizeVersusTRE) }
+
+func testCiphertextSizeVersusTRE(t *testing.T, e *env) {
 	// The quantitative heart of E1: the hybrid ciphertext carries two
 	// group elements and two wrapped sub-keys; TRE carries one group
 	// element. For short messages the overhead ratio approaches 2x
 	// ("50% reduction in most cases").
-	set := params.MustPreset("Test160")
-	e := setup(t)
+	set := e.sc.Set
 	const msgLen = 32
 
 	hybridSize := e.sc.Size(msgLen)
@@ -98,7 +110,7 @@ func TestCiphertextSizeVersusTRE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	treSize := set.Curve.MarshalSize() + len(ct.V)
+	treSize := set.B.PointLen(backend.G1) + len(ct.V)
 
 	if hybridSize <= treSize {
 		t.Fatalf("hybrid (%dB) must be larger than TRE (%dB)", hybridSize, treSize)
@@ -110,21 +122,23 @@ func TestCiphertextSizeVersusTRE(t *testing.T) {
 	t.Logf("msg=%dB: TRE=%dB hybrid=%dB (TRE is %.0f%% of hybrid)", msgLen, treSize, hybridSize, 100*ratio)
 }
 
-func TestSizeAccounting(t *testing.T) {
-	e := setup(t)
+func TestSizeAccounting(t *testing.T) { onBothBackends(t, testSizeAccounting) }
+
+func testSizeAccounting(t *testing.T, e *env) {
 	msg := make([]byte, 100)
 	ct, err := e.sc.Encrypt(nil, e.master.Pub, e.receiver.Pub, label, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 2*e.sc.Set.Curve.MarshalSize() + len(ct.W1) + len(ct.W2) + len(ct.V)
+	got := 2*e.sc.Set.B.PointLen(backend.G1) + len(ct.W1) + len(ct.W2) + len(ct.V)
 	if got != e.sc.Size(len(msg)) {
 		t.Fatalf("Size() = %d, actual = %d", e.sc.Size(len(msg)), got)
 	}
 }
 
-func TestMalformedCiphertext(t *testing.T) {
-	e := setup(t)
+func TestMalformedCiphertext(t *testing.T) { onBothBackends(t, testMalformedCiphertext) }
+
+func testMalformedCiphertext(t *testing.T, e *env) {
 	labelKey := e.ibe.Extract(e.master, label)
 	if _, err := e.sc.Decrypt(e.receiver, labelKey, nil); err == nil {
 		t.Fatal("nil ciphertext must be rejected")

@@ -53,18 +53,15 @@ func NewServer(set *params.Set) *Server { return &Server{set: set} }
 // ExtendHorizon generates and "publishes" count additional epoch public
 // keys. This is the up-front cost the paper objects to.
 func (s *Server) ExtendHorizon(rng io.Reader, count int) error {
-	if s.set.Asymmetric() {
-		return backend.ErrSymmetricOnly
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := 0; i < count; i++ {
-		b, err := s.set.Curve.RandScalar(rng)
+		b, err := s.set.B.RandScalar(rng)
 		if err != nil {
 			return fmt.Errorf("rivest: generating epoch key: %w", err)
 		}
 		s.privs = append(s.privs, b)
-		s.pubs = append(s.pubs, s.set.Curve.ScalarMult(b, s.set.G))
+		s.pubs = append(s.pubs, s.set.B.ScalarMult(backend.G1, b, s.set.G))
 	}
 	return nil
 }
@@ -115,7 +112,7 @@ func (s *Server) StoredKeyBytes() int64 {
 func (s *Server) PublishedKeyBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(len(s.pubs)) * int64(s.set.Curve.MarshalSize())
+	return int64(len(s.pubs)) * int64(s.set.B.PointLen(backend.G1))
 }
 
 // Ciphertext is a hashed-ElGamal ciphertext to an epoch key.
@@ -127,32 +124,29 @@ type Ciphertext struct {
 
 // Encrypt seals msg to the given epoch using the published key list.
 func Encrypt(rng io.Reader, set *params.Set, pubs []curve.Point, epoch int, msg []byte) (*Ciphertext, error) {
-	if set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if epoch < 0 || epoch >= len(pubs) {
 		return nil, ErrBeyondHorizon
 	}
-	r, err := set.Curve.RandScalar(rng)
+	r, err := set.B.RandScalar(rng)
 	if err != nil {
 		return nil, err
 	}
-	shared := set.Curve.ScalarMult(r, pubs[epoch])
 	return &Ciphertext{
 		Epoch: epoch,
-		U:     set.Curve.ScalarMult(r, set.G),
-		V:     rohash.XOR(msg, rohash.Expand("RIVEST-DEM", set.Curve.Marshal(shared), len(msg))),
+		U:     set.B.ScalarMult(backend.G1, r, set.G),
+		V:     rohash.XOR(msg, demMask(set, set.B.ScalarMult(backend.G1, r, pubs[epoch]), len(msg))),
 	}, nil
 }
 
 // Decrypt opens a ciphertext with the released epoch private key.
 func Decrypt(set *params.Set, epochPriv *big.Int, ct *Ciphertext) ([]byte, error) {
-	if set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || !set.Curve.IsOnCurve(ct.U) {
+	if ct == nil || !set.B.IsOnCurve(backend.G1, ct.U) {
 		return nil, errors.New("rivest: malformed ciphertext")
 	}
-	shared := set.Curve.ScalarMult(epochPriv, ct.U)
-	return rohash.XOR(ct.V, rohash.Expand("RIVEST-DEM", set.Curve.Marshal(shared), len(ct.V))), nil
+	return rohash.XOR(ct.V, demMask(set, set.B.ScalarMult(backend.G1, epochPriv, ct.U), len(ct.V))), nil
+}
+
+// demMask is the hashed-ElGamal keystream over the shared point.
+func demMask(set *params.Set, shared curve.Point, n int) []byte {
+	return rohash.Expand("RIVEST-DEM", set.B.AppendPoint(nil, backend.G1, shared), n)
 }

@@ -8,8 +8,17 @@ import (
 	"timedrelease/internal/params"
 )
 
-func TestRoundTripThroughEpochs(t *testing.T) {
-	set := params.MustPreset("Test160")
+// onBothBackends runs body on the paper's Type-1 setting and on
+// BLS12-381 (hashed ElGamal only needs G1).
+func onBothBackends(t *testing.T, body func(*testing.T, *params.Set)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) { body(t, params.MustPreset(preset)) })
+	}
+}
+
+func TestRoundTripThroughEpochs(t *testing.T) { onBothBackends(t, testRoundTripThroughEpochs) }
+
+func testRoundTripThroughEpochs(t *testing.T, set *params.Set) {
 	srv := NewServer(set)
 	if err := srv.ExtendHorizon(nil, 5); err != nil {
 		t.Fatal(err)
@@ -39,10 +48,11 @@ func TestRoundTripThroughEpochs(t *testing.T) {
 	}
 }
 
-func TestHorizonLimitsSenders(t *testing.T) {
+func TestHorizonLimitsSenders(t *testing.T) { onBothBackends(t, testHorizonLimitsSenders) }
+
+func testHorizonLimitsSenders(t *testing.T, set *params.Set) {
 	// The paper's §1 footnote 2 criticism: a sender cannot seal beyond
 	// the published list.
-	set := params.MustPreset("Test160")
 	srv := NewServer(set)
 	if err := srv.ExtendHorizon(nil, 3); err != nil {
 		t.Fatal(err)
@@ -52,8 +62,9 @@ func TestHorizonLimitsSenders(t *testing.T) {
 	}
 }
 
-func TestReleaseOrderEnforced(t *testing.T) {
-	set := params.MustPreset("Test160")
+func TestReleaseOrderEnforced(t *testing.T) { onBothBackends(t, testReleaseOrderEnforced) }
+
+func testReleaseOrderEnforced(t *testing.T, set *params.Set) {
 	srv := NewServer(set)
 	if err := srv.ExtendHorizon(nil, 3); err != nil {
 		t.Fatal(err)
@@ -66,8 +77,9 @@ func TestReleaseOrderEnforced(t *testing.T) {
 	}
 }
 
-func TestWrongEpochKeyFails(t *testing.T) {
-	set := params.MustPreset("Test160")
+func TestWrongEpochKeyFails(t *testing.T) { onBothBackends(t, testWrongEpochKeyFails) }
+
+func testWrongEpochKeyFails(t *testing.T, set *params.Set) {
 	srv := NewServer(set)
 	if err := srv.ExtendHorizon(nil, 2); err != nil {
 		t.Fatal(err)
@@ -90,8 +102,9 @@ func TestWrongEpochKeyFails(t *testing.T) {
 	}
 }
 
-func TestStorageGrowsWithHorizon(t *testing.T) {
-	set := params.MustPreset("Test160")
+func TestStorageGrowsWithHorizon(t *testing.T) { onBothBackends(t, testStorageGrowsWithHorizon) }
+
+func testStorageGrowsWithHorizon(t *testing.T, set *params.Set) {
 	srv := NewServer(set)
 	if err := srv.ExtendHorizon(nil, 10); err != nil {
 		t.Fatal(err)

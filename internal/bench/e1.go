@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/baseline/bfibe"
 	"timedrelease/internal/baseline/hybrid"
 	"timedrelease/internal/core"
@@ -44,7 +45,7 @@ func RunE1(cfg Config) (*Table, error) {
 	}
 	hybLabelKey := ibe.Extract(master, label)
 
-	point := set.Curve.MarshalSize()
+	point := set.B.PointLen(backend.G1) // every ciphertext header is a G1 point
 
 	t := &Table{
 		ID:    "E1",

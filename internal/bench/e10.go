@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/hibe"
 	"timedrelease/internal/resilient"
@@ -32,7 +33,7 @@ func RunE10(cfg Config) (*Table, error) {
 	}
 
 	// Sizes.
-	point := set.Curve.MarshalSize()
+	g1, g2 := set.B.PointLen(backend.G1), set.B.PointLen(backend.G2)
 	scalar := (set.Q.BitLen() + 7) / 8
 	flatSc := core.NewScheme(set)
 	server, err := flatSc.ServerKeyGen(nil)
@@ -42,7 +43,7 @@ func RunE10(cfg Config) (*Table, error) {
 	codec := wire.NewCodec(set)
 	updSize := len(codec.MarshalKeyUpdate(flatSc.IssueUpdate(server, "2026-07-05T12:00:00Z")))
 	bundleSize := func(k hibe.NodeKey) int {
-		return point*(1+len(k.Qs)) + scalar // S + Q-list + delegation secret
+		return g2 + g1*len(k.Qs) + scalar // S ∈ G2 + Q-list ∈ G1 + delegation secret
 	}
 
 	t := &Table{
@@ -114,10 +115,10 @@ func RunE10(cfg Config) (*Table, error) {
 			panic(err)
 		}
 	})
-	treeCTSize := (1 + len(treeCT.Us)) * point
+	treeCTSize := g1 + len(treeCT.Us)*g2 // U₀ ∈ G1, U_i ∈ G2
 
 	t.Note("flat download grows linearly with k; the tree cover stays ≤ depth+1 bundles no matter how long the receiver was offline")
 	t.Note("price of resilience: tree ciphertext header = %d points (%s vs flat %s); tree decrypt %s + leaf derivation %s vs flat decrypt %s",
-		1+len(treeCT.Us), bytesHuman(int64(treeCTSize)), bytesHuman(int64(point)), ms(treeDec), ms(deriveLeaf), ms(flatDec))
+		1+len(treeCT.Us), bytesHuman(int64(treeCTSize)), bytesHuman(int64(g1)), ms(treeDec), ms(deriveLeaf), ms(flatDec))
 	return t, nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
 	"timedrelease/internal/params"
 )
@@ -35,7 +36,9 @@ func RunE4(cfg Config) (*Table, error) {
 		if name == "SS1024" {
 			iters = cfg.iters(10)
 		}
-		c, pr := set.Curve, set.Pairing
+		// The table times the affine oracles and the prepared schedule
+		// next to the production path, so it needs the Type-1 internals.
+		c, pr := set.B.(*backend.Symmetric).Type1()
 		p := c.HashToGroup("bench", []byte("P"))
 		q := c.HashToGroup("bench", []byte("Q"))
 		k, err := c.RandScalar(nil)

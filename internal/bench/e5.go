@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 
+	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/multiserver"
 )
@@ -40,15 +42,14 @@ func RunE5(cfg Config) (*Table, error) {
 			group multiserver.ServerGroup
 		)
 		for i := 0; i < n; i++ {
-			g, err := set.Curve.RandomSubgroupPoint(nil)
+			k, err := set.B.RandScalar(nil)
 			if err != nil {
 				return nil, err
 			}
-			s, err := set.Curve.RandScalar(nil)
+			kp, err := bls.GenerateKeyWithGenerator(set, set.B.ScalarMult(backend.G1, k, set.G), nil)
 			if err != nil {
 				return nil, err
 			}
-			kp := &core.ServerKeyPair{S: s, Pub: core.ServerPublicKey{G: g, SG: set.Curve.ScalarMult(s, g)}}
 			keys = append(keys, kp)
 			group = append(group, kp.Pub)
 		}
@@ -65,7 +66,7 @@ func RunE5(cfg Config) (*Table, error) {
 			updates[i] = tre.IssueUpdate(k, label)
 		}
 
-		size := n*set.Curve.MarshalSize() + len(ct.V)
+		size := n*set.B.PointLen(backend.G1) + len(ct.V)
 		enc := timeOp(iters, func() {
 			if _, err := sc.Encrypt(nil, group, user.Pub, label, msg); err != nil {
 				panic(err)
@@ -76,11 +77,17 @@ func RunE5(cfg Config) (*Table, error) {
 				panic(err)
 			}
 		})
+		// The ablation: the same N factors as N independent full pairings
+		// multiplied in GT, instead of Decrypt's one PairProduct.
+		var sink backend.GT
 		decSep := timeOp(iters, func() {
-			if _, err := sc.DecryptSeparate(user, updates, ct); err != nil {
-				panic(err)
+			acc := set.B.GTOne()
+			for i, u := range ct.Us {
+				acc = set.B.GTMul(acc, set.B.Pair(set.B.ScalarMult(backend.G1, user.A, u), updates[i].Point))
 			}
+			sink = acc
 		})
+		_ = sink
 		t.Add(fmt.Sprintf("%d", n), bytesHuman(int64(size)), ms(enc), ms(decShared), ms(decSep),
 			fmt.Sprintf("%.2fx", float64(decSep)/float64(decShared)))
 	}

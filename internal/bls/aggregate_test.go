@@ -33,14 +33,14 @@ func TestAggregateInto(t *testing.T) {
 		acc = AggregateInto(set, acc, s)
 	}
 	whole := AggregateInto(set, inf, sigs...)
-	if !set.Curve.Equal(acc, whole) {
+	if !set.B.Equal(backend.G2, acc, whole) {
 		t.Fatal("incremental aggregation diverged from the variadic fold")
 	}
-	want := set.Curve.ScalarMult(k.S, AggregateInto(set, inf, hashes...))
-	if !set.Curve.Equal(whole, want) {
+	want := set.B.ScalarMult(backend.G2, k.S, AggregateInto(set, inf, hashes...))
+	if !set.B.Equal(backend.G2, whole, want) {
 		t.Fatal("aggregate != s·ΣH1(mᵢ)")
 	}
-	if !set.Curve.Equal(AggregateInto(set, inf), inf) {
+	if !set.B.Equal(backend.G2, AggregateInto(set, inf), inf) {
 		t.Fatal("folding nothing must return the accumulator")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
 )
 
@@ -37,7 +38,7 @@ func TestVerifyBatchDetectsOneBadSignature(t *testing.T) {
 		sigs = append(sigs, k.Sign(set, "time", m))
 	}
 	// Corrupt exactly one signature in the middle.
-	sigs[4] = set.Curve.Add(sigs[4], set.G)
+	sigs[4] = set.B.Add(backend.G2, sigs[4], set.G2)
 	ok, err := VerifyBatch(set, pk, "time", msgs, sigs, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func (f flagged) InSubgroup(g backend.Group, p curve.Point) bool {
 // reduced Tate pairing kills the torsion component, so the pairing
 // EQUATION still holds: only the subgroup clause rejects it.
 func withTorsion(set *params.Set, sig curve.Point) curve.Point {
-	return set.Curve.Add(sig, curve.Point{X: new(big.Int), Y: new(big.Int)})
+	return set.B.Add(backend.G2, sig, curve.Point{X: new(big.Int), Y: new(big.Int)})
 }
 
 // TestPredicate is the one table over the one predicate — signature is
@@ -112,7 +112,7 @@ func TestSignatureIsDeterministic(t *testing.T) {
 	set, k := testSetup(t)
 	s1 := k.Sign(set, "time", []byte("T"))
 	s2 := k.Sign(set, "time", []byte("T"))
-	if !set.Curve.Equal(s1, s2) {
+	if !set.B.Equal(backend.G2, s1, s2) {
 		t.Fatal("BLS signatures must be deterministic")
 	}
 }
@@ -132,11 +132,11 @@ func TestNewPrivateKeyValidation(t *testing.T) {
 
 func TestCustomGenerator(t *testing.T) {
 	set, _ := testSetup(t)
-	g, err := set.Curve.RandomSubgroupPoint(nil)
+	r, err := set.B.RandScalar(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := GenerateKeyWithGenerator(set, g, nil)
+	k, err := GenerateKeyWithGenerator(set, set.B.ScalarMult(backend.G1, r, set.G), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func TestCustomGenerator(t *testing.T) {
 func TestSignatureSize(t *testing.T) {
 	// "Short signature": one compressed group element.
 	set, k := testSetup(t)
-	enc := set.Curve.Marshal(k.Sign(set, "time", []byte("m")))
-	if len(enc) != set.Curve.MarshalSize() {
-		t.Fatalf("signature encodes to %d bytes, want %d", len(enc), set.Curve.MarshalSize())
+	enc := set.B.AppendPoint(nil, backend.G2, k.Sign(set, "time", []byte("m")))
+	if len(enc) != set.B.PointLen(backend.G2) {
+		t.Fatalf("signature encodes to %d bytes, want %d", len(enc), set.B.PointLen(backend.G2))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/obs"
 )
@@ -14,7 +15,7 @@ func issueRun(e *testEnv, n int) ([]KeyUpdate, curve.Point) {
 	agg := curve.Infinity()
 	for i := range ups {
 		ups[i] = e.sc.IssueUpdate(e.server, fmt.Sprintf("2026-07-05T12:%02d:00Z", i))
-		agg = e.sc.Set.Curve.Add(agg, ups[i].Point)
+		agg = e.sc.Set.B.Add(backend.G2, agg, ups[i].Point)
 	}
 	return ups, agg
 }
@@ -59,7 +60,7 @@ func TestAggregateDetectsForgedUpdateDifferential(t *testing.T) {
 		ups[forgeAt] = e.sc.IssueUpdate(impostor, ups[forgeAt].Label) // right label, wrong key
 		agg := curve.Infinity()
 		for _, u := range ups {
-			agg = e.sc.Set.Curve.Add(agg, u.Point) // honest sum over the tampered run
+			agg = e.sc.Set.B.Add(backend.G2, agg, u.Point) // honest sum over the tampered run
 		}
 		if e.sc.VerifyUpdateAggregate(e.server.Pub, ups, agg) {
 			t.Fatalf("aggregate verify accepted a run with a forgery at %d", forgeAt)
@@ -105,10 +106,10 @@ func TestVerifyUpdateAggregateIsTwoPairings(t *testing.T) {
 func TestAggregateSumBindingCaveat(t *testing.T) {
 	e := newTestEnv(t)
 	ups, agg := issueRun(e, 4)
-	c := e.sc.Set.Curve
+	b := e.sc.Set.B
 	delta := e.sc.IssueUpdate(e.server, "some-other-label").Point
-	ups[1].Point = c.Add(ups[1].Point, delta)
-	ups[2].Point = c.Add(ups[2].Point, c.Neg(delta))
+	ups[1].Point = b.Add(backend.G2, ups[1].Point, delta)
+	ups[2].Point = b.Add(backend.G2, ups[2].Point, b.Neg(backend.G2, delta))
 	if !e.sc.VerifyUpdateAggregate(e.server.Pub, ups, agg) {
 		t.Fatal("compensating tamper unexpectedly caught — update the PROTOCOL.md threat model if the equation changed")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/params"
 )
 
@@ -31,7 +32,7 @@ func TestRoundTripAcrossBackendsAndPresets(t *testing.T) {
 			}
 
 			// Key material must match the affine oracle ladder exactly.
-			c := set.Curve
+			c, pr := set.B.(*backend.Symmetric).Type1()
 			if !c.Equal(user.Pub.AG, c.ScalarMultAffine(user.A, set.G)) ||
 				!c.Equal(user.Pub.ASG, c.ScalarMultAffine(user.A, server.Pub.SG)) {
 				t.Fatal("fixed-base keygen disagrees with the oracle ladder")
@@ -41,9 +42,9 @@ func TestRoundTripAcrossBackendsAndPresets(t *testing.T) {
 			// points.
 			upd := sc.IssueUpdate(server, testLabel)
 			h := sc.hashLabel(testLabel)
-			if !set.Pairing.E2.Equal(
-				set.Pairing.Pair(user.Pub.ASG, h),
-				set.Pairing.PairAffine(user.Pub.ASG, h),
+			if !set.B.GTEqual(
+				set.B.Pair(user.Pub.ASG, h),
+				pr.PairAffine(user.Pub.ASG, h),
 			) {
 				t.Fatal("Pair and PairAffine disagree on scheme points")
 			}

@@ -89,16 +89,15 @@ func TestPreparedCacheSingleFlight(t *testing.T) {
 func TestBaseTableCacheBoundedUnderChurn(t *testing.T) {
 	set := params.MustPreset("Test160")
 	sc := NewScheme(set).Instrument(obs.NewRegistry())
-	c := set.Curve
 
 	const churnKeys = 3 * cacheShards * cacheShardCap
 	pts := make([]curve.Point, churnKeys)
 	for i := range pts {
-		p, err := c.RandomSubgroupPoint(nil)
+		k, err := set.B.RandScalar(nil)
 		if err != nil {
-			t.Fatalf("RandomSubgroupPoint: %v", err)
+			t.Fatalf("RandScalar: %v", err)
 		}
-		pts[i] = p
+		pts[i] = set.B.ScalarMult(backend.G1, k, set.G)
 	}
 
 	const goroutines = 8

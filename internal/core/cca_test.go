@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"timedrelease/internal/backend"
 )
 
 func TestFORoundTrip(t *testing.T) {
@@ -43,7 +45,7 @@ func TestFORejectsTampering(t *testing.T) {
 	mutations := map[string]func(*CCACiphertext){
 		"flip V byte": func(ct *CCACiphertext) { ct.V[0] ^= 1 },
 		"flip W byte": func(ct *CCACiphertext) { ct.W[0] ^= 1 },
-		"replace U":   func(ct *CCACiphertext) { ct.U = e.sc.Set.Curve.Add(ct.U, e.sc.Set.G) },
+		"replace U":   func(ct *CCACiphertext) { ct.U = e.sc.Set.B.Add(backend.G1, ct.U, e.sc.Set.G) },
 	}
 	for name, mutate := range mutations {
 		ct, err := e.sc.EncryptCCA(nil, e.server.Pub, e.user.Pub, testLabel, msg)
@@ -93,7 +95,7 @@ func TestREACTRejectsTampering(t *testing.T) {
 		"flip V byte":   func(ct *REACTCiphertext) { ct.V[0] ^= 1 },
 		"flip W byte":   func(ct *REACTCiphertext) { ct.W[0] ^= 1 },
 		"flip tag byte": func(ct *REACTCiphertext) { ct.Tag[0] ^= 1 },
-		"replace U":     func(ct *REACTCiphertext) { ct.U = e.sc.Set.Curve.Add(ct.U, e.sc.Set.G) },
+		"replace U":     func(ct *REACTCiphertext) { ct.U = e.sc.Set.B.Add(backend.G1, ct.U, e.sc.Set.G) },
 	}
 	for name, mutate := range mutations {
 		ct, err := e.sc.EncryptREACT(nil, e.server.Pub, e.user.Pub, testLabel, []byte("payload"))
@@ -301,7 +303,7 @@ func TestMultiRecipientRoundTrip(t *testing.T) {
 		t.Fatal("no recipients must fail")
 	}
 	bad := pubs
-	bad[1].ASG = e.sc.Set.Curve.Add(bad[1].ASG, e.sc.Set.G)
+	bad[1].ASG = e.sc.Set.B.Add(backend.G1, bad[1].ASG, e.sc.Set.G)
 	if _, err := e.sc.EncryptMulti(nil, e.server.Pub, bad, testLabel, msg); !errors.Is(err, ErrInvalidPublicKey) {
 		t.Fatalf("malformed recipient: err=%v", err)
 	}
@@ -312,7 +314,7 @@ func TestMultiRecipientSizeAdvantage(t *testing.T) {
 	e := newTestEnv(t)
 	const n, msgLen = 10, 64
 	multi := e.sc.MultiSize(n, msgLen)
-	point := e.sc.Set.Curve.MarshalSize()
+	point := e.sc.Set.B.PointLen(backend.G1)
 	separate := n * (point + msgLen)
 	if multi >= separate {
 		t.Fatalf("multi %dB must beat %dB separate", multi, separate)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"timedrelease/internal/backend"
 )
 
 func TestEncryptorMatchesScheme(t *testing.T) {
@@ -75,7 +77,7 @@ func TestEncryptorDeterministicAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.sc.Set.Curve.Equal(ct1.U, ct2.U) || !bytes.Equal(ct1.W, ct2.W) || !bytes.Equal(ct1.V, ct2.V) {
+	if !e.sc.Set.B.Equal(backend.G1, ct1.U, ct2.U) || !bytes.Equal(ct1.W, ct2.W) || !bytes.Equal(ct1.V, ct2.V) {
 		t.Fatal("amortised and direct FO encryption must agree byte-for-byte for equal randomness")
 	}
 }
@@ -83,7 +85,7 @@ func TestEncryptorDeterministicAgreement(t *testing.T) {
 func TestEncryptorRejectsBadKey(t *testing.T) {
 	e := newTestEnv(t)
 	bad := e.user.Pub
-	bad.ASG = e.sc.Set.Curve.Add(bad.ASG, e.sc.Set.G)
+	bad.ASG = e.sc.Set.B.Add(backend.G1, bad.ASG, e.sc.Set.G)
 	if _, err := e.sc.NewEncryptor(e.server.Pub, bad); !errors.Is(err, ErrInvalidPublicKey) {
 		t.Fatalf("err=%v, want ErrInvalidPublicKey", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"timedrelease/internal/backend"
 )
 
 // Property tests over randomly drawn messages, labels and keys: the
@@ -65,7 +67,7 @@ func TestPropertyCiphertextsAreRandomised(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if e.sc.Set.Curve.Equal(c1.U, c2.U) || bytes.Equal(c1.V, c2.V) {
+		if e.sc.Set.B.Equal(backend.G1, c1.U, c2.U) || bytes.Equal(c1.V, c2.V) {
 			return false // randomness reuse!
 		}
 		g1, err := e.sc.Decrypt(e.user, upd, c1)

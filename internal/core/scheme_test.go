@@ -6,6 +6,8 @@ import (
 	"math/big"
 	"testing"
 
+	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/params"
 )
 
@@ -121,7 +123,7 @@ func TestUpdateSelfAuthentication(t *testing.T) {
 
 	// Tampered update point.
 	bad := upd
-	bad.Point = e.sc.Set.Curve.Add(upd.Point, e.sc.Set.G)
+	bad.Point = e.sc.Set.B.Add(backend.G2, upd.Point, e.sc.Set.G2)
 	if e.sc.VerifyUpdate(e.server.Pub, bad) {
 		t.Fatal("tampered update must not verify")
 	}
@@ -133,7 +135,7 @@ func TestUpdateIsIdenticalForAllUsers(t *testing.T) {
 	e := newTestEnv(t)
 	u1 := e.sc.IssueUpdate(e.server, testLabel)
 	u2 := e.sc.IssueUpdate(e.server, testLabel)
-	if !e.sc.Set.Curve.Equal(u1.Point, u2.Point) {
+	if !e.sc.Set.B.Equal(backend.G2, u1.Point, u2.Point) {
 		t.Fatal("updates for the same label must be identical")
 	}
 }
@@ -146,9 +148,8 @@ func TestVerifyUserPublicKey(t *testing.T) {
 
 	// A key whose ASG half is not a·sG must be rejected (encryption
 	// step 1 exists exactly to catch this).
-	c := e.sc.Set.Curve
 	bad := e.user.Pub
-	bad.ASG = c.Add(bad.ASG, e.sc.Set.G)
+	bad.ASG = e.sc.Set.B.Add(backend.G1, bad.ASG, e.sc.Set.G)
 	if e.sc.VerifyUserPublicKey(e.server.Pub, bad) {
 		t.Fatal("malformed ASG must be rejected")
 	}
@@ -177,7 +178,7 @@ func TestVerifyUserPublicKey(t *testing.T) {
 func TestEncryptRejectsMalformedPublicKey(t *testing.T) {
 	e := newTestEnv(t)
 	bad := e.user.Pub
-	bad.ASG = e.sc.Set.Curve.Add(bad.ASG, e.sc.Set.G)
+	bad.ASG = e.sc.Set.B.Add(backend.G1, bad.ASG, e.sc.Set.G)
 	if _, err := e.sc.Encrypt(nil, e.server.Pub, bad, testLabel, []byte("m")); !errors.Is(err, ErrInvalidPublicKey) {
 		t.Fatalf("Encrypt with malformed key: err=%v, want ErrInvalidPublicKey", err)
 	}
@@ -230,11 +231,14 @@ func TestUnsafeLabelDefense(t *testing.T) {
 	const target = "2026-07-05T12:00:00Z"
 
 	evilG := sc.hashLabel(target)
-	s, err := set.Curve.RandScalar(nil)
+	s, err := set.B.RandScalar(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil := &ServerKeyPair{S: s, Pub: ServerPublicKey{G: evilG, SG: set.Curve.ScalarMult(s, evilG)}}
+	evil, err := bls.NewPrivateKey(set, evilG, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	user, err := sc.UserKeyGen(evil.Pub, nil)
 	if err != nil {
 		t.Fatal(err)

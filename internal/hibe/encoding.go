@@ -6,29 +6,31 @@ import (
 	"fmt"
 	"math/big"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
 )
 
 // Wire encodings for the objects the resilient time tree actually
 // publishes and transmits: node-key bundles (the per-epoch cover
 // publication) and tree ciphertexts. Same conventions as internal/wire:
-// length-delimited, strict, subgroup-validated points.
+// length-delimited, strict, subgroup-validated points, each encoded in
+// its own group (S and the U_i in G2, the Q_i and U₀ in G1).
 
 // MarshalNodeKey encodes a node bundle:
 // pathLen ‖ (labelLen ‖ label)* ‖ S ‖ delegation ‖ qLen ‖ Q*.
 func (sc *Scheme) MarshalNodeKey(k NodeKey) []byte {
-	c := sc.Set.Curve
+	b := sc.Set.B
 	out := binary.BigEndian.AppendUint16(nil, uint16(len(k.Path)))
 	for _, label := range k.Path {
 		out = binary.BigEndian.AppendUint16(out, uint16(len(label)))
 		out = append(out, label...)
 	}
-	out = append(out, c.Marshal(k.S)...)
+	out = b.AppendPoint(out, backend.G2, k.S)
 	scalarLen := (sc.Set.Q.BitLen() + 7) / 8
 	out = append(out, k.Delegation.FillBytes(make([]byte, scalarLen))...)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(k.Qs)))
 	for _, q := range k.Qs {
-		out = append(out, c.Marshal(q)...)
+		out = b.AppendPoint(out, backend.G1, q)
 	}
 	return out
 }
@@ -36,7 +38,6 @@ func (sc *Scheme) MarshalNodeKey(k NodeKey) []byte {
 // UnmarshalNodeKey decodes a node bundle, enforcing the structural
 // invariant len(Qs) = len(Path) − 1.
 func (sc *Scheme) UnmarshalNodeKey(data []byte) (NodeKey, error) {
-	c := sc.Set.Curve
 	r := &byteReader{buf: data}
 	nPath, err := r.u16()
 	if err != nil {
@@ -53,11 +54,7 @@ func (sc *Scheme) UnmarshalNodeKey(data []byte) (NodeKey, error) {
 		}
 		path[i] = string(lbl)
 	}
-	sRaw, err := r.take(c.MarshalSize())
-	if err != nil {
-		return NodeKey{}, fmt.Errorf("hibe: S point: %w", err)
-	}
-	s, err := c.UnmarshalSubgroup(sRaw)
+	s, err := sc.point(r, backend.G2)
 	if err != nil {
 		return NodeKey{}, fmt.Errorf("hibe: S point: %w", err)
 	}
@@ -79,11 +76,7 @@ func (sc *Scheme) UnmarshalNodeKey(data []byte) (NodeKey, error) {
 	}
 	qs := make([]curve.Point, nQ)
 	for i := range qs {
-		raw, err := r.take(c.MarshalSize())
-		if err != nil {
-			return NodeKey{}, fmt.Errorf("hibe: Q[%d]: %w", i, err)
-		}
-		qs[i], err = c.UnmarshalSubgroup(raw)
+		qs[i], err = sc.point(r, backend.G1)
 		if err != nil {
 			return NodeKey{}, fmt.Errorf("hibe: Q[%d]: %w", i, err)
 		}
@@ -96,11 +89,11 @@ func (sc *Scheme) UnmarshalNodeKey(data []byte) (NodeKey, error) {
 
 // MarshalCiphertext encodes a tree ciphertext: U0 ‖ count ‖ U* ‖ len(V) ‖ V.
 func (sc *Scheme) MarshalCiphertext(ct *Ciphertext) []byte {
-	c := sc.Set.Curve
-	out := c.Marshal(ct.U0)
+	b := sc.Set.B
+	out := b.AppendPoint(nil, backend.G1, ct.U0)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(ct.Us)))
 	for _, u := range ct.Us {
-		out = append(out, c.Marshal(u)...)
+		out = b.AppendPoint(out, backend.G2, u)
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(ct.V)))
 	return append(out, ct.V...)
@@ -108,13 +101,8 @@ func (sc *Scheme) MarshalCiphertext(ct *Ciphertext) []byte {
 
 // UnmarshalCiphertext decodes a tree ciphertext.
 func (sc *Scheme) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
-	c := sc.Set.Curve
 	r := &byteReader{buf: data}
-	u0Raw, err := r.take(c.MarshalSize())
-	if err != nil {
-		return nil, fmt.Errorf("hibe: U0: %w", err)
-	}
-	u0, err := c.UnmarshalSubgroup(u0Raw)
+	u0, err := sc.point(r, backend.G1)
 	if err != nil {
 		return nil, fmt.Errorf("hibe: U0: %w", err)
 	}
@@ -127,11 +115,7 @@ func (sc *Scheme) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	}
 	us := make([]curve.Point, n)
 	for i := range us {
-		raw, err := r.take(c.MarshalSize())
-		if err != nil {
-			return nil, fmt.Errorf("hibe: U[%d]: %w", i, err)
-		}
-		us[i], err = c.UnmarshalSubgroup(raw)
+		us[i], err = sc.point(r, backend.G2)
 		if err != nil {
 			return nil, fmt.Errorf("hibe: U[%d]: %w", i, err)
 		}
@@ -148,6 +132,15 @@ func (sc *Scheme) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 		return nil, err
 	}
 	return &Ciphertext{U0: u0, Us: us, V: append([]byte(nil), v...)}, nil
+}
+
+// point reads one compressed, subgroup-validated point of group g.
+func (sc *Scheme) point(r *byteReader, g backend.Group) (curve.Point, error) {
+	raw, err := r.take(sc.Set.B.PointLen(g))
+	if err != nil {
+		return curve.Point{}, err
+	}
+	return sc.Set.B.ParsePoint(g, raw)
 }
 
 // byteReader is a minimal strict cursor (mirrors internal/wire's, which

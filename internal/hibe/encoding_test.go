@@ -3,10 +3,13 @@ package hibe
 import (
 	"bytes"
 	"testing"
+
+	"timedrelease/internal/backend"
 )
 
-func TestNodeKeyEncodingRoundTrip(t *testing.T) {
-	sc, root := setup(t)
+func TestNodeKeyEncodingRoundTrip(t *testing.T) { onBothBackends(t, testNodeKeyEncodingRoundTrip) }
+
+func testNodeKeyEncodingRoundTrip(t *testing.T, sc *Scheme, root *RootKey) {
 	for _, path := range [][]string{{"0"}, {"0", "1"}, {"1", "0", "1", "1"}} {
 		k, err := sc.NodeFor(root, path)
 		if err != nil {
@@ -25,7 +28,7 @@ func TestNodeKeyEncodingRoundTrip(t *testing.T) {
 				t.Fatal("path changed")
 			}
 		}
-		if !sc.Set.Curve.Equal(back.S, k.S) || back.Delegation.Cmp(k.Delegation) != 0 {
+		if !sc.Set.B.Equal(backend.G2, back.S, k.S) || back.Delegation.Cmp(k.Delegation) != 0 {
 			t.Fatal("key material changed")
 		}
 		// The decoded bundle must still WORK: delegate one level and
@@ -44,7 +47,10 @@ func TestNodeKeyEncodingRoundTrip(t *testing.T) {
 }
 
 func TestNodeKeyEncodingRejectsMalformed(t *testing.T) {
-	sc, root := setup(t)
+	onBothBackends(t, testNodeKeyEncodingRejectsMalformed)
+}
+
+func testNodeKeyEncodingRejectsMalformed(t *testing.T, sc *Scheme, root *RootKey) {
 	k, err := sc.NodeFor(root, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +71,10 @@ func TestNodeKeyEncodingRejectsMalformed(t *testing.T) {
 }
 
 func TestTreeCiphertextEncodingRoundTrip(t *testing.T) {
-	sc, root := setup(t)
+	onBothBackends(t, testTreeCiphertextEncodingRoundTrip)
+}
+
+func testTreeCiphertextEncodingRoundTrip(t *testing.T, sc *Scheme, root *RootKey) {
 	path := []string{"0", "1", "1"}
 	msg := []byte("tree ciphertext on the wire")
 	ct, err := sc.Encrypt(nil, root.Pub, path, msg)

@@ -1,5 +1,5 @@
 // Package hibe implements Gentry–Silverberg hierarchical identity-based
-// encryption (BasicHIDE) over the repository's Type-1 pairing, with
+// encryption (BasicHIDE) over the repository's pairing backend, with
 // chain-derived delegation secrets. It is the substrate for the paper's
 // stated future work (§6): "schemes resilient to missing updates ...
 // using the hierarchical identity based encryption in a way similar to
@@ -11,7 +11,10 @@
 //	S_w = Σ_{i=1..t} s_{parent(i)} · P_i
 //
 // together with the Q-values Q_i = s_{prefix_i}·G of its proper
-// prefixes. Delegation secrets are chain-derived, s_child = H(s_parent ‖
+// prefixes. G, sG, the Q_i and the header U₀ are G1 points; the hashed
+// prefixes P_i, the node secret S_w and the headers U_i = rP_i are G2
+// points, so every pairing below takes G1 on the left and G2 on the
+// right. Delegation secrets are chain-derived, s_child = H(s_parent ‖
 // label), so (a) the root can compute ANY node's bundle statelessly —
 // preserving the paper's property that the server remembers nothing
 // about the future — and (b) publishing a node bundle lets anyone derive
@@ -30,7 +33,6 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -61,10 +63,7 @@ type RootPublicKey struct {
 
 // RootKeyGen creates the hierarchy root.
 func (sc *Scheme) RootKeyGen(rng io.Reader) (*RootKey, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	s, err := sc.Set.Curve.RandScalar(rng)
+	s, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +71,7 @@ func (sc *Scheme) RootKeyGen(rng io.Reader) (*RootKey, error) {
 		S: s,
 		Pub: RootPublicKey{
 			G:  sc.Set.G,
-			SG: sc.Set.Curve.ScalarMult(s, sc.Set.G),
+			SG: sc.Set.B.ScalarMult(backend.G1, s, sc.Set.G),
 		},
 	}, nil
 }
@@ -82,9 +81,9 @@ func (sc *Scheme) RootKeyGen(rng io.Reader) (*RootKey, error) {
 // descendant's bundle.
 type NodeKey struct {
 	Path       []string      // identity tuple (ID₁ … ID_t)
-	S          curve.Point   // Σ s_{parent(i)}·P_i
+	S          curve.Point   // Σ s_{parent(i)}·P_i ∈ G2
 	Delegation *big.Int      // this node's chain secret s_w
-	Qs         []curve.Point // Q_i = s_{prefix_i}·G for i = 1..t-1
+	Qs         []curve.Point // Q_i = s_{prefix_i}·G ∈ G1 for i = 1..t-1
 }
 
 // Depth returns the node's level (root children are depth 1).
@@ -96,7 +95,7 @@ func (sc *Scheme) hashPrefix(path []string) curve.Point {
 	for i, p := range path {
 		parts[i] = []byte(p)
 	}
-	return sc.Set.Curve.HashToGroup("HIBE:"+sc.Domain, rohash.Concat(parts...))
+	return sc.Set.B.HashToG2("HIBE:"+sc.Domain, rohash.Concat(parts...))
 }
 
 // chainSecret derives s_child = H(s_parent ‖ label) ∈ Z_q^*.
@@ -112,7 +111,7 @@ func (sc *Scheme) ChildOfRoot(root *RootKey, label string) NodeKey {
 	path := []string{label}
 	return NodeKey{
 		Path:       path,
-		S:          sc.Set.Curve.ScalarMult(root.S, sc.hashPrefix(path)),
+		S:          sc.Set.B.ScalarMult(backend.G2, root.S, sc.hashPrefix(path)),
 		Delegation: sc.chainSecret(root.S, label),
 		Qs:         nil, // no intermediate prefixes yet
 	}
@@ -123,9 +122,10 @@ func (sc *Scheme) ChildOfRoot(root *RootKey, label string) NodeKey {
 // root releases the whole subtree.
 func (sc *Scheme) Child(parent NodeKey, label string) NodeKey {
 	path := append(append([]string(nil), parent.Path...), label)
-	s := sc.Set.Curve.Add(parent.S, sc.Set.Curve.ScalarMult(parent.Delegation, sc.hashPrefix(path)))
+	b := sc.Set.B
+	s := b.Add(backend.G2, parent.S, b.ScalarMult(backend.G2, parent.Delegation, sc.hashPrefix(path)))
 	qs := append(append([]curve.Point(nil), parent.Qs...),
-		sc.Set.Curve.ScalarMult(parent.Delegation, sc.Set.G))
+		b.ScalarMult(backend.G1, parent.Delegation, sc.Set.G))
 	return NodeKey{
 		Path:       path,
 		S:          s,
@@ -149,30 +149,27 @@ func (sc *Scheme) NodeFor(root *RootKey, path []string) (NodeKey, error) {
 
 // Ciphertext is a BasicHIDE ciphertext to a depth-t identity tuple.
 type Ciphertext struct {
-	U0 curve.Point   // rG
-	Us []curve.Point // rP_i for i = 2..t
+	U0 curve.Point   // rG ∈ G1
+	Us []curve.Point // rP_i ∈ G2 for i = 2..t
 	V  []byte        // M ⊕ H2(K)
 }
 
 // Encrypt encrypts msg to the identity tuple path under the root public
 // key. Ciphertext size grows with depth (t group elements total).
 func (sc *Scheme) Encrypt(rng io.Reader, pub RootPublicKey, path []string, msg []byte) (*Ciphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if len(path) == 0 {
 		return nil, errors.New("hibe: empty path")
 	}
-	c := sc.Set.Curve
-	r, err := c.RandScalar(rng)
+	b := sc.Set.B
+	r, err := b.RandScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("hibe: sampling randomness: %w", err)
 	}
-	ct := &Ciphertext{U0: c.ScalarMult(r, pub.G)}
+	ct := &Ciphertext{U0: b.ScalarMult(backend.G1, r, pub.G)}
 	for i := 2; i <= len(path); i++ {
-		ct.Us = append(ct.Us, c.ScalarMult(r, sc.hashPrefix(path[:i])))
+		ct.Us = append(ct.Us, b.ScalarMult(backend.G2, r, sc.hashPrefix(path[:i])))
 	}
-	k := sc.Set.Pairing.Pair(c.ScalarMult(r, pub.SG), sc.hashPrefix(path[:1]))
+	k := b.Pair(b.ScalarMult(backend.G1, r, pub.SG), sc.hashPrefix(path[:1]))
 	ct.V = rohash.XOR(msg, sc.mask(k, len(msg)))
 	return ct, nil
 }
@@ -185,26 +182,24 @@ func (sc *Scheme) Encrypt(rng io.Reader, pub RootPublicKey, path []string, msg [
 // computed as a single pairing product (Q negated) with one shared
 // final exponentiation.
 func (sc *Scheme) Decrypt(key NodeKey, ct *Ciphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || !sc.Set.Curve.IsOnCurve(ct.U0) {
+	b := sc.Set.B
+	if ct == nil || !b.IsOnCurve(backend.G1, ct.U0) {
 		return nil, errors.New("hibe: malformed ciphertext")
 	}
 	if len(ct.Us) != len(key.Qs) {
 		return nil, fmt.Errorf("hibe: ciphertext depth %d does not match key depth %d", len(ct.Us)+1, key.Depth())
 	}
-	pairs := []pairing.PointPair{{P: ct.U0, Q: key.S}}
+	pairs := []backend.PointPair{{P: ct.U0, Q: key.S}}
 	for i, u := range ct.Us {
-		if !sc.Set.Curve.IsOnCurve(u) {
+		if !b.IsOnCurve(backend.G2, u) {
 			return nil, errors.New("hibe: malformed ciphertext point")
 		}
-		pairs = append(pairs, pairing.PointPair{P: sc.Set.Curve.Neg(key.Qs[i]), Q: u})
+		pairs = append(pairs, backend.PointPair{P: b.Neg(backend.G1, key.Qs[i]), Q: u})
 	}
-	k := sc.Set.Pairing.PairProduct(pairs)
+	k := b.PairProduct(pairs)
 	return rohash.XOR(ct.V, sc.mask(k, len(ct.V))), nil
 }
 
-func (sc *Scheme) mask(k pairing.GT, n int) []byte {
-	return rohash.Expand("HIBE-H2:"+sc.Domain, sc.Set.Pairing.E2.Bytes(k), n)
+func (sc *Scheme) mask(k backend.GT, n int) []byte {
+	return rohash.Expand("HIBE-H2:"+sc.Domain, sc.Set.B.GTBytes(k), n)
 }

@@ -4,21 +4,28 @@ import (
 	"bytes"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/params"
 )
 
-func setup(t *testing.T) (*Scheme, *RootKey) {
-	t.Helper()
-	sc := NewScheme(params.MustPreset("Test160"), "test")
-	root, err := sc.RootKeyGen(nil)
-	if err != nil {
-		t.Fatal(err)
+// onBothBackends runs body with a fresh scheme and root on the paper's
+// Type-1 setting and on BLS12-381.
+func onBothBackends(t *testing.T, body func(*testing.T, *Scheme, *RootKey)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) {
+			sc := NewScheme(params.MustPreset(preset), "test")
+			root, err := sc.RootKeyGen(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body(t, sc, root)
+		})
 	}
-	return sc, root
 }
 
-func TestRoundTripAtDepths(t *testing.T) {
-	sc, root := setup(t)
+func TestRoundTripAtDepths(t *testing.T) { onBothBackends(t, testRoundTripAtDepths) }
+
+func testRoundTripAtDepths(t *testing.T, sc *Scheme, root *RootKey) {
 	paths := [][]string{
 		{"a"},
 		{"a", "b"},
@@ -49,9 +56,12 @@ func TestRoundTripAtDepths(t *testing.T) {
 }
 
 func TestDelegationMatchesDirectDerivation(t *testing.T) {
+	onBothBackends(t, testDelegationMatchesDirectDerivation)
+}
+
+func testDelegationMatchesDirectDerivation(t *testing.T, sc *Scheme, root *RootKey) {
 	// Walking child-by-child from a published ancestor bundle must yield
 	// exactly the key the root computes directly.
-	sc, root := setup(t)
 	ancestor, err := sc.NodeFor(root, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +71,7 @@ func TestDelegationMatchesDirectDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Set.Curve.Equal(viaDelegation.S, direct.S) {
+	if !sc.Set.B.Equal(backend.G2, viaDelegation.S, direct.S) {
 		t.Fatal("delegated S differs from direct derivation")
 	}
 	if viaDelegation.Delegation.Cmp(direct.Delegation) != 0 {
@@ -71,14 +81,15 @@ func TestDelegationMatchesDirectDerivation(t *testing.T) {
 		t.Fatal("Q lists differ in length")
 	}
 	for i := range direct.Qs {
-		if !sc.Set.Curve.Equal(viaDelegation.Qs[i], direct.Qs[i]) {
+		if !sc.Set.B.Equal(backend.G1, viaDelegation.Qs[i], direct.Qs[i]) {
 			t.Fatalf("Q[%d] differs", i)
 		}
 	}
 }
 
-func TestDescendantKeyDecrypts(t *testing.T) {
-	sc, root := setup(t)
+func TestDescendantKeyDecrypts(t *testing.T) { onBothBackends(t, testDescendantKeyDecrypts) }
+
+func testDescendantKeyDecrypts(t *testing.T, sc *Scheme, root *RootKey) {
 	msg := []byte("addressed to a/b/c")
 	ct, err := sc.Encrypt(nil, root.Pub, []string{"a", "b", "c"}, msg)
 	if err != nil {
@@ -99,8 +110,9 @@ func TestDescendantKeyDecrypts(t *testing.T) {
 	}
 }
 
-func TestSiblingKeyDoesNotDecrypt(t *testing.T) {
-	sc, root := setup(t)
+func TestSiblingKeyDoesNotDecrypt(t *testing.T) { onBothBackends(t, testSiblingKeyDoesNotDecrypt) }
+
+func testSiblingKeyDoesNotDecrypt(t *testing.T, sc *Scheme, root *RootKey) {
 	msg := []byte("for a/b only")
 	ct, err := sc.Encrypt(nil, root.Pub, []string{"a", "b"}, msg)
 	if err != nil {
@@ -119,8 +131,9 @@ func TestSiblingKeyDoesNotDecrypt(t *testing.T) {
 	}
 }
 
-func TestDepthMismatchRejected(t *testing.T) {
-	sc, root := setup(t)
+func TestDepthMismatchRejected(t *testing.T) { onBothBackends(t, testDepthMismatchRejected) }
+
+func testDepthMismatchRejected(t *testing.T, sc *Scheme, root *RootKey) {
 	ct, err := sc.Encrypt(nil, root.Pub, []string{"a", "b", "c"}, []byte("m"))
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +147,9 @@ func TestDepthMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestDifferentRootsIndependent(t *testing.T) {
-	sc, root := setup(t)
+func TestDifferentRootsIndependent(t *testing.T) { onBothBackends(t, testDifferentRootsIndependent) }
+
+func testDifferentRootsIndependent(t *testing.T, sc *Scheme, root *RootKey) {
 	other, err := sc.RootKeyGen(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +172,9 @@ func TestDifferentRootsIndependent(t *testing.T) {
 	}
 }
 
-func TestEmptyPathRejected(t *testing.T) {
-	sc, root := setup(t)
+func TestEmptyPathRejected(t *testing.T) { onBothBackends(t, testEmptyPathRejected) }
+
+func testEmptyPathRejected(t *testing.T, sc *Scheme, root *RootKey) {
 	if _, err := sc.Encrypt(nil, root.Pub, nil, []byte("m")); err == nil {
 		t.Fatal("empty path must be rejected")
 	}
@@ -168,9 +183,10 @@ func TestEmptyPathRejected(t *testing.T) {
 	}
 }
 
-func TestPathFramingUnambiguous(t *testing.T) {
+func TestPathFramingUnambiguous(t *testing.T) { onBothBackends(t, testPathFramingUnambiguous) }
+
+func testPathFramingUnambiguous(t *testing.T, sc *Scheme, root *RootKey) {
 	// ("ab") and ("a","b") must address different nodes.
-	sc, root := setup(t)
 	msg := []byte("m")
 	ct, err := sc.Encrypt(nil, root.Pub, []string{"ab"}, msg)
 	if err != nil {

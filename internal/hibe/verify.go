@@ -1,6 +1,6 @@
 package hibe
 
-import "timedrelease/internal/pairing"
+import "timedrelease/internal/backend"
 
 // VerifyNodeKey checks a received bundle's decryption half against the
 // ROOT public key — so cover publications can travel over any untrusted
@@ -24,24 +24,24 @@ func (sc *Scheme) VerifyNodeKey(pub RootPublicKey, k NodeKey) bool {
 	if t == 0 || len(k.Qs) != t-1 {
 		return false
 	}
-	c := sc.Set.Curve
-	if k.S.IsInfinity() || !c.InSubgroup(k.S) {
+	b := sc.Set.B
+	if k.S.IsInfinity() || !b.InSubgroup(backend.G2, k.S) {
 		return false
 	}
 	if k.Delegation == nil || k.Delegation.Sign() <= 0 || k.Delegation.Cmp(sc.Set.Q) >= 0 {
 		return false
 	}
-	pairs := make([]pairing.PointPair, 0, t+1)
-	pairs = append(pairs, pairing.PointPair{P: c.Neg(pub.G), Q: k.S})
+	pairs := make([]backend.PointPair, 0, t+1)
+	pairs = append(pairs, backend.PointPair{P: b.Neg(backend.G1, pub.G), Q: k.S})
 	qPrev := pub.SG // Q_0 = sG
 	for i := 1; i <= t; i++ {
-		if qPrev.IsInfinity() || !c.InSubgroup(qPrev) {
+		if qPrev.IsInfinity() || !b.InSubgroup(backend.G1, qPrev) {
 			return false
 		}
-		pairs = append(pairs, pairing.PointPair{P: qPrev, Q: sc.hashPrefix(k.Path[:i])})
+		pairs = append(pairs, backend.PointPair{P: qPrev, Q: sc.hashPrefix(k.Path[:i])})
 		if i < t {
 			qPrev = k.Qs[i-1]
 		}
 	}
-	return sc.Set.Pairing.E2.IsOne(sc.Set.Pairing.PairProduct(pairs))
+	return b.GTIsOne(b.PairProduct(pairs))
 }

@@ -25,9 +25,6 @@ type CCACiphertext struct {
 // EncryptCCA encrypts msg to (identity, label) with chosen-ciphertext
 // security via the Fujisaki–Okamoto transform.
 func (sc *Scheme) EncryptCCA(rng io.Reader, spub core.ServerPublicKey, id, label string, msg []byte) (*CCACiphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -47,18 +44,14 @@ func (sc *Scheme) EncryptCCA(rng io.Reader, spub core.ServerPublicKey, id, label
 // DecryptCCA decrypts and runs the FO re-encryption check, rejecting
 // tampered ciphertexts and wrong updates.
 func (sc *Scheme) DecryptCCA(spub core.ServerPublicKey, priv UserPrivateKey, upd core.KeyUpdate, ct *CCACiphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || len(ct.W) != seedLen || !sc.Set.Curve.IsOnCurve(ct.U) || ct.U.IsInfinity() {
+	if ct == nil || len(ct.W) != seedLen || !sc.Set.B.IsOnCurve(backend.G1, ct.U) || ct.U.IsInfinity() {
 		return nil, core.ErrInvalidCiphertext
 	}
-	kd := sc.Set.Curve.Add(priv.D, upd.Point)
-	k := sc.Set.Pairing.Pair(ct.U, kd)
+	k := sc.decapsulate(ct.U, priv, upd)
 	sigma := rohash.XOR(ct.W, sc.mask(k, seedLen))
 	msg := rohash.XOR(ct.V, rohash.Expand("IDTRE-H4", sigma, len(ct.V)))
 	r := rohash.ToScalarNonZero("IDTRE-H3", rohash.Concat(sigma, msg), sc.Set.Q)
-	if !sc.Set.Curve.Equal(ct.U, sc.Set.Curve.ScalarMult(r, spub.G)) {
+	if !sc.Set.B.Equal(backend.G1, ct.U, sc.Set.B.ScalarMult(backend.G1, r, spub.G)) {
 		return nil, core.ErrAuthFailed
 	}
 	return msg, nil

@@ -25,7 +25,6 @@ import (
 	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -70,10 +69,7 @@ type Ciphertext struct {
 // Encrypt encrypts msg to (identity, release label) under the server's
 // public key. No receiver certificate and no interaction is needed.
 func (sc *Scheme) Encrypt(rng io.Reader, spub core.ServerPublicKey, id, label string, msg []byte) (*Ciphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	r, err := sc.Set.Curve.RandScalar(rng)
+	r, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("idtre: sampling encryption randomness: %w", err)
 	}
@@ -84,15 +80,10 @@ func (sc *Scheme) Encrypt(rng io.Reader, spub core.ServerPublicKey, id, label st
 // Decrypt combines the extracted identity key with the key update into
 // K_D = s·(H1(ID)+H1(T)) and unmasks the message.
 func (sc *Scheme) Decrypt(priv UserPrivateKey, upd core.KeyUpdate, ct *Ciphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || !sc.Set.Curve.IsOnCurve(ct.U) {
+	if ct == nil || !sc.Set.B.IsOnCurve(backend.G1, ct.U) {
 		return nil, core.ErrInvalidCiphertext
 	}
-	kd := sc.Set.Curve.Add(priv.D, upd.Point)
-	k := sc.Set.Pairing.Pair(ct.U, kd)
-	return rohash.XOR(ct.V, sc.mask(k, len(ct.V))), nil
+	return rohash.XOR(ct.V, sc.mask(sc.decapsulate(ct.U, priv, upd), len(ct.V))), nil
 }
 
 // EscrowDecrypt demonstrates the inherent key escrow of identity-based
@@ -102,9 +93,6 @@ func (sc *Scheme) Decrypt(priv UserPrivateKey, upd core.KeyUpdate, ct *Ciphertex
 // that contrast is the paper's motivation for the non-identity-based
 // construction.
 func (sc *Scheme) EscrowDecrypt(server *core.ServerKeyPair, id, label string, ct *Ciphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	priv := sc.ExtractUserKey(server, id)
 	sch := core.NewScheme(sc.Set)
 	return sc.Decrypt(priv, sch.IssueUpdate(server, label), ct)
@@ -112,19 +100,24 @@ func (sc *Scheme) EscrowDecrypt(server *core.ServerKeyPair, id, label string, ct
 
 // encapsulate computes (rG, ê(r·sG, H1(ID)+H1(T))); the pairing is
 // taken on the pre-multiplied point r·sG so no G2 exponentiation is
-// needed.
-func (sc *Scheme) encapsulate(spub core.ServerPublicKey, id, label string, r *big.Int) (curve.Point, pairing.GT) {
-	c := sc.Set.Curve
-	ke := c.Add(
-		c.HashToGroup(IdentityDomain, []byte(id)),
-		c.HashToGroup(core.TimeDomain, []byte(label)),
+// needed. Header and key halves are G1 points, K_E is a G2 point.
+func (sc *Scheme) encapsulate(spub core.ServerPublicKey, id, label string, r *big.Int) (curve.Point, backend.GT) {
+	b := sc.Set.B
+	ke := b.Add(backend.G2,
+		b.HashToG2(IdentityDomain, []byte(id)),
+		b.HashToG2(core.TimeDomain, []byte(label)),
 	)
-	u := c.ScalarMult(r, spub.G)
-	k := sc.Set.Pairing.Pair(c.ScalarMult(r, spub.SG), ke)
+	u := b.ScalarMult(backend.G1, r, spub.G)
+	k := b.Pair(b.ScalarMult(backend.G1, r, spub.SG), ke)
 	return u, k
 }
 
+// decapsulate computes K' = ê(U, K_D) for K_D = D_ID + I_T ∈ G2.
+func (sc *Scheme) decapsulate(u curve.Point, priv UserPrivateKey, upd core.KeyUpdate) backend.GT {
+	return sc.Set.B.Pair(u, sc.Set.B.Add(backend.G2, priv.D, upd.Point))
+}
+
 // mask is the scheme's H2 expander over the pairing value.
-func (sc *Scheme) mask(k pairing.GT, n int) []byte {
-	return rohash.Expand("IDTRE-H2", sc.Set.Pairing.E2.Bytes(k), n)
+func (sc *Scheme) mask(k backend.GT, n int) []byte {
+	return rohash.Expand("IDTRE-H2", sc.Set.B.GTBytes(k), n)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
 )
@@ -21,9 +22,17 @@ type env struct {
 	alice  UserPrivateKey
 }
 
-func newEnv(t *testing.T) *env {
+// onBothBackends runs body against a fresh fixture on the paper's Type-1
+// setting and on BLS12-381: the scheme is the same code on both.
+func onBothBackends(t *testing.T, body func(*testing.T, *env)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) { body(t, newEnv(t, preset)) })
+	}
+}
+
+func newEnv(t *testing.T, preset string) *env {
 	t.Helper()
-	set := params.MustPreset("Test160")
+	set := params.MustPreset(preset)
 	sc := NewScheme(set)
 	tre := core.NewScheme(set)
 	server, err := tre.ServerKeyGen(nil)
@@ -33,8 +42,9 @@ func newEnv(t *testing.T) *env {
 	return &env{sc: sc, tre: tre, server: server, alice: sc.ExtractUserKey(server, testID)}
 }
 
-func TestRoundTrip(t *testing.T) {
-	e := newEnv(t)
+func TestRoundTrip(t *testing.T) { onBothBackends(t, testRoundTrip) }
+
+func testRoundTrip(t *testing.T, e *env) {
 	msg := []byte("identity-addressed, time-locked")
 	ct, err := e.sc.Encrypt(nil, e.server.Pub, testID, testLabel, msg)
 	if err != nil {
@@ -51,7 +61,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestWrongIdentityOrUpdateYieldsGarbage(t *testing.T) {
-	e := newEnv(t)
+	onBothBackends(t, testWrongIdentityOrUpdateYieldsGarbage)
+}
+
+func testWrongIdentityOrUpdateYieldsGarbage(t *testing.T, e *env) {
 	msg := []byte("for alice after noon")
 	ct, err := e.sc.Encrypt(nil, e.server.Pub, testID, testLabel, msg)
 	if err != nil {
@@ -74,8 +87,9 @@ func TestWrongIdentityOrUpdateYieldsGarbage(t *testing.T) {
 	}
 }
 
-func TestVerifyUserKey(t *testing.T) {
-	e := newEnv(t)
+func TestVerifyUserKey(t *testing.T) { onBothBackends(t, testVerifyUserKey) }
+
+func testVerifyUserKey(t *testing.T, e *env) {
 	if !e.sc.VerifyUserKey(e.server.Pub, e.alice) {
 		t.Fatal("honest extracted key must verify")
 	}
@@ -85,17 +99,18 @@ func TestVerifyUserKey(t *testing.T) {
 		t.Fatal("key must not verify for a different identity")
 	}
 	bad2 := e.alice
-	bad2.D = e.sc.Set.Curve.Add(e.alice.D, e.sc.Set.G)
+	bad2.D = e.sc.Set.B.Add(backend.G2, e.alice.D, e.sc.Set.G2)
 	if e.sc.VerifyUserKey(e.server.Pub, bad2) {
 		t.Fatal("tampered key must not verify")
 	}
 }
 
-func TestInherentKeyEscrow(t *testing.T) {
+func TestInherentKeyEscrow(t *testing.T) { onBothBackends(t, testInherentKeyEscrow) }
+
+func testInherentKeyEscrow(t *testing.T, e *env) {
 	// §5.2: "the server could decrypt all the messages" — the key-escrow
 	// weakness that motivates the non-identity-based TRE. Demonstrate the
 	// server decrypting without ever contacting the receiver.
-	e := newEnv(t)
 	msg := []byte("nothing is hidden from the PKG")
 	ct, err := e.sc.Encrypt(nil, e.server.Pub, testID, testLabel, msg)
 	if err != nil {
@@ -110,10 +125,11 @@ func TestInherentKeyEscrow(t *testing.T) {
 	}
 }
 
-func TestSharedUpdateWithTRE(t *testing.T) {
+func TestSharedUpdateWithTRE(t *testing.T) { onBothBackends(t, testSharedUpdateWithTRE) }
+
+func testSharedUpdateWithTRE(t *testing.T, e *env) {
 	// The very same broadcast update serves both TRE and ID-TRE — one
 	// server, one update stream, two schemes.
-	e := newEnv(t)
 	user, err := e.tre.UserKeyGen(e.server.Pub, nil)
 	if err != nil {
 		t.Fatalf("UserKeyGen: %v", err)
@@ -145,8 +161,9 @@ func TestSharedUpdateWithTRE(t *testing.T) {
 	}
 }
 
-func TestFORoundTripAndTampering(t *testing.T) {
-	e := newEnv(t)
+func TestFORoundTripAndTampering(t *testing.T) { onBothBackends(t, testFORoundTripAndTampering) }
+
+func testFORoundTripAndTampering(t *testing.T, e *env) {
 	msg := []byte("CCA-secure ID-TRE")
 	ct, err := e.sc.EncryptCCA(nil, e.server.Pub, testID, testLabel, msg)
 	if err != nil {
@@ -176,8 +193,9 @@ func TestFORoundTripAndTampering(t *testing.T) {
 	}
 }
 
-func TestSplitAuthorityRoundTrip(t *testing.T) {
-	e := newEnv(t)
+func TestSplitAuthorityRoundTrip(t *testing.T) { onBothBackends(t, testSplitAuthorityRoundTrip) }
+
+func testSplitAuthorityRoundTrip(t *testing.T, e *env) {
 	// Independent PKG and time server.
 	pkg, err := e.tre.ServerKeyGen(nil)
 	if err != nil {
@@ -205,7 +223,10 @@ func TestSplitAuthorityRoundTrip(t *testing.T) {
 }
 
 func TestSplitAuthorityNeedsBothHalves(t *testing.T) {
-	e := newEnv(t)
+	onBothBackends(t, testSplitAuthorityNeedsBothHalves)
+}
+
+func testSplitAuthorityNeedsBothHalves(t *testing.T, e *env) {
 	pkg, err := e.tre.ServerKeyGen(nil)
 	if err != nil {
 		t.Fatal(err)

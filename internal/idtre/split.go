@@ -8,7 +8,6 @@ import (
 	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/rohash"
 )
 
@@ -40,28 +39,24 @@ type SplitCiphertext struct {
 // SplitEncrypt encrypts msg to an identity under PKG public key pkg and
 // release label under time-server public key ts.
 func (sc *Scheme) SplitEncrypt(rng io.Reader, pkg, ts core.ServerPublicKey, id, label string, msg []byte) (*SplitCiphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	r, err := sc.Set.Curve.RandScalar(rng)
+	r, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("idtre: sampling encryption randomness: %w", err)
 	}
-	c := sc.Set.Curve
 	k := sc.splitKey(r, pkg, ts, id, label)
 	return &SplitCiphertext{
-		U: c.ScalarMult(r, sc.Set.G),
+		U: sc.Set.B.ScalarMult(backend.G1, r, sc.Set.G),
 		V: rohash.XOR(msg, sc.splitMask(k, len(msg))),
 	}, nil
 }
 
 // splitKey computes ê(r·s₁G, H1(ID)) · ê(r·s₂G, H1(T)) with one shared
 // final exponentiation.
-func (sc *Scheme) splitKey(r *big.Int, pkg, ts core.ServerPublicKey, id, label string) pairing.GT {
-	c := sc.Set.Curve
-	return sc.Set.Pairing.PairProduct([]pairing.PointPair{
-		{P: c.ScalarMult(r, pkg.SG), Q: c.HashToGroup(IdentityDomain, []byte(id))},
-		{P: c.ScalarMult(r, ts.SG), Q: c.HashToGroup(core.TimeDomain, []byte(label))},
+func (sc *Scheme) splitKey(r *big.Int, pkg, ts core.ServerPublicKey, id, label string) backend.GT {
+	b := sc.Set.B
+	return b.PairProduct([]backend.PointPair{
+		{P: b.ScalarMult(backend.G1, r, pkg.SG), Q: b.HashToG2(IdentityDomain, []byte(id))},
+		{P: b.ScalarMult(backend.G1, r, ts.SG), Q: b.HashToG2(core.TimeDomain, []byte(label))},
 	})
 }
 
@@ -72,18 +67,13 @@ func (sc *Scheme) splitKey(r *big.Int, pkg, ts core.ServerPublicKey, id, label s
 // update from the time server (s₂·H1(T)); both authorities use the
 // canonical generator.
 func (sc *Scheme) SplitDecrypt(priv UserPrivateKey, upd core.KeyUpdate, ct *SplitCiphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	if ct == nil || !sc.Set.Curve.IsOnCurve(ct.U) {
+	if ct == nil || !sc.Set.B.IsOnCurve(backend.G1, ct.U) {
 		return nil, core.ErrInvalidCiphertext
 	}
-	kd := sc.Set.Curve.Add(priv.D, upd.Point)
-	k := sc.Set.Pairing.Pair(ct.U, kd)
-	return rohash.XOR(ct.V, sc.splitMask(k, len(ct.V))), nil
+	return rohash.XOR(ct.V, sc.splitMask(sc.decapsulate(ct.U, priv, upd), len(ct.V))), nil
 }
 
 // splitMask is the split scheme's H2 expander (own domain).
-func (sc *Scheme) splitMask(k pairing.GT, n int) []byte {
-	return rohash.Expand("IDTRE-SPLIT-H2", sc.Set.Pairing.E2.Bytes(k), n)
+func (sc *Scheme) splitMask(k backend.GT, n int) []byte {
+	return rohash.Expand("IDTRE-SPLIT-H2", sc.Set.B.GTBytes(k), n)
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
 )
@@ -50,7 +51,7 @@ func TestCrossBackendLoadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.S.Cmp(blsKey.S) != 0 || !blsSet.Curve.Equal(back.Pub.SG, blsKey.Pub.SG) {
+	if back.S.Cmp(blsKey.S) != 0 || !blsSet.B.Equal(backend.G1, back.Pub.SG, blsKey.Pub.SG) {
 		t.Fatal("BLS key round trip mismatch")
 	}
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
 	"timedrelease/internal/threshold"
@@ -35,7 +36,7 @@ func TestServerKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.S.Cmp(key.S) != 0 || !set.Curve.Equal(back.Pub.SG, key.Pub.SG) {
+	if back.S.Cmp(key.S) != 0 || !set.B.Equal(backend.G1, back.Pub.SG, key.Pub.SG) {
 		t.Fatal("round trip mismatch")
 	}
 }
@@ -59,7 +60,7 @@ func TestUserKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.A.Cmp(user.A) != 0 || !set.Curve.Equal(back.Pub.ASG, user.Pub.ASG) {
+	if back.A.Cmp(user.A) != 0 || !set.B.Equal(backend.G1, back.Pub.ASG, user.Pub.ASG) {
 		t.Fatal("round trip mismatch")
 	}
 }
@@ -161,7 +162,7 @@ func TestShareRoundTrip(t *testing.T) {
 		if loaded.Share.S.Cmp(share.S) != 0 {
 			t.Fatal("scalar mismatch")
 		}
-		if !set.Curve.Equal(loaded.Share.Pub, share.Pub) {
+		if !set.B.Equal(backend.G1, loaded.Share.Pub, share.Pub) {
 			t.Fatal("pub mismatch")
 		}
 	}

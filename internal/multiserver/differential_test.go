@@ -11,6 +11,7 @@ import (
 	"math/big"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
 )
@@ -49,21 +50,21 @@ func TestSingleServerGroupMatchesCorePairing(t *testing.T) {
 	}
 	upd := tre.IssueUpdate(server, testLabel)
 
-	got, err := sc.decapsulate(user, []core.KeyUpdate{upd}, ct, true)
+	got, err := sc.decapsulate(user, []core.KeyUpdate{upd}, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Core-primitive recomputation, no multiserver code involved:
 	// ê(a·U, I_T) with U = rG, I_T = s·H1(T).
-	want := set.Pairing.Pair(set.Curve.ScalarMult(user.A, ct.Us[0]), upd.Point)
-	if !set.Pairing.E2.Equal(got, want) {
+	want := set.B.Pair(set.B.ScalarMult(backend.G1, user.A, ct.Us[0]), upd.Point)
+	if !set.B.GTEqual(got, want) {
 		t.Fatal("multiserver decapsulation differs from the core pairing for a 1-server group")
 	}
 }
 
-// The shared-final-exponentiation fast path and the N-independent-
-// pairings reference must agree on the GT itself (the ciphertext-level
-// agreement is covered in multiserver_test.go).
+// The shared-final-exponentiation path and the N-independent-pairings
+// reference (separateProduct, in multiserver_test.go) must agree on the
+// GT itself; the ciphertext-level agreement is covered there too.
 func TestDecapsulationPathsAgreeOnGT(t *testing.T) {
 	e := newEnv(t, 3)
 	ct, err := e.sc.Encrypt(nil, e.group, e.user.Pub, testLabel, []byte("paths"))
@@ -71,15 +72,11 @@ func TestDecapsulationPathsAgreeOnGT(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := e.updates(testLabel)
-	shared, err := e.sc.decapsulate(e.user, ups, ct, true)
+	shared, err := e.sc.decapsulate(e.user, ups, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	separate, err := e.sc.decapsulate(e.user, ups, ct, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.sc.Set.Pairing.E2.Equal(shared, separate) {
+	if !e.sc.Set.B.GTEqual(shared, separateProduct(e, ups, ct)) {
 		t.Fatal("shared and separate final exponentiation disagree on the GT")
 	}
 }

@@ -12,7 +12,19 @@
 //
 // Decryption multiplies per-server pairings ê(a·rGᵢ, sᵢH1(T)); the
 // implementation shares one final exponentiation across all N Miller
-// loops (the separate-exponentiation path is kept for the E5 ablation).
+// loops.
+//
+// The construction is Type-1 only. Encryption and decryption pair a G1
+// header with a G2 update like every other scheme here, but the
+// sender's check on the receiver's combined key,
+//
+//	ê(aG, Σ sᵢGᵢ) = ê(G, a·Σ sᵢGᵢ),
+//
+// puts two G1 points into one pairing: every sᵢGᵢ is over its own
+// generator Gᵢ ∈ G1, and no G2 mirror of it exists in the published
+// keys. Without that check Encrypt would trust an unverified key, so
+// key generation, Encrypt and Decrypt return backend.ErrSymmetricOnly
+// on an asymmetric set and VerifyUserPublicKey reports false.
 package multiserver
 
 import (
@@ -24,7 +36,6 @@ import (
 	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -48,9 +59,9 @@ type ServerGroup []core.ServerPublicKey
 // SumSG returns Σ sᵢGᵢ, the aggregate the receiver's combined key is
 // built from.
 func (sc *Scheme) SumSG(servers ServerGroup) curve.Point {
-	acc := curve.Infinity()
+	acc := sc.Set.B.Infinity(backend.G1)
 	for _, s := range servers {
-		acc = sc.Set.Curve.Add(acc, s.SG)
+		acc = sc.Set.B.Add(backend.G1, acc, s.SG)
 	}
 	return acc
 }
@@ -71,10 +82,7 @@ type UserKeyPair struct {
 
 // UserKeyGen generates a fresh key pair for the server group.
 func (sc *Scheme) UserKeyGen(servers ServerGroup, rng io.Reader) (*UserKeyPair, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
-	a, err := sc.Set.Curve.RandScalar(rng)
+	a, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +94,8 @@ func (sc *Scheme) UserKeyGen(servers ServerGroup, rng io.Reader) (*UserKeyPair, 
 // particular server group without changing identity keys.
 func (sc *Scheme) UserKeyFromScalar(servers ServerGroup, a *big.Int) (*UserKeyPair, error) {
 	if sc.Set.Asymmetric() {
+		// The combined key a·Σ sᵢGᵢ is only ever checked by
+		// ê(aG, Σ sᵢGᵢ) = ê(G, a·Σ sᵢGᵢ), a pairing of two G1 points.
 		return nil, backend.ErrSymmetricOnly
 	}
 	if len(servers) == 0 {
@@ -94,28 +104,29 @@ func (sc *Scheme) UserKeyFromScalar(servers ServerGroup, a *big.Int) (*UserKeyPa
 	if a.Sign() <= 0 || a.Cmp(sc.Set.Q) >= 0 {
 		return nil, errors.New("multiserver: private scalar out of range [1, q-1]")
 	}
-	c := sc.Set.Curve
+	b := sc.Set.B
 	return &UserKeyPair{
 		A: new(big.Int).Set(a),
 		Pub: UserPublicKey{
-			AG:       c.ScalarMult(a, sc.Set.G),
-			Combined: c.ScalarMult(a, sc.SumSG(servers)),
+			AG:       b.ScalarMult(backend.G1, a, sc.Set.G),
+			Combined: b.ScalarMult(backend.G1, a, sc.SumSG(servers)),
 		},
 	}, nil
 }
 
 // VerifyUserPublicKey is the sender's "same trick as above" check
 // (§5.3.5): ê(aG, Σ sᵢGᵢ) = ê(G, a·Σ sᵢGᵢ), with aG over the canonical
-// generator.
+// generator. Both pairings take two G1 points, so on an asymmetric set
+// the equation cannot be evaluated and no key verifies.
 func (sc *Scheme) VerifyUserPublicKey(servers ServerGroup, upub UserPublicKey) bool {
-	if len(servers) == 0 || upub.AG.IsInfinity() || upub.Combined.IsInfinity() {
+	if sc.Set.Asymmetric() || len(servers) == 0 || upub.AG.IsInfinity() || upub.Combined.IsInfinity() {
 		return false
 	}
-	c := sc.Set.Curve
-	if !c.InSubgroup(upub.AG) || !c.InSubgroup(upub.Combined) {
+	b := sc.Set.B
+	if !b.InSubgroup(backend.G1, upub.AG) || !b.InSubgroup(backend.G1, upub.Combined) {
 		return false
 	}
-	return sc.Set.Pairing.SamePairing(upub.AG, sc.SumSG(servers), sc.Set.G, upub.Combined)
+	return b.SamePairing(upub.AG, sc.SumSG(servers), sc.Set.G, upub.Combined)
 }
 
 // Ciphertext carries one header point rGᵢ per server plus the masked
@@ -129,22 +140,24 @@ type Ciphertext struct {
 // N-header ciphertext.
 func (sc *Scheme) Encrypt(rng io.Reader, servers ServerGroup, upub UserPublicKey, label string, msg []byte) (*Ciphertext, error) {
 	if sc.Set.Asymmetric() {
+		// Encrypting means trusting upub, and VerifyUserPublicKey's
+		// ê(aG, Σ sᵢGᵢ) = ê(G, a·Σ sᵢGᵢ) needs a Type-1 pairing.
 		return nil, backend.ErrSymmetricOnly
 	}
 	if !sc.VerifyUserPublicKey(servers, upub) {
 		return nil, core.ErrInvalidPublicKey
 	}
-	r, err := sc.Set.Curve.RandScalar(rng)
+	b := sc.Set.B
+	r, err := b.RandScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("multiserver: sampling encryption randomness: %w", err)
 	}
-	c := sc.Set.Curve
 	us := make([]curve.Point, len(servers))
 	for i, s := range servers {
-		us[i] = c.ScalarMult(r, s.G)
+		us[i] = b.ScalarMult(backend.G1, r, s.G)
 	}
-	h := c.HashToGroup(core.TimeDomain, []byte(label))
-	k := sc.Set.Pairing.Pair(c.ScalarMult(r, upub.Combined), h)
+	h := b.HashToG2(core.TimeDomain, []byte(label))
+	k := b.Pair(b.ScalarMult(backend.G1, r, upub.Combined), h)
 	return &Ciphertext{Us: us, V: rohash.XOR(msg, sc.mask(k, len(msg)))}, nil
 }
 
@@ -152,57 +165,42 @@ func (sc *Scheme) Encrypt(rng io.Reader, servers ServerGroup, upub UserPublicKey
 // one key update per server (all for the same label, in server order).
 // The N pairings share a single final exponentiation.
 func (sc *Scheme) Decrypt(upriv *UserKeyPair, updates []core.KeyUpdate, ct *Ciphertext) ([]byte, error) {
-	k, err := sc.decapsulate(upriv, updates, ct, true)
+	k, err := sc.decapsulate(upriv, updates, ct)
 	if err != nil {
 		return nil, err
 	}
 	return rohash.XOR(ct.V, sc.mask(k, len(ct.V))), nil
 }
 
-// DecryptSeparate is Decrypt without the shared-final-exponentiation
-// optimisation (N independent full pairings, then a product). It exists
-// for the E5 ablation and must agree with Decrypt bit-for-bit.
-func (sc *Scheme) DecryptSeparate(upriv *UserKeyPair, updates []core.KeyUpdate, ct *Ciphertext) ([]byte, error) {
-	k, err := sc.decapsulate(upriv, updates, ct, false)
-	if err != nil {
-		return nil, err
-	}
-	return rohash.XOR(ct.V, sc.mask(k, len(ct.V))), nil
-}
-
-func (sc *Scheme) decapsulate(upriv *UserKeyPair, updates []core.KeyUpdate, ct *Ciphertext, shared bool) (pairing.GT, error) {
+// decapsulate computes K = Π ê(a·Uᵢ, I_Tᵢ) as one pairing product.
+func (sc *Scheme) decapsulate(upriv *UserKeyPair, updates []core.KeyUpdate, ct *Ciphertext) (backend.GT, error) {
 	if sc.Set.Asymmetric() {
-		return pairing.GT{}, backend.ErrSymmetricOnly
+		// Nothing Encrypt refuses to produce is worth opening: the key
+		// pair behind upriv only exists where ê(aG, Σ sᵢGᵢ) does.
+		return nil, backend.ErrSymmetricOnly
 	}
 	if ct == nil || len(ct.Us) == 0 {
-		return pairing.GT{}, core.ErrInvalidCiphertext
+		return nil, core.ErrInvalidCiphertext
 	}
 	if len(updates) != len(ct.Us) {
-		return pairing.GT{}, fmt.Errorf("%w: %d updates for %d headers", ErrUpdateCount, len(updates), len(ct.Us))
+		return nil, fmt.Errorf("%w: %d updates for %d headers", ErrUpdateCount, len(updates), len(ct.Us))
 	}
 	label := updates[0].Label
-	c := sc.Set.Curve
-	pairs := make([]pairing.PointPair, 0, len(ct.Us))
+	b := sc.Set.B
+	pairs := make([]backend.PointPair, 0, len(ct.Us))
 	for i, u := range ct.Us {
-		if !c.IsOnCurve(u) {
-			return pairing.GT{}, core.ErrInvalidCiphertext
+		if !b.IsOnCurve(backend.G1, u) {
+			return nil, core.ErrInvalidCiphertext
 		}
 		if updates[i].Label != label {
-			return pairing.GT{}, core.ErrLabelMismatch
+			return nil, core.ErrLabelMismatch
 		}
-		pairs = append(pairs, pairing.PointPair{P: c.ScalarMult(upriv.A, u), Q: updates[i].Point})
+		pairs = append(pairs, backend.PointPair{P: b.ScalarMult(backend.G1, upriv.A, u), Q: updates[i].Point})
 	}
-	if shared {
-		return sc.Set.Pairing.PairProduct(pairs), nil
-	}
-	acc := sc.Set.Pairing.E2.One()
-	for _, pq := range pairs {
-		acc = sc.Set.Pairing.E2.Mul(acc, sc.Set.Pairing.Pair(pq.P, pq.Q))
-	}
-	return acc, nil
+	return b.PairProduct(pairs), nil
 }
 
 // mask is the scheme's H2 expander.
-func (sc *Scheme) mask(k pairing.GT, n int) []byte {
-	return rohash.Expand("MSTRE-H2", sc.Set.Pairing.E2.Bytes(k), n)
+func (sc *Scheme) mask(k backend.GT, n int) []byte {
+	return rohash.Expand("MSTRE-H2", sc.Set.B.GTBytes(k), n)
 }

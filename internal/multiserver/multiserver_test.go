@@ -5,8 +5,11 @@ import (
 	"errors"
 	"testing"
 
+	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
+	"timedrelease/internal/rohash"
 )
 
 const testLabel = "2026-07-05T12:00:00Z"
@@ -27,17 +30,13 @@ func newEnv(t *testing.T, n int) *env {
 	e := &env{sc: sc, tre: tre}
 	for i := 0; i < n; i++ {
 		// Each server gets its own generator, the general case of §5.3.5.
-		g, err := set.Curve.RandomSubgroupPoint(nil)
-		if err != nil {
-			t.Fatalf("RandomSubgroupPoint: %v", err)
-		}
-		s, err := set.Curve.RandScalar(nil)
+		k, err := set.B.RandScalar(nil)
 		if err != nil {
 			t.Fatalf("RandScalar: %v", err)
 		}
-		kp := &core.ServerKeyPair{
-			S:   s,
-			Pub: core.ServerPublicKey{G: g, SG: set.Curve.ScalarMult(s, g)},
+		kp, err := bls.GenerateKeyWithGenerator(set, set.B.ScalarMult(backend.G1, k, set.G), nil)
+		if err != nil {
+			t.Fatalf("GenerateKeyWithGenerator: %v", err)
 		}
 		e.servers = append(e.servers, kp)
 		e.group = append(e.group, kp.Pub)
@@ -56,6 +55,17 @@ func (e *env) updates(label string) []core.KeyUpdate {
 		ups[i] = e.tre.IssueUpdate(s, label)
 	}
 	return ups
+}
+
+// separateProduct is the N-independent-pairings reference for
+// decapsulate: Π ê(a·Uᵢ, I_Tᵢ) with a final exponentiation per factor.
+func separateProduct(e *env, ups []core.KeyUpdate, ct *Ciphertext) backend.GT {
+	b := e.sc.Set.B
+	acc := b.GTOne()
+	for i, u := range ct.Us {
+		acc = b.GTMul(acc, b.Pair(b.ScalarMult(backend.G1, e.user.A, u), ups[i].Point))
+	}
+	return acc
 }
 
 func TestRoundTripAcrossGroupSizes(t *testing.T) {
@@ -91,10 +101,9 @@ func TestSharedAndSeparateFinalExpAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decrypt: %v", err)
 	}
-	b, err := e.sc.DecryptSeparate(e.user, ups, ct)
-	if err != nil {
-		t.Fatalf("DecryptSeparate: %v", err)
-	}
+	// The reference lives here: three full pairings multiplied in GT,
+	// then the scheme's own mask.
+	b := rohash.XOR(ct.V, e.sc.mask(separateProduct(e, ups, ct), len(ct.V)))
 	if !bytes.Equal(a, b) || !bytes.Equal(a, msg) {
 		t.Fatal("shared and separate final-exponentiation paths must agree")
 	}
@@ -133,7 +142,7 @@ func TestVerifyUserPublicKey(t *testing.T) {
 		t.Fatal("honest combined key must verify")
 	}
 	bad := e.user.Pub
-	bad.Combined = e.sc.Set.Curve.Add(bad.Combined, e.sc.Set.G)
+	bad.Combined = e.sc.Set.B.Add(backend.G1, bad.Combined, e.sc.Set.G)
 	if e.sc.VerifyUserPublicKey(e.group, bad) {
 		t.Fatal("malformed combined key must be rejected")
 	}
@@ -156,7 +165,7 @@ func TestUserKeyFromScalarReusesIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UserKeyFromScalar: %v", err)
 	}
-	if !e.sc.Set.Curve.Equal(regrouped.Pub.AG, e.user.Pub.AG) {
+	if !e.sc.Set.B.Equal(backend.G1, regrouped.Pub.AG, e.user.Pub.AG) {
 		t.Fatal("certified AG must not change across server groups")
 	}
 	if !e.sc.VerifyUserPublicKey(e.group[:1], regrouped.Pub) {

@@ -7,7 +7,12 @@
 // h = (p+1)/q and the canonical generator is derived by hashing the
 // primes onto the subgroup, so parameter sets are self-contained and
 // anyone can re-derive and audit them. Embedded presets cover a fast
-// test size and the 2005-era through modern production sizes.
+// test size and the 2005-era through modern production sizes, plus the
+// Type-3 BLS12-381 setting.
+//
+// A Set hands out its pairing setting only as a backend.Backend (Set.B):
+// this package and internal/backend are the two that name a curve or a
+// pairing, and everything above them goes through that interface.
 package params
 
 import (
@@ -35,22 +40,18 @@ const primalityRounds = 64
 // Set is a complete, ready-to-use parameter set. All fields are
 // populated by the constructors; treat them as read-only.
 //
-// Every set carries a pairing backend in B; scheme code should reach
-// the group and pairing operations through it. On Type-1 (symmetric)
-// sets Curve and Pairing additionally expose the underlying
-// supersingular machinery and G2 == G; on asymmetric sets (BLS12-381)
-// Curve and Pairing are nil and G/G2 are the distinct G1/G2
-// generators.
+// Every set carries a pairing backend in B, and B is the only way to
+// the group and pairing operations: no field names a curve. On Type-1
+// (symmetric) sets G2 == G; on asymmetric sets (BLS12-381) G/G2 are the
+// distinct G1/G2 generators.
 type Set struct {
 	Name string   // human-readable label ("SS512", "BLS12-381", ...)
 	P    *big.Int // base-field prime
 	Q    *big.Int // prime order of the working subgroup
 	H    *big.Int // G1 cofactor
 
-	Curve   *curve.Curve     // Type-1 curve context, nil when asymmetric
-	Pairing *pairing.Pairing // Type-1 pairing context, nil when asymmetric
-	G       curve.Point      // canonical G1 generator
-	G2      curve.Point      // canonical G2 generator (== G when symmetric)
+	G  curve.Point // canonical G1 generator
+	G2 curve.Point // canonical G2 generator (== G when symmetric)
 
 	B backend.Backend // the pairing backend, never nil
 }
@@ -83,8 +84,8 @@ func FromPQ(name string, p, q *big.Int) (*Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("params: %w", err)
 	}
-	s := &Set{Name: name, P: new(big.Int).Set(p), Q: new(big.Int).Set(q), H: h, Curve: c, Pairing: pr}
-	s.G = s.deriveGenerator()
+	s := &Set{Name: name, P: new(big.Int).Set(p), Q: new(big.Int).Set(q), H: h}
+	s.G = c.HashToGroup(generatorDomain, s.generatorSeed())
 	if s.G.IsInfinity() {
 		return nil, errors.New("params: derived generator is the identity")
 	}
@@ -95,8 +96,7 @@ func FromPQ(name string, p, q *big.Int) (*Set, error) {
 
 // fromBLS12381 assembles the BLS12-381 parameter set around the
 // Type-3 backend. The structural fields mirror the backend's curve
-// constants; Curve and Pairing stay nil since there is no Type-1
-// machinery behind this set.
+// constants.
 func fromBLS12381(name string) *Set {
 	b := bls381.New()
 	return &Set{
@@ -110,11 +110,13 @@ func fromBLS12381(name string) *Set {
 	}
 }
 
-// deriveGenerator hashes (p, q) onto the subgroup, giving a canonical
-// generator anyone can recompute from the primes alone.
-func (s *Set) deriveGenerator() curve.Point {
-	seed := rohash.Concat([]byte("generator"), s.P.Bytes(), s.Q.Bytes())
-	return s.Curve.HashToGroup("params", seed)
+// generatorDomain and generatorSeed fix the canonical Type-1 generator:
+// (p, q) hashed onto the subgroup, so anyone can recompute it from the
+// primes alone.
+const generatorDomain = "params"
+
+func (s *Set) generatorSeed() []byte {
+	return rohash.Concat([]byte("generator"), s.P.Bytes(), s.Q.Bytes())
 }
 
 // Validate performs the full (slow) audit of a parameter set: primality
@@ -151,10 +153,10 @@ func (s *Set) Validate() error {
 	if new(big.Int).Mod(s.H, s.Q).Sign() == 0 {
 		return errors.New("params: q² divides p+1")
 	}
-	if !s.Curve.InSubgroup(s.G) {
+	if !s.B.InSubgroup(backend.G1, s.G) {
 		return errors.New("params: generator not in subgroup")
 	}
-	if !s.Curve.Equal(s.G, s.deriveGenerator()) {
+	if !s.B.Equal(backend.G1, s.G, s.B.HashToG2(generatorDomain, s.generatorSeed())) {
 		return errors.New("params: generator is not the canonical derivation")
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+
+	"timedrelease/internal/backend"
 )
 
 func TestAllPresetsValidate(t *testing.T) {
@@ -68,7 +70,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal("marshal round trip mismatch")
 	}
 	// The canonical generator must re-derive identically.
-	if !set.Curve.Equal(back.G, set.G) {
+	if !set.B.Equal(backend.G1, back.G, set.G) {
 		t.Fatal("generator derivation is not canonical")
 	}
 }
@@ -136,7 +138,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad2.G = bad2.Curve.Add(bad2.G, bad2.G)
+	bad2.G = bad2.B.Add(backend.G1, bad2.G, bad2.G)
 	if err := bad2.Validate(); err == nil || !strings.Contains(err.Error(), "canonical") {
 		t.Fatalf("non-canonical generator: err=%v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/ff"
 )
 
@@ -42,6 +43,10 @@ func randBits(rng io.Reader, bits int) (*big.Int, error) {
 	return n, nil
 }
 
-// Field exposes the base field of the set (convenience for callers that
-// only need F_p arithmetic).
-func (s *Set) Field() *ff.Field { return s.Curve.F }
+// Field exposes the base field of a Type-1 set: the benchmark module's
+// ff.ss512_* probes time F_p alone. It panics on an asymmetric set,
+// which has no such field.
+func (s *Set) Field() *ff.Field {
+	c, _ := s.B.(*backend.Symmetric).Type1()
+	return c.F
+}

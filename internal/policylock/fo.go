@@ -31,9 +31,6 @@ type CCACiphertext struct {
 // EncryptCCA locks msg under the policy with chosen-ciphertext
 // integrity.
 func (sc *Scheme) EncryptCCA(rng io.Reader, wpub core.ServerPublicKey, upub core.UserPublicKey, policy Policy, msg []byte) (*CCACiphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if err := policy.validate(); err != nil {
 		return nil, err
 	}
@@ -62,16 +59,10 @@ func (sc *Scheme) EncryptCCA(rng io.Reader, wpub core.ServerPublicKey, upub core
 // recovered plaintext, and binds the headers to the exact ciphertext
 // body.
 func (sc *Scheme) foHeaders(kappa, v []byte, wpub core.ServerPublicKey, upub core.UserPublicKey, policy Policy) []ClauseHeader {
-	c := sc.Set.Curve
 	headers := make([]ClauseHeader, 0, len(policy.Clauses))
 	for j, clause := range policy.Clauses {
 		r := sc.foClauseScalar(kappa, v, policy, j)
-		hsum := sc.clauseHashSum(clause)
-		k := sc.Set.Pairing.Pair(c.ScalarMult(r, upub.ASG), hsum)
-		headers = append(headers, ClauseHeader{
-			U:    c.ScalarMult(r, wpub.G),
-			Wrap: rohash.XOR(kappa, sc.mask(k, keyLen)),
-		})
+		headers = append(headers, sc.clauseHeader(r, kappa, wpub, upub, clause))
 	}
 	return headers
 }
@@ -81,9 +72,6 @@ func (sc *Scheme) foHeaders(kappa, v []byte, wpub core.ServerPublicKey, upub cor
 // decryptor needs their own public key for the recheck; it is taken
 // from upriv.Pub.
 func (sc *Scheme) DecryptCCA(wpub core.ServerPublicKey, upriv *core.UserKeyPair, atts []Attestation, ct *CCACiphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if ct == nil || len(ct.Headers) != len(ct.Policy.Clauses) {
 		return nil, core.ErrInvalidCiphertext
 	}
@@ -91,18 +79,15 @@ func (sc *Scheme) DecryptCCA(wpub core.ServerPublicKey, upriv *core.UserKeyPair,
 	for _, a := range atts {
 		have[a.Condition] = a.Point
 	}
-	c := sc.Set.Curve
 	for j, clause := range ct.Policy.Clauses {
-		agg, ok := aggregateClause(c, clause, have)
+		agg, ok := sc.aggregateClause(clause, have)
 		if !ok {
 			continue
 		}
-		hdr := ct.Headers[j]
-		if !c.IsOnCurve(hdr.U) || len(hdr.Wrap) != keyLen {
-			return nil, core.ErrInvalidCiphertext
+		kappa, err := sc.unwrap(upriv, ct.Headers[j], agg)
+		if err != nil {
+			return nil, err
 		}
-		k := sc.Set.Pairing.Pair(c.ScalarMult(upriv.A, hdr.U), agg)
-		kappa := rohash.XOR(hdr.Wrap, sc.mask(k, keyLen))
 		if !sc.foRecheck(kappa, wpub, upriv.Pub, ct) {
 			return nil, core.ErrAuthFailed
 		}
@@ -120,7 +105,7 @@ func (sc *Scheme) foRecheck(kappa []byte, wpub core.ServerPublicKey, upub core.U
 	}
 	ok := true
 	for j := range want {
-		if !sc.Set.Curve.Equal(want[j].U, ct.Headers[j].U) {
+		if !sc.Set.B.Equal(backend.G1, want[j].U, ct.Headers[j].U) {
 			ok = false
 		}
 		if subtle.ConstantTimeCompare(want[j].Wrap, ct.Headers[j].Wrap) != 1 {

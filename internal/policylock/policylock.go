@@ -14,6 +14,10 @@
 //     single key update;
 //   - OR is handled with one ciphertext header per clause, all
 //     encapsulating the same message key.
+//
+// Clause headers are G1 points; hashed conditions, their per-clause
+// sums and the attestations are G2 points — the same typing as a
+// ciphertext header and a key update in package core.
 package policylock
 
 import (
@@ -21,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"sort"
 	"strings"
 
@@ -28,7 +33,6 @@ import (
 	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -143,9 +147,6 @@ const keyLen = 32
 // key upub (the receiver's private key is needed in addition to the
 // attestations — the "extra lock layer" of §5.3.2 / [13]).
 func (sc *Scheme) Encrypt(rng io.Reader, wpub core.ServerPublicKey, upub core.UserPublicKey, policy Policy, msg []byte) (*Ciphertext, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if err := policy.validate(); err != nil {
 		return nil, err
 	}
@@ -160,22 +161,16 @@ func (sc *Scheme) Encrypt(rng io.Reader, wpub core.ServerPublicKey, upub core.Us
 	if _, err := io.ReadFull(rng, kappa); err != nil {
 		return nil, fmt.Errorf("policylock: sampling message key: %w", err)
 	}
-	c := sc.Set.Curve
 	ct := &Ciphertext{
 		Policy: policy,
 		V:      rohash.XOR(msg, rohash.Expand("PL-DEM", kappa, len(msg))),
 	}
 	for _, clause := range policy.Clauses {
-		r, err := c.RandScalar(rng)
+		r, err := sc.Set.B.RandScalar(rng)
 		if err != nil {
 			return nil, fmt.Errorf("policylock: sampling clause randomness: %w", err)
 		}
-		hsum := sc.clauseHashSum(clause)
-		k := sc.Set.Pairing.Pair(c.ScalarMult(r, upub.ASG), hsum)
-		ct.Headers = append(ct.Headers, ClauseHeader{
-			U:    c.ScalarMult(r, wpub.G),
-			Wrap: rohash.XOR(kappa, sc.mask(k, keyLen)),
-		})
+		ct.Headers = append(ct.Headers, sc.clauseHeader(r, kappa, wpub, upub, clause))
 	}
 	return ct, nil
 }
@@ -189,9 +184,6 @@ func (sc *Scheme) Encrypt(rng io.Reader, wpub core.ServerPublicKey, upub core.Us
 //
 // It returns ErrPolicyUnsatisfied when no clause is fully attested.
 func (sc *Scheme) Decrypt(upriv *core.UserKeyPair, atts []Attestation, ct *Ciphertext) ([]byte, error) {
-	if sc.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	if ct == nil || len(ct.Headers) != len(ct.Policy.Clauses) {
 		return nil, core.ErrInvalidCiphertext
 	}
@@ -199,18 +191,15 @@ func (sc *Scheme) Decrypt(upriv *core.UserKeyPair, atts []Attestation, ct *Ciphe
 	for _, a := range atts {
 		have[a.Condition] = a.Point
 	}
-	c := sc.Set.Curve
 	for j, clause := range ct.Policy.Clauses {
-		agg, ok := aggregateClause(c, clause, have)
+		agg, ok := sc.aggregateClause(clause, have)
 		if !ok {
 			continue
 		}
-		hdr := ct.Headers[j]
-		if !c.IsOnCurve(hdr.U) || len(hdr.Wrap) != keyLen {
-			return nil, core.ErrInvalidCiphertext
+		kappa, err := sc.unwrap(upriv, ct.Headers[j], agg)
+		if err != nil {
+			return nil, err
 		}
-		k := sc.Set.Pairing.Pair(c.ScalarMult(upriv.A, hdr.U), agg)
-		kappa := rohash.XOR(hdr.Wrap, sc.mask(k, keyLen))
 		return rohash.XOR(ct.V, rohash.Expand("PL-DEM", kappa, len(ct.V))), nil
 	}
 	return nil, ErrPolicyUnsatisfied
@@ -262,8 +251,8 @@ func (p Policy) Conditions() []string {
 // aggregateClause sums the attestation points for every condition of
 // the clause, deduplicating repeated conditions (a condition listed
 // twice still contributes once, matching clauseHashSum).
-func aggregateClause(c *curve.Curve, clause []string, have map[string]curve.Point) (curve.Point, bool) {
-	acc := curve.Infinity()
+func (sc *Scheme) aggregateClause(clause []string, have map[string]curve.Point) (curve.Point, bool) {
+	acc := sc.Set.B.Infinity(backend.G2)
 	seen := map[string]bool{}
 	for _, cond := range clause {
 		if seen[cond] {
@@ -274,28 +263,50 @@ func aggregateClause(c *curve.Curve, clause []string, have map[string]curve.Poin
 		if !ok {
 			return curve.Point{}, false
 		}
-		acc = c.Add(acc, pt)
+		acc = sc.Set.B.Add(backend.G2, acc, pt)
 	}
 	return acc, true
 }
 
 // clauseHashSum computes Σ H1(cᵢ) over the deduplicated clause.
 func (sc *Scheme) clauseHashSum(clause []string) curve.Point {
-	acc := curve.Infinity()
+	acc := sc.Set.B.Infinity(backend.G2)
 	seen := map[string]bool{}
 	for _, cond := range clause {
 		if seen[cond] {
 			continue
 		}
 		seen[cond] = true
-		acc = sc.Set.Curve.Add(acc, sc.Set.Curve.HashToGroup(ConditionDomain, []byte(cond)))
+		acc = sc.Set.B.Add(backend.G2, acc, sc.Set.B.HashToG2(ConditionDomain, []byte(cond)))
 	}
 	return acc
 }
 
+// clauseHeader encapsulates κ for one clause under randomness r:
+// ⟨r·G, κ ⊕ H2(ê(r·asG, Σ H1(cᵢ)))⟩.
+func (sc *Scheme) clauseHeader(r *big.Int, kappa []byte, wpub core.ServerPublicKey, upub core.UserPublicKey, clause []string) ClauseHeader {
+	b := sc.Set.B
+	k := b.Pair(b.ScalarMult(backend.G1, r, upub.ASG), sc.clauseHashSum(clause))
+	return ClauseHeader{
+		U:    b.ScalarMult(backend.G1, r, wpub.G),
+		Wrap: rohash.XOR(kappa, sc.mask(k, keyLen)),
+	}
+}
+
+// unwrap recovers κ from a clause header with the receiver's private
+// scalar and the clause's aggregated attestation.
+func (sc *Scheme) unwrap(upriv *core.UserKeyPair, hdr ClauseHeader, agg curve.Point) ([]byte, error) {
+	b := sc.Set.B
+	if !b.IsOnCurve(backend.G1, hdr.U) || len(hdr.Wrap) != keyLen {
+		return nil, core.ErrInvalidCiphertext
+	}
+	k := b.Pair(b.ScalarMult(backend.G1, upriv.A, hdr.U), agg)
+	return rohash.XOR(hdr.Wrap, sc.mask(k, keyLen)), nil
+}
+
 // mask is the scheme's H2 expander.
-func (sc *Scheme) mask(k pairing.GT, n int) []byte {
-	return rohash.Expand("PL-H2", sc.Set.Pairing.E2.Bytes(k), n)
+func (sc *Scheme) mask(k backend.GT, n int) []byte {
+	return rohash.Expand("PL-H2", sc.Set.B.GTBytes(k), n)
 }
 
 // Threshold builds the k-of-n monotone policy over the given conditions

@@ -17,9 +17,17 @@ type env struct {
 	user    *core.UserKeyPair
 }
 
-func newEnv(t *testing.T) *env {
+// onBothBackends runs body against a fresh fixture on the paper's Type-1
+// setting and on BLS12-381: the scheme is the same code on both.
+func onBothBackends(t *testing.T, body func(*testing.T, *env)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) { body(t, newEnv(t, preset)) })
+	}
+}
+
+func newEnv(t *testing.T, preset string) *env {
 	t.Helper()
-	set := params.MustPreset("Test160")
+	set := params.MustPreset(preset)
 	sc := NewScheme(set)
 	tre := core.NewScheme(set)
 	witness, err := tre.ServerKeyGen(nil)
@@ -73,8 +81,9 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestSingleConditionRoundTrip(t *testing.T) {
-	e := newEnv(t)
+func TestSingleConditionRoundTrip(t *testing.T) { onBothBackends(t, testSingleConditionRoundTrip) }
+
+func testSingleConditionRoundTrip(t *testing.T, e *env) {
 	policy, err := ParsePolicy("task X completed")
 	if err != nil {
 		t.Fatalf("ParsePolicy: %v", err)
@@ -93,8 +102,9 @@ func TestSingleConditionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestANDRequiresAllConditions(t *testing.T) {
-	e := newEnv(t)
+func TestANDRequiresAllConditions(t *testing.T) { onBothBackends(t, testANDRequiresAllConditions) }
+
+func testANDRequiresAllConditions(t *testing.T, e *env) {
 	policy, err := ParsePolicy("board approved & audit passed")
 	if err != nil {
 		t.Fatalf("ParsePolicy: %v", err)
@@ -116,8 +126,9 @@ func TestANDRequiresAllConditions(t *testing.T) {
 	}
 }
 
-func TestORAnyClauseSuffices(t *testing.T) {
-	e := newEnv(t)
+func TestORAnyClauseSuffices(t *testing.T) { onBothBackends(t, testORAnyClauseSuffices) }
+
+func testORAnyClauseSuffices(t *testing.T, e *env) {
 	policy, err := ParsePolicy("emergency | ceo approves & cfo approves")
 	if err != nil {
 		t.Fatalf("ParsePolicy: %v", err)
@@ -143,10 +154,11 @@ func TestORAnyClauseSuffices(t *testing.T) {
 	}
 }
 
-func TestReceiverKeyStillRequired(t *testing.T) {
+func TestReceiverKeyStillRequired(t *testing.T) { onBothBackends(t, testReceiverKeyStillRequired) }
+
+func testReceiverKeyStillRequired(t *testing.T, e *env) {
 	// The "extra lock layer": attestations alone do not open the message
 	// — the designated receiver's private key is also needed.
-	e := newEnv(t)
 	policy, _ := ParsePolicy("cond")
 	msg := []byte("receiver-bound")
 	ct, err := e.sc.Encrypt(nil, e.witness.Pub, e.user.Pub, policy, msg)
@@ -167,9 +179,12 @@ func TestReceiverKeyStillRequired(t *testing.T) {
 }
 
 func TestForgedAttestationRejectedAndUseless(t *testing.T) {
-	e := newEnv(t)
+	onBothBackends(t, testForgedAttestationRejectedAndUseless)
+}
+
+func testForgedAttestationRejectedAndUseless(t *testing.T, e *env) {
 	// Forged attestation: random point.
-	forged := Attestation{Condition: "cond", Point: e.sc.Set.G}
+	forged := Attestation{Condition: "cond", Point: e.sc.Set.G2}
 	if e.sc.VerifyAttestation(e.witness.Pub, forged) {
 		t.Fatal("forged attestation must not verify")
 	}
@@ -196,9 +211,12 @@ func TestForgedAttestationRejectedAndUseless(t *testing.T) {
 }
 
 func TestTimeUpdateCannotServeAsAttestation(t *testing.T) {
+	onBothBackends(t, testTimeUpdateCannotServeAsAttestation)
+}
+
+func testTimeUpdateCannotServeAsAttestation(t *testing.T, e *env) {
 	// Domain separation: a time-bound key update for label L must be
 	// useless for a policy condition with the same string L.
-	e := newEnv(t)
 	policy, _ := ParsePolicy("2026-07-05T12:00:00Z")
 	msg := []byte("needs a policy attestation, not a time update")
 	ct, err := e.sc.Encrypt(nil, e.witness.Pub, e.user.Pub, policy, msg)
@@ -216,8 +234,9 @@ func TestTimeUpdateCannotServeAsAttestation(t *testing.T) {
 	}
 }
 
-func TestDuplicateConditionInClause(t *testing.T) {
-	e := newEnv(t)
+func TestDuplicateConditionInClause(t *testing.T) { onBothBackends(t, testDuplicateConditionInClause) }
+
+func testDuplicateConditionInClause(t *testing.T, e *env) {
 	policy := Policy{Clauses: [][]string{{"x", "x", "y"}}}
 	msg := []byte("dedup")
 	ct, err := e.sc.Encrypt(nil, e.witness.Pub, e.user.Pub, policy, msg)
@@ -270,19 +289,20 @@ func TestThresholdPolicy(t *testing.T) {
 		t.Fatal("1 of 4 must not satisfy")
 	}
 	// End-to-end.
-	e := newEnv(t)
-	msg := []byte("any two approvals")
-	ct, err := e.sc.Encrypt(nil, e.witness.Pub, e.user.Pub, p, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.sc.Decrypt(e.user, e.attest("d", "a"), ct)
-	if err != nil || !bytes.Equal(got, msg) {
-		t.Fatalf("2-of-4 decrypt: %q %v", got, err)
-	}
-	if _, err := e.sc.Decrypt(e.user, e.attest("d"), ct); !errors.Is(err, ErrPolicyUnsatisfied) {
-		t.Fatalf("1-of-4: err=%v", err)
-	}
+	onBothBackends(t, func(t *testing.T, e *env) {
+		msg := []byte("any two approvals")
+		ct, err := e.sc.Encrypt(nil, e.witness.Pub, e.user.Pub, p, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.sc.Decrypt(e.user, e.attest("d", "a"), ct)
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("2-of-4 decrypt: %q %v", got, err)
+		}
+		if _, err := e.sc.Decrypt(e.user, e.attest("d"), ct); !errors.Is(err, ErrPolicyUnsatisfied) {
+			t.Fatalf("1-of-4: err=%v", err)
+		}
+	})
 	// Validation.
 	if _, err := Threshold(0, conds); err == nil {
 		t.Fatal("k=0 must fail")
@@ -300,7 +320,10 @@ func TestThresholdPolicy(t *testing.T) {
 }
 
 func TestPolicyCCAROundTripAndTamper(t *testing.T) {
-	e := newEnv(t)
+	onBothBackends(t, testPolicyCCAROundTripAndTamper)
+}
+
+func testPolicyCCAROundTripAndTamper(t *testing.T, e *env) {
 	policy, err := ParsePolicy("a & b | c")
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ import (
 	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -72,13 +71,16 @@ type Simulator struct {
 
 	rng io.Reader
 	h1  map[string]h1Entry
-	h2  []pairing.GT // inputs of every H2 query the adversary made
+	h2  []backend.GT // inputs of every H2 query the adversary made
 }
 
 // NewSimulator creates 𝒜₂ for the instance (xG, yG, Q) with planting
 // probability delta256/256.
 func NewSimulator(set *params.Set, xG, yG, q curve.Point, delta256 int, rng io.Reader) (*Simulator, error) {
 	if set.Asymmetric() {
+		// The appendix states its problem in one group — given xG, yG,
+		// Q ∈ G1 find ê(G, Q)^{xy} — and the simulator programs H1 with
+		// both b·G and b·Q: generator and oracle range must coincide.
 		return nil, backend.ErrSymmetricOnly
 	}
 	if delta256 < 1 || delta256 > 255 {
@@ -104,7 +106,7 @@ func (s *Simulator) H1(label string) (curve.Point, error) {
 	if e, ok := s.h1[label]; ok {
 		return e.pt, nil
 	}
-	b, err := s.set.Curve.RandScalar(s.rng)
+	b, err := s.set.B.RandScalar(s.rng)
 	if err != nil {
 		return curve.Point{}, err
 	}
@@ -115,10 +117,10 @@ func (s *Simulator) H1(label string) (curve.Point, error) {
 	e := h1Entry{b: b}
 	if int(coin[0]) < s.delta {
 		e.kind = planted
-		e.pt = s.set.Curve.ScalarMult(b, s.q)
+		e.pt = s.set.B.ScalarMult(backend.G2, b, s.q)
 	} else {
 		e.kind = answerable
-		e.pt = s.set.Curve.ScalarMult(b, s.set.G)
+		e.pt = s.set.B.ScalarMult(backend.G2, b, s.set.G)
 	}
 	s.h1[label] = e
 	return e.pt, nil
@@ -135,7 +137,7 @@ func (s *Simulator) Update(label string) (core.KeyUpdate, error) {
 	if e.kind == planted {
 		return core.KeyUpdate{}, fmt.Errorf("%w: update query on planted label %q", ErrAbort, label)
 	}
-	return core.KeyUpdate{Label: label, Point: s.set.Curve.ScalarMult(e.b, s.yG)}, nil
+	return core.KeyUpdate{Label: label, Point: s.set.B.ScalarMult(backend.G2, e.b, s.yG)}, nil
 }
 
 // Challenge embeds the problem instance into a ciphertext for the
@@ -160,9 +162,9 @@ func (s *Simulator) Challenge(label string, msgLen int) (*core.Ciphertext, error
 // H2 answers (and records) the adversary's H2 queries. Consistency with
 // the scheme's real H2 lets an adversary that genuinely computes the
 // pairing value unmask the challenge — and hands its input to 𝒜₂.
-func (s *Simulator) H2(k pairing.GT, n int) []byte {
+func (s *Simulator) H2(k backend.GT, n int) []byte {
 	s.h2 = append(s.h2, k)
-	return rohash.Expand("TRE-H2", s.set.Pairing.E2.Bytes(k), n)
+	return rohash.Expand("TRE-H2", s.set.B.GTBytes(k), n)
 }
 
 // ExtractCandidates turns the recorded H2 inputs into BDH candidates
@@ -170,7 +172,7 @@ func (s *Simulator) H2(k pairing.GT, n int) []byte {
 // succeeded, one of them equals ê(G, Q)^{xy}. (The paper picks one at
 // random; returning all candidates loses nothing and simplifies the
 // caller, which can test each against its verification relation.)
-func (s *Simulator) ExtractCandidates(label string) ([]pairing.GT, error) {
+func (s *Simulator) ExtractCandidates(label string) ([]backend.GT, error) {
 	e, ok := s.h1[label]
 	if !ok || e.kind != planted {
 		return nil, fmt.Errorf("%w: no planted challenge for %q", ErrAbort, label)
@@ -179,9 +181,9 @@ func (s *Simulator) ExtractCandidates(label string) ([]pairing.GT, error) {
 	if bInv == nil {
 		return nil, errors.New("reduction: non-invertible b (impossible for b in [1,q-1])")
 	}
-	out := make([]pairing.GT, len(s.h2))
+	out := make([]backend.GT, len(s.h2))
 	for i, w := range s.h2 {
-		out[i] = s.set.Pairing.E2.Exp(w, bInv)
+		out[i] = s.set.B.GTExpUnitary(w, bInv)
 	}
 	return out, nil
 }

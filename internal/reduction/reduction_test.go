@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
 )
@@ -23,13 +24,13 @@ var smallSet = sync.OnceValue(func() *params.Set {
 
 func TestH1ConsistentAndIndistinguishable(t *testing.T) {
 	set := smallSet()
-	x, _ := set.Curve.RandScalar(nil)
-	y, _ := set.Curve.RandScalar(nil)
-	z, _ := set.Curve.RandScalar(nil)
+	x, _ := set.B.RandScalar(nil)
+	y, _ := set.B.RandScalar(nil)
+	z, _ := set.B.RandScalar(nil)
 	sim, err := NewSimulator(set,
-		set.Curve.ScalarMult(x, set.G),
-		set.Curve.ScalarMult(y, set.G),
-		set.Curve.ScalarMult(z, set.G),
+		set.B.ScalarMult(backend.G1, x, set.G),
+		set.B.ScalarMult(backend.G1, y, set.G),
+		set.B.ScalarMult(backend.G1, z, set.G),
 		64, nil) // δ = 0.25
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +48,10 @@ func TestH1ConsistentAndIndistinguishable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !set.Curve.Equal(p1, p2) {
+		if !set.B.Equal(backend.G2, p1, p2) {
 			t.Fatal("oracle must be consistent")
 		}
-		if !set.Curve.InSubgroup(p1) || p1.IsInfinity() {
+		if !set.B.InSubgroup(backend.G2, p1) || p1.IsInfinity() {
 			t.Fatal("oracle outputs must be valid subgroup points")
 		}
 		if isPlanted, _ := sim.Kind(label); isPlanted {
@@ -67,11 +68,11 @@ func TestUpdatesForAnswerableLabelsAreCorrectSignatures(t *testing.T) {
 	// What 𝒜₂ serves must be indistinguishable from real updates:
 	// y·H1(label) exactly, verifiable with the real pairing equation.
 	set := smallSet()
-	x, _ := set.Curve.RandScalar(nil)
-	y, _ := set.Curve.RandScalar(nil)
-	z, _ := set.Curve.RandScalar(nil)
-	yG := set.Curve.ScalarMult(y, set.G)
-	sim, err := NewSimulator(set, set.Curve.ScalarMult(x, set.G), yG, set.Curve.ScalarMult(z, set.G), 64, nil)
+	x, _ := set.B.RandScalar(nil)
+	y, _ := set.B.RandScalar(nil)
+	z, _ := set.B.RandScalar(nil)
+	yG := set.B.ScalarMult(backend.G1, y, set.G)
+	sim, err := NewSimulator(set, set.B.ScalarMult(backend.G1, x, set.G), yG, set.B.ScalarMult(backend.G1, z, set.G), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestUpdatesForAnswerableLabelsAreCorrectSignatures(t *testing.T) {
 		}
 		// ê(G, upd) == ê(yG, H1(label)) — the self-authentication equation
 		// against the simulated oracle.
-		if !set.Pairing.SamePairing(set.G, upd.Point, yG, h) {
+		if !set.B.SamePairing(set.G, upd.Point, yG, h) {
 			t.Fatal("simulated update failed the real verification equation")
 		}
 		// And it literally equals y·H1(label).
-		if !set.Curve.Equal(upd.Point, set.Curve.ScalarMult(y, h)) {
+		if !set.B.Equal(backend.G2, upd.Point, set.B.ScalarMult(backend.G2, y, h)) {
 			t.Fatal("simulated update != y·H1(label)")
 		}
 	}
@@ -110,12 +111,12 @@ func TestReductionExtractsBDHFromSuccessfulAdversary(t *testing.T) {
 	// with the ground-truth exponents the simulator never sees) decrypts
 	// the challenge; 𝒜₂'s extraction must then contain ê(G, Q)^{xy}.
 	set := smallSet()
-	x, _ := set.Curve.RandScalar(nil)
-	y, _ := set.Curve.RandScalar(nil)
-	z, _ := set.Curve.RandScalar(nil)
-	xG := set.Curve.ScalarMult(x, set.G)
-	yG := set.Curve.ScalarMult(y, set.G)
-	q := set.Curve.ScalarMult(z, set.G)
+	x, _ := set.B.RandScalar(nil)
+	y, _ := set.B.RandScalar(nil)
+	z, _ := set.B.RandScalar(nil)
+	xG := set.B.ScalarMult(backend.G1, x, set.G)
+	yG := set.B.ScalarMult(backend.G1, y, set.G)
+	q := set.B.ScalarMult(backend.G1, z, set.G)
 
 	// High δ so a planted challenge label is found quickly.
 	sim, err := NewSimulator(set, xG, yG, q, 128, nil)
@@ -158,18 +159,18 @@ func TestReductionExtractsBDHFromSuccessfulAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	magicUpdate := set.Curve.ScalarMult(y, h)
-	kPrime := set.Pairing.Pair(ct.U, magicUpdate)
+	magicUpdate := set.B.ScalarMult(backend.G2, y, h)
+	kPrime := set.B.Pair(ct.U, magicUpdate)
 	_ = rohash.XOR(ct.V, sim.H2(kPrime, len(ct.V))) // the "plaintext" (random, irrelevant)
 
 	// 𝒜₂ extracts; ground truth is ê(G, Q)^{xy} = ê(xG, Q)^y.
-	want := set.Pairing.E2.Exp(set.Pairing.Pair(xG, q), y)
+	want := set.B.GTExpUnitary(set.B.Pair(xG, q), y)
 	candidates, err := sim.ExtractCandidates(challengeLabel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range candidates {
-		if set.Pairing.E2.Equal(c, want) {
+		if set.B.GTEqual(c, want) {
 			return // reduction succeeded
 		}
 	}
@@ -181,12 +182,12 @@ func TestAbortProbabilityMatchesAnalysis(t *testing.T) {
 	// survives with probability δ(1−δ)^{q_u}. Monte-Carlo check at
 	// δ = 1/4, q_u = 3: expected survival 0.25·0.75³ ≈ 0.1055.
 	set := smallSet()
-	x, _ := set.Curve.RandScalar(nil)
-	y, _ := set.Curve.RandScalar(nil)
-	z, _ := set.Curve.RandScalar(nil)
-	xG := set.Curve.ScalarMult(x, set.G)
-	yG := set.Curve.ScalarMult(y, set.G)
-	q := set.Curve.ScalarMult(z, set.G)
+	x, _ := set.B.RandScalar(nil)
+	y, _ := set.B.RandScalar(nil)
+	z, _ := set.B.RandScalar(nil)
+	xG := set.B.ScalarMult(backend.G1, x, set.G)
+	yG := set.B.ScalarMult(backend.G1, y, set.G)
+	q := set.B.ScalarMult(backend.G1, z, set.G)
 
 	const (
 		trials = 600

@@ -6,13 +6,14 @@ import (
 	"math/big"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/hibe"
 	"timedrelease/internal/params"
 )
 
-func setup(t *testing.T, depth int) (*Scheme, *hibe.RootKey) {
+func setup(t *testing.T, preset string, depth int) (*Scheme, *hibe.RootKey) {
 	t.Helper()
-	sc, err := NewScheme(params.MustPreset("Test160"), depth)
+	sc, err := NewScheme(params.MustPreset(preset), depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,20 @@ func setup(t *testing.T, depth int) (*Scheme, *hibe.RootKey) {
 	return sc, root
 }
 
+// onBothBackends runs body with a fresh depth-level tree on the paper's
+// Type-1 setting and on BLS12-381. The tests that only inspect tree
+// shape (paths, cover structure, cover size) stay on Test160.
+func onBothBackends(t *testing.T, depth int, body func(*testing.T, *Scheme, *hibe.RootKey)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) {
+			sc, root := setup(t, preset, depth)
+			body(t, sc, root)
+		})
+	}
+}
+
 func TestPathOf(t *testing.T) {
-	sc, _ := setup(t, 4)
+	sc, _ := setup(t, "Test160", 4)
 	tests := map[uint64]string{
 		0:  "0000",
 		1:  "0001",
@@ -50,7 +63,7 @@ func TestPathOf(t *testing.T) {
 }
 
 func TestCoverStructure(t *testing.T) {
-	sc, _ := setup(t, 4)
+	sc, _ := setup(t, "Test160", 4)
 	// Cover of [0,5] (0101): sibling-left nodes are "0" at each 1-bit:
 	// path 0101 → 1-bits at positions 1 and 3 → nodes "00"?? no:
 	// prefix before pos1 = "0", node = "00"; prefix before pos3 = "010",
@@ -93,10 +106,11 @@ func TestCoverStructure(t *testing.T) {
 	}
 }
 
-func TestCoverCoversExactlyPast(t *testing.T) {
+func TestCoverCoversExactlyPast(t *testing.T) { onBothBackends(t, 3, testCoverCoversExactlyPast) }
+
+func testCoverCoversExactlyPast(t *testing.T, sc *Scheme, root *hibe.RootKey) {
 	// Exhaustive ground truth on a small tree: the cover of [0,t] must
 	// dominate every epoch ≤ t and no epoch > t.
-	sc, root := setup(t, 3)
 	for tt := uint64(0); tt < 8; tt++ {
 		cover, err := sc.PublishCover(root, tt)
 		if err != nil {
@@ -114,11 +128,12 @@ func TestCoverCoversExactlyPast(t *testing.T) {
 	}
 }
 
-func TestEndToEndWithMissedUpdates(t *testing.T) {
+func TestEndToEndWithMissedUpdates(t *testing.T) { onBothBackends(t, 4, testEndToEndWithMissedUpdates) }
+
+func testEndToEndWithMissedUpdates(t *testing.T, sc *Scheme, root *hibe.RootKey) {
 	// A receiver misses every publication between epochs 2 and 11, then
 	// downloads only the cover at 11 and decrypts a message released at
 	// epoch 7.
-	sc, root := setup(t, 4)
 	msg := []byte("released at epoch 7, recovered at epoch 11")
 	ct, err := sc.Encrypt(nil, root.Pub, 7, msg)
 	if err != nil {
@@ -142,8 +157,9 @@ func TestEndToEndWithMissedUpdates(t *testing.T) {
 	}
 }
 
-func TestFutureEpochStaysLocked(t *testing.T) {
-	sc, root := setup(t, 4)
+func TestFutureEpochStaysLocked(t *testing.T) { onBothBackends(t, 4, testFutureEpochStaysLocked) }
+
+func testFutureEpochStaysLocked(t *testing.T, sc *Scheme, root *hibe.RootKey) {
 	msg := []byte("not until epoch 12")
 	ct, err := sc.Encrypt(nil, root.Pub, 12, msg)
 	if err != nil {
@@ -159,7 +175,7 @@ func TestFutureEpochStaysLocked(t *testing.T) {
 }
 
 func TestCoverSizeLogarithmic(t *testing.T) {
-	sc, _ := setup(t, 16) // 65536 epochs
+	sc, _ := setup(t, "Test160", 16) // 65536 epochs
 	worst := 0
 	for _, tt := range []uint64{0, 1, 1000, 32767, 65534, 65535} {
 		n, err := sc.CoverSize(tt)
@@ -185,7 +201,10 @@ func TestNewSchemeValidation(t *testing.T) {
 }
 
 func TestCoverSerialisationAndVerification(t *testing.T) {
-	sc, root := setup(t, 6)
+	onBothBackends(t, 6, testCoverSerialisationAndVerification)
+}
+
+func testCoverSerialisationAndVerification(t *testing.T, sc *Scheme, root *hibe.RootKey) {
 	cover, err := sc.PublishCover(root, 37)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +236,7 @@ func TestCoverSerialisationAndVerification(t *testing.T) {
 	// Tampering: corrupt one bundle's S point → verification fails.
 	tampered := make([]hibe.NodeKey, len(back))
 	copy(tampered, back)
-	tampered[0].S = sc.H.Set.Curve.Add(tampered[0].S, sc.H.Set.G)
+	tampered[0].S = sc.H.Set.B.Add(backend.G2, tampered[0].S, sc.H.Set.G2)
 	if sc.VerifyCover(root.Pub, tampered) {
 		t.Fatal("tampered cover must not verify")
 	}
@@ -248,13 +267,16 @@ func TestCoverSerialisationAndVerification(t *testing.T) {
 }
 
 func TestDelegationScalarIsNotTrustBearing(t *testing.T) {
+	onBothBackends(t, 4, testDelegationScalarIsNotTrustBearing)
+}
+
+func testDelegationScalarIsNotTrustBearing(t *testing.T, sc *Scheme, root *hibe.RootKey) {
 	// The delegation scalar is NOT what verification anchors — and it
 	// doesn't have to be. A mirror that substitutes a different (known)
 	// delegation scalar produces children that are still self-consistent
 	// and still decrypt correctly, because decryption cancels every
 	// Q-dependent term: the security anchor is the unforgeable s·P₁
 	// component pinned by Q₀ = sG. Assert both halves of that invariant.
-	sc, root := setup(t, 4)
 	k, err := sc.H.NodeFor(root, []string{"0", "1"})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +308,7 @@ func TestDelegationScalarIsNotTrustBearing(t *testing.T) {
 
 	// What CANNOT pass: a forged S (the anchored component).
 	forged := k
-	forged.S = sc.H.Set.Curve.Add(k.S, sc.H.Set.G)
+	forged.S = sc.H.Set.B.Add(backend.G2, k.S, sc.H.Set.G2)
 	if sc.H.VerifyNodeKey(root.Pub, forged) {
 		t.Fatal("forged S must not verify")
 	}

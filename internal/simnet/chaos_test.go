@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/beacon"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
@@ -80,7 +81,7 @@ func TestChaosAcceptance(t *testing.T) {
 				r, c.Down(1), c.Down(2), err)
 		}
 		ref := sc.IssueUpdate(single, label)
-		if !bytes.Equal(set.Curve.Marshal(upd.Point), set.Curve.Marshal(ref.Point)) {
+		if !bytes.Equal(set.B.AppendPoint(nil, backend.G2, upd.Point), set.B.AppendPoint(nil, backend.G2, ref.Point)) {
 			t.Fatalf("round %d: quorum combine differs from the single-server update", r)
 		}
 	}

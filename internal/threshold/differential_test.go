@@ -10,6 +10,7 @@ import (
 	"errors"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 )
 
@@ -43,7 +44,7 @@ func TestCombineMatchesSingleServerScheme(t *testing.T) {
 	if combined.Label != ref.Label {
 		t.Fatalf("labels differ: %q vs %q", combined.Label, ref.Label)
 	}
-	if !bytes.Equal(set.Curve.Marshal(combined.Point), set.Curve.Marshal(ref.Point)) {
+	if !bytes.Equal(set.B.AppendPoint(nil, backend.G2, combined.Point), set.B.AppendPoint(nil, backend.G2, ref.Point)) {
 		t.Fatal("combined update differs from the single-server update for the same label")
 	}
 

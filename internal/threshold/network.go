@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"timedrelease/internal/backend"
+	"timedrelease/internal/bls"
 	"timedrelease/internal/core"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/params"
@@ -22,14 +22,12 @@ import (
 // ShardServerKey converts a dealt share into the key pair its time
 // server process runs with.
 func ShardServerKey(set *params.Set, share Share) *core.ServerKeyPair {
-	sg2 := share.Pub
-	if set.Asymmetric() {
-		sg2 = set.B.ScalarMult(backend.G2, share.S, set.G2)
+	key, err := bls.NewPrivateKey(set, set.G, share.S)
+	if err != nil {
+		// Deal and keyfile.LoadShare both refuse an out-of-range scalar.
+		panic("threshold: " + err.Error())
 	}
-	return &core.ServerKeyPair{
-		S:   share.S,
-		Pub: core.ServerPublicKey{G: set.G, SG: share.Pub, SG2: sg2},
-	}
+	return key
 }
 
 // Shard pairs a share index with a verifying client pinned to that

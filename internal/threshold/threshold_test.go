@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/params"
 )
@@ -51,7 +52,7 @@ func TestAnyKOfNSubsetsCombine(t *testing.T) {
 			first = false
 			continue
 		}
-		if !set.Curve.Equal(upd.Point, reference.Point) {
+		if !set.B.Equal(backend.G2, upd.Point, reference.Point) {
 			t.Fatalf("subset %v produced a different update", idx)
 		}
 	}
@@ -112,7 +113,7 @@ func TestCorruptPartialDetected(t *testing.T) {
 	set, setup := deal(t, 2, 3)
 	good := IssuePartial(set, setup.Shares[0], label)
 	bad := IssuePartial(set, setup.Shares[1], label)
-	bad.Point = set.Curve.Add(bad.Point, set.G)
+	bad.Point = set.B.Add(backend.G2, bad.Point, set.G2)
 
 	if VerifyPartial(set, setup.Shares[1].Pub, bad) {
 		t.Fatal("corrupt partial must fail individual verification")
@@ -174,7 +175,7 @@ func TestPartialEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UnmarshalPartial: %v", err)
 	}
-	if back.Index != pu.Index || back.Label != pu.Label || !set.Curve.Equal(back.Point, pu.Point) {
+	if back.Index != pu.Index || back.Label != pu.Label || !set.B.Equal(backend.G2, back.Point, pu.Point) {
 		t.Fatal("round trip mismatch")
 	}
 	if !VerifyPartial(set, setup.Shares[1].Pub, back) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"timedrelease/internal/archive"
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/faulthttp"
@@ -56,7 +57,7 @@ func forgeRange(t *testing.T, e *env, body []byte, forged core.KeyUpdate) []byte
 		if resp.Updates[i].Label == forged.Label {
 			resp.Updates[i] = forged
 		}
-		agg = e.set.Curve.Add(agg, resp.Updates[i].Point)
+		agg = e.set.B.Add(backend.G2, agg, resp.Updates[i].Point)
 		leaves[i] = archive.LeafHash(e.server.codec.MarshalKeyUpdate(resp.Updates[i]))
 	}
 	resp.Aggregate = agg
@@ -342,11 +343,11 @@ func tamperCompensating(t *testing.T, e *env, body []byte) []byte {
 	if len(resp.Updates) < 2 {
 		t.Fatalf("need ≥2 updates to tamper, got %d", len(resp.Updates))
 	}
-	c := e.set.Curve
+	b := e.set.B
 	delta := e.sc.IssueUpdate(e.key, "some-other-label").Point
 	first, last := 0, len(resp.Updates)-1
-	resp.Updates[first].Point = c.Add(resp.Updates[first].Point, delta)
-	resp.Updates[last].Point = c.Add(resp.Updates[last].Point, c.Neg(delta))
+	resp.Updates[first].Point = b.Add(backend.G2, resp.Updates[first].Point, delta)
+	resp.Updates[last].Point = b.Add(backend.G2, resp.Updates[last].Point, b.Neg(backend.G2, delta))
 	leaves := make([][32]byte, len(resp.Updates))
 	for i, u := range resp.Updates {
 		leaves[i] = archive.LeafHash(e.server.codec.MarshalKeyUpdate(u))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/faulthttp"
 )
@@ -187,7 +188,7 @@ func TestRelayBootstrapMatchesOrigin(t *testing.T) {
 	if set.Name != re.set.Name {
 		t.Fatalf("relay served params %q, origin has %q", set.Name, re.set.Name)
 	}
-	if !re.set.Curve.Equal(spub.SG, re.key.Pub.SG) {
+	if !re.set.B.Equal(backend.G1, spub.SG, re.key.Pub.SG) {
 		t.Fatal("relay served a different server key than the origin")
 	}
 	if sched.Granularity != re.sched.Granularity {

@@ -304,8 +304,8 @@ func TestRedeemRejectsOffSubgroupSig(t *testing.T) {
 
 	torsion := curve.Point{X: new(big.Int), Y: new(big.Int)}
 	forged := toks[0]
-	forged.Sig = set.Curve.Add(forged.Sig, torsion)
-	if set.Curve.InSubgroup(forged.Sig) {
+	forged.Sig = set.B.Add(backend.G2, forged.Sig, torsion)
+	if set.B.InSubgroup(backend.G2, forged.Sig) {
 		t.Fatal("forgery landed in the subgroup")
 	}
 	pub := iss.Public()
@@ -331,7 +331,7 @@ func TestRedeemRejectsOffSubgroupSig(t *testing.T) {
 
 	// Unblind: an issuer answering with signature + torsion is refused
 	// before the wallet sees it.
-	signed[0] = set.Curve.Add(signed[0], torsion)
+	signed[0] = set.B.Add(backend.G2, signed[0], torsion)
 	if _, err := Unblind(set, pub, pending, signed); !errors.Is(err, ErrBadToken) {
 		t.Fatalf("unblind of an off-subgroup signature: got %v, want ErrBadToken", err)
 	}

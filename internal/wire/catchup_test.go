@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 )
@@ -17,7 +18,7 @@ func sampleCatchUp(tb testing.TB, n int) (*Codec, CatchUpResponse) {
 	for i := 0; i < n; i++ {
 		u := sc.IssueUpdate(key, fmt.Sprintf("2026-07-05T12:%02d:00Z", i))
 		r.Updates = append(r.Updates, u)
-		r.Aggregate = codec.Set.Curve.Add(r.Aggregate, u.Point)
+		r.Aggregate = codec.Set.B.Add(backend.G2, r.Aggregate, u.Point)
 	}
 	if n > 0 {
 		r.Root = [32]byte{1, 2, 3}
@@ -38,11 +39,11 @@ func TestCatchUpResponseRoundTrip(t *testing.T) {
 		}
 		for i := range got.Updates {
 			if got.Updates[i].Label != want.Updates[i].Label ||
-				!codec.Set.Curve.Equal(got.Updates[i].Point, want.Updates[i].Point) {
+				!codec.Set.B.Equal(backend.G2, got.Updates[i].Point, want.Updates[i].Point) {
 				t.Fatalf("n=%d: update %d differs", n, i)
 			}
 		}
-		if !codec.Set.Curve.Equal(got.Aggregate, want.Aggregate) {
+		if !codec.Set.B.Equal(backend.G2, got.Aggregate, want.Aggregate) {
 			t.Fatalf("n=%d: aggregate differs", n)
 		}
 		if again := codec.MarshalCatchUpResponse(got); string(again) != string(data) {

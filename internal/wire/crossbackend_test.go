@@ -7,8 +7,9 @@ import (
 	"time"
 
 	"timedrelease/internal/backend"
-	"timedrelease/internal/core"
+	"timedrelease/internal/idtre"
 	"timedrelease/internal/params"
+	"timedrelease/internal/policylock"
 )
 
 // crossEnv holds one scheme per backend family so tests can encode
@@ -19,20 +20,7 @@ type crossEnv struct {
 
 func newCrossEnv(t *testing.T) *crossEnv {
 	t.Helper()
-	mk := func(preset string) *env {
-		set := params.MustPreset(preset)
-		sc := core.NewScheme(set)
-		server, err := sc.ServerKeyGen(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		user, err := sc.UserKeyGen(server.Pub, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &env{codec: NewCodec(set), sc: sc, server: server, user: user}
-	}
-	return &crossEnv{sym: mk("Test160"), asym: mk(params.PresetBLS12381)}
+	return &crossEnv{sym: newEnvOn(t, "Test160"), asym: newEnvOn(t, params.PresetBLS12381)}
 }
 
 // ccaBlob encrypts a message long enough that the foreign codec's
@@ -155,23 +143,70 @@ func TestCrossBackendArmoredRejected(t *testing.T) {
 	}
 }
 
-// TestVariantDecodersRefuseAsymmetric pins the Type-1-only contract of
-// the variant codecs: every variant Unmarshal on an asymmetric set
-// returns backend.ErrSymmetricOnly without touching the payload.
-func TestVariantDecodersRefuseAsymmetric(t *testing.T) {
-	codec := NewCodec(params.MustPreset(params.PresetBLS12381))
-	junk := bytes.Repeat([]byte{0x5a}, 64)
+// TestCrossBackendVariantsRejected pins the same contract for the
+// variant codecs: ID-TRE ciphertexts, policy-locked ciphertexts and
+// attestations decode under the backend that encoded them and fail
+// under the other family with ErrBackendMismatch (a symmetric
+// attestation is shorter than one BLS G2 point, so that direction
+// surfaces as a plain decode error — never as an accepted object). The
+// multi-server decoder alone still refuses an asymmetric set outright:
+// its scheme is Type-1 only.
+func TestCrossBackendVariantsRejected(t *testing.T) {
+	ce := newCrossEnv(t)
+	msg := bytes.Repeat([]byte("cross-backend safety "), 4)
+	policy, err := policylock.ParsePolicy("board ok & audit ok | emergency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type blobs struct{ id, policy, att []byte }
+	mk := func(e *env) blobs {
+		idCT, err := idtre.NewScheme(e.codec.Set).Encrypt(nil, e.server.Pub, "alice", "label-x", msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := policylock.NewScheme(e.codec.Set)
+		plCT, err := pl.Encrypt(nil, e.server.Pub, e.user.Pub, policy, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blobs{
+			id:     e.codec.MarshalIDCiphertext(idCT),
+			policy: e.codec.MarshalPolicyCiphertext(plCT),
+			att:    e.codec.MarshalAttestation(pl.Attest(e.server, "emergency")),
+		}
+	}
+	decode := func(c *Codec, b blobs) (id, policy, att error) {
+		_, id = c.UnmarshalIDCiphertext(b.id)
+		_, policy = c.UnmarshalPolicyCiphertext(b.policy)
+		_, att = c.UnmarshalAttestation(b.att)
+		return
+	}
+	sym, asym := mk(ce.sym), mk(ce.asym)
 
-	if _, err := codec.UnmarshalIDCiphertext(junk); !errors.Is(err, backend.ErrSymmetricOnly) {
-		t.Fatalf("UnmarshalIDCiphertext: err=%v, want ErrSymmetricOnly", err)
+	for name, own := range map[string]struct {
+		c *Codec
+		b blobs
+	}{"symmetric": {ce.sym.codec, sym}, "BLS": {ce.asym.codec, asym}} {
+		if id, pol, att := decode(own.c, own.b); id != nil || pol != nil || att != nil {
+			t.Fatalf("%s self-decode: id=%v policy=%v attestation=%v", name, id, pol, att)
+		}
 	}
-	if _, err := codec.UnmarshalMultiCiphertext(junk); !errors.Is(err, backend.ErrSymmetricOnly) {
+	id, pol, att := decode(ce.sym.codec, asym)
+	for what, err := range map[string]error{"ID ciphertext": id, "policy ciphertext": pol, "attestation": att} {
+		if !errors.Is(err, ErrBackendMismatch) {
+			t.Fatalf("BLS %s under symmetric codec: err=%v, want ErrBackendMismatch", what, err)
+		}
+	}
+	id, pol, att = decode(ce.asym.codec, sym)
+	if !errors.Is(id, ErrBackendMismatch) || !errors.Is(pol, ErrBackendMismatch) {
+		t.Fatalf("symmetric ciphertexts under BLS codec: id=%v policy=%v, want ErrBackendMismatch", id, pol)
+	}
+	if att == nil {
+		t.Fatal("symmetric attestation must not decode under the BLS codec")
+	}
+
+	junk := bytes.Repeat([]byte{0x5a}, 64)
+	if _, err := ce.asym.codec.UnmarshalMultiCiphertext(junk); !errors.Is(err, backend.ErrSymmetricOnly) {
 		t.Fatalf("UnmarshalMultiCiphertext: err=%v, want ErrSymmetricOnly", err)
-	}
-	if _, err := codec.UnmarshalPolicyCiphertext(junk); !errors.Is(err, backend.ErrSymmetricOnly) {
-		t.Fatalf("UnmarshalPolicyCiphertext: err=%v, want ErrSymmetricOnly", err)
-	}
-	if _, err := codec.UnmarshalAttestation(junk); !errors.Is(err, backend.ErrSymmetricOnly) {
-		t.Fatalf("UnmarshalAttestation: err=%v, want ErrSymmetricOnly", err)
 	}
 }

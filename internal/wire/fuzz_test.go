@@ -3,6 +3,7 @@ package wire
 import (
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
@@ -72,7 +73,7 @@ func FuzzCatchUpDecode(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		u := sc.IssueUpdate(key, "2026-07-05T12:0"+string(rune('0'+i))+":00Z")
 		resp.Updates = append(resp.Updates, u)
-		resp.Aggregate = codec.Set.Curve.Add(resp.Aggregate, u.Point)
+		resp.Aggregate = codec.Set.B.Add(backend.G2, resp.Aggregate, u.Point)
 	}
 	resp.Total = 5 // a truncated page is a valid seed too
 	resp.Root = [32]byte{0xaa, 0xbb}

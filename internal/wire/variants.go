@@ -13,10 +13,11 @@ import (
 // Encodings for the scheme variants. Same conventions as the core
 // encodings: length-delimited, strict, subgroup-validated points.
 //
-// The variant schemes themselves (ID-TRE, multi-server, policy-lock)
-// pair G1 points against each other and therefore require a Type-1
-// pairing; their decoders refuse asymmetric sets with ErrSymmetricOnly
-// rather than producing objects no scheme can consume.
+// Headers are G1 points and attestations G2 points on every backend, so
+// the ID-TRE and policy-lock codecs run wherever their schemes do. Only
+// the multi-server scheme is Type-1 (see package multiserver), and only
+// its decoder refuses an asymmetric set with ErrSymmetricOnly rather
+// than producing an object no scheme can consume.
 
 // MarshalIDCiphertext encodes an ID-TRE ciphertext.
 func (c *Codec) MarshalIDCiphertext(ct *idtre.Ciphertext) []byte {
@@ -26,9 +27,6 @@ func (c *Codec) MarshalIDCiphertext(ct *idtre.Ciphertext) []byte {
 
 // UnmarshalIDCiphertext decodes an ID-TRE ciphertext.
 func (c *Codec) UnmarshalIDCiphertext(data []byte) (*idtre.Ciphertext, error) {
-	if c.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	r := &reader{buf: data}
 	u, err := c.point(r, backend.G1)
 	if err != nil {
@@ -57,6 +55,8 @@ func (c *Codec) MarshalMultiCiphertext(ct *multiserver.Ciphertext) []byte {
 // UnmarshalMultiCiphertext decodes a multi-server ciphertext.
 func (c *Codec) UnmarshalMultiCiphertext(data []byte) (*multiserver.Ciphertext, error) {
 	if c.Set.Asymmetric() {
+		// No scheme can consume it: the multi-server sender's key check
+		// ê(aG, Σ sᵢGᵢ) = ê(G, a·Σ sᵢGᵢ) pairs two G1 points.
 		return nil, backend.ErrSymmetricOnly
 	}
 	r := &reader{buf: data}
@@ -99,9 +99,6 @@ func (c *Codec) MarshalPolicyCiphertext(ct *policylock.Ciphertext) []byte {
 // UnmarshalPolicyCiphertext decodes a policy-locked ciphertext, checking
 // that the header count matches the parsed policy's clause count.
 func (c *Codec) UnmarshalPolicyCiphertext(data []byte) (*policylock.Ciphertext, error) {
-	if c.Set.Asymmetric() {
-		return nil, backend.ErrSymmetricOnly
-	}
 	r := &reader{buf: data}
 	rawPolicy, err := r.bytes16()
 	if err != nil {
@@ -150,9 +147,6 @@ func (c *Codec) MarshalAttestation(a policylock.Attestation) []byte {
 // UnmarshalAttestation decodes a witness attestation (verification
 // against the witness key is separate).
 func (c *Codec) UnmarshalAttestation(data []byte) (policylock.Attestation, error) {
-	if c.Set.Asymmetric() {
-		return policylock.Attestation{}, backend.ErrSymmetricOnly
-	}
 	r := &reader{buf: data}
 	cond, err := r.bytes16()
 	if err != nil {

@@ -4,14 +4,26 @@ import (
 	"bytes"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/idtre"
 	"timedrelease/internal/multiserver"
+	"timedrelease/internal/params"
 	"timedrelease/internal/policylock"
 )
 
-func TestIDCiphertextRoundTrip(t *testing.T) {
-	e := newEnv(t)
+// onBothBackends runs body against a fresh fixture on the paper's Type-1
+// setting and on BLS12-381. The multi-server codec stays on Test160:
+// its scheme is Type-1 only.
+func onBothBackends(t *testing.T, body func(*testing.T, *env)) {
+	for _, preset := range []string{"Test160", params.PresetBLS12381} {
+		t.Run(preset, func(t *testing.T) { body(t, newEnvOn(t, preset)) })
+	}
+}
+
+func TestIDCiphertextRoundTrip(t *testing.T) { onBothBackends(t, testIDCiphertextRoundTrip) }
+
+func testIDCiphertextRoundTrip(t *testing.T, e *env) {
 	id := idtre.NewScheme(e.codec.Set)
 	const label = "2026-07-05T12:00:00Z"
 	msg := []byte("identity wire trip")
@@ -73,8 +85,9 @@ func TestMultiCiphertextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPolicyCiphertextRoundTrip(t *testing.T) {
-	e := newEnv(t)
+func TestPolicyCiphertextRoundTrip(t *testing.T) { onBothBackends(t, testPolicyCiphertextRoundTrip) }
+
+func testPolicyCiphertextRoundTrip(t *testing.T, e *env) {
 	pl := policylock.NewScheme(e.codec.Set)
 	policy, err := policylock.ParsePolicy("board ok & audit ok | emergency")
 	if err != nil {
@@ -110,15 +123,16 @@ func TestPolicyCiphertextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAttestationRoundTrip(t *testing.T) {
-	e := newEnv(t)
+func TestAttestationRoundTrip(t *testing.T) { onBothBackends(t, testAttestationRoundTrip) }
+
+func testAttestationRoundTrip(t *testing.T, e *env) {
 	pl := policylock.NewScheme(e.codec.Set)
 	att := pl.Attest(e.server, "condition-x")
 	back, err := e.codec.UnmarshalAttestation(e.codec.MarshalAttestation(att))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Condition != att.Condition || !e.codec.Set.Curve.Equal(back.Point, att.Point) {
+	if back.Condition != att.Condition || !e.codec.Set.B.Equal(backend.G2, back.Point, att.Point) {
 		t.Fatal("round trip mismatch")
 	}
 	if !pl.VerifyAttestation(e.server.Pub, back) {

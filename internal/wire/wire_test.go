@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
@@ -17,9 +18,11 @@ type env struct {
 	user   *core.UserKeyPair
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t *testing.T) *env { return newEnvOn(t, "Test160") }
+
+func newEnvOn(t *testing.T, preset string) *env {
 	t.Helper()
-	set := params.MustPreset("Test160")
+	set := params.MustPreset(preset)
 	sc := core.NewScheme(set)
 	server, err := sc.ServerKeyGen(nil)
 	if err != nil {
@@ -39,8 +42,8 @@ func TestServerPublicKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	c := e.codec.Set.Curve
-	if !c.Equal(back.G, e.server.Pub.G) || !c.Equal(back.SG, e.server.Pub.SG) {
+	b := e.codec.Set.B
+	if !b.Equal(backend.G1, back.G, e.server.Pub.G) || !b.Equal(backend.G1, back.SG, e.server.Pub.SG) {
 		t.Fatal("round trip mismatch")
 	}
 	// Truncation and trailing garbage rejected.
@@ -51,7 +54,7 @@ func TestServerPublicKeyRoundTrip(t *testing.T) {
 		t.Fatalf("trailing byte: err=%v, want ErrTrailing", err)
 	}
 	// Identity halves rejected.
-	inf := e.codec.Set.Curve.Marshal(curve.Infinity())
+	inf := e.codec.Set.B.AppendPoint(nil, backend.G1, curve.Infinity())
 	bad := append(append([]byte{}, inf...), enc[len(inf):]...)
 	if _, err := e.codec.UnmarshalServerPublicKey(bad); err == nil {
 		t.Fatal("identity G must be rejected")
@@ -78,7 +81,7 @@ func TestKeyUpdateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.Label != upd.Label || !e.codec.Set.Curve.Equal(back.Point, upd.Point) {
+	if back.Label != upd.Label || !e.codec.Set.B.Equal(backend.G2, back.Point, upd.Point) {
 		t.Fatal("round trip mismatch")
 	}
 	if !e.sc.VerifyUpdate(e.server.Pub, back) {
@@ -235,7 +238,7 @@ func TestKindString(t *testing.T) {
 
 func TestUnmarshalRejectsNonSubgroupPoint(t *testing.T) {
 	e := newEnv(t)
-	c := e.codec.Set.Curve
+	c, _ := e.codec.Set.B.(*backend.Symmetric).Type1()
 	// Find a curve point outside the subgroup and try to pass it off as a
 	// ciphertext header.
 	for i := 0; i < 128; i++ {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"timedrelease/internal/backend"
 	"timedrelease/tre"
 )
 
@@ -240,10 +239,10 @@ func TestBLSQuorumOverHTTP(t *testing.T) {
 }
 
 // TestSignedVariantsOnBothBackends: identity-key extraction and witness
-// attestation are plain BLS signatures, so they (and their verifiers)
-// run on every backend and must not touch the Type-1 curve context,
-// which is nil on BLS12-381. Only Encrypt/Decrypt pair two G1 points
-// and stay symmetric-only.
+// attestation are plain BLS signatures in G2, and ID-TRE and policy-lock
+// encryption pair a G1 header against them exactly as the base scheme
+// pairs against a key update — so the variants run end to end on every
+// backend, off the same update stream.
 func TestSignedVariantsOnBothBackends(t *testing.T) {
 	for _, set := range []*tre.Params{tre.MustPreset("Test160"), blsParams(t)} {
 		t.Run(set.Name, func(t *testing.T) {
@@ -282,10 +281,47 @@ func TestSignedVariantsOnBothBackends(t *testing.T) {
 				t.Fatal("attestation verified for a different condition")
 			}
 
-			// The encryption gates are unchanged.
-			_, err = id.Encrypt(nil, key.Pub, "bob@example.org", "2026-07-05T12:00:00Z", []byte("m"))
-			if set.Asymmetric() != errors.Is(err, backend.ErrSymmetricOnly) {
-				t.Fatalf("ID-TRE Encrypt on %s: %v", set.Name, err)
+			// ...and so does the whole flow: seal to an identity, publish the
+			// one broadcast update, open; then the same under a policy lock
+			// once the witness has attested.
+			const label = "2026-07-05T12:00:00Z"
+			scheme := tre.NewScheme(set)
+			msg := []byte("same update stream, every variant, either backend")
+
+			idCT, err := id.EncryptCCA(nil, key.Pub, "bob@example.org", label, msg)
+			if err != nil {
+				t.Fatalf("ID-TRE EncryptCCA: %v", err)
+			}
+			upd := scheme.IssueUpdate(key, label)
+			if !scheme.VerifyUpdate(key.Pub, upd) {
+				t.Fatal("published update must verify")
+			}
+			bob := id.ExtractUserKey(key, "bob@example.org")
+			if got, err := id.DecryptCCA(key.Pub, bob, upd, idCT); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("ID-TRE DecryptCCA: %q %v", got, err)
+			}
+			if _, err := id.DecryptCCA(key.Pub, bob, scheme.IssueUpdate(key, "too early"), idCT); !errors.Is(err, tre.ErrAuthFailed) {
+				t.Fatalf("ID-TRE DecryptCCA with the wrong update: err=%v, want ErrAuthFailed", err)
+			}
+
+			receiver, err := scheme.UserKeyGen(key.Pub, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			policy, err := tre.ParsePolicy("task X is complete & audit ok | emergency")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plCT, err := pl.Encrypt(nil, key.Pub, receiver.Pub, policy, msg)
+			if err != nil {
+				t.Fatalf("policy Encrypt: %v", err)
+			}
+			if _, err := pl.Decrypt(receiver, []tre.Attestation{pl.Attest(key, "audit ok")}, plCT); !errors.Is(err, tre.ErrPolicyUnsatisfied) {
+				t.Fatalf("half-attested clause: err=%v, want ErrPolicyUnsatisfied", err)
+			}
+			atts := []tre.Attestation{pl.Attest(key, "audit ok"), pl.Attest(key, "task X is complete")}
+			if got, err := pl.Decrypt(receiver, atts, plCT); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("policy Decrypt: %q %v", got, err)
 			}
 		})
 	}
