@@ -550,11 +550,11 @@ func catchup(args []string) error {
 		fmt.Printf("%s %x\n", u.Label, codec.MarshalKeyUpdate(u))
 	}
 	// Pairing work is the cost the passive-server design pushes to this
-	// edge; the counters show which verification path paid it (one
-	// aggregate product per range page vs one blinded batch equation).
+	// edge; the counters show which path paid it (one blinded batch
+	// equation per range page, or one over the per-label fetches).
 	s := reg.Snapshot()
-	how := fmt.Sprintf("%d pairings, %d aggregate range page(s), %d batch(es), %d fallback(s), %v",
-		s.Counters["core.pairings"], s.Counters["client.catchup_aggregate"],
+	how := fmt.Sprintf("%d pairings, %d range page(s), %d batch(es), %d fallback(s), %v",
+		s.Counters["core.pairings"], s.Counters["client.catchup_range_pages"],
 		s.Counters["client.catchup_batches"], s.Counters["client.catchup_fallback"],
 		elapsed.Round(time.Millisecond))
 	if partial != nil {

@@ -15,7 +15,7 @@
 // out-of-band comparison (or pins from a previous run via -pin).
 //
 // The relay reconnects forever: on an upstream outage it backs off,
-// converges over the gap with one aggregate catch-up request, and
+// converges over the gap with one range catch-up request, and
 // resumes streaming. Downstream service continues from the local
 // archive throughout.
 package main

@@ -115,8 +115,10 @@ func AggregateInto(set *params.Set, acc curve.Point, sigs ...curve.Point) curve.
 	return acc
 }
 
-// VerifyAggregate checks a same-key aggregate against messages already
-// hashed onto the curve:
+// VerifyAggregate has no production caller; it is kept for benchmark/
+// (through core.VerifyUpdateAggregate) until its rows are dropped. It
+// checks a same-key aggregate against messages already hashed onto the
+// curve:
 //
 //	ê(G, agg) = ê(sG, Σ hᵢ)
 //
@@ -128,7 +130,7 @@ func AggregateInto(set *params.Set, acc curve.Point, sigs ...curve.Point) curve.
 // listed message was signed provided the list itself is honest, and
 // messages must be distinct for the usual aggregate-security argument.
 // A transport that can alter the list is only caught by the per-update
-// checks — see the client's fallback.
+// checks — the blinded batch equation the client admits pages on.
 func VerifyAggregate(set *params.Set, pk backend.PreparedKey, hashes []curve.Point, agg curve.Point) bool {
 	if len(hashes) == 0 {
 		return agg.IsInfinity()

@@ -227,7 +227,9 @@ func (sc *Scheme) VerifyUpdateBatch(spub ServerPublicKey, updates []KeyUpdate) (
 	return bls.VerifyBatch(sc.Set, sc.preparedKey(spub), TimeDomain, msgs, sigs, nil)
 }
 
-// VerifyUpdateAggregate checks a whole run of updates against ONE
+// VerifyUpdateAggregate has no production caller; it is kept for
+// benchmark/ (which replays it as core.verify_aggregate_ms) until those
+// rows are dropped. It checks a whole run of updates against ONE
 // aggregate signature with a single prepared pairing product:
 //
 //	Σ I_i = agg   and   ê(G, agg) = ê(sG, Σ H1(T_i))
@@ -236,12 +238,11 @@ func (sc *Scheme) VerifyUpdateBatch(spub ServerPublicKey, updates []KeyUpdate) (
 // pairings, with every H1(T_i) served from the sharded label cache.
 // The equation binds agg to the SUM of the updates, so a transport
 // substituting compensating forgeries across two updates (+Δ on one,
-// −Δ on another) defeats the sum check alone — which is why this is
-// only a pre-filter: the client admits a range page to its verified
-// cache only after the blinded per-update batch verify, whose random
-// blinders break any cancellation (and ciphertext-level authentication
-// still guards decryption). An empty run verifies iff agg is the
-// identity.
+// −Δ on another) defeats the sum check — which is why it can admit
+// nothing and the client stopped running it: a range page reaches the
+// verified cache on the blinded per-update batch verify alone, whose
+// random blinders break any cancellation. An empty run verifies iff agg
+// is the identity.
 func (sc *Scheme) VerifyUpdateAggregate(spub ServerPublicKey, updates []KeyUpdate, agg curve.Point) bool {
 	b := sc.Set.B
 	if len(updates) == 0 {

@@ -212,10 +212,11 @@ func (c *Curve) Sub(p, q Point) Point { return c.Add(p, c.Neg(q)) }
 
 // ScalarMult returns k·p. Scalars may be any non-negative integer; they
 // are used as-is (callers working in the subgroup reduce mod q). The
-// computation is a most-significant-bit-first double-and-add walk in
-// Jacobian coordinates on Montgomery limb vectors, with one inversion
-// and two conversions at the end; every temporary comes from a pooled
-// arena.
+// computation is a most-significant-first 4-bit fixed-window walk in
+// Jacobian coordinates on Montgomery limb vectors — a table of 1·p …
+// 15·p, then four doublings and at most one addition per nibble — with
+// one inversion and two conversions at the end; every temporary, the
+// table included, comes from a pooled arena.
 func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")
@@ -228,13 +229,23 @@ func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	defer a.Release()
 	var o jacMontOps
 	jacMontOpsIn(&o, m, a)
-	base := o.toJacMontIn(p, a)
+	var tbl [15]jacMontPoint
+	tbl[0] = o.toJacMontIn(p, a)
+	for i := 1; i < len(tbl); i++ {
+		tbl[i] = newJacMontPointIn(a)
+		o.add(tbl[i], tbl[i-1], tbl[0])
+	}
 	acc := newJacMontPointIn(a)
 	o.setInfinity(acc)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		o.double(acc, acc)
-		if k.Bit(i) == 1 {
-			o.add(acc, acc, base)
+	for i := (k.BitLen()+3)/4*4 - 4; i >= 0; i -= 4 {
+		if !m.IsZero(acc.Z) {
+			o.double(acc, acc)
+			o.double(acc, acc)
+			o.double(acc, acc)
+			o.double(acc, acc)
+		}
+		if w := k.Bit(i+3)<<3 | k.Bit(i+2)<<2 | k.Bit(i+1)<<1 | k.Bit(i); w != 0 {
+			o.add(acc, acc, tbl[w-1])
 		}
 	}
 	return o.fromJacMont(acc)

@@ -40,7 +40,7 @@ func testCurve(t *testing.T) *Curve {
 	return c
 }
 
-func testGen(t *testing.T, c *Curve) Point {
+func testGen(t testing.TB, c *Curve) Point {
 	t.Helper()
 	g, err := c.RandomSubgroupPoint(nil)
 	if err != nil {

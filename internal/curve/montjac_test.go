@@ -22,6 +22,22 @@ var oracleCurves = []struct {
 	{"SS1024", "ad9a6e357557eb15668567fb42048d4265160edec9ae4d134bd4ab8d3cb48e659bf1198c17a1ac94870d40a0b013c456c52a86d827ba47dcadcdb78b45baa254d8bdd82e9c5c47088070a72b0b31238218a74808edb04c9da0be604bdc70995cc1e0c0b3664622935cc3eb7bf830b69e1145326b4e562226b65da09c6e4d447b", "d4d5f7f4ac6206c04a504269bfeb5b2f179f428d4530c35947146d33", 2},
 }
 
+// oracleCurve builds the supersingular curve of one oracleCurves row
+// from its hex p and q (cofactor (p+1)/q).
+func oracleCurve(tb testing.TB, pHex, qHex string) *Curve {
+	tb.Helper()
+	p, q := mustInt(pHex, 16), mustInt(qHex, 16)
+	f, err := ff.NewField(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := New(f, q, new(big.Int).Quo(new(big.Int).Add(p, big1), q))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // forEachOracleCurve runs fn per table row with a random subgroup
 // generator and the scalars to try: the structural edges 0, 1, 2, 3,
 // the table edges 127 and 128 (largest odd multiple ScalarMultBase
@@ -30,17 +46,9 @@ func forEachOracleCurve(t *testing.T, fn func(t *testing.T, c *Curve, g Point, s
 	for _, row := range oracleCurves {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
-			p, q := mustInt(row.p, 16), mustInt(row.q, 16)
-			if testing.Short() && p.BitLen() > 512 {
+			c := oracleCurve(t, row.p, row.q)
+			if testing.Short() && c.F.ByteLen() > 64 {
 				t.Skip("16-limb row skipped under -short")
-			}
-			f, err := ff.NewField(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := New(f, q, new(big.Int).Quo(new(big.Int).Add(p, big1), q))
-			if err != nil {
-				t.Fatal(err)
 			}
 			scalars := []*big.Int{
 				big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3),
@@ -156,4 +164,46 @@ func TestScalarMultBaseLowOrderBase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScalarMultWindowMatchesOracle walks the 4-bit fixed-window ladder
+// through its edges against the affine oracle: scalars around the
+// nibble boundaries (leading nibble 1 and 15, all-zero and all-one
+// nibbles below it), around the group orders, and wider than the field;
+// bases inside and outside the subgroup. On the 2-torsion point every
+// table entry is P or ∞, and on small multiples acc collides with
+// ±tbl[w], so the table build and the walk reach add's doubling and
+// infinity branches.
+func TestScalarMultWindowMatchesOracle(t *testing.T) {
+	forEachOracleCurve(t, func(t *testing.T, c *Curve, g Point, _ []*big.Int) {
+		order := new(big.Int).Mul(c.H, c.Q) // #E = p+1
+		wide, err := rand.Int(rand.Reader, new(big.Int).Lsh(big1, 600))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16), big.NewInt(17),
+			new(big.Int).Sub(c.Q, big1), c.Q, new(big.Int).Add(c.Q, big1), c.H, order,
+			wide.SetBit(wide, 599, 1),
+		}
+		for _, i := range []uint{3, 4, 5, 8, 63, 64, 65, uint(c.Q.BitLen()), uint(order.BitLen())} {
+			pow := new(big.Int).Lsh(big1, i)
+			scalars = append(scalars, pow, new(big.Int).Sub(pow, big1))
+		}
+		outside, err := c.RandomPoint(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		two, err := c.NewPoint(new(big.Int), new(big.Int)) // (0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]Point{"generator": g, "curve point": outside, "2-torsion": two, "infinity": Infinity()} {
+			for _, k := range scalars {
+				if got, want := c.ScalarMult(k, p), c.ScalarMultAffine(k, p); !c.Equal(got, want) {
+					t.Fatalf("%s: ScalarMult != oracle at k=%v: got %v want %v", name, k, got, want)
+				}
+			}
+		}
+	})
 }

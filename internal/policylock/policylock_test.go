@@ -194,7 +194,7 @@ func testForgedAttestationRejectedAndUseless(t *testing.T, e *env) {
 	}
 	// Attestation for the wrong condition doesn't decrypt.
 	policy, _ := ParsePolicy("cond")
-	msg := []byte("m")
+	msg := []byte("relabelling must not open this")
 	ct, err := e.sc.Encrypt(nil, e.witness.Pub, e.user.Pub, policy, msg)
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)

@@ -8,8 +8,8 @@ import (
 	"sort"
 	"time"
 
-	"timedrelease/internal/archive"
 	"timedrelease/internal/core"
+	"timedrelease/internal/wire"
 )
 
 // PartialError reports a degraded catch-up: some labels produced
@@ -78,18 +78,16 @@ const (
 // CatchUp fetches the updates for many labels (e.g. every epoch missed
 // while offline) and verifies them with O(1) pairing work: the labels
 // not already in the verified cache are requested as ONE /v1/catchup
-// range and each page is checked with two pairing products, however
-// large it is — the aggregate signature equation
-// (core.VerifyUpdateAggregate) plus a Merkle completeness commitment as
-// a cheap pre-filter, then the blinded batch equation
-// (core.VerifyUpdateBatch) as the admission check, because the
-// aggregate equation binds only the SUM of the points and compensating
-// tampers cancel in it. Nothing is returned or cached on the strength
-// of the aggregate equation alone. When the server predates the range
-// endpoint, or a range response fails any check, CatchUp falls back to
-// the per-label fetch + blinded batch verification it has always done —
-// an update that fails it aborts the call with ErrBadUpdate naming the
-// offender. All verified updates are cached.
+// range and each page is checked with one pairing product, however
+// large it is — the blinded batch equation (core.VerifyUpdateBatch),
+// whose per-update random blinders bind every update to its own label.
+// That is the paper's self-authentication of each archived update
+// (§5.3.1), batched; nothing else a page carries is trusted. When the
+// server predates the range endpoint, or a range response fails any
+// check, CatchUp falls back to the per-label fetch + blinded batch
+// verification it has always done — an update that fails it aborts the
+// call with ErrBadUpdate naming the offender. All verified updates are
+// cached.
 //
 // CatchUp degrades instead of failing wholesale: a label whose fetch
 // fails (not yet published, or a transport error that survived the
@@ -128,9 +126,9 @@ func (c *Client) CatchUp(ctx context.Context, labels []string) ([]core.KeyUpdate
 		partial.Causes[label] = cause
 	}
 
-	// Aggregate fast path: one range request over [min, max] of the
+	// Range fast path: one range request over [min, max] of the
 	// uncached labels — cached labels never widen the range — verified
-	// with two pairing products per page. A label a fully-covered range
+	// with one pairing product per page. A label a fully-covered range
 	// does not contain is not published; that is the same availability
 	// trust as a per-label 404, and costs zero extra round trips.
 	if len(missing) >= catchupRangeMin {
@@ -229,18 +227,17 @@ func (c *Client) CatchUp(ctx context.Context, labels []string) ([]core.KeyUpdate
 	return out, nil
 }
 
-// rangeCatchUp runs the aggregate fast path over the uncached labels:
-// it pages /v1/catchup windows that always start at the next label
-// still wanted, and verifies each page with two pairing products — the
-// aggregate signature plus the Merkle commitment over the delivered
-// payloads as a cheap pre-filter (n point additions), then the blinded
-// batch equation as the admission check, whose per-update random
-// blinders catch the compensating tampers the aggregate sum cannot
-// (TestAggregateSumBindingCaveat). No update reaches the verified
-// cache, or the caller, without passing both. It returns every
-// verified update by label, with complete=true when every wanted label
-// was either delivered or covered by a verified page (so an absent
-// label is an unpublished label). A nil map means the fast path is
+// rangeCatchUp runs the range fast path over the uncached labels: it
+// pages /v1/catchup windows that always start at the next label still
+// wanted, and takes each page through one pass — decode (curve and
+// subgroup membership of every point), the requested limit, window and
+// Total consistency, then the blinded batch equation as the admission
+// check. No update reaches the verified cache, or the caller, without
+// passing it; the page's Aggregate and Root fields are decoded and
+// ignored. It returns every verified update by label, with
+// complete=true when every wanted label was either delivered or covered
+// by a verified page (so an absent label is an unpublished label). A
+// nil map means the fast path is
 // unavailable (old server, transport failure) or the first page failed
 // a check — the caller falls back to the per-label batch path, which
 // can still localise an offender. Page limits are kept proportional to
@@ -278,6 +275,12 @@ func (c *Client) rangeCatchUp(ctx context.Context, missing []string) (map[string
 			return got, false
 		}
 		start := time.Now()
+		// The limit is ours to enforce: a server that ignores it must not
+		// make the client parse and subgroup-check a page it never asked
+		// for, so the claimed count is read before any point is.
+		if _, n, err := wire.CatchUpHeader(body); err != nil || n > limit {
+			return fail()
+		}
 		resp, err := c.codec.UnmarshalCatchUpResponse(body)
 		if err != nil {
 			return fail()
@@ -294,26 +297,16 @@ func (c *Client) rangeCatchUp(ctx context.Context, missing []string) (map[string
 		if n == 0 && resp.Total > 0 {
 			return fail()
 		}
-		// Pre-filter: the completeness commitment must match the
-		// delivered list exactly and one pairing product must verify the
-		// aggregate signature over every label in it.
-		leaves := make([][32]byte, n)
-		for i, u := range resp.Updates {
-			leaves[i] = archive.LeafHash(c.codec.MarshalKeyUpdate(u))
-		}
-		if archive.MerkleRoot(leaves) != resp.Root ||
-			!c.sc.VerifyUpdateAggregate(c.spub, resp.Updates, resp.Aggregate) {
-			return fail()
-		}
-		// Admission: the aggregate equation binds only the SUM of the
-		// points — compensating tampers cancel in it — so the blinded
-		// batch equation (one more pairing product, per-update binding)
-		// gates what the cache and the caller ever see.
+		// Admission: the blinded batch equation — per-update binding, one
+		// pairing product for the page — gates what the cache and the
+		// caller ever see. resp.Aggregate and resp.Root are not consulted:
+		// the aggregate binds only the SUM of the points and the root is
+		// unsigned, so neither could admit anything.
 		if ok, err := c.sc.VerifyUpdateBatch(c.spub, resp.Updates); err != nil || !ok {
 			return fail()
 		}
 		c.met.verifyNS.Since(start)
-		c.met.catchupAggregate.Inc()
+		c.met.catchupPages.Inc()
 		for _, u := range resp.Updates {
 			c.store(u)
 			got[u.Label] = u

@@ -17,6 +17,7 @@ import (
 	"timedrelease/internal/curve"
 	"timedrelease/internal/faulthttp"
 	"timedrelease/internal/obs"
+	"timedrelease/internal/parallel"
 	"timedrelease/internal/wire"
 )
 
@@ -67,7 +68,7 @@ func forgeRange(t *testing.T, e *env, body []byte, forged core.KeyUpdate) []byte
 
 func TestCatchUpRangeForgeryFallsBackToBatchPath(t *testing.T) {
 	// The range response carries one forged update (self-consistent
-	// aggregate and commitment, wrong signing key). The aggregate check
+	// aggregate and commitment, wrong signing key). The admission check
 	// must reject the page wholesale and the client must recover through
 	// the authoritative per-label batch path — which here is honest, so
 	// the catch-up still succeeds, with the fallback counted.
@@ -109,20 +110,20 @@ func TestCatchUpRangeForgeryFallsBackToBatchPath(t *testing.T) {
 		}
 	}
 	s := reg.Snapshot()
-	if s.Counters["client.catchup_aggregate"] != 0 ||
+	if s.Counters["client.catchup_range_pages"] != 0 ||
 		s.Counters["client.catchup_fallback"] != 1 ||
 		s.Counters["client.catchup_batches"] != 1 {
-		t.Fatalf("counters = aggregate %d fallback %d batches %d, want 0/1/1",
-			s.Counters["client.catchup_aggregate"],
+		t.Fatalf("counters = pages %d fallback %d batches %d, want 0/1/1",
+			s.Counters["client.catchup_range_pages"],
 			s.Counters["client.catchup_fallback"],
 			s.Counters["client.catchup_batches"])
 	}
 }
 
 func TestCatchUpRangeForgeryRejectedWholesaleWhenServerLies(t *testing.T) {
-	// Differential acceptance test: a forged update INSIDE the aggregated
-	// range, served consistently on the per-label endpoint too (a lying
-	// server, not a flaky proxy). The aggregate path detects it, the
+	// Differential acceptance test: a forged update INSIDE the range,
+	// served consistently on the per-label endpoint too (a lying
+	// server, not a flaky proxy). The range path detects it, the
 	// fallback batch path detects it, and the whole catch-up is rejected
 	// with nothing cached.
 	e := newEnv(t)
@@ -273,12 +274,12 @@ func TestCatchUpOldServerFallsBackToLegacyPath(t *testing.T) {
 	}
 	s := reg.Snapshot()
 	// An absent endpoint is availability, not integrity: no fallback
-	// counted, no aggregate verified, one legacy batch.
-	if s.Counters["client.catchup_aggregate"] != 0 ||
+	// counted, no range page admitted, one legacy batch.
+	if s.Counters["client.catchup_range_pages"] != 0 ||
 		s.Counters["client.catchup_fallback"] != 0 ||
 		s.Counters["client.catchup_batches"] != 1 {
-		t.Fatalf("counters = aggregate %d fallback %d batches %d, want 0/0/1",
-			s.Counters["client.catchup_aggregate"],
+		t.Fatalf("counters = pages %d fallback %d batches %d, want 0/0/1",
+			s.Counters["client.catchup_range_pages"],
 			s.Counters["client.catchup_fallback"],
 			s.Counters["client.catchup_batches"])
 	}
@@ -287,7 +288,7 @@ func TestCatchUpOldServerFallsBackToLegacyPath(t *testing.T) {
 func TestCatchUpRangePagesThroughTruncation(t *testing.T) {
 	// Cap the server's page size via the limit parameter by rewriting the
 	// query: every page but the last comes back truncated, and the client
-	// must walk them all, verifying each page's aggregate.
+	// must walk them all, batch-verifying each page.
 	e := newEnv(t)
 	labels := publishRun(t, e, 9)
 
@@ -319,8 +320,8 @@ func TestCatchUpRangePagesThroughTruncation(t *testing.T) {
 	}
 	s := reg.Snapshot()
 	wantPages := int64((len(labels) + 2) / 3)
-	if got := s.Counters["client.catchup_aggregate"]; got != wantPages {
-		t.Fatalf("catchup_aggregate = %d, want %d pages", got, wantPages)
+	if got := s.Counters["client.catchup_range_pages"]; got != wantPages {
+		t.Fatalf("catchup_range_pages = %d, want %d", got, wantPages)
 	}
 	if s.Counters["client.catchup_batches"] != 0 {
 		t.Fatalf("paged range catch-up used the batch path %d times", s.Counters["client.catchup_batches"])
@@ -359,7 +360,8 @@ func tamperCompensating(t *testing.T, e *env, body []byte) []byte {
 func TestCatchUpRangeCompensatingTamperNeverServedOrCached(t *testing.T) {
 	// Regression for the cache-poisoning hole: a MITM answering the
 	// range endpoint with compensating tampers passes every
-	// aggregate-level check, so without the blinded batch admission gate
+	// aggregate-level check (which the client no longer even runs), so
+	// without the blinded batch admission gate
 	// the forged updates would be returned with err == nil AND would
 	// poison the verified cache permanently. The client must reject the
 	// page, recover through the honest per-label path, and neither
@@ -404,11 +406,11 @@ func TestCatchUpRangeCompensatingTamperNeverServedOrCached(t *testing.T) {
 		}
 	}
 	s := reg.Snapshot()
-	if s.Counters["client.catchup_aggregate"] != 0 ||
+	if s.Counters["client.catchup_range_pages"] != 0 ||
 		s.Counters["client.catchup_fallback"] != 1 ||
 		s.Counters["client.catchup_batches"] != 1 {
-		t.Fatalf("counters = aggregate %d fallback %d batches %d, want 0/1/1",
-			s.Counters["client.catchup_aggregate"],
+		t.Fatalf("counters = pages %d fallback %d batches %d, want 0/1/1",
+			s.Counters["client.catchup_range_pages"],
 			s.Counters["client.catchup_fallback"],
 			s.Counters["client.catchup_batches"])
 	}
@@ -496,8 +498,128 @@ func TestCatchUpEmptyPageClaimingTotalFallsBack(t *testing.T) {
 		t.Fatalf("got %d updates, want %d", len(ups), len(labels))
 	}
 	s := reg.Snapshot()
-	if s.Counters["client.catchup_aggregate"] != 0 || s.Counters["client.catchup_fallback"] != 1 {
-		t.Fatalf("counters = aggregate %d fallback %d, want 0/1",
-			s.Counters["client.catchup_aggregate"], s.Counters["client.catchup_fallback"])
+	if s.Counters["client.catchup_range_pages"] != 0 || s.Counters["client.catchup_fallback"] != 1 {
+		t.Fatalf("counters = pages %d fallback %d, want 0/1",
+			s.Counters["client.catchup_range_pages"], s.Counters["client.catchup_fallback"])
+	}
+}
+
+func TestCatchUpRangeOnePassContract(t *testing.T) {
+	// What a returning receiver pays for 48 missed epochs: one range
+	// request and ONE pairing product — the blinded batch equation, which
+	// hashes every label itself (inside its worker pool, past the label
+	// cache). Nothing is verified twice.
+	e := newEnv(t)
+	labels := publishRun(t, e, 47)
+	if len(labels) != 48 {
+		t.Fatalf("published %d labels, want 48", len(labels))
+	}
+	reg := obs.NewRegistry()
+	c := NewClient(e.ts.URL, e.set, e.key.Pub, WithHTTPClient(e.ts.Client()), WithClientMetrics(reg))
+	ups, err := c.CatchUp(context.Background(), labels)
+	if err != nil || len(ups) != len(labels) {
+		t.Fatalf("CatchUp: %d updates, err %v", len(ups), err)
+	}
+	s := reg.Snapshot().Counters
+	if s["core.pairings"] != 2 {
+		t.Fatalf("core.pairings = %d, want exactly 2 for the page", s["core.pairings"])
+	}
+	if n := s["core.labelpoint_cache_hit"] + s["core.labelpoint_cache_miss"]; n != 0 {
+		t.Fatalf("%d label-cache lookups, want 0 (labels are hashed once, in the batch)", n)
+	}
+	if s["client.catchup_range_pages"] != 1 || s["client.catchup_fallback"] != 0 || s["client.catchup_batches"] != 0 {
+		t.Fatalf("counters = pages %d fallback %d batches %d, want 1/0/0",
+			s["client.catchup_range_pages"], s["client.catchup_fallback"], s["client.catchup_batches"])
+	}
+}
+
+func TestCatchUpRangeDoesNotConsultAggregateOrRoot(t *testing.T) {
+	// The Aggregate and Root fields are reserved for removal: a page of
+	// genuine updates is admitted whatever they carry, so a later server
+	// can send them empty to clients from this version on.
+	e := newEnv(t)
+	labels := publishRun(t, e, 7)
+	garbage := e.sc.IssueUpdate(e.key, "some-other-label").Point
+	for name, agg := range map[string]curve.Point{"identity": curve.Infinity(), "garbage": garbage} {
+		real := e.server.Handler()
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/catchup" {
+				real.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			real.ServeHTTP(rec, r)
+			resp, err := e.server.codec.UnmarshalCatchUpResponse(rec.Body.Bytes())
+			if err != nil {
+				t.Error(err)
+			}
+			resp.Aggregate, resp.Root = agg, [32]byte{}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(e.server.codec.MarshalCatchUpResponse(resp))
+		}))
+		reg := obs.NewRegistry()
+		c := NewClient(proxy.URL, e.set, e.key.Pub,
+			WithHTTPClient(proxy.Client()), WithClientMetrics(reg))
+		ups, err := c.CatchUp(context.Background(), labels)
+		proxy.Close()
+		if err != nil || len(ups) != len(labels) {
+			t.Fatalf("%s aggregate: %d updates, err %v", name, len(ups), err)
+		}
+		s := reg.Snapshot().Counters
+		if s["client.catchup_range_pages"] != 1 || s["client.catchup_fallback"] != 0 || s["client.catchup_batches"] != 0 {
+			t.Fatalf("%s aggregate: counters = pages %d fallback %d batches %d, want 1/0/0", name,
+				s["client.catchup_range_pages"], s["client.catchup_fallback"], s["client.catchup_batches"])
+		}
+	}
+}
+
+func TestCatchUpRangeEnforcesRequestedLimit(t *testing.T) {
+	// The client asks for limit = 4·wanted+64 so a sparse label set cannot
+	// pull in the archive span between them; a server that ignores the
+	// limit must not get the whole span parsed, verified and cached anyway.
+	// The oversized page is refused on its header alone — no point of it
+	// reaches the worker pool — and the two labels are finished per-label.
+	e := newEnv(t)
+	labels := publishRun(t, e, 199) // 200 epochs archived
+	first, last := labels[0], labels[len(labels)-1]
+
+	real := e.server.Handler()
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/catchup" {
+			q := r.URL.Query()
+			q.Del("limit")
+			r.URL.RawQuery = q.Encode()
+		}
+		real.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+
+	reg := obs.NewRegistry()
+	parallel.Instrument(reg)
+	tasks := reg.Snapshot().Gauges["parallel.tasks"]
+	c := NewClient(proxy.URL, e.set, e.key.Pub,
+		WithHTTPClient(proxy.Client()), WithClientMetrics(reg))
+	ups, err := c.CatchUp(context.Background(), []string{first, last})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ups) != 2 || ups[0].Label != first || ups[1].Label != last {
+		t.Fatalf("got %d updates (%v), want exactly [%s %s]", len(ups), ups, first, last)
+	}
+	if n := c.CachedLen(); n != 2 {
+		t.Fatalf("client cached %d updates from a page it never asked for, want 2", n)
+	}
+	s := reg.Snapshot()
+	if s.Counters["client.catchup_range_pages"] != 0 ||
+		s.Counters["client.catchup_fallback"] != 1 ||
+		s.Counters["client.catchup_batches"] != 1 {
+		t.Fatalf("counters = pages %d fallback %d batches %d, want 0/1/1",
+			s.Counters["client.catchup_range_pages"],
+			s.Counters["client.catchup_fallback"],
+			s.Counters["client.catchup_batches"])
+	}
+	// Only the per-label batch of two went through the pool.
+	if got := s.Gauges["parallel.tasks"] - tasks; got != 2 {
+		t.Fatalf("%d pool tasks, want 2: the oversized page's points were parsed", got)
 	}
 }

@@ -58,8 +58,8 @@ type clientMetrics struct {
 	cacheHit         *obs.Counter   // updates served from the local cache
 	cacheMiss        *obs.Counter   // updates that needed a fetch
 	catchupBatches   *obs.Counter   // batched CatchUp verifications
-	catchupAggregate *obs.Counter   // range pages admitted (aggregate + blinded batch)
-	catchupFallback  *obs.Counter   // aggregate/batch checks that fell back a level
+	catchupPages     *obs.Counter   // /v1/catchup pages admitted by the blinded batch check
+	catchupFallback  *obs.Counter   // range-page/batch checks that fell back a level
 	retries          *obs.Counter   // transport-level retry attempts
 	catchupDegraded  *obs.Counter   // CatchUp calls returning a PartialError
 	streamEvents     *obs.Counter   // verified updates delivered over /v1/stream
@@ -99,7 +99,7 @@ func WithClientMetrics(r *obs.Registry) ClientOption {
 			cacheHit:         r.Counter("client.cache_hit"),
 			cacheMiss:        r.Counter("client.cache_miss"),
 			catchupBatches:   r.Counter("client.catchup_batches"),
-			catchupAggregate: r.Counter("client.catchup_aggregate"),
+			catchupPages:     r.Counter("client.catchup_range_pages"),
 			catchupFallback:  r.Counter("client.catchup_fallback"),
 			retries:          r.Counter("client.retries"),
 			catchupDegraded:  r.Counter("client.catchup_degraded"),

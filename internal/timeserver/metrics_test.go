@@ -98,14 +98,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if c.Counters["client.cache_miss"] < 4 {
 		t.Fatalf("client.cache_miss = %d, want ≥ 4", c.Counters["client.cache_miss"])
 	}
-	// The catch-up rode the aggregate fast path: one range response,
-	// one pairing product, no per-label batch and no fallback.
-	if c.Counters["client.catchup_aggregate"] != 1 || c.Counters["client.catchup_fallback"] != 0 {
-		t.Fatalf("catchup aggregate/fallback = %d/%d, want 1/0",
-			c.Counters["client.catchup_aggregate"], c.Counters["client.catchup_fallback"])
+	// The catch-up rode the range path: one range response, one pairing
+	// product, no per-label batch and no fallback.
+	if c.Counters["client.catchup_range_pages"] != 1 || c.Counters["client.catchup_fallback"] != 0 {
+		t.Fatalf("catchup range pages/fallback = %d/%d, want 1/0",
+			c.Counters["client.catchup_range_pages"], c.Counters["client.catchup_fallback"])
 	}
 	if c.Counters["client.catchup_batches"] != 0 {
-		t.Fatalf("catchup_batches = %d, want 0 (aggregate path)", c.Counters["client.catchup_batches"])
+		t.Fatalf("catchup_batches = %d, want 0 (range path)", c.Counters["client.catchup_batches"])
 	}
 	if c.Histograms["client.verify_ns"].Count < 2 || c.Histograms["client.fetch_ns"].Count < 3 {
 		t.Fatalf("client latency histograms undersampled: verify=%d fetch=%d",

@@ -173,17 +173,19 @@ func (r *Relay) ingest(u core.KeyUpdate) bool {
 		r.cIngested.Inc()
 		return true
 	}
+	// Counted before the broadcast: a subscriber that has the update in
+	// hand must never read a count that does not include it yet.
+	r.ingested.Add(1)
+	r.cIngested.Inc()
 	body := r.codec.MarshalKeyUpdate(u)
 	r.hub.encodes.Add(1)
 	r.hub.publish(r.sched.Index(t), u.Label, body)
-	r.ingested.Add(1)
-	r.cIngested.Inc()
 	return true
 }
 
 // syncOnce converges the local archive on the upstream one via the
-// aggregate catch-up path: list upstream labels, CatchUp the missing
-// ones (one range request + two pairing products however many there
+// range catch-up path: list upstream labels, CatchUp the missing ones
+// (one range request + one pairing product per page however many there
 // are), ingest everything verified. A degraded catch-up is progress,
 // not failure — the remainder is retried next cycle.
 func (r *Relay) syncOnce(ctx context.Context) (int, error) {
@@ -245,7 +247,7 @@ func (r *Relay) nextFrom() string {
 }
 
 // Run ingests from upstream until ctx is cancelled: catch up over the
-// gap (aggregate path), then ride the upstream push stream, and on any
+// gap (range path), then ride the upstream push stream, and on any
 // disconnect back off (jittered, capped) and converge again. A relay
 // never gives up — it is a daemon whose whole job is to be there when
 // the upstream comes back. Against a pre-stream upstream it degrades

@@ -258,7 +258,7 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 //	GET /v1/update/{label}→ wire-encoded update, 404 until published
 //	GET /v1/wait/{label}  → long-poll variant (?timeout=25s)
 //	GET /v1/stream        → SSE push of every future update (?from=label replays)
-//	GET /v1/catchup       → aggregate range download
+//	GET /v1/catchup       → range download
 //	GET /v1/latest        → most recent update
 //	GET /v1/labels        → newline-separated published labels
 //	GET /v1/healthz       → 200 ok
@@ -378,11 +378,12 @@ const maxCatchUpRange = 65536
 
 // handleCatchUp serves GET /v1/catchup?from=L&to=L[&limit=n]: every
 // archived update with from ≤ label ≤ to (ascending, truncated to
-// limit), one aggregate signature over them and the Merkle completeness
-// commitment. Like every other route this is read-only over the
-// archive — a range request cannot cause anything to be signed, so
-// passivity is untouched; the aggregate is a sum of already-published
-// points.
+// limit), followed by their sum and a Merkle root over them — two
+// fields no client consults any more (each update authenticates
+// itself), still sent so the body stays byte-identical for old clients
+// until the format drops them. Like every other route this is read-only
+// over the archive — a range request cannot cause anything to be
+// signed, so passivity is untouched.
 func (v *publicView) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")

@@ -7,20 +7,24 @@ import (
 	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/parallel"
 )
 
 // CatchUpResponse is the body of one /v1/catchup range response: the
-// archived updates of a label range, their same-key BLS aggregate and
-// the Merkle completeness commitment over the updates' wire payloads
-// (internal/archive). Encoding:
+// archived updates of a label range, followed by their sum and a Merkle
+// root over their wire payloads (internal/archive). Encoding:
 //
 //	u32 total ‖ u32 n ‖ n × (u16 len ‖ label ‖ point) ‖ point agg ‖ 32-byte root
 //
-// The per-update encoding is exactly MarshalKeyUpdate, so a leaf of the
-// commitment can be recomputed from the decoded update alone. Decoding
-// is strict: labels must be strictly ascending (which also bans
+// The per-update encoding is exactly MarshalKeyUpdate. Decoding is
+// strict: labels must be strictly ascending (which also bans
 // duplicates), n ≤ total, and an empty range must carry the identity
 // aggregate and the zero root — so every valid encoding is canonical.
+//
+// Aggregate and Root are decoded but no client consults them: each
+// update authenticates itself against the pinned server key, the sum
+// binds nothing per update and the root is unsigned. They are reserved
+// for removal (docs/PROTOCOL.md).
 type CatchUpResponse struct {
 	// Total counts all archived records in the requested range; when
 	// Total > len(Updates) the response was truncated (oldest first)
@@ -28,9 +32,10 @@ type CatchUpResponse struct {
 	Total int
 	// Updates are the returned records in ascending label order.
 	Updates []core.KeyUpdate
-	// Aggregate is Σ of the update points.
+	// Aggregate is Σ of the update points. Not consulted.
 	Aggregate curve.Point
-	// Root is the Merkle root over the updates' wire payloads.
+	// Root is the Merkle root over the updates' wire payloads. Not
+	// consulted.
 	Root [32]byte
 }
 
@@ -52,41 +57,71 @@ func (c *Codec) MarshalCatchUpResponse(r CatchUpResponse) []byte {
 	return append(out, r.Root[:]...)
 }
 
-// UnmarshalCatchUpResponse decodes and structurally validates a
-// catch-up range response. The aggregate signature and commitment are
-// NOT verified here — that is the client's job against its pinned
-// server key.
-func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
-	r := &reader{buf: data}
-	total, err := r.u32()
-	if err != nil {
-		return CatchUpResponse{}, fmt.Errorf("wire: catchup total: %w", err)
+// CatchUpHeader reads the fixed 8-byte header of a catch-up range
+// response — the window's record count and the number of updates the
+// body claims to carry — without touching a point, so a caller can
+// refuse an oversized page before paying for it.
+func CatchUpHeader(data []byte) (total, n int, err error) {
+	return catchUpHeader(&reader{buf: data})
+}
+
+func catchUpHeader(r *reader) (total, n int, err error) {
+	if total, err = r.u32(); err != nil {
+		return 0, 0, fmt.Errorf("wire: catchup total: %w", err)
 	}
-	n, err := r.u32()
-	if err != nil {
-		return CatchUpResponse{}, fmt.Errorf("wire: catchup count: %w", err)
+	if n, err = r.u32(); err != nil {
+		return 0, 0, fmt.Errorf("wire: catchup count: %w", err)
 	}
 	if n > total {
-		return CatchUpResponse{}, errors.New("wire: catchup count exceeds total")
+		return 0, 0, errors.New("wire: catchup count exceeds total")
+	}
+	return total, n, nil
+}
+
+// UnmarshalCatchUpResponse decodes and structurally validates a
+// catch-up range response in two passes: the framing (lengths, strictly
+// ascending labels) serially, then the update points — curve and
+// subgroup membership, the dominant cost — across the worker pool, one
+// point per task. A bad point is reported at the lowest failing index,
+// exactly as a serial decoder would. Whether the updates are the
+// server's is NOT checked here — that is the client's job against its
+// pinned server key.
+func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
+	r := &reader{buf: data}
+	total, n, err := catchUpHeader(r)
+	if err != nil {
+		return CatchUpResponse{}, err
 	}
 	out := CatchUpResponse{Total: total}
+	var raws [][]byte // raws[i] is the encoding of Updates[i].Point
 	if n > 0 {
 		out.Updates = make([]core.KeyUpdate, 0, min(n, maxCatchUpPrealloc))
+		raws = make([][]byte, 0, min(n, maxCatchUpPrealloc))
 	}
+	ptLen := c.Set.B.PointLen(backend.G2)
 	for i := 0; i < n; i++ {
 		label, err := r.bytes16()
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d label: %w", i, err)
 		}
-		pt, err := c.point(r, backend.G2)
+		raw, err := r.take(ptLen)
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d point: %w", i, err)
 		}
-		u := core.KeyUpdate{Label: string(label), Point: pt}
-		if i > 0 && out.Updates[i-1].Label >= u.Label {
+		if i > 0 && out.Updates[i-1].Label >= string(label) {
 			return CatchUpResponse{}, errors.New("wire: catchup labels not strictly ascending")
 		}
-		out.Updates = append(out.Updates, u)
+		out.Updates = append(out.Updates, core.KeyUpdate{Label: string(label)})
+		raws = append(raws, raw)
+	}
+	errs := make([]error, n)
+	parallel.For(n, func(i int) {
+		out.Updates[i].Point, errs[i] = c.parsePoint(backend.G2, raws[i])
+	})
+	for i, err := range errs {
+		if err != nil {
+			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d point: %w", i, err)
+		}
 	}
 	agg, err := c.point(r, backend.G2)
 	if err != nil {

@@ -133,6 +133,12 @@ func (c *Codec) point(r *reader, g backend.Group) (curve.Point, error) {
 	if err != nil {
 		return curve.Point{}, err
 	}
+	return c.parsePoint(g, raw)
+}
+
+// parsePoint decodes one PointLen(g)-byte encoding: on the curve, in
+// the subgroup, and of this codec's backend.
+func (c *Codec) parsePoint(g backend.Group, raw []byte) (curve.Point, error) {
 	pt, err := c.Set.B.ParsePoint(g, raw)
 	if err != nil {
 		if foreignTag(c.Set.Asymmetric(), raw[0]) {
