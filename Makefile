@@ -8,17 +8,18 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help build bench-build spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help build bench-build bench-smoke spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + spine + shuffled tests + race tests"
+	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
+	@echo "  bench-smoke        run the nested benchmark/ module's tests: every workload, traced and untraced, at reduced size"
 	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow"
 	@echo "  test               go test ./..."
 	@echo "  test-shuffle       go test -shuffle=on ./..."
@@ -50,6 +51,15 @@ build:
 bench-build:
 	GOFLAGS=-mod=mod $(GO) build -C benchmark -o /dev/null .
 	GOFLAGS=-mod=mod $(GO) vet -C benchmark .
+
+# Compiling is not running: the benchmark driver rejects a PR whose
+# workloads fail or report an incorrect result, and that should first
+# fail here. The module's own tests run every workload traced and
+# untraced at reduced size, check `correct`, zero failed operations and
+# the BENCHMARK.json contract (~20 s), and write nothing under
+# benchmark/.
+bench-smoke:
+	GOFLAGS=-mod=mod $(GO) test -C benchmark -count=1 ./...
 
 # The crypto-spine ratchet (ROADMAP item 3: one way into the pairing
 # layer). Everything above internal/backend should reach the pairing
@@ -103,14 +113,13 @@ lint:
 		echo "lint: govulncheck skipped: tool not installed (CI enforces)"; \
 	fi
 
-# The CI gate: static checks, the nested benchmark module's build, one
-# import ratchet on the pairing layer, one shuffled test run, one race
-# run — each pass exactly once (the race
-# detector covers the WHOLE module;
-# the concurrency reaches from the sharded scheme caches and pooled
-# arenas up through the serving path, so nothing is exempt). This is
-# what .github/workflows/ci.yml executes.
-ci: vet fmt-check lint bench-build spine test-shuffle race
+# The CI gate: static checks, the nested benchmark module's build and
+# its reduced-size run, one import ratchet on the pairing layer, one
+# shuffled test run, one race run — each pass exactly once (the race
+# detector covers the WHOLE module; the concurrency reaches from the
+# sharded scheme caches and pooled arenas up through the serving path,
+# so nothing is exempt). This is what .github/workflows/ci.yml executes.
+ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 
 # Historical pre-commit name.
 check: ci

@@ -4,10 +4,15 @@
 // receiver who missed a broadcast can always catch up. The archive is
 // the only state the time server accumulates — none of it is about
 // users.
+//
+// Memory is that list with its one ordered index; Log (log.go) is a
+// FrameLog (framelog.go) that makes a Memory durable. Neither computes
+// anything over the updates it stores: each authenticates itself.
 package archive
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,6 +31,13 @@ type Archive interface {
 	// Labels returns all published labels in lexicographic order (which,
 	// for canonical RFC 3339 labels, is chronological order).
 	Labels() []string
+	// Latest returns the update with the greatest label, if any, at a
+	// cost independent of the archive's size.
+	Latest() (core.KeyUpdate, bool)
+	// Range returns the updates with from ≤ label ≤ to in ascending
+	// label order, truncated to the oldest limit when limit > 0, at a
+	// cost of O(log n) plus the page.
+	Range(from, to string, limit int) (RangeResult, error)
 	// Len returns the number of stored updates.
 	Len() int
 }
@@ -33,10 +45,13 @@ type Archive interface {
 // ErrConflict reports two different updates for the same label.
 var ErrConflict = errors.New("archive: conflicting update for label")
 
-// Memory is an in-memory archive.
+// Memory is an in-memory archive: the updates by label plus the one
+// ordered index — the labels in ascending order — that Labels, Latest
+// and Range are served from.
 type Memory struct {
-	mu sync.RWMutex
-	m  map[string]core.KeyUpdate
+	mu     sync.RWMutex
+	m      map[string]core.KeyUpdate
+	sorted []string // keys of m, ascending; maintained by Put
 }
 
 // NewMemory returns an empty in-memory archive.
@@ -44,7 +59,9 @@ func NewMemory() *Memory {
 	return &Memory{m: make(map[string]core.KeyUpdate)}
 }
 
-// Put implements Archive.
+// Put implements Archive. A label past the current tail — the publish
+// and the log-replay pattern — is appended to the index; a backfill is
+// inserted at its binary-searched position.
 func (a *Memory) Put(u core.KeyUpdate) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -58,6 +75,11 @@ func (a *Memory) Put(u core.KeyUpdate) error {
 		return nil
 	}
 	a.m[u.Label] = u
+	if n := len(a.sorted); n == 0 || a.sorted[n-1] < u.Label {
+		a.sorted = append(a.sorted, u.Label)
+	} else {
+		a.sorted = slices.Insert(a.sorted, sort.SearchStrings(a.sorted, u.Label), u.Label)
+	}
 	return nil
 }
 
@@ -70,21 +92,46 @@ func (a *Memory) Get(label string) (core.KeyUpdate, bool) {
 }
 
 // Labels implements Archive. The returned slice is a fresh snapshot in
-// lexicographic order: the read lock is held only while copying the
-// keys, and the O(n log n) sort runs after it is released, so a large
-// archive never stalls concurrent Put/Get behind sorting. Labels
-// published concurrently with the call may or may not appear — the
-// snapshot is consistent with SOME moment during the call, which is all
-// the catch-up protocol needs.
+// lexicographic order, copied from the index under the read lock.
+// Labels published concurrently with the call may or may not appear —
+// the snapshot is consistent with SOME moment during the call, which is
+// all the catch-up protocol needs.
 func (a *Memory) Labels() []string {
 	a.mu.RLock()
-	out := make([]string, 0, len(a.m))
-	for l := range a.m {
-		out = append(out, l)
+	defer a.mu.RUnlock()
+	return slices.Clone(a.sorted)
+}
+
+// Latest implements Archive.
+func (a *Memory) Latest() (core.KeyUpdate, bool) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if len(a.sorted) == 0 {
+		return core.KeyUpdate{}, false
 	}
-	a.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	return a.m[a.sorted[len(a.sorted)-1]], true
+}
+
+// Range implements Archive; it is the one implementation of range
+// selection in the tree. The read lock is held for the two searches
+// and the copy of the page, so a page is a consistent snapshot.
+func (a *Memory) Range(from, to string, limit int) (RangeResult, error) {
+	if from > to {
+		return RangeResult{}, ErrBadRange
+	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	lo := sort.SearchStrings(a.sorted, from)
+	hi := lo + sort.Search(len(a.sorted)-lo, func(i int) bool { return a.sorted[lo+i] > to })
+	res := RangeResult{Total: hi - lo}
+	if limit > 0 && res.Total > limit {
+		hi = lo + limit
+	}
+	res.Updates = make([]core.KeyUpdate, hi-lo)
+	for i, label := range a.sorted[lo:hi] {
+		res.Updates[i] = a.m[label]
+	}
+	return res, nil
 }
 
 // Len implements Archive.

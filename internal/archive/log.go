@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
-	"timedrelease/internal/curve"
 	"timedrelease/internal/wire"
 )
 
@@ -29,10 +27,10 @@ import (
 // (cryptographic damage → refuse to serve). CRCs are not authentication;
 // the pairing equation is.
 //
-// Everything else the Log serves from — the label index, the per-record
-// Merkle leaves, the prefix aggregates behind Range — is in-memory
-// state rebuilt from those records on every open. Older versions also
-// wrote the prefix aggregates to a sidecar file next to the log
+// Everything the Log serves from is a Memory (archive.go) — the updates
+// by label and the one ordered label index — rebuilt from those records
+// on every open. Older versions also kept prefix sums of the points,
+// and the oldest wrote them to a sidecar file next to the log
 // (docs/PROTOCOL.md); nothing reads it any more, and a leftover one is
 // ignored.
 
@@ -41,12 +39,6 @@ const logName = "updates.log"
 
 // logMagic identifies (and versions) the on-disk format.
 var logMagic = []byte("TRELOG1\n")
-
-// checkpointInterval is how many records each in-memory prefix
-// aggregate covers: 256 keeps range aggregation under ~512 point
-// additions however long the range is, while a year of minute epochs
-// needs only ~2k aggregates.
-const checkpointInterval = 256
 
 // RecoverStats describes what opening the log found and repaired.
 type RecoverStats struct {
@@ -57,34 +49,16 @@ type RecoverStats struct {
 	Elapsed   time.Duration // replay wall time
 }
 
-// recMeta is the in-memory per-record state behind range serving: the
-// label, the signature point and the Merkle leaf of the record's wire
-// payload, in append order.
-type recMeta struct {
-	label string
-	point curve.Point
-	leaf  [32]byte
-}
-
 // Log is the durable archive: an append-only, checksummed log of
 // published updates with an in-memory index. Safe for concurrent use.
 type Log struct {
-	mem      *Memory
-	codec    *wire.Codec
-	verify   func(core.KeyUpdate) bool // nil → structural checks only
-	interval int                       // records per prefix aggregate (checkpointInterval)
-	stats    RecoverStats              // what OpenDir found; fixed afterwards
+	mem    *Memory // every durable record; all reads are served from it
+	codec  *wire.Codec
+	verify func(core.KeyUpdate) bool // nil → structural checks only
+	stats  RecoverStats              // what OpenDir found; fixed afterwards
 
-	mu sync.Mutex // serialises appends; Range only snapshots under it
+	mu sync.Mutex // serialises appends; readers never take it
 	fl *FrameLog
-
-	// Range-serving state, maintained by index. recs and ckpts are
-	// append-only, so Range can snapshot their headers under mu and
-	// compute outside it.
-	recs   []recMeta     // every intact record, append order
-	ckpts  []curve.Point // ckpts[k] = Σ points of recs[:(k+1)·interval]
-	agg    curve.Point   // running aggregate over recs
-	sorted bool          // recs are in ascending label order
 }
 
 // LogOption configures a Log.
@@ -111,8 +85,7 @@ func OpenDir(dir string, codec *wire.Codec, opts ...LogOption) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("archive: creating %s: %w", dir, err)
 	}
-	l := &Log{mem: NewMemory(), codec: codec, interval: checkpointInterval,
-		agg: codec.Set.B.Infinity(backend.G2), sorted: true}
+	l := &Log{mem: NewMemory(), codec: codec}
 	for _, o := range opts {
 		o(l)
 	}
@@ -128,7 +101,7 @@ func OpenDir(dir string, codec *wire.Codec, opts ...LogOption) (*Log, error) {
 			}
 			l.stats.Verified++
 		}
-		if err := l.index(u, payload); err != nil {
+		if err := l.mem.Put(u); err != nil {
 			// Two different checksummed updates for one label: rewritten, not torn.
 			return fmt.Errorf("%w: replay at offset %d: %w", ErrInvalidRecord, offset, err)
 		}
@@ -143,25 +116,6 @@ func OpenDir(dir string, codec *wire.Codec, opts ...LogOption) (*Log, error) {
 	return l, nil
 }
 
-// index admits one durable record to the in-memory state: the label
-// index, the record list and the prefix aggregates. Called under l.mu
-// by Put once the record is fsynced, and by OpenDir's replay before
-// the Log is shared — both build the serving state the same way.
-func (l *Log) index(u core.KeyUpdate, payload []byte) error {
-	if err := l.mem.Put(u); err != nil {
-		return err
-	}
-	if n := len(l.recs); n > 0 && l.recs[n-1].label >= u.Label {
-		l.sorted = false
-	}
-	l.recs = append(l.recs, recMeta{label: u.Label, point: u.Point, leaf: LeafHash(payload)})
-	l.agg = l.codec.Set.B.Add(backend.G2, l.agg, u.Point)
-	if len(l.recs)%l.interval == 0 {
-		l.ckpts = append(l.ckpts, l.agg)
-	}
-	return nil
-}
-
 // Put implements Archive, appending new records durably: the write is
 // fsynced before the in-memory index (and therefore any reader) sees
 // it, so a served update is always a durable update. A failed append
@@ -173,21 +127,21 @@ func (l *Log) Put(u core.KeyUpdate) error {
 	if _, ok := l.mem.Get(u.Label); ok {
 		return l.mem.Put(u) // dedupe/conflict check only; nothing to append
 	}
-	payload := l.codec.MarshalKeyUpdate(u)
-	if err := l.fl.Append(payload); err != nil {
+	if err := l.fl.Append(l.codec.MarshalKeyUpdate(u)); err != nil {
 		return err
 	}
-	return l.index(u, payload)
+	return l.mem.Put(u)
 }
 
-// Get implements Archive.
+// Get, Labels, Latest, Range and Len implement Archive from the index:
+// every record in it is durable, so its answer is the log's.
 func (l *Log) Get(label string) (core.KeyUpdate, bool) { return l.mem.Get(label) }
-
-// Labels implements Archive.
-func (l *Log) Labels() []string { return l.mem.Labels() }
-
-// Len implements Archive.
-func (l *Log) Len() int { return l.mem.Len() }
+func (l *Log) Labels() []string                        { return l.mem.Labels() }
+func (l *Log) Latest() (core.KeyUpdate, bool)          { return l.mem.Latest() }
+func (l *Log) Len() int                                { return l.mem.Len() }
+func (l *Log) Range(from, to string, limit int) (RangeResult, error) {
+	return l.mem.Range(from, to, limit)
+}
 
 // Stats returns what OpenDir found.
 func (l *Log) Stats() RecoverStats { return l.stats }

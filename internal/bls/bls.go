@@ -115,10 +115,9 @@ func AggregateInto(set *params.Set, acc curve.Point, sigs ...curve.Point) curve.
 	return acc
 }
 
-// VerifyAggregate has no production caller; it is kept for benchmark/
-// (through core.VerifyUpdateAggregate) until its rows are dropped. It
-// checks a same-key aggregate against messages already hashed onto the
-// curve:
+// VerifyAggregate checks a same-key aggregate against messages already
+// hashed onto the curve. No production caller; kept for benchmark/
+// (through core.VerifyUpdateAggregate) until ROADMAP item 1(i).
 //
 //	ê(G, agg) = ê(sG, Σ hᵢ)
 //

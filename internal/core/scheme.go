@@ -227,10 +227,10 @@ func (sc *Scheme) VerifyUpdateBatch(spub ServerPublicKey, updates []KeyUpdate) (
 	return bls.VerifyBatch(sc.Set, sc.preparedKey(spub), TimeDomain, msgs, sigs, nil)
 }
 
-// VerifyUpdateAggregate has no production caller; it is kept for
-// benchmark/ (which replays it as core.verify_aggregate_ms) until those
-// rows are dropped. It checks a whole run of updates against ONE
-// aggregate signature with a single prepared pairing product:
+// VerifyUpdateAggregate checks a whole run of updates against ONE
+// aggregate signature with a single prepared pairing product. No
+// production caller; kept for benchmark/ (which replays it as
+// core.verify_aggregate_ms) until ROADMAP item 1(i).
 //
 //	Σ I_i = agg   and   ê(G, agg) = ê(sG, Σ H1(T_i))
 //

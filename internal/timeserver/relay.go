@@ -235,11 +235,11 @@ func (r *Relay) Sync(ctx context.Context) (int, error) {
 // archive, never missed. On an empty local archive it asks for
 // everything (epoch 0): ingest dedupes against what syncOnce got.
 func (r *Relay) nextFrom() string {
-	labels := r.arch.Labels()
-	if len(labels) == 0 {
+	last, ok := r.arch.Latest()
+	if !ok {
 		return r.sched.LabelAt(0)
 	}
-	t, err := r.sched.ParseLabel(labels[len(labels)-1])
+	t, err := r.sched.ParseLabel(last.Label)
 	if err != nil {
 		return r.sched.LabelAt(0)
 	}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"timedrelease/internal/archive"
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/parallel"
@@ -122,8 +123,8 @@ func (s *Server) PublicKey() core.ServerPublicKey { return s.key.Pub }
 func (s *Server) Schedule() timefmt.Schedule { return s.sched }
 
 // PublishUpTo signs and archives the updates of every epoch whose start
-// is at or before now and which is not yet published, from the epoch of
-// the earliest archived label (or the current epoch on first call).
+// is at or before now and which is not yet published, from the epoch
+// after the latest archived label (or the current epoch on first call).
 // This is the catch-up path after a restart: the paper's server "does
 // not need to remember any information of key updates since it can
 // generate a key update for any particular instant directly using its
@@ -131,8 +132,8 @@ func (s *Server) Schedule() timefmt.Schedule { return s.sched }
 func (s *Server) PublishUpTo(now time.Time) (int, error) {
 	cur := s.sched.Index(now)
 	from := cur
-	if labels := s.arch.Labels(); len(labels) > 0 {
-		if t, err := s.sched.ParseLabel(labels[len(labels)-1]); err == nil {
+	if last, ok := s.arch.Latest(); ok {
+		if t, err := s.sched.ParseLabel(last.Label); err == nil {
 			from = s.sched.Index(t) + 1
 		}
 	}
@@ -378,12 +379,14 @@ const maxCatchUpRange = 65536
 
 // handleCatchUp serves GET /v1/catchup?from=L&to=L[&limit=n]: every
 // archived update with from ≤ label ≤ to (ascending, truncated to
-// limit), followed by their sum and a Merkle root over them — two
-// fields no client consults any more (each update authenticates
-// itself), still sent so the body stays byte-identical for old clients
-// until the format drops them. Like every other route this is read-only
-// over the archive — a range request cannot cause anything to be
-// signed, so passivity is untouched.
+// limit), followed by two reserved fields — where the updates' sum and
+// a Merkle root over them used to be, now always the identity and the
+// zero root. No current client consults them (each update authenticates
+// itself); they are still sent so the body keeps its layout and length
+// until the format drops them, and a client old enough to check them
+// falls back to per-label fetches. Like every other route this is
+// read-only over the archive — a range request cannot cause anything to
+// be signed, so passivity is untouched.
 func (v *publicView) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")
@@ -400,7 +403,7 @@ func (v *publicView) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, maxCatchUpRange)
 	}
-	res, err := archive.RangeOf(v.arch, v.codec, from, to, limit)
+	res, err := v.arch.Range(from, to, limit)
 	if err != nil {
 		http.Error(w, "range unavailable", http.StatusInternalServerError)
 		return
@@ -409,20 +412,18 @@ func (v *publicView) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 	w.Write(v.codec.MarshalCatchUpResponse(wire.CatchUpResponse{
 		Total:     res.Total,
 		Updates:   res.Updates,
-		Aggregate: res.Aggregate,
-		Root:      res.Root,
+		Aggregate: v.set.B.Infinity(backend.G2), // reserved, as is the zero Root
 	}))
 }
 
 func (v *publicView) handleLatest(w http.ResponseWriter, _ *http.Request) {
-	labels := v.arch.Labels()
-	if len(labels) == 0 {
+	u, ok := v.arch.Latest()
+	if !ok {
 		v.archMiss.Inc()
 		http.Error(w, "no updates published yet", http.StatusNotFound)
 		return
 	}
 	v.archHit.Inc()
-	u, _ := v.arch.Get(labels[len(labels)-1])
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(v.codec.MarshalKeyUpdate(u))
 }

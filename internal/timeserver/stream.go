@@ -80,29 +80,34 @@ func (v *publicView) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	lastIdx := int64(math.MinInt64)
 	if from != "" {
-		type entry struct {
-			idx   int64
-			label string
+		// The archive is in label order, which is index order only from
+		// one whole second to the next: the labels of a second share
+		// their first 19 bytes and sort by their fraction's text. So
+		// select from that prefix up (at most the earlier epochs of
+		// from's second come along, and are filtered out) and sort.
+		page, err := v.arch.Range(from[:19], "\xff", 0)
+		if err != nil {
+			return
 		}
-		var replay []entry
-		for _, l := range v.arch.Labels() {
-			t, err := v.sched.ParseLabel(l)
+		type entry struct {
+			idx int64
+			pos int // in page.Updates
+		}
+		replay := make([]entry, 0, len(page.Updates))
+		for pos, u := range page.Updates {
+			t, err := v.sched.ParseLabel(u.Label)
 			if err != nil {
 				continue // off-schedule archive entry: not streamable
 			}
 			if idx := v.sched.Index(t); idx >= fromIdx {
-				replay = append(replay, entry{idx, l})
+				replay = append(replay, entry{idx, pos})
 			}
 		}
 		sort.Slice(replay, func(i, j int) bool { return replay[i].idx < replay[j].idx })
 		for _, e := range replay {
-			u, ok := v.arch.Get(e.label)
-			if !ok {
-				continue
-			}
 			// Replay encodes are per-connection catch-up cost, paid by the
 			// reconnecting consumer — publish fan-out stays one encode total.
-			if err := writeSSE(w, v.codec.MarshalKeyUpdate(u)); err != nil {
+			if err := writeSSE(w, v.codec.MarshalKeyUpdate(page.Updates[e.pos])); err != nil {
 				return
 			}
 			v.archHit.Inc()

@@ -11,8 +11,9 @@ import (
 )
 
 // CatchUpResponse is the body of one /v1/catchup range response: the
-// archived updates of a label range, followed by their sum and a Merkle
-// root over their wire payloads (internal/archive). Encoding:
+// archived updates of a label range, followed by two reserved fields —
+// a point and 32 bytes, which used to carry the updates' sum and a
+// Merkle root over their wire payloads. Encoding:
 //
 //	u32 total ‖ u32 n ‖ n × (u16 len ‖ label ‖ point) ‖ point agg ‖ 32-byte root
 //
@@ -21,10 +22,10 @@ import (
 // duplicates), n ≤ total, and an empty range must carry the identity
 // aggregate and the zero root — so every valid encoding is canonical.
 //
-// Aggregate and Root are decoded but no client consults them: each
-// update authenticates itself against the pinned server key, the sum
-// binds nothing per update and the root is unsigned. They are reserved
-// for removal (docs/PROTOCOL.md).
+// Servers send the identity and the zero root there; a non-empty page
+// decodes with any point and any 32 bytes, and no client consults
+// either (each update authenticates itself against the pinned server
+// key). They go with the next body version (docs/PROTOCOL.md).
 type CatchUpResponse struct {
 	// Total counts all archived records in the requested range; when
 	// Total > len(Updates) the response was truncated (oldest first)
@@ -32,11 +33,10 @@ type CatchUpResponse struct {
 	Total int
 	// Updates are the returned records in ascending label order.
 	Updates []core.KeyUpdate
-	// Aggregate is Σ of the update points. Not consulted.
+	// Aggregate and Root are reserved: the identity and zero. No
+	// production caller; kept for benchmark/ until ROADMAP item 1(i).
 	Aggregate curve.Point
-	// Root is the Merkle root over the updates' wire payloads. Not
-	// consulted.
-	Root [32]byte
+	Root      [32]byte
 }
 
 // maxCatchUpPrealloc caps the slice preallocation a decoded length
