@@ -8,7 +8,7 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help build bench-build bench-smoke spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
@@ -20,6 +20,7 @@ help:
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
 	@echo "  bench-smoke        run the nested benchmark/ module's tests: every workload, traced and untraced, at reduced size"
+	@echo "  bench-pair         W=<workload> N=<pairs> BASE=<rev>: alternate benchmark/run.sh between BASE and this tree, print each run and the medians"
 	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow"
 	@echo "  test               go test ./..."
 	@echo "  test-shuffle       go test -shuffle=on ./..."
@@ -60,6 +61,31 @@ bench-build:
 # benchmark/.
 bench-smoke:
 	GOFLAGS=-mod=mod $(GO) test -C benchmark -count=1 ./...
+
+# A perf claim rests on alternating parent/change runs (choosing-metrics
+# §8). BASE is exported by `git archive` into .bench_build/base, each
+# pair runs both trees with the order flipped every pair, and every run's
+# five end-to-end values are printed, then each side's median [q1..q3].
+# Writes only under .bench_build/ (run.sh's --out included).
+W ?= tokens-bls12381
+N ?= 10
+BASE ?= HEAD
+PAIR := $(CURDIR)/.bench_build/pair
+E2E := setup_s peak_rss_mb op_p50_ms op_p90_ms ops_per_s
+bench-pair:
+	@rm -rf .bench_build/base $(PAIR) && mkdir -p .bench_build/base $(PAIR)
+	@git archive $(BASE) | tar -x -C .bench_build/base
+	@for i in $$(seq $(N)); do for k in 0 1; do \
+		if [ $$(( (i + k) % 2 )) = 1 ]; then side=base; dir=.bench_build/base; else side=change; dir=.; fi; \
+		line=$$(bash $$dir/benchmark/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0 --out $(PAIR)/out | tail -n 1); \
+		case "$$line" in *'"correct":true'*'"failed":0,'*) ;; *) echo "$$side run $$i failed: $$line"; exit 1;; esac; \
+		printf '%-6s %2d' $$side $$i; \
+		for m in $(E2E); do v=$$(echo "$$line" | sed -E "s/.*\"$$m\":\{\"value\":([^,]*).*/\1/"); echo $$v >> $(PAIR)/$$side.$$m; printf ' %s=%.4g' $$m $$v; done; echo; \
+	done; done
+	@for side in base change; do printf '%-6s median [q1..q3]' $$side; for m in $(E2E); do sort -g $(PAIR)/$$side.$$m | awk -v m=$$m \
+		'function q(p) { h = (NR-1)*p + 1; f = int(h); return v[f] + (h-f)*(v[f+1]-v[f]) } { v[NR] = $$1 } END { printf " %s=%.4g [%.4g..%.4g]", m, q(.5), q(.25), q(.75) }'; \
+	done; echo; done
+	@rm -rf .bench_build/base
 
 # The crypto-spine ratchet (ROADMAP item 3: one way into the pairing
 # layer). Everything above internal/backend should reach the pairing
@@ -226,7 +252,7 @@ fuzz-smoke:
 # harness ROADMAP item 4 retires. Quote it in simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
-		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/archive:                     '; \
 		find internal/archive -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/bls + internal/backend:      '; \

@@ -38,10 +38,24 @@ const batchExponentBits = 128
 // tells you *something* failed but not what; fall back to per-signature
 // VerifyPrepared to locate offenders.
 func VerifyBatch(set *params.Set, pk backend.PreparedKey, dst string, msgs [][]byte, sigs []curve.Point, rng io.Reader) (bool, error) {
-	if len(msgs) != len(sigs) {
-		return false, fmt.Errorf("bls: %d messages for %d signatures", len(msgs), len(sigs))
+	return verifyBatch(set, pk, len(msgs), func(i int) curve.Point { return set.B.HashToG2(dst, msgs[i]) }, sigs, rng)
+}
+
+// VerifyBatchHashed is VerifyBatch for a caller that already holds
+// hashes[i] = H1(mᵢ) as points of G2 it computed itself (the token
+// client keeps them from blinding): the same checks and the same
+// equation, minus the n hashes.
+func VerifyBatchHashed(set *params.Set, pk backend.PreparedKey, hashes, sigs []curve.Point, rng io.Reader) (bool, error) {
+	return verifyBatch(set, pk, len(hashes), func(i int) curve.Point { return hashes[i] }, sigs, rng)
+}
+
+// verifyBatch is the one batch-verification body. hash(i) runs inside
+// the worker pool, on the same pass as the blinded multiplications.
+func verifyBatch(set *params.Set, pk backend.PreparedKey, n int, hash func(i int) curve.Point, sigs []curve.Point, rng io.Reader) (bool, error) {
+	if n != len(sigs) {
+		return false, fmt.Errorf("bls: %d messages for %d signatures", n, len(sigs))
 	}
-	if len(msgs) == 0 {
+	if n == 0 {
 		return true, nil
 	}
 	if rng == nil {
@@ -51,7 +65,7 @@ func VerifyBatch(set *params.Set, pk backend.PreparedKey, dst string, msgs [][]b
 	// deterministic test reader, and parallel sampling would make the
 	// blinder assignment schedule-dependent.
 	limit := new(big.Int).Lsh(big.NewInt(1), batchExponentBits)
-	blinders := make([]*big.Int, len(sigs))
+	blinders := make([]*big.Int, n)
 	for i := range blinders {
 		e, err := rand.Int(rng, limit)
 		if err != nil {
@@ -60,17 +74,16 @@ func VerifyBatch(set *params.Set, pk backend.PreparedKey, dst string, msgs [][]b
 		blinders[i] = e.Add(e, big.NewInt(1)) // e ∈ [1, 2^128]
 	}
 
-	blindedSigs := make([]curve.Point, len(sigs))
-	blindedHashes := make([]curve.Point, len(sigs))
-	bad := make([]bool, len(sigs))
-	parallel.For(len(sigs), func(i int) {
+	blindedSigs := make([]curve.Point, n)
+	blindedHashes := make([]curve.Point, n)
+	bad := make([]bool, n)
+	parallel.For(n, func(i int) {
 		if !validSig(set, sigs[i]) {
 			bad[i] = true
 			return
 		}
 		blindedSigs[i] = set.B.ScalarMult(backend.G2, blinders[i], sigs[i])
-		h := set.B.HashToG2(dst, msgs[i])
-		blindedHashes[i] = set.B.ScalarMult(backend.G2, blinders[i], h)
+		blindedHashes[i] = set.B.ScalarMult(backend.G2, blinders[i], hash(i))
 	})
 
 	if slices.Contains(bad, true) {

@@ -2,10 +2,12 @@ package bls
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/params"
 )
 
 func TestVerifyBatchAccepts(t *testing.T) {
@@ -91,5 +93,67 @@ func TestVerifyBatchEdgeCases(t *testing.T) {
 	ok, err = VerifyBatch(set, pk, "time", [][]byte{m}, []curve.Point{sig}, nil)
 	if err != nil || ok != VerifyPrepared(set, pk, set.B.HashToG2("time", m), sig) || !ok {
 		t.Fatalf("single batch: %v %v", ok, err)
+	}
+}
+
+// TestBatchDoorsAgree runs the accept/reject cases above, on both
+// backends, through both entries to the one batch verifier: VerifyBatch
+// hashing (dst, msgs[i]) itself and VerifyBatchHashed fed those hashes.
+// With the same deterministic rng they draw the same blinders and must
+// return the same verdict and the same kind of error.
+func TestBatchDoorsAgree(t *testing.T) {
+	for _, preset := range []string{"Test160", "BLS12-381"} {
+		t.Run(preset, func(t *testing.T) {
+			set, k := testKey(t, params.MustPreset(preset))
+			_, other := testKey(t, set)
+			pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
+			var msgs [][]byte
+			var sigs []curve.Point
+			for i := 0; i < 8; i++ {
+				msgs = append(msgs, []byte(fmt.Sprintf("epoch-%d", i)))
+				sigs = append(sigs, k.Sign(set, "time", msgs[i]))
+			}
+			with := func(i int, p curve.Point) []curve.Point {
+				out := append([]curve.Point(nil), sigs...)
+				out[i] = p
+				return out
+			}
+			disowned := *set
+			disowned.B = flagged{Backend: set.B, bad: sigs[3]}
+
+			cases := []struct {
+				name    string
+				set     *params.Set
+				msgs    [][]byte
+				sigs    []curve.Point
+				want    bool
+				wantErr bool
+			}{
+				{"genuine", set, msgs, sigs, true, false},
+				{"single", set, msgs[:1], sigs[:1], true, false},
+				{"empty", set, nil, nil, true, false},
+				{"one corrupted", set, msgs, with(4, set.B.Add(backend.G2, sigs[4], set.G2)), false, false},
+				{"one under another key", set, msgs, with(2, other.Sign(set, "time", msgs[2])), false, false},
+				{"two swapped", set, msgs[:2], []curve.Point{sigs[1], sigs[0]}, false, false},
+				{"identity", set, msgs, with(7, set.B.Infinity(backend.G2)), false, false},
+				{"outside the subgroup", &disowned, msgs, sigs, false, false},
+				{"fewer signatures", set, msgs, sigs[:7], false, true},
+				{"fewer messages", set, msgs[:7], sigs, false, true},
+			}
+			for _, tc := range cases {
+				hashes := make([]curve.Point, len(tc.msgs))
+				for i, m := range tc.msgs {
+					hashes[i] = set.B.HashToG2("time", m)
+				}
+				ok1, err1 := VerifyBatch(tc.set, pk, "time", tc.msgs, tc.sigs, rand.New(rand.NewSource(7)))
+				ok2, err2 := VerifyBatchHashed(tc.set, pk, hashes, tc.sigs, rand.New(rand.NewSource(7)))
+				if ok1 != tc.want || (err1 != nil) != tc.wantErr {
+					t.Errorf("%s: VerifyBatch = %v, %v; want %v, error %v", tc.name, ok1, err1, tc.want, tc.wantErr)
+				}
+				if ok2 != ok1 || (err2 != nil) != (err1 != nil) {
+					t.Errorf("%s: VerifyBatchHashed = %v, %v; VerifyBatch = %v, %v", tc.name, ok2, err2, ok1, err1)
+				}
+			}
+		})
 	}
 }

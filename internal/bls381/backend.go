@@ -22,10 +22,12 @@ import (
 const BackendName = "bls12381"
 
 // dstPrefix namespaces the RFC 9380 domain-separation tag per H1
-// oracle: the final DST is dstPrefix ‖ domain ‖ dstSuffix, with the
-// suite identifier at the end per RFC 9380 §3.1 conventions.
+// oracle: the final DST is dstPrefix ‖ domain ‖ dstSuffix. The prefix
+// counts oracle revisions (V02: the cofactor is cleared by h_eff, not
+// h2); the suffix is the suite identifier of RFC 9380 §3.1, SVDW not
+// the registered SSWU (hash.go).
 const (
-	dstPrefix = "TRE-V01-"
+	dstPrefix = "TRE-V02-"
 	dstSuffix = "_BLS12381G2_XMD:SHA-256_SVDW_RO_"
 )
 

@@ -37,8 +37,6 @@ const (
 	xAbsHex = "d201000000010000"
 	// h1Hex is the G1 cofactor (p + 1 − t)/r with trace t = x + 1.
 	h1Hex = "396c8c005555e1568c00aaab0000aaab"
-	// h2Hex is the G2 cofactor: #E'(Fp2)/r for the M-twist.
-	h2Hex = "5d543a95414e7f1091d50792876a202cd91de4547085abaa68a205b2e5a7ddfa628f1cb4d9e82ef21537e293a6691ae1616ec6e786f0c70cf1c38e31c7238e5"
 )
 
 // feLimbs is the limb count for the 381-bit prime; fe is sized to it so
@@ -61,7 +59,7 @@ var ctx struct {
 	once sync.Once
 
 	p, r, xAbs *big.Int
-	h1, h2     *big.Int
+	h1         *big.Int
 	pm2        *big.Int
 
 	fp   *ff.Field
@@ -99,7 +97,6 @@ func initCtx() {
 		ctx.r = fromHex(rHex)
 		ctx.xAbs = fromHex(xAbsHex)
 		ctx.h1 = fromHex(h1Hex)
-		ctx.h2 = fromHex(h2Hex)
 
 		fp, err := ff.NewField(ctx.p)
 		if err != nil {

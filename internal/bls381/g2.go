@@ -33,68 +33,37 @@ func (p *g2Affine) neg(q *g2Affine) {
 	p.inf = q.inf
 }
 
-func twistB() fe2 {
+// twistRHS returns g(x) = x³ + 4(1+i), the right side of the twist
+// equation.
+func twistRHS(x *fe2) (g fe2) {
 	var b fe2
 	b.fromUint64(4, 4)
-	return b
+	g.sqr(x)
+	g.mul(&g, x)
+	g.add(&g, &b)
+	return g
 }
 
 func (p *g2Affine) isOnCurve() bool {
 	if p.inf {
 		return true
 	}
-	var lhs, rhs fe2
+	var lhs fe2
 	lhs.sqr(&p.y)
-	rhs.sqr(&p.x)
-	rhs.mul(&rhs, &p.x)
-	b := twistB()
-	rhs.add(&rhs, &b)
+	rhs := twistRHS(&p.x)
 	return lhs.equal(&rhs)
 }
 
-// psi is the untwist-Frobenius-twist endomorphism; on G2 it acts as
-// multiplication by x (the BLS parameter), which gives the fast
-// subgroup check below.
-func (p *g2Affine) psi(q *g2Affine) {
-	if q.inf {
-		*p = g2Infinity()
-		return
-	}
-	var x, y fe2
-	x.conj(&q.x)
-	x.mul(&x, &ctx.psiX)
-	y.conj(&q.y)
-	y.mul(&y, &ctx.psiY)
-	p.x.set(&x)
-	p.y.set(&y)
-	p.inf = false
-}
-
-// inSubgroup uses the ψ criterion: Q ∈ G2 ⇔ ψ(Q) = [x]Q. Since x < 0,
-// the right side is −[|x|]Q — a 64-bit ladder instead of a 255-bit one.
-// TestPsiSubgroupCheck pins this against the definitional [r]Q = O.
+// inSubgroup uses the ψ criterion: Q ∈ G2 ⇔ ψ(Q) = [x]Q, with x < 0
+// tested as [|x|]Q + ψ(Q) = O — a 64-bit ladder, no inversion to
+// normalise. TestPsiSubgroupCheck pins it to the definitional [r]Q = O.
 func (p *g2Affine) inSubgroup() bool {
-	if p.inf {
-		return true
-	}
-	var want g2Affine
-	want.psi(p)
-	var j, xq g2Jac
-	j.fromAffine(p)
-	xq.scalarMult(&j, ctx.xAbs)
-	xq.neg(&xq)
-	got := xq.toAffine()
-	return got.equal(&want)
-}
-
-// clearCofactor maps a curve point into G2 by multiplying with the
-// twist cofactor h2. Plain and safe; hash-to-curve amortizes it behind
-// the scheme's label cache.
-func (p *g2Affine) clearCofactor(q *g2Affine) {
-	var j g2Jac
-	j.fromAffine(q)
-	j.scalarMult(&j, ctx.h2)
-	*p = j.toAffine()
+	var q, s g2Jac
+	q.fromAffine(p)
+	s.mulByX(&q)
+	q.psi(&q)
+	s.add(&s, &q)
+	return s.isInfinity()
 }
 
 func (j *g2Jac) isInfinity() bool { return j.z.isZero() }
@@ -296,6 +265,50 @@ func (j *g2Jac) scalarMult(q *g2Jac, k *big.Int) {
 	j.set(&acc)
 }
 
+// psi is the untwist-Frobenius-twist endomorphism; on G2 it acts as
+// multiplication by x (the BLS parameter).
+func (j *g2Jac) psi(q *g2Jac) {
+	j.x.conj(&q.x)
+	j.x.mul(&j.x, &ctx.psiX)
+	j.y.conj(&q.y)
+	j.y.mul(&j.y, &ctx.psiY)
+	j.z.conj(&q.z)
+}
+
+// mulByX sets j = [|x|]q by plain double-and-add: |x| has Hamming
+// weight 6, five additions where scalarMult's window table alone is 14.
+func (j *g2Jac) mulByX(q *g2Jac) {
+	acc := *q
+	for i := ctx.xAbs.BitLen() - 2; i >= 0; i-- {
+		acc.double(&acc)
+		if ctx.xAbs.Bit(i) == 1 {
+			acc.add(&acc, q)
+		}
+	}
+	j.set(&acc)
+}
+
+// clearCofactor maps a twist point into G2 the Budroni–Pintore way
+// (RFC 9380 App. G.3): [x²−x−1]P + [x−1]ψ(P) + ψ²(2P) = [h_eff]P with
+// h_eff = 3(x²−1)·h2 — two 64-bit ladders and three ψ where the plain
+// cofactor ladder walks 507 bits. TestClearCofactor pins the identity.
+func (j *g2Jac) clearCofactor(p *g2Jac) {
+	var t1, t2, t3 g2Jac
+	t1.mulByX(p) // −[x]P
+	t2.psi(p)
+	t2.neg(&t2) // −ψ(P)
+	t3.double(p)
+	t3.psi(&t3)
+	t3.psi(&t3)
+	t3.add(&t3, &t2)
+	t3.add(&t3, &t1) // ψ²(2P) − ψ(P) − [x]P
+	t2.add(&t2, &t1)
+	t2.mulByX(&t2) // [x]([x]P + ψ(P))
+	t3.add(&t3, &t2)
+	t2.neg(p)
+	j.add(&t3, &t2)
+}
+
 // --- serialization (zcash compressed format, 96 bytes) ---------------
 
 var errG2Decode = errors.New("bls381: invalid G2 encoding")
@@ -352,11 +365,7 @@ func unmarshalG2(b []byte) (g2Affine, error) {
 		return g2Affine{}, errG2Decode
 	}
 	x := fe2{c0: c0, c1: c1}
-	var rhs fe2
-	rhs.sqr(&x)
-	rhs.mul(&rhs, &x)
-	b2 := twistB()
-	rhs.add(&rhs, &b2)
+	rhs := twistRHS(&x)
 	var y fe2
 	if !y.sqrt(&rhs) {
 		return g2Affine{}, errG2Decode

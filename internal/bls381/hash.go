@@ -5,16 +5,17 @@ import (
 	"math/big"
 )
 
-// RFC 9380 hash-to-curve for G2. The expand_message_xmd expander and
-// the hash_to_field layer follow the RFC exactly (and are pinned by the
-// appendix K.1 golden vectors in testdata/). The curve map is the
-// Shallue–van de Woestijne map of §6.6.1 rather than the
-// 3-isogeny-based SSWU of the ciphersuite registry: SVDW needs no
-// isogeny constants, works directly on y² = x³ + 4(1+i), and the RFC
-// defines it as a first-class map. The resulting suite is
-// BLS12381G2_XMD:SHA-256_SVDW_RO_ — deterministic and uniform, but NOT
-// the registered _SSWU_ ciphersuite, so cross-implementation label
-// hashes differ by design (docs/BACKENDS.md records this trade-off).
+// RFC 9380 hash-to-curve for G2, every step the RFC's own:
+// expand_message_xmd and hash_to_field (pinned by the appendix K.1
+// golden vectors in testdata/), the Shallue–van de Woestijne map of
+// §6.6.1, and App. G.3's clear_cofactor with h_eff. Only the choice of
+// map departs from the ciphersuite registry: SVDW needs no isogeny
+// constants and works directly on y² = x³ + 4(1+i), where the
+// registered suite maps with the 3-isogeny-based SSWU. The suite is
+// therefore BLS12381G2_XMD:SHA-256_SVDW_RO_ — deterministic and
+// uniform, but still NOT the registered _SSWU_ one, so
+// cross-implementation label hashes differ (docs/BACKENDS.md records
+// this trade-off).
 
 const expandLenInBytes = 256 // count=2 · m=2 · L=64
 
@@ -81,7 +82,6 @@ func svdwMap(u *fe2) g2Affine {
 	initCtx()
 	one := fe2{}
 	one.setOne()
-	b := twistB()
 
 	var tv1, tv2, tv3, tv4 fe2
 	tv1.sqr(u)
@@ -89,29 +89,22 @@ func svdwMap(u *fe2) g2Affine {
 	tv2.add(&one, &tv1)
 	tv1.sub(&one, &tv1)
 	tv3.mul(&tv1, &tv2)
-	if tv3.isZero() {
-		// inv0: the exceptional case maps through zero.
-		tv3.setZero()
-	} else {
+	if !tv3.isZero() { // inv0: the exceptional case maps through zero
 		tv3.inv(&tv3)
 	}
 	tv4.mul(u, &tv1)
 	tv4.mul(&tv4, &tv3)
 	tv4.mul(&tv4, &ctx.svdwC3)
 
-	var x1, gx1 fe2
+	var x1 fe2
 	x1.sub(&ctx.svdwC2, &tv4)
-	gx1.sqr(&x1)
-	gx1.mul(&gx1, &x1)
-	gx1.add(&gx1, &b)
+	gx1 := twistRHS(&x1)
 	e1 := gx1.isResidue()
 
-	var x2, gx2 fe2
+	var x2 fe2
 	x2.add(&ctx.svdwC2, &tv4)
-	gx2.sqr(&x2)
-	gx2.mul(&gx2, &x2)
-	gx2.add(&gx2, &b)
-	e2 := gx2.isResidue() && !e1
+	gx2 := twistRHS(&x2)
+	e2 := !e1 && gx2.isResidue()
 
 	var x3 fe2
 	x3.sqr(&tv2)
@@ -127,11 +120,8 @@ func svdwMap(u *fe2) g2Affine {
 	} else if e2 {
 		x.set(&x2)
 	}
-	var gx, y fe2
-	gx.sqr(&x)
-	gx.mul(&gx, &x)
-	gx.add(&gx, &b)
-	if !y.sqrt(&gx) {
+	var y fe2
+	if gx := twistRHS(&x); !y.sqrt(&gx) {
 		panic("bls381: svdw produced a non-square g(x)")
 	}
 	if u.sgn0() != y.sgn0() {
@@ -149,8 +139,6 @@ func hashToG2(msg []byte, dst string) g2Affine {
 	var j g2Jac
 	j.fromAffine(&p0)
 	j.addAffine(&j, &p1)
-	sum := j.toAffine()
-	var out g2Affine
-	out.clearCofactor(&sum)
-	return out
+	j.clearCofactor(&j)
+	return j.toAffine()
 }

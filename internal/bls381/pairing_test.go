@@ -108,7 +108,7 @@ func TestPairProductAndSamePairing(t *testing.T) {
 }
 
 func TestHashToG2(t *testing.T) {
-	const dst = "TRE-V01-CS01-with-BLS12381G2_XMD:SHA-256_SVDW_RO_"
+	const dst = "TRE-V02-CS01-with-BLS12381G2_XMD:SHA-256_SVDW_RO_"
 	h1 := hashToG2([]byte("label-2026-01-01T00:00:00Z"), dst)
 	h2 := hashToG2([]byte("label-2026-01-01T00:00:00Z"), dst)
 	h3 := hashToG2([]byte("label-2026-01-01T00:00:10Z"), dst)

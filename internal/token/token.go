@@ -76,10 +76,13 @@ type Token struct {
 func (t Token) ID() [32]byte { return sha256.Sum256(t.Seed[:]) }
 
 // Pending is a blinded, not-yet-signed token held by the client
-// between Blind and Unblind: the seed and the blinding factor.
+// between Blind and Unblind: the seed, the blinding factor and the
+// token point Blind hashed the seed to, kept so Unblind does not hash
+// it again (a Pending built without T is hashed there).
 type Pending struct {
 	Seed [SeedLen]byte
-	R    *big.Int // blinding factor r ∈ [1, q-1]
+	R    *big.Int    // blinding factor r ∈ [1, q-1]
+	T    curve.Point // H1(Domain, Seed)
 }
 
 // Blind generates n fresh token preimages and returns their blinded
@@ -100,8 +103,8 @@ func Blind(set *params.Set, rng io.Reader, n int) ([]Pending, []curve.Point, err
 			return nil, nil, fmt.Errorf("token: drawing blinding factor: %w", err)
 		}
 		pending[i].R = r
-		t := set.B.HashToG2(Domain, pending[i].Seed[:])
-		blinded[i] = blindPoint(set, t, r)
+		pending[i].T = set.B.HashToG2(Domain, pending[i].Seed[:])
+		blinded[i] = blindPoint(set, pending[i].T, r)
 	}
 	return pending, blinded, nil
 }
@@ -113,16 +116,18 @@ func blindPoint(set *params.Set, t curve.Point, r *big.Int) curve.Point {
 }
 
 // Unblind applies r⁻¹ to each signed blinded point and verifies the
-// result against the issuance key before anything reaches the wallet:
-// S = r⁻¹·(x·r·T) = x·T, checked by ê(G, S) = ê(xG, H1(seed)). A
-// malicious issuer returning garbage (or signing under a swapped key)
-// yields an error here, never a dud credential spent later.
+// results against the issuance key before anything reaches the wallet:
+// S = r⁻¹·(x·r·T) = x·T, checked by ê(G, S) = ê(xG, T) for the whole
+// batch in one blinded equation (bls.VerifyBatchHashed; every S is
+// still subgroup-tested on its own). A malicious issuer returning
+// garbage (or signing under a swapped key) yields ErrBadToken and no
+// tokens here, never a dud credential spent later.
 func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []curve.Point) ([]Token, error) {
 	if len(signed) != len(pending) {
 		return nil, fmt.Errorf("token: issuer returned %d signatures for %d requests", len(signed), len(pending))
 	}
-	pk := set.B.PrepareKey(pub.G, pub.SG, pub.SG2)
-	toks := make([]Token, len(pending))
+	hashes := make([]curve.Point, len(pending))
+	sigs := make([]curve.Point, len(pending))
 	for i, p := range pending {
 		if p.R == nil || p.R.Sign() <= 0 {
 			return nil, errors.New("token: pending entry has no blinding factor")
@@ -131,11 +136,22 @@ func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []cur
 		if rInv == nil {
 			return nil, errors.New("token: blinding factor not invertible")
 		}
-		sig := set.B.ScalarMult(backend.G2, rInv, signed[i])
-		if !bls.VerifyPrepared(set, pk, set.B.HashToG2(Domain, p.Seed[:]), sig) {
-			return nil, ErrBadToken
+		sigs[i] = set.B.ScalarMult(backend.G2, rInv, signed[i])
+		hashes[i] = p.T
+		if p.T.Equal(curve.Point{}) { // built by hand, no T kept
+			hashes[i] = set.B.HashToG2(Domain, p.Seed[:])
 		}
-		toks[i] = Token{Seed: p.Seed, Sig: sig}
+	}
+	ok, err := bls.VerifyBatchHashed(set, set.B.PrepareKey(pub.G, pub.SG, pub.SG2), hashes, sigs, nil)
+	if err != nil {
+		return nil, fmt.Errorf("token: verifying issuance: %w", err)
+	}
+	if !ok {
+		return nil, ErrBadToken
+	}
+	toks := make([]Token, len(pending))
+	for i, p := range pending {
+		toks[i] = Token{Seed: p.Seed, Sig: sigs[i]}
 	}
 	return toks, nil
 }
