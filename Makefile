@@ -207,25 +207,27 @@ experiments-quick:
 # Fuzz campaign over every wire decoder (including the armored round
 # ciphertext format), the differential field-arithmetic targets
 # (Montgomery backend vs big.Int reference, plus the BLS12-381 base
-# field, Fp12 tower and compressed G2 decoder), the client's HTTP
+# field, Fp12 tower and compressed G2 decoder, and the multi-scalar
+# multiplication vs the naive sum on both backends), the client's HTTP
 # update parsing, the beacon round↔label mapping, the metrics JSON
 # encoder and the crc-framed log replay under updates.log and spend.log.
 # Checked-in seed corpora live under <pkg>/testdata/fuzz/<Target>/.
 # Override the per-target budget with FUZZTIME=10s (nightly CI does).
 fuzz:
-	$(GO) test -fuzz FuzzUnmarshalKeyUpdate -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz FuzzUnmarshalCCACiphertext -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz FuzzUnmarshalEnvelope -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz FuzzCatchUpDecode -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalKeyUpdate -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalCCACiphertext -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalEnvelope -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzCatchUpDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzRoundFromLabel -fuzztime $(FUZZTIME) ./internal/beacon
 	$(GO) test -run XXX -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/ff
 	$(GO) test -run XXX -fuzz FuzzFp2Arith -fuzztime $(FUZZTIME) ./internal/ff
 	$(GO) test -run XXX -fuzz FuzzFeArith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzFp12Arith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzG2Marshal -fuzztime $(FUZZTIME) ./internal/bls381
+	$(GO) test -run XXX -fuzz FuzzMSM -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run XXX -fuzz FuzzClientDecodeUpdate -fuzztime $(FUZZTIME) ./internal/timeserver
 	$(GO) test -run XXX -fuzz FuzzMetricsSnapshot -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run XXX -fuzz FuzzFrameReplay -fuzztime $(FUZZTIME) ./internal/archive

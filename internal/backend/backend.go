@@ -124,9 +124,16 @@ type Backend interface {
 	Add(g Group, p, q curve.Point) curve.Point
 	// Neg returns −p in g.
 	Neg(g Group, p curve.Point) curve.Point
-	// ScalarMult returns k·p in g; k must be non-negative and is
-	// reduced modulo the group order.
+	// ScalarMult returns k·p in g; k must be non-negative. A Type-1
+	// backend walks k as given — p may be any curve point, and the
+	// cofactor h > r goes through here — while BLS12-381 reduces k
+	// modulo r first; the two agree wherever p is in the subgroup.
 	ScalarMult(g Group, k *big.Int, p curve.Point) curve.Point
+	// MSM returns Σ scalarsᵢ·pointsᵢ in g as one multi-scalar
+	// multiplication: the point Σ ScalarMult + Add gives on subgroup
+	// points. Scalars (one per point) must be non-negative and are
+	// walked as given, never reduced.
+	MSM(g Group, scalars []*big.Int, points []curve.Point) curve.Point
 	// Equal reports whether p and q are the same point of g.
 	Equal(g Group, p, q curve.Point) bool
 	// IsOnCurve reports whether p lies on g's curve (infinity counts).
@@ -136,6 +143,13 @@ type Backend interface {
 	// HashToG2 is the paper's H1: a random-oracle hash of (domain, msg)
 	// onto G2.
 	HashToG2(domain string, msg []byte) curve.Point
+	// HashSumG2 returns Σ scalarsᵢ·HashToG2(domain, msgsᵢ), clearing
+	// the cofactor once: HashToG2 is [h]·M(msg) for a map M onto the
+	// whole curve, so the sum is [h]·Σ scalarsᵢ·M(msgsᵢ), the scalars
+	// walked as given over the uncleared points. A Type-1 sum differs
+	// where HashToG2 retries on [h]·M = ∞ (probability 1/r a message):
+	// callers fall back to HashToG2 when a check built on it fails.
+	HashSumG2(domain string, scalars []*big.Int, msgs [][]byte) curve.Point
 	// RandScalar samples a uniform scalar in [1, r−1].
 	RandScalar(rng io.Reader) (*big.Int, error)
 

@@ -64,6 +64,11 @@ func (b *Symmetric) ScalarMult(_ Group, k *big.Int, p curve.Point) curve.Point {
 	return b.c.ScalarMult(k, p)
 }
 
+// MSM returns Σ scalarsᵢ·pointsᵢ.
+func (b *Symmetric) MSM(_ Group, scalars []*big.Int, points []curve.Point) curve.Point {
+	return b.c.MSM(scalars, points)
+}
+
 // Equal reports point equality.
 func (b *Symmetric) Equal(_ Group, p, q curve.Point) bool { return b.c.Equal(p, q) }
 
@@ -76,6 +81,12 @@ func (b *Symmetric) InSubgroup(_ Group, p curve.Point) bool { return b.c.InSubgr
 // HashToG2 is the try-and-increment H1 of the reference curve.
 func (b *Symmetric) HashToG2(domain string, msg []byte) curve.Point {
 	return b.c.HashToGroup(domain, msg)
+}
+
+// HashSumG2 is Σ scalarsᵢ·H1(domain, msgsᵢ) over the uncleared
+// try-and-increment candidates, times the cofactor once.
+func (b *Symmetric) HashSumG2(domain string, scalars []*big.Int, msgs [][]byte) curve.Point {
+	return b.c.HashSum(domain, scalars, msgs)
 }
 
 // RandScalar samples a uniform scalar in Z_q^*.

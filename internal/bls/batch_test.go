@@ -157,3 +157,52 @@ func TestBatchDoorsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchRejectsRealSmallOrderComponent replaces one genuine σ with
+// σ + [q]R for a random curve point R: on the curve, of order dividing
+// the cofactor h, outside the subgroup. The pairing kills the [q]R
+// component, so the BLS equation — and any random linear combination
+// of such points — still holds; only the per-signature subgroup check
+// rejects it, through both doors. (flagged above only simulates this.)
+func TestBatchRejectsRealSmallOrderComponent(t *testing.T) {
+	for _, preset := range []string{"Test160", "SS512"} {
+		t.Run(preset, func(t *testing.T) {
+			set, k := testKey(t, params.MustPreset(preset))
+			c, _ := set.B.(*backend.Symmetric).Type1()
+			pk := set.B.PrepareKey(k.Pub.G, k.Pub.SG, k.Pub.SG2)
+			var msgs [][]byte
+			var hashes, sigs []curve.Point
+			for i := 0; i < 8; i++ {
+				msgs = append(msgs, []byte(fmt.Sprintf("epoch-%d", i)))
+				hashes = append(hashes, set.B.HashToG2("time", msgs[i]))
+				sigs = append(sigs, k.Sign(set, "time", msgs[i]))
+			}
+			r, err := c.RandomPoint(rand.New(rand.NewSource(11)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			small := c.ScalarMult(c.Q, r)
+			if small.IsInfinity() || !c.ScalarMult(c.H, small).IsInfinity() {
+				t.Fatal("[q]R must be a non-identity point of order dividing h")
+			}
+			sigs[3] = c.Add(sigs[3], small)
+			if !set.B.IsOnCurve(backend.G2, sigs[3]) || set.B.InSubgroup(backend.G2, sigs[3]) {
+				t.Fatal("σ + [q]R must be on the curve and outside the subgroup")
+			}
+			if !pk.PairCheck(hashes[3], sigs[3]) {
+				t.Fatal("the bare pairing equation should not see the small-order component")
+			}
+			if VerifyPrepared(set, pk, hashes[3], sigs[3]) {
+				t.Fatal("VerifyPrepared accepted σ + [q]R")
+			}
+			for i := 0; i < 4; i++ { // fresh blinders each time
+				if ok, err := VerifyBatch(set, pk, "time", msgs, sigs, nil); ok || err != nil {
+					t.Fatalf("VerifyBatch = %v, %v on σ + [q]R", ok, err)
+				}
+				if ok, err := VerifyBatchHashed(set, pk, hashes, sigs, nil); ok || err != nil {
+					t.Fatalf("VerifyBatchHashed = %v, %v on σ + [q]R", ok, err)
+				}
+			}
+		})
+	}
+}

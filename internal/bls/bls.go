@@ -107,7 +107,8 @@ func VerifyPrepared(set *params.Set, pk backend.PreparedKey, h, sig curve.Point)
 }
 
 // AggregateInto folds points into a running same-key aggregate:
-// acc + Σ sigᵢ = s·ΣH1(mᵢ). Start from Backend.Infinity(G2).
+// acc + Σ sigᵢ = s·ΣH1(mᵢ). Start from Backend.Infinity(G2). Only
+// VerifyAggregate calls it, so it goes with it (ROADMAP item 1(ii)).
 func AggregateInto(set *params.Set, acc curve.Point, sigs ...curve.Point) curve.Point {
 	for _, s := range sigs {
 		acc = set.B.Add(backend.G2, acc, s)

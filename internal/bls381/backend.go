@@ -9,6 +9,7 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/ff"
 )
 
 // This file adapts the curve implementation to the backend.Backend
@@ -192,6 +193,27 @@ func (b *Backend) ScalarMult(g backend.Group, k *big.Int, p curve.Point) curve.P
 	return wrapG1(&out)
 }
 
+// MSM returns Σ scalarsᵢ·pointsᵢ (scalars walked as given).
+func (b *Backend) MSM(g backend.Group, scalars []*big.Int, points []curve.Point) curve.Point {
+	if len(scalars) != len(points) {
+		panic("bls381: MSM needs one scalar per point")
+	}
+	if g == backend.G2 {
+		sum := msm(scalars, func(i int, j *g2Jac) {
+			pa := unwrapG2(points[i])
+			j.fromAffine(&pa)
+		})
+		out := sum.toAffine()
+		return wrapG2(&out)
+	}
+	sum := msm(scalars, func(i int, j *g1Jac) {
+		pa := unwrapG1(points[i])
+		j.fromAffine(&pa)
+	})
+	out := sum.toAffine()
+	return wrapG1(&out)
+}
+
 // Equal reports point equality.
 func (b *Backend) Equal(g backend.Group, p, q curve.Point) bool {
 	if g == backend.G2 {
@@ -226,6 +248,20 @@ func (b *Backend) InSubgroup(g backend.Group, p curve.Point) bool {
 func (b *Backend) HashToG2(domain string, msg []byte) curve.Point {
 	h := hashToG2(msg, dstPrefix+domain+dstSuffix)
 	return wrapG2(&h)
+}
+
+// HashSumG2 is Σ scalarsᵢ·H1(domain, msgsᵢ) over the uncleared twist
+// points, through clear_cofactor once; the identity is exact here
+// (hashToG2 never retries).
+func (b *Backend) HashSumG2(domain string, scalars []*big.Int, msgs [][]byte) curve.Point {
+	if len(scalars) != len(msgs) {
+		panic("bls381: HashSumG2 needs one scalar per message")
+	}
+	dst := dstPrefix + domain + dstSuffix
+	sum := msm(scalars, func(i int, j *g2Jac) { mapToTwist(j, msgs[i], dst) })
+	sum.clearCofactor(&sum)
+	out := sum.toAffine()
+	return wrapG2(&out)
 }
 
 // RandScalar samples a uniform scalar in [1, r−1]; a nil rng reads
@@ -473,7 +509,7 @@ func (b *Backend) ScalarMultBase(t backend.BaseTable, k *big.Int) curve.Point {
 		if tb.IsInfinity() || k.Sign() == 0 {
 			return b.Infinity(backend.G1)
 		}
-		digits := wnafDigits(k, fixedWindow)
+		digits := ff.AppendWNAF(nil, k, fixedWindow)
 		var acc g1Jac
 		acc.setInfinity()
 		for i := len(digits) - 1; i >= 0; i-- {
@@ -492,7 +528,7 @@ func (b *Backend) ScalarMultBase(t backend.BaseTable, k *big.Int) curve.Point {
 		if tb.IsInfinity() || k.Sign() == 0 {
 			return b.Infinity(backend.G2)
 		}
-		digits := wnafDigits(k, fixedWindow)
+		digits := ff.AppendWNAF(nil, k, fixedWindow)
 		var acc g2Jac
 		acc.setInfinity()
 		for i := len(digits) - 1; i >= 0; i-- {

@@ -1,6 +1,10 @@
 package bls381
 
-import "math/big"
+import (
+	"math/big"
+
+	"timedrelease/internal/ff"
+)
 
 // fe12 is an element of Fp12 = Fp6[w]/(w² − v), stored c0 + c1·w.
 // Pairing values (GT elements) are unitary fe12s: after the final
@@ -222,7 +226,7 @@ func (z *fe12) expUnitary(x *fe12, k *big.Int) {
 	for i := 1; i < 8; i++ {
 		odd[i].mul(&odd[i-1], &x2)
 	}
-	digits := wnafDigits(e, 5)
+	digits := ff.AppendWNAF(nil, e, 5)
 	var acc fe12
 	acc.setOne()
 	started := false
@@ -254,33 +258,6 @@ func (z *fe12) expUnitary(x *fe12, k *big.Int) {
 		acc.conj(&acc)
 	}
 	z.set(&acc)
-}
-
-// wnafDigits returns the width-w NAF of e (least significant first):
-// odd digits in (−2^(w−1), 2^(w−1)), at most one nonzero per w window.
-func wnafDigits(e *big.Int, w uint) []int {
-	n := new(big.Int).Set(e)
-	mod := int64(1) << w
-	half := mod >> 1
-	var digits []int
-	tmp := new(big.Int)
-	for n.Sign() > 0 {
-		if n.Bit(0) == 1 {
-			d := int64(0)
-			tmp.And(n, big.NewInt(mod-1))
-			d = tmp.Int64()
-			if d >= half {
-				d -= mod
-			}
-			digits = append(digits, int(d))
-			tmp.SetInt64(d)
-			n.Sub(n, tmp)
-		} else {
-			digits = append(digits, 0)
-		}
-		n.Rsh(n, 1)
-	}
-	return digits
 }
 
 // finalExp maps a Miller-loop output to the pairing group GT:

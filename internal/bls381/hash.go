@@ -130,15 +130,22 @@ func svdwMap(u *fe2) g2Affine {
 	return g2Affine{x: x, y: y}
 }
 
-// hashToG2 is the full random-oracle construction: two field elements,
-// two curve mappings, one addition, one cofactor clearing.
-func hashToG2(msg []byte, dst string) g2Affine {
+// mapToTwist is the random-oracle construction short of its last step:
+// two field elements, two curve mappings, one addition — a point of the
+// twist whose cofactor is still to be cleared.
+func mapToTwist(j *g2Jac, msg []byte, dst string) {
 	u0, u1 := hashToFieldFp2(msg, dst)
 	p0 := svdwMap(&u0)
 	p1 := svdwMap(&u1)
-	var j g2Jac
 	j.fromAffine(&p0)
-	j.addAffine(&j, &p1)
+	j.addAffine(j, &p1)
+}
+
+// hashToG2 is the full construction: mapToTwist, then one cofactor
+// clearing.
+func hashToG2(msg []byte, dst string) g2Affine {
+	var j g2Jac
+	mapToTwist(&j, msg, dst)
 	j.clearCofactor(&j)
 	return j.toAffine()
 }

@@ -100,7 +100,7 @@ func (c *Curve) ScalarMultBase(t *BaseTable, k *big.Int) Point {
 	if k.Sign() == 0 || t.base.inf {
 		return Infinity()
 	}
-	digits := ff.WNAF(k, baseWindow)
+	digits := ff.AppendWNAF(nil, k, baseWindow)
 	m := c.F.Mont()
 	a := m.GetArena()
 	defer a.Release()

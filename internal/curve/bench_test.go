@@ -2,6 +2,7 @@ package curve
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -56,4 +57,46 @@ func BenchmarkHashToGroup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = c.HashToGroup("bench-dst", msg)
 	}
+}
+
+// BenchmarkMSM times one cold-start page's worth of each batch sum at
+// SS512 — 48 terms under 128-bit scalars — against the ladders it
+// replaced: "sigs" is Σ eᵢ·σᵢ over subgroup points, "hashes" the whole
+// hashing door (48 candidates, one sum, one cofactor ladder).
+func BenchmarkMSM(b *testing.B) {
+	c, g := ss512(b)
+	const n = 48
+	scalars, points, msgs := make([]*big.Int, n), make([]Point, n), make([][]byte, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := range points {
+		scalars[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(big1, 128))
+		points[i] = c.ScalarMult(big.NewInt(int64(i+2)), g)
+		msgs[i] = []byte{byte(i)}
+	}
+	b.Run("sigs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = c.MSM(scalars, points)
+		}
+	})
+	b.Run("sigs-ladders", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = Infinity()
+			for j := range points {
+				sink = c.Add(sink, c.ScalarMult(scalars[j], points[j]))
+			}
+		}
+	})
+	b.Run("hashes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = c.HashSum("bench-dst", scalars, msgs)
+		}
+	})
+	b.Run("hashes-ladders", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = Infinity()
+			for j := range msgs {
+				sink = c.Add(sink, c.ScalarMult(scalars[j], c.HashToGroup("bench-dst", msgs[j])))
+			}
+		}
+	})
 }

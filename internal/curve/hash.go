@@ -24,6 +24,19 @@ import (
 // (time labels, identities, policy conditions, HIBE node labels).
 func (c *Curve) HashToGroup(dst string, msg []byte) Point {
 	for ctr := uint32(0); ; ctr++ {
+		var p Point
+		p, ctr = c.hashCandidate(dst, msg, ctr)
+		if g := c.ScalarMult(c.H, p); !g.inf {
+			return g
+		}
+	}
+}
+
+// hashCandidate runs steps 1–2 of HashToGroup from counter ctr on: the
+// first candidate that lifts to a point of E(F_p) — anywhere on the
+// curve, cofactor not cleared — and the counter that produced it.
+func (c *Curve) hashCandidate(dst string, msg []byte, ctr uint32) (Point, uint32) {
+	for ; ; ctr++ {
 		var cb [4]byte
 		binary.BigEndian.PutUint32(cb[:], ctr)
 		data := rohash.Concat(cb[:], msg)
@@ -32,16 +45,27 @@ func (c *Curve) HashToGroup(dst string, msg []byte) Point {
 		raw := rohash.Expand("TRE-H1:"+dst, data, n)
 		parity := raw[len(raw)-1] & 1
 		x := new(big.Int).Mod(new(big.Int).SetBytes(raw[:len(raw)-1]), c.F.P())
-		p, ok := c.pointFromX(x, parity)
-		if !ok {
-			continue
+		if p, ok := c.pointFromX(x, parity); ok {
+			return p, ctr
 		}
-		g := c.ScalarMult(c.H, p)
-		if g.inf {
-			continue
-		}
-		return g
 	}
+}
+
+// HashSum returns Σ kᵢ·HashToGroup(dst, msgsᵢ) for one cofactor
+// multiplication instead of one per message: HashToGroup is h·M for the
+// candidate M, so the sum is h·Σ kᵢ·Mᵢ — the candidates go through the
+// multi-scalar multiplication uncleared, under scalars used as given.
+// The identity is literal except where HashToGroup retries because
+// h·M = ∞ (probability 1/q per message): the sum cannot see that, a
+// check built on it fails closed, and its caller hashes per message.
+func (c *Curve) HashSum(dst string, scalars []*big.Int, msgs [][]byte) Point {
+	if len(scalars) != len(msgs) {
+		panic("curve: HashSum needs one scalar per message")
+	}
+	return c.ScalarMult(c.H, c.msm(scalars, func(i int) Point {
+		p, _ := c.hashCandidate(dst, msgs[i], 0)
+		return p
+	}))
 }
 
 // pointFromX lifts an x-candidate to a curve point with the requested

@@ -109,11 +109,8 @@ func (e *Fp2Mont) ScratchIn(a *Arena) *Fp2MontScratch {
 // a long-lived private scalar) should be recoded once and the digits
 // reused, which removes the big.Int work from the exponentiation hot
 // path entirely.
-func UnitaryWNAF(k *big.Int) []int {
-	if k.Sign() < 0 {
-		panic("ff: negative exponent in F_{p²}")
-	}
-	return WNAF(k, expUnitaryWindow)
+func UnitaryWNAF(k *big.Int) []int8 {
+	return AppendWNAF(nil, k, expUnitaryWindow)
 }
 
 // ExpUnitaryWNAFInto is ExpUnitaryInto with the exponent already
@@ -121,7 +118,7 @@ func UnitaryWNAF(k *big.Int) []int {
 // allocations in steady state. digits must be a UnitaryWNAF recoding of
 // a non-negative exponent; x must be unitary, as for ExpUnitaryInto.
 // dst may alias x.
-func (e *Fp2Mont) ExpUnitaryWNAFInto(dst *Fp2MontElem, x Fp2MontElem, digits []int, s *Fp2MontScratch, a *Arena) {
+func (e *Fp2Mont) ExpUnitaryWNAFInto(dst *Fp2MontElem, x Fp2MontElem, digits []int8, s *Fp2MontScratch, a *Arena) {
 	if len(digits) == 0 {
 		e.SetOne(dst)
 		return

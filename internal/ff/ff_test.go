@@ -106,10 +106,10 @@ func TestWNAFRecoding(t *testing.T) {
 		half := 1 << (w - 1)
 		prop := func(k uint64) bool {
 			n := new(big.Int).SetUint64(k)
-			digits := WNAF(n, w)
+			digits := AppendWNAF(nil, n, w)
 			acc := new(big.Int)
 			for i := len(digits) - 1; i >= 0; i-- {
-				d := digits[i]
+				d := int(digits[i])
 				acc.Lsh(acc, 1)
 				acc.Add(acc, big.NewInt(int64(d)))
 				if d != 0 && (d%2 == 0 || d >= half || d <= -half) {

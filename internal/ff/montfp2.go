@@ -1,6 +1,9 @@
 package ff
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+)
 
 // Fp2MontElem is an element a + b·i of F_{p²} with both coordinates in
 // Montgomery form. It is the limb-vector form of Fp2Elem: the pairing's
@@ -188,40 +191,37 @@ func (e *Fp2Mont) ExpUnitaryInto(dst *Fp2MontElem, x Fp2MontElem, k *big.Int, s 
 	// and call ExpUnitaryWNAFInto directly (see arena.go).
 	a := e.M.GetArena()
 	defer a.Release()
-	e.ExpUnitaryWNAFInto(dst, x, WNAF(k, expUnitaryWindow), s, a)
+	e.ExpUnitaryWNAFInto(dst, x, UnitaryWNAF(k), s, a)
 }
 
-// WNAF returns the width-w non-adjacent form of the non-negative k,
-// least significant digit first: digits are zero or odd in
-// (−2^(w−1), 2^(w−1)), and non-zero digits are separated by at least
-// w−1 zeros. It is the one signed-window recoder of the symmetric
-// stack: the unitary F_{p²} ladder and the curve's fixed-base ladder
-// both consume it.
-func WNAF(k *big.Int, w uint) []int {
-	n := new(big.Int).Set(k)
-	mod := int64(1) << w
-	half := int64(1) << (w - 1)
-	digits := make([]int, 0, k.BitLen()+1)
-	tmp := new(big.Int)
-	for n.Sign() > 0 {
-		if n.Bit(0) == 1 {
-			d := int64(0)
-			for i := uint(0); i < w; i++ {
-				d |= int64(n.Bit(int(i))) << i
-			}
-			if d >= half {
-				d -= mod
-			}
-			digits = append(digits, int(d))
-			if d > 0 {
-				n.Sub(n, tmp.SetInt64(d))
-			} else {
-				n.Add(n, tmp.SetInt64(-d))
-			}
-		} else {
-			digits = append(digits, 0)
-		}
-		n.Rsh(n, 1)
+// AppendWNAF appends the width-w non-adjacent form of the non-negative
+// k to dst, least significant digit first: digits are zero or odd in
+// (−2^(w−1), 2^(w−1)), non-zero ones at least w−1 zeros apart, the last
+// one non-zero. It is the tree's one signed-window recoder (w ≤ 8), and
+// reads k bit by bit with a carry: into a reused dst it allocates
+// nothing.
+func AppendWNAF(dst []int8, k *big.Int, w uint) []int8 {
+	if k.Sign() < 0 {
+		panic("ff: negative scalar")
 	}
-	return digits
+	var zeros [8]int8
+	dst, carry := slices.Grow(dst, k.BitLen()+1), uint(0)
+	for i, n := 0, k.BitLen(); i < n || carry != 0; {
+		if b := k.Bit(i) + carry; b != 1 { // what is left of k is even
+			carry = b >> 1
+			dst = append(dst, 0)
+			i++
+			continue
+		}
+		v := carry
+		for j := uint(0); j < w; j++ {
+			v += k.Bit(i+int(j)) << j
+		}
+		carry = v >> (w - 1) // v ≥ 2^(w−1): take v − 2^w and carry one
+		dst = append(dst, int8(int(v)-int(carry<<w)))
+		if i += int(w); i < n || carry != 0 {
+			dst = append(dst, zeros[:w-1]...)
+		}
+	}
+	return dst
 }

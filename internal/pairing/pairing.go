@@ -69,7 +69,7 @@ type Pairing struct {
 	// touches big.Int arithmetic.
 	m       *ff.Mont
 	e2m     *ff.Fp2Mont
-	hDigits []int
+	hDigits []int8
 }
 
 // New returns a pairing context for c.

@@ -155,16 +155,11 @@ func Combine(set *params.Set, groupPub core.ServerPublicKey, partials []PartialU
 		return core.KeyUpdate{}, err
 	}
 	indices := make([]int, k)
+	points := make([]curve.Point, k)
 	for i, p := range chosen {
-		indices[i] = p.Index
+		indices[i], points[i] = p.Index, p.Point
 	}
-	lambdas := lagrangeAtZero(qf, indices)
-
-	acc := set.B.Infinity(backend.G2)
-	for i, p := range chosen {
-		acc = set.B.Add(backend.G2, acc, set.B.ScalarMult(backend.G2, lambdas[i], p.Point))
-	}
-	upd := core.KeyUpdate{Label: label, Point: acc}
+	upd := core.KeyUpdate{Label: label, Point: set.B.MSM(backend.G2, lagrangeAtZero(qf, indices), points)}
 	if !core.NewScheme(set).VerifyUpdate(groupPub, upd) {
 		return core.KeyUpdate{}, ErrBadCombination
 	}

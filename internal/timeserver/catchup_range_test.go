@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -504,6 +507,43 @@ func TestCatchUpEmptyPageClaimingTotalFallsBack(t *testing.T) {
 	}
 }
 
+// countingBackend counts the group operations a client's verification
+// makes through its parameter set.
+type countingBackend struct {
+	backend.Backend
+	inSubgroup, hashToG2, scalarMult, hashSum, msm atomic.Int64
+}
+
+func (c *countingBackend) calls() string {
+	return fmt.Sprintf("InSubgroup=%d HashToG2=%d ScalarMult=%d HashSumG2=%d MSM=%d",
+		c.inSubgroup.Load(), c.hashToG2.Load(), c.scalarMult.Load(), c.hashSum.Load(), c.msm.Load())
+}
+
+func (c *countingBackend) InSubgroup(g backend.Group, p curve.Point) bool {
+	c.inSubgroup.Add(1)
+	return c.Backend.InSubgroup(g, p)
+}
+
+func (c *countingBackend) HashToG2(domain string, msg []byte) curve.Point {
+	c.hashToG2.Add(1)
+	return c.Backend.HashToG2(domain, msg)
+}
+
+func (c *countingBackend) ScalarMult(g backend.Group, k *big.Int, p curve.Point) curve.Point {
+	c.scalarMult.Add(1)
+	return c.Backend.ScalarMult(g, k, p)
+}
+
+func (c *countingBackend) HashSumG2(domain string, scalars []*big.Int, msgs [][]byte) curve.Point {
+	c.hashSum.Add(1)
+	return c.Backend.HashSumG2(domain, scalars, msgs)
+}
+
+func (c *countingBackend) MSM(g backend.Group, scalars []*big.Int, points []curve.Point) curve.Point {
+	c.msm.Add(1)
+	return c.Backend.MSM(g, scalars, points)
+}
+
 func TestCatchUpRangeOnePassContract(t *testing.T) {
 	// What a returning receiver pays for 48 missed epochs: one range
 	// request and ONE pairing product — the blinded batch equation, which
@@ -515,10 +555,29 @@ func TestCatchUpRangeOnePassContract(t *testing.T) {
 		t.Fatalf("published %d labels, want 48", len(labels))
 	}
 	reg := obs.NewRegistry()
-	c := NewClient(e.ts.URL, e.set, e.key.Pub, WithHTTPClient(e.ts.Client()), WithClientMetrics(reg))
+	counted := *e.set
+	cb := &countingBackend{Backend: e.set.B}
+	counted.B = cb
+	e.ts.Client().CloseIdleConnections()
+	goroutines := runtime.NumGoroutine()
+	c := NewClient(e.ts.URL, &counted, e.key.Pub, WithHTTPClient(e.ts.Client()), WithClientMetrics(reg))
 	ups, err := c.CatchUp(context.Background(), labels)
 	if err != nil || len(ups) != len(labels) {
 		t.Fatalf("CatchUp: %d updates, err %v", len(ups), err)
+	}
+	// The batch equation is two sums, not 48 hashes and 96 ladders: one
+	// subgroup check per update, then one hash-sum (cofactor cleared
+	// once) and one multi-scalar multiplication for the whole page.
+	if got, want := cb.calls(), "InSubgroup=48 HashToG2=0 ScalarMult=0 HashSumG2=1 MSM=1"; got != want {
+		t.Fatalf("backend calls for the page: %s, want %s", got, want)
+	}
+	// Every worker the page's pool passes started has exited (the HTTP
+	// connection's own goroutines go with the idle connection).
+	e.ts.Client().CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the catch-up, %d before it", runtime.NumGoroutine(), goroutines)
+		}
 	}
 	s := reg.Snapshot().Counters
 	if s["core.pairings"] != 2 {
@@ -618,8 +677,10 @@ func TestCatchUpRangeEnforcesRequestedLimit(t *testing.T) {
 			s.Counters["client.catchup_fallback"],
 			s.Counters["client.catchup_batches"])
 	}
-	// Only the per-label batch of two went through the pool.
-	if got := s.Gauges["parallel.tasks"] - tasks; got != 2 {
-		t.Fatalf("%d pool tasks, want 2: the oversized page's points were parsed", got)
+	// Only the per-label batch of two went through the pool: its subgroup
+	// checks and its two sums, at most two tasks each (the sums chunk by
+	// processor). Parsing the 200-update page would have added 200.
+	if got := s.Gauges["parallel.tasks"] - tasks; got < 2 || got > 6 {
+		t.Fatalf("%d pool tasks, want 2 to 6: the oversized page's points were parsed", got)
 	}
 }
