@@ -15,7 +15,7 @@ all: build vet test
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests"
+	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + arm64/386 portability build"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -145,7 +145,11 @@ lint:
 # detector covers the WHOLE module; the concurrency reaches from the
 # sharded scheme caches and pooled arenas up through the serving path,
 # so nothing is exempt). This is what .github/workflows/ci.yml executes.
+# The recipe line pins that the tree, the BLS12-381 field kernel included,
+# is portable Go with no architecture fork: a 64-bit non-amd64 build and
+# a 32-bit vet, both offline from GOROOT.
 ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
+	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/
 
 # Historical pre-commit name.
 check: ci

@@ -66,3 +66,41 @@ func BenchmarkFeMulLoop(b *testing.B) {
 		feMulLoop(&z, &x, &y)
 	}
 }
+
+// The additive routines run on their own output (z = op(z, y)), the way
+// the tower's accumulators use them.
+func BenchmarkFeAdd(b *testing.B) {
+	initCtx()
+	z, y := randFe(b), randFe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feAdd(&z, &z, &y)
+	}
+}
+
+func BenchmarkFeSub(b *testing.B) {
+	initCtx()
+	z, y := randFe(b), randFe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feSub(&z, &z, &y)
+	}
+}
+
+func BenchmarkFeDouble(b *testing.B) {
+	initCtx()
+	z := randFe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feDouble(&z, &z)
+	}
+}
+
+func BenchmarkFeNeg(b *testing.B) {
+	initCtx()
+	z := randFe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feNeg(&z, &z)
+	}
+}

@@ -9,19 +9,18 @@
 // backends, while this curve provides ~128-bit security with pairings
 // that are an order of magnitude faster than SS1024.
 //
-// The field arithmetic runs on the repo's fixed-limb Montgomery
-// machinery (internal/ff.Mont, 6×64-bit limbs for the 381-bit prime);
-// nothing here depends on third-party crypto libraries. Like the rest
-// of the repository this code is NOT constant time (see README threat
-// model): exponent ladders branch on bits and reductions branch on
-// comparisons.
+// The base field runs on the package's own six-limb Montgomery kernel
+// (fe_mul.go, generated; constants in fe_arith.go); nothing here
+// depends on third-party crypto libraries. Like the rest of the
+// repository this code is NOT constant time (see README threat model):
+// the base field's reductions are selects, but the exponent and scalar
+// ladders still branch on bits.
 package bls381
 
 import (
+	"encoding/binary"
 	"math/big"
 	"sync"
-
-	"timedrelease/internal/ff"
 )
 
 // Curve constants. x is the BLS parameter: p and r are polynomials in
@@ -46,13 +45,13 @@ const feLimbs = 6
 // feByteLen is the big-endian serialized size of one Fp element.
 const feByteLen = 48
 
-// fe is one Fp element in Montgomery form (little-endian limbs). The
-// zero value is the field's zero. Arithmetic delegates to the shared
-// ff.Mont context via z[:] slice views, which stay on the stack.
+// fe is one Fp element in Montgomery form (little-endian limbs), always
+// fully reduced to [0, p), so equality is array equality. The zero value
+// is the field's zero.
 type fe [feLimbs]uint64
 
 // ctx holds the lazily built package-level arithmetic context: the
-// Montgomery machinery plus every derived constant (tower frobenius
+// Montgomery constants plus every derived constant (tower frobenius
 // coefficients, SVDW map constants, generators). Building it costs a
 // few big.Int exponentiations and happens once per process.
 var ctx struct {
@@ -60,16 +59,14 @@ var ctx struct {
 
 	p, r, xAbs *big.Int
 	h1         *big.Int
-	pm2        *big.Int
 
-	fp   *ff.Field
-	mnt  *ff.Mont
-	half fe // 1/2
+	one, r2 fe // R and R² mod p: Montgomery 1 and the way into Montgomery form
+	half    fe // 1/2
 
-	// sqrt exponent (p+1)/4 for p ≡ 3 (mod 4), and (p-1)/2 for the
-	// Euler residue test.
-	sqrtExp  *big.Int
-	eulerExp *big.Int
+	// The three fixed public exponents of fe.exp, as plain limbs: p−2
+	// (Fermat inverse), (p+1)/4 (square root, p ≡ 3 mod 4) and (p−1)/2
+	// (Euler residue test).
+	pm2, sqrtExp, eulerExp fe
 
 	// Frobenius: w^p = γ1·w with γ1 = ξ^((p−1)/6), so v^p = γ1²·v and
 	// (v²)^p = γ1⁴·v².
@@ -98,22 +95,12 @@ func initCtx() {
 		ctx.xAbs = fromHex(xAbsHex)
 		ctx.h1 = fromHex(h1Hex)
 
-		fp, err := ff.NewField(ctx.p)
-		if err != nil {
-			panic("bls381: field: " + err.Error())
-		}
-		ctx.fp = fp
-		ctx.mnt = fp.Mont()
-		if ctx.mnt == nil || ctx.mnt.Limbs() != feLimbs {
-			panic("bls381: Montgomery backend unavailable for p")
-		}
-
 		initFeArith()
 
 		one := big.NewInt(1)
-		ctx.pm2 = new(big.Int).Sub(ctx.p, big.NewInt(2))
-		ctx.sqrtExp = new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 2)
-		ctx.eulerExp = new(big.Int).Rsh(new(big.Int).Sub(ctx.p, one), 1)
+		ctx.pm2 = feLimbsOf(new(big.Int).Sub(ctx.p, big.NewInt(2)))
+		ctx.sqrtExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 2))
+		ctx.eulerExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Sub(ctx.p, one), 1))
 
 		two := big.NewInt(2)
 		halfBig := new(big.Int).ModInverse(two, ctx.p)
@@ -127,14 +114,12 @@ func initCtx() {
 
 // --- fe helpers -----------------------------------------------------
 
-func (z *fe) set(x *fe)    { *z = *x }
-func (z *fe) setZero()     { *z = fe{} }
-func (z *fe) setOne()      { ctx.mnt.SetOne(z[:]) }
-func (z *fe) isZero() bool { return ctx.mnt.IsZero(z[:]) }
-func (z *fe) isOne() bool  { return ctx.mnt.IsOne(z[:]) }
-func (z *fe) equal(x *fe) bool {
-	return ctx.mnt.Equal(z[:], x[:])
-}
+func (z *fe) set(x *fe)        { *z = *x }
+func (z *fe) setZero()         { *z = fe{} }
+func (z *fe) setOne()          { *z = ctx.one }
+func (z *fe) isZero() bool     { return *z == fe{} }
+func (z *fe) isOne() bool      { return *z == ctx.one }
+func (z *fe) equal(x *fe) bool { return *z == *x }
 
 func (z *fe) add(x, y *fe) { feAdd(z, x, y) }
 func (z *fe) dbl(x *fe)    { feDouble(z, x) }
@@ -143,27 +128,37 @@ func (z *fe) neg(x *fe)    { feNeg(z, x) }
 func (z *fe) mul(x, y *fe) { feMul(z, x, y) }
 func (z *fe) sqr(x *fe)    { feSqr(z, x) }
 
-// exp is square-and-multiply on the fixed-limb routines.
-func (z *fe) exp(x *fe, e *big.Int) {
-	var base, acc fe
-	base.set(x)
-	acc.setOne()
-	for i := e.BitLen() - 1; i >= 0; i-- {
+// exp sets z = x^e for a plain (non-Montgomery) exponent e, walking its
+// 96 fixed 4-bit windows from the top: four squarings and at most one
+// multiplication by a table entry x¹…x¹⁵ per window. The table index
+// and the zero-window skip depend on e, which is fine here and only
+// here: every caller passes one of the three fixed public exponents in
+// ctx. Secret scalars never come this way (ROADMAP item 7).
+func (z *fe) exp(x *fe, e *fe) {
+	var table [16]fe
+	table[0], table[1] = ctx.one, *x
+	for i := 2; i < len(table); i++ {
+		feMul(&table[i], &table[i-1], x)
+	}
+	acc := table[e[feLimbs-1]>>60]
+	for w := 16*feLimbs - 2; w >= 0; w-- {
 		feSqr(&acc, &acc)
-		if e.Bit(i) == 1 {
-			feMul(&acc, &acc, &base)
+		feSqr(&acc, &acc)
+		feSqr(&acc, &acc)
+		feSqr(&acc, &acc)
+		if d := e[w/16] >> (4 * uint(w%16)) & 15; d != 0 {
+			feMul(&acc, &acc, &table[d])
 		}
 	}
-	z.set(&acc)
+	*z = acc
 }
 
-// inv is the Fermat inverse x^(p−2); panics on zero like ff.Mont.Inv.
+// inv is the Fermat inverse x^(p−2); panics on zero.
 func (z *fe) inv(x *fe) {
 	if x.isZero() {
 		panic("bls381: inverse of zero")
 	}
-	pm2 := ctx.pm2
-	z.exp(x, pm2)
+	z.exp(x, &ctx.pm2)
 }
 
 // fromBig loads a (not necessarily reduced) big.Int into Montgomery form.
@@ -172,12 +167,8 @@ func (z *fe) fromBig(x *big.Int) {
 	if v.Sign() < 0 || v.Cmp(ctx.p) >= 0 {
 		v = new(big.Int).Mod(x, ctx.p)
 	}
-	ctx.mnt.ToMont(z[:], v)
-}
-
-// toBig returns the plain (non-Montgomery) integer value.
-func (z *fe) toBig() *big.Int {
-	return ctx.mnt.FromMont(nil, z[:])
+	*z = feLimbsOf(v)
+	feMul(z, z, &ctx.r2)
 }
 
 // isResidue reports whether z is a square in Fp (true for zero).
@@ -186,7 +177,7 @@ func (z *fe) isResidue() bool {
 		return true
 	}
 	var t fe
-	t.exp(z, ctx.eulerExp)
+	t.exp(z, &ctx.eulerExp)
 	return t.isOne()
 }
 
@@ -194,7 +185,7 @@ func (z *fe) isResidue() bool {
 // is unspecified.
 func (z *fe) sqrt(x *fe) bool {
 	var c, t fe
-	c.exp(x, ctx.sqrtExp)
+	c.exp(x, &ctx.sqrtExp)
 	t.sqr(&c)
 	if !t.equal(x) {
 		return false
@@ -203,21 +194,32 @@ func (z *fe) sqrt(x *fe) bool {
 	return true
 }
 
+// plain leaves Montgomery form: one product by the integer 1 is
+// z·R·1·R⁻¹, fully reduced like every kernel result.
+func (z *fe) plain() (t fe) {
+	feMul(&t, z, &fe{1})
+	return t
+}
+
 // sgn0 is the RFC 9380 sign of an Fp element: its parity as a plain
 // integer.
-func (z *fe) sgn0() uint64 {
-	var plain big.Int
-	ctx.mnt.FromMont(&plain, z[:])
-	return uint64(plain.Bit(0))
-}
+func (z *fe) sgn0() uint64 { return z.plain()[0] & 1 }
 
 // bytes appends the 48-byte big-endian encoding of z to dst.
 func (z *fe) bytes(dst []byte) []byte {
-	var plain big.Int
-	ctx.mnt.FromMont(&plain, z[:])
+	t := z.plain()
 	var buf [feByteLen]byte
-	plain.FillBytes(buf[:])
+	for i := range t {
+		binary.BigEndian.PutUint64(buf[feByteLen-8*(i+1):], t[i])
+	}
 	return append(dst, buf[:]...)
+}
+
+// setBytes loads 48 big-endian bytes as plain limbs, no reduction.
+func (z *fe) setBytes(b []byte) {
+	for i := range z {
+		z[i] = binary.BigEndian.Uint64(b[feByteLen-8*(i+1):])
+	}
 }
 
 // feFromBytes parses a canonical 48-byte big-endian Fp element,
@@ -227,10 +229,10 @@ func feFromBytes(b []byte) (fe, bool) {
 	if len(b) != feByteLen {
 		return z, false
 	}
-	v := new(big.Int).SetBytes(b)
-	if v.Cmp(ctx.p) >= 0 {
-		return z, false
+	z.setBytes(b)
+	if !feLess(&z, &feModulus) {
+		return fe{}, false
 	}
-	ctx.mnt.ToMont(z[:], v)
+	feMul(&z, &z, &ctx.r2)
 	return z, true
 }

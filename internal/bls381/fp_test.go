@@ -422,42 +422,3 @@ func TestFinalExpInCyclotomicSubgroup(t *testing.T) {
 		t.Fatal("finalExp degenerate on random input")
 	}
 }
-
-// TestFeMulLoopMatchesUnrolled is the differential test feMulLoop is
-// kept for: the loop-form CIOS product and the unrolled ladder that
-// ships must agree limb for limb on the edge values 0, 1, p−1 (every
-// ordered pair) and on random operands, with and without the output
-// aliasing an input.
-func TestFeMulLoopMatchesUnrolled(t *testing.T) {
-	initCtx()
-	var zero, one, pm1 fe
-	one.setOne()
-	pm1.fromBig(new(big.Int).Sub(ctx.p, big.NewInt(1)))
-	operands := []fe{zero, one, pm1}
-	for i := 0; i < 256; i++ {
-		operands = append(operands, randFe(t))
-	}
-	for i, x := range operands {
-		for j, y := range operands {
-			if i > 2 && j > 2 && j != i && j != i+1 {
-				continue // edges against everything; randoms squared and pairwise
-			}
-			var loop, unrolled fe
-			feMulLoop(&loop, &x, &y)
-			feMulUnrolled(&unrolled, &x, &y)
-			if loop != unrolled {
-				t.Fatalf("operands %d·%d: loop %v, unrolled %v", i, j, loop.toBig(), unrolled.toBig())
-			}
-			want := new(big.Int).Mul(x.toBig(), y.toBig())
-			if want.Mod(want, ctx.p).Cmp(loop.toBig()) != 0 {
-				t.Fatalf("operands %d·%d: both forms disagree with math/big", i, j)
-			}
-			ax, ay := x, y
-			feMulLoop(&ax, &ax, &y)
-			feMulUnrolled(&ay, &x, &ay)
-			if ax != loop || ay != loop {
-				t.Fatalf("operands %d·%d: aliased output differs", i, j)
-			}
-		}
-	}
-}

@@ -15,9 +15,11 @@ func feFromFuzz(b []byte) (fe, *big.Int) {
 	return x, v
 }
 
-// FuzzFeArith differentially checks the unrolled six-limb base-field
-// ladder (feMul and friends) against math/big on arbitrary operands —
-// the reference the fixed-window comb in fe_arith.go promises.
+// FuzzFeArith differentially checks the generated six-limb base-field
+// kernel (fe_mul.go: mul, add, sub, double, neg) and what is built on it
+// (sqr, inv, the byte codec) against math/big on arbitrary operands, mul
+// also against the loop-form oracle feMulLoop; every result must be
+// canonical (limb-wise < p) and survive the output aliasing an input.
 func FuzzFeArith(f *testing.F) {
 	f.Add([]byte{0}, []byte{1})
 	f.Add([]byte{0xff}, []byte{2})
@@ -32,6 +34,9 @@ func FuzzFeArith(f *testing.F) {
 		b, bv := feFromFuzz(bb)
 		check := func(op string, got *fe, want *big.Int) {
 			t.Helper()
+			if !feCanonical(got) {
+				t.Fatalf("%s(%v, %v) = %x is not reduced below p", op, av, bv, rawBig(got))
+			}
 			if got.toBig().Cmp(want) != 0 {
 				t.Fatalf("%s(%v, %v) = %v, want %v", op, av, bv, got.toBig(), want)
 			}
@@ -47,12 +52,24 @@ func FuzzFeArith(f *testing.F) {
 		check("add", &r, new(big.Int).Mod(new(big.Int).Add(av, bv), p))
 		r.sub(&a, &b)
 		check("sub", &r, new(big.Int).Mod(new(big.Int).Sub(av, bv), p))
+		r.dbl(&a)
+		check("double", &r, new(big.Int).Mod(new(big.Int).Lsh(av, 1), p))
 		r.neg(&a)
 		check("neg", &r, new(big.Int).Mod(new(big.Int).Neg(av), p))
 		if av.Sign() != 0 {
 			r.inv(&a)
 			check("inv", &r, new(big.Int).ModInverse(av, p))
 		}
+		// z = x, z = y and z = x = y: in place on copies.
+		r = a
+		r.mul(&r, &b)
+		check("mul z=x", &r, new(big.Int).Mod(new(big.Int).Mul(av, bv), p))
+		r = b
+		r.sub(&a, &r)
+		check("sub z=y", &r, new(big.Int).Mod(new(big.Int).Sub(av, bv), p))
+		r = a
+		r.add(&r, &r)
+		check("add z=x=y", &r, new(big.Int).Mod(new(big.Int).Lsh(av, 1), p))
 		// Serialization round trip on a canonical element.
 		enc := a.bytes(nil)
 		back, ok := feFromBytes(enc)

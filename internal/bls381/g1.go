@@ -335,9 +335,9 @@ func unmarshalG1(b []byte) (g1Affine, error) {
 	return g1Affine{x: x, y: y}, nil
 }
 
-// feIsLexLarger reports y > −y as integers, i.e. y > (p−1)/2.
+// feIsLexLarger reports y > −y as integers, i.e. y > (p−1)/2, which
+// ctx.eulerExp holds as plain limbs.
 func feIsLexLarger(y *fe) bool {
-	v := y.toBig()
-	v.Lsh(v, 1)
-	return v.Cmp(ctx.p) > 0
+	t := y.plain()
+	return feLess(&ctx.eulerExp, &t)
 }
