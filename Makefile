@@ -145,11 +145,11 @@ lint:
 # detector covers the WHOLE module; the concurrency reaches from the
 # sharded scheme caches and pooled arenas up through the serving path,
 # so nothing is exempt). This is what .github/workflows/ci.yml executes.
-# The recipe line pins that the tree, the BLS12-381 field kernel included,
-# is portable Go with no architecture fork: a 64-bit non-amd64 build and
-# a 32-bit vet, both offline from GOROOT.
+# The recipe line pins that the tree, the BLS12-381 and ff field kernels
+# included, is portable Go with no architecture fork: a 64-bit non-amd64
+# build and a 32-bit vet, both offline from GOROOT.
 ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
-	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/
+	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/
 
 # Historical pre-commit name.
 check: ci

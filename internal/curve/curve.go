@@ -38,7 +38,8 @@ type Curve struct {
 	Q *big.Int  // prime order of the working subgroup
 	H *big.Int  // cofactor, q·h = p+1
 
-	qField *ff.Field // scalar field Z_q, built once at construction
+	qField  *ff.Field // scalar field Z_q, built once at construction
+	sqrtExp *big.Int  // (p+1)/4: a^sqrtExp is a square root of every square a
 }
 
 // Point is an affine point on E, or the point at infinity.
@@ -85,8 +86,8 @@ func New(f *ff.Field, q, h *big.Int) (*Curve, error) {
 	if new(big.Int).Mod(p, big.NewInt(4)).Cmp(big3) != 0 {
 		return nil, errors.New("curve: p ≡ 3 (mod 4) required for supersingular y²=x³+x")
 	}
-	prod := new(big.Int).Mul(q, h)
-	if prod.Cmp(new(big.Int).Add(p, big1)) != 0 {
+	pp1 := new(big.Int).Add(p, big1)
+	if new(big.Int).Mul(q, h).Cmp(pp1) != 0 {
 		return nil, errors.New("curve: group order mismatch, need q·h = p+1")
 	}
 	if q.Bit(0) == 0 {
@@ -96,7 +97,7 @@ func New(f *ff.Field, q, h *big.Int) (*Curve, error) {
 	if err != nil {
 		return nil, fmt.Errorf("curve: subgroup order: %w", err)
 	}
-	return &Curve{F: f, Q: new(big.Int).Set(q), H: new(big.Int).Set(h), qField: qf}, nil
+	return &Curve{F: f, Q: new(big.Int).Set(q), H: new(big.Int).Set(h), qField: qf, sqrtExp: pp1.Rsh(pp1, 2)}, nil
 }
 
 // Infinity returns the point at infinity (the group identity).

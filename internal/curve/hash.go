@@ -68,52 +68,50 @@ func (c *Curve) HashSum(dst string, scalars []*big.Int, msgs [][]byte) Point {
 	}))
 }
 
-// pointFromX lifts an x-candidate to a curve point with the requested
-// y parity, reporting false when x³+x is zero or a non-square.
+// pointFromX lifts a reduced x-candidate to a curve point with the
+// requested y parity, reporting false when x³+x is zero (a 2-torsion
+// point, useless for the odd-order subgroup) or a non-square. It runs on
+// Montgomery limbs: since p ≡ 3 (mod 4), y = (x³+x)^((p+1)/4) is a root
+// exactly when y² = x³+x, so one exponentiation and a squaring replace a
+// Legendre symbol and a modular square root; the parity rule picks y.
 func (c *Curve) pointFromX(x *big.Int, parity byte) (Point, bool) {
-	rhs := c.rhs(x)
-	if rhs.Sign() == 0 {
-		// (x, 0) is a 2-torsion point; useless for the odd-order subgroup.
+	m := c.F.Mont()
+	a := m.GetArena()
+	defer a.Release()
+	xm, rhs, y := a.Elem(), a.Elem(), a.Elem()
+	m.ToMont(xm, x)
+	m.Sqr(rhs, xm)
+	m.Mul(rhs, rhs, xm)
+	m.Add(rhs, rhs, xm)
+	if m.IsZero(rhs) {
 		return Point{}, false
 	}
-	y, err := c.F.Sqrt(rhs)
-	if err != nil {
+	m.Exp(y, rhs, c.sqrtExp)
+	if m.Sqr(xm, y); !m.Equal(xm, rhs) {
 		return Point{}, false
 	}
-	if byte(y.Bit(0)) != parity {
-		y = c.F.Neg(y)
+	yb := m.FromMont(nil, y)
+	if byte(yb.Bit(0)) != parity {
+		yb = c.F.Neg(yb)
 	}
-	return Point{X: x, Y: y}, true
+	return Point{X: x, Y: yb}, true
 }
 
 // RandomPoint samples a uniformly random point of E(F_p) (any order) by
-// rejection over x. It is used by parameter generation and tests.
+// rejection over x, with a random y parity so both roots are reachable.
 func (c *Curve) RandomPoint(rng io.Reader) (Point, error) {
 	for {
 		x, err := c.F.Rand(rng)
 		if err != nil {
 			return Point{}, err
 		}
-		rhs := c.rhs(x)
-		if rhs.Sign() == 0 {
-			continue
-		}
-		if c.F.Legendre(rhs) != 1 {
-			continue
-		}
-		y, err := c.F.Sqrt(rhs)
-		if err != nil {
-			return Point{}, err
-		}
-		// Randomise the sign of y so both roots are reachable.
 		var b [1]byte
 		if _, err := io.ReadFull(orRandReader(rng), b[:]); err != nil {
 			return Point{}, fmt.Errorf("curve: sampling y sign: %w", err)
 		}
-		if b[0]&1 == 1 {
-			y = c.F.Neg(y)
+		if p, ok := c.pointFromX(x, b[0]&1); ok {
+			return p, nil
 		}
-		return Point{X: x, Y: y}, nil
 	}
 }
 

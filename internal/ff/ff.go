@@ -14,8 +14,10 @@
 // ladders, F_{p²} exponentiation — run on the fixed-limb Montgomery
 // layer (Mont, Fp2Mont) that every Field carries; TestMont* and the
 // Fuzz* targets pin it operation by operation against the math/big
-// layer. Neither layer is constant time; see the repository README for
-// the threat-model discussion.
+// layer. Neither layer is constant time: only Mont's generated kernels
+// (mont_kernel.go, 3 and 8 limbs) reduce by selects, while the loop
+// widths, every exponentiation and math/big branch (see Mont and the
+// repository README for the threat-model discussion).
 package ff
 
 import (
@@ -27,10 +29,6 @@ import (
 )
 
 var (
-	// ErrNotSquare is returned by Sqrt when the operand is a quadratic
-	// non-residue.
-	ErrNotSquare = errors.New("ff: element is not a square")
-
 	big1 = big.NewInt(1)
 	big2 = big.NewInt(2)
 	big3 = big.NewInt(3)
@@ -169,23 +167,6 @@ func (f *Field) InvBatch(xs []*big.Int) []*big.Int {
 		inv = f.Mul(inv, xs[i])
 	}
 	return out
-}
-
-// Legendre returns the Legendre symbol (a/p): 1 if a is a non-zero
-// square, -1 if a non-square, 0 if a ≡ 0 (mod p).
-func (f *Field) Legendre(a *big.Int) int {
-	return big.Jacobi(new(big.Int).Mod(a, f.p), f.p)
-}
-
-// Sqrt returns a square root of a mod p, or ErrNotSquare if none exists.
-// Of the two roots ±y it returns the one computed by big.Int.ModSqrt
-// (callers that need a canonical choice normalise via parity).
-func (f *Field) Sqrt(a *big.Int) (*big.Int, error) {
-	r := new(big.Int).ModSqrt(new(big.Int).Mod(a, f.p), f.p)
-	if r == nil {
-		return nil, ErrNotSquare
-	}
-	return r, nil
 }
 
 // Rand returns a uniformly random field element drawn from rng

@@ -213,6 +213,27 @@ func TestFermatLittleTheorem(t *testing.T) {
 	}
 }
 
+// ErrNotSquare, Legendre and Sqrt are the math/big square-root oracle:
+// production lifts points with one exponentiation on limbs
+// (curve.pointFromX), and these stay here for the tests that pin it.
+var ErrNotSquare = errors.New("ff: element is not a square")
+
+// Legendre returns the Legendre symbol (a/p): 1 if a is a non-zero
+// square, -1 if a non-square, 0 if a ≡ 0 (mod p).
+func (f *Field) Legendre(a *big.Int) int {
+	return big.Jacobi(new(big.Int).Mod(a, f.p), f.p)
+}
+
+// Sqrt returns the square root big.Int.ModSqrt computes, or
+// ErrNotSquare if there is none.
+func (f *Field) Sqrt(a *big.Int) (*big.Int, error) {
+	r := new(big.Int).ModSqrt(new(big.Int).Mod(a, f.p), f.p)
+	if r == nil {
+		return nil, ErrNotSquare
+	}
+	return r, nil
+}
+
 func TestSqrtAndLegendre(t *testing.T) {
 	f := testField(t)
 	squares, nonSquares := 0, 0

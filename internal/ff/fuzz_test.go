@@ -5,21 +5,25 @@ import (
 	"testing"
 )
 
-// fuzzField builds the SS512 field once; the full-width modulus is the
-// harshest carry/borrow shape the backend supports.
-var fuzzFieldOnce *Field
+// fuzzFields builds, once, the two kernel widths — Test160 and SS512,
+// whose full-width modulus is the harshest carry/borrow shape the
+// backend supports — and one loop width, the two-limb prime with both
+// limbs full. SS512 comes second; FuzzFp2Arith runs on it.
+var fuzzFieldsOnce []*Field
 
-func fuzzSetup(f *testing.F) *Field {
+func fuzzSetup(f *testing.F) []*Field {
 	f.Helper()
-	if fuzzFieldOnce == nil {
-		p, _ := new(big.Int).SetString(montTestPrimes[1], 16)
-		fld, err := NewField(p)
-		if err != nil {
-			f.Fatal(err)
+	if fuzzFieldsOnce == nil {
+		for _, i := range []int{0, 1, 3} {
+			p, _ := new(big.Int).SetString(montTestPrimes[i], 16)
+			fld, err := NewField(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			fuzzFieldsOnce = append(fuzzFieldsOnce, fld)
 		}
-		fuzzFieldOnce = fld
 	}
-	return fuzzFieldOnce
+	return fuzzFieldsOnce
 }
 
 // fuzzReduce maps arbitrary fuzzer bytes to a canonical field element.
@@ -28,53 +32,68 @@ func fuzzReduce(fld *Field, b []byte) *big.Int {
 }
 
 // FuzzFpArith cross-checks every Montgomery base-field operation
-// against the big.Int reference on fuzzer-chosen operands.
+// against the big.Int reference on fuzzer-chosen operands, at both
+// kernel widths and one loop width, and each kernel against its loop
+// form.
 func FuzzFpArith(f *testing.F) {
-	fld := fuzzSetup(f)
+	fields := fuzzSetup(f)
+	p := fields[1].P()
 	f.Add([]byte{0}, []byte{1})
-	f.Add(fld.P().Bytes(), new(big.Int).Sub(fld.P(), big.NewInt(1)).Bytes())
+	f.Add(p.Bytes(), new(big.Int).Sub(p, big.NewInt(1)).Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{2})
 	f.Fuzz(func(t *testing.T, ab, bb []byte) {
 		if len(ab) > 128 || len(bb) > 128 {
 			return
 		}
-		a, b := fuzzReduce(fld, ab), fuzzReduce(fld, bb)
-		m := fld.Mont()
-		am, bm, rm := m.NewElem(), m.NewElem(), m.NewElem()
-		m.ToMont(am, a)
-		m.ToMont(bm, b)
-		if got := m.FromMont(nil, am); got.Cmp(a) != 0 {
-			t.Fatalf("round trip: got %v want %v", got, a)
-		}
-		check := func(op string, want *big.Int) {
-			t.Helper()
-			if got := m.FromMont(nil, rm); got.Cmp(want) != 0 {
-				t.Fatalf("%s(%v, %v) = %v, want %v", op, a, b, got, want)
+		for _, fld := range fields {
+			a, b := fuzzReduce(fld, ab), fuzzReduce(fld, bb)
+			m := fld.Mont()
+			am, bm, rm, lm := m.NewElem(), m.NewElem(), m.NewElem(), m.NewElem()
+			m.ToMont(am, a)
+			m.ToMont(bm, b)
+			if got := m.FromMont(nil, am); got.Cmp(a) != 0 {
+				t.Fatalf("round trip: got %v want %v", got, a)
 			}
+			check := func(op string, want *big.Int) {
+				t.Helper()
+				if got := m.FromMont(nil, rm); got.Cmp(want) != 0 {
+					t.Fatalf("p=%x %s(%v, %v) = %v, want %v", fld.P(), op, a, b, got, want)
+				}
+			}
+			vsLoop := func(op string, loop func(dst, x, y MontElem)) {
+				t.Helper()
+				if loop(lm, am, bm); !m.Equal(lm, rm) {
+					t.Fatalf("p=%x %s(%v, %v): kernel %x, loop %x", fld.P(), op, a, b, rm, lm)
+				}
+			}
+			m.Add(rm, am, bm)
+			check("Add", fld.Add(a, b))
+			vsLoop("Add", m.addLoop)
+			m.Sub(rm, am, bm)
+			check("Sub", fld.Sub(a, b))
+			vsLoop("Sub", m.subLoop)
+			m.Mul(rm, am, bm)
+			check("Mul", fld.Mul(a, b))
+			vsLoop("Mul", m.mulLoop)
+			m.Sqr(rm, am)
+			check("Sqr", fld.Sqr(a))
+			m.Neg(rm, am)
+			check("Neg", fld.Neg(a))
+			vsLoop("Neg", func(dst, x, _ MontElem) { m.negLoop(dst, x) })
+			if a.Sign() != 0 {
+				m.Inv(rm, am)
+				check("Inv", fld.Inv(a))
+			}
+			m.Exp(rm, am, b)
+			check("Exp", fld.Exp(a, b))
 		}
-		m.Add(rm, am, bm)
-		check("Add", fld.Add(a, b))
-		m.Sub(rm, am, bm)
-		check("Sub", fld.Sub(a, b))
-		m.Mul(rm, am, bm)
-		check("Mul", fld.Mul(a, b))
-		m.Sqr(rm, am)
-		check("Sqr", fld.Sqr(a))
-		m.Neg(rm, am)
-		check("Neg", fld.Neg(a))
-		if a.Sign() != 0 {
-			m.Inv(rm, am)
-			check("Inv", fld.Inv(a))
-		}
-		m.Exp(rm, am, b)
-		check("Exp", fld.Exp(a, b))
 	})
 }
 
 // FuzzFp2Arith cross-checks the extension-field limb operations against
 // the big.Int Fp2 reference on fuzzer-chosen operands.
 func FuzzFp2Arith(f *testing.F) {
-	fld := fuzzSetup(f)
+	fld := fuzzSetup(f)[1]
 	e2, err := NewFp2(fld)
 	if err != nil {
 		f.Fatal(err)

@@ -26,9 +26,11 @@ type MontElem []uint64
 //
 // A Mont context is immutable after construction and safe for
 // concurrent use; per-call scratch lives on the callers' stacks.
-// Like the rest of the package it is NOT constant time: the word-level
-// primitives are, but reductions branch on comparisons and the
-// exponentiation ladders branch on exponent bits (see docs/FIELD.md and
+// Like the rest of the package it is NOT constant time. Mul, Add, Sub,
+// Double and Neg run straight-line at the generated kernel widths
+// (mont_kernel.go), reducing by selects and masks; at every other width
+// their loop forms branch on a carry, a borrow, a limb comparison or
+// x = 0. Exp and Inv skip zero exponent digits (see docs/FIELD.md and
 // the README threat model).
 type Mont struct {
 	n   int      // limb count
@@ -137,9 +139,8 @@ func (m *Mont) subP(dst, x []uint64) {
 	}
 }
 
-// Add sets dst = x + y mod p. The reduction is lazy in the Montgomery
-// sense: one conditional subtraction of p, never a division.
-func (m *Mont) Add(dst, x, y MontElem) {
+// addLoop is Add at a loop width: one conditional subtraction of p.
+func (m *Mont) addLoop(dst, x, y MontElem) {
 	var carry uint64
 	for i := 0; i < m.n; i++ {
 		dst[i], carry = bits.Add64(x[i], y[i], carry)
@@ -152,8 +153,8 @@ func (m *Mont) Add(dst, x, y MontElem) {
 // Double sets dst = 2x mod p.
 func (m *Mont) Double(dst, x MontElem) { m.Add(dst, x, x) }
 
-// Sub sets dst = x - y mod p (one conditional add-back of p).
-func (m *Mont) Sub(dst, x, y MontElem) {
+// subLoop is Sub at a loop width: one conditional add-back of p.
+func (m *Mont) subLoop(dst, x, y MontElem) {
 	var borrow uint64
 	for i := 0; i < m.n; i++ {
 		dst[i], borrow = bits.Sub64(x[i], y[i], borrow)
@@ -166,8 +167,8 @@ func (m *Mont) Sub(dst, x, y MontElem) {
 	}
 }
 
-// Neg sets dst = -x mod p.
-func (m *Mont) Neg(dst, x MontElem) {
+// negLoop is Neg at a loop width.
+func (m *Mont) negLoop(dst, x MontElem) {
 	if m.IsZero(x) {
 		m.SetZero(dst)
 		return
@@ -178,13 +179,10 @@ func (m *Mont) Neg(dst, x MontElem) {
 	}
 }
 
-// Mul sets dst = x·y·R⁻¹ mod p — the Montgomery product, which for
-// Montgomery-form operands is exactly the Montgomery form of the field
-// product. This is the CIOS (coarsely integrated operand scanning)
-// word-by-word reduction: the interleaved t ← (t + x·yᵢ + mᵢ·p)/2^64
-// keeps the accumulator at n+2 words, so it lives on the stack. dst may
-// alias x or y.
-func (m *Mont) Mul(dst, x, y MontElem) {
+// mulLoop is Mul at a loop width, and the kernels' differential oracle:
+// CIOS (coarsely integrated operand scanning), the interleaved
+// t ← (t + x·yᵢ + mᵢ·p)/2^64 keeping an n+2-word accumulator on the stack.
+func (m *Mont) mulLoop(dst, x, y MontElem) {
 	var t [maxMontLimbs + 2]uint64
 	n := m.n
 	for i := 0; i < n; i++ {
@@ -228,27 +226,40 @@ func (m *Mont) Mul(dst, x, y MontElem) {
 // Sqr sets dst = x² (Montgomery product of x with itself).
 func (m *Mont) Sqr(dst, x MontElem) { m.Mul(dst, x, x) }
 
-// Exp sets dst = x^e mod p for a non-negative big.Int exponent, by
-// left-to-right square-and-multiply entirely on limb vectors. dst may
-// alias x.
+// Exp sets dst = x^e mod p for a non-negative big.Int exponent, walking
+// e in fixed 4-bit windows from the top digit against a stack table
+// x⁰…x¹⁵: four squarings per window and one multiplication per non-zero
+// digit, no heap allocation. dst may alias x. Skipping zero digits makes
+// the time depend on e; the production exponents are public (Inv's p−2,
+// the curve's square-root exponent (p+1)/4).
 func (m *Mont) Exp(dst, x MontElem, e *big.Int) {
 	if e.Sign() < 0 {
 		panic("ff: negative exponent in Montgomery Exp")
 	}
-	// Fixed-size stack buffers: the ladder performs zero heap
-	// allocations (Mul's accumulator is already stack-resident).
-	var baseBuf, accBuf [maxMontLimbs]uint64
-	base := MontElem(baseBuf[:m.n])
-	copy(base, x)
-	acc := MontElem(accBuf[:m.n])
-	copy(acc, m.one)
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		m.Sqr(acc, acc)
-		if e.Bit(i) == 1 {
-			m.Mul(acc, acc, base)
+	n := m.n
+	var tbl [16][maxMontLimbs]uint64
+	copy(tbl[0][:], m.one)
+	copy(tbl[1][:], x)
+	for i := 2; i < len(tbl); i++ {
+		m.Mul(tbl[i][:n], tbl[i-1][:n], tbl[1][:n])
+	}
+	digit := func(w int) uint { return e.Bit(4*w+3)<<3 | e.Bit(4*w+2)<<2 | e.Bit(4*w+1)<<1 | e.Bit(4*w) }
+	top := (e.BitLen()+3)/4 - 1
+	acc := tbl[0]
+	if top >= 0 {
+		acc = tbl[digit(top)]
+	}
+	a := MontElem(acc[:n])
+	for w := top - 1; w >= 0; w-- {
+		m.Sqr(a, a)
+		m.Sqr(a, a)
+		m.Sqr(a, a)
+		m.Sqr(a, a)
+		if d := digit(w); d != 0 {
+			m.Mul(a, a, tbl[d][:n])
 		}
 	}
-	copy(dst, acc)
+	copy(dst, a)
 }
 
 // Inv sets dst = x⁻¹ mod p via Fermat's little theorem (x^(p−2)),
