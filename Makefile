@@ -37,7 +37,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), and the pre-benchmark harness (item 4)"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), and internal/core + internal/bls381 (item 13)"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -143,8 +143,8 @@ lint:
 # its reduced-size run, one import ratchet on the pairing layer, one
 # shuffled test run, one race run — each pass exactly once (the race
 # detector covers the WHOLE module; the concurrency reaches from the
-# sharded scheme caches and pooled arenas up through the serving path,
-# so nothing is exempt). This is what .github/workflows/ci.yml executes.
+# scheme's prepared-key slot and pooled arenas up through the serving
+# path, so nothing is exempt). This is what .github/workflows/ci.yml executes.
 # The recipe line pins that the tree, the BLS12-381 and ff field kernels
 # included, is portable Go with no architecture fork: a 64-bit non-amd64
 # build and a 32-bit vet, both offline from GOROOT.
@@ -255,7 +255,9 @@ fuzz-smoke:
 # internal/archive, for the BLS-over-backend layer, for the §5 variants,
 # baselines and the appendix reduction (what ROADMAP item 3(b) moves out
 # of the serving binaries' dependency graph) and for the pre-benchmark
-# harness ROADMAP item 4 retires. Quote it in simplicity PRs.
+# harness ROADMAP item 4 retires, and for internal/core and
+# internal/bls381 (ROADMAP item 13's acceptance figures). Quote it in
+# simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -267,6 +269,10 @@ loc:
 		find internal/idtre internal/hibe internal/resilient internal/multiserver internal/policylock internal/reduction internal/baseline -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/bench + cmd/treload + cmd/trebench: '; \
 		find internal/bench cmd/treload cmd/trebench -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/core:                        '; \
+		find internal/core -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/bls381:                      '; \
+		find internal/bls381 -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

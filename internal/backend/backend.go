@@ -76,13 +76,9 @@ type PointPair struct {
 }
 
 // BaseTable is a fixed-base scalar-multiplication precomputation for
-// one point, immutable and safe for concurrent use.
-type BaseTable interface {
-	// Base returns the table's base point.
-	Base() curve.Point
-	// IsInfinity reports whether the base point is the identity.
-	IsInfinity() bool
-}
+// one G1 point, immutable and safe for concurrent use. Only the backend
+// that built it can use it; ScalarMultBase panics on a foreign table.
+type BaseTable any
 
 // PreparedKey is a server verification key (G, sG, sG2) with whatever
 // per-backend pairing precomputation pays off for repeated checks. On
@@ -161,10 +157,10 @@ type Backend interface {
 	// non-canonical, off-curve or outside the prime-order subgroup.
 	ParsePoint(g Group, data []byte) (curve.Point, error)
 
-	// PrecomputeBase builds a fixed-base table for p ∈ g.
-	PrecomputeBase(g Group, p curve.Point) BaseTable
-	// ScalarMultBase computes k·Base from a fixed-base table; k must be
-	// non-negative.
+	// PrecomputeBase builds a fixed-base table for p ∈ G1.
+	PrecomputeBase(p curve.Point) BaseTable
+	// ScalarMultBase computes k·p from p's fixed-base table: the point
+	// ScalarMult(G1, k, p) gives. k must be non-negative.
 	ScalarMultBase(t BaseTable, k *big.Int) curve.Point
 
 	// Pair computes ê(p, q) for p ∈ G1, q ∈ G2; identity on either side

@@ -106,7 +106,7 @@ func (b *Symmetric) ParsePoint(_ Group, data []byte) (curve.Point, error) {
 }
 
 // PrecomputeBase builds the curve's fixed-base wNAF table.
-func (b *Symmetric) PrecomputeBase(_ Group, p curve.Point) BaseTable {
+func (b *Symmetric) PrecomputeBase(p curve.Point) BaseTable {
 	return b.c.PrecomputeBase(p)
 }
 

@@ -95,6 +95,6 @@ func RunE6(cfg Config) (*Table, error) {
 	t.Note("update encoding = label + one compressed point (%d B point at this size)", sigLen)
 	t.Note("the strawman is strictly worse: +1 point on the wire and a second pairing-equation verification")
 	t.Note("batched catch-up: ê(G, Σeᵢσᵢ) = ê(sG, ΣeᵢH1(Tᵢ)) with random 128-bit blinders — 2 Miller loops for the whole backlog (Client.CatchUp uses this)")
-	t.Note("verify/batch times use the scheme's per-server-key cache of precomputed Miller-loop line schedules for (G, sG); the two blinded sums are multi-scalar multiplications chunked over a GOMAXPROCS-bounded pool, the hash cofactor cleared once per batch")
+	t.Note("verify/batch times use the scheme's prepared server key (precomputed Miller-loop line schedules for (G, sG)); the two blinded sums are multi-scalar multiplications chunked over a GOMAXPROCS-bounded pool, the hash cofactor cleared once per batch")
 	return t, nil
 }

@@ -6,7 +6,7 @@
 // Threshold partials, identity keys, witness attestations and blind
 // tokens are the same signature under other hash domains, and all of
 // them verify here: Verify against a key used once, VerifyPrepared
-// against a cached one, VerifyAggregate and VerifyBatch over runs.
+// against a prepared one, VerifyAggregate and VerifyBatch over runs.
 //
 // Keys live in G1 and signatures (with the hashed messages) in G2; on
 // the paper's Type-1 backends the two groups coincide.
@@ -91,13 +91,13 @@ func validSig(set *params.Set, sig curve.Point) bool {
 // Verify checks ê(G, sig) = ê(sG, h) for h = H1(msg) against a key used
 // once (a threshold share, an identity key, an attestation): no
 // precomputation, one unprepared pairing product. The caller hashes —
-// it owns the domain (and, in core, the label cache). Identity and
-// out-of-subgroup signatures are rejected.
+// it owns the domain. Identity and out-of-subgroup signatures are
+// rejected.
 func Verify(set *params.Set, pub PublicKey, h, sig curve.Point) bool {
 	return validSig(set, sig) && set.B.SamePairing(pub.G, sig, pub.SG, h)
 }
 
-// VerifyPrepared is Verify against a cached key: pk = Backend.PrepareKey
+// VerifyPrepared is Verify against a prepared key: pk = Backend.PrepareKey
 // holds the fixed-argument pairing precomputation (roughly one pairing
 // to build, repaid from the second check on), so the time-server trust
 // anchor and the token gate verify here. It accepts exactly what Verify

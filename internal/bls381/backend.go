@@ -437,55 +437,25 @@ func (b *Backend) GTBytes(x backend.GT) []byte {
 	return out
 }
 
-// fixedWindow is the wNAF width of the fixed-base tables: 128 odd
-// multiples per table, one add per 8 doublings on average.
+// fixedWindow is the wNAF width of the fixed-base table: the 64 odd
+// multiples 1·P … 127·P, one add per 8 doublings on average.
 const fixedWindow = 8
 
-// g1Table / g2Table store the odd multiples (2i+1)·P in affine form so
-// the ladder uses mixed addition. Built once, immutable afterwards.
+// g1Table stores the odd multiples (2i+1)·P in affine form so the
+// ladder uses mixed addition; empty for the identity. Built once,
+// immutable afterwards.
 type g1Table struct {
-	base curve.Point
-	odd  []g1Affine
+	odd []g1Affine
 }
 
-func (t *g1Table) Base() curve.Point { return t.base }
-func (t *g1Table) IsInfinity() bool  { return len(t.odd) == 0 }
-
-type g2Table struct {
-	base curve.Point
-	odd  []g2Affine
-}
-
-func (t *g2Table) Base() curve.Point { return t.base }
-func (t *g2Table) IsInfinity() bool  { return len(t.odd) == 0 }
-
-// PrecomputeBase builds the width-8 wNAF odd-multiples table for p.
-func (b *Backend) PrecomputeBase(g backend.Group, p curve.Point) backend.BaseTable {
-	n := 1 << (fixedWindow - 2) // odd multiples 1·P … (2n−1)·P
-	if g == backend.G2 {
-		pa := unwrapG2(p)
-		t := &g2Table{base: p}
-		if pa.isInfinity() {
-			return t
-		}
-		var twoP g2Jac
-		twoP.fromAffine(&pa)
-		twoP.double(&twoP)
-		t.odd = make([]g2Affine, n)
-		t.odd[0] = pa
-		var acc g2Jac
-		acc.fromAffine(&pa)
-		for i := 1; i < n; i++ {
-			acc.add(&acc, &twoP)
-			t.odd[i] = acc.toAffine()
-		}
-		return t
-	}
+// PrecomputeBase builds the width-8 wNAF odd-multiples table for p ∈ G1.
+func (b *Backend) PrecomputeBase(p curve.Point) backend.BaseTable {
 	pa := unwrapG1(p)
-	t := &g1Table{base: p}
+	t := &g1Table{}
 	if pa.isInfinity() {
 		return t
 	}
+	n := 1 << (fixedWindow - 2) // odd multiples 1·P … (2n−1)·P
 	var twoP g1Jac
 	twoP.fromAffine(&pa)
 	twoP.double(&twoP)
@@ -503,49 +473,29 @@ func (b *Backend) PrecomputeBase(g backend.Group, p curve.Point) backend.BaseTab
 // ScalarMultBase runs the signed-window ladder over a fixed-base
 // table.
 func (b *Backend) ScalarMultBase(t backend.BaseTable, k *big.Int) curve.Point {
-	k = reduceScalar(k)
-	switch tb := t.(type) {
-	case *g1Table:
-		if tb.IsInfinity() || k.Sign() == 0 {
-			return b.Infinity(backend.G1)
-		}
-		digits := ff.AppendWNAF(nil, k, fixedWindow)
-		var acc g1Jac
-		acc.setInfinity()
-		for i := len(digits) - 1; i >= 0; i-- {
-			acc.double(&acc)
-			if d := digits[i]; d > 0 {
-				acc.addAffine(&acc, &tb.odd[(d-1)/2])
-			} else if d < 0 {
-				var neg g1Affine
-				neg.neg(&tb.odd[(-d-1)/2])
-				acc.addAffine(&acc, &neg)
-			}
-		}
-		out := acc.toAffine()
-		return wrapG1(&out)
-	case *g2Table:
-		if tb.IsInfinity() || k.Sign() == 0 {
-			return b.Infinity(backend.G2)
-		}
-		digits := ff.AppendWNAF(nil, k, fixedWindow)
-		var acc g2Jac
-		acc.setInfinity()
-		for i := len(digits) - 1; i >= 0; i-- {
-			acc.double(&acc)
-			if d := digits[i]; d > 0 {
-				acc.addAffine(&acc, &tb.odd[(d-1)/2])
-			} else if d < 0 {
-				var neg g2Affine
-				neg.neg(&tb.odd[(-d-1)/2])
-				acc.addAffine(&acc, &neg)
-			}
-		}
-		out := acc.toAffine()
-		return wrapG2(&out)
-	default:
+	tb, ok := t.(*g1Table)
+	if !ok {
 		panic("bls381: foreign base table")
 	}
+	k = reduceScalar(k)
+	if len(tb.odd) == 0 || k.Sign() == 0 {
+		return b.Infinity(backend.G1)
+	}
+	digits := ff.AppendWNAF(nil, k, fixedWindow)
+	var acc g1Jac
+	acc.setInfinity()
+	for i := len(digits) - 1; i >= 0; i-- {
+		acc.double(&acc)
+		if d := digits[i]; d > 0 {
+			acc.addAffine(&acc, &tb.odd[(d-1)/2])
+		} else if d < 0 {
+			var neg g1Affine
+			neg.neg(&tb.odd[(-d-1)/2])
+			acc.addAffine(&acc, &neg)
+		}
+	}
+	out := acc.toAffine()
+	return wrapG1(&out)
 }
 
 // FieldPrime returns the 381-bit base-field prime p.

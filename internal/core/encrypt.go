@@ -66,11 +66,11 @@ func (sc *Scheme) Decrypt(upriv *UserKeyPair, upd KeyUpdate, ct *Ciphertext) ([]
 func (sc *Scheme) encapsulate(spub ServerPublicKey, upub UserPublicKey, label string, r *big.Int) (curve.Point, backend.GT, error) {
 	b := sc.Set.B
 	h := sc.hashLabel(label)
-	if !sc.SafeLabel(spub, label) {
+	if !sc.safePoint(spub, h) {
 		return curve.Point{}, nil, ErrUnsafeLabel
 	}
-	u := b.ScalarMultBase(sc.baseTable(backend.G1, spub.G), r)
-	sc.met.pairings.Inc()
+	u := sc.mulG(spub.G, r)
+	sc.pairings.Inc()
 	k := b.Pair(b.ScalarMult(backend.G1, r, upub.ASG), h)
 	return u, k, nil
 }
@@ -82,16 +82,19 @@ func (sc *Scheme) encapsulate(spub ServerPublicKey, upub UserPublicKey, label st
 // asymmetric backend the check is vacuously true: H1 maps into G2 and
 // the server generator lives in G1, so no label can hash onto it.
 func (sc *Scheme) SafeLabel(spub ServerPublicKey, label string) bool {
-	if sc.Set.Asymmetric() {
-		return true
-	}
-	return !sc.Set.B.Equal(backend.G2, sc.hashLabel(label), spub.G)
+	return sc.Set.Asymmetric() || sc.safePoint(spub, sc.hashLabel(label))
+}
+
+// safePoint is SafeLabel on the already-hashed label h = H1(label), so
+// an encryption hashes its label once.
+func (sc *Scheme) safePoint(spub ServerPublicKey, h curve.Point) bool {
+	return sc.Set.Asymmetric() || !sc.Set.B.Equal(backend.G2, h, spub.G)
 }
 
 // decapsulate computes K' = ê(U, I_T)^a as ê(a·U, I_T).
 func (sc *Scheme) decapsulate(upriv *UserKeyPair, upd KeyUpdate, u curve.Point) backend.GT {
 	b := sc.Set.B
-	sc.met.pairings.Inc()
+	sc.pairings.Inc()
 	return b.Pair(b.ScalarMult(backend.G1, upriv.A, u), upd.Point)
 }
 

@@ -57,7 +57,7 @@ func (e *Encryptor) base(label string) (backend.GT, error) {
 		return g, nil
 	}
 	h := e.sc.hashLabel(label)
-	if !e.sc.SafeLabel(e.spub, label) {
+	if !e.sc.safePoint(e.spub, h) {
 		return nil, ErrUnsafeLabel
 	}
 	g := e.sc.Set.B.Pair(e.upub.ASG, h)
@@ -76,7 +76,7 @@ func (e *Encryptor) Encrypt(rng io.Reader, label string, msg []byte) (*Ciphertex
 	if err != nil {
 		return nil, err
 	}
-	u := e.sc.Set.B.ScalarMultBase(e.sc.baseTable(backend.G1, e.spub.G), r)
+	u := e.sc.mulG(e.spub.G, r)
 	// Pairing values are unitary (norm 1 after the final exponentiation),
 	// so the signed-window ladder with free inversion applies.
 	k := e.sc.Set.B.GTExpUnitary(base, r)
@@ -98,7 +98,7 @@ func (e *Encryptor) EncryptCCA(rng io.Reader, label string, msg []byte) (*CCACip
 	if err != nil {
 		return nil, err
 	}
-	u := e.sc.Set.B.ScalarMultBase(e.sc.baseTable(backend.G1, e.spub.G), r)
+	u := e.sc.mulG(e.spub.G, r)
 	k := e.sc.Set.B.GTExpUnitary(base, r) // unitary: pairing value
 	return &CCACiphertext{
 		U: u,

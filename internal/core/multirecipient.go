@@ -38,7 +38,7 @@ func (sc *Scheme) EncryptMulti(rng io.Reader, spub ServerPublicKey, recipients [
 	}
 	b := sc.Set.B
 	h := sc.hashLabel(label)
-	if !sc.SafeLabel(spub, label) {
+	if !sc.safePoint(spub, h) {
 		return nil, ErrUnsafeLabel
 	}
 	r, err := b.RandScalar(rng)
@@ -46,7 +46,7 @@ func (sc *Scheme) EncryptMulti(rng io.Reader, spub ServerPublicKey, recipients [
 		return nil, fmt.Errorf("tre: sampling encryption randomness: %w", err)
 	}
 	ct := &MultiRecipientCiphertext{
-		U:  b.ScalarMultBase(sc.baseTable(backend.G1, spub.G), r),
+		U:  sc.mulG(spub.G, r),
 		Vs: make([][]byte, len(recipients)),
 	}
 	for i, upub := range recipients {

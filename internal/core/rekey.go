@@ -31,10 +31,9 @@ func (sc *Scheme) VerifyReKeyedKey(certifiedAG curve.Point, newServer ServerPubl
 		return false
 	}
 	// ê(G, ASG') = ê(G, G')^{as'} must equal ê(s'G', aG) = ê(G', G)^{s'a}
-	// — the same-key equation over the new server's key. Both fixed
-	// arguments (the canonical generator and the new server's s'G') sit
-	// in the prepared cache.
+	// — the same-key equation over the new server's key, whose prepared
+	// key (the canonical generator and s'G') replaces the scheme's slot.
 	pk := sc.preparedKey(ServerPublicKey{G: sc.Set.G, SG: newServer.SG, SG2: newServer.SG2})
-	sc.met.pairings.Add(2)
+	sc.pairings.Add(2)
 	return pk.SameKey(certifiedAG, newPub.ASG)
 }

@@ -22,10 +22,11 @@
 package core
 
 import (
-	"crypto/sha256"
 	"errors"
 	"io"
 	"math/big"
+	"sync"
+	"sync/atomic"
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
@@ -50,67 +51,38 @@ var (
 	ErrUnsafeLabel       = errors.New("tre: release label hashes onto the server generator (paper §5.1 item 6); perturb the label")
 )
 
-// Scheme binds the TRE algorithms to a parameter set.
+// Scheme binds the TRE algorithms to a parameter set. It holds the two
+// precomputations that pay off across calls, and nothing else: a
+// process verifies against one server key and multiplies one fixed
+// base, the generator. A Scheme is safe for concurrent use.
 type Scheme struct {
 	Set *params.Set
 
-	// prepared caches fixed-argument pairing precomputations per server
-	// key (keyed by a digest of the compressed encodings of G and sG).
-	// The points of a server key stay fixed across every update and
-	// public-key verification, so each Miller-loop line schedule is
-	// computed once per key and reused for the lifetime of the Scheme.
-	// The cache is sharded with lock-free reads, single-flight builds
-	// and LRU eviction (cache.go); in practice it holds one entry, or a
-	// handful under server change (§5.3.4).
-	prepared pointCache[backend.PreparedKey]
+	// key is the prepared server key behind VerifyUpdate and the
+	// user-key checks. A different key (server change, §5.3.4) rebuilds
+	// and replaces it.
+	key atomic.Pointer[preparedSlot]
 
-	// bases caches fixed-base scalar-multiplication tables, keyed like
-	// prepared. The multiplied points of keygen and encryption are the
-	// canonical generator and the server key halves — all fixed for the
-	// lifetime of a Scheme — so a·G, a·sG and r·G all run on the
-	// windowed fixed-base ladder after the first use of each point.
-	bases pointCache[backend.BaseTable]
+	// gTable is the fixed-base table of Set.G, built on first use.
+	gOnce  sync.Once
+	gTable backend.BaseTable
 
-	// labels caches H1(label) hash-to-point results, keyed by a digest
-	// of the label string. Hash-to-group is try-and-increment (a
-	// Legendre symbol per candidate plus a square root), which dominates
-	// the allocation profile of Encrypt — and one release label serves
-	// every user of an epoch, so the same handful of labels is hashed
-	// over and over by Encrypt, Decrypt and VerifyUpdate. Entries are
-	// immutable points; the LRU cap bounds growth under label churn.
-	labels pointCache[curve.Point]
-
-	// met holds the scheme's observability hooks. All fields are nil
-	// until Instrument is called; obs types no-op on nil, so the
-	// uninstrumented hot path pays one branch per event.
-	met schemeMetrics
+	// pairings counts pairing evaluations (Miller loop + final exp); nil
+	// until Instrument, and obs counters no-op on nil.
+	pairings *obs.Counter
 }
 
-// schemeMetrics are the core-layer counters (see docs/OBSERVABILITY.md
-// for the metric name registry).
-type schemeMetrics struct {
-	pairings     *obs.Counter // pairing evaluations (Miller loop + final exp)
-	preparedHit  *obs.Counter // prepared server-key cache hits
-	preparedMiss *obs.Counter // … and misses (one Precompute each)
-	baseHit      *obs.Counter // fixed-base table cache hits
-	baseMiss     *obs.Counter // … and misses (one PrecomputeBase each)
-	labelHit     *obs.Counter // H1(label) point cache hits
-	labelMiss    *obs.Counter // … and misses (one HashToGroup each)
+// preparedSlot is one server key with its pairing precomputation.
+type preparedSlot struct {
+	g, sg, sg2 curve.Point
+	pk         backend.PreparedKey
 }
 
-// Instrument registers the scheme's counters on r (metric names
-// core.*) and starts recording. Call before concurrent use; returns sc
-// for chaining.
+// Instrument registers the scheme's counter on r (core.pairings, see
+// docs/OBSERVABILITY.md) and starts recording. Call before concurrent
+// use; returns sc for chaining.
 func (sc *Scheme) Instrument(r *obs.Registry) *Scheme {
-	sc.met = schemeMetrics{
-		pairings:     r.Counter("core.pairings"),
-		preparedHit:  r.Counter("core.prepared_cache_hit"),
-		preparedMiss: r.Counter("core.prepared_cache_miss"),
-		baseHit:      r.Counter("core.basetable_cache_hit"),
-		baseMiss:     r.Counter("core.basetable_cache_miss"),
-		labelHit:     r.Counter("core.labelpoint_cache_hit"),
-		labelMiss:    r.Counter("core.labelpoint_cache_miss"),
-	}
+	sc.pairings = r.Counter("core.pairings")
 	return sc
 }
 
@@ -119,52 +91,29 @@ func NewScheme(set *params.Set) *Scheme {
 	return &Scheme{Set: set}
 }
 
-// pointKeyBuf sizes the stack buffer the cache-key builders marshal
-// into: two compressed points of the widest supported modulus
-// (maxMontLimbs · 8 bytes each, plus tags). Wider custom fields spill
-// to a heap append inside AppendMarshal — correct, just not
-// allocation-free.
-const pointKeyBuf = 2 * (1 + 32*8)
-
-// pointKey digests one group-tagged compressed point encoding into a
-// cache key without heap allocation. The tag byte keeps a G1 and a G2
-// point with coincidentally equal encodings apart (the key is internal
-// to the cache, never serialized).
-func (sc *Scheme) pointKey(g backend.Group, p curve.Point) cacheKey {
-	var buf [pointKeyBuf]byte
-	b := append(buf[:0], byte(g))
-	return sha256.Sum256(sc.Set.B.AppendPoint(b, g, p))
-}
-
-// pointKey2 digests two group-tagged compressed point encodings into a
-// cache key.
-func (sc *Scheme) pointKey2(g backend.Group, p, q curve.Point) cacheKey {
-	var buf [pointKeyBuf]byte
-	b := append(buf[:0], byte(g))
-	b = sc.Set.B.AppendPoint(b, g, p)
-	return sha256.Sum256(sc.Set.B.AppendPoint(b, g, q))
-}
-
-// baseTable returns the cached fixed-base table for p, building it on
-// first use. Safe for concurrent use — reads are lock-free and a miss
-// builds the table exactly once however many goroutines race on it;
-// the returned table is immutable.
-func (sc *Scheme) baseTable(g backend.Group, p curve.Point) backend.BaseTable {
-	return *sc.bases.getOrBuild(sc.pointKey(g, p), func() *backend.BaseTable {
-		t := sc.Set.B.PrecomputeBase(g, p)
-		return &t
-	}, sc.met.baseHit, sc.met.baseMiss)
-}
-
-// preparedKey returns the cached fixed-argument pairing
-// precomputation for a server key, building it on first use. Safe for
-// concurrent use — reads are lock-free and a miss runs Precompute
-// exactly once per key (single-flight); the returned key is immutable.
+// preparedKey returns the pairing precomputation for a server key: the
+// slot's when it holds the same three points, otherwise a new one that
+// replaces it. Goroutines racing on a cold slot may each build one.
 func (sc *Scheme) preparedKey(spub ServerPublicKey) backend.PreparedKey {
-	return *sc.prepared.getOrBuild(sc.pointKey2(backend.G1, spub.G, spub.SG), func() *backend.PreparedKey {
-		pk := sc.Set.B.PrepareKey(spub.G, spub.SG, spub.SG2)
-		return &pk
-	}, sc.met.preparedHit, sc.met.preparedMiss)
+	b := sc.Set.B
+	if s := sc.key.Load(); s != nil && b.Equal(backend.G1, s.g, spub.G) &&
+		b.Equal(backend.G1, s.sg, spub.SG) && b.Equal(backend.G2, s.sg2, spub.SG2) {
+		return s.pk
+	}
+	s := &preparedSlot{g: spub.G, sg: spub.SG, sg2: spub.SG2, pk: b.PrepareKey(spub.G, spub.SG, spub.SG2)}
+	sc.key.Store(s)
+	return s.pk
+}
+
+// mulG returns k·g for a G1 point g: on the generator table when g is
+// Set.G, by a plain ScalarMult for any other base.
+func (sc *Scheme) mulG(g curve.Point, k *big.Int) curve.Point {
+	b := sc.Set.B
+	if !b.Equal(backend.G1, g, sc.Set.G) {
+		return b.ScalarMult(backend.G1, k, g)
+	}
+	sc.gOnce.Do(func() { sc.gTable = b.PrecomputeBase(sc.Set.G) })
+	return b.ScalarMultBase(sc.gTable, k)
 }
 
 // ServerPublicKey is the time server's public key PK_S = (G, sG),
@@ -199,11 +148,9 @@ func (sc *Scheme) IssueUpdate(server *ServerKeyPair, label string) KeyUpdate {
 
 // VerifyUpdate checks the self-authentication equation
 // ê(G, I_T) = ê(sG, H1(T)). Both first pairing arguments are the fixed
-// server key, so the check runs on the cached prepared path, and H1(T)
-// comes from the scheme's label cache (an encrypting sender has
-// usually already hashed the same label).
+// server key, so the check runs on the scheme's prepared key.
 func (sc *Scheme) VerifyUpdate(spub ServerPublicKey, u KeyUpdate) bool {
-	sc.met.pairings.Add(2) // one pairing per side of the check
+	sc.pairings.Add(2) // one pairing per side of the check
 	return bls.VerifyPrepared(sc.Set, sc.preparedKey(spub), sc.hashLabel(u.Label), u.Point)
 }
 
@@ -221,9 +168,9 @@ func (sc *Scheme) VerifyUpdateBatch(spub ServerPublicKey, updates []KeyUpdate) (
 		msgs[i] = []byte(u.Label)
 		sigs[i] = u.Point
 	}
-	sc.met.pairings.Add(2) // the whole batch collapses to one two-pairing check
-	// bls.VerifyBatch hashes the labels itself, inside its worker pool
-	// and past the label cache: a cold catch-up must not serialise H1.
+	sc.pairings.Add(2) // the whole batch collapses to one two-pairing check
+	// bls.VerifyBatch hashes the labels itself, inside its worker pool:
+	// a cold catch-up must not serialise H1.
 	return bls.VerifyBatch(sc.Set, sc.preparedKey(spub), TimeDomain, msgs, sigs, nil)
 }
 
@@ -234,11 +181,11 @@ func (sc *Scheme) VerifyUpdateBatch(spub ServerPublicKey, updates []KeyUpdate) (
 //
 //	Σ I_i = agg   and   ê(G, agg) = ê(sG, Σ H1(T_i))
 //
-// This is the O(1)-pairing catch-up check: n point additions plus two
-// pairings, with every H1(T_i) served from the sharded label cache.
-// The equation binds agg to the SUM of the updates, so a transport
-// substituting compensating forgeries across two updates (+Δ on one,
-// −Δ on another) defeats the sum check — which is why it can admit
+// This is the O(1)-pairing catch-up check: n point additions, n label
+// hashes and two pairings on the scheme's prepared key. The equation
+// binds agg to the SUM of the updates, so a transport substituting
+// compensating forgeries across two updates (+Δ on one, −Δ on
+// another) defeats the sum check — which is why it can admit
 // nothing and the client stopped running it: a range page reaches the
 // verified cache on the blinded per-update batch verify alone, whose
 // random blinders break any cancellation. An empty run verifies iff agg
@@ -260,7 +207,7 @@ func (sc *Scheme) VerifyUpdateAggregate(spub ServerPublicKey, updates []KeyUpdat
 	if !b.Equal(backend.G2, sum, agg) {
 		return false
 	}
-	sc.met.pairings.Add(2) // the whole run collapses to one two-pairing check
+	sc.pairings.Add(2) // the whole run collapses to one two-pairing check
 	return bls.VerifyAggregate(sc.Set, sc.preparedKey(spub), hashes, agg)
 }
 
@@ -295,12 +242,11 @@ func (sc *Scheme) UserKeyFromScalar(spub ServerPublicKey, a *big.Int) (*UserKeyP
 	if a.Sign() <= 0 || a.Cmp(sc.Set.Q) >= 0 {
 		return nil, errors.New("tre: private scalar out of range [1, q-1]")
 	}
-	b := sc.Set.B
 	return &UserKeyPair{
 		A: new(big.Int).Set(a),
 		Pub: UserPublicKey{
-			AG:  b.ScalarMultBase(sc.baseTable(backend.G1, sc.Set.G), a),
-			ASG: b.ScalarMultBase(sc.baseTable(backend.G1, spub.SG), a),
+			AG:  sc.mulG(sc.Set.G, a),
+			ASG: sc.Set.B.ScalarMult(backend.G1, a, spub.SG),
 		},
 	}, nil
 }
@@ -334,19 +280,11 @@ func (sc *Scheme) VerifyUserPublicKey(spub ServerPublicKey, upub UserPublicKey) 
 	// G2 schedules of the generator and sG2); the varying user points
 	// pair as cheap per-call arguments.
 	pk := sc.preparedKey(ServerPublicKey{G: sc.Set.G, SG: spub.SG, SG2: spub.SG2})
-	sc.met.pairings.Add(2)
+	sc.pairings.Add(2)
 	return pk.SameKey(upub.AG, upub.ASG)
 }
 
-// hashLabel is the paper's H1 applied to a time label, memoised in the
-// scheme's sharded label cache: one epoch's label is hashed by every
-// Encrypt, Decrypt and update verification, and try-and-increment
-// hash-to-point is the single most allocation-heavy step of
-// encryption. The cached point is shared and must be treated as
-// immutable by callers (all curve operations copy their inputs).
+// hashLabel is the paper's H1 applied to a time label.
 func (sc *Scheme) hashLabel(label string) curve.Point {
-	return *sc.labels.getOrBuild(sha256.Sum256([]byte(label)), func() *curve.Point {
-		p := sc.Set.B.HashToG2(TimeDomain, []byte(label))
-		return &p
-	}, sc.met.labelHit, sc.met.labelMiss)
+	return sc.Set.B.HashToG2(TimeDomain, []byte(label))
 }

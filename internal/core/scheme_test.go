@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"sync/atomic"
 	"testing"
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
+	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 )
 
@@ -268,5 +270,60 @@ func TestUnsafeLabelDefense(t *testing.T) {
 	}
 	if _, err := sc.Encrypt(nil, evil.Pub, user.Pub, perturbed, []byte("m")); err != nil {
 		t.Fatalf("Encrypt with perturbed label: %v", err)
+	}
+}
+
+// hashCounter counts the H1 evaluations made through a parameter set.
+type hashCounter struct {
+	backend.Backend
+	n atomic.Int64
+}
+
+func (c *hashCounter) HashToG2(domain string, msg []byte) curve.Point {
+	c.n.Add(1)
+	return c.Backend.HashToG2(domain, msg)
+}
+
+func TestEncryptHashesLabelOnce(t *testing.T) {
+	// The §5.1 item 6 label check runs on the point the encryption
+	// already hashed: one H1 per encryption, however it is made.
+	for _, name := range []string{"Test160", "SS512"} {
+		t.Run(name, func(t *testing.T) {
+			counted := *params.MustPreset(name)
+			hc := &hashCounter{Backend: counted.B}
+			counted.B = hc
+			sc := NewScheme(&counted)
+			server, err := sc.ServerKeyGen(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			user, err := sc.UserKeyGen(server.Pub, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := []byte("m")
+			for op, encrypt := range map[string]func() error{
+				"Encrypt": func() error {
+					_, err := sc.Encrypt(nil, server.Pub, user.Pub, testLabel, msg)
+					return err
+				},
+				"EncryptCCA": func() error {
+					_, err := sc.EncryptCCA(nil, server.Pub, user.Pub, testLabel, msg)
+					return err
+				},
+				"EncryptMulti": func() error {
+					_, err := sc.EncryptMulti(nil, server.Pub, []UserPublicKey{user.Pub, user.Pub}, testLabel, msg)
+					return err
+				},
+			} {
+				before := hc.n.Load()
+				if err := encrypt(); err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+				if n := hc.n.Load() - before; n != 1 {
+					t.Fatalf("%s: %d HashToG2 calls, want 1", op, n)
+				}
+			}
+		})
 	}
 }

@@ -21,10 +21,9 @@ const baseWindow = 8
 // A BaseTable is immutable after construction and safe for concurrent
 // use by multiple goroutines.
 type BaseTable struct {
-	base Point // 1·P as handed to PrecomputeBase
-
-	// xm, ym are the affine coordinates of (2i+1)·P; inf marks the (only
-	// theoretically reachable) identity entries of low-order bases.
+	// xm, ym are the affine coordinates of (2i+1)·P, empty when P is the
+	// identity; inf marks the (only theoretically reachable) identity
+	// entries of low-order bases.
 	xm, ym []ff.MontElem
 	inf    []bool
 }
@@ -35,7 +34,7 @@ type BaseTable struct {
 // an inversion is ~40× cheaper than the limb layer's Fermat ladder).
 func (c *Curve) PrecomputeBase(p Point) *BaseTable {
 	if p.IsInfinity() {
-		return &BaseTable{base: Infinity()}
+		return &BaseTable{}
 	}
 	const tableSize = 1 << (baseWindow - 2)
 	m := c.F.Mont()
@@ -53,10 +52,9 @@ func (c *Curve) PrecomputeBase(p Point) *BaseTable {
 	}
 
 	t := &BaseTable{
-		base: p.Clone(),
-		xm:   make([]ff.MontElem, tableSize),
-		ym:   make([]ff.MontElem, tableSize),
-		inf:  make([]bool, tableSize),
+		xm:  make([]ff.MontElem, tableSize),
+		ym:  make([]ff.MontElem, tableSize),
+		inf: make([]bool, tableSize),
 	}
 	// Batch inversion rejects zeros, so identity entries (possible only
 	// for bases of order < 2^baseWindow, which the subgroup never
@@ -82,12 +80,6 @@ func (c *Curve) PrecomputeBase(p Point) *BaseTable {
 	return t
 }
 
-// IsInfinity reports whether the table's base point is the identity.
-func (t *BaseTable) IsInfinity() bool { return t.base.inf }
-
-// Base returns the table's base point 1·P.
-func (t *BaseTable) Base() Point { return t.base.Clone() }
-
 // ScalarMultBase computes k·P from the fixed-base table: one doubling
 // per scalar bit and one mixed addition (table entry has Z = 1) per
 // non-zero wNAF digit, with negative digits costing only a Y negation.
@@ -97,7 +89,7 @@ func (c *Curve) ScalarMultBase(t *BaseTable, k *big.Int) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")
 	}
-	if k.Sign() == 0 || t.base.inf {
+	if k.Sign() == 0 || len(t.xm) == 0 {
 		return Infinity()
 	}
 	digits := ff.AppendWNAF(nil, k, baseWindow)

@@ -27,7 +27,7 @@ func (c *Curve) Marshal(p Point) []byte {
 // AppendMarshal appends the canonical compressed encoding of p to dst
 // and returns the extended slice. When dst has MarshalSize spare
 // capacity — e.g. a stack buffer — the call performs no heap
-// allocation, which is what the scheme-level cache keys rely on.
+// allocation.
 func (c *Curve) AppendMarshal(dst []byte, p Point) []byte {
 	n := c.MarshalSize()
 	off := len(dst)

@@ -160,7 +160,7 @@ func Combine(set *params.Set, groupPub core.ServerPublicKey, partials []PartialU
 		indices[i], points[i] = p.Index, p.Point
 	}
 	upd := core.KeyUpdate{Label: label, Point: set.B.MSM(backend.G2, lagrangeAtZero(qf, indices), points)}
-	if !core.NewScheme(set).VerifyUpdate(groupPub, upd) {
+	if !bls.Verify(set, groupPub, set.B.HashToG2(core.TimeDomain, []byte(label)), upd.Point) {
 		return core.KeyUpdate{}, ErrBadCombination
 	}
 	return upd, nil

@@ -547,8 +547,8 @@ func (c *countingBackend) MSM(g backend.Group, scalars []*big.Int, points []curv
 func TestCatchUpRangeOnePassContract(t *testing.T) {
 	// What a returning receiver pays for 48 missed epochs: one range
 	// request and ONE pairing product — the blinded batch equation, which
-	// hashes every label itself (inside its worker pool, past the label
-	// cache). Nothing is verified twice.
+	// hashes every label itself (inside its worker pool). Nothing is
+	// verified twice.
 	e := newEnv(t)
 	labels := publishRun(t, e, 47)
 	if len(labels) != 48 {
@@ -582,9 +582,6 @@ func TestCatchUpRangeOnePassContract(t *testing.T) {
 	s := reg.Snapshot().Counters
 	if s["core.pairings"] != 2 {
 		t.Fatalf("core.pairings = %d, want exactly 2 for the page", s["core.pairings"])
-	}
-	if n := s["core.labelpoint_cache_hit"] + s["core.labelpoint_cache_miss"]; n != 0 {
-		t.Fatalf("%d label-cache lookups, want 0 (labels are hashed once, in the batch)", n)
 	}
 	if s["client.catchup_range_pages"] != 1 || s["client.catchup_fallback"] != 0 || s["client.catchup_batches"] != 0 {
 		t.Fatalf("counters = pages %d fallback %d batches %d, want 1/0/0",

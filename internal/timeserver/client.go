@@ -78,11 +78,10 @@ func WithHTTPClient(h *http.Client) ClientOption {
 }
 
 // WithScheme substitutes the core.Scheme the client verifies updates
-// with. Sharing one scheme across many clients in a process shares its
-// prepared-key and base-table caches — lock-free reads, single-flight
-// builds (see docs/PERFORMANCE.md) — so N clients pay for one
-// Precompute instead of N. Apply before WithClientMetrics, which
-// instruments whatever scheme the client holds at that point.
+// with. Clients of one server that share a scheme share its prepared
+// server key, so N clients pay for one preparation instead of N. Apply
+// before WithClientMetrics, which instruments whatever scheme the
+// client holds at that point.
 func WithScheme(sc *core.Scheme) ClientOption {
 	return func(c *Client) { c.sc = sc }
 }

@@ -17,12 +17,12 @@ import (
 // notifier, which woke every waiter blindly and had each one re-read
 // the archive and re-encode the update for itself.
 //
-// The registry follows the pointCache design (docs/PERFORMANCE.md):
-// each shard publishes an immutable map through an atomic.Pointer, so
-// the publish sweep takes no locks at all; subscribe/unsubscribe take a
-// short per-shard mutex to copy-on-write the map. Subscriptions carry
-// no identity — a subscriber is an anonymous channel and a label
-// filter, consistent with the server's no-user-state property.
+// Each registry shard publishes an immutable map through an
+// atomic.Pointer, so the publish sweep takes no locks at all;
+// subscribe/unsubscribe copy-on-write the map under a short per-shard
+// mutex. Subscriptions carry no identity — a subscriber is an anonymous
+// channel and a label filter, consistent with the server's
+// no-user-state property.
 type hub struct {
 	shards    [hubShardCount]hubShard
 	nextID    atomic.Uint64

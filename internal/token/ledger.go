@@ -19,7 +19,7 @@ const SpendLogName = "spend.log"
 var spendMagic = []byte("TRESPD1\n")
 
 // ledgerShards must be a power of two; the shard index is the token
-// ID's first byte masked. 16 matches the PR 4 cache sharding.
+// ID's first byte masked.
 const ledgerShards = 16
 
 // mergeAt bounds a shard's mutable delta map before it is folded into
@@ -27,13 +27,10 @@ const ledgerShards = 16
 const mergeAt = 512
 
 // Ledger is the double-spend set: which token IDs have been redeemed.
-// It adapts the PR 4 sharded copy-on-write cache design to an add-only
-// workload: each shard keeps an immutable "frozen" map behind an
-// atomic pointer — the lock-free hot path, since replay attacks
-// overwhelmingly probe long-spent tokens — plus a small mutable delta
-// under the shard mutex. When the delta reaches mergeAt entries it is
-// folded into a fresh frozen map (copy-on-write), amortising the copy
-// instead of paying it per insert as an LRU cache would.
+// Each shard keeps an immutable "frozen" map behind an atomic pointer —
+// the lock-free hot path, since replay attacks overwhelmingly probe
+// long-spent tokens — plus a small mutable delta under the shard mutex,
+// folded into a fresh frozen map once it reaches mergeAt entries.
 //
 // Durability: every successful Spend is fsynced into spend.log (an
 // archive.FrameLog of raw 32-byte token IDs) BEFORE it is published to
