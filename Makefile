@@ -211,8 +211,9 @@ experiments-quick:
 # Fuzz campaign over every wire decoder (including the armored round
 # ciphertext format), the differential field-arithmetic targets
 # (Montgomery backend vs big.Int reference, plus the BLS12-381 base
-# field, Fp12 tower and compressed G2 decoder, and the multi-scalar
-# multiplication vs the naive sum on both backends), the client's HTTP
+# field, Fp12 tower and compressed G2 decoder, the BLS12-381 endomorphism
+# ladders vs the windowed ladder, and the multi-scalar multiplication vs
+# the naive sum on both backends), the client's HTTP
 # update parsing, the beacon round↔label mapping, the metrics JSON
 # encoder and the crc-framed log replay under updates.log and spend.log.
 # Checked-in seed corpora live under <pkg>/testdata/fuzz/<Target>/.
@@ -231,6 +232,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFeArith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzFp12Arith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzG2Marshal -fuzztime $(FUZZTIME) ./internal/bls381
+	$(GO) test -run XXX -fuzz FuzzScalarMult -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzMSM -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run XXX -fuzz FuzzClientDecodeUpdate -fuzztime $(FUZZTIME) ./internal/timeserver
 	$(GO) test -run XXX -fuzz FuzzMetricsSnapshot -fuzztime $(FUZZTIME) ./internal/obs

@@ -123,7 +123,9 @@ type Backend interface {
 	// ScalarMult returns k·p in g; k must be non-negative. A Type-1
 	// backend walks k as given — p may be any curve point, and the
 	// cofactor h > r goes through here — while BLS12-381 reduces k
-	// modulo r first; the two agree wherever p is in the subgroup.
+	// modulo r first and needs p in the subgroup (its endomorphism
+	// split), which every point it hands out is; the two agree wherever
+	// p is in the subgroup.
 	ScalarMult(g Group, k *big.Int, p curve.Point) curve.Point
 	// MSM returns Σ scalarsᵢ·pointsᵢ in g as one multi-scalar
 	// multiplication: the point Σ ScalarMult + Add gives on subgroup

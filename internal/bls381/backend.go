@@ -9,7 +9,6 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/ff"
 )
 
 // This file adapts the curve implementation to the backend.Backend
@@ -168,27 +167,28 @@ func reduceScalar(k *big.Int) *big.Int {
 	return k
 }
 
-// ScalarMult returns k·p (k reduced mod r).
+// ScalarMult returns k·p (k reduced mod r) on the group's endomorphism:
+// ψ-GLS in G2, φ-GLV in G1 (mulEndo), a quarter and a half of the
+// doublings of a plain ladder. They are sound only because of this
+// backend's invariant: every point it hands out is a subgroup member —
+// ParsePoint checks membership, HashToG2 and HashSumG2 clear the
+// cofactor, and the group operations close — so ψ = [x] and φ = [−x²]
+// hold on p. MSM and HashSumG2 keep plain digits: the latter sums
+// uncleared twist points.
 func (b *Backend) ScalarMult(g backend.Group, k *big.Int, p curve.Point) curve.Point {
 	k = reduceScalar(k)
 	if g == backend.G2 {
 		pa := unwrapG2(p)
-		if k.Sign() == 0 || pa.isInfinity() {
-			return b.Infinity(g)
-		}
 		var j g2Jac
 		j.fromAffine(&pa)
-		j.scalarMult(&j, k)
+		j.mulEndo(&j, k)
 		out := j.toAffine()
 		return wrapG2(&out)
 	}
 	pa := unwrapG1(p)
-	if k.Sign() == 0 || pa.isInfinity() {
-		return b.Infinity(g)
-	}
 	var j g1Jac
 	j.fromAffine(&pa)
-	j.scalarMult(&j, k)
+	j.mulEndo(&j, k)
 	out := j.toAffine()
 	return wrapG1(&out)
 }
@@ -234,7 +234,8 @@ func (b *Backend) IsOnCurve(g backend.Group, p curve.Point) bool {
 	return pa.isOnCurve()
 }
 
-// InSubgroup reports r-torsion membership (ψ-based for G2).
+// InSubgroup reports r-torsion membership (ψ-based for G2, φ-based for
+// G1).
 func (b *Backend) InSubgroup(g backend.Group, p curve.Point) bool {
 	if g == backend.G2 {
 		pa := unwrapG2(p)
@@ -323,7 +324,7 @@ func (b *Backend) ParsePoint(g backend.Group, data []byte) (curve.Point, error) 
 // Pair computes the optimal-ate pairing e(p, q).
 func (b *Backend) Pair(p, q curve.Point) backend.GT {
 	pa, qa := unwrapG1(p), unwrapG2(q)
-	v := pair(&pa, &qa)
+	v := pairPrepared(&pa, prepareG2(&qa))
 	return &gtElem{v: v}
 }
 
@@ -442,8 +443,8 @@ func (b *Backend) GTBytes(x backend.GT) []byte {
 const fixedWindow = 8
 
 // g1Table stores the odd multiples (2i+1)·P in affine form so the
-// ladder uses mixed addition; empty for the identity. Built once,
-// immutable afterwards.
+// ladder uses mixed addition (all of them ∞ for the identity). Built
+// once, immutable afterwards.
 type g1Table struct {
 	odd []g1Affine
 }
@@ -451,49 +452,36 @@ type g1Table struct {
 // PrecomputeBase builds the width-8 wNAF odd-multiples table for p ∈ G1.
 func (b *Backend) PrecomputeBase(p curve.Point) backend.BaseTable {
 	pa := unwrapG1(p)
-	t := &g1Table{}
-	if pa.isInfinity() {
-		return t
-	}
-	n := 1 << (fixedWindow - 2) // odd multiples 1·P … (2n−1)·P
-	var twoP g1Jac
-	twoP.fromAffine(&pa)
-	twoP.double(&twoP)
-	t.odd = make([]g1Affine, n)
-	t.odd[0] = pa
-	var acc g1Jac
-	acc.fromAffine(&pa)
-	for i := 1; i < n; i++ {
-		acc.add(&acc, &twoP)
-		t.odd[i] = acc.toAffine()
+	odd := make([]g1Jac, 1<<(fixedWindow-2)) // 1·P … 127·P
+	odd[0].fromAffine(&pa)
+	oddMultiples(odd)
+	t := &g1Table{odd: make([]g1Affine, len(odd))}
+	for i := range odd {
+		t.odd[i] = odd[i].toAffine()
 	}
 	return t
 }
 
-// ScalarMultBase runs the signed-window ladder over a fixed-base
-// table.
+// ScalarMultBase walks k's two GLV digits (glvDigits) over the width-8
+// table, the second over its −φ-image: −φ(x, y) = (βx, −y) is one
+// product per affine entry, so there is no second table.
 func (b *Backend) ScalarMultBase(t backend.BaseTable, k *big.Int) curve.Point {
 	tb, ok := t.(*g1Table)
 	if !ok {
 		panic("bls381: foreign base table")
 	}
-	k = reduceScalar(k)
-	if len(tb.odd) == 0 || k.Sign() == 0 {
-		return b.Infinity(backend.G1)
-	}
-	digits := ff.AppendWNAF(nil, k, fixedWindow)
 	var acc g1Jac
-	acc.setInfinity()
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc.double(&acc)
-		if d := digits[i]; d > 0 {
-			acc.addAffine(&acc, &tb.odd[(d-1)/2])
-		} else if d < 0 {
-			var neg g1Affine
-			neg.neg(&tb.odd[(-d-1)/2])
-			acc.addAffine(&acc, &neg)
+	digits := glvDigits(reduceScalar(k), fixedWindow)
+	straus(digits[:], func() { acc.double(&acc) }, func(h int, d int8) {
+		e := tb.odd[max(d, -d)/2]
+		if h == 1 {
+			e.x.mul(&e.x, &ctx.beta)
 		}
-	}
+		if (d < 0) != (h == 1) {
+			e.y.neg(&e.y)
+		}
+		acc.addAffine(&acc, &e)
+	})
 	out := acc.toAffine()
 	return wrapG1(&out)
 }

@@ -52,6 +52,30 @@ func initGenerators() {
 	ctx.g2.y.fromBig(mustBig(g2y0Hex), mustBig(g2y1Hex))
 }
 
+// initBeta derives φ's β as g^((p−1)/3) for the first g ≥ 2 that gives
+// β ≠ 1, checks β³ = 1, and keeps whichever of β, β² makes φ act as
+// [−x²] on the generator (the other acts as [x² − 1]).
+func initBeta() {
+	e := new(big.Int).Sub(ctx.p, big.NewInt(1))
+	third := feLimbsOf(e.Div(e, big.NewInt(3)))
+	for g := int64(2); ctx.beta.isZero() || ctx.beta.isOne(); g++ {
+		var b fe
+		b.fromBig(big.NewInt(g))
+		ctx.beta.exp(&b, &third)
+	}
+	var b3 fe
+	b3.sqr(&ctx.beta)
+	if b3.mul(&b3, &ctx.beta); !b3.isOne() {
+		panic("bls381: β³ != 1")
+	}
+	if !ctx.g1.inSubgroup() {
+		ctx.beta.sqr(&ctx.beta)
+	}
+	if !ctx.g1.inSubgroup() {
+		panic("bls381: neither cube root of unity acts as [−x²] on G1")
+	}
+}
+
 // initSVDW derives the Shallue–van de Woestijne map constants for
 // E'(Fp2): y² = x³ + 4(1+i) with Z = −1 (g(Z) = 3 + 4i ≠ 0 and
 // −g(Z)·3Z² is a square, the RFC 9380 §6.6.1 requirements):

@@ -18,6 +18,9 @@ func randScalarT(t testing.TB) *big.Int {
 	return k
 }
 
+// pair is the one-shot pairing the tests compare against.
+func pair(p *g1Affine, q *g2Affine) fe12 { return pairPrepared(p, prepareG2(q)) }
+
 // randG1 returns a uniformly random point of G1 (a scalar multiple of
 // the generator).
 func randG1(t testing.TB) g1Affine {

@@ -13,8 +13,9 @@
 // (fe_mul.go, generated; constants in fe_arith.go); nothing here
 // depends on third-party crypto libraries. Like the rest of the
 // repository this code is NOT constant time (see README threat model):
-// the base field's reductions are selects, but the exponent and scalar
-// ladders still branch on bits.
+// the base field's reductions are selects, but the exponent ladders
+// branch on bits and the scalar ladders on the NAF digits of k's
+// endomorphism split, as the fixed windows before them did.
 package bls381
 
 import (
@@ -34,6 +35,9 @@ const (
 	rHex = "73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001"
 	// xAbsHex is |x| for the (negative) BLS parameter x = −2^63 − 2^62 − 2^60 − 2^57 − 2^48 − 2^16.
 	xAbsHex = "d201000000010000"
+	// xAbs is the same |x| as a machine word, the form every ladder over
+	// its bits and the scalar split divide by; initCtx pins it to xAbsHex.
+	xAbs uint64 = 0xd201000000010000
 	// h1Hex is the G1 cofactor (p + 1 − t)/r with trace t = x + 1.
 	h1Hex = "396c8c005555e1568c00aaab0000aaab"
 )
@@ -57,16 +61,16 @@ type fe [feLimbs]uint64
 var ctx struct {
 	once sync.Once
 
-	p, r, xAbs *big.Int
-	h1         *big.Int
+	p, r, h1 *big.Int
 
 	one, r2 fe // R and R² mod p: Montgomery 1 and the way into Montgomery form
 	half    fe // 1/2
+	beta    fe // the cube root of unity for which φ(x, y) = (βx, y) is [−x²] on G1
 
-	// The three fixed public exponents of fe.exp, as plain limbs: p−2
-	// (Fermat inverse), (p+1)/4 (square root, p ≡ 3 mod 4) and (p−1)/2
-	// (Euler residue test).
-	pm2, sqrtExp, eulerExp fe
+	// The fixed public exponents of fe.exp, as plain limbs: p−2 (Fermat
+	// inverse), (p+1)/4 (square root, p ≡ 3 mod 4), (p−3)/4 (the inverse
+	// square root fe2.sqrt works on) and (p−1)/2 (the sign bound).
+	pm2, sqrtExp, isqrtExp, eulerExp fe
 
 	// Frobenius: w^p = γ1·w with γ1 = ξ^((p−1)/6), so v^p = γ1²·v and
 	// (v²)^p = γ1⁴·v².
@@ -83,31 +87,26 @@ var ctx struct {
 
 func initCtx() {
 	ctx.once.Do(func() {
-		fromHex := func(s string) *big.Int {
-			n, ok := new(big.Int).SetString(s, 16)
-			if !ok {
-				panic("bls381: bad constant")
-			}
-			return n
+		ctx.p = mustBig(pHex)
+		ctx.r = mustBig(rHex)
+		ctx.h1 = mustBig(h1Hex)
+		if mustBig(xAbsHex).Cmp(new(big.Int).SetUint64(xAbs)) != 0 {
+			panic("bls381: xAbs does not match xAbsHex")
 		}
-		ctx.p = fromHex(pHex)
-		ctx.r = fromHex(rHex)
-		ctx.xAbs = fromHex(xAbsHex)
-		ctx.h1 = fromHex(h1Hex)
 
 		initFeArith()
 
 		one := big.NewInt(1)
 		ctx.pm2 = feLimbsOf(new(big.Int).Sub(ctx.p, big.NewInt(2)))
 		ctx.sqrtExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 2))
+		ctx.isqrtExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Sub(ctx.p, big.NewInt(3)), 2))
 		ctx.eulerExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Sub(ctx.p, one), 1))
 
-		two := big.NewInt(2)
-		halfBig := new(big.Int).ModInverse(two, ctx.p)
-		ctx.half.fromBig(halfBig)
+		ctx.half.fromBig(new(big.Int).ModInverse(big.NewInt(2), ctx.p))
 
 		initTowerConstants()
 		initGenerators()
+		initBeta()
 		initSVDW()
 	})
 }
@@ -132,8 +131,9 @@ func (z *fe) sqr(x *fe)    { feSqr(z, x) }
 // 96 fixed 4-bit windows from the top: four squarings and at most one
 // multiplication by a table entry x¹…x¹⁵ per window. The table index
 // and the zero-window skip depend on e, which is fine here and only
-// here: every caller passes one of the three fixed public exponents in
-// ctx. Secret scalars never come this way (ROADMAP item 7).
+// here: every caller passes a fixed public exponent (those in ctx, and
+// (p−1)/3 once at init). Secret scalars never come this way (ROADMAP
+// item 7).
 func (z *fe) exp(x *fe, e *fe) {
 	var table [16]fe
 	table[0], table[1] = ctx.one, *x
@@ -169,16 +169,6 @@ func (z *fe) fromBig(x *big.Int) {
 	}
 	*z = feLimbsOf(v)
 	feMul(z, z, &ctx.r2)
-}
-
-// isResidue reports whether z is a square in Fp (true for zero).
-func (z *fe) isResidue() bool {
-	if z.isZero() {
-		return true
-	}
-	var t fe
-	t.exp(z, &ctx.eulerExp)
-	return t.isOne()
 }
 
 // sqrt sets z = √x for p ≡ 3 (mod 4) and reports success; on failure z

@@ -2,6 +2,7 @@ package bls381
 
 import (
 	"math/big"
+	"math/bits"
 
 	"timedrelease/internal/ff"
 )
@@ -196,67 +197,44 @@ func (z *fe12) cyclotomicSqr(x *fe12) {
 func (z *fe12) expByX(x *fe12) {
 	var acc fe12
 	acc.set(x)
-	for i := ctx.xAbs.BitLen() - 2; i >= 0; i-- {
+	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
 		acc.cyclotomicSqr(&acc)
-		if ctx.xAbs.Bit(i) == 1 {
+		if xAbs>>i&1 == 1 {
 			acc.mul(&acc, x)
 		}
 	}
 	z.conj(&acc)
 }
 
-// expUnitary sets z = x^k for unitary x and 0 ≤ k, using a signed
-// 4-bit window (conjugation gives free inverses) over cyclotomic
-// squarings. This is the GT exponentiation behind Encryptor.
+// expUnitary sets z = x^k for unitary x and 0 ≤ k, walking k's width-5
+// NAF over the odd powers x … x¹⁵ (conjugation gives free inverses) with
+// cyclotomic squarings, from the first nonzero digit on. This is the GT
+// exponentiation behind Encryptor.
 func (z *fe12) expUnitary(x *fe12, k *big.Int) {
-	if k.Sign() == 0 {
-		z.setOne()
-		return
-	}
-	neg := k.Sign() < 0
-	e := k
-	if neg {
-		e = new(big.Int).Neg(k)
-	}
-	// Odd powers x^1, x^3, …, x^15.
 	var odd [8]fe12
+	var x2, acc fe12
 	odd[0].set(x)
-	var x2 fe12
 	x2.cyclotomicSqr(x)
-	for i := 1; i < 8; i++ {
+	for i := 1; i < len(odd); i++ {
 		odd[i].mul(&odd[i-1], &x2)
 	}
-	digits := ff.AppendWNAF(nil, e, 5)
-	var acc fe12
 	acc.setOne()
 	started := false
-	for i := len(digits) - 1; i >= 0; i-- {
+	straus([][]int8{ff.AppendWNAF(nil, k, 5)}, func() {
 		if started {
 			acc.cyclotomicSqr(&acc)
 		}
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		idx := d
-		if idx < 0 {
-			idx = -idx
-		}
-		var t fe12
-		t.set(&odd[(idx-1)/2])
+	}, func(_ int, d int8) {
+		t := odd[max(d, -d)/2]
 		if d < 0 {
 			t.conj(&t)
 		}
-		if !started {
-			acc.set(&t)
-			started = true
-		} else {
+		if started {
 			acc.mul(&acc, &t)
+		} else {
+			acc, started = t, true
 		}
-	}
-	if neg {
-		acc.conj(&acc)
-	}
+	})
 	z.set(&acc)
 }
 

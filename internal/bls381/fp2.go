@@ -110,66 +110,54 @@ func (z *fe2) exp(x *fe2, e *big.Int) {
 	z.set(&acc)
 }
 
-// isResidue reports whether x is a square in Fp2: x is a square iff
-// its norm c0² + c1² is a square in Fp.
-func (z *fe2) isResidue() bool {
-	var n, t fe
+// normRoot returns n = √(c0² + c1²) ∈ Fp and whether it exists, which
+// is whether z is a square in Fp2 (zero included): the residue test and
+// the first exponentiation of sqrt in one.
+func (z *fe2) normRoot() (n fe, ok bool) {
+	var t fe
 	n.sqr(&z.c0)
 	t.sqr(&z.c1)
 	n.add(&n, &t)
-	return n.isResidue()
+	ok = n.sqrt(&n)
+	return n, ok
 }
 
 // sqrt sets z = √x for p ≡ 3 (mod 4) and reports success. Writes z
 // only on success; z may alias x.
 func (z *fe2) sqrt(x *fe2) bool {
-	if x.isZero() {
-		z.setZero()
-		return true
-	}
-	// n = √(c0² + c1²) in Fp (the norm of the root's generator),
-	// then x = (d + c1·i/(2·x0))² with d = (c0 + n)/2 when d is a
-	// residue (flip the sign of n otherwise).
-	var n, t, d, x0, x1 fe
-	n.sqr(&x.c0)
-	t.sqr(&x.c1)
-	n.add(&n, &t)
-	if !n.sqrt(&n) {
-		return false
-	}
-	d.add(&x.c0, &n)
+	n, ok := x.normRoot()
+	return ok && z.sqrtNorm(x, &n)
+}
+
+// sqrtNorm is sqrt given x's norm root n (n² = c0² + c1²): the root is
+// x0 + c1/(2x0)·i with x0 = √d for whichever of d = (c0 ± n)/2 is a
+// square. One exponentiation t = d^((p−3)/4) both tests d (d·t² = 1)
+// and gives x0 = d·t and 1/(2x0) = t/2, no inversion; the other d costs
+// a second. The root is the one the four-exponentiation form returned
+// (TestFp2Sqrt pins it). Writes z only on success; z may alias x.
+func (z *fe2) sqrtNorm(x *fe2, n *fe) bool {
+	var d, t, s fe
+	var c, sq fe2
+	d.add(&x.c0, n)
 	d.mul(&d, &ctx.half)
-	if !d.isResidue() {
-		d.sub(&x.c0, &n)
-		d.mul(&d, &ctx.half)
-	}
-	if !x0.sqrt(&d) {
-		return false
-	}
-	if x0.isZero() {
-		// x = −a² for real a: root is purely imaginary, c1 must be 0.
-		if !x.c1.isZero() {
-			return false
+	if d.isZero() {
+		// c0 = −n, so c1 = 0 and c0 is no square in Fp: the root is √−c0·i.
+		t.neg(&x.c0)
+		c.c1.exp(&t, &ctx.sqrtExp)
+	} else {
+		t.exp(&d, &ctx.isqrtExp)
+		s.sqr(&t)
+		if s.mul(&s, &d); !s.isOne() {
+			d.sub(&x.c0, n)
+			d.mul(&d, &ctx.half)
+			t.exp(&d, &ctx.isqrtExp)
 		}
-		var m fe
-		m.neg(&x.c0)
-		if !x1.sqrt(&m) {
-			return false
-		}
-		z.c0.setZero()
-		z.c1.set(&x1)
-		return true
+		c.c0.mul(&d, &t)
+		c.c1.mul(&x.c1, &t)
+		c.c1.mul(&c.c1, &ctx.half)
 	}
-	t.dbl(&x0)
-	t.inv(&t)
-	x1.mul(&x.c1, &t)
-	// Verify (x0 + x1 i)² == x; guards against non-square inputs.
-	var c fe2
-	c.c0.set(&x0)
-	c.c1.set(&x1)
-	var s fe2
-	s.sqr(&c)
-	if !s.equal(x) {
+	// c² == x guards non-square inputs and a wrong n.
+	if sq.sqr(&c); !sq.equal(x) {
 		return false
 	}
 	z.set(&c)

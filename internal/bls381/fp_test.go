@@ -169,7 +169,7 @@ func cyclotomic(t testing.TB) fe12 {
 
 func TestCurveConstants(t *testing.T) {
 	initCtx()
-	x := new(big.Int).Neg(ctx.xAbs)
+	x := new(big.Int).Neg(xBig())
 	// r = x⁴ − x² + 1
 	x2 := new(big.Int).Mul(x, x)
 	x4 := new(big.Int).Mul(x2, x2)
@@ -238,30 +238,61 @@ func TestFp2Differential(t *testing.T) {
 	}
 }
 
+// TestFp2Sqrt pins the two-exponentiation square root to the
+// four-exponentiation form it replaced, bit for bit: on random squares,
+// on non-squares (both refuse), and on the edges c1 = 0 — c0 a square
+// (real root), c0 a non-square (d = (c0 + n)/2 = 0, imaginary root) and
+// zero.
 func TestFp2Sqrt(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		a := randFe2(t)
-		var sq, rt fe2
+	initCtx()
+	rng := mrand.New(mrand.NewSource(2))
+	seeded := func() (x fe) { x.fromBig(new(big.Int).Rand(rng, ctx.p)); return x }
+	var inputs []fe2
+	for i := 0; i < 200; i++ {
+		a := fe2{seeded(), seeded()}
+		var sq fe2
 		sq.sqr(&a)
-		if !sq.isResidue() {
-			t.Fatal("square not residue")
+		inputs = append(inputs, sq, a)
+	}
+	var minusOne, three fe
+	minusOne.neg(&ctx.one)
+	three.fromBig(big.NewInt(3))
+	c0 := seeded()
+	c0.sqr(&c0)
+	var nc0 fe
+	nc0.neg(&c0)
+	inputs = append(inputs, fe2{}, fe2{c0: c0}, fe2{c0: nc0}, fe2{c0: minusOne}, fe2{c0: three}, fe2{c1: c0})
+	squares, others := 0, 0
+	for _, x := range inputs {
+		var got, want fe2
+		ok := got.sqrt(&x)
+		if wantOK := want.sqrtFourExp(&x); ok != wantOK || ok && !got.equal(&want) {
+			t.Fatalf("sqrt(%v) = %v (%v), four-exponentiation form %v (%v)", x.toRef(), got.toRef(), ok, want.toRef(), wantOK)
 		}
-		if !rt.sqrt(&sq) {
-			t.Fatal("sqrt failed on square")
+		if ok != x.isResidue() {
+			t.Fatalf("sqrt(%v) reports %v, Euler's criterion on the norm says %v", x.toRef(), ok, !ok)
 		}
+		if !ok {
+			others++
+			continue
+		}
+		squares++
 		var chk fe2
-		chk.sqr(&rt)
-		if !chk.equal(&sq) {
-			t.Fatal("sqrt² != input")
+		if chk.sqr(&got); !chk.equal(&x) {
+			t.Fatalf("sqrt(%v)² != input", x.toRef())
+		}
+		if xx := x; !xx.sqrt(&xx) || !xx.equal(&got) {
+			t.Fatalf("sqrt(%v): aliased output differs", x.toRef())
 		}
 	}
-	// Non-residue: ξ·a² for random a is a non-square when ξ is (it is:
-	// ξ generates the sextic twist).
-	var bad fe2
+	if squares < 200 || others < 50 {
+		t.Fatalf("%d squares and %d non-squares: the sample lost a side", squares, others)
+	}
+	// ξ·a² is a non-square: ξ generates the sextic twist.
+	var bad, rt fe2
 	a := randFe2(t)
 	bad.sqr(&a)
 	bad.mulByNonRes(&bad)
-	var rt fe2
 	if !bad.isZero() && rt.sqrt(&bad) {
 		t.Fatal("sqrt succeeded on non-residue")
 	}
@@ -381,7 +412,7 @@ func TestExpByX(t *testing.T) {
 	u := cyclotomic(t)
 	var got fe12
 	got.expByX(&u)
-	want := testExp(&u, ctx.xAbs)
+	want := testExp(&u, xBig())
 	want.conj(&want) // x is negative
 	if !got.equal(&want) {
 		t.Fatal("expByX mismatch")

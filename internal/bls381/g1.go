@@ -3,6 +3,7 @@ package bls381
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
 // g1Affine is a point on E(Fp): y² = x³ + 4. The group G1 is the
@@ -14,8 +15,8 @@ type g1Affine struct {
 }
 
 // g1Jac is the Jacobian representation (X/Z², Y/Z³); Z = 0 encodes
-// infinity. All group arithmetic runs here, converting to affine only
-// at serialization boundaries.
+// infinity, so the zero value is the identity. All group arithmetic
+// runs here, converting to affine only at serialization boundaries.
 type g1Jac struct {
 	x, y, z fe
 }
@@ -51,28 +52,25 @@ func (p *g1Affine) isOnCurve() bool {
 	return lhs.equal(&rhs)
 }
 
-// inSubgroup checks [r]P = O; called on every untrusted deserialize.
+// inSubgroup is Scott's test (ePrint 2021/1130), called on every
+// untrusted deserialize: P ∈ G1 ⇔ φ(P) = −[x²]P, tested as
+// [x²]P + φ(P) = O — mulByX twice, 128 sparse bits where [r]P walks
+// 255. TestG1EndomorphismSubgroupCheck pins it to [r]P = O.
 func (p *g1Affine) inSubgroup() bool {
-	if p.inf {
-		return true
-	}
-	var j g1Jac
+	var j, s g1Jac
 	j.fromAffine(p)
-	j.scalarMult(&j, ctx.r)
-	return j.isInfinity()
+	s.mulByX(&j)
+	s.mulByX(&s)
+	j.phi(&j)
+	s.add(&s, &j)
+	return s.isInfinity()
 }
 
 func (j *g1Jac) isInfinity() bool { return j.z.isZero() }
 
-func (j *g1Jac) setInfinity() {
-	j.x.setOne()
-	j.y.setOne()
-	j.z.setZero()
-}
-
 func (j *g1Jac) fromAffine(p *g1Affine) {
 	if p.inf {
-		j.setInfinity()
+		*j = g1Jac{}
 		return
 	}
 	j.x.set(&p.x)
@@ -94,8 +92,6 @@ func (j *g1Jac) toAffine() g1Affine {
 	return p
 }
 
-func (j *g1Jac) set(q *g1Jac) { *j = *q }
-
 func (j *g1Jac) neg(q *g1Jac) {
 	j.x.set(&q.x)
 	j.y.neg(&q.y)
@@ -105,7 +101,7 @@ func (j *g1Jac) neg(q *g1Jac) {
 // double is the a = 0 Jacobian doubling (dbl-2009-l).
 func (j *g1Jac) double(q *g1Jac) {
 	if q.isInfinity() {
-		j.set(q)
+		*j = *q
 		return
 	}
 	var a, b, c, d, e, f fe
@@ -141,11 +137,11 @@ func (j *g1Jac) double(q *g1Jac) {
 // back to double when the operands coincide.
 func (j *g1Jac) add(p, q *g1Jac) {
 	if p.isInfinity() {
-		j.set(q)
+		*j = *q
 		return
 	}
 	if q.isInfinity() {
-		j.set(p)
+		*j = *p
 		return
 	}
 	var z1z1, z2z2, u1, u2, s1, s2, h, r fe
@@ -164,7 +160,7 @@ func (j *g1Jac) add(p, q *g1Jac) {
 			j.double(p)
 			return
 		}
-		j.setInfinity()
+		*j = g1Jac{}
 		return
 	}
 	var hh, hhh, v fe
@@ -191,7 +187,7 @@ func (j *g1Jac) add(p, q *g1Jac) {
 // addAffine is the mixed addition (Z2 = 1).
 func (j *g1Jac) addAffine(p *g1Jac, q *g1Affine) {
 	if q.inf {
-		j.set(p)
+		*j = *p
 		return
 	}
 	if p.isInfinity() {
@@ -210,7 +206,7 @@ func (j *g1Jac) addAffine(p *g1Jac, q *g1Affine) {
 			j.double(p)
 			return
 		}
-		j.setInfinity()
+		*j = g1Jac{}
 		return
 	}
 	var hh, hhh, v fe
@@ -233,39 +229,63 @@ func (j *g1Jac) addAffine(p *g1Jac, q *g1Affine) {
 	j.z.set(&z3)
 }
 
-// scalarMult sets j = [k]q by 4-bit windowed double-and-add. k is
-// reduced mod nothing: callers pass reduced scalars; negative k panics.
-func (j *g1Jac) scalarMult(q *g1Jac, k *big.Int) {
-	if k.Sign() < 0 {
-		panic("bls381: negative scalar")
+// phi is the order-3 endomorphism (x, y) ↦ (βx, y): [−x²] on G1.
+func (j *g1Jac) phi(q *g1Jac) {
+	j.x.mul(&q.x, &ctx.beta)
+	j.y, j.z = q.y, q.z
+}
+
+// glvDigits recodes k < r as k₀ + k₁·x², both digits < x² < 2¹²⁸
+// (splitX's four base-|x| digits taken in pairs), as width-w NAFs.
+func glvDigits(k *big.Int, w uint) (digits [2][]int8) {
+	d := splitX(k)
+	for i := range digits {
+		hi, lo := bits.Mul64(d[2*i+1], xAbs)
+		lo, c := bits.Add64(lo, d[2*i], 0)
+		digits[i] = appendWNAF(make([]int8, 0, 129), lo, hi+c, w)
 	}
-	if k.Sign() == 0 || q.isInfinity() {
-		j.setInfinity()
-		return
+	return digits
+}
+
+// mulEndo sets j = [k]q for q ∈ G1 and k < r by GLV: [k]q =
+// k₀·q + k₁·(−φ(q)), two 128-bit digits on one doubling chain where the
+// window ladder walks 255 bits, the second table the −φ-image of the
+// first. Only members of G1 satisfy φ = [−x²].
+func (j *g1Jac) mulEndo(q *g1Jac, k *big.Int) {
+	var tbl [2][endoTable]g1Jac
+	var acc, e g1Jac
+	tbl[0][0] = *q
+	e.double(q)
+	for m := 1; m < endoTable; m++ {
+		tbl[0][m].add(&tbl[0][m-1], &e)
 	}
-	// Window table: 1..15 multiples of q.
-	var tbl [15]g1Jac
-	tbl[0].set(q)
-	for i := 1; i < 15; i++ {
-		tbl[i].add(&tbl[i-1], q)
+	for m := range tbl[1] {
+		tbl[1][m].phi(&tbl[0][m])
+		tbl[1][m].neg(&tbl[1][m])
 	}
-	var acc g1Jac
-	acc.setInfinity()
-	bits := k.BitLen()
-	top := (bits + 3) / 4 * 4
-	for i := top - 4; i >= 0; i -= 4 {
-		if !acc.isInfinity() {
-			acc.double(&acc)
-			acc.double(&acc)
-			acc.double(&acc)
-			acc.double(&acc)
+	digits := glvDigits(k, endoWindow)
+	straus(digits[:], func() { acc.double(&acc) }, func(i int, d int8) {
+		t := &tbl[i][max(d, -d)/2]
+		if d < 0 {
+			e.neg(t)
+			t = &e
 		}
-		w := k.Bit(i+3)<<3 | k.Bit(i+2)<<2 | k.Bit(i+1)<<1 | k.Bit(i)
-		if w != 0 {
-			acc.add(&acc, &tbl[w-1])
+		acc.add(&acc, t)
+	})
+	*j = acc
+}
+
+// mulByX sets j = [|x|]q by plain double-and-add over |x|'s weight-6
+// bits, as g2Jac.mulByX.
+func (j *g1Jac) mulByX(q *g1Jac) {
+	acc := *q
+	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
+		acc.double(&acc)
+		if xAbs>>i&1 == 1 {
+			acc.add(&acc, q)
 		}
 	}
-	j.set(&acc)
+	*j = acc
 }
 
 // --- serialization (zcash compressed format, 48 bytes) ---------------

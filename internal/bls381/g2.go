@@ -3,6 +3,7 @@ package bls381
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
 // g2Affine is a point on the sextic M-twist E'(Fp2): y² = x³ + 4(1+i).
@@ -68,15 +69,9 @@ func (p *g2Affine) inSubgroup() bool {
 
 func (j *g2Jac) isInfinity() bool { return j.z.isZero() }
 
-func (j *g2Jac) setInfinity() {
-	j.x.setOne()
-	j.y.setOne()
-	j.z.setZero()
-}
-
 func (j *g2Jac) fromAffine(p *g2Affine) {
 	if p.inf {
-		j.setInfinity()
+		*j = g2Jac{}
 		return
 	}
 	j.x.set(&p.x)
@@ -98,8 +93,6 @@ func (j *g2Jac) toAffine() g2Affine {
 	return p
 }
 
-func (j *g2Jac) set(q *g2Jac) { *j = *q }
-
 func (j *g2Jac) neg(q *g2Jac) {
 	j.x.set(&q.x)
 	j.y.neg(&q.y)
@@ -108,7 +101,7 @@ func (j *g2Jac) neg(q *g2Jac) {
 
 func (j *g2Jac) double(q *g2Jac) {
 	if q.isInfinity() {
-		j.set(q)
+		*j = *q
 		return
 	}
 	var a, b, c, d, e, f fe2
@@ -142,11 +135,11 @@ func (j *g2Jac) double(q *g2Jac) {
 
 func (j *g2Jac) add(p, q *g2Jac) {
 	if p.isInfinity() {
-		j.set(q)
+		*j = *q
 		return
 	}
 	if q.isInfinity() {
-		j.set(p)
+		*j = *p
 		return
 	}
 	var z1z1, z2z2, u1, u2, s1, s2, h, r fe2
@@ -165,7 +158,7 @@ func (j *g2Jac) add(p, q *g2Jac) {
 			j.double(p)
 			return
 		}
-		j.setInfinity()
+		*j = g2Jac{}
 		return
 	}
 	var hh, hhh, v fe2
@@ -191,7 +184,7 @@ func (j *g2Jac) add(p, q *g2Jac) {
 
 func (j *g2Jac) addAffine(p *g2Jac, q *g2Affine) {
 	if q.inf {
-		j.set(p)
+		*j = *p
 		return
 	}
 	if p.isInfinity() {
@@ -210,7 +203,7 @@ func (j *g2Jac) addAffine(p *g2Jac, q *g2Affine) {
 			j.double(p)
 			return
 		}
-		j.setInfinity()
+		*j = g2Jac{}
 		return
 	}
 	var hh, hhh, v fe2
@@ -233,36 +226,39 @@ func (j *g2Jac) addAffine(p *g2Jac, q *g2Affine) {
 	j.z.set(&z3)
 }
 
-func (j *g2Jac) scalarMult(q *g2Jac, k *big.Int) {
-	if k.Sign() < 0 {
-		panic("bls381: negative scalar")
+// mulEndo sets j = [k]q for q ∈ G2 and k < r by Galbraith–Lin–Scott:
+// with u = |x|, [u]q = −ψ(q) on G2, so k's base-u digits kᵢ (splitX)
+// give [k]q = Σ kᵢ·(−ψ)ⁱ(q) — one 64-step doubling chain where the
+// window ladder walks 255, the tables of (−ψ)ⁱ(q) the −ψ-images of q's
+// odd multiples. Only members of G2 satisfy ψ = [x].
+func (j *g2Jac) mulEndo(q *g2Jac, k *big.Int) {
+	var tbl [4][endoTable]g2Jac
+	var buf [4][65]int8
+	var digits [4][]int8
+	var acc, e g2Jac
+	for i, d := range splitX(k) {
+		digits[i] = appendWNAF(buf[i][:0], d, 0, endoWindow)
 	}
-	if k.Sign() == 0 || q.isInfinity() {
-		j.setInfinity()
-		return
+	tbl[0][0] = *q
+	e.double(q)
+	for m := 1; m < endoTable; m++ {
+		tbl[0][m].add(&tbl[0][m-1], &e)
 	}
-	var tbl [15]g2Jac
-	tbl[0].set(q)
-	for i := 1; i < 15; i++ {
-		tbl[i].add(&tbl[i-1], q)
-	}
-	var acc g2Jac
-	acc.setInfinity()
-	bits := k.BitLen()
-	top := (bits + 3) / 4 * 4
-	for i := top - 4; i >= 0; i -= 4 {
-		if !acc.isInfinity() {
-			acc.double(&acc)
-			acc.double(&acc)
-			acc.double(&acc)
-			acc.double(&acc)
-		}
-		w := k.Bit(i+3)<<3 | k.Bit(i+2)<<2 | k.Bit(i+1)<<1 | k.Bit(i)
-		if w != 0 {
-			acc.add(&acc, &tbl[w-1])
+	for i := 1; i < len(tbl); i++ {
+		for m := range tbl[i] {
+			tbl[i][m].psi(&tbl[i-1][m])
+			tbl[i][m].neg(&tbl[i][m])
 		}
 	}
-	j.set(&acc)
+	straus(digits[:], func() { acc.double(&acc) }, func(i int, d int8) {
+		t := &tbl[i][max(d, -d)/2]
+		if d < 0 {
+			e.neg(t)
+			t = &e
+		}
+		acc.add(&acc, t)
+	})
+	*j = acc
 }
 
 // psi is the untwist-Frobenius-twist endomorphism; on G2 it acts as
@@ -276,16 +272,16 @@ func (j *g2Jac) psi(q *g2Jac) {
 }
 
 // mulByX sets j = [|x|]q by plain double-and-add: |x| has Hamming
-// weight 6, five additions where scalarMult's window table alone is 14.
+// weight 6, five additions where a window table alone is 14.
 func (j *g2Jac) mulByX(q *g2Jac) {
 	acc := *q
-	for i := ctx.xAbs.BitLen() - 2; i >= 0; i-- {
+	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
 		acc.double(&acc)
-		if ctx.xAbs.Bit(i) == 1 {
+		if xAbs>>i&1 == 1 {
 			acc.add(&acc, q)
 		}
 	}
-	j.set(&acc)
+	*j = acc
 }
 
 // clearCofactor maps a twist point into G2 the Budroni–Pintore way

@@ -39,21 +39,16 @@ func expandMessageXMD(msg []byte, dst string, outLen int) []byte {
 	b0 := h.Sum(nil)
 
 	out := make([]byte, 0, ell*bLen)
-	bi := make([]byte, bLen)
+	bi := make([]byte, bLen) // b₀ ⊕ 0 = b₀ is what b₁ hashes
 	for i := 1; i <= ell; i++ {
-		h.Reset()
-		if i == 1 {
-			h.Write(b0)
-		} else {
-			x := make([]byte, bLen)
-			for j := range x {
-				x[j] = b0[j] ^ bi[j]
-			}
-			h.Write(x)
+		for j := range bi {
+			bi[j] ^= b0[j]
 		}
+		h.Reset()
+		h.Write(bi)
 		h.Write([]byte{byte(i)})
 		h.Write(dstPrime)
-		bi = h.Sum(nil)
+		bi = h.Sum(bi[:0])
 		out = append(out, bi...)
 	}
 	return out[:outLen]
@@ -75,59 +70,69 @@ func hashToFieldFp2(msg []byte, dst string) (u0, u1 fe2) {
 	return u0, u1
 }
 
-// svdwMap is the straight-line Shallue–van de Woestijne map of RFC 9380
-// §6.6.1 for E'(Fp2) (A = 0, B = 4+4i, Z = −1). Output is on the twist
-// but NOT yet in G2; callers clear the cofactor.
-func svdwMap(u *fe2) g2Affine {
+// svdwMaps is the straight-line Shallue–van de Woestijne map of RFC 9380
+// §6.6.1 for E'(Fp2) (A = 0, B = 4+4i, Z = −1), run on u0 and u1 at
+// once: their two inv0(tv3) share one inversion by Montgomery's trick
+// (each falls back to its own inv0 when either tv3 is 0), and the
+// residue tests of g(x1), g(x2) are the norm roots sqrtNorm then reuses.
+// Outputs equal the one-at-a-time map's (TestSvdwMatchesParent), are on
+// the twist and NOT yet in G2; callers clear the cofactor. u comes from
+// public labels or client-local seeds, so the branches leak nothing.
+func svdwMaps(u0, u1 *fe2) (p [2]g2Affine) {
 	initCtx()
-	one := fe2{}
-	one.setOne()
-
-	var tv1, tv2, tv3, tv4 fe2
-	tv1.sqr(u)
-	tv1.mul(&tv1, &ctx.svdwC1)
-	tv2.add(&one, &tv1)
-	tv1.sub(&one, &tv1)
-	tv3.mul(&tv1, &tv2)
-	if !tv3.isZero() { // inv0: the exceptional case maps through zero
-		tv3.inv(&tv3)
+	us := [2]*fe2{u0, u1}
+	one := fe2{c0: ctx.one}
+	var tv1, tv2, tv3 [2]fe2
+	for i, u := range us {
+		tv1[i].sqr(u)
+		tv1[i].mul(&tv1[i], &ctx.svdwC1)
+		tv2[i].add(&one, &tv1[i])
+		tv1[i].sub(&one, &tv1[i])
+		tv3[i].mul(&tv1[i], &tv2[i])
 	}
-	tv4.mul(u, &tv1)
-	tv4.mul(&tv4, &tv3)
-	tv4.mul(&tv4, &ctx.svdwC3)
-
-	var x1 fe2
-	x1.sub(&ctx.svdwC2, &tv4)
-	gx1 := twistRHS(&x1)
-	e1 := gx1.isResidue()
-
-	var x2 fe2
-	x2.add(&ctx.svdwC2, &tv4)
-	gx2 := twistRHS(&x2)
-	e2 := !e1 && gx2.isResidue()
-
-	var x3 fe2
-	x3.sqr(&tv2)
-	x3.mul(&x3, &tv3)
-	x3.sqr(&x3)
-	x3.mul(&x3, &ctx.svdwC4)
-	x3.add(&x3, &ctx.svdwZ)
-
-	var x fe2
-	x.set(&x3)
-	if e1 {
-		x.set(&x1)
-	} else if e2 {
-		x.set(&x2)
+	var t fe2
+	if t.mul(&tv3[0], &tv3[1]); t.isZero() { // inv0: the exceptional case maps through zero
+		for i := range tv3 {
+			if !tv3[i].isZero() {
+				tv3[i].inv(&tv3[i])
+			}
+		}
+	} else {
+		t.inv(&t)
+		tv3[0], tv3[1] = tv3[1], tv3[0]
+		tv3[0].mul(&tv3[0], &t)
+		tv3[1].mul(&tv3[1], &t)
 	}
-	var y fe2
-	if gx := twistRHS(&x); !y.sqrt(&gx) {
-		panic("bls381: svdw produced a non-square g(x)")
+	for i, u := range us {
+		var tv4, x, y fe2
+		tv4.mul(u, &tv1[i])
+		tv4.mul(&tv4, &tv3[i])
+		tv4.mul(&tv4, &ctx.svdwC3)
+		x.sub(&ctx.svdwC2, &tv4) // x1
+		gx := twistRHS(&x)
+		n, ok := gx.normRoot()
+		if !ok {
+			x.add(&ctx.svdwC2, &tv4) // x2
+			gx = twistRHS(&x)
+			if n, ok = gx.normRoot(); !ok {
+				x.sqr(&tv2[i]) // x3
+				x.mul(&x, &tv3[i])
+				x.sqr(&x)
+				x.mul(&x, &ctx.svdwC4)
+				x.add(&x, &ctx.svdwZ)
+				gx = twistRHS(&x)
+				n, _ = gx.normRoot()
+			}
+		}
+		if !y.sqrtNorm(&gx, &n) {
+			panic("bls381: svdw produced a non-square g(x)")
+		}
+		if u.sgn0() != y.sgn0() {
+			y.neg(&y)
+		}
+		p[i] = g2Affine{x: x, y: y}
 	}
-	if u.sgn0() != y.sgn0() {
-		y.neg(&y)
-	}
-	return g2Affine{x: x, y: y}
+	return p
 }
 
 // mapToTwist is the random-oracle construction short of its last step:
@@ -135,10 +140,9 @@ func svdwMap(u *fe2) g2Affine {
 // twist whose cofactor is still to be cleared.
 func mapToTwist(j *g2Jac, msg []byte, dst string) {
 	u0, u1 := hashToFieldFp2(msg, dst)
-	p0 := svdwMap(&u0)
-	p1 := svdwMap(&u1)
-	j.fromAffine(&p0)
-	j.addAffine(j, &p1)
+	p := svdwMaps(&u0, &u1)
+	j.fromAffine(&p[0])
+	j.addAffine(j, &p[1])
 }
 
 // hashToG2 is the full construction: mapToTwist, then one cofactor

@@ -1,5 +1,7 @@
 package bls381
 
+import "math/bits"
+
 // Optimal-ate pairing for BLS12-381: e(P, Q) = f_{|x|,Q}(P)^((p¹²−1)/r)
 // (conjugated before the final exponentiation because the BLS parameter
 // x is negative — the dropped f^(p⁶+1) factor lies in Fp6 and dies in
@@ -36,9 +38,9 @@ func prepareG2(q *g2Affine) *g2Prepared {
 	pp := &g2Prepared{lines: make([]lineCoeffs, 0, 68)}
 	var r g2Jac
 	r.fromAffine(q)
-	for i := ctx.xAbs.BitLen() - 2; i >= 0; i-- {
+	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
 		pp.lines = append(pp.lines, doubleStep(&r))
-		if ctx.xAbs.Bit(i) == 1 {
+		if xAbs>>i&1 == 1 {
 			pp.lines = append(pp.lines, addStep(&r, q))
 		}
 	}
@@ -154,7 +156,7 @@ func millerLoop(ps []*g1Affine, qs []*g2Prepared) fe12 {
 	f.setOne()
 	idx := 0
 	started := false
-	for i := ctx.xAbs.BitLen() - 2; i >= 0; i-- {
+	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
 		if started {
 			f.sqr(&f)
 		}
@@ -163,7 +165,7 @@ func millerLoop(ps []*g1Affine, qs []*g2Prepared) fe12 {
 		}
 		started = true
 		idx++
-		if ctx.xAbs.Bit(i) == 1 {
+		if xAbs>>i&1 == 1 {
 			for k := range ps {
 				applyLine(&f, &qs[k].lines[idx], ps[k])
 			}
@@ -181,21 +183,8 @@ func applyLine(f *fe12, l *lineCoeffs, p *g1Affine) {
 	f.mulBySparse(f, &l.a, &b, &c)
 }
 
-// pair computes the reduced pairing e(P, Q) ∈ GT; infinity on either
-// side yields the identity.
-func pair(p *g1Affine, q *g2Affine) fe12 {
-	initCtx()
-	var out fe12
-	if p.isInfinity() || q.isInfinity() {
-		out.setOne()
-		return out
-	}
-	f := millerLoop([]*g1Affine{p}, []*g2Prepared{prepareG2(q)})
-	out.finalExp(&f)
-	return out
-}
-
-// pairPrepared is pair with a precomputed Q schedule.
+// pairPrepared computes the reduced pairing e(P, Q) ∈ GT from Q's line
+// schedule; infinity on either side yields the identity.
 func pairPrepared(p *g1Affine, q *g2Prepared) fe12 {
 	initCtx()
 	var out fe12
