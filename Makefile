@@ -213,7 +213,8 @@ experiments-quick:
 # (Montgomery backend vs big.Int reference, plus the BLS12-381 base
 # field, Fp12 tower and compressed G2 decoder, the BLS12-381 endomorphism
 # ladders vs the windowed ladder, and the multi-scalar multiplication vs
-# the naive sum on both backends), the client's HTTP
+# the naive sum on both backends), the Type-1 point decoder's subgroup
+# verdict vs the Jacobian [q]P oracle, the client's HTTP
 # update parsing, the beacon round↔label mapping, the metrics JSON
 # encoder and the crc-framed log replay under updates.log and spend.log.
 # Checked-in seed corpora live under <pkg>/testdata/fuzz/<Target>/.
@@ -226,6 +227,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalSubgroup -fuzztime $(FUZZTIME) ./internal/curve
 	$(GO) test -run XXX -fuzz FuzzRoundFromLabel -fuzztime $(FUZZTIME) ./internal/beacon
 	$(GO) test -run XXX -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/ff
 	$(GO) test -run XXX -fuzz FuzzFp2Arith -fuzztime $(FUZZTIME) ./internal/ff
@@ -239,7 +241,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFrameReplay -fuzztime $(FUZZTIME) ./internal/archive
 
 # PR-tier fuzz smoke lane: only the attacker-reachable decoders (wire
-# formats, the armored ciphertext container, the token formats), each
+# formats, the armored ciphertext container, the token formats, the
+# Type-1 point decoder and its subgroup test), each
 # for a short budget — CI runs `make fuzz-smoke FUZZTIME=5s` on every
 # pull request; the full campaign stays nightly.
 fuzz-smoke:
@@ -250,6 +253,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalSubgroup -fuzztime $(FUZZTIME) ./internal/curve
 
 # The size figure ROADMAP item 3 tracks: lines of non-test Go outside
 # the benchmark/ module (plain `wc -l`: blanks and comments count, so

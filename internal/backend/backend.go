@@ -137,6 +137,11 @@ type Backend interface {
 	// IsOnCurve reports whether p lies on g's curve (infinity counts).
 	IsOnCurve(g Group, p curve.Point) bool
 	// InSubgroup reports whether p lies in g's prime-order subgroup.
+	// Membership is proved once per point, where the point enters: a
+	// point that ParsePoint returned carries that proof and is answered
+	// at once (Type-1: curve.Point's member bit; bls12381: every handle
+	// the backend wraps, since it hands out members only). Any other
+	// Type-1 point — a sum, a multiple, a literal — runs the full test.
 	InSubgroup(g Group, p curve.Point) bool
 	// HashToG2 is the paper's H1: a random-oracle hash of (domain, msg)
 	// onto G2.

@@ -35,8 +35,11 @@ const batchExponentBits = 128
 // never reduced modulo the group order, which Test160's 80-bit q is
 // below. The subgroup check is NOT linear (a random combination lets a
 // component of small order d through with probability 1/d, and the
-// Type-1 cofactors have tiny factors), so it still runs on every
-// signature by itself, across the worker pool.
+// Type-1 cofactors have tiny factors), so validSig still asks it of
+// every signature by itself. A signature that came off the wire was
+// proved a member when it was decoded and answers at once
+// (Backend.InSubgroup); only points built in-process pay for a test
+// here, across the worker pool.
 //
 // The fixed pairing arguments sit in the prepared key. A false batch
 // tells you *something* failed but not what; fall back to per-signature

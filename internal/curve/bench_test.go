@@ -30,8 +30,33 @@ func TestScalarMultAllocs(t *testing.T) {
 	}
 }
 
-// sink keeps the benchmarked calls from being optimised away.
-var sink Point
+// sink and sinkBool keep the benchmarked calls from being optimised away.
+var (
+	sink     Point
+	sinkBool bool
+)
+
+// BenchmarkInSubgroup times the full subgroup test at SS512 — the curve
+// equation, then the x-only ladder over q's 160 bits — on a member built
+// in-process (no member bit) and on a random curve point outside the
+// subgroup. Decoded points skip both (TestInSubgroupAllocs).
+func BenchmarkInSubgroup(b *testing.B) {
+	c, g := ss512(b)
+	r, err := c.RandomPoint(rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range []struct {
+		name string
+		p    Point
+	}{{"member", g}, {"non-member", r}} {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkBool = c.InSubgroup(s.p)
+			}
+		})
+	}
+}
 
 // BenchmarkScalarMult times the ladder at SS512 on the two scalars the
 // serving path runs it on: the 160-bit subgroup order (every subgroup

@@ -49,9 +49,17 @@ type Curve struct {
 // as their transport type: they carry an opaque handle in Ext and
 // leave X and Y nil. Such points flow only through their own backend's
 // operations; the Type-1 arithmetic in this package never sees them.
+//
+// A point carries the proof of its own subgroup membership: member is
+// set by UnmarshalSubgroup alone, right after its test passed, and kept
+// by Clone. Group operations and struct literals build points with the
+// bit clear, and nothing writes to X or Y after construction, so a set
+// bit always describes the coordinates beside it. InSubgroup answers
+// from it without a ladder; Equal ignores it.
 type Point struct {
-	X, Y *big.Int
-	inf  bool
+	X, Y   *big.Int
+	inf    bool
+	member bool
 
 	// Ext is the opaque external-backend point, nil for Type-1 points.
 	Ext ExtPoint
@@ -127,18 +135,23 @@ func (c *Curve) IsOnCurve(p Point) bool {
 	if p.inf {
 		return true
 	}
-	if !c.F.IsResidue(p.X) || !c.F.IsResidue(p.Y) {
+	if !c.F.IsReduced(p.X) || !c.F.IsReduced(p.Y) {
 		return false
 	}
 	return c.F.Equal(c.F.Sqr(p.Y), c.rhs(p.X))
 }
 
-// InSubgroup reports whether p lies in the order-q subgroup.
+// InSubgroup reports whether p lies in the order-q subgroup. A point
+// decoded by UnmarshalSubgroup is a member on its proof; any other runs
+// the curve equation and the x-only ladder [q]P = ∞ (xladder.go).
 func (c *Curve) InSubgroup(p Point) bool {
-	if !c.IsOnCurve(p) {
+	switch {
+	case p.member:
+		return true
+	case !c.IsOnCurve(p):
 		return false
 	}
-	return c.ScalarMult(c.Q, p).inf
+	return p.inf || c.qTorsion(p.X)
 }
 
 // Equal reports whether two points are equal.
@@ -170,12 +183,15 @@ func (c *Curve) Neg(p Point) Point {
 	return Point{X: new(big.Int).Set(p.X), Y: c.F.Neg(p.Y)}
 }
 
-// Add returns p+q using affine formulas.
+// Add returns p+q using affine formulas. A sum never carries the member
+// bit, not even the operand returned as-is when the other is ∞.
 func (c *Curve) Add(p, q Point) Point {
 	if p.inf {
+		q.member = false
 		return q
 	}
 	if q.inf {
+		p.member = false
 		return p
 	}
 	if p.X.Cmp(q.X) == 0 {
@@ -279,8 +295,8 @@ func (c *Curve) RandScalar(rng io.Reader) (*big.Int, error) {
 	return c.qField.RandNonZero(rng)
 }
 
-// Clone returns an independent copy of p. External-backend points are
-// immutable, so their handle is shared.
+// Clone returns an independent copy of p, member bit included.
+// External-backend points are immutable, so their handle is shared.
 func (p Point) Clone() Point {
 	if p.Ext != nil {
 		return p
@@ -288,7 +304,7 @@ func (p Point) Clone() Point {
 	if p.inf {
 		return Infinity()
 	}
-	return Point{X: new(big.Int).Set(p.X), Y: new(big.Int).Set(p.Y)}
+	return Point{X: new(big.Int).Set(p.X), Y: new(big.Int).Set(p.Y), member: p.member}
 }
 
 // String renders the point for debugging.

@@ -81,15 +81,19 @@ func (c *Curve) Unmarshal(b []byte) (Point, error) {
 }
 
 // UnmarshalSubgroup decodes a compressed encoding and additionally
-// verifies subgroup membership; use it for all untrusted inputs.
+// verifies subgroup membership; use it for all untrusted inputs. The
+// lift already put the point on the curve, so the test is the x-only
+// ladder alone, and its verdict travels with the point: InSubgroup on
+// the result answers without running it again.
 func (c *Curve) UnmarshalSubgroup(b []byte) (Point, error) {
 	p, err := c.Unmarshal(b)
-	if err != nil {
-		return Point{}, err
+	if err != nil || p.inf {
+		return p, err
 	}
-	if !p.inf && !c.InSubgroup(p) {
+	if !c.qTorsion(p.X) {
 		return Point{}, errors.New("curve: point is not in the prime-order subgroup")
 	}
+	p.member = true
 	return p, nil
 }
 

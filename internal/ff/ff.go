@@ -80,8 +80,9 @@ func (f *Field) BitLen() int { return f.p.BitLen() }
 // ByteLen returns the fixed-width byte length used by Bytes/SetBytes.
 func (f *Field) ByteLen() int { return f.byteLen }
 
-// IsResidue reports whether x (reduced or not) is in [0, p).
-func (f *Field) IsResidue(x *big.Int) bool {
+// IsReduced reports whether x is a canonical representative, 0 ≤ x < p
+// (a range check, not quadratic residuosity).
+func (f *Field) IsReduced(x *big.Int) bool {
 	return x != nil && x.Sign() >= 0 && x.Cmp(f.p) < 0
 }
 

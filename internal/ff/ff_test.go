@@ -310,7 +310,7 @@ func TestRandIsInRangeAndVaried(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !f.IsResidue(a) {
+		if !f.IsReduced(a) {
 			t.Fatal("Rand out of range")
 		}
 		seen[a.String()] = true
@@ -337,18 +337,21 @@ func TestInvZeroPanics(t *testing.T) {
 	f.Inv(new(big.Int))
 }
 
-func TestReduceAndIsResidue(t *testing.T) {
+func TestReduceAndIsReduced(t *testing.T) {
 	f := testField(t)
-	big := new(big.Int).Add(f.P(), big.NewInt(5))
-	r := f.Reduce(big)
-	if !f.IsResidue(r) || r.Int64() != 5 {
+	wide := new(big.Int).Add(f.P(), big.NewInt(5))
+	r := f.Reduce(wide)
+	if !f.IsReduced(r) || r.Int64() != 5 {
 		t.Fatalf("Reduce(p+5) = %v", r)
 	}
-	if f.IsResidue(f.P()) {
-		t.Fatal("p itself must not be a residue")
+	if f.IsReduced(f.P()) {
+		t.Fatal("p itself must not count as reduced")
 	}
-	if f.IsResidue(nil) {
-		t.Fatal("nil must not be a residue")
+	if f.IsReduced(nil) {
+		t.Fatal("nil must not count as reduced")
+	}
+	if f.IsReduced(big.NewInt(-1)) {
+		t.Fatal("a negative integer must not count as reduced")
 	}
 }
 

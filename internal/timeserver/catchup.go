@@ -230,11 +230,11 @@ func (c *Client) CatchUp(ctx context.Context, labels []string) ([]core.KeyUpdate
 // rangeCatchUp runs the range fast path over the uncached labels: it
 // pages /v1/catchup windows that always start at the next label still
 // wanted, and takes each page through one pass — decode (curve and
-// subgroup membership of every point), the requested limit, window and
-// Total consistency, then the blinded batch equation as the admission
-// check. No update reaches the verified cache, or the caller, without
-// passing it; the page's Aggregate and Root fields are decoded and
-// ignored. It returns every verified update by label, with
+// subgroup membership of every point, the only subgroup test the page
+// gets), the requested limit, window and Total consistency, then the
+// blinded batch equation as the admission check. No update reaches the
+// verified cache, or the caller, without passing it; the page's
+// Aggregate and Root fields are decoded and ignored. It returns every verified update by label, with
 // complete=true when every wanted label was either delivered or covered
 // by a verified page (so an absent label is an unpublished label). A
 // nil map means the fast path is

@@ -82,10 +82,12 @@ func catchUpHeader(r *reader) (total, n int, err error) {
 // catch-up range response in two passes: the framing (lengths, strictly
 // ascending labels) serially, then the update points — curve and
 // subgroup membership, the dominant cost — across the worker pool, one
-// point per task. A bad point is reported at the lowest failing index,
-// exactly as a serial decoder would. Whether the updates are the
-// server's is NOT checked here — that is the client's job against its
-// pinned server key.
+// point per task. This is the one subgroup test a page's points get:
+// each decoded point carries its proof, so batch verification does not
+// repeat it (Backend.InSubgroup). A bad point is reported at the lowest
+// failing index, exactly as a serial decoder would. Whether the updates
+// are the server's is NOT checked here — that is the client's job
+// against its pinned server key.
 func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
 	r := &reader{buf: data}
 	total, n, err := catchUpHeader(r)
