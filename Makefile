@@ -37,7 +37,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), and internal/core + internal/bls381 (item 13)"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), and the serving tier (internal/timeserver, internal/token)"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -261,9 +261,9 @@ fuzz-smoke:
 # internal/archive, for the BLS-over-backend layer, for the §5 variants,
 # baselines and the appendix reduction (what ROADMAP item 3(b) moves out
 # of the serving binaries' dependency graph) and for the pre-benchmark
-# harness ROADMAP item 4 retires, and for internal/core and
-# internal/bls381 (ROADMAP item 13's acceptance figures). Quote it in
-# simplicity PRs.
+# harness ROADMAP item 4 retires, for internal/core and internal/bls381
+# (ROADMAP item 13's acceptance figures), and for the serving tier,
+# internal/timeserver and internal/token. Quote it in simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -279,6 +279,10 @@ loc:
 		find internal/core -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/bls381:                      '; \
 		find internal/bls381 -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/timeserver:                  '; \
+		find internal/timeserver -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/token:                       '; \
+		find internal/token -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

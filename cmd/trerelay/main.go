@@ -174,35 +174,7 @@ func run(ctx context.Context, cfg *config, stdout io.Writer) error {
 		cfg.onReady(ln.Addr().String())
 	}
 
-	errCh := make(chan error, 2)
-	go func() {
-		if err := httpServer.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-	go func() {
-		if err := relay.Run(ctx); !errors.Is(err, context.Canceled) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	select {
-	case <-ctx.Done():
+	return timeserver.ServeAndDrain(ctx, ln, httpServer, relay, func() {
 		fmt.Fprintln(stdout, "trerelay: shutting down")
-	case err := <-errCh:
-		if err != nil {
-			httpServer.Close()
-			return err
-		}
-	}
-	// Drain streams and long-polls first so Shutdown's grace period is
-	// spent on in-flight catch-up fetches, not parked subscribers.
-	relay.Drain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return httpServer.Shutdown(shutdownCtx)
+	})
 }

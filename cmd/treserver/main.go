@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -208,9 +207,10 @@ func run(ctx context.Context, cfg *config, stdout io.Writer) error {
 		return err
 	}
 	// Production limits (header-read timeout, idle timeout, header size
-	// cap) come from one place so the relay binary serves under the same
-	// protections; see timeserver.NewHTTPServer for why there is no
-	// overall write timeout (streams and long-polls are long-lived).
+	// cap) and the serve/drain/shutdown lifecycle come from one place so
+	// the relay and threshold daemons behave the same; see
+	// timeserver.NewHTTPServer for why there is no overall write timeout
+	// (streams and long-polls are long-lived).
 	httpServer := timeserver.NewHTTPServer(handler, cfg.headerWait)
 
 	extras := ""
@@ -223,37 +223,9 @@ func run(ctx context.Context, cfg *config, stdout io.Writer) error {
 		cfg.onReady(ln.Addr().String())
 	}
 
-	errCh := make(chan error, 2)
-	go func() {
-		if err := httpServer.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-	go func() {
-		if err := srv.Run(ctx); !errors.Is(err, context.Canceled) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	select {
-	case <-ctx.Done():
+	return timeserver.ServeAndDrain(ctx, ln, httpServer, srv, func() {
 		fmt.Fprintln(stdout, "treserver: shutting down")
-	case err := <-errCh:
-		if err != nil {
-			httpServer.Close()
-			return err
-		}
-	}
-	// Drain long-polls first so Shutdown's grace period is spent on
-	// genuinely in-flight work (catch-up fetches), not parked waiters.
-	srv.Drain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return httpServer.Shutdown(shutdownCtx)
+	})
 }
 
 func loadOrCreateKey(path string, set *tre.Params, stdout io.Writer) (*tre.ServerKeyPair, error) {

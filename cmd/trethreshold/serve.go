@@ -7,12 +7,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"time"
 
 	"timedrelease/internal/keyfile"
@@ -108,35 +106,7 @@ func runServe(ctx context.Context, cfg *serveConfig, stdout io.Writer) error {
 		cfg.onReady(ln.Addr().String())
 	}
 
-	errCh := make(chan error, 2)
-	go func() {
-		if err := httpServer.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-	go func() {
-		if err := srv.Run(ctx); !errors.Is(err, context.Canceled) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	select {
-	case <-ctx.Done():
+	return timeserver.ServeAndDrain(ctx, ln, httpServer, srv, func() {
 		fmt.Fprintf(stdout, "trethreshold: member %d shutting down\n", loaded.Share.Index)
-	case err := <-errCh:
-		if err != nil {
-			httpServer.Close()
-			return err
-		}
-	}
-	// Drain long-polls first so Shutdown's grace period is spent on
-	// genuinely in-flight work, not parked waiters.
-	srv.Drain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return httpServer.Shutdown(shutdownCtx)
+	})
 }

@@ -177,7 +177,9 @@ func (c *Client) Latest(ctx context.Context) (core.KeyUpdate, error) {
 	return c.verifyAndCache(u.Label, body)
 }
 
-// Labels returns all published labels.
+// Labels returns all published labels. A list over the 1 MiB body cap
+// (~50k labels) is an error, never a cut list; Relay.Run rides past it
+// on the stream's from-replay.
 func (c *Client) Labels(ctx context.Context) ([]string, error) {
 	body, status, err := c.get(ctx, "/v1/labels")
 	if err != nil {
@@ -278,8 +280,9 @@ func (c *Client) CachedLen() int {
 // transport errors, truncated bodies and transient statuses (429/5xx)
 // are retried with capped exponential backoff and jitter; definitive
 // answers (200, 404, …) are returned as-is on the attempt that got
-// them. The caller's ctx bounds the whole operation, including
-// backoff sleeps; the policy's PerAttempt bounds each try.
+// them, and a body over the cap is an error naming the path, never a
+// silently cut answer. The caller's ctx bounds the whole operation,
+// including backoff sleeps; the policy's PerAttempt bounds each try.
 func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
 	return c.getLimited(ctx, path, 1<<20)
 }
@@ -329,6 +332,9 @@ func (c *Client) request(ctx context.Context, method, path string, payload []byt
 			}
 			return body, status, nil
 		}
+		if errors.Is(err, errResponseTooLarge) {
+			return nil, 0, err
+		}
 		lastErr = err
 		if ctx.Err() != nil {
 			break // the caller gave up; do not mask that as "server down"
@@ -365,12 +371,21 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		return nil, 0, fmt.Errorf("timeserver: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, bodyLimit))
+	// One byte past the cap tells a body that fits from one that was cut.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, bodyLimit+1))
 	if err != nil {
 		return nil, 0, fmt.Errorf("timeserver: reading response: %w", err)
 	}
+	if int64(len(body)) > bodyLimit {
+		return nil, 0, fmt.Errorf("%w: %s: more than %d bytes", errResponseTooLarge, path, bodyLimit)
+	}
 	return body, resp.StatusCode, nil
 }
+
+// errResponseTooLarge marks a response body over the caller's cap. It
+// is a definitive answer — the server would send the same body again —
+// so request does not retry it.
+var errResponseTooLarge = errors.New("timeserver: response body over limit")
 
 // FetchBootstrap retrieves (parameters, server public key, schedule)
 // from an untrusted-transport server for first-time setup. The caller

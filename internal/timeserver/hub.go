@@ -11,21 +11,20 @@ import (
 // hub is the coalesced broadcast layer between the publish path and the
 // request handlers. One publish hands the already-encoded update bytes
 // to every parked subscriber — stream connections and one-shot
-// long-poll waiters alike — in a single sweep over a sharded registry,
-// so the cost of a publish is one wire encode plus one registry pass
+// long-poll waiters alike — in a single pass over the registry, so the
+// cost of a publish is one wire encode plus one registry pass
 // regardless of how many connections are parked. Compare the old
 // notifier, which woke every waiter blindly and had each one re-read
 // the archive and re-encode the update for itself.
 //
-// Each registry shard publishes an immutable map through an
-// atomic.Pointer, so the publish sweep takes no locks at all;
-// subscribe/unsubscribe copy-on-write the map under a short per-shard
-// mutex. Subscriptions carry no identity — a subscriber is an anonymous
-// channel and a label filter, consistent with the server's
-// no-user-state property.
+// The registry is one map under one mutex. publish holds it for its
+// pass of non-blocking sends; subscribe and unsubscribe are O(1) under
+// it, so no pass can race a removal. Subscriptions carry no identity —
+// a subscriber is an anonymous channel and a label filter, consistent
+// with the server's no-user-state property.
 type hub struct {
-	shards    [hubShardCount]hubShard
-	nextID    atomic.Uint64
+	mu        sync.Mutex
+	subs      map[*subscriber]struct{}
 	drained   chan struct{} // closed by drain(): every handler unparks terminally
 	drainOnce sync.Once
 
@@ -38,13 +37,11 @@ type hub struct {
 
 	// Observability (nil without instrument; obs types no-op on nil).
 	gSubs      *obs.Gauge     // timeserver.subscribers
-	gQueue     *obs.Gauge     // timeserver.stream_queue_depth (approximate under churn)
+	gQueue     *obs.Gauge     // timeserver.stream_queue_depth
 	cDelivered *obs.Counter   // timeserver.fanout_deliveries
 	cSheds     *obs.Counter   // timeserver.stream_sheds
 	hFanout    *obs.Histogram // timeserver.fanout_ns — one full registry pass
 }
-
-const hubShardCount = 16 // power of two; subscriber IDs spread uniformly
 
 // streamQueueCap bounds each stream subscriber's send queue. A
 // subscriber that falls this many updates behind is shed (dropped to
@@ -67,7 +64,6 @@ type streamMsg struct {
 // future update (a /v1/stream connection); otherwise exactly that label
 // (a one-shot /v1/wait parker, queue capacity 1).
 type subscriber struct {
-	id       uint64
 	label    string
 	ch       chan streamMsg
 	shed     chan struct{} // closed when the hub drops this subscriber
@@ -76,18 +72,8 @@ type subscriber struct {
 
 func (s *subscriber) drop() { s.shedOnce.Do(func() { close(s.shed) }) }
 
-type hubShard struct {
-	mu   sync.Mutex
-	subs atomic.Pointer[map[uint64]*subscriber]
-}
-
 func newHub() *hub {
-	h := &hub{drained: make(chan struct{})}
-	for i := range h.shards {
-		empty := make(map[uint64]*subscriber)
-		h.shards[i].subs.Store(&empty)
-	}
-	return h
+	return &hub{subs: make(map[*subscriber]struct{}), drained: make(chan struct{})}
 }
 
 // instrument binds the hub's metrics to r (see docs/OBSERVABILITY.md).
@@ -111,46 +97,25 @@ func (h *hub) subscribe(label string) *subscriber {
 		capacity = 1
 	}
 	sub := &subscriber{
-		id:    h.nextID.Add(1),
 		label: label,
 		ch:    make(chan streamMsg, capacity),
 		shed:  make(chan struct{}),
 	}
-	sh := &h.shards[sub.id%hubShardCount]
-	sh.mu.Lock()
-	old := *sh.subs.Load()
-	next := make(map[uint64]*subscriber, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[sub.id] = sub
-	sh.subs.Store(&next)
-	sh.mu.Unlock()
+	h.mu.Lock()
+	h.subs[sub] = struct{}{}
+	h.mu.Unlock()
 	h.gSubs.Add(1)
 	return sub
 }
 
 // unsubscribe removes a subscriber and settles its queue-depth
-// accounting. A publish sweep racing with removal may still enqueue one
-// message to the departed subscriber; the gauge is therefore
-// approximate under churn (by at most one per in-flight sweep).
+// accounting: once it is out of the map no publish can enqueue to it,
+// so draining its queue here leaves the gauge exact.
 func (h *hub) unsubscribe(sub *subscriber) {
-	sh := &h.shards[sub.id%hubShardCount]
-	sh.mu.Lock()
-	old := *sh.subs.Load()
-	if _, ok := old[sub.id]; ok {
-		next := make(map[uint64]*subscriber, len(old)-1)
-		for k, v := range old {
-			if k != sub.id {
-				next[k] = v
-			}
-		}
-		sh.subs.Store(&next)
-		sh.mu.Unlock()
-		h.gSubs.Add(-1)
-	} else {
-		sh.mu.Unlock()
-	}
+	h.mu.Lock()
+	delete(h.subs, sub)
+	h.mu.Unlock()
+	h.gSubs.Add(-1)
 	for {
 		select {
 		case <-sub.ch:
@@ -163,40 +128,38 @@ func (h *hub) unsubscribe(sub *subscriber) {
 
 // count returns the number of registered subscribers.
 func (h *hub) count() int {
-	n := 0
-	for i := range h.shards {
-		n += len(*h.shards[i].subs.Load())
-	}
-	return n
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs)
 }
 
 // publish fans the already-encoded update out to every matching
-// subscriber in ONE lock-free pass. Enqueueing never blocks: a stream
-// subscriber whose queue is full is shed (its handler sends a terminal
-// comment and closes, and the client reconnects through catch-up); a
-// one-shot waiter with a full queue already holds its answer.
+// subscriber in ONE pass. Enqueueing never blocks: a stream subscriber
+// whose queue is full is shed (its handler sends a terminal comment and
+// closes, and the client reconnects through catch-up); a one-shot
+// waiter with a full queue already holds its answer.
 func (h *hub) publish(idx int64, label string, body []byte) {
 	start := time.Now()
 	h.passes.Add(1)
 	msg := streamMsg{idx: idx, label: label, body: body}
 	var delivered, sheds int64
-	for i := range h.shards {
-		for _, sub := range *h.shards[i].subs.Load() {
-			if sub.label != "" && sub.label != label {
-				continue
-			}
-			select {
-			case sub.ch <- msg:
-				delivered++
-				h.gQueue.Add(1)
-			default:
-				if sub.label == "" {
-					sub.drop()
-					sheds++
-				}
+	h.mu.Lock()
+	for sub := range h.subs {
+		if sub.label != "" && sub.label != label {
+			continue
+		}
+		select {
+		case sub.ch <- msg:
+			h.gQueue.Add(1) // before the next send: a reader's -1 trails by at most one
+			delivered++
+		default:
+			if sub.label == "" {
+				sub.drop()
+				sheds++
 			}
 		}
 	}
+	h.mu.Unlock()
 	h.delivered.Add(delivered)
 	h.sheds.Add(sheds)
 	h.cDelivered.Add(delivered)

@@ -263,6 +263,13 @@ func (r *Relay) Run(ctx context.Context) error {
 			return err
 		}
 		synced, serr := r.syncOnce(ctx)
+		if errors.Is(serr, errResponseTooLarge) {
+			// The upstream label list has outgrown the client's body cap
+			// (~35 days of 1-minute epochs). The stream's from-replay
+			// below fills the same gap without a list.
+			r.log.Event("relay-labels-over-cap", "err", serr.Error())
+			serr = nil
+		}
 		streamed := 0
 		var err error = serr
 		if serr == nil {

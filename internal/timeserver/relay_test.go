@@ -1,9 +1,12 @@
 package timeserver
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +178,59 @@ func TestRelayConvergesAfterUpstreamOutage(t *testing.T) {
 	}
 }
 
+func TestRelayIngestsPastAnOversizedLabelList(t *testing.T) {
+	// An upstream whose /v1/labels has outgrown the client's 1 MiB cap.
+	// Labels is an error there, but the relay must not stall on it: the
+	// stream's from-replay brings in the backlog, and later publishes
+	// still flow through.
+	e := newEnv(t)
+	if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	backlog := e.sched.Label(e.clock.Now())
+	origin := e.server.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/labels" {
+			w.Write(bytes.Repeat([]byte("x"), 1<<20+1))
+			return
+		}
+		origin.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	up := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()), WithRetry(NoRetry))
+	if _, err := up.Labels(context.Background()); err == nil {
+		t.Fatal("Labels accepted an oversized list")
+	}
+	relay := NewRelay(up, e.sched,
+		RelayWithRetry(RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}))
+	rts := httptest.NewServer(relay.Handler())
+	t.Cleanup(rts.Close)
+	down := NewClient(rts.URL, e.set, e.key.Pub, WithHTTPClient(rts.Client()))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- relay.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer dcancel()
+	if _, err := down.WaitFor(dctx, backlog); err != nil {
+		t.Fatalf("backlog through the relay: %v", err)
+	}
+	waitSubscribers(t, e.server.Subscribers, 1) // the relay's upstream stream
+	e.clock.Advance(time.Minute)
+	next := e.sched.Label(e.clock.Now())
+	if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	u, err := down.WaitFor(dctx, next)
+	if err != nil {
+		t.Fatalf("later publish through the relay: %v", err)
+	}
+	if u.Label != next || !e.sc.VerifyUpdate(e.key.Pub, u) {
+		t.Fatal("relayed later update invalid")
+	}
+}
+
 func TestRelayBootstrapMatchesOrigin(t *testing.T) {
 	// A downstream consumer can bootstrap from the relay alone and gets
 	// the ORIGIN's parameters, key and schedule — the relay adds nothing.
@@ -225,4 +281,18 @@ func TestRelayHoldsNoSecretAndCannotForge(t *testing.T) {
 	if _, err := skeptic.Update(ctx, re.sched.Label(re.clock.Now())); !errors.Is(err, ErrBadUpdate) {
 		t.Fatalf("differently-pinned client accepted relayed update: err=%v, want ErrBadUpdate", err)
 	}
+}
+
+func TestRelayLeaksNoGoroutinesAfterDrain(t *testing.T) {
+	// The relay counterpart of TestServerLeaksNoGoroutinesAfterDrain:
+	// downstream streams and long-polls on the relay, one update relayed
+	// from the origin, then Drain. Only the relay's own upstream stream,
+	// already running before the count, may stay.
+	re := newRelayEnv(t)
+	waitSubscribers(t, re.server.Subscribers, 1) // the relay's upstream stream
+	re.rts.Client().CloseIdleConnections()
+	before := runtime.NumGoroutine()
+	parkAndDrain(t, re.env, re.down, re.relay.Subscribers, re.relay.Drain)
+	re.rts.Client().CloseIdleConnections()
+	waitGoroutines(t, before, "relayed streams, long-polls and Drain")
 }

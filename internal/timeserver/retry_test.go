@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -114,6 +116,35 @@ func TestNoRetryOnDefinitiveAnswer(t *testing.T) {
 	}
 	if got := reg.Counter("client.retries").Load(); got != 0 {
 		t.Fatalf("client.retries = %d, want 0", got)
+	}
+}
+
+func TestOversizedBodyIsAnErrorNotACutAnswer(t *testing.T) {
+	// /v1/labels answers one byte more than the 1 MiB cap. Cutting the
+	// body at the cap would hand back a list ending in a partial label
+	// (which a relay then asks its upstream for); it must be an error
+	// naming the path, and not be retried — the server would send the
+	// same body again.
+	const limit = 1 << 20
+	e := newEnv(t)
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		label := e.sched.Label(e.clock.Now()) + "\n"
+		body := strings.Repeat(label, limit/len(label)+1)[:limit+1]
+		w.Write([]byte(body))
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()), WithRetry(fastRetry))
+	labels, err := c.Labels(context.Background())
+	if err == nil {
+		t.Fatalf("Labels returned %d labels from an oversized body, want an error", len(labels))
+	}
+	if !strings.Contains(err.Error(), "/v1/labels") {
+		t.Fatalf("err = %v, want it to name /v1/labels", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("requests = %d, want 1 (an oversized body is a definitive answer)", n)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -433,9 +434,10 @@ func (v *publicView) handleLabels(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, strings.Join(v.arch.Labels(), "\n"))
 }
 
-// Production http.Server limits shared by cmd/treserver and
-// cmd/trerelay. A stuck or malicious header-writer is cut off at
-// ReadHeaderTimeout; idle keep-alive connections are reaped; headers
+// Production http.Server limits shared by the serving daemons
+// (cmd/treserver, cmd/trerelay, trethreshold serve). A stuck or
+// malicious header-writer is cut off at ReadHeaderTimeout; idle
+// keep-alive connections are reaped; headers
 // are capped well under the default 1 MiB (this protocol needs a
 // request line and little else). Deliberately no ReadTimeout or
 // WriteTimeout: /v1/wait parks for up to two minutes and /v1/stream
@@ -460,4 +462,41 @@ func NewHTTPServer(h http.Handler, readHeaderTimeout time.Duration) *http.Server
 		IdleTimeout:       DefaultIdleTimeout,
 		MaxHeaderBytes:    DefaultMaxHeaderBytes,
 	}
+}
+
+// ServeAndDrain is the serving daemons' lifecycle: hs serves on ln while
+// svc (a Server's publish loop or a Relay's upstream sync) runs, until
+// ctx is cancelled or either of them fails. A failure closes hs and is
+// returned. On cancellation it calls stopping, drains svc — parked
+// streams and long-polls answer at once, so the grace period is spent
+// on genuinely in-flight work such as catch-up fetches — and gives hs
+// five seconds to finish.
+func ServeAndDrain(ctx context.Context, ln net.Listener, hs *http.Server, svc interface {
+	Run(context.Context) error
+	Drain()
+}, stopping func()) error {
+	errCh := make(chan error, 2)
+	run := func(f func() error, clean error) {
+		if err := f(); !errors.Is(err, clean) {
+			errCh <- err
+			return
+		}
+		errCh <- nil
+	}
+	go run(func() error { return hs.Serve(ln) }, http.ErrServerClosed)
+	go run(func() error { return svc.Run(ctx) }, context.Canceled)
+
+	select {
+	case <-ctx.Done():
+		stopping()
+	case err := <-errCh:
+		if err != nil {
+			hs.Close()
+			return err
+		}
+	}
+	svc.Drain()
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return hs.Shutdown(shutdownCtx)
 }

@@ -9,13 +9,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"timedrelease/internal/core"
 	"timedrelease/internal/faulthttp"
+	"timedrelease/internal/obs"
 	"timedrelease/internal/params"
 	"timedrelease/internal/timefmt"
 )
@@ -30,6 +33,20 @@ func waitSubscribers(t *testing.T, count func() int, n int) {
 			t.Fatalf("subscribers = %d, want %d", count(), n)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitGoroutines polls until at most n goroutines are left — every
+// goroutine the test started on top of n has exited (the pattern of
+// TestCatchUpRangeOnePassContract) — and fails with a dump otherwise.
+func waitGoroutines(t *testing.T, n int, after string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after %s, %d before it:\n%s",
+				runtime.NumGoroutine(), after, n, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 
@@ -406,6 +423,30 @@ func TestWaitForFallsBackToLongPollOn404(t *testing.T) {
 	}
 }
 
+func TestWaitForLongPollBacksOffOnEarly404(t *testing.T) {
+	// A server (or proxy) that 404s every path sends WaitFor to the
+	// long-poll fallback, whose 404s then come back at once instead of
+	// after the wait timeout. The fallback must back off under the retry
+	// policy, not re-issue as fast as the network answers.
+	e := newEnv(t)
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := client.WaitFor(ctx, e.sched.Label(e.clock.Now())); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitFor against an all-404 server: %v, want the context's deadline", err)
+	}
+	if n := requests.Load(); n > 10 {
+		t.Fatalf("%d requests in 300 ms, want at most 10", n)
+	}
+}
+
 func TestWaitForReconnectsAfterMidStreamCut(t *testing.T) {
 	// The first stream connection is cut mid-body (truncated before any
 	// event); WaitFor must reconnect under the retry policy and succeed
@@ -496,4 +537,140 @@ func TestStreamRejectsInjectedUpdate(t *testing.T) {
 	if !errors.Is(err, ErrBadUpdate) {
 		t.Fatalf("stream with wrong pinned key: err=%v, want ErrBadUpdate", err)
 	}
+}
+
+func TestHubChurnDeliversEveryUpdateExactlyOnce(t *testing.T) {
+	// Short-lived streams and /v1/wait parkers subscribe and leave while
+	// updates are published. Every stream that stays connected gets
+	// every update exactly once and in order, the registry empties when
+	// everyone has left, and both hub gauges settle at exactly 0 — no
+	// publish pass can enqueue to a subscriber that already left. Run
+	// under -race by `make ci`.
+	e := newEnv(t)
+	reg := obs.NewRegistry()
+	srv := NewServer(e.set, e.key, e.sched, WithClock(e.clock.Now), WithMetrics(reg))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	const survivors, updates, churners = 4, 12, 6
+	seen := make([][]string, survivors)
+	var streams sync.WaitGroup
+	for i := range survivors {
+		streams.Add(1)
+		go func() {
+			defer streams.Done()
+			_, err := client.StreamUpdates(ctx, "", func(u core.KeyUpdate) error {
+				seen[i] = append(seen[i], u.Label)
+				if len(seen[i]) == updates {
+					return errStopStream
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("surviving stream %d: %v", i, err)
+			}
+		}()
+	}
+	waitSubscribers(t, srv.Subscribers, survivors)
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	never := e.sched.Label(e.clock.Now().Add(24 * time.Hour))
+	for i := range churners {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cctx, ccancel := context.WithTimeout(ctx, time.Duration(1+n%5)*time.Millisecond)
+				switch {
+				case i%2 == 0:
+					client.StreamUpdates(cctx, "", func(core.KeyUpdate) error { return errStopStream })
+				case n%2 == 0:
+					client.WaitForReleaseLongPoll(cctx, never)
+				default: // the next label to be published
+					client.WaitForReleaseLongPoll(cctx, e.sched.Label(e.clock.Now().Add(time.Minute)))
+				}
+				ccancel()
+			}
+		}()
+	}
+
+	var want []string
+	for range updates {
+		time.Sleep(5 * time.Millisecond)
+		e.clock.Advance(time.Minute)
+		if _, err := srv.PublishUpTo(e.clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e.sched.Label(e.clock.Now()))
+	}
+	streams.Wait()
+	close(stop)
+	churn.Wait()
+	for i, got := range seen {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("surviving stream %d saw\n %v\nwant\n %v", i, got, want)
+		}
+	}
+
+	waitSubscribers(t, srv.Subscribers, 0)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		g := reg.Snapshot().Gauges
+		if g["timeserver.subscribers"] == 0 && g["timeserver.stream_queue_depth"] == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hub gauges at rest: subscribers %d, stream_queue_depth %d; want 0 and 0",
+				g["timeserver.subscribers"], g["timeserver.stream_queue_depth"])
+		}
+	}
+}
+
+func TestServerLeaksNoGoroutinesAfterDrain(t *testing.T) {
+	// Streams and long-polls parked on an origin, one publish, then
+	// Drain: every handler and client goroutine they started exits.
+	e := newEnv(t)
+	e.ts.Client().CloseIdleConnections()
+	before := runtime.NumGoroutine()
+	parkAndDrain(t, e, e.client, e.server.Subscribers, e.server.Drain)
+	e.ts.Client().CloseIdleConnections()
+	waitGoroutines(t, before, "streams, long-polls and Drain")
+}
+
+// parkAndDrain parks three streams and three long-polls (on a label
+// that is never published) through c, waits until count sees all six,
+// publishes the current epoch on e's origin, drains, and returns once
+// every client call has returned and the hub is empty.
+func parkAndDrain(t *testing.T, e *env, c *Client, count func() int, drain func()) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	never := e.sched.Label(e.clock.Now().Add(time.Hour))
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			c.StreamUpdates(ctx, "", func(core.KeyUpdate) error { return nil })
+		}()
+		go func() {
+			defer wg.Done()
+			c.WaitForReleaseLongPoll(ctx, never)
+		}()
+	}
+	waitSubscribers(t, count, 6)
+	if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+		t.Error(err)
+	}
+	drain()
+	wg.Wait()
+	waitSubscribers(t, count, 0)
 }

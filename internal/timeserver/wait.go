@@ -81,7 +81,12 @@ func (v *publicView) handleWait(w http.ResponseWriter, r *http.Request) {
 // delivery latency bounded by the network rather than the poll period.
 // Prefer WaitFor, which rides the push stream and falls back to this.
 func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core.KeyUpdate, error) {
-	for {
+	p := c.retry
+	if p.BaseDelay <= 0 {
+		p = DefaultRetry
+	}
+	for early := 0; ; {
+		start := time.Now()
 		body, status, err := c.get(ctx, "/v1/wait/"+label+"?timeout="+defaultWaitTimeout.String())
 		if err != nil {
 			return core.KeyUpdate{}, err
@@ -90,11 +95,19 @@ func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core
 		case http.StatusOK:
 			return c.verifyAndCache(label, body)
 		case http.StatusNotFound:
-			// Timed out server-side; re-issue (also check ctx).
-			select {
-			case <-ctx.Done():
-				return core.KeyUpdate{}, ctx.Err()
-			default:
+			// Timed out server-side: re-issue at once. A 404 that came
+			// back before the wait timeout means nothing parked the poll
+			// (a proxy, or a server without /v1/wait): back off first, or
+			// this would be a tight request loop bounded only by ctx.
+			var pause time.Duration
+			if time.Since(start) < defaultWaitTimeout {
+				early++
+				pause = p.backoff(min(early, 16))
+			} else {
+				early = 0
+			}
+			if err := sleepCtx(ctx, pause); err != nil {
+				return core.KeyUpdate{}, err
 			}
 		default:
 			return core.KeyUpdate{}, fmt.Errorf("timeserver: unexpected status %d", status)

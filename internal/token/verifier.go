@@ -35,11 +35,12 @@ func (v *Verifier) Ledger() *Ledger { return v.led }
 // redemption of the same token succeeds; the rest get ErrDoubleSpend.
 // The order is chosen for the hot paths:
 //
-//  1. lock-free spent check — a replayed token is rejected for the
-//     price of a map lookup, no pairing burned;
+//  1. spent check under the set's read lock — a replayed token is
+//     rejected for the price of a map lookup, no pairing burned, and
+//     never waits behind another redemption's fsync;
 //  2. prepared pairing verification — ê(G, S) = ê(xG, H1(seed));
-//  3. Ledger.Spend — atomic recheck under the shard lock, durable
-//     append, then publish. Verification precedes Spend so garbage
+//  3. Ledger.Spend — atomic recheck under the ledger's Spend mutex,
+//     durable append, then publish. Verification precedes Spend so garbage
 //     tokens can never grow the ledger.
 //
 // A ledger persistence failure fails CLOSED (the error is returned and
