@@ -15,7 +15,7 @@ all: build vet test
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + arm64/386 portability build"
+	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64/386 portability build"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -145,10 +145,14 @@ lint:
 # detector covers the WHOLE module; the concurrency reaches from the
 # scheme's prepared-key slot and pooled arenas up through the serving
 # path, so nothing is exempt). This is what .github/workflows/ci.yml executes.
-# The recipe line pins that the tree, the BLS12-381 and ff field kernels
-# included, is portable Go with no architecture fork: a 64-bit non-amd64
-# build and a 32-bit vet, both offline from GOROOT.
+# The first recipe line runs the packages whose fork-joins split across
+# cores (core's checked encapsulation, bls's batch verification and the
+# token unblinding built on it) on one processor, where parallel.For runs
+# every index inline and in order. The second pins that the tree, the BLS12-381 and ff field
+# kernels included, is portable Go with no architecture fork: a 64-bit
+# non-amd64 build and a 32-bit vet, both offline from GOROOT.
 ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
+	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/
 
 # Historical pre-commit name.

@@ -83,8 +83,9 @@ type BaseTable any
 // PreparedKey is a server verification key (G, sG, sG2) with whatever
 // per-backend pairing precomputation pays off for repeated checks. On
 // Type-1 backends that is the Miller-loop line schedules of G and sG;
-// on Type-3 backends it is the prepared G2 line schedules of the
-// generator and sG2. A PreparedKey is immutable and safe for
+// on BLS12-381 nothing does, and it holds just the points (its Miller
+// loop makes each G2 line as it applies it). A PreparedKey is immutable
+// and safe for
 // concurrent use. Both methods are bare pairing equations: validating
 // the varying points is the caller's job (package bls owns the
 // signature predicate).

@@ -1,28 +1,39 @@
 package bls381
 
-import "testing"
+import (
+	"testing"
 
-// TestPreparedPairingAllocs is the BLS12-381 row of the zero-allocation
-// contract (docs/PERFORMANCE.md §3): with the G2 line schedules
-// prepared, a pairing stays off the heap, and the two-pairing equality
-// check behind every signature verification allocates only the three
-// argument slices of its product — nothing per Miller step.
-func TestPreparedPairingAllocs(t *testing.T) {
+	"timedrelease/internal/backend"
+)
+
+// TestPairingAllocs is the BLS12-381 row of the zero-allocation contract
+// (docs/PERFORMANCE.md §3): the Miller loop makes and applies each line
+// in place, so a pairing stays off the heap, and the two-pairing
+// equality checks — samePairing and the prepared key's pair-check behind
+// every signature verification — allocate at most their argument
+// slices, nothing per Miller step.
+func TestPairingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	initCtx()
+	be := New()
 	p, q := randG1(t), randG2(t)
-	prep := prepareG2(&q)
+	g1, g2 := be.Generator(backend.G1), be.Generator(backend.G2)
+	pk := be.PrepareKey(g1, g1, g2)
 	for _, op := range []struct {
 		name  string
 		bound float64
 		run   func()
 	}{
-		{"pairPrepared", 0, func() { pairPrepared(&p, prep) }},
+		{"pair", 0, func() { pair(&p, &q) }},
 		{"samePairing", 3, func() {
-			if !samePairing(&p, prep, &p, prep) {
+			if !samePairing(&p, &q, &p, &q) {
 				t.Fatal("trivially equal pairings differ")
+			}
+		}},
+		{"PairCheck", 3, func() {
+			if !pk.PairCheck(g2, g2) {
+				t.Fatal("ê(G, G2) = ê(G, G2) rejected")
 			}
 		}},
 	} {

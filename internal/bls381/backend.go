@@ -327,23 +327,19 @@ func (b *Backend) ParsePoint(g backend.Group, data []byte) (curve.Point, error) 
 // Pair computes the optimal-ate pairing e(p, q).
 func (b *Backend) Pair(p, q curve.Point) backend.GT {
 	pa, qa := unwrapG1(p), unwrapG2(q)
-	v := pairPrepared(&pa, prepareG2(&qa))
-	return &gtElem{v: v}
+	return &gtElem{v: pair(&pa, &qa)}
 }
 
 // PairProduct computes Π e(Pᵢ, Qᵢ) with one shared Miller loop and
 // final exponentiation.
 func (b *Backend) PairProduct(pairs []backend.PointPair) backend.GT {
 	ps := make([]*g1Affine, len(pairs))
-	qs := make([]*g2Prepared, len(pairs))
+	qs := make([]*g2Affine, len(pairs))
 	for i, f := range pairs {
-		pa := unwrapG1(f.P)
-		qa := unwrapG2(f.Q)
-		ps[i] = &pa
-		qs[i] = prepareG2(&qa)
+		pa, qa := unwrapG1(f.P), unwrapG2(f.Q)
+		ps[i], qs[i] = &pa, &qa
 	}
-	v := pairProduct(ps, qs)
-	return &gtElem{v: v}
+	return &gtElem{v: pairProduct(ps, qs)}
 }
 
 // SamePairing reports e(a1, b1) == e(a2, b2) via the single product
@@ -351,39 +347,32 @@ func (b *Backend) PairProduct(pairs []backend.PointPair) backend.GT {
 func (b *Backend) SamePairing(a1, b1, a2, b2 curve.Point) bool {
 	p1, p2 := unwrapG1(a1), unwrapG1(a2)
 	q1, q2 := unwrapG2(b1), unwrapG2(b2)
-	return samePairing(&p1, prepareG2(&q1), &p2, prepareG2(&q2))
+	return samePairing(&p1, &q1, &p2, &q2)
 }
 
-// PrepareKey stores the G1 key points and precomputes the G2 line
-// schedules of the generator and sg2 — the two fixed G2 arguments of
-// the user-key well-formedness check, which is the hot prepared path
-// on this backend (PairCheck's G2 arguments vary per call and are
-// prepared on the fly).
+// PrepareKey unwraps the server key's points once. Nothing is
+// precomputed: both checks make their G2 lines on the fly, as every
+// pairing on this backend does (docs/PAIRING.md, "Fixed-argument
+// precomputation"). The method is part of backend.Backend for the
+// Type-1 backend, whose prepared line schedules do pay.
 func (b *Backend) PrepareKey(g, sg, sg2 curve.Point) backend.PreparedKey {
-	ga, sga := unwrapG1(g), unwrapG1(sg)
-	sg2a := unwrapG2(sg2)
-	return &blsPrepared{
-		g:    ga,
-		sg:   sga,
-		g2p:  prepareG2(&ctx.g2),
-		sg2p: prepareG2(&sg2a),
-	}
+	return &blsPrepared{g: unwrapG1(g), sg: unwrapG1(sg), sg2: unwrapG2(sg2)}
 }
 
 type blsPrepared struct {
-	g, sg     g1Affine
-	g2p, sg2p *g2Prepared
+	g, sg g1Affine
+	sg2   g2Affine
 }
 
 func (pk *blsPrepared) PairCheck(h, sig curve.Point) bool {
 	ha, siga := unwrapG2(h), unwrapG2(sig)
-	return samePairing(&pk.g, prepareG2(&siga), &pk.sg, prepareG2(&ha))
+	return samePairing(&pk.g, &siga, &pk.sg, &ha)
 }
 
 func (pk *blsPrepared) SameKey(ag, asg curve.Point) bool {
 	// ê(aG, sG2) = ê(asG, G2): holds iff asg = a·sg for the a behind ag.
 	aga, asga := unwrapG1(ag), unwrapG1(asg)
-	return samePairing(&aga, pk.sg2p, &asga, pk.g2p)
+	return samePairing(&aga, &pk.sg2, &asga, &ctx.g2)
 }
 
 // gtElem wraps an fe12 pairing value as an opaque backend.GT.

@@ -18,30 +18,22 @@ func BenchmarkPairing(b *testing.B) {
 	}
 }
 
-func BenchmarkPairingPrepared(b *testing.B) {
-	initCtx()
-	p := randG1(b)
-	q := randG2(b)
-	pq := prepareG2(&q)
+// BenchmarkPairCheck is the two-arm check behind every signature
+// verification: one Miller loop over both pairs, one final
+// exponentiation.
+func BenchmarkPairCheck(b *testing.B) {
+	p, q := randG1(b), randG2(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = pairPrepared(&p, pq)
+		sinkBool = samePairing(&p, &q, &p, &q)
 	}
 }
 
-// The pairing in its three parts: the G2 line schedule, the Miller
-// loop over it, and the final exponentiation.
-func BenchmarkPrepareG2(b *testing.B) {
-	q := randG2(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = prepareG2(&q)
-	}
-}
-
+// The pairing in its two parts: the Miller loop, line computation
+// included, and the final exponentiation.
 func BenchmarkMillerLoop(b *testing.B) {
 	p, q := randG1(b), randG2(b)
-	ps, qs := []*g1Affine{&p}, []*g2Prepared{prepareG2(&q)}
+	ps, qs := []*g1Affine{&p}, []*g2Affine{&q}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = millerLoop(ps, qs)
@@ -50,7 +42,7 @@ func BenchmarkMillerLoop(b *testing.B) {
 
 func BenchmarkFinalExp(b *testing.B) {
 	p, q := randG1(b), randG2(b)
-	f := millerLoop([]*g1Affine{&p}, []*g2Prepared{prepareG2(&q)})
+	f := millerLoop([]*g1Affine{&p}, []*g2Affine{&q})
 	var out fe12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,42 +9,16 @@ import "math/bits"
 //
 // The Miller loop runs on the M-twist: P is mapped to
 // P' = (xP·w², yP·w³) ∈ E'(Fp12) so every line through twist points is
-// the sparse element A + B·v + C·v·w with A, B, C ∈ Fp2. Line
-// coefficients depend only on Q, so a fixed Q yields a reusable
-// schedule (g2Prepared) and the per-P work is two Fp2-by-Fp scalings
-// per step plus the sparse multiplication.
+// the sparse element A + B·v + C·v·w with A, B, C ∈ Fp2. Each line is
+// applied the moment its step makes it: nothing is stored per Q, so a
+// pairing stays off the heap (docs/PAIRING.md, "Fixed-argument
+// precomputation", says why BLS12-381 has no prepared mode).
 
 // lineCoeffs is one Miller-loop step: the line through the running
 // point (and Q, on addition steps), with b and c still missing their
 // xP / yP factors.
 type lineCoeffs struct {
 	a, b, c fe2
-}
-
-// g2Prepared is the precomputed line schedule of a fixed G2 point: 63
-// doubling steps interleaved with 5 addition steps following |x|'s
-// bits. Immutable after construction and safe for concurrent use.
-type g2Prepared struct {
-	lines []lineCoeffs
-	inf   bool
-}
-
-// prepareG2 computes the line schedule for q.
-func prepareG2(q *g2Affine) *g2Prepared {
-	initCtx()
-	if q.isInfinity() {
-		return &g2Prepared{inf: true}
-	}
-	pp := &g2Prepared{lines: make([]lineCoeffs, 0, 68)}
-	var r g2Jac
-	r.fromAffine(q)
-	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
-		pp.lines = append(pp.lines, doubleStep(&r))
-		if xAbs>>i&1 == 1 {
-			pp.lines = append(pp.lines, addStep(&r, q))
-		}
-	}
-	return pp
 }
 
 // doubleStep advances r ← 2r and returns the tangent line at the old r,
@@ -147,29 +121,44 @@ func addStep(r *g2Jac, q *g2Affine) lineCoeffs {
 	return l
 }
 
-// millerLoop evaluates the product of Miller functions for the given
-// pairs, sharing the f² squaring across pairs. Pairs with an infinite
-// side contribute 1 and are skipped by the callers.
-func millerLoop(ps []*g1Affine, qs []*g2Prepared) fe12 {
+// millerArm is one pair of a Miller loop: its index into ps and qs, and
+// the running multiple of Q that the line steps advance. It holds no
+// pointer, so the arms never make the loop's arguments escape.
+type millerArm struct {
+	k int
+	r g2Jac
+}
+
+// millerLoop evaluates the product of the Miller functions of the pairs
+// (ps[k], qs[k]), sharing the f² squaring across them. A pair with an
+// infinite side contributes 1. Up to two arms live on the stack.
+func millerLoop(ps []*g1Affine, qs []*g2Affine) fe12 {
 	initCtx()
+	var buf [2]millerArm
+	arms := buf[:0]
+	for k := range ps {
+		if ps[k].isInfinity() || qs[k].isInfinity() {
+			continue
+		}
+		arms = append(arms, millerArm{k: k})
+		arms[len(arms)-1].r.fromAffine(qs[k])
+	}
 	var f fe12
 	f.setOne()
-	idx := 0
-	started := false
-	for i := bits.Len64(xAbs) - 2; i >= 0; i-- {
-		if started {
+	top := bits.Len64(xAbs) - 2
+	for i := top; i >= 0; i-- {
+		if i != top {
 			f.sqr(&f)
 		}
-		for k := range ps {
-			applyLine(&f, &qs[k].lines[idx], ps[k])
+		for j := range arms {
+			l := doubleStep(&arms[j].r)
+			applyLine(&f, &l, ps[arms[j].k])
 		}
-		started = true
-		idx++
 		if xAbs>>i&1 == 1 {
-			for k := range ps {
-				applyLine(&f, &qs[k].lines[idx], ps[k])
+			for j := range arms {
+				l := addStep(&arms[j].r, qs[arms[j].k])
+				applyLine(&f, &l, ps[arms[j].k])
 			}
-			idx++
 		}
 	}
 	f.conj(&f) // x < 0
@@ -183,48 +172,25 @@ func applyLine(f *fe12, l *lineCoeffs, p *g1Affine) {
 	f.mulBySparse(f, &l.a, &b, &c)
 }
 
-// pairPrepared computes the reduced pairing e(P, Q) ∈ GT from Q's line
-// schedule; infinity on either side yields the identity.
-func pairPrepared(p *g1Affine, q *g2Prepared) fe12 {
-	initCtx()
+// pairProduct computes ∏ e(Pᵢ, Qᵢ) with one shared Miller loop and one
+// final exponentiation; infinity on either side of a pair contributes 1.
+func pairProduct(ps []*g1Affine, qs []*g2Affine) fe12 {
+	f := millerLoop(ps, qs)
 	var out fe12
-	if p.isInfinity() || q.inf {
-		out.setOne()
-		return out
-	}
-	f := millerLoop([]*g1Affine{p}, []*g2Prepared{q})
 	out.finalExp(&f)
 	return out
 }
 
-// pairProduct computes ∏ e(Pᵢ, Qᵢ) with one shared Miller loop and one
-// final exponentiation.
-func pairProduct(ps []*g1Affine, qs []*g2Prepared) fe12 {
-	initCtx()
-	lps := make([]*g1Affine, 0, len(ps))
-	lqs := make([]*g2Prepared, 0, len(qs))
-	for i := range ps {
-		if ps[i].isInfinity() || qs[i].inf {
-			continue
-		}
-		lps = append(lps, ps[i])
-		lqs = append(lqs, qs[i])
-	}
-	var out fe12
-	if len(lps) == 0 {
-		out.setOne()
-		return out
-	}
-	f := millerLoop(lps, lqs)
-	out.finalExp(&f)
-	return out
+// pair computes the reduced pairing e(P, Q) ∈ GT.
+func pair(p *g1Affine, q *g2Affine) fe12 {
+	return pairProduct([]*g1Affine{p}, []*g2Affine{q})
 }
 
 // samePairing reports e(a1, b1) == e(a2, b2) via the product
 // e(−a1, b1)·e(a2, b2) == 1: one Miller loop, one final exponentiation.
-func samePairing(a1 *g1Affine, b1 *g2Prepared, a2 *g1Affine, b2 *g2Prepared) bool {
+func samePairing(a1 *g1Affine, b1 *g2Affine, a2 *g1Affine, b2 *g2Affine) bool {
 	var n1 g1Affine
 	n1.neg(a1)
-	out := pairProduct([]*g1Affine{&n1, a2}, []*g2Prepared{b1, b2})
+	out := pairProduct([]*g1Affine{&n1, a2}, []*g2Affine{b1, b2})
 	return out.isOne()
 }

@@ -71,22 +71,15 @@ func TestPairProductAndSamePairing(t *testing.T) {
 	initCtx()
 	p1, p2 := randG1(t), randG1(t)
 	q1, q2 := randG2(t), randG2(t)
-	pr1, pr2 := prepareG2(&q1), prepareG2(&q2)
 
 	// Product equals the pointwise product of individual pairings.
-	prod := pairProduct([]*g1Affine{&p1, &p2}, []*g2Prepared{pr1, pr2})
+	prod := pairProduct([]*g1Affine{&p1, &p2}, []*g2Affine{&q1, &q2})
 	e1 := pair(&p1, &q1)
 	e2 := pair(&p2, &q2)
 	var want fe12
 	want.mul(&e1, &e2)
 	if !prod.equal(&want) {
 		t.Fatal("pairProduct != e(P1,Q1)·e(P2,Q2)")
-	}
-
-	// Prepared pairing equals the direct pairing.
-	ep := pairPrepared(&p1, pr1)
-	if !ep.equal(&e1) {
-		t.Fatal("prepared pairing disagrees with direct pairing")
 	}
 
 	// SamePairing: e([k]P, Q) == e(P, [k]Q).
@@ -99,10 +92,10 @@ func TestPairProductAndSamePairing(t *testing.T) {
 	jq.fromAffine(&q1)
 	jq.scalarMult(&jq, k)
 	kq := jq.toAffine()
-	if !samePairing(&kp, pr1, &p1, prepareG2(&kq)) {
+	if !samePairing(&kp, &q1, &p1, &kq) {
 		t.Fatal("samePairing rejected a true equality")
 	}
-	if samePairing(&kp, pr1, &p2, pr2) {
+	if samePairing(&kp, &q1, &p2, &q2) {
 		t.Fatal("samePairing accepted unrelated pairings")
 	}
 }
@@ -166,7 +159,7 @@ func TestPairingAgainstSignature(t *testing.T) {
 	sig.scalarMult(&sig, s)
 	sigA := sig.toAffine()
 
-	if !samePairing(&ctx.g1, prepareG2(&sigA), &spub, prepareG2(&h)) {
+	if !samePairing(&ctx.g1, &sigA, &spub, &h) {
 		t.Fatal("BLS signature equation failed")
 	}
 	// Wrong signature must fail.
@@ -175,7 +168,7 @@ func TestPairingAgainstSignature(t *testing.T) {
 	sig2.fromAffine(&h)
 	sig2.scalarMult(&sig2, bad)
 	badSig := sig2.toAffine()
-	if samePairing(&ctx.g1, prepareG2(&badSig), &spub, prepareG2(&h)) {
+	if samePairing(&ctx.g1, &badSig, &spub, &h) {
 		t.Fatal("BLS verification accepted a forged signature")
 	}
 }

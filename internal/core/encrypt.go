@@ -7,6 +7,7 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/parallel"
 	"timedrelease/internal/rohash"
 )
 
@@ -22,18 +23,16 @@ type Ciphertext struct {
 
 // Encrypt implements §5.1 Encryption: verify the receiver key's
 // well-formedness, pick r ∈ Z_q^*, compute K = ê(r·asG, H1(T)) and
-// return ⟨rG, M ⊕ H2(K)⟩. This basic scheme is one-way/CPA-secure (the
+// return ⟨rG, M ⊕ H2(K)⟩ (the check runs beside the encapsulation, see
+// encapsulateChecked). This basic scheme is one-way/CPA-secure (the
 // paper presents it pre-Fujisaki-Okamoto); use EncryptCCA for
 // chosen-ciphertext security.
 func (sc *Scheme) Encrypt(rng io.Reader, spub ServerPublicKey, upub UserPublicKey, label string, msg []byte) (*Ciphertext, error) {
-	if !sc.VerifyUserPublicKey(spub, upub) {
-		return nil, ErrInvalidPublicKey
-	}
 	r, err := sc.Set.B.RandScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("tre: sampling encryption randomness: %w", err)
 	}
-	u, k, err := sc.encapsulate(spub, upub, label, r)
+	u, k, err := sc.encapsulateChecked(spub, upub, label, r)
 	if err != nil {
 		return nil, err
 	}
@@ -73,6 +72,42 @@ func (sc *Scheme) encapsulate(spub ServerPublicKey, upub UserPublicKey, label st
 	sc.pairings.Inc()
 	k := b.Pair(b.ScalarMult(backend.G1, r, upub.ASG), h)
 	return u, k, nil
+}
+
+// encapsulateChecked is encapsulate behind Encryption step 1, the
+// well-formedness check of upub. The check reads only the public keys,
+// so the two run as the two indices of one fork-join: side by side on
+// two processors, check first on one. A key that fails the check yields
+// ErrInvalidPublicKey and no ciphertext, whatever encapsulate returned.
+// The caller draws r before the fork, so the rng is read in the same
+// order whether or not the arms run in parallel.
+func (sc *Scheme) encapsulateChecked(spub ServerPublicKey, upub UserPublicKey, label string, r *big.Int) (curve.Point, backend.GT, error) {
+	var (
+		ok     bool
+		u      curve.Point
+		k      backend.GT
+		err    error
+		panics [2]any
+	)
+	parallel.For(2, func(i int) {
+		// A worker's panic would kill the process: carry it to the caller.
+		defer func() { panics[i] = recover() }()
+		if i == 0 {
+			ok = sc.VerifyUserPublicKey(spub, upub)
+		} else {
+			u, k, err = sc.encapsulate(spub, upub, label, r)
+		}
+	})
+	if panics[0] != nil {
+		panic(panics[0])
+	}
+	if !ok {
+		return curve.Point{}, nil, ErrInvalidPublicKey
+	}
+	if panics[1] != nil {
+		panic(panics[1])
+	}
+	return u, k, err
 }
 
 // SafeLabel reports whether a release label avoids the §5.1 item 6

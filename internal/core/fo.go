@@ -30,9 +30,6 @@ type CCACiphertext struct {
 
 // EncryptCCA encrypts msg under the Fujisaki–Okamoto transform.
 func (sc *Scheme) EncryptCCA(rng io.Reader, spub ServerPublicKey, upub UserPublicKey, label string, msg []byte) (*CCACiphertext, error) {
-	if !sc.VerifyUserPublicKey(spub, upub) {
-		return nil, ErrInvalidPublicKey
-	}
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -41,7 +38,7 @@ func (sc *Scheme) EncryptCCA(rng io.Reader, spub ServerPublicKey, upub UserPubli
 		return nil, fmt.Errorf("tre: sampling FO seed: %w", err)
 	}
 	r := rohash.ToScalarNonZero("TRE-H3", rohash.Concat(sigma, msg), sc.Set.Q)
-	u, k, err := sc.encapsulate(spub, upub, label, r)
+	u, k, err := sc.encapsulateChecked(spub, upub, label, r)
 	if err != nil {
 		return nil, err
 	}

@@ -34,9 +34,6 @@ const (
 // EncryptHybrid encapsulates a DEM key to (receiver, label) and seals
 // msg under it.
 func (sc *Scheme) EncryptHybrid(rng io.Reader, spub ServerPublicKey, upub UserPublicKey, label string, msg []byte) (*HybridCiphertext, error) {
-	if !sc.VerifyUserPublicKey(spub, upub) {
-		return nil, ErrInvalidPublicKey
-	}
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -44,7 +41,7 @@ func (sc *Scheme) EncryptHybrid(rng io.Reader, spub ServerPublicKey, upub UserPu
 	if err != nil {
 		return nil, fmt.Errorf("tre: sampling encryption randomness: %w", err)
 	}
-	u, k, err := sc.encapsulate(spub, upub, label, r)
+	u, k, err := sc.encapsulateChecked(spub, upub, label, r)
 	if err != nil {
 		return nil, err
 	}

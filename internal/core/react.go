@@ -28,9 +28,6 @@ type REACTCiphertext struct {
 
 // EncryptREACT encrypts msg under the REACT transform.
 func (sc *Scheme) EncryptREACT(rng io.Reader, spub ServerPublicKey, upub UserPublicKey, label string, msg []byte) (*REACTCiphertext, error) {
-	if !sc.VerifyUserPublicKey(spub, upub) {
-		return nil, ErrInvalidPublicKey
-	}
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -42,7 +39,7 @@ func (sc *Scheme) EncryptREACT(rng io.Reader, spub ServerPublicKey, upub UserPub
 	if err != nil {
 		return nil, fmt.Errorf("tre: sampling encryption randomness: %w", err)
 	}
-	u, k, err := sc.encapsulate(spub, upub, label, r)
+	u, k, err := sc.encapsulateChecked(spub, upub, label, r)
 	if err != nil {
 		return nil, err
 	}

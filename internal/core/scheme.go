@@ -276,9 +276,11 @@ func (sc *Scheme) VerifyUserPublicKey(spub ServerPublicKey, upub UserPublicKey) 
 		return false
 	}
 	// The fixed server points sit in the prepared key (on a symmetric
-	// backend the line schedules of G and sG; on BLS12-381 the prepared
-	// G2 schedules of the generator and sG2); the varying user points
-	// pair as cheap per-call arguments.
+	// backend the line schedules of G and sG; on BLS12-381 just the G2
+	// generator and sG2, whose lines every check makes afresh); the
+	// varying user points pair as cheap per-call arguments. Encrypt and
+	// its variants run this check beside the encapsulation
+	// (encapsulateChecked).
 	pk := sc.preparedKey(ServerPublicKey{G: sc.Set.G, SG: spub.SG, SG2: spub.SG2})
 	sc.pairings.Add(2)
 	return pk.SameKey(upub.AG, upub.ASG)

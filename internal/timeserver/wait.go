@@ -77,7 +77,8 @@ func (v *publicView) handleWait(w http.ResponseWriter, r *http.Request) {
 
 // WaitForReleaseLongPoll blocks until the update for label is published,
 // using the server's long-poll endpoint instead of client-side polling:
-// one outstanding request per ~25s instead of one per poll interval, and
+// one outstanding request per hold (pollHold: 9 s under DefaultRetry, at
+// most 25 s) instead of one per poll interval, and
 // delivery latency bounded by the network rather than the poll period.
 // Prefer WaitFor, which rides the push stream and falls back to this.
 func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core.KeyUpdate, error) {
@@ -85,9 +86,10 @@ func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core
 	if p.BaseDelay <= 0 {
 		p = DefaultRetry
 	}
+	hold := c.pollHold()
 	for early := 0; ; {
 		start := time.Now()
-		body, status, err := c.get(ctx, "/v1/wait/"+label+"?timeout="+defaultWaitTimeout.String())
+		body, status, err := c.get(ctx, "/v1/wait/"+label+"?timeout="+hold.String())
 		if err != nil {
 			return core.KeyUpdate{}, err
 		}
@@ -100,7 +102,7 @@ func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core
 			// (a proxy, or a server without /v1/wait): back off first, or
 			// this would be a tight request loop bounded only by ctx.
 			var pause time.Duration
-			if time.Since(start) < defaultWaitTimeout {
+			if time.Since(start) < hold {
 				early++
 				pause = p.backoff(min(early, 16))
 			} else {
@@ -113,4 +115,17 @@ func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core
 			return core.KeyUpdate{}, fmt.Errorf("timeserver: unexpected status %d", status)
 		}
 	}
+}
+
+// pollHold is how long a long-poll asks the server to hold it: the
+// default, cut to end before the retry policy's per-attempt bound
+// cancels the request — one second before it, or halfway through a
+// bound under two seconds. Otherwise every held poll would die as a
+// transport error and use up the policy's attempts.
+func (c *Client) pollHold() time.Duration {
+	pa := c.retry.PerAttempt
+	if pa <= 0 {
+		return defaultWaitTimeout
+	}
+	return min(defaultWaitTimeout, pa-min(time.Second, pa/2))
 }

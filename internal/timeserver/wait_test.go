@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"timedrelease/internal/core"
 )
 
 func TestLongPollDeliversOnPublish(t *testing.T) {
@@ -53,6 +55,49 @@ func TestLongPollDeliversOnPublish(t *testing.T) {
 		case <-deadline:
 			t.Fatal("long-poll waiters did not return after publish")
 		}
+	}
+}
+
+func TestLongPollHoldFitsInsidePerAttemptBound(t *testing.T) {
+	// Each held poll must come back (404) before the retry policy's
+	// per-attempt bound cancels it. Asking the server for its default
+	// 25 s hold under a 300 ms bound turns every poll into a transport
+	// error, and the policy's three attempts are gone before a publish
+	// at 1.2 s.
+	e := newEnv(t)
+	if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	target := e.sched.Next(e.clock.Now())
+	c := NewClient(e.ts.URL, e.set, e.key.Pub, WithHTTPClient(e.ts.Client()),
+		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, PerAttempt: 300 * time.Millisecond}))
+
+	type result struct {
+		u   core.KeyUpdate
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		u, err := c.WaitForReleaseLongPoll(ctx, target)
+		got <- result{u, err}
+	}()
+	time.Sleep(1200 * time.Millisecond)
+	e.clock.Advance(time.Minute)
+	if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatalf("WaitForReleaseLongPoll under a 300 ms per-attempt bound: %v", r.err)
+		}
+		if r.u.Label != target || !e.sc.VerifyUpdate(e.key.Pub, r.u) {
+			t.Fatal("returned update is not the verified update for the label")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no answer 10 s after the publish")
 	}
 }
 
