@@ -21,7 +21,7 @@ help:
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
 	@echo "  bench-smoke        run the nested benchmark/ module's tests: every workload, traced and untraced, at reduced size"
 	@echo "  bench-pair         W=<workload> N=<pairs> BASE=<rev>: alternate benchmark/run.sh between BASE and this tree, print each run and the medians"
-	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow"
+	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow; serving binaries link no oracle or experiment code"
 	@echo "  test               go test ./..."
 	@echo "  test-shuffle       go test -shuffle=on ./..."
 	@echo "  vet                go vet ./..."
@@ -37,7 +37,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), and the serving tier (internal/timeserver, internal/token)"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), the serving tier (internal/timeserver, internal/token), the Type-1 stack (internal/ff + internal/curve + internal/pairing) and its math/big oracle (internal/ref)"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -93,7 +93,11 @@ bench-pair:
 # internal/pairing directly, outside their tests, are listed one per
 # line in .spine-allow. A package not on the list fails the build; a
 # listed package that no longer imports it passes with a reminder to
-# trim the list, so the count can only go down.
+# trim the list, so the count can only go down. The second check keeps
+# the serving binaries' dependency graph free of the math/big oracles
+# (internal/ref) and of experiment code (internal/bench,
+# internal/baseline/..., internal/reduction).
+SERVING := ./cmd/treserver ./cmd/trerelay ./cmd/trethreshold ./cmd/trectl
 spine:
 	@got=$$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \
 		| awk '{ for (i = 2; i <= NF; i++) if ($$i == "timedrelease/internal/pairing") print $$1 }' \
@@ -107,6 +111,11 @@ spine:
 	if [ -n "$$new" ]; then \
 		echo "spine ratchet FAILED: new direct importers of internal/pairing (go through backend.Backend):"; echo "$$new"; exit 1; \
 	fi
+	@bad=$$($(GO) list -deps $(SERVING) | grep -xE 'timedrelease/internal/(ref|bench|reduction|baseline(/.*)?)'); \
+	if [ -n "$$bad" ]; then \
+		echo "spine FAILED: a serving binary links oracle or experiment code:"; echo "$$bad"; exit 1; \
+	fi; \
+	echo "spine: serving binaries link none of internal/ref, internal/bench, internal/baseline/..., internal/reduction"
 
 vet:
 	$(GO) vet ./...
@@ -266,8 +275,10 @@ fuzz-smoke:
 # baselines and the appendix reduction (what ROADMAP item 3(b) moves out
 # of the serving binaries' dependency graph) and for the pre-benchmark
 # harness ROADMAP item 4 retires, for internal/core and internal/bls381
-# (ROADMAP item 13's acceptance figures), and for the serving tier,
-# internal/timeserver and internal/token. Quote it in simplicity PRs.
+# (ROADMAP item 13's acceptance figures), for the serving tier,
+# internal/timeserver and internal/token, and for the Type-1 stack
+# (internal/ff + internal/curve + internal/pairing) beside its math/big
+# oracle, internal/ref (item 3(c)). Quote it in simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -287,6 +298,10 @@ loc:
 		find internal/timeserver -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/token:                       '; \
 		find internal/token -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/ff + internal/curve + internal/pairing: '; \
+		find internal/ff internal/curve internal/pairing -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/ref:                         '; \
+		find internal/ref -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

@@ -22,6 +22,7 @@ import (
 	"timedrelease/internal/core"
 	"timedrelease/internal/multiserver"
 	"timedrelease/internal/pairing"
+	"timedrelease/internal/ref"
 	"timedrelease/internal/resilient"
 	"timedrelease/internal/simnet"
 	"timedrelease/internal/threshold"
@@ -227,7 +228,7 @@ func benchmarkPrimitives(b *testing.B, preset string) {
 	})
 	b.Run("ScalarMultAffine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.ScalarMultAffine(k, p)
+			ref.ScalarMultAffine(c, k, p)
 		}
 	})
 	b.Run("HashToGroup", func(b *testing.B) {
@@ -275,7 +276,7 @@ func benchmarkPairingPaths(b *testing.B, preset string) {
 
 	b.Run("Affine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pr.PairAffine(p, q)
+			ref.PairAffine(pr.C, p, q)
 		}
 	})
 	b.Run("Projective", func(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"timedrelease/internal/core"
+	"timedrelease/internal/timefmt"
 )
 
 // Archive is the store of published updates. Implementations must be
@@ -28,15 +29,16 @@ type Archive interface {
 	Put(u core.KeyUpdate) error
 	// Get returns the update for a label, if published.
 	Get(label string) (core.KeyUpdate, bool)
-	// Labels returns all published labels in lexicographic order (which,
-	// for canonical RFC 3339 labels, is chronological order).
+	// Labels returns all published labels in label order: chronological,
+	// by timefmt.Compare (not as strings, which misorder fractional
+	// seconds).
 	Labels() []string
-	// Latest returns the update with the greatest label, if any, at a
-	// cost independent of the archive's size.
+	// Latest returns the update with the latest label, if any, at a cost
+	// independent of the archive's size.
 	Latest() (core.KeyUpdate, bool)
-	// Range returns the updates with from ≤ label ≤ to in ascending
-	// label order, truncated to the oldest limit when limit > 0, at a
-	// cost of O(log n) plus the page.
+	// Range returns the updates with from ≤ label ≤ to in label order,
+	// truncated to the oldest limit when limit > 0, at a cost of
+	// O(log n) plus the page.
 	Range(from, to string, limit int) (RangeResult, error)
 	// Len returns the number of stored updates.
 	Len() int
@@ -46,12 +48,12 @@ type Archive interface {
 var ErrConflict = errors.New("archive: conflicting update for label")
 
 // Memory is an in-memory archive: the updates by label plus the one
-// ordered index — the labels in ascending order — that Labels, Latest
-// and Range are served from.
+// ordered index — the labels in timefmt.Compare order — that Labels,
+// Latest and Range are served from.
 type Memory struct {
 	mu     sync.RWMutex
 	m      map[string]core.KeyUpdate
-	sorted []string // keys of m, ascending; maintained by Put
+	sorted []string // keys of m in label order; maintained by Put
 }
 
 // NewMemory returns an empty in-memory archive.
@@ -75,10 +77,11 @@ func (a *Memory) Put(u core.KeyUpdate) error {
 		return nil
 	}
 	a.m[u.Label] = u
-	if n := len(a.sorted); n == 0 || a.sorted[n-1] < u.Label {
+	if n := len(a.sorted); n == 0 || timefmt.Compare(a.sorted[n-1], u.Label) < 0 {
 		a.sorted = append(a.sorted, u.Label)
 	} else {
-		a.sorted = slices.Insert(a.sorted, sort.SearchStrings(a.sorted, u.Label), u.Label)
+		i, _ := slices.BinarySearchFunc(a.sorted, u.Label, timefmt.Compare)
+		a.sorted = slices.Insert(a.sorted, i, u.Label)
 	}
 	return nil
 }
@@ -92,7 +95,7 @@ func (a *Memory) Get(label string) (core.KeyUpdate, bool) {
 }
 
 // Labels implements Archive. The returned slice is a fresh snapshot in
-// lexicographic order, copied from the index under the read lock.
+// label order, copied from the index under the read lock.
 // Labels published concurrently with the call may or may not appear —
 // the snapshot is consistent with SOME moment during the call, which is
 // all the catch-up protocol needs.
@@ -116,13 +119,13 @@ func (a *Memory) Latest() (core.KeyUpdate, bool) {
 // selection in the tree. The read lock is held for the two searches
 // and the copy of the page, so a page is a consistent snapshot.
 func (a *Memory) Range(from, to string, limit int) (RangeResult, error) {
-	if from > to {
+	if timefmt.Compare(from, to) > 0 {
 		return RangeResult{}, ErrBadRange
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	lo := sort.SearchStrings(a.sorted, from)
-	hi := lo + sort.Search(len(a.sorted)-lo, func(i int) bool { return a.sorted[lo+i] > to })
+	lo, _ := slices.BinarySearchFunc(a.sorted, from, timefmt.Compare)
+	hi := lo + sort.Search(len(a.sorted)-lo, func(i int) bool { return timefmt.Compare(a.sorted[lo+i], to) > 0 })
 	res := RangeResult{Total: hi - lo}
 	if limit > 0 && res.Total > limit {
 		hi = lo + limit

@@ -89,8 +89,8 @@ type Ranger interface {
 // ErrBadRange reports an inverted or empty label interval.
 var ErrBadRange = errors.New("archive: range from > to")
 
-// RangeOf serves the label range [from, to] (inclusive, lexicographic —
-// which is chronological for canonical schedule labels) from a, and
+// RangeOf serves the label range [from, to] (inclusive, in the
+// timefmt.Compare order of Archive.Range) from a, and
 // tags the reserved Aggregate as the identity of codec's update group:
 // a zero Point is not a point the BLS12-381 codec can encode. No
 // production caller; kept for benchmark/ until ROADMAP item 1(i).

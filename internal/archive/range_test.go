@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
+	"timedrelease/internal/timefmt"
 	"timedrelease/internal/wire"
 )
 
@@ -44,11 +46,11 @@ func naiveRange(t *testing.T, a Archive, from, to string, limit int) RangeResult
 	t.Helper()
 	var match []string
 	for _, l := range a.Labels() {
-		if l >= from && l <= to {
+		if timefmt.Compare(l, from) >= 0 && timefmt.Compare(l, to) <= 0 {
 			match = append(match, l)
 		}
 	}
-	sort.Strings(match)
+	slices.SortFunc(match, timefmt.Compare)
 	res := RangeResult{Total: len(match)}
 	if limit > 0 && len(match) > limit {
 		match = match[:limit]
@@ -134,8 +136,9 @@ func TestRangeMatchesNaiveOracle(t *testing.T) {
 				}
 			}
 
-			// Window ends are archived labels, missing labels, and strings
-			// before, between and after every label.
+			// Window ends are archived labels, missing labels, an instant
+			// between labels, and unparseable strings (ordered after every
+			// label).
 			ends := append([]string{"", "2026-07-05T10:07:30Z", "2026-07-05T10:1", "9"}, labels...)
 			type window struct {
 				from, to string
@@ -145,13 +148,13 @@ func TestRangeMatchesNaiveOracle(t *testing.T) {
 				{labels[0], labels[len(labels)-1], 0}, // everything
 				{labels[5], labels[5], 0},             // one archived label
 				{labels[4], labels[4], 0},             // one missing label
-				{"2020", "2021", 0},                   // before everything
+				{"2020", "2021", 0},                   // unparseable: after everything
 				{labels[0], labels[len(labels)-1], 5}, // truncation keeps the oldest
 				{labels[0], labels[len(labels)-1], 1000},
 			}
 			for len(windows) < 300 {
 				w := window{ends[rng.Intn(len(ends))], ends[rng.Intn(len(ends))], rng.Intn(12)}
-				if w.from > w.to {
+				if timefmt.Compare(w.from, w.to) > 0 {
 					w.from, w.to = w.to, w.from
 				}
 				windows = append(windows, w)

@@ -31,11 +31,12 @@ func NewSymmetric(name string, c *curve.Curve, pr *pairing.Pairing, g curve.Poin
 
 // Type1 exposes the supersingular curve and modified Tate pairing
 // behind the adapter, for the code that measures or cross-checks the
-// Type-1 internals themselves: E4's affine-vs-production table, the
-// differential tests and params.Set.Field for the benchmark's F_p
-// probes. Scheme code has no business here. Reach it through
-// set.B.(*backend.Symmetric) — an assertion that fails on an asymmetric
-// set, where a field could only have been nil.
+// Type-1 internals themselves: E4's affine-vs-production table (the
+// affine side from internal/ref), the differential tests and
+// params.Set.Field for the benchmark's F_p probes. Scheme code has no
+// business here. Reach it through set.B.(*backend.Symmetric) — an
+// assertion that fails on an asymmetric set, where a field could only
+// have been nil.
 func (b *Symmetric) Type1() (*curve.Curve, *pairing.Pairing) { return b.c, b.pr }
 
 // Name identifies the backend.
@@ -105,14 +106,13 @@ func (b *Symmetric) ParsePoint(_ Group, data []byte) (curve.Point, error) {
 	return b.c.UnmarshalSubgroup(data)
 }
 
-// PrecomputeBase builds the curve's fixed-base wNAF table.
-func (b *Symmetric) PrecomputeBase(p curve.Point) BaseTable {
-	return b.c.PrecomputeBase(p)
-}
+// PrecomputeBase returns p itself: no Type-1 workload multiplies a
+// fixed base often enough for a table to pay (docs/BACKENDS.md).
+func (b *Symmetric) PrecomputeBase(p curve.Point) BaseTable { return p }
 
-// ScalarMultBase runs the fixed-base ladder.
+// ScalarMultBase is ScalarMult on the point PrecomputeBase returned.
 func (b *Symmetric) ScalarMultBase(t BaseTable, k *big.Int) curve.Point {
-	return b.c.ScalarMultBase(t.(*curve.BaseTable), k)
+	return b.c.ScalarMult(k, t.(curve.Point))
 }
 
 // Pair computes the modified Tate pairing ê(p, q).
@@ -159,23 +159,21 @@ func (pk *symPrepared) SameKey(ag, asg curve.Point) bool {
 }
 
 // GTOne returns 1 ∈ F_{p²}.
-func (b *Symmetric) GTOne() GT { return b.pr.E2.One() }
+func (b *Symmetric) GTOne() GT { return b.pr.GTOne() }
 
 // GTEqual reports target-group equality.
-func (b *Symmetric) GTEqual(x, y GT) bool {
-	return b.pr.E2.Equal(x.(pairing.GT), y.(pairing.GT))
-}
+func (b *Symmetric) GTEqual(x, y GT) bool { return b.pr.GTEqual(x.(pairing.GT), y.(pairing.GT)) }
 
 // GTIsOne reports whether x is the identity.
-func (b *Symmetric) GTIsOne(x GT) bool { return b.pr.E2.IsOne(x.(pairing.GT)) }
+func (b *Symmetric) GTIsOne(x GT) bool { return b.pr.GTIsOne(x.(pairing.GT)) }
 
 // GTMul returns x·y in F_{p²}.
-func (b *Symmetric) GTMul(x, y GT) GT { return b.pr.E2.Mul(x.(pairing.GT), y.(pairing.GT)) }
+func (b *Symmetric) GTMul(x, y GT) GT { return b.pr.GTMul(x.(pairing.GT), y.(pairing.GT)) }
 
 // GTExpUnitary runs the conjugation-as-inversion signed-window ladder.
 func (b *Symmetric) GTExpUnitary(x GT, k *big.Int) GT {
-	return b.pr.E2.ExpUnitary(x.(pairing.GT), k)
+	return b.pr.GTExpUnitary(x.(pairing.GT), k)
 }
 
 // GTBytes returns the canonical fixed-width F_{p²} encoding.
-func (b *Symmetric) GTBytes(x GT) []byte { return b.pr.E2.Bytes(x.(pairing.GT)) }
+func (b *Symmetric) GTBytes(x GT) []byte { return b.pr.GTBytes(x.(pairing.GT)) }

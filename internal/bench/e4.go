@@ -6,13 +6,15 @@ import (
 	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
 	"timedrelease/internal/params"
+	"timedrelease/internal/ref"
 )
 
 // RunE4 measures the primitive costs underlying every scheme —
 // feasibility data the paper asserts qualitatively ("there is an
 // efficient algorithm to compute ê(P,Q)", §4). It doubles as the
 // affine-vs-production ablation: the textbook affine math/big pairing
-// and ladder (the oracles) against the Jacobian limb code that ships.
+// and ladder (internal/ref's oracles) against the Jacobian limb code
+// that ships.
 func RunE4(cfg Config) (*Table, error) {
 	names := []string{"Test160", "SS512", "SS1024"}
 	if cfg.Quick {
@@ -54,13 +56,17 @@ func RunE4(cfg Config) (*Table, error) {
 
 		var sink any
 		pair := timeOp(iters, func() { sink = pr.Pair(p, q) })
-		pairAffine := timeOp(iters, func() { sink = pr.PairAffine(p, q) })
+		pairAffine := timeOp(iters, func() { sink = ref.PairAffine(c, p, q) })
 		prep := pr.Precompute(p)
 		pairPrepared := timeOp(iters, func() { sink = pr.PairPrepared(prep, q) })
-		mv := pr.MillerAffine(p, q)
+		e2, err := ref.NewFp2(c.F)
+		if err != nil {
+			return nil, err
+		}
+		mv := e2.Limbs(ref.MillerAffine(c, p, q))
 		finalExp := timeOp(iters, func() { sink = pr.FinalExp(mv) })
 		smJac := timeOp(iters, func() { sink = c.ScalarMult(k, p) })
-		smAff := timeOp(iters, func() { sink = c.ScalarMultAffine(k, p) })
+		smAff := timeOp(iters, func() { sink = ref.ScalarMultAffine(c, k, p) })
 		h1 := timeOp(iters, func() { sink = c.HashToGroup("bench-h1", msg) })
 		sign := timeOp(iters, func() { sink = key.Sign(set, "time", msg) })
 		verify := timeOp(iters, func() {
@@ -73,7 +79,7 @@ func RunE4(cfg Config) (*Table, error) {
 		t.Add(fmt.Sprintf("%s (|p|=%d,|q|=%d)", set.Name, set.P.BitLen(), set.Q.BitLen()),
 			ms(pair), ms(pairAffine), ms(pairPrepared), ms(finalExp), ms(smJac), ms(smAff), ms(h1), ms(sign), ms(verify))
 	}
-	t.Note("ablation: the (affine) columns are the textbook oracles the differential tests compare against — affine math/big arithmetic with one field inversion per step and, for the pairing, a plain f^((p²−1)/q) final exponentiation included; pairing, final exp and scalar mult (jac) are the one production path, Jacobian coordinates on fixed-limb Montgomery vectors (benchmark/'s ff.ss512_mul_ns / ff.ss512_inv_us probes time the field alone)")
+	t.Note("ablation: the (affine) columns are internal/ref's textbook oracles, which the differential tests compare against — affine math/big arithmetic with one field inversion per step and, for the pairing, a plain f^((p²−1)/q) final exponentiation included; pairing, final exp and scalar mult (jac) are the one production path, Jacobian coordinates on fixed-limb Montgomery vectors (benchmark/'s ff.ss512_mul_ns / ff.ss512_inv_us probes time the field alone)")
 	t.Note("pairing (prepared) reuses a precomputed fixed-argument line schedule (BenchmarkPairing_* runs the same comparison under testing.B)")
 	t.Note("BLS verify uses the shared-final-exponentiation pairing-equation check (two Miller loops, one final exp)")
 	return t, nil

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"timedrelease/internal/core"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/params"
 	"timedrelease/internal/threshold"
@@ -68,10 +67,9 @@ func runRounds(preset string, clients int, cfg ServerLoadConfig) (ServerRow, err
 	}
 
 	// One quorum client per worker (ops within a worker are sequential),
-	// all sharing one scheme and one registry — built up front, on one
-	// goroutine: WithClientMetrics instruments the shared scheme, and
-	// racing those writes from the workers is what -race must never see.
-	sc := core.NewScheme(set)
+	// all sharing one registry — built up front, on one goroutine. Each
+	// shard client keeps its own scheme, whose one prepared-key slot
+	// holds that member's shard key.
 	creg := obs.NewRegistry()
 	qreg := obs.NewRegistry()
 	quorums := make([]*threshold.QuorumClient, clients)
@@ -81,7 +79,6 @@ func runRounds(preset string, clients int, cfg ServerLoadConfig) (ServerRow, err
 			shards[i] = threshold.Shard{
 				Index: share.Index,
 				Client: timeserver.NewClient(members[i].URL, set, threshold.ShardServerKey(set, share).Pub,
-					timeserver.WithScheme(sc),
 					timeserver.WithoutCache(),
 					timeserver.WithClientMetrics(creg)),
 			}

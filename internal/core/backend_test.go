@@ -6,6 +6,7 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/params"
+	"timedrelease/internal/ref"
 )
 
 // TestRoundTripAcrossBackendsAndPresets is the end-to-end differential
@@ -32,19 +33,23 @@ func TestRoundTripAcrossBackendsAndPresets(t *testing.T) {
 			}
 
 			// Key material must match the affine oracle ladder exactly.
-			c, pr := set.B.(*backend.Symmetric).Type1()
-			if !c.Equal(user.Pub.AG, c.ScalarMultAffine(user.A, set.G)) ||
-				!c.Equal(user.Pub.ASG, c.ScalarMultAffine(user.A, server.Pub.SG)) {
+			c, _ := set.B.(*backend.Symmetric).Type1()
+			if !c.Equal(user.Pub.AG, ref.ScalarMultAffine(c, user.A, set.G)) ||
+				!c.Equal(user.Pub.ASG, ref.ScalarMultAffine(c, user.A, server.Pub.SG)) {
 				t.Fatal("fixed-base keygen disagrees with the oracle ladder")
 			}
 
 			// The pairing must agree with the oracle on the scheme's own
-			// points.
+			// points, down to the bytes H2 hashes.
 			upd := sc.IssueUpdate(server, testLabel)
 			h := sc.hashLabel(testLabel)
-			if !set.B.GTEqual(
-				set.B.Pair(user.Pub.ASG, h),
-				pr.PairAffine(user.Pub.ASG, h),
+			e2, err := ref.NewFp2(c.F)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(
+				set.B.GTBytes(set.B.Pair(user.Pub.ASG, h)),
+				e2.Bytes(ref.PairAffine(c, user.Pub.ASG, h)),
 			) {
 				t.Fatal("Pair and PairAffine disagree on scheme points")
 			}

@@ -14,10 +14,11 @@ func ss512(tb testing.TB) (*Curve, Point) {
 	return c, testGen(tb, c)
 }
 
-// TestScalarMultAllocs is the Type-1 ladder's row of the zero-allocation
-// contract (docs/PERFORMANCE.md §3): the window table is carved from
-// the pooled arena with everything else, so a call allocates the result
-// point it returns — two big.Int coordinates — and nothing per step.
+// TestScalarMultAllocs is the Type-1 walk's row of the zero-allocation
+// contract (docs/PERFORMANCE.md §3): the odd-multiples table is carved
+// from the pooled arena with everything else and the digits sit on the
+// stack, so a call allocates the result point it returns — two big.Int
+// coordinates — and nothing per step.
 func TestScalarMultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -58,7 +59,7 @@ func BenchmarkInSubgroup(b *testing.B) {
 	}
 }
 
-// BenchmarkScalarMult times the ladder at SS512 on the two scalars the
+// BenchmarkScalarMult times the walk at SS512 on the two scalars the
 // serving path runs it on: the 160-bit subgroup order (every subgroup
 // check) and the 352-bit cofactor (every HashToGroup).
 func BenchmarkScalarMult(b *testing.B) {

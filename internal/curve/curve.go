@@ -10,12 +10,12 @@
 //
 // The package provides the group law, scalar multiplication, hashing to
 // the subgroup (the paper's H1), and a canonical compressed point
-// encoding. Scalar multiplication has one production implementation —
-// Jacobian ladders on the field's Montgomery limb layer (montjac.go,
-// basetable.go) — and one oracle: the affine math/big group law
-// (Add, Double) under the textbook ladder ScalarMultAffine, a different
-// algorithm on a different number type, which the differential tests
-// hold the production ladders to.
+// encoding. Scalar multiplication is one walk — Straus's interleaving
+// over width-4 NAFs in Jacobian coordinates on the field's Montgomery
+// limb layer (msm.go, montjac.go), which ScalarMult runs on one point
+// and MSM on many. Its oracle is internal/ref's textbook double-and-add
+// ladder over the affine math/big group law (Add, Double): a different
+// algorithm on a different number type.
 package curve
 
 import (
@@ -226,66 +226,6 @@ func (c *Curve) chord(p, q Point, lambda *big.Int) Point {
 
 // Sub returns p−q.
 func (c *Curve) Sub(p, q Point) Point { return c.Add(p, c.Neg(q)) }
-
-// ScalarMult returns k·p. Scalars may be any non-negative integer; they
-// are used as-is (callers working in the subgroup reduce mod q). The
-// computation is a most-significant-first 4-bit fixed-window walk in
-// Jacobian coordinates on Montgomery limb vectors — a table of 1·p …
-// 15·p, then four doublings and at most one addition per nibble — with
-// one inversion and two conversions at the end; every temporary, the
-// table included, comes from a pooled arena.
-func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
-	if k.Sign() < 0 {
-		panic("curve: negative scalar")
-	}
-	if k.Sign() == 0 || p.inf {
-		return Infinity()
-	}
-	m := c.F.Mont()
-	a := m.GetArena()
-	defer a.Release()
-	var o jacMontOps
-	jacMontOpsIn(&o, m, a)
-	var tbl [15]jacMontPoint
-	tbl[0] = o.toJacMontIn(p, a)
-	for i := 1; i < len(tbl); i++ {
-		tbl[i] = newJacMontPointIn(a)
-		o.add(tbl[i], tbl[i-1], tbl[0])
-	}
-	acc := newJacMontPointIn(a)
-	o.setInfinity(acc)
-	for i := (k.BitLen()+3)/4*4 - 4; i >= 0; i -= 4 {
-		if !m.IsZero(acc.Z) {
-			o.double(acc, acc)
-			o.double(acc, acc)
-			o.double(acc, acc)
-			o.double(acc, acc)
-		}
-		if w := k.Bit(i+3)<<3 | k.Bit(i+2)<<2 | k.Bit(i+1)<<1 | k.Bit(i); w != 0 {
-			o.add(acc, acc, tbl[w-1])
-		}
-	}
-	return o.fromJacMont(acc)
-}
-
-// ScalarMultAffine is the oracle for ScalarMult and ScalarMultBase: the
-// textbook double-and-add ladder over the affine math/big group law,
-// one field inversion per step. It shares no formula and no number
-// representation with the production ladders, computes the same point,
-// and is also the affine side of the E4 coordinate-system ablation.
-func (c *Curve) ScalarMultAffine(k *big.Int, p Point) Point {
-	if k.Sign() < 0 {
-		panic("curve: negative scalar")
-	}
-	acc := Infinity()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc = c.Double(acc)
-		if k.Bit(i) == 1 {
-			acc = c.Add(acc, p)
-		}
-	}
-	return acc
-}
 
 // RandScalar returns a uniform scalar in Z_q^* — the range from which
 // the paper draws private keys and encryption randomness. The scalar

@@ -3,7 +3,6 @@ package curve
 import (
 	"math/big"
 	"testing"
-	"testing/quick"
 
 	"timedrelease/internal/ff"
 )
@@ -103,43 +102,6 @@ func TestGroupLaws(t *testing.T) {
 		if !c.IsOnCurve(pt) {
 			t.Fatal("group operation left the curve")
 		}
-	}
-}
-
-func TestScalarMultProperties(t *testing.T) {
-	c := testCurve(t)
-	g := testGen(t, c)
-	cfg := &quick.Config{MaxCount: 40}
-
-	// (k1 + k2)·g == k1·g + k2·g
-	additive := func(k1, k2 uint32) bool {
-		a, b := big.NewInt(int64(k1)), big.NewInt(int64(k2))
-		lhs := c.ScalarMult(new(big.Int).Add(a, b), g)
-		rhs := c.Add(c.ScalarMult(a, g), c.ScalarMult(b, g))
-		return c.Equal(lhs, rhs)
-	}
-	if err := quick.Check(additive, cfg); err != nil {
-		t.Error(err)
-	}
-
-	// (k1·k2)·g == k1·(k2·g)
-	multiplicative := func(k1, k2 uint32) bool {
-		a, b := big.NewInt(int64(k1)), big.NewInt(int64(k2))
-		lhs := c.ScalarMult(new(big.Int).Mul(a, b), g)
-		rhs := c.ScalarMult(a, c.ScalarMult(b, g))
-		return c.Equal(lhs, rhs)
-	}
-	if err := quick.Check(multiplicative, cfg); err != nil {
-		t.Error(err)
-	}
-
-	// Jacobian and affine ladders agree.
-	agree := func(k uint32) bool {
-		s := big.NewInt(int64(k))
-		return c.Equal(c.ScalarMult(s, g), c.ScalarMultAffine(s, g))
-	}
-	if err := quick.Check(agree, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

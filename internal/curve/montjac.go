@@ -19,11 +19,13 @@ func newJacMontPointIn(a *ff.Arena) jacMontPoint {
 }
 
 // jacMontOps bundles the Montgomery context with scratch limbs so the
-// ladder allocates a fixed set of vectors once per scalar
-// multiplication instead of per point operation.
+// walk allocates a fixed set of vectors once per scalar multiplication
+// instead of per point operation. negY holds a negated table entry's Y
+// for the walk's negative digits; the group law never touches it.
 type jacMontOps struct {
 	m                          *ff.Mont
 	t1, t2, t3, t4, t5, t6, t7 ff.MontElem
+	negY                       ff.MontElem
 }
 
 // jacMontOpsIn fills o with scratch carved from a pooled arena so a
@@ -32,7 +34,7 @@ type jacMontOps struct {
 func jacMontOpsIn(o *jacMontOps, m *ff.Mont, a *ff.Arena) {
 	o.m = m
 	o.t1, o.t2, o.t3, o.t4 = a.Elem(), a.Elem(), a.Elem(), a.Elem()
-	o.t5, o.t6, o.t7 = a.Elem(), a.Elem(), a.Elem()
+	o.t5, o.t6, o.t7, o.negY = a.Elem(), a.Elem(), a.Elem(), a.Elem()
 }
 
 func (o *jacMontOps) setInfinity(dst jacMontPoint) {
@@ -154,36 +156,18 @@ func (o *jacMontOps) add(dst, p, q jacMontPoint) {
 	m.Set(dst.Z, zNew)
 }
 
-// toJacMontIn converts a non-identity affine point to Montgomery
-// Jacobian form (Z = 1), the coordinates carved from a.
-func (o *jacMontOps) toJacMontIn(p Point, a *ff.Arena) jacMontPoint {
-	j := newJacMontPointIn(a)
-	o.m.ToMont(j.X, p.X)
-	o.m.ToMont(j.Y, p.Y)
-	o.m.SetOne(j.Z)
-	return j
-}
-
-// toAffine sets (x, y) = (X/Z², Y/Z³) given zi = Z⁻¹; x and y must not
-// alias j's coordinates or zi.
-func (o *jacMontOps) toAffine(x, y ff.MontElem, j jacMontPoint, zi ff.MontElem) {
-	m := o.m
-	zi2 := o.t2
-	m.Sqr(zi2, zi)
-	m.Mul(x, j.X, zi2)
-	m.Mul(zi2, zi2, zi) // Z⁻³
-	m.Mul(y, j.Y, zi2)
-}
-
-// fromJacMont normalises to affine with one Montgomery inversion and
-// converts back to big.Int coordinates at the boundary.
+// fromJacMont normalises to affine, (X/Z², Y/Z³), with one Montgomery
+// inversion and converts back to big.Int coordinates at the boundary.
 func (o *jacMontOps) fromJacMont(j jacMontPoint) Point {
 	m := o.m
 	if m.IsZero(j.Z) {
 		return Infinity()
 	}
-	zi, x, y := o.t1, o.t3, o.t4
+	zi, zi2, x, y := o.t1, o.t2, o.t3, o.t4
 	m.Inv(zi, j.Z)
-	o.toAffine(x, y, j, zi)
+	m.Sqr(zi2, zi)
+	m.Mul(x, j.X, zi2)
+	m.Mul(zi2, zi2, zi) // Z⁻³
+	m.Mul(y, j.Y, zi2)
 	return Point{X: m.FromMont(nil, x), Y: m.FromMont(nil, y)}
 }

@@ -8,18 +8,53 @@ import (
 	"timedrelease/internal/parallel"
 )
 
-// The multi-scalar multiplication is Straus's interleaving over
-// width-4 NAFs: per point a table of the odd multiples P, 3P, 5P, 7P,
-// then ONE doubling chain shared by a block of points, adding only
-// where a digit is non-zero (1 bit in 5). Width 5 measures the same at
-// 128-bit scalars for twice the table. A chunk reuses one block of
-// msmBlock tables, so a 65 536-update page holds what a 32-update one
-// does; at 32 the shared chain is ~7 % of a block's multiplications.
+// Scalar multiplication is Straus's interleaving over width-4 NAFs: per
+// point a table of the odd multiples P, 3P, 5P, 7P, then ONE doubling
+// chain shared by a block of points, adding only where a digit is
+// non-zero (1 bit in 5). Width 5 measures the same at 128-bit scalars
+// for twice the table. ScalarMult is the walk on one point; MSM's chunks
+// reuse one block of msmBlock tables, so a 65 536-update page holds what
+// a 32-update one does; at 32 the shared chain is ~7 % of a block's
+// multiplications.
 const (
 	msmWindow = 4
 	msmTable  = 1 << (msmWindow - 2)
 	msmBlock  = 32
 )
+
+// scalarDigits sizes ScalarMult's stack digit buffer: a width-4 NAF of
+// any scalar up to 2048 bits, the widest Type-1 field. Wider scalars
+// are walked too, from a heap buffer.
+const scalarDigits = 2049
+
+// ScalarMult returns k·p. Scalars may be any non-negative integer; they
+// are used as-is (callers working in the subgroup reduce mod q), and p
+// may be any curve point. It is the one-point Straus walk on the
+// calling goroutine: the digits on the stack, every temporary from a
+// pooled arena, one inversion and two conversions at the end.
+func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
+	if k.Sign() < 0 {
+		panic("curve: negative scalar")
+	}
+	if k.Sign() == 0 || p.inf {
+		return Infinity()
+	}
+	var buf [scalarDigits]int8
+	digits := ff.AppendWNAF(buf[:0], k, msmWindow)
+	m := c.F.Mont()
+	a := m.GetArena()
+	defer a.Release()
+	var o jacMontOps
+	jacMontOpsIn(&o, m, a)
+	var tbl [msmTable]jacMontPoint
+	for i := range tbl {
+		tbl[i] = newJacMontPointIn(a)
+	}
+	acc := newJacMontPointIn(a)
+	o.oddMultiples(tbl[:], p, acc)
+	o.straus(acc, tbl[:], [][]int8{digits}, len(digits))
+	return o.fromJacMont(acc)
+}
 
 // MSM returns Σ kᵢ·Pᵢ. Scalars are non-negative and walked as given
 // (never reduced: the points may lie anywhere on the curve, as the
@@ -63,8 +98,7 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 		tbl[i] = newJacMontPointIn(a)
 	}
 	digits := make([][]int8, size)
-	sum, acc, two := newJacMontPointIn(a), newJacMontPointIn(a), newJacMontPointIn(a)
-	negY := a.Elem()
+	sum, acc := newJacMontPointIn(a), newJacMontPointIn(a)
 	o.setInfinity(sum)
 	for ; lo < hi; lo += size {
 		blk, top := min(size, hi-lo), 0
@@ -74,36 +108,50 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 			if !p.inf {
 				digits[j] = ff.AppendWNAF(digits[j], scalars[lo+j], msmWindow)
 			}
-			if len(digits[j]) == 0 {
-				continue
-			}
-			top = max(top, len(digits[j]))
-			t := tbl[j*msmTable:]
-			m.ToMont(t[0].X, p.X)
-			m.ToMont(t[0].Y, p.Y)
-			m.SetOne(t[0].Z)
-			o.double(two, t[0])
-			for i := 1; i < msmTable; i++ {
-				o.add(t[i], t[i-1], two)
+			if len(digits[j]) != 0 {
+				top = max(top, len(digits[j]))
+				o.oddMultiples(tbl[j*msmTable:], p, acc)
 			}
 		}
-		o.setInfinity(acc)
-		for i := top - 1; i >= 0; i-- {
-			o.double(acc, acc)
-			for j := 0; j < blk; j++ {
-				if i >= len(digits[j]) || digits[j][i] == 0 {
-					continue
-				}
-				d := digits[j][i]
-				e := tbl[j*msmTable+int(max(d, -d))/2]
-				if d < 0 {
-					m.Neg(negY, e.Y)
-					e.Y = negY
-				}
-				o.add(acc, acc, e)
-			}
-		}
+		o.straus(acc, tbl, digits[:blk], top)
 		o.add(sum, sum, acc)
 	}
 	return o.fromJacMont(sum)
+}
+
+// oddMultiples sets t[0…msmTable) = P, 3P, 5P, 7P for the affine,
+// non-identity p; two is scratch for 2P.
+func (o *jacMontOps) oddMultiples(t []jacMontPoint, p Point, two jacMontPoint) {
+	m := o.m
+	m.ToMont(t[0].X, p.X)
+	m.ToMont(t[0].Y, p.Y)
+	m.SetOne(t[0].Z)
+	o.double(two, t[0])
+	for i := 1; i < msmTable; i++ {
+		o.add(t[i], t[i-1], two)
+	}
+}
+
+// straus sets acc = Σⱼ digits[j]·Pⱼ, where row j of tbl holds Pⱼ's odd
+// multiples and top is the longest digit row: one doubling per digit
+// position, one addition per non-zero digit, a negative digit adding
+// the entry with Y negated.
+func (o *jacMontOps) straus(acc jacMontPoint, tbl []jacMontPoint, digits [][]int8, top int) {
+	m := o.m
+	o.setInfinity(acc)
+	for i := top - 1; i >= 0; i-- {
+		o.double(acc, acc)
+		for j, row := range digits {
+			if i >= len(row) || row[i] == 0 {
+				continue
+			}
+			d := row[i]
+			e := tbl[j*msmTable+int(max(d, -d))/2]
+			if d < 0 {
+				m.Neg(o.negY, e.Y)
+				e.Y = o.negY
+			}
+			o.add(acc, acc, e)
+		}
+	}
 }

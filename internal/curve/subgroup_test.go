@@ -7,8 +7,8 @@ import (
 )
 
 // inSubgroupJacobian is the subgroup test as it was before the x-only
-// ladder: the curve equation, then [q]P = ∞ on the Jacobian fixed-window
-// ladder. Kept as the oracle.
+// ladder: the curve equation, then [q]P = ∞ on the Jacobian walk of
+// ScalarMult. Kept as the oracle.
 func inSubgroupJacobian(c *Curve, p Point) bool {
 	return c.IsOnCurve(p) && c.ScalarMult(c.Q, p).IsInfinity()
 }
@@ -45,18 +45,16 @@ func TestMemberBit(t *testing.T) {
 	}
 	three := big.NewInt(3)
 	for name, p := range map[string]Point{
-		"Add":              c.Add(m, m2),
-		"Add(∞, m)":        c.Add(Infinity(), m),
-		"Add(m, ∞)":        c.Add(m, Infinity()),
-		"Add(m, m)":        c.Add(m, m),
-		"Sub":              c.Sub(m, m2),
-		"Double":           c.Double(m),
-		"Neg":              c.Neg(m),
-		"ScalarMult":       c.ScalarMult(three, m),
-		"ScalarMult by 1":  c.ScalarMult(big1, m),
-		"ScalarMultAffine": c.ScalarMultAffine(big1, m),
-		"ScalarMultBase":   c.ScalarMultBase(c.PrecomputeBase(m), big1),
-		"MSM":              c.MSM([]*big.Int{big1}, []Point{m}),
+		"Add":             c.Add(m, m2),
+		"Add(∞, m)":       c.Add(Infinity(), m),
+		"Add(m, ∞)":       c.Add(m, Infinity()),
+		"Add(m, m)":       c.Add(m, m),
+		"Sub":             c.Sub(m, m2),
+		"Double":          c.Double(m),
+		"Neg":             c.Neg(m),
+		"ScalarMult":      c.ScalarMult(three, m),
+		"ScalarMult by 1": c.ScalarMult(big1, m),
+		"MSM":             c.MSM([]*big.Int{big1}, []Point{m}),
 	} {
 		if p.member {
 			t.Errorf("%s: the result carries the member bit", name)

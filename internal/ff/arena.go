@@ -22,7 +22,7 @@ const arenaInitialElems = 96
 //   - Every MontElem obtained from Elem (directly or via ElemIn/OneIn/
 //     ScratchIn) is INVALID after Release — the storage is reused by the
 //     next holder. Results that outlive the call must be copied out
-//     (FromMont, Set into caller-owned elements) before releasing.
+//     (Set into caller-owned elements) before releasing.
 //   - Release is idempotent per Get: call it exactly once, typically
 //     via defer.
 type Arena struct {
@@ -104,20 +104,23 @@ func (e *Fp2Mont) ScratchIn(a *Arena) *Fp2MontScratch {
 	return s
 }
 
-// UnitaryWNAF returns the signed-window recoding ExpUnitary and
-// ExpUnitaryWNAFInto consume. Fixed exponents (the pairing's cofactor,
-// a long-lived private scalar) should be recoded once and the digits
-// reused, which removes the big.Int work from the exponentiation hot
-// path entirely.
+// UnitaryWNAF returns the signed-window recoding ExpUnitaryWNAFInto
+// consumes. Fixed exponents (the pairing's cofactor) should be recoded
+// once and the digits reused, which removes the big.Int work from the
+// exponentiation hot path entirely.
 func UnitaryWNAF(k *big.Int) []int8 {
 	return AppendWNAF(nil, k, expUnitaryWindow)
 }
 
-// ExpUnitaryWNAFInto is ExpUnitaryInto with the exponent already
-// recoded (UnitaryWNAF) and every temporary carved from a: zero heap
-// allocations in steady state. digits must be a UnitaryWNAF recoding of
-// a non-negative exponent; x must be unitary, as for ExpUnitaryInto.
-// dst may alias x.
+// ExpUnitaryWNAFInto sets dst = x^k for a UNITARY x (norm(x) = 1, i.e.
+// x·conj(x) = 1 — every pairing output and every f^(p−1) value
+// qualifies), given digits = UnitaryWNAF(k), every temporary carved
+// from a: zero heap allocations in steady state. Because inversion is a
+// free conjugation for unitary elements, a negative digit multiplies by
+// a conjugated table entry instead of a stored inverse. dst may alias
+// x. The precondition is the caller's responsibility; for non-unitary x
+// the result is simply wrong (the differential tests pin the unitary
+// case against internal/ref's square-and-multiply).
 func (e *Fp2Mont) ExpUnitaryWNAFInto(dst *Fp2MontElem, x Fp2MontElem, digits []int8, s *Fp2MontScratch, a *Arena) {
 	if len(digits) == 0 {
 		e.SetOne(dst)

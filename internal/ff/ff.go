@@ -1,20 +1,15 @@
 // Package ff implements arithmetic in the prime field F_p and its
 // quadratic extension F_{p²} = F_p[i]/(i²+1), the two fields underlying
-// the supersingular pairing group used throughout this repository.
+// the supersingular pairing group of the Type-1 backend.
 //
-// Elements of F_p are represented as fully reduced *big.Int values in
-// [0, p). All operations go through a *Field context that carries the
-// modulus and derived constants, so multiple parameter sets (e.g. test
-// and production sizes) can coexist in one process.
-//
-// There are two layers. The math/big methods on Field and Fp2 are the
-// plain, allocating textbook arithmetic: API boundaries (encodings,
-// hashing, sampling) use them, and so does the affine oracle the
-// differential tests compare against. The hot paths — pairing, Jacobian
-// ladders, F_{p²} exponentiation — run on the fixed-limb Montgomery
-// layer (Mont, Fp2Mont) that every Field carries; TestMont* and the
-// Fuzz* targets pin it operation by operation against the math/big
-// layer. Neither layer is constant time: only Mont's generated kernels
+// There are two layers. Field is the plain, allocating math/big F_p:
+// API boundaries (encodings, hashing, sampling, parameter checks) use
+// it. The hot paths — pairing, Jacobian ladders, target-group
+// arithmetic — run on the fixed-limb Montgomery layer every Field
+// carries: Mont for F_p and Fp2Mont for F_{p²}, the only F_{p²} in the
+// tree. TestMont* and the Fuzz* targets pin it operation by operation
+// against Field and against the math/big F_{p²} oracle in internal/ref.
+// Neither layer is constant time: only Mont's generated kernels
 // (mont_kernel.go, 3 and 8 limbs) reduce by selects, while the loop
 // widths, every exponentiation and math/big branch (see Mont and the
 // repository README for the threat-model discussion).
@@ -32,7 +27,6 @@ var (
 	big1 = big.NewInt(1)
 	big2 = big.NewInt(2)
 	big3 = big.NewInt(3)
-	big4 = big.NewInt(4)
 )
 
 // Field is an arithmetic context for the prime field F_p.

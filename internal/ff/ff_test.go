@@ -100,9 +100,10 @@ func TestInvBatchPanicsOnZero(t *testing.T) {
 
 // TestWNAFRecoding: the recoded digits must reconstruct the scalar,
 // with every non-zero digit odd and within (−2^(w−1), 2^(w−1)), at the
-// two widths in use (5 for ExpUnitary, 8 for curve.ScalarMultBase).
+// widths in use (4 for curve's Straus walk, 5 for the unitary ladders,
+// 8 for bls381's fixed-base table).
 func TestWNAFRecoding(t *testing.T) {
-	for _, w := range []uint{5, 8} {
+	for _, w := range []uint{4, 5, 8} {
 		half := 1 << (w - 1)
 		prop := func(k uint64) bool {
 			n := new(big.Int).SetUint64(k)

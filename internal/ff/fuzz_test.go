@@ -8,7 +8,7 @@ import (
 // fuzzFields builds, once, the two kernel widths — Test160 and SS512,
 // whose full-width modulus is the harshest carry/borrow shape the
 // backend supports — and one loop width, the two-limb prime with both
-// limbs full. SS512 comes second; FuzzFp2Arith runs on it.
+// limbs full. SS512 comes second; FuzzFp2Arith (fp2_test.go) runs on it.
 var fuzzFieldsOnce []*Field
 
 func fuzzSetup(f *testing.F) []*Field {
@@ -87,52 +87,5 @@ func FuzzFpArith(f *testing.F) {
 			m.Exp(rm, am, b)
 			check("Exp", fld.Exp(a, b))
 		}
-	})
-}
-
-// FuzzFp2Arith cross-checks the extension-field limb operations against
-// the big.Int Fp2 reference on fuzzer-chosen operands.
-func FuzzFp2Arith(f *testing.F) {
-	fld := fuzzSetup(f)[1]
-	e2, err := NewFp2(fld)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte{0}, []byte{1}, []byte{2}, []byte{3})
-	f.Add([]byte{1}, []byte{0}, []byte{0}, []byte{0})
-	f.Fuzz(func(t *testing.T, xa, xb, ya, yb []byte) {
-		if len(xa) > 128 || len(xb) > 128 || len(ya) > 128 || len(yb) > 128 {
-			return
-		}
-		x := Fp2Elem{A: fuzzReduce(fld, xa), B: fuzzReduce(fld, xb)}
-		y := Fp2Elem{A: fuzzReduce(fld, ya), B: fuzzReduce(fld, yb)}
-		em := e2.Mont()
-		s := em.NewScratch()
-		xm, ym, rm := em.NewElem(), em.NewElem(), em.NewElem()
-		em.ToMont(&xm, x)
-		em.ToMont(&ym, y)
-		check := func(op string, want Fp2Elem) {
-			t.Helper()
-			if got := em.FromMont(rm); !e2.Equal(got, want) {
-				t.Fatalf("%s mismatch: got %v want %v", op, got, want)
-			}
-		}
-		em.MulInto(&rm, xm, ym, s)
-		check("Mul", e2.Mul(x, y))
-		em.SqrInto(&rm, xm, s)
-		check("Sqr", e2.Sqr(x))
-		em.AddInto(&rm, xm, ym)
-		check("Add", e2.Add(x, y))
-		em.SubInto(&rm, xm, ym)
-		check("Sub", e2.Sub(x, y))
-		em.ConjInto(&rm, xm)
-		check("Conj", e2.Conj(x))
-		if !e2.IsZero(x) {
-			em.InvInto(&rm, xm, s)
-			check("Inv", e2.Inv(x))
-		}
-		k := new(big.Int).SetBytes(yb)
-		em.ExpInto(&rm, xm, k, s)
-		check("Exp", e2.ExpBig(x, k))
 	})
 }

@@ -294,6 +294,20 @@ func (m *Mont) FromMont(dst *big.Int, x MontElem) *big.Int {
 	return bigFromLimbs(dst, tmp)
 }
 
+// AppendMontBytes appends Bytes of the element whose Montgomery form is
+// x — the fixed-width big-endian encoding — converting out of the
+// domain on the stack, without a big.Int.
+func (f *Field) AppendMontBytes(dst []byte, x MontElem) []byte {
+	m := f.mont
+	var plain, lit [maxMontLimbs]uint64
+	lit[0] = 1
+	m.Mul(plain[:m.n], x, lit[:m.n])
+	for i := f.byteLen - 1; i >= 0; i-- {
+		dst = append(dst, byte(plain[i/8]>>(8*(i%8))))
+	}
+	return dst
+}
+
 // limbsFromBig fills dst with the little-endian 64-bit limbs of the
 // non-negative x (which must fit; callers pass reduced values). It
 // handles both 64- and 32-bit big.Word sizes.

@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -62,6 +63,9 @@ func TestMontRoundTrip(t *testing.T) {
 			m.ToMont(e, x)
 			if got := m.FromMont(nil, e); got.Cmp(x) != 0 {
 				t.Fatalf("p=%v: round trip of %v gave %v", f.P(), x, got)
+			}
+			if got := f.AppendMontBytes([]byte{0xaa}, e); !bytes.Equal(got[1:], f.Bytes(x)) || got[0] != 0xaa {
+				t.Fatalf("p=%v: AppendMontBytes of %v gave %x", f.P(), x, got)
 			}
 		}
 		m.ToMont(e, big.NewInt(1))
@@ -140,107 +144,6 @@ func TestMontAliasing(t *testing.T) {
 		m.Sub(x, x, bm)
 		if got := m.FromMont(nil, x); got.Cmp(f.Sub(a, b)) != 0 {
 			t.Fatalf("aliased Sub mismatch")
-		}
-	}
-}
-
-// TestFp2MontMatchesBig cross-checks the extension-field limb ops
-// against the big.Int Fp2 reference.
-func TestFp2MontMatchesBig(t *testing.T) {
-	for _, f := range montFields(t) {
-		if new(big.Int).Mod(f.P(), big4).Cmp(big3) != 0 {
-			continue // Fp2 needs p ≡ 3 (mod 4)
-		}
-		e2, err := NewFp2(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		em := e2.Mont()
-		if em == nil {
-			t.Fatal("no Fp2 Montgomery context")
-		}
-		s := em.NewScratch()
-		xm, ym, rm := em.NewElem(), em.NewElem(), em.NewElem()
-		for i := 0; i < 100; i++ {
-			x, err := e2.Rand(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y, err := e2.Rand(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			em.ToMont(&xm, x)
-			em.ToMont(&ym, y)
-
-			check := func(op string, want Fp2Elem) {
-				t.Helper()
-				if got := em.FromMont(rm); !e2.Equal(got, want) {
-					t.Fatalf("p=%v %s mismatch: got %v want %v", f.P(), op, got, want)
-				}
-			}
-			em.MulInto(&rm, xm, ym, s)
-			check("Mul", e2.Mul(x, y))
-			em.SqrInto(&rm, xm, s)
-			check("Sqr", e2.Sqr(x))
-			em.AddInto(&rm, xm, ym)
-			check("Add", e2.Add(x, y))
-			em.SubInto(&rm, xm, ym)
-			check("Sub", e2.Sub(x, y))
-			em.ConjInto(&rm, xm)
-			check("Conj", e2.Conj(x))
-			if !e2.IsZero(x) {
-				em.InvInto(&rm, xm, s)
-				check("Inv", e2.Inv(x))
-			}
-			k := new(big.Int).SetBytes(e2.Fp.Bytes(y.A)[:4])
-			em.ExpInto(&rm, xm, k, s)
-			check("Exp", e2.ExpBig(x, k))
-		}
-	}
-}
-
-// TestFp2ExpRoutesMatch pins Fp2.Exp and — on unitary elements built as
-// z/conj(z), which always have norm 1 — Fp2.ExpUnitary against the
-// math/big oracle ExpBig.
-func TestFp2ExpRoutesMatch(t *testing.T) {
-	for _, f := range montFields(t) {
-		if new(big.Int).Mod(f.P(), big4).Cmp(big3) != 0 {
-			continue
-		}
-		e2, err := NewFp2(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 30; i++ {
-			x, err := e2.Rand(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := f.Rand(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := e2.Exp(x, k), e2.ExpBig(x, k); !e2.Equal(got, want) {
-				t.Fatalf("Exp route mismatch: got %v want %v", got, want)
-			}
-			if e2.IsZero(x) {
-				continue
-			}
-			u := e2.Mul(x, e2.Inv(e2.Conj(x))) // norm(u) = 1
-			if !f.Equal(e2.Norm(u), big.NewInt(1)) {
-				t.Fatalf("test element is not unitary")
-			}
-			if got, want := e2.ExpUnitary(u, k), e2.ExpBig(u, k); !e2.Equal(got, want) {
-				t.Fatalf("ExpUnitary mismatch on unitary element: got %v want %v", got, want)
-			}
-		}
-		// Edge exponents.
-		u := e2.One()
-		for _, k := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2)} {
-			if got := e2.ExpUnitary(u, k); !e2.IsOne(got) {
-				t.Fatalf("ExpUnitary(1, %v) != 1", k)
-			}
 		}
 	}
 }

@@ -5,28 +5,29 @@ import (
 	"slices"
 )
 
-// Fp2MontElem is an element a + b·i of F_{p²} with both coordinates in
-// Montgomery form. It is the limb-vector form of Fp2Elem: the pairing's
-// Miller loops, the final exponentiation and the G2 exponentiation hot
-// paths all work on this representation and convert at the boundary.
+// Fp2MontElem is an element a + b·i of F_{p²} = F_p[i]/(i²+1) with
+// both coordinates in Montgomery form: the one representation of
+// F_{p²} in the tree. The pairing's Miller loops, its final
+// exponentiation and its target-group values (pairing.GT) all work on
+// it; the math/big oracle tower lives in internal/ref.
 type Fp2MontElem struct {
 	A, B MontElem
 }
 
 // Fp2Mont bundles the quadratic-extension operations over the
-// Montgomery backend. Obtain one from Fp2.Mont; it is immutable and
-// safe for concurrent use (scratch is caller-provided).
+// Montgomery backend M, whose modulus must be ≡ 3 (mod 4) so that i² = −1
+// defines the extension (curve.New checks it). It is immutable and safe
+// for concurrent use (scratch is caller-provided).
 type Fp2Mont struct {
 	M *Mont
 }
 
-// Mont returns the limb-vector context of the extension field; it is
-// never nil.
-func (e *Fp2) Mont() *Fp2Mont { return e.mont }
-
-// NewElem returns a fresh zero element.
+// NewElem returns a fresh zero element, both coordinates in one
+// allocation.
 func (e *Fp2Mont) NewElem() Fp2MontElem {
-	return Fp2MontElem{A: e.M.NewElem(), B: e.M.NewElem()}
+	n := e.M.n
+	limbs := make([]uint64, 2*n)
+	return Fp2MontElem{A: limbs[:n:n], B: limbs[n:]}
 }
 
 // One returns a fresh multiplicative identity.
@@ -59,33 +60,10 @@ func (e *Fp2Mont) Equal(x, y Fp2MontElem) bool {
 	return e.M.Equal(x.A, y.A) && e.M.Equal(x.B, y.B)
 }
 
-// ToMont converts a reduced Fp2Elem into Montgomery form.
-func (e *Fp2Mont) ToMont(dst *Fp2MontElem, x Fp2Elem) {
-	e.M.ToMont(dst.A, x.A)
-	e.M.ToMont(dst.B, x.B)
-}
-
-// FromMont converts back to the big.Int representation.
-func (e *Fp2Mont) FromMont(x Fp2MontElem) Fp2Elem {
-	return Fp2Elem{A: e.M.FromMont(nil, x.A), B: e.M.FromMont(nil, x.B)}
-}
-
-// AddInto sets dst = x + y; dst may alias either operand.
-func (e *Fp2Mont) AddInto(dst *Fp2MontElem, x, y Fp2MontElem) {
-	e.M.Add(dst.A, x.A, y.A)
-	e.M.Add(dst.B, x.B, y.B)
-}
-
-// SubInto sets dst = x - y; dst may alias either operand.
-func (e *Fp2Mont) SubInto(dst *Fp2MontElem, x, y Fp2MontElem) {
-	e.M.Sub(dst.A, x.A, y.A)
-	e.M.Sub(dst.B, x.B, y.B)
-}
-
-// ConjInto sets dst = conj(x) = a - b·i; dst may alias x. As in the
-// big.Int path, conjugation is the p-power Frobenius of F_{p²}, and for
+// ConjInto sets dst = conj(x) = a − b·i; dst may alias x. Conjugation is
+// the p-power Frobenius of F_{p²} (i^p = −i for p ≡ 3 mod 4), and for
 // unitary elements (norm 1) it equals inversion — the identity behind
-// ExpUnitaryInto and the Frobenius final-exponentiation step.
+// ExpUnitaryWNAFInto and the Frobenius final-exponentiation step.
 func (e *Fp2Mont) ConjInto(dst *Fp2MontElem, x Fp2MontElem) {
 	if &dst.A[0] != &x.A[0] {
 		copy(dst.A, x.A)
@@ -97,13 +75,6 @@ func (e *Fp2Mont) ConjInto(dst *Fp2MontElem, x Fp2MontElem) {
 // F_{p²} limb operations; one per goroutine.
 type Fp2MontScratch struct {
 	t0, t1, t2, t3 MontElem
-}
-
-// NewScratch allocates scratch space sized for this context.
-func (e *Fp2Mont) NewScratch() *Fp2MontScratch {
-	return &Fp2MontScratch{
-		t0: e.M.NewElem(), t1: e.M.NewElem(), t2: e.M.NewElem(), t3: e.M.NewElem(),
-	}
 }
 
 // MulInto sets dst = x·y with the 3-multiplication Karatsuba schedule
@@ -146,53 +117,10 @@ func (e *Fp2Mont) InvInto(dst *Fp2MontElem, x Fp2MontElem, s *Fp2MontScratch) {
 	m.Neg(dst.B, dst.B)
 }
 
-// ExpInto sets dst = x^k for a non-negative exponent, square-and-
-// multiply on limb vectors; dst may alias x.
-func (e *Fp2Mont) ExpInto(dst *Fp2MontElem, x Fp2MontElem, k *big.Int, s *Fp2MontScratch) {
-	if k.Sign() < 0 {
-		panic("ff: negative exponent in F_{p²}")
-	}
-	base := e.NewElem()
-	e.Set(&base, x)
-	acc := e.One()
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		e.SqrInto(&acc, acc, s)
-		if k.Bit(i) == 1 {
-			e.MulInto(&acc, acc, base, s)
-		}
-	}
-	e.Set(dst, acc)
-}
-
-// expUnitaryWindow is the wNAF window width of ExpUnitaryInto. Width 5
-// precomputes 2^(5-2) = 8 odd powers and cuts the multiplication count
-// from k/2 (square-and-multiply) to ~k/6 for a k-bit exponent.
+// expUnitaryWindow is the wNAF window width of ExpUnitaryWNAFInto.
+// Width 5 precomputes 2^(5-2) = 8 odd powers and cuts the multiplication
+// count from k/2 (square-and-multiply) to ~k/6 for a k-bit exponent.
 const expUnitaryWindow = 5
-
-// ExpUnitaryInto sets dst = x^k for a UNITARY x (norm(x) = 1, i.e.
-// x·conj(x) = 1 — every pairing output and every f^(p−1) value
-// qualifies) and non-negative k. Because inversion is a free
-// conjugation for unitary elements, the exponent is recoded in signed
-// windowed NAF: negative digits multiply by a conjugated table entry
-// instead of requiring a stored inverse. dst may alias x. The
-// precondition is the caller's responsibility; for non-unitary x the
-// result is simply wrong (differential tests pin the unitary case
-// against ExpInto).
-func (e *Fp2Mont) ExpUnitaryInto(dst *Fp2MontElem, x Fp2MontElem, k *big.Int, s *Fp2MontScratch) {
-	if k.Sign() < 0 {
-		panic("ff: negative exponent in F_{p²}")
-	}
-	if k.Sign() == 0 {
-		e.SetOne(dst)
-		return
-	}
-	// One-shot exponent: recode here and run the arena-backed ladder.
-	// Callers with a FIXED exponent should recode once with UnitaryWNAF
-	// and call ExpUnitaryWNAFInto directly (see arena.go).
-	a := e.M.GetArena()
-	defer a.Release()
-	e.ExpUnitaryWNAFInto(dst, x, UnitaryWNAF(k), s, a)
-}
 
 // AppendWNAF appends the width-w non-adjacent form of the non-negative
 // k to dst, least significant digit first: digits are zero or odd in

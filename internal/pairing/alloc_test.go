@@ -3,10 +3,10 @@ package pairing
 import "testing"
 
 // pairAllocBound is what Pair and PairPrepared allocated per call when
-// the allocation columns of the pairing report were last recorded (the
-// returned Fp2Elem and its conversion out of the arena, nothing per
-// Miller step). AllocsPerRun reads 4 at every preset; the fifth is room
-// for one pool eviction by a GC cycle mid-measurement.
+// their values were still converted to math/big on exit. They now
+// allocate the returned GT alone — one limb slice, nothing per Miller
+// step — and AllocsPerRun reads 1 at every preset; the rest is room for
+// a pool eviction by a GC cycle mid-measurement.
 const pairAllocBound = 5
 
 // TestPairAllocsFlatInLoopLength is the pairing row of the

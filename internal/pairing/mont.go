@@ -18,11 +18,10 @@ import (
 // exponentiation kills — the denominator-elimination argument extended
 // to projective denominators. No step performs a field inversion;
 // every field operation is a fixed-width CIOS multiplication or a
-// lazy-reduced add/sub. The affine oracle (MillerAffine, lineDouble,
-// lineAdd in pairing.go) computes the same lines with a different
-// algorithm, and the differential tests hold this walk to it. All state
-// is carved from a caller-held arena, so a full Miller loop allocates
-// nothing.
+// lazy-reduced add/sub. The affine oracle in internal/ref computes the
+// same lines with a different algorithm, and the differential tests
+// hold this walk to it. All state is carved from a caller-held arena,
+// so a full Miller loop allocates nothing.
 type millerStateMont struct {
 	m       *ff.Mont
 	X, Y, Z ff.MontElem
@@ -48,7 +47,7 @@ func (st *millerStateMont) isInf() bool { return st.m.IsZero(st.Z) }
 // dbl advances V ← 2V and writes the tangent-line coefficients into
 // (a, b, c). It returns false when the step contributes the factor 1
 // instead (V at infinity, or a vertical tangent at a 2-torsion point),
-// mirroring the affine lineDouble semantics exactly.
+// mirroring the affine oracle's tangent step exactly.
 //
 // With M = 3X² + Z⁴ (curve a-coefficient 1) and the affine tangent slope
 // λ = M/(2YZ), scaling the affine line by 2YZ³ gives
@@ -111,7 +110,7 @@ func (st *millerStateMont) dbl(a, b, c ff.MontElem) bool {
 // (px, py), which is never the identity, and writes the chord-line
 // coefficients into (a, b, c); it returns false when the step
 // contributes the factor 1 (V at infinity, or the vertical chord
-// V + (−V)), mirroring the affine lineAdd semantics.
+// V + (−V)), mirroring the affine oracle's chord step.
 //
 // Mixed Jacobian+affine addition: with U2 = x_p·Z², S2 = y_p·Z³,
 // H = U2 − X, R = S2 − Y, the affine chord slope is λ = R/(Z·H);
@@ -190,9 +189,9 @@ func (pr *Pairing) toMontPointIn(p curve.Point, a *ff.Arena) (x, y ff.MontElem) 
 // Jacobian inversion-free loop, without the final exponentiation, every
 // temporary carved from the caller's arena. P and Q must be
 // non-identity subgroup points; the returned value is in Montgomery
-// form and valid until the arena is released. It differs from
-// MillerAffine's by a non-zero F_p^* factor per line, which the final
-// exponentiation eliminates.
+// form and valid until the arena is released. It differs from the
+// affine oracle's value by a non-zero F_p^* factor per line, which the
+// final exponentiation eliminates.
 func (pr *Pairing) millerMontIn(p, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 	m, e2m := pr.m, pr.e2m
 	px, py := pr.toMontPointIn(p, ar)
@@ -233,7 +232,7 @@ func (pr *Pairing) finalExpMontIn(f ff.Fp2MontElem, a *ff.Arena) ff.Fp2MontElem 
 	e2m := pr.e2m
 	if e2m.IsZero(f) {
 		// Cannot happen for valid subgroup inputs (every line value has
-		// imaginary part y_Q ≠ 0, see lineEval); treat as degenerate.
+		// imaginary part y_Q ≠ 0); treat as degenerate.
 		return e2m.OneIn(a)
 	}
 	s := e2m.ScratchIn(a)
@@ -250,8 +249,8 @@ func (pr *Pairing) finalExpMontIn(f ff.Fp2MontElem, a *ff.Arena) ff.Fp2MontElem 
 // from the stored line schedule of P: one CIOS multiplication and one
 // addition per line, no point arithmetic, all temporaries in the
 // caller's arena. Q must be a non-identity subgroup point and pp must
-// not be the prepared identity. The value equals MillerAffine(P, Q)
-// exactly (same normalised lines).
+// not be the prepared identity. The value equals the affine oracle's
+// Miller value exactly (same normalised lines).
 func (pr *Pairing) millerPreparedMontIn(pp *PreparedPoint, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 	m, e2m := pr.m, pr.e2m
 	qx, qy := pr.toMontPointIn(q, ar)

@@ -15,15 +15,15 @@
 // non-zero F_p factor, so the loop runs in Jacobian coordinates with
 // zero per-iteration inversions.
 //
-// There are exactly two implementations. Production — Pair,
-// PairPrepared, PairProduct, SamePairing*, FinalExp — is that
-// projective loop and a Frobenius final exponentiation on Montgomery
-// limb vectors (mont.go, which also carries the line derivations). The
-// oracle — MillerAffine, PairAffine — is the textbook algorithm in this
-// file: affine math/big arithmetic with one inversion per step and a
-// plain f^((p²−1)/q) exponentiation. It shares neither formulas nor
-// number representation with production, and the differential tests
-// hold every production entry point to it (à la curve.ScalarMultAffine).
+// Every entry point — Pair, PairPrepared, PairProduct, SamePairing*,
+// FinalExp and the GT* operations — runs that projective loop and a
+// Frobenius final exponentiation on Montgomery limb vectors (mont.go,
+// which also carries the line derivations), and a target-group value
+// stays on limbs (GT is ff.Fp2MontElem) until GTBytes encodes it. The
+// oracle is the textbook algorithm in internal/ref — affine math/big
+// arithmetic with one inversion per step and a plain f^((p²−1)/q)
+// exponentiation — and the differential tests hold every entry point
+// here to it.
 //
 // For pairings whose first argument is fixed across many evaluations
 // (update verification, BLS verification, user-key well-formedness
@@ -41,21 +41,16 @@ import (
 	"timedrelease/internal/parallel"
 )
 
-var (
-	big1 = big.NewInt(1)
-	big3 = big.NewInt(3)
-)
-
-// GT is the target group: the order-q subgroup of F_{p²}*.
-type GT = ff.Fp2Elem
+// GT is the target group: the order-q subgroup of F_{p²}*, on limbs. A
+// GT value returned by this package is never written again — the GT*
+// operations return fresh elements — so values may be shared across
+// goroutines (core.Encryptor caches its bases).
+type GT = ff.Fp2MontElem
 
 // Pairing binds a curve context to its extension field and caches the
-// final exponentiation exponent and the Miller-loop schedule.
+// Miller-loop schedule and the recoded final-exponentiation cofactor.
 type Pairing struct {
-	C  *curve.Curve
-	E2 *ff.Fp2
-
-	finalExp *big.Int // (p²−1)/q = (p−1)·h, the oracle's exponent
+	C *curve.Curve
 
 	// schedule[k] reports whether Miller iteration k (processing bit
 	// BitLen-2-k of q) performs an addition step after its doubling
@@ -63,25 +58,21 @@ type Pairing struct {
 	// every loop.
 	schedule []bool
 
-	// m and e2m are the limb contexts every production entry point runs
-	// on end-to-end; hDigits is the signed-window recoding of the
-	// cofactor h, computed once so the final exponentiation never
-	// touches big.Int arithmetic.
+	// m and e2m are the limb contexts every entry point runs on
+	// end-to-end; hDigits is the signed-window recoding of the cofactor
+	// h, computed once so the final exponentiation never touches big.Int
+	// arithmetic.
 	m       *ff.Mont
 	e2m     *ff.Fp2Mont
 	hDigits []int8
 }
 
-// New returns a pairing context for c.
+// New returns a pairing context for c. curve.New has checked
+// p ≡ 3 (mod 4), so i² = −1 defines F_{p²}.
 func New(c *curve.Curve) (*Pairing, error) {
 	if c == nil {
 		return nil, errors.New("pairing: nil curve")
 	}
-	e2, err := ff.NewFp2(c.F)
-	if err != nil {
-		return nil, err
-	}
-	pm1 := new(big.Int).Sub(c.F.P(), big.NewInt(1))
 	ord := c.Q
 	schedule := make([]bool, 0, ord.BitLen()-1)
 	for i := ord.BitLen() - 2; i >= 0; i-- {
@@ -89,37 +80,31 @@ func New(c *curve.Curve) (*Pairing, error) {
 	}
 	return &Pairing{
 		C:        c,
-		E2:       e2,
-		finalExp: new(big.Int).Mul(pm1, c.H),
 		schedule: schedule,
 		m:        c.F.Mont(),
-		e2m:      e2.Mont(),
+		e2m:      &ff.Fp2Mont{M: c.F.Mont()},
 		hDigits:  ff.UnitaryWNAF(c.H),
 	}, nil
 }
 
+// own copies an arena-held value into a fresh GT the caller keeps.
+func (pr *Pairing) own(x ff.Fp2MontElem) GT {
+	out := pr.e2m.NewElem()
+	pr.e2m.Set(&out, x)
+	return out
+}
+
 // Pair computes ê(P, Q): the projective (inversion-free) Miller loop
-// and the final exponentiation on limb vectors over one pooled arena,
-// with a single conversion at the boundary. Both points must lie in the
-// order-q subgroup; if either is the identity the result is 1.
+// and the final exponentiation on limb vectors over one pooled arena.
+// Both points must lie in the order-q subgroup; if either is the
+// identity the result is 1.
 func (pr *Pairing) Pair(p, q curve.Point) GT {
 	if p.IsInfinity() || q.IsInfinity() {
-		return pr.E2.One()
+		return pr.e2m.One()
 	}
 	a := pr.m.GetArena()
 	defer a.Release()
-	return pr.e2m.FromMont(pr.finalExpMontIn(pr.millerMontIn(p, q, a), a))
-}
-
-// PairAffine is the oracle for every production pairing: the affine
-// Miller loop followed by the plain exponentiation f^((p²−1)/q), all on
-// math/big. It returns the same value as Pair and exists for
-// differential testing and the E4/pairing-bench ablations.
-func (pr *Pairing) PairAffine(p, q curve.Point) GT {
-	if p.IsInfinity() || q.IsInfinity() {
-		return pr.E2.One()
-	}
-	return pr.E2.ExpBig(pr.MillerAffine(p, q), pr.finalExp)
+	return pr.own(pr.finalExpMontIn(pr.millerMontIn(p, q, a), a))
 }
 
 // FinalExp raises an unreduced Miller value to (p²−1)/q, mapping it into
@@ -135,88 +120,7 @@ func (pr *Pairing) PairAffine(p, q curve.Point) GT {
 func (pr *Pairing) FinalExp(f GT) GT {
 	a := pr.m.GetArena()
 	defer a.Release()
-	fm := pr.e2m.ElemIn(a)
-	pr.e2m.ToMont(&fm, f)
-	return pr.e2m.FromMont(pr.finalExpMontIn(fm, a))
-}
-
-// MillerAffine evaluates the Miller function f_{q,P} at ψ(Q) in affine
-// coordinates, without the final exponentiation. P and Q must be
-// non-identity subgroup points. This is the oracle's loop: one field
-// inversion per doubling/addition step. The production loop
-// (millerMontIn) computes a value equal up to an F_p^* factor with no
-// inversions at all; the two agree exactly after the final
-// exponentiation.
-func (pr *Pairing) MillerAffine(p, q curve.Point) GT {
-	e2 := pr.E2
-	f := e2.One()
-	v := p
-	for _, addBit := range pr.schedule {
-		f = e2.Sqr(f)
-		var g GT
-		v, g = pr.lineDouble(v, q)
-		f = e2.Mul(f, g)
-		if addBit {
-			v, g = pr.lineAdd(v, p, q)
-			f = e2.Mul(f, g)
-		}
-	}
-	return f
-}
-
-// lineEval evaluates the (non-vertical) line of slope λ through the
-// affine point a, at the distorted point ψ(Q) = (−x_Q, i·y_Q):
-//
-//	g = i·y_Q − λ·(−x_Q) − (y_a − λ·x_a)
-//	  = (λ·(x_Q + x_a) − y_a) + y_Q·i  ∈ F_{p²}.
-//
-// Since q is odd and Q has order q, y_Q ≠ 0, so g ≠ 0 always — the
-// Miller value never collapses to zero. The returned element shares
-// q.Y; callers consume it immediately without mutation.
-func (pr *Pairing) lineEval(a, q curve.Point, lambda *big.Int) GT {
-	fp := pr.C.F
-	re := fp.Sub(fp.Mul(lambda, fp.Add(q.X, a.X)), a.Y)
-	return ff.Fp2Elem{A: re, B: q.Y}
-}
-
-// lineDouble returns (2v, g) where g is the tangent-line factor at v
-// evaluated at ψ(q). Vertical tangents (y=0) and the identity contribute
-// the factor 1 under denominator elimination.
-func (pr *Pairing) lineDouble(v, q curve.Point) (curve.Point, GT) {
-	if v.IsInfinity() {
-		return v, pr.E2.One()
-	}
-	if v.Y.Sign() == 0 {
-		return curve.Infinity(), pr.E2.One()
-	}
-	fp := pr.C.F
-	num := fp.Add(fp.Mul(big3, fp.Sqr(v.X)), big1)
-	lambda := fp.Mul(num, fp.Inv(fp.Double(v.Y)))
-	g := pr.lineEval(v, q, lambda)
-	return pr.C.Double(v), g
-}
-
-// lineAdd returns (v+p, g) where g is the chord-line factor through v
-// and p evaluated at ψ(q). The vertical chord v + (−v) contributes 1.
-func (pr *Pairing) lineAdd(v, p, q curve.Point) (curve.Point, GT) {
-	if v.IsInfinity() {
-		return p, pr.E2.One()
-	}
-	if p.IsInfinity() {
-		return v, pr.E2.One()
-	}
-	if v.X.Cmp(p.X) == 0 {
-		if v.Y.Cmp(p.Y) == 0 {
-			// Chord degenerates to the tangent; only reachable if the loop
-			// ever adds a point to itself, which the Miller schedule avoids.
-			return pr.lineDouble(v, q)
-		}
-		return curve.Infinity(), pr.E2.One()
-	}
-	fp := pr.C.F
-	lambda := fp.Mul(fp.Sub(p.Y, v.Y), fp.Inv(fp.Sub(p.X, v.X)))
-	g := pr.lineEval(v, q, lambda)
-	return pr.C.Add(v, p), g
+	return pr.own(pr.finalExpMontIn(f, a))
 }
 
 // PointPair is one (P, Q) factor of a pairing product.
@@ -268,7 +172,7 @@ func (pr *Pairing) PairProduct(pairs []PointPair) GT {
 	for _, m := range millers {
 		e2m.MulInto(&acc, acc, m, s)
 	}
-	return e2m.FromMont(pr.finalExpMontIn(acc, a))
+	return pr.own(pr.finalExpMontIn(acc, a))
 }
 
 // SamePairing reports whether ê(a1, b1) == ê(a2, b2), evaluated as a
@@ -281,5 +185,41 @@ func (pr *Pairing) SamePairing(a1, b1, a2, b2 curve.Point) bool {
 		{P: pr.C.Neg(a1), Q: b1},
 		{P: a2, Q: b2},
 	})
-	return pr.E2.IsOne(gt)
+	return pr.e2m.IsOne(gt)
+}
+
+// GTOne returns 1 ∈ GT.
+func (pr *Pairing) GTOne() GT { return pr.e2m.One() }
+
+// GTEqual reports whether x == y.
+func (pr *Pairing) GTEqual(x, y GT) bool { return pr.e2m.Equal(x, y) }
+
+// GTIsOne reports whether x == 1.
+func (pr *Pairing) GTIsOne(x GT) bool { return pr.e2m.IsOne(x) }
+
+// GTMul returns x·y as a fresh element.
+func (pr *Pairing) GTMul(x, y GT) GT {
+	a := pr.m.GetArena()
+	defer a.Release()
+	out := pr.e2m.NewElem()
+	pr.e2m.MulInto(&out, x, y, pr.e2m.ScratchIn(a))
+	return out
+}
+
+// GTExpUnitary returns x^k for a unitary x (every GT value is) and a
+// non-negative k, as a fresh element: the signed-window ladder with
+// conjugation as inversion.
+func (pr *Pairing) GTExpUnitary(x GT, k *big.Int) GT {
+	a := pr.m.GetArena()
+	defer a.Release()
+	out := pr.e2m.NewElem()
+	pr.e2m.ExpUnitaryWNAFInto(&out, x, ff.UnitaryWNAF(k), pr.e2m.ScratchIn(a), a)
+	return out
+}
+
+// GTBytes returns the fixed-width encoding Field.Bytes(A) ‖ Field.Bytes(B)
+// of x, the input of every H2 mask.
+func (pr *Pairing) GTBytes(x GT) []byte {
+	f := pr.C.F
+	return f.AppendMontBytes(f.AppendMontBytes(make([]byte, 0, 2*f.ByteLen()), x.A), x.B)
 }

@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -59,8 +60,8 @@ func TestBilinearity(t *testing.T) {
 		b := big.NewInt(int64(kb)%1000 + 1)
 		lhs := pr.Pair(pr.C.ScalarMult(a, p), pr.C.ScalarMult(b, q))
 		ab := new(big.Int).Mul(a, b)
-		rhs := pr.E2.Exp(base, ab)
-		return pr.E2.Equal(lhs, rhs)
+		rhs := pr.GTExpUnitary(base, ab)
+		return pr.GTEqual(lhs, rhs)
 	}
 	if err := quick.Check(bilinear, cfg); err != nil {
 		t.Error(err)
@@ -72,14 +73,14 @@ func TestLinearityInEachSlot(t *testing.T) {
 	p1, p2, q := gen(t, pr, 3), gen(t, pr, 4), gen(t, pr, 5)
 	// ê(P1+P2, Q) = ê(P1,Q)·ê(P2,Q)
 	lhs := pr.Pair(pr.C.Add(p1, p2), q)
-	rhs := pr.E2.Mul(pr.Pair(p1, q), pr.Pair(p2, q))
-	if !pr.E2.Equal(lhs, rhs) {
+	rhs := pr.GTMul(pr.Pair(p1, q), pr.Pair(p2, q))
+	if !pr.GTEqual(lhs, rhs) {
 		t.Fatal("pairing not linear in first slot")
 	}
 	// ê(Q, P1+P2) = ê(Q,P1)·ê(Q,P2)
 	lhs = pr.Pair(q, pr.C.Add(p1, p2))
-	rhs = pr.E2.Mul(pr.Pair(q, p1), pr.Pair(q, p2))
-	if !pr.E2.Equal(lhs, rhs) {
+	rhs = pr.GTMul(pr.Pair(q, p1), pr.Pair(q, p2))
+	if !pr.GTEqual(lhs, rhs) {
 		t.Fatal("pairing not linear in second slot")
 	}
 }
@@ -90,7 +91,7 @@ func TestSymmetry(t *testing.T) {
 	pr := testPairing(t)
 	for i := byte(0); i < 5; i++ {
 		p, q := gen(t, pr, 10+i), gen(t, pr, 20+i)
-		if !pr.E2.Equal(pr.Pair(p, q), pr.Pair(q, p)) {
+		if !pr.GTEqual(pr.Pair(p, q), pr.Pair(q, p)) {
 			t.Fatal("pairing is not symmetric")
 		}
 	}
@@ -99,11 +100,11 @@ func TestSymmetry(t *testing.T) {
 func TestNonDegeneracy(t *testing.T) {
 	pr := testPairing(t)
 	p := gen(t, pr, 6)
-	if pr.E2.IsOne(pr.Pair(p, p)) {
+	if pr.GTIsOne(pr.Pair(p, p)) {
 		t.Fatal("ê(P, P) = 1: distortion map failed")
 	}
 	q := gen(t, pr, 7)
-	if pr.E2.IsOne(pr.Pair(p, q)) {
+	if pr.GTIsOne(pr.Pair(p, q)) {
 		t.Fatal("ê(P, Q) = 1 for independent non-identity points")
 	}
 }
@@ -111,7 +112,7 @@ func TestNonDegeneracy(t *testing.T) {
 func TestIdentityGivesOne(t *testing.T) {
 	pr := testPairing(t)
 	p := gen(t, pr, 8)
-	if !pr.E2.IsOne(pr.Pair(curve.Infinity(), p)) || !pr.E2.IsOne(pr.Pair(p, curve.Infinity())) {
+	if !pr.GTIsOne(pr.Pair(curve.Infinity(), p)) || !pr.GTIsOne(pr.Pair(p, curve.Infinity())) {
 		t.Fatal("pairing with the identity must be 1")
 	}
 }
@@ -119,16 +120,16 @@ func TestIdentityGivesOne(t *testing.T) {
 func TestOutputHasOrderQ(t *testing.T) {
 	pr := testPairing(t)
 	g := pr.Pair(gen(t, pr, 9), gen(t, pr, 10))
-	if !pr.E2.IsOne(pr.E2.Exp(g, pr.C.Q)) {
+	if !pr.GTIsOne(pr.GTExpUnitary(g, pr.C.Q)) {
 		t.Fatal("pairing output not killed by q")
 	}
-	if pr.E2.IsOne(g) {
+	if pr.GTIsOne(g) {
 		t.Fatal("pairing output is trivially 1")
 	}
 	// The output must not be killed by small factors: g^k ≠ 1 for k < q
 	// would contradict prime order (spot-check a few k).
 	for _, k := range []int64{2, 3, 65537} {
-		if pr.E2.IsOne(pr.E2.Exp(g, big.NewInt(k))) {
+		if pr.GTIsOne(pr.GTExpUnitary(g, big.NewInt(k))) {
 			t.Fatalf("pairing output killed by %d — not of prime order q", k)
 		}
 	}
@@ -142,11 +143,11 @@ func TestPairProductMatchesIndividual(t *testing.T) {
 		{P: gen(t, pr, 15), Q: gen(t, pr, 16)},
 	}
 	product := pr.PairProduct(pairs)
-	expect := pr.E2.One()
+	expect := pr.GTOne()
 	for _, pq := range pairs {
-		expect = pr.E2.Mul(expect, pr.Pair(pq.P, pq.Q))
+		expect = pr.GTMul(expect, pr.Pair(pq.P, pq.Q))
 	}
-	if !pr.E2.Equal(product, expect) {
+	if !pr.GTEqual(product, expect) {
 		t.Fatal("PairProduct != product of pairings")
 	}
 }
@@ -158,7 +159,7 @@ func TestPairProductSkipsInfinity(t *testing.T) {
 		{P: p, Q: q},
 		{P: curve.Infinity(), Q: q},
 	})
-	if !pr.E2.Equal(withInf, pr.Pair(p, q)) {
+	if !pr.GTEqual(withInf, pr.Pair(p, q)) {
 		t.Fatal("infinity factor must contribute 1")
 	}
 }
@@ -184,8 +185,8 @@ func TestPairAgreesWithNaiveExponentPath(t *testing.T) {
 	p, q := gen(t, pr, 21), gen(t, pr, 22)
 	a := big.NewInt(987654321)
 	direct := pr.Pair(pr.C.ScalarMult(a, p), q)
-	viaExp := pr.E2.Exp(pr.Pair(p, q), a)
-	if !pr.E2.Equal(direct, viaExp) {
+	viaExp := pr.GTExpUnitary(pr.Pair(p, q), a)
+	if !pr.GTEqual(direct, viaExp) {
 		t.Fatal("Miller-loop path disagrees with G2 exponent path")
 	}
 }
@@ -211,5 +212,27 @@ func TestDecisionalDiffieHellmanIsEasy(t *testing.T) {
 	bad := pr.C.ScalarMult(new(big.Int).Add(ab, big.NewInt(1)), p)
 	if pr.SamePairing(aP, bP, p, bad) {
 		t.Fatal("DDH test accepts an invalid tuple")
+	}
+}
+
+// TestGTValuesAreNeverWritten: core.Encryptor shares cached GT bases
+// across goroutines, so no GT operation may write to an operand, and
+// each returns storage of its own.
+func TestGTValuesAreNeverWritten(t *testing.T) {
+	pr := testPairing(t)
+	x, y := pr.Pair(gen(t, pr, 30), gen(t, pr, 31)), pr.Pair(gen(t, pr, 32), gen(t, pr, 33))
+	x0, y0 := pr.GTBytes(x), pr.GTBytes(y)
+	for name, z := range map[string]GT{
+		"GTMul":        pr.GTMul(x, y),
+		"GTExpUnitary": pr.GTExpUnitary(x, big.NewInt(12345)),
+		"FinalExp":     pr.FinalExp(x),
+		"GTOne":        pr.GTOne(),
+	} {
+		if !bytes.Equal(pr.GTBytes(x), x0) || !bytes.Equal(pr.GTBytes(y), y0) {
+			t.Fatalf("%s wrote to an operand", name)
+		}
+		if &z.A[0] == &x.A[0] || &z.A[0] == &y.A[0] || &z.B[0] == &x.B[0] || &z.B[0] == &y.B[0] {
+			t.Fatalf("%s returned an operand's storage", name)
+		}
 	}
 }

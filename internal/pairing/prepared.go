@@ -103,11 +103,11 @@ func (pp *PreparedPoint) IsInfinity() bool { return pp.infinity }
 // returns bit-for-bit the same value as Pair(P, Q).
 func (pr *Pairing) PairPrepared(pp *PreparedPoint, q curve.Point) GT {
 	if pp.infinity || q.IsInfinity() {
-		return pr.E2.One()
+		return pr.e2m.One()
 	}
 	a := pr.m.GetArena()
 	defer a.Release()
-	return pr.e2m.FromMont(pr.finalExpMontIn(pr.millerPreparedMontIn(pp, q, a), a))
+	return pr.own(pr.finalExpMontIn(pr.millerPreparedMontIn(pp, q, a), a))
 }
 
 // SamePairingPrepared reports whether ê(P1, q1) == ê(P2, q2) for two
@@ -117,21 +117,21 @@ func (pr *Pairing) PairPrepared(pp *PreparedPoint, q curve.Point) GT {
 // inverts the pairing by bilinearity, so no negated PreparedPoint is
 // needed.
 func (pr *Pairing) SamePairingPrepared(p1 *PreparedPoint, q1 curve.Point, p2 *PreparedPoint, q2 curve.Point) bool {
-	e2 := pr.E2
+	e2m := pr.e2m
 	lhsTrivial := p1.infinity || q1.IsInfinity()
 	rhsTrivial := p2.infinity || q2.IsInfinity()
 	switch {
 	case lhsTrivial && rhsTrivial:
 		return true
 	case lhsTrivial:
-		return e2.IsOne(pr.PairPrepared(p2, q2))
+		return e2m.IsOne(pr.PairPrepared(p2, q2))
 	case rhsTrivial:
-		return e2.IsOne(pr.PairPrepared(p1, q1))
+		return e2m.IsOne(pr.PairPrepared(p1, q1))
 	}
 	a := pr.m.GetArena()
 	defer a.Release()
 	m := pr.millerPreparedMontIn(p1, pr.C.Neg(q1), a)
 	m2 := pr.millerPreparedMontIn(p2, q2, a)
-	pr.e2m.MulInto(&m, m, m2, pr.e2m.ScratchIn(a))
-	return pr.e2m.IsOne(pr.finalExpMontIn(m, a))
+	e2m.MulInto(&m, m, m2, e2m.ScratchIn(a))
+	return e2m.IsOne(pr.finalExpMontIn(m, a))
 }

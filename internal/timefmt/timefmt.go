@@ -11,6 +11,7 @@ package timefmt
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -99,6 +100,33 @@ func (s Schedule) ParseLabel(label string) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("timefmt: label %q is not canonical (want %q)", label, s.LabelAt(idx))
 	}
 	return t.UTC(), nil
+}
+
+// Compare orders two labels by the instant each names, earliest first,
+// returning −1, 0 or +1 like strings.Compare; it needs no schedule.
+// Labels naming the same instant compare as strings, and labels that do
+// not parse as RFC 3339 come after every label that does, among
+// themselves as strings. Everything that orders labels — the archive
+// index, range bounds, catch-up pages, stream replay — orders by it:
+// canonical labels do not sort as strings once fractional seconds
+// appear ("…:23.5Z" < "…:23Z", because '.' < 'Z').
+func Compare(a, b string) int {
+	ta, errA := time.Parse(time.RFC3339Nano, a)
+	tb, errB := time.Parse(time.RFC3339Nano, b)
+	switch {
+	case errA != nil || errB != nil:
+		if (errA == nil) != (errB == nil) {
+			if errA == nil {
+				return -1
+			}
+			return 1
+		}
+	default:
+		if c := ta.Compare(tb); c != 0 {
+			return c
+		}
+	}
+	return strings.Compare(a, b)
 }
 
 // LabelsBetween returns the labels of all epochs whose start lies in

@@ -149,15 +149,46 @@ func TestLabelsBetween(t *testing.T) {
 }
 
 func TestLabelsAreSortable(t *testing.T) {
-	// Lexicographic order of canonical labels must equal chronological
-	// order — the archive relies on this.
+	// On a whole-second schedule the string order of canonical labels is
+	// chronological, and Compare agrees with it.
 	s := MustSchedule(time.Hour)
 	prev := s.LabelAt(1000)
 	for i := int64(1001); i < 1100; i++ {
 		cur := s.LabelAt(i)
-		if !(prev < cur) {
+		if !(prev < cur) || Compare(prev, cur) != -1 || Compare(cur, prev) != 1 {
 			t.Fatalf("labels out of order: %q then %q", prev, cur)
 		}
 		prev = cur
+	}
+}
+
+// TestCompareOrdersByInstant: Compare follows the instants where string
+// order does not (sub-second labels), breaks ties between spellings of
+// one instant by string, and puts unparseable labels last.
+func TestCompareOrdersByInstant(t *testing.T) {
+	s := MustSchedule(500 * time.Millisecond)
+	for i := int64(3_000_000_000); i < 3_000_000_040; i++ {
+		a, b := s.LabelAt(i), s.LabelAt(i+1)
+		if Compare(a, b) != -1 || Compare(b, a) != 1 || Compare(a, a) != 0 {
+			t.Fatalf("Compare(%q, %q) = %d, want -1", a, b, Compare(a, b))
+		}
+	}
+	if whole, half := "2026-07-05T12:00:23Z", "2026-07-05T12:00:23.5Z"; !(half < whole) || Compare(whole, half) != -1 {
+		t.Fatalf("%q must order before %q by instant, though not as a string", whole, half)
+	}
+	for _, c := range []struct {
+		a, b string
+		want int
+	}{
+		{"2026-07-05T12:00:23Z", "2026-07-05T14:00:23+02:00", -1}, // one instant: by string
+		{"2026-07-05T12:00:24Z", "2026-07-05T14:00:23+02:00", 1},
+		{"2026-07-05T12:00:23Z", "garbage", -1}, // unparseable last
+		{"garbage", "2026-07-05T12:00:23Z", 1},
+		{"garbage", "junk", -1}, // among themselves by string
+		{"", "", 0},
+	} {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"time"
 
 	"timedrelease/internal/core"
+	"timedrelease/internal/timefmt"
 	"timedrelease/internal/wire"
 )
 
@@ -247,7 +248,7 @@ func (c *Client) CatchUp(ctx context.Context, labels []string) ([]core.KeyUpdate
 func (c *Client) rangeCatchUp(ctx context.Context, missing []string) (map[string]core.KeyUpdate, bool) {
 	wanted := make([]string, len(missing))
 	copy(wanted, missing)
-	sort.Strings(wanted)
+	slices.SortFunc(wanted, timefmt.Compare)
 	hi := wanted[len(wanted)-1]
 	next := 0 // first wanted label not yet delivered or covered
 	got := make(map[string]core.KeyUpdate, len(missing))
@@ -288,7 +289,7 @@ func (c *Client) rangeCatchUp(ctx context.Context, missing []string) (map[string
 		n := len(resp.Updates)
 		// The response must stay inside the requested window (decode
 		// already guarantees ascending order within it).
-		if n > 0 && (resp.Updates[0].Label < lo || resp.Updates[n-1].Label > hi) {
+		if n > 0 && (timefmt.Compare(resp.Updates[0].Label, lo) < 0 || timefmt.Compare(resp.Updates[n-1].Label, hi) > 0) {
 			return fail()
 		}
 		// A page claiming the window holds records while delivering none
@@ -316,7 +317,7 @@ func (c *Client) rangeCatchUp(ctx context.Context, missing []string) (map[string
 			// the page carried ALL archived records in [lo, last], so a
 			// wanted label absent from it is not archived.
 			last := resp.Updates[n-1].Label
-			for next < len(wanted) && wanted[next] <= last {
+			for next < len(wanted) && timefmt.Compare(wanted[next], last) <= 0 {
 				next++
 			}
 		}

@@ -77,15 +77,6 @@ func WithHTTPClient(h *http.Client) ClientOption {
 	return func(c *Client) { c.http = h }
 }
 
-// WithScheme substitutes the core.Scheme the client verifies updates
-// with. Clients of one server that share a scheme share its prepared
-// server key, so N clients pay for one preparation instead of N. Apply
-// before WithClientMetrics, which instruments whatever scheme the
-// client holds at that point.
-func WithScheme(sc *core.Scheme) ClientOption {
-	return func(c *Client) { c.sc = sc }
-}
-
 // WithClientMetrics instruments the client (and its embedded
 // core.Scheme) against r: fetch and verification latencies, cache
 // hits/misses, and catch-up batch fallbacks.

@@ -391,7 +391,7 @@ const maxCatchUpRange = 65536
 func (v *publicView) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")
-	if from == "" || to == "" || from > to {
+	if from == "" || to == "" || timefmt.Compare(from, to) > 0 {
 		http.Error(w, "need from <= to", http.StatusBadRequest)
 		return
 	}

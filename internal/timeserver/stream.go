@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"time"
 )
 
@@ -54,18 +53,14 @@ func (v *publicView) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	// Ordering is by schedule index throughout — label strings with
-	// fractional seconds do not sort chronologically, so comparing them
-	// lexicographically would silently drop sub-second epochs.
+	// Ordering is never by label string: with fractional seconds that
+	// is not chronological, and would silently drop sub-second epochs.
 	from := r.URL.Query().Get("from")
-	fromIdx := int64(math.MinInt64)
 	if from != "" {
-		t, err := v.sched.ParseLabel(from)
-		if err != nil {
+		if _, err := v.sched.ParseLabel(from); err != nil {
 			http.Error(w, "from is not a schedule label", http.StatusBadRequest)
 			return
 		}
-		fromIdx = v.sched.Index(t)
 	}
 
 	// Subscribe BEFORE replaying the archive so a publish in between is
@@ -80,38 +75,24 @@ func (v *publicView) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	lastIdx := int64(math.MinInt64)
 	if from != "" {
-		// The archive is in label order, which is index order only from
-		// one whole second to the next: the labels of a second share
-		// their first 19 bytes and sort by their fraction's text. So
-		// select from that prefix up (at most the earlier epochs of
-		// from's second come along, and are filtered out) and sort.
-		page, err := v.arch.Range(from[:19], "\xff", 0)
+		// The archive is in label order (timefmt.Compare), which on the
+		// schedule is index order.
+		page, err := v.arch.Range(from, "\xff", 0)
 		if err != nil {
 			return
 		}
-		type entry struct {
-			idx int64
-			pos int // in page.Updates
-		}
-		replay := make([]entry, 0, len(page.Updates))
-		for pos, u := range page.Updates {
+		for _, u := range page.Updates {
 			t, err := v.sched.ParseLabel(u.Label)
 			if err != nil {
 				continue // off-schedule archive entry: not streamable
 			}
-			if idx := v.sched.Index(t); idx >= fromIdx {
-				replay = append(replay, entry{idx, pos})
-			}
-		}
-		sort.Slice(replay, func(i, j int) bool { return replay[i].idx < replay[j].idx })
-		for _, e := range replay {
 			// Replay encodes are per-connection catch-up cost, paid by the
 			// reconnecting consumer — publish fan-out stays one encode total.
-			if err := writeSSE(w, v.codec.MarshalKeyUpdate(page.Updates[e.pos])); err != nil {
+			if err := writeSSE(w, v.codec.MarshalKeyUpdate(u)); err != nil {
 				return
 			}
 			v.archHit.Inc()
-			lastIdx = e.idx
+			lastIdx = v.sched.Index(t)
 		}
 	}
 	if _, err := io.WriteString(w, ": ready\n\n"); err != nil {

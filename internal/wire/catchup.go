@@ -8,6 +8,7 @@ import (
 	"timedrelease/internal/core"
 	"timedrelease/internal/curve"
 	"timedrelease/internal/parallel"
+	"timedrelease/internal/timefmt"
 )
 
 // CatchUpResponse is the body of one /v1/catchup range response: the
@@ -110,7 +111,7 @@ func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d point: %w", i, err)
 		}
-		if i > 0 && out.Updates[i-1].Label >= string(label) {
+		if i > 0 && timefmt.Compare(out.Updates[i-1].Label, string(label)) >= 0 {
 			return CatchUpResponse{}, errors.New("wire: catchup labels not strictly ascending")
 		}
 		out.Updates = append(out.Updates, core.KeyUpdate{Label: string(label)})
