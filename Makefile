@@ -15,7 +15,7 @@ all: build vet test
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64/386 portability build"
+	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -37,7 +37,7 @@ help:
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), the serving tier (internal/timeserver, internal/token), the Type-1 stack (internal/ff + internal/curve + internal/pairing) and its math/big oracle (internal/ref)"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), the serving tier (internal/timeserver, internal/token), the Type-1 stack (internal/ff + internal/curve + internal/pairing) and its math/big oracle (internal/ref), then generated assembly lines on their own line"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 
 build:
@@ -157,12 +157,14 @@ lint:
 # The first recipe line runs the packages whose fork-joins split across
 # cores (core's checked encapsulation, bls's batch verification and the
 # token unblinding built on it) on one processor, where parallel.For runs
-# every index inline and in order. The second pins that the tree, the BLS12-381 and ff field
-# kernels included, is portable Go with no architecture fork: a 64-bit
-# non-amd64 build and a 32-bit vet, both offline from GOROOT.
+# every index inline and in order. The second pins that the tree builds
+# where the one architecture fork (ff's amd64 MULX kernel, mont_amd64.s)
+# is absent: a 64-bit non-amd64 build, and 32-bit and arm64 vets of the
+# field kernels, all offline from GOROOT; host vet's asmdecl and
+# framepointer passes cover the assembly itself.
 ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/
-	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/
+	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/
 
 # Historical pre-commit name.
 check: ci
@@ -278,7 +280,9 @@ fuzz-smoke:
 # (ROADMAP item 13's acceptance figures), for the serving tier,
 # internal/timeserver and internal/token, and for the Type-1 stack
 # (internal/ff + internal/curve + internal/pairing) beside its math/big
-# oracle, internal/ref (item 3(c)). Quote it in simplicity PRs.
+# oracle, internal/ref (item 3(c)). Generated assembly prints on a line
+# of its own, outside the Go total, so moving code into a .s file cannot
+# meet a line-count target. Quote it in simplicity PRs.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -302,6 +306,8 @@ loc:
 		find internal/ff internal/curve internal/pairing -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/ref:                         '; \
 		find internal/ref -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'generated assembly (not in the total): '; \
+		find . -name '*.s' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # Serving-tier container images: one multi-stage Dockerfile, two final
 # stages (origin time server and stateless fan-out relay).

@@ -10,3 +10,7 @@ var SmallPrime = testPrime
 func MontFields(t *testing.T) []*Field { return montFields(t) }
 
 func FieldsForFuzz(f *testing.F) []*Field { return fuzzSetup(f) }
+
+// UseMULX is the CPUID verdict TestMontKernelWidths expects SS512 to
+// follow.
+var UseMULX = useMULX

@@ -137,33 +137,6 @@ func (f *Field) Exp(a, e *big.Int) *big.Int {
 	return new(big.Int).Exp(a, e, f.p)
 }
 
-// InvBatch returns the inverses of all xs with a single modular
-// inversion (Montgomery's trick: invert the running product, then peel
-// the prefix products back off). It panics if any element is zero, like
-// Inv. The one inversion plus 3(n-1) multiplications replace n
-// inversions, which is what makes fixed-argument pairing precomputation
-// cheap to normalise.
-func (f *Field) InvBatch(xs []*big.Int) []*big.Int {
-	n := len(xs)
-	out := make([]*big.Int, n)
-	if n == 0 {
-		return out
-	}
-	// prefix[i] = x_0·…·x_{i-1}; prefix[0] = 1.
-	prefix := make([]*big.Int, n)
-	acc := big1
-	for i, x := range xs {
-		prefix[i] = acc
-		acc = f.Mul(acc, x)
-	}
-	inv := f.Inv(acc) // panics on zero product, i.e. any zero input
-	for i := n - 1; i >= 0; i-- {
-		out[i] = f.Mul(inv, prefix[i])
-		inv = f.Mul(inv, xs[i])
-	}
-	return out
-}
-
 // Rand returns a uniformly random field element drawn from rng
 // (crypto/rand.Reader if rng is nil).
 func (f *Field) Rand(rng io.Reader) (*big.Int, error) {

@@ -65,39 +65,6 @@ func TestNewFieldRejectsBadModulus(t *testing.T) {
 	}
 }
 
-func TestInvBatch(t *testing.T) {
-	f := testField(t)
-	for _, n := range []int{0, 1, 2, 17} {
-		xs := make([]*big.Int, n)
-		for i := range xs {
-			x, err := f.RandNonZero(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs[i] = x
-		}
-		invs := f.InvBatch(xs)
-		if len(invs) != n {
-			t.Fatalf("InvBatch returned %d results for %d inputs", len(invs), n)
-		}
-		for i := range xs {
-			if invs[i].Cmp(f.Inv(xs[i])) != 0 {
-				t.Fatalf("InvBatch[%d] != Inv", i)
-			}
-		}
-	}
-}
-
-func TestInvBatchPanicsOnZero(t *testing.T) {
-	f := testField(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InvBatch with a zero element must panic like Inv")
-		}
-	}()
-	f.InvBatch([]*big.Int{big.NewInt(5), new(big.Int)})
-}
-
 // TestWNAFRecoding: the recoded digits must reconstruct the scalar,
 // with every non-zero digit odd and within (−2^(w−1), 2^(w−1)), at the
 // widths in use (4 for curve's Straus walk, 5 for the unitary ladders,

@@ -34,7 +34,8 @@ func fuzzReduce(fld *Field, b []byte) *big.Int {
 // FuzzFpArith cross-checks every Montgomery base-field operation
 // against the big.Int reference on fuzzer-chosen operands, at both
 // kernel widths and one loop width, and each kernel against its loop
-// form.
+// form; Mul also against the Go kernel, which at SS512 checks the MULX
+// assembly wherever it is dispatched.
 func FuzzFpArith(f *testing.F) {
 	fields := fuzzSetup(f)
 	p := fields[1].P()
@@ -63,7 +64,7 @@ func FuzzFpArith(f *testing.F) {
 			vsLoop := func(op string, loop func(dst, x, y MontElem)) {
 				t.Helper()
 				if loop(lm, am, bm); !m.Equal(lm, rm) {
-					t.Fatalf("p=%x %s(%v, %v): kernel %x, loop %x", fld.P(), op, a, b, rm, lm)
+					t.Fatalf("p=%x %s(%v, %v): dispatched %x, reference %x", fld.P(), op, a, b, rm, lm)
 				}
 			}
 			m.Add(rm, am, bm)
@@ -75,6 +76,7 @@ func FuzzFpArith(f *testing.F) {
 			m.Mul(rm, am, bm)
 			check("Mul", fld.Mul(a, b))
 			vsLoop("Mul", m.mulLoop)
+			vsLoop("Mul (Go kernel)", m.mulGo)
 			m.Sqr(rm, am)
 			check("Sqr", fld.Sqr(a))
 			m.Neg(rm, am)

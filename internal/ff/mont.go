@@ -28,7 +28,8 @@ type MontElem []uint64
 // concurrent use; per-call scratch lives on the callers' stacks.
 // Like the rest of the package it is NOT constant time. Mul, Add, Sub,
 // Double and Neg run straight-line at the generated kernel widths
-// (mont_kernel.go), reducing by selects and masks; at every other width
+// (mont_kernel.go, and mont_amd64.s for the 8-limb Mul on CPUs with
+// MULX and ADX), reducing by selects and masks; at every other width
 // their loop forms branch on a carry, a borrow, a limb comparison or
 // x = 0. Exp and Inv skip zero exponent digits (see docs/FIELD.md and
 // the README threat model).

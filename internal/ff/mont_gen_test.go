@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"go/format"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
-var updateKernel = flag.Bool("update", false, "rewrite mont_kernel.go from the generator in mont_gen_test.go")
+var updateKernel = flag.Bool("update", false, "rewrite mont_kernel.go and mont_amd64.s from the generators in mont_gen_test.go")
 
 // montKernelWidths is the per-limb-count decision: the limb counts that
 // get a generated kernel. 3 is Test160 (the tier-1 suite and
@@ -30,8 +31,11 @@ import "math/bits"
 
 // Straight-line Montgomery kernels for the limb counts in
 // montKernelWidths (mont_gen_test.go), and the Mont methods that pick a
-// kernel or the loop form in mont.go by limb count alone. p and n0 come
-// from the context, so one kernel serves every odd modulus of its width.
+// kernel or the loop form in mont.go by limb count alone; at the widths
+// in montAsmWidths, Mul runs the MULX/ADX assembly in mont_amd64.s
+// instead where useMULX (CPUID, read once at init) allows, and the Go
+// kernel here everywhere else. p and n0 come from the context, so one
+// kernel serves every odd modulus of its width.
 // Operands must be < p; every result is fully reduced to [0, p), and z
 // may alias x and/or y (all loads precede the stores).
 //
@@ -124,6 +128,14 @@ func genMontKernel(widths []int) ([]byte, error) {
 				args = append(args, "m.n0")
 			}
 			p("case %d:", n)
+			if op.name == "Mul" && slices.Contains(montAsmWidths, n) {
+				p("if useMULX {")
+				p("montMul%dMULX(%s)", n, strings.Join(args, ", "))
+				p("} else {")
+				p("montMul%d(%s)", n, strings.Join(args, ", "))
+				p("}")
+				continue
+			}
 			p("mont%s%d(%s)", op.name, n, strings.Join(args, ", "))
 		}
 		p("default:")
@@ -201,30 +213,168 @@ func genMontKernel(widths []int) ([]byte, error) {
 	return format.Source(buf.Bytes())
 }
 
-// TestMontKernelIsGenerated keeps mont_kernel.go and its generator from
-// drifting: the checked-in file must be exactly what genMontKernel
-// prints for montKernelWidths.
+// montAsmWidths are the kernel widths that also get a MULX/ADX
+// Montgomery product in mont_amd64.s, which Mul runs instead of the Go
+// montMulN when useMULX is set. 8 is SS512, whose coldstart-ss512 page
+// spends most of its CPU in that product; 3 (Test160) keeps the Go
+// kernel alone.
+var montAsmWidths = []int{8}
+
+const montAsmFile = "mont_amd64.s"
+
+const montAsmHeader = `// Code generated by mont_gen_test.go; DO NOT EDIT.
+// Regenerate: go test ./internal/ff -run TestMontKernelIsGenerated -update
+
+#include "textflag.h"
+
+// func cpuid(leaf, sub uint32) (eax, ebx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-16
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	RET
+
+// montMulNMULX is montMulN (mont_kernel.go) on BMI2's MULX and ADX's
+// ADCX/ADOX, for the widths in montAsmWidths: the same CIOS rounds, the
+// same accumulator, bit-identical results. DX holds the multiplier (yᵢ,
+// then m = t₀·n0); DI points at x, then at p (reloaded from the frame
+// each half-round, which frees a register); AX and BX take each
+// product's low and high word. The n+2 accumulator words t0…t(n+1) live
+// in CX, SI, R8…R15, and the generator renames instead of shifting:
+// after a reduction the register that held t₀ (now zero) becomes the
+// new t(n+1). t(n+1) is zero at the start of every half-round, and
+// serves as the zero operand that closes the first. Each half-round
+// folds the n products into t on two independent carry chains, the low
+// words on ADOX (OF) into t0…t(n−1), the high words on ADCX (CF) into
+// t1…t(n); the OF carry out of t(n−1) joins the top high word (≤ 2⁶⁴−2)
+// before that word enters the CF chain, and the CF carry lands in
+// t(n+1). The sum is the one montMulN forms, so its t < 2p bound holds.
+// The tail stores t to z, subtracts p in place and takes the stored
+// words back by CMOV where that borrows. All loads of x and y precede
+// the first store, so z may alias them; BP is not touched. R14 and R15
+// are plain scratch in ABI0 code: the ABIInternal wrapper restores g,
+// and no global is read.
+`
+
+// genMontAsm emits mont_amd64.s for the given widths; n+2 accumulator
+// registers must fit beside DX, DI, AX and BX, so n ≤ 8.
+func genMontAsm(widths []int) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString(montAsmHeader)
+	ins := func(f string, a ...any) { fmt.Fprintf(&buf, "\t"+f+"\n", a...) }
+	mem := func(reg string, j int) string {
+		if j == 0 {
+			return "(" + reg + ")"
+		}
+		return fmt.Sprintf("%d(%s)", 8*j, reg)
+	}
+	pool := []string{"CX", "SI", "R8", "R9", "R10", "R11", "R12", "R13", "R14", "R15"}
+	for _, n := range widths {
+		if n+2 > len(pool) {
+			return nil, fmt.Errorf("width %d: %d accumulator words do not fit in %d registers", n, n+2, len(pool))
+		}
+		t := slices.Clone(pool[:n+2])
+		// fold adds DX·src[0…n−1] into t; zero reads 0 until the last
+		// instruction.
+		fold := func(src, zero string) {
+			ins("XORQ AX, AX")
+			for j := 0; j < n; j++ {
+				ins("MULXQ %s, AX, BX", mem(src, j))
+				ins("ADOXQ AX, %s", t[j])
+				if j < n-1 {
+					ins("ADCXQ BX, %s", t[j+1])
+				}
+			}
+			ins("ADOXQ %s, BX", zero)
+			ins("ADCXQ BX, %s", t[n])
+			ins("ADCXQ %s, %s", zero, t[n+1])
+		}
+		// reduce adds m·p, which zeroes t₀, and renames t one word down.
+		reduce := func() {
+			ins("MOVQ n0+32(FP), DX")
+			ins("IMULQ %s, DX", t[0])
+			ins("MOVQ p+24(FP), DI")
+			fold("DI", t[0])
+			t = append(t[1:], t[0])
+		}
+
+		fmt.Fprintf(&buf, "\n// func montMul%dMULX(z, x, y, p *[%d]uint64, n0 uint64)\n", n, n)
+		fmt.Fprintf(&buf, "TEXT ·montMul%dMULX(SB), NOSPLIT, $0-40\n", n)
+		for i := 0; i < n; i++ {
+			ins("MOVQ y+16(FP), DX")
+			ins("MOVQ %s, DX", mem("DX", i))
+			ins("MOVQ x+8(FP), DI")
+			if i > 0 {
+				fold("DI", t[n+1])
+				reduce()
+				continue
+			}
+			// Round 0 starts from t = 0: the products are the accumulator.
+			ins("XORQ %s, %s", t[n+1], t[n+1])
+			ins("MULXQ (DI), %s, %s", t[0], t[1])
+			for j := 1; j < n; j++ {
+				ins("MULXQ %s, AX, %s", mem("DI", j), t[j+1])
+				ins("ADCXQ AX, %s", t[j])
+			}
+			ins("ADCXQ %s, %s", t[n+1], t[n])
+			reduce()
+		}
+		ins("MOVQ z+0(FP), DI")
+		ins("MOVQ p+24(FP), AX")
+		for j := 0; j < n; j++ {
+			ins("MOVQ %s, %s", t[j], mem("DI", j))
+		}
+		ins("SUBQ (AX), %s", t[0])
+		for j := 1; j < n; j++ {
+			ins("SBBQ %s, %s", mem("AX", j), t[j])
+		}
+		ins("SBBQ $0, %s", t[n])
+		for j := 0; j < n; j++ {
+			ins("CMOVQCS %s, %s", mem("DI", j), t[j])
+		}
+		for j := 0; j < n; j++ {
+			ins("MOVQ %s, %s", t[j], mem("DI", j))
+		}
+		ins("RET")
+	}
+	return buf.Bytes(), nil
+}
+
+// TestMontKernelIsGenerated keeps mont_kernel.go and mont_amd64.s from
+// drifting from their generators: each checked-in file must be exactly
+// what genMontKernel or genMontAsm prints.
 func TestMontKernelIsGenerated(t *testing.T) {
-	want, err := genMontKernel(montKernelWidths)
+	goSrc, err := genMontKernel(montKernelWidths)
 	if err != nil {
 		t.Fatalf("generator output does not format: %v", err)
 	}
-	if *updateKernel {
-		if err := os.WriteFile(montKernelFile, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	got, err := os.ReadFile(montKernelFile)
+	asmSrc, err := genMontAsm(montAsmWidths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		n := 0
-		for n < len(got) && n < len(want) && got[n] == want[n] {
-			n++
+	for _, f := range []struct {
+		name string
+		want []byte
+	}{{montKernelFile, goSrc}, {montAsmFile, asmSrc}} {
+		if *updateKernel {
+			if err := os.WriteFile(f.name, f.want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		t.Fatalf("%s differs from the generator's output, first at line %d: edit genMontKernel in mont_gen_test.go, "+
-			"then go test ./internal/ff -run TestMontKernelIsGenerated -update", montKernelFile, 1+bytes.Count(got[:n], []byte("\n")))
+		got, err := os.ReadFile(f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, f.want) {
+			n := 0
+			for n < len(got) && n < len(f.want) && got[n] == f.want[n] {
+				n++
+			}
+			t.Errorf("%s differs from the generator's output, first at line %d: edit mont_gen_test.go, "+
+				"then go test ./internal/ff -run TestMontKernelIsGenerated -update", f.name, 1+bytes.Count(got[:n], []byte("\n")))
+		}
 	}
 }

@@ -7,8 +7,11 @@ import "math/bits"
 
 // Straight-line Montgomery kernels for the limb counts in
 // montKernelWidths (mont_gen_test.go), and the Mont methods that pick a
-// kernel or the loop form in mont.go by limb count alone. p and n0 come
-// from the context, so one kernel serves every odd modulus of its width.
+// kernel or the loop form in mont.go by limb count alone; at the widths
+// in montAsmWidths, Mul runs the MULX/ADX assembly in mont_amd64.s
+// instead where useMULX (CPUID, read once at init) allows, and the Go
+// kernel here everywhere else. p and n0 come from the context, so one
+// kernel serves every odd modulus of its width.
 // Operands must be < p; every result is fully reduced to [0, p), and z
 // may alias x and/or y (all loads precede the stores).
 //
@@ -44,7 +47,11 @@ func (m *Mont) Mul(dst, x, y MontElem) {
 	case 3:
 		montMul3((*[3]uint64)(dst), (*[3]uint64)(x), (*[3]uint64)(y), (*[3]uint64)(m.p), m.n0)
 	case 8:
-		montMul8((*[8]uint64)(dst), (*[8]uint64)(x), (*[8]uint64)(y), (*[8]uint64)(m.p), m.n0)
+		if useMULX {
+			montMul8MULX((*[8]uint64)(dst), (*[8]uint64)(x), (*[8]uint64)(y), (*[8]uint64)(m.p), m.n0)
+		} else {
+			montMul8((*[8]uint64)(dst), (*[8]uint64)(x), (*[8]uint64)(y), (*[8]uint64)(m.p), m.n0)
+		}
 	default:
 		m.mulLoop(dst, x, y)
 	}

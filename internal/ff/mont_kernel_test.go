@@ -19,6 +19,23 @@ import (
 // montKernelWidths.
 func (m *Mont) HasKernel() bool { return slices.Contains(montKernelWidths, m.n) }
 
+// HasAsm reports whether m's Mul runs an assembly kernel: its width is
+// in montAsmWidths and the CPU passed the check in mont_amd64.go.
+func (m *Mont) HasAsm() bool { return useMULX && slices.Contains(montAsmWidths, m.n) }
+
+// mulGo is Mul on the generated Go kernels alone, never the assembly:
+// the reference the MULX kernel is held to.
+func (m *Mont) mulGo(z, x, y MontElem) {
+	switch m.n {
+	case 3:
+		montMul3((*[3]uint64)(z), (*[3]uint64)(x), (*[3]uint64)(y), (*[3]uint64)(m.p), m.n0)
+	case 8:
+		montMul8((*[8]uint64)(z), (*[8]uint64)(x), (*[8]uint64)(y), (*[8]uint64)(m.p), m.n0)
+	default:
+		m.mulLoop(z, x, y)
+	}
+}
+
 // kernelFields returns one field per kernel-width modulus shape: the
 // Test160 and SS512 moduli, then primes found by searching from a power
 // of two (nothing typed in) — three limbs with a top limb of 1 and of
@@ -104,18 +121,23 @@ func montEdgeOperands(m *Mont) []MontElem {
 // and Neg against math/big on raw limbs and against the loop forms, on
 // every ordered pair of edge operands, on x − x and x + (p − x), and on
 // seeded random pairs; in every aliasing shape, and with every result
-// canonical (limb-wise < p), not merely congruent.
+// canonical (limb-wise < p), not merely congruent. Mul is checked twice:
+// as dispatched (the MULX assembly where HasAsm) and as the Go kernel
+// called directly, so each kernel meets math/big and the loop form on
+// every input.
 func TestMontKernelMatchesBigAndLoop(t *testing.T) {
 	for _, f := range kernelFields(t) {
 		m, p := f.Mont(), f.P()
 		rinv := new(big.Int).ModInverse(new(big.Int).Lsh(big1, uint(64*m.n)), p)
 		mod := func(v *big.Int) *big.Int { return v.Mod(v, p) }
+		mul := func(x, y *big.Int) *big.Int { v := new(big.Int).Mul(x, y); return mod(v.Mul(v, rinv)) }
 		ops := []struct {
 			name      string
 			run, loop func(z, x, y MontElem)
 			want      func(x, y *big.Int) *big.Int
 		}{
-			{"mul", m.Mul, m.mulLoop, func(x, y *big.Int) *big.Int { v := new(big.Int).Mul(x, y); return mod(v.Mul(v, rinv)) }},
+			{"mul", m.Mul, m.mulLoop, mul},
+			{"mul (Go kernel)", m.mulGo, m.mulLoop, mul},
 			{"add", m.Add, m.addLoop, func(x, y *big.Int) *big.Int { return mod(new(big.Int).Add(x, y)) }},
 			{"sub", m.Sub, m.subLoop, func(x, y *big.Int) *big.Int { return mod(new(big.Int).Sub(x, y)) }},
 			{"double", func(z, x, _ MontElem) { m.Double(z, x) }, func(z, x, _ MontElem) { m.addLoop(z, x, x) },

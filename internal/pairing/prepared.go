@@ -1,8 +1,6 @@
 package pairing
 
 import (
-	"math/big"
-
 	"timedrelease/internal/curve"
 	"timedrelease/internal/ff"
 )
@@ -47,10 +45,10 @@ type PreparedPoint struct {
 // Precompute walks the Miller loop for the fixed first argument p and
 // stores every line's normalised (λ, μ) coefficients. The walk itself
 // runs in Jacobian coordinates on limbs; the projective denominators of
-// all steps are then inverted with ONE modular inversion (Field.InvBatch,
-// on math/big, where an inversion is ~40× cheaper than the limb layer's
-// Fermat ladder), so preparation costs about one inversion plus one
-// inversion-free Miller loop.
+// all steps are then inverted together by Montgomery's trick on the
+// same limbs (prefix products, one inversion, back-substitution), so
+// preparation costs about one inversion plus one inversion-free Miller
+// loop and three multiplications per line.
 func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 	if p.IsInfinity() {
 		return &PreparedPoint{infinity: true}
@@ -63,11 +61,14 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 	steps := make([]preparedStep, len(pr.schedule))
 
 	// Record each non-vertical step's projective line (A, B, C), in
-	// schedule order: λ = A/C, μ = B/C. Until the batch inversion below
-	// the stored coefficients are the numerators A and B.
+	// schedule order: λ = A/C, μ = B/C. Until the inversion below the
+	// stored coefficients are the numerators A and B; line i keeps its
+	// Cᵢ and the prefix product C₀·…·C(i−1), and acc runs ahead to
+	// C₀·…·Cᵢ.
 	var lines []*lineCoeff
-	var cs []*big.Int
-	a, b, c := ar.Elem(), ar.Elem(), ar.Elem()
+	var cs, prefix []ff.MontElem
+	a, b, c, acc := ar.Elem(), ar.Elem(), ar.Elem(), ar.Elem()
+	m.SetOne(acc)
 	record := func(lc *lineCoeff, ok bool) {
 		if !ok {
 			lc.vertical = true
@@ -77,7 +78,11 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 		m.Set(lc.lambda, a)
 		m.Set(lc.mu, b)
 		lines = append(lines, lc)
-		cs = append(cs, m.FromMont(nil, c))
+		ci, pi := ar.Elem(), ar.Elem()
+		m.Set(ci, c)
+		m.Set(pi, acc)
+		cs, prefix = append(cs, ci), append(prefix, pi)
+		m.Mul(acc, acc, c)
 	}
 	for k, addBit := range pr.schedule {
 		record(&steps[k].dbl, st.dbl(a, b, c))
@@ -87,9 +92,14 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 		}
 	}
 
-	// One inversion for every denominator in the schedule.
-	for i, inv := range pr.C.F.InvBatch(cs) {
-		m.ToMont(c, inv)
+	// One inversion for every denominator: the full product leaves the
+	// limbs once, for math/big's inversion (far cheaper than the limb
+	// layer's Fermat ladder). Walking back, acc = (C₀·…·Cᵢ)⁻¹ gives
+	// Cᵢ⁻¹ = acc·prefix[i], and acc·Cᵢ steps it down to i−1.
+	m.ToMont(acc, pr.C.F.Inv(m.FromMont(nil, acc)))
+	for i := len(lines) - 1; i >= 0; i-- {
+		m.Mul(c, acc, prefix[i])
+		m.Mul(acc, acc, cs[i])
 		m.Mul(lines[i].lambda, lines[i].lambda, c)
 		m.Mul(lines[i].mu, lines[i].mu, c)
 	}
