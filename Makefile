@@ -15,7 +15,7 @@ all: build vet test
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets"
+	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets + 386 ff/curve tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -161,10 +161,14 @@ lint:
 # where the one architecture fork (ff's amd64 MULX kernel, mont_amd64.s)
 # is absent: a 64-bit non-amd64 build, and 32-bit and arm64 vets of the
 # field kernels, all offline from GOROOT; host vet's asmdecl and
-# framepointer passes cover the assembly itself.
+# framepointer passes cover the assembly itself. The third runs the
+# field and curve tests on a 32-bit target, where big.Word is 32 bits
+# wide: the recoder's big.Int entry and the Straus walk under
+# ScalarMult and MSM run there, not only compile (~17 s).
 ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/
+	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/
 
 # Historical pre-commit name.
 check: ci

@@ -75,11 +75,6 @@ type PointPair struct {
 	P, Q curve.Point
 }
 
-// BaseTable is a fixed-base scalar-multiplication precomputation for
-// one G1 point, immutable and safe for concurrent use. Only the backend
-// that built it can use it; ScalarMultBase panics on a foreign table.
-type BaseTable any
-
 // PreparedKey is a server verification key (G, sG, sG2) with whatever
 // per-backend pairing precomputation pays off for repeated checks. On
 // Type-1 backends that is the Miller-loop line schedules of G and sG;
@@ -164,12 +159,6 @@ type Backend interface {
 	// ParsePoint decodes a canonical encoding, rejecting anything
 	// non-canonical, off-curve or outside the prime-order subgroup.
 	ParsePoint(g Group, data []byte) (curve.Point, error)
-
-	// PrecomputeBase builds a fixed-base table for p ∈ G1.
-	PrecomputeBase(p curve.Point) BaseTable
-	// ScalarMultBase computes k·p from p's fixed-base table: the point
-	// ScalarMult(G1, k, p) gives. k must be non-negative.
-	ScalarMultBase(t BaseTable, k *big.Int) curve.Point
 
 	// Pair computes ê(p, q) for p ∈ G1, q ∈ G2; identity on either side
 	// gives 1.

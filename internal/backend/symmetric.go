@@ -106,15 +106,6 @@ func (b *Symmetric) ParsePoint(_ Group, data []byte) (curve.Point, error) {
 	return b.c.UnmarshalSubgroup(data)
 }
 
-// PrecomputeBase returns p itself: no Type-1 workload multiplies a
-// fixed base often enough for a table to pay (docs/BACKENDS.md).
-func (b *Symmetric) PrecomputeBase(p curve.Point) BaseTable { return p }
-
-// ScalarMultBase is ScalarMult on the point PrecomputeBase returned.
-func (b *Symmetric) ScalarMultBase(t BaseTable, k *big.Int) curve.Point {
-	return b.c.ScalarMult(k, t.(curve.Point))
-}
-
 // Pair computes the modified Tate pairing ê(p, q).
 func (b *Symmetric) Pair(p, q curve.Point) GT { return b.pr.Pair(p, q) }
 

@@ -430,54 +430,6 @@ func (b *Backend) GTBytes(x backend.GT) []byte {
 	return out
 }
 
-// fixedWindow is the wNAF width of the fixed-base table: the 64 odd
-// multiples 1·P … 127·P, one add per 8 doublings on average.
-const fixedWindow = 8
-
-// g1Table stores the odd multiples (2i+1)·P in affine form so the
-// ladder uses mixed addition (all of them ∞ for the identity). Built
-// once, immutable afterwards.
-type g1Table struct {
-	odd []g1Affine
-}
-
-// PrecomputeBase builds the width-8 wNAF odd-multiples table for p ∈ G1.
-func (b *Backend) PrecomputeBase(p curve.Point) backend.BaseTable {
-	pa := unwrapG1(p)
-	odd := make([]g1Jac, 1<<(fixedWindow-2)) // 1·P … 127·P
-	odd[0].fromAffine(&pa)
-	oddMultiples(odd)
-	t := &g1Table{odd: make([]g1Affine, len(odd))}
-	for i := range odd {
-		t.odd[i] = odd[i].toAffine()
-	}
-	return t
-}
-
-// ScalarMultBase walks k's two GLV digits (glvDigits) over the width-8
-// table, the second over its −φ-image: −φ(x, y) = (βx, −y) is one
-// product per affine entry, so there is no second table.
-func (b *Backend) ScalarMultBase(t backend.BaseTable, k *big.Int) curve.Point {
-	tb, ok := t.(*g1Table)
-	if !ok {
-		panic("bls381: foreign base table")
-	}
-	var acc g1Jac
-	digits := glvDigits(reduceScalar(k), fixedWindow)
-	straus(digits[:], func() { acc.double(&acc) }, func(h int, d int8) {
-		e := tb.odd[max(d, -d)/2]
-		if h == 1 {
-			e.x.mul(&e.x, &ctx.beta)
-		}
-		if (d < 0) != (h == 1) {
-			e.y.neg(&e.y)
-		}
-		acc.addAffine(&acc, &e)
-	})
-	out := acc.toAffine()
-	return wrapG1(&out)
-}
-
 // FieldPrime returns the 381-bit base-field prime p.
 func (b *Backend) FieldPrime() *big.Int { return ctx.p }
 

@@ -4,8 +4,6 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"testing"
-
-	"timedrelease/internal/backend"
 )
 
 func BenchmarkPairing(b *testing.B) {
@@ -68,26 +66,6 @@ func BenchmarkG2ScalarMult(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j.mulEndo(&j, k)
 	}
-}
-
-// BenchmarkG1ScalarMultBase is the fixed-base table's case (ROADMAP item
-// 13): the backend's ScalarMultBase against its table-free ScalarMult,
-// both GLV, both ending in the affine point.
-func BenchmarkG1ScalarMultBase(b *testing.B) {
-	be := New()
-	k := randScalarT(b)
-	g := be.Generator(backend.G1)
-	tbl := be.PrecomputeBase(g)
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = be.ScalarMultBase(tbl, k)
-		}
-	})
-	b.Run("noTable", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = be.ScalarMult(backend.G1, k, g)
-		}
-	})
 }
 
 func BenchmarkG1InSubgroup(b *testing.B) {

@@ -5,7 +5,7 @@ import (
 	mrand "math/rand"
 	"testing"
 
-	"timedrelease/internal/backend"
+	"timedrelease/internal/ff"
 )
 
 // ladder is the 4-bit windowed double-and-add both groups ran before the
@@ -86,7 +86,7 @@ func checkSplit(t *testing.T, k *big.Int) {
 	d := splitX(k)
 	for i := len(d) - 1; i >= 0; i-- {
 		di := new(big.Int).SetUint64(d[i])
-		if di.Cmp(u) >= 0 || nafValue(t, appendWNAF(nil, d[i], 0, endoWindow), endoWindow).Cmp(di) != 0 {
+		if di.Cmp(u) >= 0 || nafValue(t, ff.AppendWNAF(nil, d[i:i+1], endoWindow), endoWindow).Cmp(di) != 0 {
 			t.Fatalf("k = %x: base-|x| digit %d = %x is ≥ |x| or its NAF differs", k, i, di)
 		}
 		sum.Mul(sum, u).Add(sum, di)
@@ -94,40 +94,31 @@ func checkSplit(t *testing.T, k *big.Int) {
 	if sum.Cmp(k) != 0 {
 		t.Fatalf("k = %x: base-|x| digits recompose to %x", k, sum)
 	}
-	for _, w := range []int{endoWindow, fixedWindow} {
-		g := glvDigits(k, uint(w))
-		k0, k1 := nafValue(t, g[0], w), nafValue(t, g[1], w)
-		if k0.Cmp(u2) >= 0 || k1.Cmp(u2) >= 0 || sum.Mul(k1, u2).Add(sum, k0).Cmp(k) != 0 {
-			t.Fatalf("k = %x: GLV digits %x, %x (width %d) do not split k below x²", k, k0, k1, w)
-		}
+	g := glvSplit(k)
+	k0, k1 := nafValue(t, ff.AppendWNAF(nil, g[0][:], endoWindow), endoWindow), nafValue(t, ff.AppendWNAF(nil, g[1][:], endoWindow), endoWindow)
+	if k0.Cmp(u2) >= 0 || k1.Cmp(u2) >= 0 || sum.Mul(k1, u2).Add(sum, k0).Cmp(k) != 0 {
+		t.Fatalf("k = %x: GLV digits %x, %x do not split k below x²", k, k0, k1)
 	}
 }
 
-// TestScalarMultEndomorphism pins ψ-GLS (G2), φ-GLV (G1) and the GLV
-// walk over the fixed-base table to the windowed ladder on subgroup
-// members, at the digit split's edges and 10⁴ seeded scalars (10³ under
-// -short or -race).
+// TestScalarMultEndomorphism pins ψ-GLS (G2) and φ-GLV (G1) to the
+// windowed ladder on subgroup members, at the digit split's edges and
+// 10⁴ seeded scalars (10³ under -short or -race).
 func TestScalarMultEndomorphism(t *testing.T) {
 	n := 10000
 	if testing.Short() || raceEnabled {
 		n = 1000
 	}
-	b := New()
 	p1 := []g1Affine{ctx.g1, randG1(t)}
 	p2 := []g2Affine{ctx.g2, hashToG2([]byte("endo"), "bls381-endo-test")}
-	tables := []backend.BaseTable{b.PrecomputeBase(wrapG1(&p1[0])), b.PrecomputeBase(wrapG1(&p1[1]))}
 	for i, k := range endoScalars(n) {
 		checkSplit(t, k)
 		var q1, got1, want1 g1Jac
 		q1.fromAffine(&p1[i%2])
 		got1.mulEndo(&q1, k)
 		want1.scalarMult(&q1, k)
-		g, w := got1.toAffine(), want1.toAffine()
-		if !g.equal(&w) {
+		if g, w := got1.toAffine(), want1.toAffine(); !g.equal(&w) {
 			t.Fatalf("G1 point %d, k = %x: GLV differs from the ladder", i%2, k)
-		}
-		if base := unwrapG1(b.ScalarMultBase(tables[i%2], k)); !base.equal(&w) {
-			t.Fatalf("G1 point %d, k = %x: ScalarMultBase differs from the ladder", i%2, k)
 		}
 		var q2, got2, want2 g2Jac
 		q2.fromAffine(&p2[i%2])
@@ -198,9 +189,10 @@ func TestG1EndomorphismSubgroupCheck(t *testing.T) {
 		found++
 		p := g1Affine{x: x, y: y}
 		torsion := mul(&p, ctx.r) // order divides h1
-		var sum g1Jac
+		var sum, tj g1Jac
 		sum.fromAffine(&points[2])
-		sum.addAffine(&sum, &torsion)
+		tj.fromAffine(&torsion)
+		sum.add(&sum, &tj)
 		points = append(points, p, torsion, sum.toAffine())
 		for _, l := range small {
 			points = append(points, mul(&p, new(big.Int).Div(n, big.NewInt(l))))

@@ -220,7 +220,7 @@ func (z *fe12) expUnitary(x *fe12, k *big.Int) {
 	}
 	acc.setOne()
 	started := false
-	straus([][]int8{ff.AppendWNAF(nil, k, 5)}, func() {
+	ff.Straus([][]int8{ff.AppendWNAF(nil, k, 5)}, func() {
 		if started {
 			acc.cyclotomicSqr(&acc)
 		}

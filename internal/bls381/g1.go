@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/big"
 	"math/bits"
+
+	"timedrelease/internal/ff"
 )
 
 // g1Affine is a point on E(Fp): y² = x³ + 4. The group G1 is the
@@ -184,76 +186,36 @@ func (j *g1Jac) add(p, q *g1Jac) {
 	j.z.set(&z3)
 }
 
-// addAffine is the mixed addition (Z2 = 1).
-func (j *g1Jac) addAffine(p *g1Jac, q *g1Affine) {
-	if q.inf {
-		*j = *p
-		return
-	}
-	if p.isInfinity() {
-		j.fromAffine(q)
-		return
-	}
-	var z1z1, u2, s2, h, r fe
-	z1z1.sqr(&p.z)
-	u2.mul(&q.x, &z1z1)
-	s2.mul(&q.y, &p.z)
-	s2.mul(&s2, &z1z1)
-	h.sub(&u2, &p.x)
-	r.sub(&s2, &p.y)
-	if h.isZero() {
-		if r.isZero() {
-			j.double(p)
-			return
-		}
-		*j = g1Jac{}
-		return
-	}
-	var hh, hhh, v fe
-	hh.sqr(&h)
-	hhh.mul(&hh, &h)
-	v.mul(&p.x, &hh)
-
-	var x3, y3, z3, t fe
-	x3.sqr(&r)
-	x3.sub(&x3, &hhh)
-	x3.sub(&x3, &v)
-	x3.sub(&x3, &v)
-	y3.sub(&v, &x3)
-	y3.mul(&y3, &r)
-	t.mul(&p.y, &hhh)
-	y3.sub(&y3, &t)
-	z3.mul(&p.z, &h)
-	j.x.set(&x3)
-	j.y.set(&y3)
-	j.z.set(&z3)
-}
-
 // phi is the order-3 endomorphism (x, y) ↦ (βx, y): [−x²] on G1.
 func (j *g1Jac) phi(q *g1Jac) {
 	j.x.mul(&q.x, &ctx.beta)
 	j.y, j.z = q.y, q.z
 }
 
-// glvDigits recodes k < r as k₀ + k₁·x², both digits < x² < 2¹²⁸
-// (splitX's four base-|x| digits taken in pairs), as width-w NAFs.
-func glvDigits(k *big.Int, w uint) (digits [2][]int8) {
+// glvSplit returns k < r as k₀ + k₁·x², both digits < x² < 2¹²⁸ in
+// two little-endian limbs: splitX's four base-|x| digits taken in pairs.
+func glvSplit(k *big.Int) (g [2][2]uint64) {
 	d := splitX(k)
-	for i := range digits {
+	for i := range g {
 		hi, lo := bits.Mul64(d[2*i+1], xAbs)
 		lo, c := bits.Add64(lo, d[2*i], 0)
-		digits[i] = appendWNAF(make([]int8, 0, 129), lo, hi+c, w)
+		g[i] = [2]uint64{lo, hi + c}
 	}
-	return digits
+	return g
 }
 
 // mulEndo sets j = [k]q for q ∈ G1 and k < r by GLV: [k]q =
-// k₀·q + k₁·(−φ(q)), two 128-bit digits on one doubling chain where the
-// window ladder walks 255 bits, the second table the −φ-image of the
-// first. Only members of G1 satisfy φ = [−x²].
+// k₀·q + k₁·(−φ(q)) (glvSplit), two 128-bit digits on one doubling
+// chain where the window ladder walks 255 bits, the second table the
+// −φ-image of the first. Only members of G1 satisfy φ = [−x²].
 func (j *g1Jac) mulEndo(q *g1Jac, k *big.Int) {
 	var tbl [2][endoTable]g1Jac
+	var buf [2][129]int8
+	var digits [2][]int8
 	var acc, e g1Jac
+	for i, g := range glvSplit(k) {
+		digits[i] = ff.AppendWNAF(buf[i][:0], g[:], endoWindow)
+	}
 	tbl[0][0] = *q
 	e.double(q)
 	for m := 1; m < endoTable; m++ {
@@ -263,8 +225,7 @@ func (j *g1Jac) mulEndo(q *g1Jac, k *big.Int) {
 		tbl[1][m].phi(&tbl[0][m])
 		tbl[1][m].neg(&tbl[1][m])
 	}
-	digits := glvDigits(k, endoWindow)
-	straus(digits[:], func() { acc.double(&acc) }, func(i int, d int8) {
+	ff.Straus(digits[:], func() { acc.double(&acc) }, func(i int, d int8) {
 		t := &tbl[i][max(d, -d)/2]
 		if d < 0 {
 			e.neg(t)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/big"
 	"math/bits"
+
+	"timedrelease/internal/ff"
 )
 
 // g2Affine is a point on the sextic M-twist E'(Fp2): y² = x³ + 4(1+i).
@@ -237,7 +239,7 @@ func (j *g2Jac) mulEndo(q *g2Jac, k *big.Int) {
 	var digits [4][]int8
 	var acc, e g2Jac
 	for i, d := range splitX(k) {
-		digits[i] = appendWNAF(buf[i][:0], d, 0, endoWindow)
+		digits[i] = ff.AppendWNAF(buf[i][:0], []uint64{d}, endoWindow)
 	}
 	tbl[0][0] = *q
 	e.double(q)
@@ -250,7 +252,7 @@ func (j *g2Jac) mulEndo(q *g2Jac, k *big.Int) {
 			tbl[i][m].neg(&tbl[i][m])
 		}
 	}
-	straus(digits[:], func() { acc.double(&acc) }, func(i int, d int8) {
+	ff.Straus(digits[:], func() { acc.double(&acc) }, func(i int, d int8) {
 		t := &tbl[i][max(d, -d)/2]
 		if d < 0 {
 			e.neg(t)

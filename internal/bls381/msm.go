@@ -61,7 +61,7 @@ func msmChunk[T any, P jac[T]](sum *T, scalars []*big.Int, at func(i int, p *T),
 			oddMultiples[T, P](t)
 		}
 		var acc, e T
-		straus(digits[:blk], func() { P(&acc).double(&acc) }, func(j int, d int8) {
+		ff.Straus(digits[:blk], func() { P(&acc).double(&acc) }, func(j int, d int8) {
 			t := &tbl[j*msmTable+int(max(d, -d))/2]
 			if d < 0 {
 				P(&e).neg(t)
@@ -84,26 +84,6 @@ func oddMultiples[T any, P jac[T]](t []T) {
 	P(&t[n]).add(&t[n-1], &t[n])
 }
 
-// straus walks one doubling chain over several digit strings (least
-// significant digit first): from the top position down, dbl() once,
-// then add(j, d) for each nonzero digit d of string j there. It never
-// holds a point: a method call through a type parameter moves its
-// operands to the heap, a closure over the caller's stack does not.
-func straus(digits [][]int8, dbl func(), add func(j int, d int8)) {
-	top := 0
-	for _, d := range digits {
-		top = max(top, len(d))
-	}
-	for i := top - 1; i >= 0; i-- {
-		dbl()
-		for j, dj := range digits {
-			if i < len(dj) && dj[i] != 0 {
-				add(j, dj[i])
-			}
-		}
-	}
-}
-
 // splitX returns k's four base-|x| digits, least significant first,
 // each < |x| < 2⁶⁴: k < r = x⁴ − x² + 1 < x⁴. Long division on
 // big-endian 64-bit limbs, whatever the width of a big.Word.
@@ -120,23 +100,4 @@ func splitX(k *big.Int) (d [4]uint64) {
 		}
 	}
 	return d
-}
-
-// appendWNAF appends the width-w NAF of hi·2⁶⁴ + lo < 2¹²⁸ − 2^w, least
-// significant digit first: ff.AppendWNAF's recoding on two limbs.
-func appendWNAF(dst []int8, lo, hi uint64, w uint) []int8 {
-	for lo|hi != 0 {
-		d := int64(0)
-		if lo&1 == 1 {
-			if d = int64(lo & (1<<w - 1)); d >= 1<<(w-1) {
-				d -= 1 << w
-			}
-			var b uint64
-			lo, b = bits.Sub64(lo, uint64(d), 0)
-			hi -= uint64(d>>63) + b
-		}
-		dst = append(dst, int8(d))
-		lo, hi = lo>>1|hi<<63, hi>>1
-	}
-	return dst
 }

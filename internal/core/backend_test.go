@@ -36,7 +36,7 @@ func TestRoundTripAcrossBackendsAndPresets(t *testing.T) {
 			c, _ := set.B.(*backend.Symmetric).Type1()
 			if !c.Equal(user.Pub.AG, ref.ScalarMultAffine(c, user.A, set.G)) ||
 				!c.Equal(user.Pub.ASG, ref.ScalarMultAffine(c, user.A, server.Pub.SG)) {
-				t.Fatal("fixed-base keygen disagrees with the oracle ladder")
+				t.Fatal("keygen disagrees with the oracle ladder")
 			}
 
 			// The pairing must agree with the oracle on the scheme's own

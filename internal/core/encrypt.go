@@ -68,7 +68,7 @@ func (sc *Scheme) encapsulate(spub ServerPublicKey, upub UserPublicKey, label st
 	if !sc.safePoint(spub, h) {
 		return curve.Point{}, nil, ErrUnsafeLabel
 	}
-	u := sc.mulG(spub.G, r)
+	u := b.ScalarMult(backend.G1, r, spub.G)
 	sc.pairings.Inc()
 	k := b.Pair(b.ScalarMult(backend.G1, r, upub.ASG), h)
 	return u, k, nil

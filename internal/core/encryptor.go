@@ -76,7 +76,7 @@ func (e *Encryptor) Encrypt(rng io.Reader, label string, msg []byte) (*Ciphertex
 	if err != nil {
 		return nil, err
 	}
-	u := e.sc.mulG(e.spub.G, r)
+	u := e.sc.Set.B.ScalarMult(backend.G1, r, e.spub.G)
 	// Pairing values are unitary (norm 1 after the final exponentiation),
 	// so the signed-window ladder with free inversion applies.
 	k := e.sc.Set.B.GTExpUnitary(base, r)
@@ -98,7 +98,7 @@ func (e *Encryptor) EncryptCCA(rng io.Reader, label string, msg []byte) (*CCACip
 	if err != nil {
 		return nil, err
 	}
-	u := e.sc.mulG(e.spub.G, r)
+	u := e.sc.Set.B.ScalarMult(backend.G1, r, e.spub.G)
 	k := e.sc.Set.B.GTExpUnitary(base, r) // unitary: pairing value
 	return &CCACiphertext{
 		U: u,

@@ -67,7 +67,7 @@ func (sc *Scheme) foOpen(spub ServerPublicKey, k backend.GT, ct *CCACiphertext) 
 	sigma := rohash.XOR(ct.W, sc.maskH2(k, seedLen))
 	msg := rohash.XOR(ct.V, rohash.Expand("TRE-H4", sigma, len(ct.V)))
 	r := rohash.ToScalarNonZero("TRE-H3", rohash.Concat(sigma, msg), sc.Set.Q)
-	if !sc.Set.B.Equal(backend.G1, ct.U, sc.mulG(spub.G, r)) {
+	if b := sc.Set.B; !b.Equal(backend.G1, ct.U, b.ScalarMult(backend.G1, r, spub.G)) {
 		return nil, ErrAuthFailed
 	}
 	return msg, nil

@@ -46,7 +46,7 @@ func (sc *Scheme) EncryptMulti(rng io.Reader, spub ServerPublicKey, recipients [
 		return nil, fmt.Errorf("tre: sampling encryption randomness: %w", err)
 	}
 	ct := &MultiRecipientCiphertext{
-		U:  sc.mulG(spub.G, r),
+		U:  b.ScalarMult(backend.G1, r, spub.G),
 		Vs: make([][]byte, len(recipients)),
 	}
 	for i, upub := range recipients {

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"io"
 	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"timedrelease/internal/backend"
@@ -51,10 +50,10 @@ var (
 	ErrUnsafeLabel       = errors.New("tre: release label hashes onto the server generator (paper §5.1 item 6); perturb the label")
 )
 
-// Scheme binds the TRE algorithms to a parameter set. It holds the two
-// precomputations that pay off across calls, and nothing else: a
-// process verifies against one server key and multiplies one fixed
-// base, the generator. A Scheme is safe for concurrent use.
+// Scheme binds the TRE algorithms to a parameter set. It holds the one
+// precomputation that pays off across calls, and nothing else: a
+// process verifies against one server key. A Scheme is safe for
+// concurrent use.
 type Scheme struct {
 	Set *params.Set
 
@@ -62,10 +61,6 @@ type Scheme struct {
 	// user-key checks. A different key (server change, §5.3.4) rebuilds
 	// and replaces it.
 	key atomic.Pointer[preparedSlot]
-
-	// gTable is the fixed-base table of Set.G, built on first use.
-	gOnce  sync.Once
-	gTable backend.BaseTable
 
 	// pairings counts pairing evaluations (Miller loop + final exp); nil
 	// until Instrument, and obs counters no-op on nil.
@@ -103,17 +98,6 @@ func (sc *Scheme) preparedKey(spub ServerPublicKey) backend.PreparedKey {
 	s := &preparedSlot{g: spub.G, sg: spub.SG, sg2: spub.SG2, pk: b.PrepareKey(spub.G, spub.SG, spub.SG2)}
 	sc.key.Store(s)
 	return s.pk
-}
-
-// mulG returns k·g for a G1 point g: on the generator table when g is
-// Set.G, by a plain ScalarMult for any other base.
-func (sc *Scheme) mulG(g curve.Point, k *big.Int) curve.Point {
-	b := sc.Set.B
-	if !b.Equal(backend.G1, g, sc.Set.G) {
-		return b.ScalarMult(backend.G1, k, g)
-	}
-	sc.gOnce.Do(func() { sc.gTable = b.PrecomputeBase(sc.Set.G) })
-	return b.ScalarMultBase(sc.gTable, k)
 }
 
 // ServerPublicKey is the time server's public key PK_S = (G, sG),
@@ -245,7 +229,7 @@ func (sc *Scheme) UserKeyFromScalar(spub ServerPublicKey, a *big.Int) (*UserKeyP
 	return &UserKeyPair{
 		A: new(big.Int).Set(a),
 		Pub: UserPublicKey{
-			AG:  sc.mulG(sc.Set.G, a),
+			AG:  sc.Set.B.ScalarMult(backend.G1, a, sc.Set.G),
 			ASG: sc.Set.B.ScalarMult(backend.G1, a, spub.SG),
 		},
 	}, nil

@@ -52,7 +52,8 @@ func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	}
 	acc := newJacMontPointIn(a)
 	o.oddMultiples(tbl[:], p, acc)
-	o.straus(acc, tbl[:], [][]int8{digits}, len(digits))
+	o.setInfinity(acc)
+	ff.Straus([][]int8{digits}, func() { o.double(acc, acc) }, func(_ int, d int8) { o.addDigit(acc, tbl[:], d) })
 	return o.fromJacMont(acc)
 }
 
@@ -101,7 +102,7 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 	sum, acc := newJacMontPointIn(a), newJacMontPointIn(a)
 	o.setInfinity(sum)
 	for ; lo < hi; lo += size {
-		blk, top := min(size, hi-lo), 0
+		blk := min(size, hi-lo)
 		for j := 0; j < blk; j++ {
 			digits[j] = digits[j][:0]
 			p := at(lo + j)
@@ -109,11 +110,11 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 				digits[j] = ff.AppendWNAF(digits[j], scalars[lo+j], msmWindow)
 			}
 			if len(digits[j]) != 0 {
-				top = max(top, len(digits[j]))
 				o.oddMultiples(tbl[j*msmTable:], p, acc)
 			}
 		}
-		o.straus(acc, tbl, digits[:blk], top)
+		o.setInfinity(acc)
+		ff.Straus(digits[:blk], func() { o.double(acc, acc) }, func(j int, d int8) { o.addDigit(acc, tbl[j*msmTable:], d) })
 		o.add(sum, sum, acc)
 	}
 	return o.fromJacMont(sum)
@@ -132,26 +133,13 @@ func (o *jacMontOps) oddMultiples(t []jacMontPoint, p Point, two jacMontPoint) {
 	}
 }
 
-// straus sets acc = Σⱼ digits[j]·Pⱼ, where row j of tbl holds Pⱼ's odd
-// multiples and top is the longest digit row: one doubling per digit
-// position, one addition per non-zero digit, a negative digit adding
-// the entry with Y negated.
-func (o *jacMontOps) straus(acc jacMontPoint, tbl []jacMontPoint, digits [][]int8, top int) {
-	m := o.m
-	o.setInfinity(acc)
-	for i := top - 1; i >= 0; i-- {
-		o.double(acc, acc)
-		for j, row := range digits {
-			if i >= len(row) || row[i] == 0 {
-				continue
-			}
-			d := row[i]
-			e := tbl[j*msmTable+int(max(d, -d))/2]
-			if d < 0 {
-				m.Neg(o.negY, e.Y)
-				e.Y = o.negY
-			}
-			o.add(acc, acc, e)
-		}
+// addDigit adds d·P to acc for an odd digit d, row holding P's odd
+// multiples: a negative digit adds the entry with Y negated.
+func (o *jacMontOps) addDigit(acc jacMontPoint, row []jacMontPoint, d int8) {
+	e := row[max(d, -d)/2]
+	if d < 0 {
+		o.m.Neg(o.negY, e.Y)
+		e.Y = o.negY
 	}
+	o.add(acc, acc, e)
 }

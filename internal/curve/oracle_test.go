@@ -6,9 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
-	"timedrelease/internal/pairing"
 	"timedrelease/internal/ref"
 )
 
@@ -84,84 +82,14 @@ func TestScalarMultMontNonGenerator(t *testing.T) {
 	}
 }
 
-// symmetric wraps c in the Type-1 backend adapter, whose fixed-base
-// door (PrecomputeBase, ScalarMultBase) is what core multiplies the
-// system generator through.
-func symmetric(t *testing.T, c *curve.Curve, g curve.Point) *backend.Symmetric {
-	t.Helper()
-	pr, err := pairing.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return backend.NewSymmetric("oracle", c, pr, g)
-}
-
-// TestScalarMultBaseMatchesScalarMult holds the Type-1 fixed-base door —
-// PrecomputeBase keeps the point, ScalarMultBase runs the one walk on
-// it — to the oracle at every table size.
-func TestScalarMultBaseMatchesScalarMult(t *testing.T) {
-	curve.ForEachOracleCurve(t, func(t *testing.T, c *curve.Curve, g curve.Point, scalars []*big.Int) {
-		b := symmetric(t, c, g)
-		tab := b.PrecomputeBase(g)
-		for _, k := range scalars {
-			if got, want := b.ScalarMultBase(tab, k), ref.ScalarMultAffine(c, k, g); !c.Equal(got, want) {
-				t.Fatalf("ScalarMultBase != oracle at k=%v: got %v want %v", k, got, want)
-			}
-		}
-	})
-}
-
-// TestScalarMultBaseIdentityTable covers the identity base point and
-// the negative-scalar panic through the fixed-base door.
-func TestScalarMultBaseIdentityTable(t *testing.T) {
-	c := curve.SmallCurve(t)
-	g := curve.Gen(t, c)
-	b := symmetric(t, c, g)
-	if !b.ScalarMultBase(b.PrecomputeBase(curve.Infinity()), big.NewInt(5)).IsInfinity() {
-		t.Fatal("k·∞ must be ∞")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative scalar must panic")
-		}
-	}()
-	b.ScalarMultBase(b.PrecomputeBase(g), big.NewInt(-1))
-}
-
-// TestScalarMultBaseLowOrderBase runs the fixed-base door on bases
-// outside the subgroup: the 2-torsion point (0, 0), whose very first
-// doubling is vertical so every odd multiple collapses to P, and a
-// point of cofactor order.
-func TestScalarMultBaseLowOrderBase(t *testing.T) {
-	c := curve.SmallCurve(t)
-	b := symmetric(t, c, curve.Gen(t, c))
-	two, err := c.NewPoint(new(big.Int), new(big.Int)) // (0,0): y²=x³+x holds
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.RandomPoint(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, base := range []curve.Point{two, c.ScalarMult(c.Q, p)} {
-		tab := b.PrecomputeBase(base)
-		for _, k := range []int64{0, 1, 2, 3, 63, 64, 127, 255, 1000} {
-			kk := big.NewInt(k)
-			if got, want := b.ScalarMultBase(tab, kk), ref.ScalarMultAffine(c, kk, base); !c.Equal(got, want) {
-				t.Fatalf("low-order base mismatch at k=%d: got %v want %v", k, got, want)
-			}
-		}
-	}
-}
-
 // TestScalarMultWindowMatchesOracle walks the width-4 NAF walk through
 // its edges against the affine oracle: scalars around the window
 // boundaries, around the group orders, and wider than the field (past
 // ScalarMult's stack digit buffer at 2 049 bits); bases inside and
-// outside the subgroup. On the 2-torsion point every odd multiple is P
-// and 2P = ∞, and on small multiples acc collides with ±P, 3P, 5P or
-// 7P, so the table build and the walk reach add's doubling and infinity
-// branches.
+// outside the subgroup, one of them of cofactor order. On the 2-torsion
+// point every odd multiple is P and 2P = ∞, and on small multiples acc
+// collides with ±P, 3P, 5P or 7P, so the table build and the walk reach
+// add's doubling and infinity branches.
 func TestScalarMultWindowMatchesOracle(t *testing.T) {
 	curve.ForEachOracleCurve(t, func(t *testing.T, c *curve.Curve, g curve.Point, _ []*big.Int) {
 		order := new(big.Int).Mul(c.H, c.Q) // #E = p+1
@@ -188,7 +116,8 @@ func TestScalarMultWindowMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, p := range map[string]curve.Point{"generator": g, "curve point": outside, "2-torsion": two, "infinity": curve.Infinity()} {
+		for name, p := range map[string]curve.Point{"generator": g, "curve point": outside, "cofactor order": c.ScalarMult(c.Q, outside),
+			"2-torsion": two, "infinity": curve.Infinity()} {
 			for _, k := range scalars {
 				if got, want := c.ScalarMult(k, p), ref.ScalarMultAffine(c, k, p); !c.Equal(got, want) {
 					t.Fatalf("%s: ScalarMult != oracle at k=%v: got %v want %v", name, k, got, want)

@@ -105,9 +105,8 @@ func (e *Fp2Mont) ScratchIn(a *Arena) *Fp2MontScratch {
 }
 
 // UnitaryWNAF returns the signed-window recoding ExpUnitaryWNAFInto
-// consumes. Fixed exponents (the pairing's cofactor) should be recoded
-// once and the digits reused, which removes the big.Int work from the
-// exponentiation hot path entirely.
+// consumes. A fixed exponent (the pairing's cofactor) is recoded once
+// and its digits reused.
 func UnitaryWNAF(k *big.Int) []int8 {
 	return AppendWNAF(nil, k, expUnitaryWindow)
 }
@@ -122,10 +121,6 @@ func UnitaryWNAF(k *big.Int) []int8 {
 // the result is simply wrong (the differential tests pin the unitary
 // case against internal/ref's square-and-multiply).
 func (e *Fp2Mont) ExpUnitaryWNAFInto(dst *Fp2MontElem, x Fp2MontElem, digits []int8, s *Fp2MontScratch, a *Arena) {
-	if len(digits) == 0 {
-		e.SetOne(dst)
-		return
-	}
 	// Odd powers x, x³, …, x^(2·tableSize−1).
 	const tableSize = 1 << (expUnitaryWindow - 2)
 	var table [tableSize]Fp2MontElem
@@ -139,15 +134,13 @@ func (e *Fp2Mont) ExpUnitaryWNAFInto(dst *Fp2MontElem, x Fp2MontElem, digits []i
 	}
 	acc := e.OneIn(a)
 	neg := e.ElemIn(a)
-	for i := len(digits) - 1; i >= 0; i-- {
-		e.SqrInto(&acc, acc, s)
-		switch d := digits[i]; {
-		case d > 0:
-			e.MulInto(&acc, acc, table[(d-1)/2], s)
-		case d < 0:
-			e.ConjInto(&neg, table[(-d-1)/2])
-			e.MulInto(&acc, acc, neg, s)
+	Straus([][]int8{digits}, func() { e.SqrInto(&acc, acc, s) }, func(_ int, d int8) {
+		t := table[max(d, -d)/2]
+		if d < 0 {
+			e.ConjInto(&neg, t)
+			t = neg
 		}
-	}
+		e.MulInto(&acc, acc, t, s)
+	})
 	e.Set(dst, acc)
 }

@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	mrand "math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,28 +68,51 @@ func TestNewFieldRejectsBadModulus(t *testing.T) {
 }
 
 // TestWNAFRecoding: the recoded digits must reconstruct the scalar,
-// with every non-zero digit odd and within (−2^(w−1), 2^(w−1)), at the
-// widths in use (4 for curve's Straus walk, 5 for the unitary ladders,
-// 8 for bls381's fixed-base table).
+// with every non-zero digit odd and within (−2^(w−1), 2^(w−1)), any two
+// non-zero digits at least w apart and the top digit non-zero, at the
+// widths in use (4 for the curves' Straus walks, 5 for the endomorphism
+// and unitary ladders). Quick-checked on uint64 scalars, then on zero and
+// on inputs that cross limb boundaries; the limb entry must give the big.Int
+// entry's digits.
 func TestWNAFRecoding(t *testing.T) {
-	for _, w := range []uint{4, 5, 8} {
-		half := 1 << (w - 1)
-		prop := func(k uint64) bool {
-			n := new(big.Int).SetUint64(k)
+	one := big.NewInt(1)
+	ones := func(n uint) *big.Int { return new(big.Int).Sub(new(big.Int).Lsh(one, n), one) }
+	rng := mrand.New(mrand.NewSource(1))
+	multi := []*big.Int{new(big.Int), ones(64), new(big.Int).Lsh(one, 64), ones(128), ones(255), ones(512), ones(2049),
+		new(big.Int).Rand(rng, new(big.Int).Lsh(one, 256)), new(big.Int).Rand(rng, new(big.Int).Lsh(one, 600))}
+	for _, w := range []uint{4, 5} {
+		check := func(n *big.Int) bool {
 			digits := AppendWNAF(nil, n, w)
-			acc := new(big.Int)
+			limbs := make([]uint64, (n.BitLen()+63)/64+1) // one zero limb on top
+			for i := range limbs {
+				limbs[i] = new(big.Int).And(new(big.Int).Rsh(n, uint(64*i)), ones(64)).Uint64()
+			}
+			if !slices.Equal(AppendWNAF(nil, limbs, w), digits) ||
+				len(digits) > 0 && digits[len(digits)-1] == 0 {
+				return false
+			}
+			acc, last := new(big.Int), len(digits)+int(w)
 			for i := len(digits) - 1; i >= 0; i-- {
 				d := int(digits[i])
 				acc.Lsh(acc, 1)
 				acc.Add(acc, big.NewInt(int64(d)))
-				if d != 0 && (d%2 == 0 || d >= half || d <= -half) {
+				if d == 0 {
+					continue
+				}
+				if d%2 == 0 || d >= 1<<(w-1) || d <= -1<<(w-1) || last-i < int(w) {
 					return false
 				}
+				last = i
 			}
 			return acc.Cmp(n) == 0
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		if err := quick.Check(func(k uint64) bool { return check(new(big.Int).SetUint64(k)) }, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("width %d: %v", w, err)
+		}
+		for _, n := range append(multi, new(big.Int).Sub(new(big.Int).Lsh(one, 128), new(big.Int).Lsh(one, w))) {
+			if !check(n) {
+				t.Errorf("width %d: bad recoding of %#x", w, n)
+			}
 		}
 	}
 }

@@ -1,10 +1,5 @@
 package ff
 
-import (
-	"math/big"
-	"slices"
-)
-
 // Fp2MontElem is an element a + b·i of F_{p²} = F_p[i]/(i²+1) with
 // both coordinates in Montgomery form: the one representation of
 // F_{p²} in the tree. The pairing's Miller loops, its final
@@ -121,35 +116,3 @@ func (e *Fp2Mont) InvInto(dst *Fp2MontElem, x Fp2MontElem, s *Fp2MontScratch) {
 // Width 5 precomputes 2^(5-2) = 8 odd powers and cuts the multiplication
 // count from k/2 (square-and-multiply) to ~k/6 for a k-bit exponent.
 const expUnitaryWindow = 5
-
-// AppendWNAF appends the width-w non-adjacent form of the non-negative
-// k to dst, least significant digit first: digits are zero or odd in
-// (−2^(w−1), 2^(w−1)), non-zero ones at least w−1 zeros apart, the last
-// one non-zero. It is the tree's one signed-window recoder (w ≤ 8), and
-// reads k bit by bit with a carry: into a reused dst it allocates
-// nothing.
-func AppendWNAF(dst []int8, k *big.Int, w uint) []int8 {
-	if k.Sign() < 0 {
-		panic("ff: negative scalar")
-	}
-	var zeros [8]int8
-	dst, carry := slices.Grow(dst, k.BitLen()+1), uint(0)
-	for i, n := 0, k.BitLen(); i < n || carry != 0; {
-		if b := k.Bit(i) + carry; b != 1 { // what is left of k is even
-			carry = b >> 1
-			dst = append(dst, 0)
-			i++
-			continue
-		}
-		v := carry
-		for j := uint(0); j < w; j++ {
-			v += k.Bit(i+int(j)) << j
-		}
-		carry = v >> (w - 1) // v ≥ 2^(w−1): take v − 2^w and carry one
-		dst = append(dst, int8(int(v)-int(carry<<w)))
-		if i += int(w); i < n || carry != 0 {
-			dst = append(dst, zeros[:w-1]...)
-		}
-	}
-	return dst
-}
