@@ -110,15 +110,32 @@ func BenchmarkSVDW(b *testing.B) {
 	}
 }
 
+// BenchmarkFeMul times the product as dispatched, then each kernel
+// called directly, so one stretch measures both (mulx only where
+// useMULX).
 func BenchmarkFeMul(b *testing.B) {
 	initCtx()
 	x := randFe(b)
 	y := randFe(b)
 	var z fe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feMul(&z, &x, &y)
-	}
+	b.Run("dispatched", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			feMul(&z, &x, &y)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			feMulGo(&z, &x, &y)
+		}
+	})
+	b.Run("mulx", func(b *testing.B) {
+		if !useMULX {
+			b.Skip("the CPU lacks BMI2 or ADX")
+		}
+		for i := 0; i < b.N; i++ {
+			feMulMULX(&z, &x, &y, &feModulus, feN0)
+		}
+	})
 }
 
 func BenchmarkFeMulLoop(b *testing.B) {

@@ -52,4 +52,14 @@ func initFeArith() {
 	ctx.r2 = feLimbsOf(r.Mod(r.Mul(r, r), ctx.p))
 }
 
+// feMul sets z = x·y·R⁻¹ mod p, bit-identically on either kernel (the
+// assembly reads p through &feModulus); z may alias x and/or y.
+func feMul(z, x, y *fe) {
+	if useMULX {
+		feMulMULX(z, x, y, &feModulus, feN0)
+	} else {
+		feMulGo(z, x, y)
+	}
+}
+
 func feSqr(z, x *fe) { feMul(z, x, x) }

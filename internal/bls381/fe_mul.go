@@ -9,9 +9,11 @@ import "math/bits"
 // additive routine, straight-line and branch-free, on the typed constants
 // feP0…feP5 and feN0 (fe_arith.go). Every result is fully reduced to
 // [0, p), z may alias x and/or y (all loads precede the six stores), and
-// operands must themselves be < p.
+// operands must themselves be < p. feMul (fe_arith.go) runs feMulGo, or
+// where ff.HasMULX() allows the same rounds in MULX/ADX assembly
+// (fe_amd64.s, printed by ff's genMontAsm), with bit-identical results.
 //
-// feMul is word-serial (CIOS) Montgomery multiplication. Round i forms
+// feMulGo is word-serial (CIOS) Montgomery multiplication. Round i forms
 // the six products x·yᵢ first — MULQ clobbers the flags — then folds
 // them into the accumulator t as two bits.Add64 chains the compiler
 // keeps as ADC chains: the low words at limbs 0…5, the high words one
@@ -31,7 +33,7 @@ import "math/bits"
 // tail closes feAdd (feDouble is feAdd(x, x)), whose sum is < 2p as
 // well. feSub adds back p masked by its borrow and feNeg masks p − x by
 // x ≠ 0, so 0 maps to 0 and not to p.
-func feMul(z, x, y *fe) {
+func feMulGo(z, x, y *fe) {
 	var t0, t1, t2, t3, t4, t5, t6, c, m uint64
 	var h0, h1, h2, h3, h4, h5, l0, l1, l2, l3, l4, l5, s0, s1, s2, s3, s4, s5 uint64
 	// round 0

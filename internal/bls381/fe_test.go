@@ -6,6 +6,8 @@ import (
 	mrand "math/rand"
 	"strconv"
 	"testing"
+
+	"timedrelease/internal/ff"
 )
 
 // Oracles and pins for the generated kernel in fe_mul.go. Everything
@@ -122,18 +124,22 @@ func feEdgeOperands() []fe {
 // raw limbs, mul also against feMulLoop, on every ordered pair of edge
 // operands, on x − x and x + (p − x), and on seeded random pairs; in
 // every aliasing shape, and with every result canonical (limb-wise < p),
-// not merely congruent.
+// not merely congruent. mul is checked twice: as dispatched (the MULX
+// assembly where useMULX) and as feMulGo called directly, so each
+// kernel meets math/big and the loop form on every input.
 func TestFeKernelMatchesBigAndLoop(t *testing.T) {
 	initCtx()
 	p := ctx.p
 	rinv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 64*feLimbs), p)
 	mod := func(v *big.Int) *big.Int { return v.Mod(v, p) }
+	mul := func(x, y *big.Int) *big.Int { v := new(big.Int).Mul(x, y); return mod(v.Mul(v, rinv)) }
 	ops := []struct {
 		name string
 		run  func(z, x, y *fe)
 		want func(x, y *big.Int) *big.Int
 	}{
-		{"mul", feMul, func(x, y *big.Int) *big.Int { v := new(big.Int).Mul(x, y); return mod(v.Mul(v, rinv)) }},
+		{"mul", feMul, mul},
+		{"mul (Go kernel)", feMulGo, mul},
 		{"add", feAdd, func(x, y *big.Int) *big.Int { return mod(new(big.Int).Add(x, y)) }},
 		{"sub", feSub, func(x, y *big.Int) *big.Int { return mod(new(big.Int).Sub(x, y)) }},
 		{"double", func(z, x, _ *fe) { feDouble(z, x) }, func(x, _ *big.Int) *big.Int { return mod(new(big.Int).Lsh(x, 1)) }},
@@ -158,10 +164,11 @@ func TestFeKernelMatchesBigAndLoop(t *testing.T) {
 				t.Fatalf("%s(%x, %x): z=x gives %x, z=y gives %x, want %x", op.name, xv, yv, rawBig(&zx), rawBig(&zy), rawBig(&z))
 			}
 		}
-		var loop, kernel fe
+		var loop, kernel, goKernel fe
 		feMulLoop(&loop, &x, &y)
-		if feMul(&kernel, &x, &y); loop != kernel {
-			t.Fatalf("mul(%x, %x): loop form %x, kernel %x", xv, yv, rawBig(&loop), rawBig(&kernel))
+		feMul(&kernel, &x, &y)
+		if feMulGo(&goKernel, &x, &y); loop != kernel || loop != goKernel {
+			t.Fatalf("mul(%x, %x): loop form %x, dispatched %x, Go kernel %x", xv, yv, rawBig(&loop), rawBig(&kernel), rawBig(&goKernel))
 		}
 		// z = x = y: one pointer in all three places, against the
 		// two-operand results with equal values.
@@ -199,6 +206,29 @@ func TestFeKernelMatchesBigAndLoop(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(381))
 	for i := 0; i < n; i++ {
 		check(feLimbsOf(new(big.Int).Rand(rng, p)), feLimbsOf(new(big.Int).Rand(rng, p)))
+	}
+}
+
+// TestFeMULXDispatch fails a host whose CPUID reports BMI2 and ADX (ff's
+// TestMULXDispatch pins ff.HasMULX to CPUID) but whose feMul runs the Go
+// kernel, so a silent fall-back fails here instead of only showing as a
+// slower message-bls12381. The kernels differ in one observable way: the
+// assembly reads p through its pointer, &feModulus, and feMulGo has p
+// folded in as constants; with feModulus zeroed for one call, feMul
+// agrees with feMulGo exactly when it ran Go.
+func TestFeMULXDispatch(t *testing.T) {
+	initCtx()
+	if useMULX != ff.HasMULX() {
+		t.Fatalf("useMULX = %v, but ff.HasMULX() = %v", useMULX, ff.HasMULX())
+	}
+	var want, got fe
+	feMulGo(&want, &ctx.r2, &ctx.r2)
+	saved := feModulus
+	feModulus = fe{}
+	feMul(&got, &ctx.r2, &ctx.r2)
+	feModulus = saved
+	if ranAsm := got != want; ranAsm != ff.HasMULX() {
+		t.Fatalf("ff.HasMULX() = %v, yet feMul ran the assembly = %v", ff.HasMULX(), ranAsm)
 	}
 }
 

@@ -18,8 +18,10 @@ func feFromFuzz(b []byte) (fe, *big.Int) {
 // FuzzFeArith differentially checks the generated six-limb base-field
 // kernel (fe_mul.go: mul, add, sub, double, neg) and what is built on it
 // (sqr, inv, the byte codec) against math/big on arbitrary operands, mul
-// also against the loop-form oracle feMulLoop; every result must be
-// canonical (limb-wise < p) and survive the output aliasing an input.
+// also as the loop-form oracle feMulLoop and as the Go kernel called
+// directly, which checks the MULX assembly wherever mul dispatches to
+// it; every result must be canonical (limb-wise < p) and survive the
+// output aliasing an input.
 func FuzzFeArith(f *testing.F) {
 	f.Add([]byte{0}, []byte{1})
 	f.Add([]byte{0xff}, []byte{2})
@@ -46,6 +48,8 @@ func FuzzFeArith(f *testing.F) {
 		check("mul", &r, new(big.Int).Mod(new(big.Int).Mul(av, bv), p))
 		feMulLoop(&r, &a, &b)
 		check("mul (loop form)", &r, new(big.Int).Mod(new(big.Int).Mul(av, bv), p))
+		feMulGo(&r, &a, &b)
+		check("mul (Go kernel)", &r, new(big.Int).Mod(new(big.Int).Mul(av, bv), p))
 		r.sqr(&a)
 		check("sqr", &r, new(big.Int).Mod(new(big.Int).Mul(av, av), p))
 		r.add(&a, &b)

@@ -19,15 +19,7 @@ var benchMontFields = []struct{ name, p string }{
 func benchMont(b *testing.B, op func(m *Mont, x, y MontElem)) {
 	for _, row := range benchMontFields {
 		b.Run(row.name, func(b *testing.B) {
-			p, _ := new(big.Int).SetString(row.p, 16)
-			f, err := NewField(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, rng := f.Mont(), rand.New(rand.NewSource(1))
-			x, y := m.NewElem(), m.NewElem()
-			m.ToMont(x, new(big.Int).Rand(rng, p))
-			m.ToMont(y, new(big.Int).Rand(rng, p))
+			m, x, y := benchOperands(b, row.p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				op(m, x, y)
@@ -36,8 +28,39 @@ func benchMont(b *testing.B, op func(m *Mont, x, y MontElem)) {
 	}
 }
 
+func benchOperands(b *testing.B, hex string) (m *Mont, x, y MontElem) {
+	p, _ := new(big.Int).SetString(hex, 16)
+	f, err := NewField(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, rng := f.Mont(), rand.New(rand.NewSource(1))
+	x, y = m.NewElem(), m.NewElem()
+	m.ToMont(x, new(big.Int).Rand(rng, p))
+	m.ToMont(y, new(big.Int).Rand(rng, p))
+	return m, x, y
+}
+
+// BenchmarkMontMul times Mul as dispatched at each width, then SS512's
+// two kernels called directly, so one stretch measures both (mulx only
+// where useMULX).
 func BenchmarkMontMul(b *testing.B) {
 	benchMont(b, func(m *Mont, x, y MontElem) { m.Mul(x, x, y) })
+	m, x, y := benchOperands(b, montTestPrimes[1])
+	x8, y8, p8 := (*[8]uint64)(x), (*[8]uint64)(y), (*[8]uint64)(m.p)
+	b.Run("SS512/go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			montMul8(x8, x8, y8, p8, m.n0)
+		}
+	})
+	b.Run("SS512/mulx", func(b *testing.B) {
+		if !useMULX {
+			b.Skip("the CPU lacks BMI2 or ADX")
+		}
+		for i := 0; i < b.N; i++ {
+			montMul8MULX(x8, x8, y8, p8, m.n0)
+		}
+	})
 }
 
 func BenchmarkMontAdd(b *testing.B) {

@@ -12,6 +12,12 @@ import (
 // wider.
 const maxMontLimbs = 32
 
+// HasMULX reports whether this CPU runs the MULX/ADX assembly kernels:
+// the verdict useMULX takes from CPUID once, at init, and false off
+// amd64. bls381's feMul dispatches on it too, so CPUID is read in one
+// place.
+func HasMULX() bool { return useMULX }
+
 // MontElem is a field element as a little-endian vector of 64-bit limbs
 // in the Montgomery domain: the element x is stored as x·R mod p with
 // R = 2^(64·n). Values are always fully reduced into [0, p). Elements

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateKernel = flag.Bool("update", false, "rewrite mont_kernel.go and mont_amd64.s from the generators in mont_gen_test.go")
+var updateKernel = flag.Bool("update", false, "rewrite mont_kernel.go, mont_amd64.s and bls381's fe_amd64.s from the generators in mont_gen_test.go")
 
 // montKernelWidths is the per-limb-count decision: the limb counts that
 // get a generated kernel. 3 is Test160 (the tier-1 suite and
@@ -258,11 +258,47 @@ TEXT ·cpuid(SB), NOSPLIT, $0-16
 // and no global is read.
 `
 
-// genMontAsm emits mont_amd64.s for the given widths; n+2 accumulator
-// registers must fit beside DX, DI, AX and BX, so n ≤ 8.
-func genMontAsm(widths []int) ([]byte, error) {
+// montAsmKernel is one product genMontAsm prints: its Go symbol, its
+// limb count, and the pointer type its Go declaration gives z, x, y and
+// p.
+type montAsmKernel struct {
+	name string
+	n    int
+	ptr  string
+}
+
+// ffAsmKernels are ff's own kernels, one per width in montAsmWidths.
+func ffAsmKernels() []montAsmKernel {
+	var ks []montAsmKernel
+	for _, n := range montAsmWidths {
+		ks = append(ks, montAsmKernel{fmt.Sprintf("montMul%dMULX", n), n, fmt.Sprintf("*[%d]uint64", n)})
+	}
+	return ks
+}
+
+// feAsmFile is bls381's base-field product: the same code at six limbs
+// under bls381's names, which feMul (bls381's fe_arith.go) runs where
+// HasMULX allows.
+const feAsmFile = "../bls381/fe_amd64.s"
+
+const feAsmHeader = `// Code generated by internal/ff/mont_gen_test.go; DO NOT EDIT.
+// Regenerate: go test ./internal/ff -run TestMontKernelIsGenerated -update
+
+#include "textflag.h"
+
+// feMulMULX is feMulGo (fe_mul.go) on BMI2's MULX and ADX's ADCX/ADOX,
+// bit-identical to it: the six-limb instance of ff's montMulNMULX,
+// printed by the same generator (genMontAsm), whose header in
+// internal/ff/mont_amd64.s describes the rounds, the registers and why z
+// may alias x and y. p is &feModulus, so no global is read.
+`
+
+// genMontAsm emits an assembly file: header, then one MULX/ADX product
+// per kernel. n+2 accumulator registers must fit beside DX, DI, AX and
+// BX, so n ≤ 8.
+func genMontAsm(header string, kernels []montAsmKernel) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteString(montAsmHeader)
+	buf.WriteString(header)
 	ins := func(f string, a ...any) { fmt.Fprintf(&buf, "\t"+f+"\n", a...) }
 	mem := func(reg string, j int) string {
 		if j == 0 {
@@ -271,7 +307,8 @@ func genMontAsm(widths []int) ([]byte, error) {
 		return fmt.Sprintf("%d(%s)", 8*j, reg)
 	}
 	pool := []string{"CX", "SI", "R8", "R9", "R10", "R11", "R12", "R13", "R14", "R15"}
-	for _, n := range widths {
+	for _, k := range kernels {
+		n := k.n
 		if n+2 > len(pool) {
 			return nil, fmt.Errorf("width %d: %d accumulator words do not fit in %d registers", n, n+2, len(pool))
 		}
@@ -300,8 +337,8 @@ func genMontAsm(widths []int) ([]byte, error) {
 			t = append(t[1:], t[0])
 		}
 
-		fmt.Fprintf(&buf, "\n// func montMul%dMULX(z, x, y, p *[%d]uint64, n0 uint64)\n", n, n)
-		fmt.Fprintf(&buf, "TEXT ·montMul%dMULX(SB), NOSPLIT, $0-40\n", n)
+		fmt.Fprintf(&buf, "\n// func %s(z, x, y, p %s, n0 uint64)\n", k.name, k.ptr)
+		fmt.Fprintf(&buf, "TEXT ·%s(SB), NOSPLIT, $0-40\n", k.name)
 		for i := 0; i < n; i++ {
 			ins("MOVQ y+16(FP), DX")
 			ins("MOVQ %s, DX", mem("DX", i))
@@ -342,22 +379,27 @@ func genMontAsm(widths []int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// TestMontKernelIsGenerated keeps mont_kernel.go and mont_amd64.s from
-// drifting from their generators: each checked-in file must be exactly
-// what genMontKernel or genMontAsm prints.
+// TestMontKernelIsGenerated keeps mont_kernel.go, mont_amd64.s and
+// bls381's fe_amd64.s from drifting from their generators: each
+// checked-in file must be exactly what genMontKernel or genMontAsm
+// prints.
 func TestMontKernelIsGenerated(t *testing.T) {
 	goSrc, err := genMontKernel(montKernelWidths)
 	if err != nil {
 		t.Fatalf("generator output does not format: %v", err)
 	}
-	asmSrc, err := genMontAsm(montAsmWidths)
+	asmSrc, err := genMontAsm(montAsmHeader, ffAsmKernels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feSrc, err := genMontAsm(feAsmHeader, []montAsmKernel{{"feMulMULX", 6, "*fe"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []struct {
 		name string
 		want []byte
-	}{{montKernelFile, goSrc}, {montAsmFile, asmSrc}} {
+	}{{montKernelFile, goSrc}, {montAsmFile, asmSrc}, {feAsmFile, feSrc}} {
 		if *updateKernel {
 			if err := os.WriteFile(f.name, f.want, 0o644); err != nil {
 				t.Fatal(err)
