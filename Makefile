@@ -8,14 +8,16 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help help-check build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
 help:
 	@echo "Targets:"
 	@echo "  all                build + vet + test (default)"
-	@echo "  ci                 the CI gate: vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets + 386 ff/curve/bls381 tests"
+	@echo "  help               this list"
+	@echo "  help-check         fail when this list and the Makefile's targets differ"
+	@echo "  ci                 the CI gate: help-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets + 386 ff/curve/bls381 tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -25,6 +27,7 @@ help:
 	@echo "  test               go test ./..."
 	@echo "  test-shuffle       go test -shuffle=on ./..."
 	@echo "  vet                go vet ./..."
+	@echo "  fmt-check          fail when gofmt -l lists a file"
 	@echo "  cover              per-package coverage summary"
 	@echo "  cover-ratchet      fail if total coverage drops below the .covermin floor"
 	@echo "  bench              the full testing.B suite"
@@ -39,6 +42,23 @@ help:
 	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
 	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), the serving tier (internal/timeserver, internal/token), the Type-1 stack (internal/ff + internal/curve + internal/pairing) and its math/big oracle (internal/ref), then generated assembly lines on their own line"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
+	@echo "  clean              go clean ./..."
+
+# Every rule in this file must have a line in `make help`, and every
+# line there a rule: the first words of help's indented lines against
+# the rule names.
+help-check:
+	@want=$$(grep -oE '^[a-z][a-z0-9-]*:' Makefile | tr -d : | sort -u); \
+	got=$$($(MAKE) -s --no-print-directory help | awk '/^  [a-z]/ { print $$1 }' | sort -u); \
+	missing=$$(echo "$$want" | grep -vxF -e "$$got"); \
+	extra=$$(echo "$$got" | grep -vxF -e "$$want"); \
+	if [ -n "$$missing$$extra" ]; then \
+		echo "help-check FAILED: make help and the Makefile's targets differ"; \
+		[ -z "$$missing" ] || echo "not in make help: $$missing"; \
+		[ -z "$$extra" ] || echo "in make help but no rule: $$extra"; \
+		exit 1; \
+	fi; \
+	echo "help-check: make help lists all $$(echo "$$want" | grep -c .) targets"
 
 build:
 	$(GO) build ./...
@@ -148,7 +168,7 @@ lint:
 		echo "lint: govulncheck skipped: tool not installed (CI enforces)"; \
 	fi
 
-# The CI gate: static checks, the nested benchmark module's build and
+# The CI gate: `make help` against the rules, static checks, the nested benchmark module's build and
 # its reduced-size run, one import ratchet on the pairing layer, one
 # shuffled test run, one race run — each pass exactly once (the race
 # detector covers the WHOLE module; the concurrency reaches from the
@@ -168,7 +188,7 @@ lint:
 # recoder's big.Int entry, the Straus walk under ScalarMult and MSM, and
 # the Go fe product under the whole pairing and hash suite run there,
 # not only compile (~50 s).
-ci: vet fmt-check lint bench-build bench-smoke spine test-shuffle race
+ci: help-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/bls381/
 	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/ ./internal/bls381/

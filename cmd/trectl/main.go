@@ -368,7 +368,7 @@ func decrypt(args []string) error {
 		}
 		qc := &tre.QuorumClient{Set: set, GroupPub: spub, K: *kFlag, Shards: shards}
 		if *wait {
-			upd, err = qc.WaitForRelease(ctx, useLabel, 2*time.Second)
+			upd, err = qc.WaitForRelease(ctx, useLabel)
 		} else {
 			upd, err = qc.Update(ctx, useLabel)
 		}
@@ -378,7 +378,7 @@ func decrypt(args []string) error {
 	case *serverURL != "":
 		client := tre.NewTimeClient(*serverURL, set, spub)
 		if *wait {
-			upd, err = client.WaitForRelease(ctx, useLabel, 2*time.Second)
+			upd, err = client.WaitForRelease(ctx, useLabel)
 		} else {
 			upd, err = client.Update(ctx, useLabel)
 		}
@@ -423,7 +423,7 @@ func update(args []string) error {
 	defer cancel()
 	var upd tre.KeyUpdate
 	if *wait {
-		upd, err = client.WaitForRelease(ctx, *label, 2*time.Second)
+		upd, err = client.WaitForRelease(ctx, *label)
 	} else {
 		upd, err = client.Update(ctx, *label)
 	}

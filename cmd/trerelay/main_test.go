@@ -141,7 +141,7 @@ func TestRelaySmokeSubscribePublishDecrypt(t *testing.T) {
 	}
 
 	down := tre.NewTimeClient(relayURL, set, key.Pub)
-	upd, err := down.WaitFor(ctx, releaseAt)
+	upd, err := down.WaitForRelease(ctx, releaseAt)
 	if err != nil {
 		t.Fatalf("wait via relay: %v", err)
 	}

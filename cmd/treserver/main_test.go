@@ -332,14 +332,23 @@ func TestRequireTokensGatesCatchupAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	label := sched.Label(time.Now())
-	u, err := client.WaitFor(ctx, label)
-	if err != nil {
-		t.Fatalf("WaitFor over gated stream: %v", err)
+	errGot := errors.New("got the label")
+	var u tre.KeyUpdate
+	if _, err := client.StreamUpdates(ctx, label, func(got tre.KeyUpdate) error {
+		u = got
+		return errGot
+	}); !errors.Is(err, errGot) {
+		t.Fatalf("gated stream: %v", err)
 	}
 	if u.Label != label {
 		t.Fatalf("got update for %s, want %s", u.Label, label)
 	}
 	if wallet.Len() != 1 {
 		t.Fatalf("wallet holds %d tokens after one gated stream, want 1", wallet.Len())
+	}
+
+	// Waiting for one label rides the ungated long-poll: no token needed.
+	if u, err := tre.NewTimeClient(base, set, key.Pub).WaitForRelease(ctx, label); err != nil || u.Label != label {
+		t.Fatalf("tokenless WaitForRelease on a gated server: %v", err)
 	}
 }

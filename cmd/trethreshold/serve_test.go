@@ -188,7 +188,7 @@ func TestArmoredRoundTripThroughServingMembers(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	upd, err := qc.WaitForRelease(ctx, rc.Label, 50*time.Millisecond)
+	upd, err := qc.WaitForRelease(ctx, rc.Label)
 	if err != nil {
 		t.Fatalf("WaitForRelease through serving members: %v", err)
 	}

@@ -82,7 +82,7 @@ func main() {
 
 	// --- Bid opening ------------------------------------------------------
 	fmt.Println("waiting for the bid-opening epoch ...")
-	upd, err := client.WaitForRelease(ctx, bidOpening, 100*time.Millisecond)
+	upd, err := client.WaitForRelease(ctx, bidOpening)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestIntegrationFullLifecycleOnWallClock(t *testing.T) {
 	if _, err := st.client.Update(ctx, releaseAt); !errors.Is(err, tre.ErrNotYetPublished) {
 		t.Fatalf("early fetch: %v", err)
 	}
-	upd, err := st.client.WaitForReleaseLongPoll(ctx, releaseAt)
+	upd, err := st.client.WaitForRelease(ctx, releaseAt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestIntegrationManyReceiversOneUpdate(t *testing.T) {
 		wg.Add(1)
 		go func(i int, r receiver) {
 			defer wg.Done()
-			upd, err := st.client.WaitForRelease(ctx, releaseAt, 50*time.Millisecond)
+			upd, err := st.client.WaitForRelease(ctx, releaseAt)
 			if err != nil {
 				errs <- fmt.Errorf("receiver %d wait: %w", i, err)
 				return
@@ -172,9 +172,9 @@ func TestIntegrationManyReceiversOneUpdate(t *testing.T) {
 // and its HTTP front end.
 func startRelayTier(t *testing.T, st *liveStack, ln net.Listener) func() {
 	t.Helper()
-	up := tre.NewTimeClient(st.url, st.set, st.key.Pub)
-	relay := tre.NewRelay(up, st.sched,
-		tre.RelayWithRetry(tre.RetryPolicy{MaxAttempts: 1, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond}))
+	up := tre.NewTimeClient(st.url, st.set, st.key.Pub,
+		tre.WithRetry(tre.RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond, PerAttempt: 10 * time.Second}))
+	relay := tre.NewRelay(up, st.sched)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); relay.Run(ctx) }()
@@ -192,10 +192,11 @@ func startRelayTier(t *testing.T, st *liveStack, ln net.Listener) func() {
 // → client) releases a real ciphertext, and killing the relay mid-wait
 // then restarting a FRESH one on the same address still converges —
 // the replacement relay rebuilds its archive from the origin via
-// catch-up and the client's stream reconnect picks the release up. At
-// no point does any party besides the origin hold the master secret;
-// the client verifies every update against the origin's public key, so
-// the relay tier adds availability surface but zero trust surface.
+// catch-up and the client's long-poll, retried under its RetryPolicy,
+// picks the release up. At no point does any party besides the origin
+// hold the master secret; the client verifies every update against the
+// origin's public key, so the relay tier adds availability surface but
+// zero trust surface.
 func TestIntegrationRelayChainSurvivesRelayRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
@@ -241,11 +242,11 @@ func TestIntegrationRelayChainSurvivesRelayRestart(t *testing.T) {
 	}
 	waitDone := make(chan result, 1)
 	go func() {
-		upd, err := down.WaitFor(ctx, releaseAt)
+		upd, err := down.WaitForRelease(ctx, releaseAt)
 		waitDone <- result{upd, err}
 	}()
 
-	// Kill the relay while the client is parked on its stream, hold the
+	// Kill the relay while the client is parked on its long-poll, hold the
 	// address dark briefly, then start a replacement with an EMPTY
 	// archive on the same address.
 	time.Sleep(400 * time.Millisecond)

@@ -2,6 +2,7 @@ package threshold
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -49,12 +50,48 @@ type QuorumClient struct {
 	Metrics *obs.Registry
 }
 
+// rewaitPause is how long WaitForRelease pauses after a fan-out that
+// fell short of the quorum before it asks every member again. Members
+// it already has answer from their clients' caches.
+const rewaitPause = time.Second
+
 // Update returns the group's key update for label, succeeding as soon
 // as any K shards have delivered verified partials. Slow, crashed, or
 // Byzantine shards (whose responses fail the pinned-key check inside
 // each client) simply don't count toward the quorum; outstanding
 // requests are cancelled once the quorum is met.
 func (qc *QuorumClient) Update(ctx context.Context, label string) (core.KeyUpdate, error) {
+	return qc.gather(ctx, label, (*timeserver.Client).Update)
+}
+
+// WaitForRelease blocks until the label's quorum combines or the
+// context ends. Each member is waited on through its own long-poll
+// (timeserver.Client.WaitForRelease), so there is no poll interval.
+// EVERY shortfall is treated as transient — a shard that is down,
+// partitioned, or behind may recover and tip the quorum later — which
+// is exactly the availability contract the k-of-n deployment exists
+// for: a QuorumError re-enters the fan-out after rewaitPause.
+func (qc *QuorumClient) WaitForRelease(ctx context.Context, label string) (core.KeyUpdate, error) {
+	for {
+		upd, err := qc.gather(ctx, label, (*timeserver.Client).WaitForRelease)
+		var qe *QuorumError
+		if !errors.As(err, &qe) {
+			return upd, err
+		}
+		t := time.NewTimer(rewaitPause)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return core.KeyUpdate{}, fmt.Errorf("threshold: wait for %q: %w (last: %v)", label, ctx.Err(), err)
+		case <-t.C:
+		}
+	}
+}
+
+// gather asks every shard for its partial through fetch, concurrently,
+// and combines the first K that verify.
+func (qc *QuorumClient) gather(ctx context.Context, label string,
+	fetch func(*timeserver.Client, context.Context, string) (core.KeyUpdate, error)) (core.KeyUpdate, error) {
 	if qc.K < 1 || len(qc.Shards) < qc.K {
 		return core.KeyUpdate{}, fmt.Errorf("threshold: %d shards cannot meet quorum %d", len(qc.Shards), qc.K)
 	}
@@ -72,7 +109,7 @@ func (qc *QuorumClient) Update(ctx context.Context, label string) (core.KeyUpdat
 	results := make(chan result, len(qc.Shards))
 	for _, sh := range qc.Shards {
 		go func(sh Shard) {
-			u, err := sh.Client.Update(ctx, label)
+			u, err := fetch(sh.Client, ctx, label)
 			results <- result{index: sh.Index, upd: u, err: err}
 		}(sh)
 	}
@@ -103,29 +140,4 @@ func (qc *QuorumClient) Update(ctx context.Context, label string) (core.KeyUpdat
 	}
 	qc.Metrics.Counter("quorum.failures").Inc()
 	return core.KeyUpdate{}, &QuorumError{Need: qc.K, Have: len(partials), Causes: failures}
-}
-
-// WaitForRelease polls Update until the label's quorum combines or the
-// context expires. EVERY failure is treated as transient — a shard that
-// is down, partitioned, or behind may recover and tip the quorum on a
-// later attempt — which is exactly the availability contract the
-// k-of-n deployment exists for.
-func (qc *QuorumClient) WaitForRelease(ctx context.Context, label string, poll time.Duration) (core.KeyUpdate, error) {
-	if poll <= 0 {
-		poll = time.Second
-	}
-	for {
-		upd, err := qc.Update(ctx, label)
-		if err == nil {
-			return upd, nil
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return core.KeyUpdate{}, fmt.Errorf("threshold: wait for %q: %w (last: %v)", label, ctxErr, err)
-		}
-		select {
-		case <-ctx.Done():
-			return core.KeyUpdate{}, fmt.Errorf("threshold: wait for %q: %w (last: %v)", label, ctx.Err(), err)
-		case <-time.After(poll):
-		}
-	}
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"timedrelease/internal/core"
+	"timedrelease/internal/faulthttp"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/params"
 	"timedrelease/internal/timefmt"
@@ -32,8 +35,10 @@ type netEnv struct {
 	set    *params.Set
 	setup  *Setup
 	label  string
+	now    time.Time
 	shards []Shard
-	stops  []func()
+	srvs   []*timeserver.Server
+	hts    []*httptest.Server
 }
 
 func newNetEnv(t *testing.T, k, n int, publish []bool) *netEnv {
@@ -46,7 +51,7 @@ func newNetEnv(t *testing.T, k, n int, publish []bool) *netEnv {
 	sched := timefmt.MustSchedule(time.Minute)
 	now := time.Date(2026, 7, 5, 12, 0, 30, 0, time.UTC)
 	ck := &clock{t: now}
-	env := &netEnv{set: set, setup: setup, label: sched.Label(now)}
+	env := &netEnv{set: set, setup: setup, label: sched.Label(now), now: now}
 	for i, sh := range setup.Shares {
 		srv := timeserver.NewServer(set, ShardServerKey(set, sh), sched, timeserver.WithClock(ck.Now))
 		if publish == nil || publish[i] {
@@ -58,6 +63,8 @@ func newNetEnv(t *testing.T, k, n int, publish []bool) *netEnv {
 		t.Cleanup(ts.Close)
 		client := timeserver.NewClient(ts.URL, set, ShardServerKey(set, sh).Pub, timeserver.WithHTTPClient(ts.Client()))
 		env.shards = append(env.shards, Shard{Index: sh.Index, Client: client})
+		env.srvs = append(env.srvs, srv)
+		env.hts = append(env.hts, ts)
 	}
 	return env
 }
@@ -198,7 +205,8 @@ func TestQuorumMetrics(t *testing.T) {
 }
 
 // WaitForRelease treats shard failures as transient: a quorum that is
-// short one member succeeds on a later poll once the member publishes.
+// short one member succeeds once the member publishes, which answers
+// the member's parked long-poll.
 func TestQuorumWaitForReleaseRecovers(t *testing.T) {
 	set := params.MustPreset("Test160")
 	setup, err := Deal(set, nil, 2, 3)
@@ -242,8 +250,8 @@ func TestQuorumWaitForReleaseRecovers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Publish the late shard's update after a poll interval has
-		// certainly begun.
+		// Publish the late shard's update once its long-poll has
+		// certainly been issued.
 		time.Sleep(30 * time.Millisecond)
 		if _, err := late.PublishUpTo(now); err != nil {
 			t.Error(err)
@@ -251,7 +259,7 @@ func TestQuorumWaitForReleaseRecovers(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	upd, err := qc.WaitForRelease(ctx, label, 10*time.Millisecond)
+	upd, err := qc.WaitForRelease(ctx, label)
 	<-done
 	if err != nil {
 		t.Fatalf("WaitForRelease: %v", err)
@@ -266,7 +274,121 @@ func TestQuorumWaitForReleaseHonorsContext(t *testing.T) {
 	qc := &QuorumClient{Set: e.set, GroupPub: e.setup.GroupPub, K: 3, Shards: e.shards}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := qc.WaitForRelease(ctx, e.label, 10*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := qc.WaitForRelease(ctx, e.label); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// A fan-out that falls short of the quorum re-enters after rewaitPause;
+// the member it already had answers from its client's cache, so only
+// the member that failed is asked again.
+func TestQuorumWaitForReleaseReentersAfterShortfall(t *testing.T) {
+	e := newNetEnv(t, 2, 2, nil)
+	ft := faulthttp.New(e.hts[0].Client().Transport,
+		&faulthttp.Rule{From: 1, To: 1, Err: errors.New("connection refused")})
+	e.shards[0].Client = timeserver.NewClient(e.hts[0].URL, e.set, e.shards[0].Client.ServerPublicKey(),
+		timeserver.WithHTTPClient(ft.Client()), timeserver.WithRetry(timeserver.NoRetry))
+	qc := &QuorumClient{Set: e.set, GroupPub: e.setup.GroupPub, K: 2, Shards: e.shards}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	upd, err := qc.WaitForRelease(ctx, e.label)
+	if err != nil {
+		t.Fatalf("WaitForRelease: %v", err)
+	}
+	if !core.NewScheme(e.set).VerifyUpdate(e.setup.GroupPub, upd) {
+		t.Fatal("quorum update must verify")
+	}
+	if d := time.Since(start); d < rewaitPause {
+		t.Fatalf("returned after %v, before the re-entry pause of %v", d, rewaitPause)
+	}
+	if n := ft.Requests(); n != 2 {
+		t.Fatalf("failing member asked %d times, want 2", n)
+	}
+	if n := e.srvs[1].Served(); n != 1 {
+		t.Fatalf("healthy member served %d requests, want 1 (the re-entry reads the cache)", n)
+	}
+}
+
+// waitGoroutines polls until at most n goroutines are left and fails
+// with a dump otherwise (as in internal/timeserver's tests).
+func waitGoroutines(t *testing.T, n int, after string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after %s, %d before it:\n%s",
+				runtime.NumGoroutine(), after, n, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// However a quorum wait with one member down ends — the live members
+// publish, the caller cancels, or the members drain (503s, then the
+// caller gives up) — no goroutine outlives it and no member's hub holds
+// a subscription for it.
+func TestQuorumWaitForReleaseLeaksNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(t *testing.T, e *netEnv, cancel context.CancelFunc)
+		ok   func(error) bool
+	}{
+		{"publish", func(t *testing.T, e *netEnv, _ context.CancelFunc) {
+			for _, srv := range e.srvs[1:] {
+				if _, err := srv.PublishUpTo(e.now); err != nil {
+					t.Error(err)
+				}
+			}
+		}, func(err error) bool { return err == nil }},
+		{"cancel", func(_ *testing.T, _ *netEnv, cancel context.CancelFunc) { cancel() },
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"drain", func(_ *testing.T, e *netEnv, cancel context.CancelFunc) {
+			for _, srv := range e.srvs[1:] {
+				srv.Drain()
+			}
+			time.AfterFunc(rewaitPause/2, cancel)
+		}, func(err error) bool { return errors.Is(err, context.Canceled) && strings.Contains(err.Error(), "503") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newNetEnv(t, 2, 3, []bool{false, false, false})
+			e.hts[0].Close() // member 1 is down for the whole wait
+			for _, ts := range e.hts {
+				ts.Client().CloseIdleConnections()
+			}
+			before := runtime.NumGoroutine()
+			qc := &QuorumClient{Set: e.set, GroupPub: e.setup.GroupPub, K: 2, Shards: e.shards}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := qc.WaitForRelease(ctx, e.label)
+				done <- err
+			}()
+			for _, srv := range e.srvs[1:] {
+				waitFor(t, func() bool { return srv.Subscribers() == 1 })
+			}
+			tc.end(t, e, cancel)
+			if err := <-done; !tc.ok(err) {
+				t.Fatalf("quorum wait ended by %s: %v", tc.name, err)
+			}
+			for _, srv := range e.srvs[1:] {
+				waitFor(t, func() bool { return srv.Subscribers() == 0 })
+			}
+			for _, ts := range e.hts {
+				ts.Client().CloseIdleConnections()
+			}
+			waitGoroutines(t, before, "a quorum wait ended by "+tc.name)
+		})
+	}
+}
+
+// waitFor polls cond for up to 10 s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10 s")
+		}
 	}
 }

@@ -53,20 +53,19 @@ type Client struct {
 // (names client.*; see docs/OBSERVABILITY.md). All nil until
 // WithClientMetrics; obs types no-op on nil.
 type clientMetrics struct {
-	fetchNS          *obs.Histogram // HTTP round trip, per request (incl. retries)
-	verifyNS         *obs.Histogram // decode + pairing verification
-	cacheHit         *obs.Counter   // updates served from the local cache
-	cacheMiss        *obs.Counter   // updates that needed a fetch
-	catchupBatches   *obs.Counter   // batched CatchUp verifications
-	catchupPages     *obs.Counter   // /v1/catchup pages admitted by the blinded batch check
-	catchupFallback  *obs.Counter   // range-page/batch checks that fell back a level
-	retries          *obs.Counter   // transport-level retry attempts
-	catchupDegraded  *obs.Counter   // CatchUp calls returning a PartialError
-	streamEvents     *obs.Counter   // verified updates delivered over /v1/stream
-	streamReconnects *obs.Counter   // stream connections re-dialled after a disconnect
-	tokensFetched    *obs.Counter   // tokens issued into the wallet
-	tokenRedeemed    *obs.Counter   // gated requests admitted with a token
-	tokenRejected    *obs.Counter   // tokens the server refused as spent (409)
+	fetchNS         *obs.Histogram // HTTP round trip, per request (incl. retries)
+	verifyNS        *obs.Histogram // decode + pairing verification
+	cacheHit        *obs.Counter   // updates served from the local cache
+	cacheMiss       *obs.Counter   // updates that needed a fetch
+	catchupBatches  *obs.Counter   // batched CatchUp verifications
+	catchupPages    *obs.Counter   // /v1/catchup pages admitted by the blinded batch check
+	catchupFallback *obs.Counter   // range-page/batch checks that fell back a level
+	retries         *obs.Counter   // transport-level retry attempts
+	catchupDegraded *obs.Counter   // CatchUp calls returning a PartialError
+	streamEvents    *obs.Counter   // verified updates delivered over /v1/stream
+	tokensFetched   *obs.Counter   // tokens issued into the wallet
+	tokenRedeemed   *obs.Counter   // gated requests admitted with a token
+	tokenRejected   *obs.Counter   // tokens the server refused as spent (409)
 }
 
 // ClientOption configures a Client.
@@ -84,20 +83,19 @@ func WithClientMetrics(r *obs.Registry) ClientOption {
 	return func(c *Client) {
 		c.sc.Instrument(r)
 		c.met = clientMetrics{
-			fetchNS:          r.Histogram("client.fetch_ns"),
-			verifyNS:         r.Histogram("client.verify_ns"),
-			cacheHit:         r.Counter("client.cache_hit"),
-			cacheMiss:        r.Counter("client.cache_miss"),
-			catchupBatches:   r.Counter("client.catchup_batches"),
-			catchupPages:     r.Counter("client.catchup_range_pages"),
-			catchupFallback:  r.Counter("client.catchup_fallback"),
-			retries:          r.Counter("client.retries"),
-			catchupDegraded:  r.Counter("client.catchup_degraded"),
-			streamEvents:     r.Counter("client.stream_events"),
-			streamReconnects: r.Counter("client.stream_reconnects"),
-			tokensFetched:    r.Counter("client.tokens_fetched"),
-			tokenRedeemed:    r.Counter("client.token_redeemed"),
-			tokenRejected:    r.Counter("client.token_rejected"),
+			fetchNS:         r.Histogram("client.fetch_ns"),
+			verifyNS:        r.Histogram("client.verify_ns"),
+			cacheHit:        r.Counter("client.cache_hit"),
+			cacheMiss:       r.Counter("client.cache_miss"),
+			catchupBatches:  r.Counter("client.catchup_batches"),
+			catchupPages:    r.Counter("client.catchup_range_pages"),
+			catchupFallback: r.Counter("client.catchup_fallback"),
+			retries:         r.Counter("client.retries"),
+			catchupDegraded: r.Counter("client.catchup_degraded"),
+			streamEvents:    r.Counter("client.stream_events"),
+			tokensFetched:   r.Counter("client.tokens_fetched"),
+			tokenRedeemed:   r.Counter("client.token_redeemed"),
+			tokenRejected:   r.Counter("client.token_rejected"),
 		}
 	}
 }
@@ -183,34 +181,6 @@ func (c *Client) Labels(ctx context.Context) ([]string, error) {
 		return nil, nil
 	}
 	return strings.Split(string(body), "\n"), nil
-}
-
-// WaitForRelease blocks until the update for label is published (polling
-// with the given interval), the context is cancelled, or a fetched
-// update fails verification. This is the receiver "waiting in alert" of
-// paper §3.
-func (c *Client) WaitForRelease(ctx context.Context, label string, poll time.Duration) (core.KeyUpdate, error) {
-	if poll <= 0 {
-		poll = time.Second
-	}
-	for {
-		u, err := c.Update(ctx, label)
-		switch {
-		case err == nil:
-			return u, nil
-		case errors.Is(err, ErrNotYetPublished):
-			// keep waiting
-		default:
-			return core.KeyUpdate{}, err
-		}
-		timer := time.NewTimer(poll)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return core.KeyUpdate{}, ctx.Err()
-		case <-timer.C:
-		}
-	}
 }
 
 // cached returns the update for label from the verified cache,

@@ -38,7 +38,6 @@ type Relay struct {
 	codec *wire.Codec
 	hub   *hub
 	up    *Client
-	retry RetryPolicy
 
 	served   atomic.Int64
 	ingested atomic.Int64
@@ -78,13 +77,6 @@ func RelayWithLogger(l *obs.Logger) RelayOption {
 	return func(r *Relay) { r.log = l }
 }
 
-// RelayWithRetry substitutes the reconnect backoff policy (only its
-// BaseDelay/MaxDelay are used — a relay is a daemon and never gives
-// up on its upstream).
-func RelayWithRetry(p RetryPolicy) RelayOption {
-	return func(r *Relay) { r.retry = p }
-}
-
 // NewRelay builds a relay over an upstream verifying client. The
 // client's pinned server key is the relay's trust anchor and the key
 // its own consumers should pin too — the relay introduces no key of
@@ -98,7 +90,6 @@ func NewRelay(upstream *Client, sched timefmt.Schedule, opts ...RelayOption) *Re
 		codec: upstream.codec,
 		hub:   newHub(),
 		up:    upstream,
-		retry: DefaultRetry,
 	}
 	for _, o := range opts {
 		o(r)
@@ -250,10 +241,12 @@ func (r *Relay) nextFrom() string {
 // gap (range path), then ride the upstream push stream, and on any
 // disconnect back off (jittered, capped) and converge again. A relay
 // never gives up — it is a daemon whose whole job is to be there when
-// the upstream comes back. Against a pre-stream upstream it degrades
-// to periodic catch-up polling.
+// the upstream comes back. Reconnects back off under the upstream
+// client's RetryPolicy (its BaseDelay and MaxDelay; DefaultRetry's when
+// BaseDelay is 0). Against a pre-stream upstream it degrades to
+// periodic catch-up polling.
 func (r *Relay) Run(ctx context.Context) error {
-	p := r.retry
+	p := r.up.retry
 	if p.BaseDelay <= 0 {
 		p = DefaultRetry
 	}

@@ -33,8 +33,7 @@ func newRelayEnv(t *testing.T) *relayEnv {
 	up := NewClient(e.ts.URL, e.set, e.key.Pub,
 		WithHTTPClient(e.ts.Client()),
 		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}))
-	relay := NewRelay(up, e.sched,
-		RelayWithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}))
+	relay := NewRelay(up, e.sched)
 	rts := httptest.NewServer(relay.Handler())
 	t.Cleanup(rts.Close)
 	down := NewClient(rts.URL, e.set, e.key.Pub, WithHTTPClient(rts.Client()))
@@ -75,7 +74,7 @@ func TestRelayServesBacklogAndLiveUpdates(t *testing.T) {
 	// Backlog served downstream (poll: sync is asynchronous).
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
-	u, err := re.down.WaitFor(dctx, backlog)
+	u, err := re.down.WaitForRelease(dctx, backlog)
 	if err != nil {
 		t.Fatalf("downstream backlog fetch: %v", err)
 	}
@@ -88,7 +87,7 @@ func TestRelayServesBacklogAndLiveUpdates(t *testing.T) {
 	next := e.sched.Label(e.clock.Now())
 	got := make(chan error, 1)
 	go func() {
-		u, err := re.down.WaitFor(dctx, next)
+		u, err := re.down.WaitForRelease(dctx, next)
 		if err == nil && (u.Label != next || !e.sc.VerifyUpdate(e.key.Pub, u)) {
 			err = errors.New("relayed live update invalid")
 		}
@@ -146,9 +145,10 @@ func TestRelayConvergesAfterUpstreamOutage(t *testing.T) {
 	ft := faulthttp.New(e.ts.Client().Transport)
 	up := NewClient(e.ts.URL, e.set, e.key.Pub,
 		WithHTTPClient(ft.Client()),
-		WithRetry(NoRetry)) // fail fast; the relay loop owns reconnection
-	relay := NewRelay(up, e.sched,
-		RelayWithRetry(RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}))
+		// Fail fast; the relay loop owns reconnection and backs off
+		// under this policy's delays.
+		WithRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}))
+	relay := NewRelay(up, e.sched)
 	rts := httptest.NewServer(relay.Handler())
 	t.Cleanup(rts.Close)
 	down := NewClient(rts.URL, e.set, e.key.Pub, WithHTTPClient(rts.Client()))
@@ -169,7 +169,7 @@ func TestRelayConvergesAfterUpstreamOutage(t *testing.T) {
 
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
-	u, err := down.WaitFor(dctx, label)
+	u, err := down.WaitForRelease(dctx, label)
 	if err != nil {
 		t.Fatalf("downstream after outage: %v", err)
 	}
@@ -197,12 +197,12 @@ func TestRelayIngestsPastAnOversizedLabelList(t *testing.T) {
 		origin.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	up := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()), WithRetry(NoRetry))
+	up := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()),
+		WithRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}))
 	if _, err := up.Labels(context.Background()); err == nil {
 		t.Fatal("Labels accepted an oversized list")
 	}
-	relay := NewRelay(up, e.sched,
-		RelayWithRetry(RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}))
+	relay := NewRelay(up, e.sched)
 	rts := httptest.NewServer(relay.Handler())
 	t.Cleanup(rts.Close)
 	down := NewClient(rts.URL, e.set, e.key.Pub, WithHTTPClient(rts.Client()))
@@ -213,7 +213,7 @@ func TestRelayIngestsPastAnOversizedLabelList(t *testing.T) {
 
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
-	if _, err := down.WaitFor(dctx, backlog); err != nil {
+	if _, err := down.WaitForRelease(dctx, backlog); err != nil {
 		t.Fatalf("backlog through the relay: %v", err)
 	}
 	waitSubscribers(t, e.server.Subscribers, 1) // the relay's upstream stream
@@ -222,7 +222,7 @@ func TestRelayIngestsPastAnOversizedLabelList(t *testing.T) {
 	if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
 		t.Fatal(err)
 	}
-	u, err := down.WaitFor(dctx, next)
+	u, err := down.WaitForRelease(dctx, next)
 	if err != nil {
 		t.Fatalf("later publish through the relay: %v", err)
 	}

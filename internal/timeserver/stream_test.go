@@ -12,12 +12,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"timedrelease/internal/core"
-	"timedrelease/internal/faulthttp"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/params"
 	"timedrelease/internal/timefmt"
@@ -249,7 +247,7 @@ func TestPublishIsOneEncodeOnePassRegardlessOfSubscribers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := NewClient(e.ts.URL, e.set, e.key.Pub, WithHTTPClient(e.ts.Client()))
-			c.WaitForReleaseLongPoll(ctx, label)
+			c.WaitForRelease(ctx, label)
 		}()
 	}
 	waitSubscribers(t, e.server.Subscribers, streams+waiters)
@@ -367,157 +365,6 @@ func TestDrainClosesStreamsWithTerminalComment(t *testing.T) {
 	}
 }
 
-func TestWaitForDeliversOverStream(t *testing.T) {
-	e := newEnv(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	label := e.sched.Label(e.clock.Now())
-
-	type res struct {
-		u   core.KeyUpdate
-		err error
-	}
-	got := make(chan res, 1)
-	go func() {
-		u, err := e.client.WaitFor(ctx, label)
-		got <- res{u, err}
-	}()
-	waitSubscribers(t, e.server.Subscribers, 1)
-	if err := e.server.PublishLabel(label); err != nil {
-		t.Fatal(err)
-	}
-	r := <-got
-	if r.err != nil {
-		t.Fatalf("WaitFor: %v", r.err)
-	}
-	if r.u.Label != label || !e.sc.VerifyUpdate(e.key.Pub, r.u) {
-		t.Fatal("WaitFor returned an invalid update")
-	}
-}
-
-func TestWaitForFallsBackToLongPollOn404(t *testing.T) {
-	// A pre-stream server answers 404 for /v1/stream; WaitFor must fall
-	// back to the long-poll endpoint and still deliver.
-	e := newEnv(t)
-	ft := faulthttp.New(e.ts.Client().Transport,
-		&faulthttp.Rule{PathContains: "/v1/stream", Status: http.StatusNotFound})
-	client := NewClient(e.ts.URL, e.set, e.key.Pub, WithHTTPClient(ft.Client()))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	label := e.sched.Label(e.clock.Now())
-	got := make(chan error, 1)
-	go func() {
-		u, err := client.WaitFor(ctx, label)
-		if err == nil && u.Label != label {
-			err = errors.New("wrong label")
-		}
-		got <- err
-	}()
-	waitSubscribers(t, e.server.Subscribers, 1) // parked via /v1/wait
-	if err := e.server.PublishLabel(label); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-got; err != nil {
-		t.Fatalf("WaitFor with 404 stream: %v", err)
-	}
-}
-
-func TestWaitForLongPollBacksOffOnEarly404(t *testing.T) {
-	// A server (or proxy) that 404s every path sends WaitFor to the
-	// long-poll fallback, whose 404s then come back at once instead of
-	// after the wait timeout. The fallback must back off under the retry
-	// policy, not re-issue as fast as the network answers.
-	e := newEnv(t)
-	var requests atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		http.NotFound(w, r)
-	}))
-	defer ts.Close()
-	client := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	if _, err := client.WaitFor(ctx, e.sched.Label(e.clock.Now())); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("WaitFor against an all-404 server: %v, want the context's deadline", err)
-	}
-	if n := requests.Load(); n > 10 {
-		t.Fatalf("%d requests in 300 ms, want at most 10", n)
-	}
-}
-
-func TestWaitForReconnectsAfterMidStreamCut(t *testing.T) {
-	// The first stream connection is cut mid-body (truncated before any
-	// event); WaitFor must reconnect under the retry policy and succeed
-	// on the second connection.
-	e := newEnv(t)
-	ft := faulthttp.New(e.ts.Client().Transport,
-		&faulthttp.Rule{PathContains: "/v1/stream", From: 1, To: 1, TruncateTo: 3})
-	client := NewClient(e.ts.URL, e.set, e.key.Pub,
-		WithHTTPClient(ft.Client()),
-		WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	label := e.sched.Label(e.clock.Now())
-	got := make(chan error, 1)
-	go func() {
-		_, err := client.WaitFor(ctx, label)
-		got <- err
-	}()
-	waitSubscribers(t, e.server.Subscribers, 1) // the SECOND (healthy) stream
-	if err := e.server.PublishLabel(label); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-got; err != nil {
-		t.Fatalf("WaitFor after mid-stream cut: %v", err)
-	}
-}
-
-func TestWaitForCatchesUpAcrossDisconnect(t *testing.T) {
-	// An update published while the client is disconnected must be caught
-	// up via a direct fetch between stream attempts, never missed: here
-	// the stream endpoint is permanently broken, so only the catch-up
-	// path can deliver.
-	e := newEnv(t)
-	label := e.sched.Label(e.clock.Now())
-	if err := e.server.PublishLabel(label); err != nil {
-		t.Fatal(err)
-	}
-	ft := faulthttp.New(e.ts.Client().Transport,
-		&faulthttp.Rule{PathContains: "/v1/stream", TruncateTo: 1})
-	client := NewClient(e.ts.URL, e.set, e.key.Pub,
-		WithHTTPClient(ft.Client()),
-		WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	u, err := client.WaitFor(ctx, label)
-	if err != nil {
-		t.Fatalf("WaitFor with broken stream: %v", err)
-	}
-	if u.Label != label || !e.sc.VerifyUpdate(e.key.Pub, u) {
-		t.Fatal("caught-up update invalid")
-	}
-}
-
-func TestWaitForGivesUpWhenServerUnreachable(t *testing.T) {
-	// When the server is down entirely, WaitFor must give up after
-	// MaxAttempts unreachable cycles instead of spinning forever.
-	e := newEnv(t)
-	ft := faulthttp.New(e.ts.Client().Transport,
-		&faulthttp.Rule{Err: errors.New("connection refused")})
-	client := NewClient(e.ts.URL, e.set, e.key.Pub,
-		WithHTTPClient(ft.Client()),
-		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := client.WaitFor(ctx, e.sched.Label(e.clock.Now())); err == nil {
-		t.Fatal("WaitFor succeeded against an unreachable server")
-	}
-}
-
 func TestStreamRejectsInjectedUpdate(t *testing.T) {
 	// Self-authentication end to end: an update from a server whose key
 	// does not match the client's pinned key must abort the stream with
@@ -594,9 +441,9 @@ func TestHubChurnDeliversEveryUpdateExactlyOnce(t *testing.T) {
 				case i%2 == 0:
 					client.StreamUpdates(cctx, "", func(core.KeyUpdate) error { return errStopStream })
 				case n%2 == 0:
-					client.WaitForReleaseLongPoll(cctx, never)
+					client.WaitForRelease(cctx, never)
 				default: // the next label to be published
-					client.WaitForReleaseLongPoll(cctx, e.sched.Label(e.clock.Now().Add(time.Minute)))
+					client.WaitForRelease(cctx, e.sched.Label(e.clock.Now().Add(time.Minute)))
 				}
 				ccancel()
 			}
@@ -663,7 +510,7 @@ func parkAndDrain(t *testing.T, e *env, c *Client, count func() int, drain func(
 		}()
 		go func() {
 			defer wg.Done()
-			c.WaitForReleaseLongPoll(ctx, never)
+			c.WaitForRelease(ctx, never)
 		}()
 	}
 	waitSubscribers(t, count, 6)

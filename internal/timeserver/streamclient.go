@@ -17,7 +17,7 @@ import (
 
 // ErrStreamUnsupported reports a server without the /v1/stream
 // endpoint (pre-stream deployments answer 404 for the unknown route).
-// WaitFor treats it as a signal to fall back to long-polling.
+// Relay.Run treats it as a signal to fall back to periodic catch-up.
 var ErrStreamUnsupported = errors.New("timeserver: server does not support /v1/stream")
 
 // errStopStream is the sentinel a StreamUpdates callback returns to end
@@ -43,7 +43,8 @@ func (c *Client) streamHTTP() *http.Client {
 // It returns the number of verified updates delivered. A nil error
 // means the server ended the stream deliberately (drain or shed);
 // transport errors mean a disconnect. Callers wanting automatic
-// reconnection use WaitFor or a Relay.
+// reconnection use a Relay; a receiver waiting for one label uses
+// WaitForRelease.
 func (c *Client) StreamUpdates(ctx context.Context, from string, fn func(core.KeyUpdate) error) (int, error) {
 	path := c.base + "/v1/stream"
 	if from != "" {
@@ -55,8 +56,7 @@ func (c *Client) StreamUpdates(ctx context.Context, from string, fn func(core.Ke
 	}
 	req.Header.Set("Accept", "text/event-stream")
 	// A gated server admits one stream connection per token
-	// (docs/TOKENS.md); every dial — including each WaitFor
-	// reconnect — spends one from the wallet.
+	// (docs/TOKENS.md); every dial spends one from the wallet.
 	if c.wallet != nil {
 		hdr, err := c.popTokenHeader()
 		if err != nil {
@@ -130,85 +130,6 @@ func (c *Client) StreamUpdates(ctx context.Context, from string, fn func(core.Ke
 		case strings.HasPrefix(line, "data:"):
 			data = append(data, strings.TrimSpace(line[len("data:"):])...)
 		default: // unknown SSE field — ignore for forward compatibility
-		}
-	}
-}
-
-// WaitFor blocks until the update for label is released, preferring the
-// server's push stream and degrading gracefully:
-//
-//   - a 404 on /v1/stream (pre-stream server) falls back to the
-//     long-poll endpoint;
-//   - a mid-stream disconnect or shed reconnects under the client's
-//     RetryPolicy, with a direct /v1/update fetch between attempts so
-//     an update published while disconnected is caught up, never missed;
-//   - any verification failure aborts immediately with ErrBadUpdate.
-//
-// As long as the server stays reachable WaitFor waits indefinitely
-// (bounded only by ctx) — that is what "waiting in alert" means; it
-// gives up per the retry policy only after MaxAttempts consecutive
-// cycles in which the server could not be reached at all.
-func (c *Client) WaitFor(ctx context.Context, label string) (core.KeyUpdate, error) {
-	if u, ok := c.cached(label); ok {
-		return u, nil
-	}
-	p := c.retry
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	fails := 0
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.met.streamReconnects.Inc()
-			if err := sleepCtx(ctx, p.backoff(min(fails, 16))); err != nil {
-				return core.KeyUpdate{}, err
-			}
-		}
-		var got core.KeyUpdate
-		found := false
-		n, err := c.StreamUpdates(ctx, label, func(u core.KeyUpdate) error {
-			if u.Label == label {
-				got, found = u, true
-				return errStopStream
-			}
-			return nil
-		})
-		if found {
-			return got, nil
-		}
-		switch {
-		case errors.Is(err, ErrStreamUnsupported):
-			return c.WaitForReleaseLongPoll(ctx, label)
-		case errors.Is(err, ErrBadUpdate):
-			return core.KeyUpdate{}, err
-		case errors.Is(err, ErrTokenRequired):
-			// A gated server and nothing to pay with: reconnecting
-			// cannot help, and the long-poll fallback would quietly
-			// bypass the gate the operator configured. Surface it.
-			return core.KeyUpdate{}, err
-		}
-		if ctx.Err() != nil {
-			return core.KeyUpdate{}, ctx.Err()
-		}
-		// Catch up across the disconnect: published while we were away?
-		u, uerr := c.Update(ctx, label)
-		switch {
-		case uerr == nil:
-			return u, nil
-		case errors.Is(uerr, ErrNotYetPublished):
-			// The server is reachable and the update simply does not exist
-			// yet — that is progress, keep waiting.
-			fails = 0
-		case errors.Is(uerr, ErrBadUpdate):
-			return core.KeyUpdate{}, uerr
-		default:
-			if n > 0 {
-				fails = 0
-			}
-			fails++
-			if fails >= p.MaxAttempts {
-				return core.KeyUpdate{}, fmt.Errorf("timeserver: wait for %s: giving up after %d unreachable cycles: %w", label, fails, uerr)
-			}
 		}
 	}
 }

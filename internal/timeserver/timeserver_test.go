@@ -208,7 +208,7 @@ func TestWaitForRelease(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	go close(release)
-	u, err := e.client.WaitForRelease(ctx, target, 10*time.Millisecond)
+	u, err := e.client.WaitForRelease(ctx, target)
 	if err != nil {
 		t.Fatalf("WaitForRelease: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestWaitForReleaseContextCancel(t *testing.T) {
 	e := newEnv(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := e.client.WaitForRelease(ctx, e.sched.Next(e.clock.Now()), 10*time.Millisecond)
+	_, err := e.client.WaitForRelease(ctx, e.sched.Next(e.clock.Now()))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want deadline exceeded", err)
 	}

@@ -75,13 +75,18 @@ func (v *publicView) handleWait(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// WaitForReleaseLongPoll blocks until the update for label is published,
-// using the server's long-poll endpoint instead of client-side polling:
-// one outstanding request per hold (pollHold: 9 s under DefaultRetry, at
-// most 25 s) instead of one per poll interval, and
-// delivery latency bounded by the network rather than the poll period.
-// Prefer WaitFor, which rides the push stream and falls back to this.
-func (c *Client) WaitForReleaseLongPoll(ctx context.Context, label string) (core.KeyUpdate, error) {
+// WaitForRelease blocks until the update for label is published, the
+// context ends, or the update fails verification against the pinned
+// key. This is the receiver "waiting in alert" of paper §3, and the
+// client's one way to wait: a cached update returns at once; otherwise
+// one long-poll is outstanding per hold (pollHold: 9 s under
+// DefaultRetry, at most 25 s), the server's hub answers it at publish
+// time, and the update is verified exactly once. Transient failures are
+// retried under the client's RetryPolicy, as Update does.
+func (c *Client) WaitForRelease(ctx context.Context, label string) (core.KeyUpdate, error) {
+	if u, ok := c.cached(label); ok {
+		return u, nil
+	}
 	p := c.retry
 	if p.BaseDelay <= 0 {
 		p = DefaultRetry

@@ -6,11 +6,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"timedrelease/internal/core"
+	"timedrelease/internal/faulthttp"
+	"timedrelease/internal/obs"
 )
 
 func TestLongPollDeliversOnPublish(t *testing.T) {
@@ -30,7 +36,7 @@ func TestLongPollDeliversOnPublish(t *testing.T) {
 			started.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			u, err := e.client.WaitForReleaseLongPoll(ctx, target)
+			u, err := e.client.WaitForRelease(ctx, target)
 			if err == nil && u.Label != target {
 				err = errors.New("wrong label")
 			}
@@ -80,7 +86,7 @@ func TestLongPollHoldFitsInsidePerAttemptBound(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		u, err := c.WaitForReleaseLongPoll(ctx, target)
+		u, err := c.WaitForRelease(ctx, target)
 		got <- result{u, err}
 	}()
 	time.Sleep(1200 * time.Millisecond)
@@ -91,7 +97,7 @@ func TestLongPollHoldFitsInsidePerAttemptBound(t *testing.T) {
 	select {
 	case r := <-got:
 		if r.err != nil {
-			t.Fatalf("WaitForReleaseLongPoll under a 300 ms per-attempt bound: %v", r.err)
+			t.Fatalf("WaitForRelease under a 300 ms per-attempt bound: %v", r.err)
 		}
 		if r.u.Label != target || !e.sc.VerifyUpdate(e.key.Pub, r.u) {
 			t.Fatal("returned update is not the verified update for the label")
@@ -121,7 +127,7 @@ func TestLongPollImmediateWhenAlreadyPublished(t *testing.T) {
 	}
 	label := e.sched.Label(e.clock.Now())
 	start := time.Now()
-	u, err := e.client.WaitForReleaseLongPoll(context.Background(), label)
+	u, err := e.client.WaitForRelease(context.Background(), label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,183 @@ func TestLongPollVerifiesAgainstPinnedKey(t *testing.T) {
 	ts := newTestHTTP(t, impostor)
 	c := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()))
 	label := e.sched.Label(e.clock.Now())
-	if _, err := c.WaitForReleaseLongPoll(context.Background(), label); !errors.Is(err, ErrBadUpdate) {
+	if _, err := c.WaitForRelease(context.Background(), label); !errors.Is(err, ErrBadUpdate) {
 		t.Fatalf("err=%v, want ErrBadUpdate", err)
+	}
+}
+
+func TestWaitForLongPollBacksOffOnEarly404(t *testing.T) {
+	// A server (or proxy) without /v1/wait 404s the long-poll at once
+	// instead of after the hold. WaitForRelease must back off under the
+	// retry policy, not re-issue as fast as the network answers.
+	e := newEnv(t)
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := client.WaitForRelease(ctx, e.sched.Label(e.clock.Now())); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitForRelease against an all-404 server: %v, want the context's deadline", err)
+	}
+	if n := requests.Load(); n > 10 {
+		t.Fatalf("%d requests in 300 ms, want at most 10", n)
+	}
+}
+
+func TestWaitForReleaseRetriesCutLongPoll(t *testing.T) {
+	// The first long-poll is cut mid-body when the publish answers it;
+	// the retry policy re-issues it and the archive answers at once.
+	e := newEnv(t)
+	ft := faulthttp.New(e.ts.Client().Transport,
+		&faulthttp.Rule{PathContains: "/v1/wait/", From: 1, To: 1, TruncateTo: 3})
+	client := NewClient(e.ts.URL, e.set, e.key.Pub,
+		WithHTTPClient(ft.Client()),
+		WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, PerAttempt: 10 * time.Second}))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	label := e.sched.Label(e.clock.Now())
+	got := make(chan error, 1)
+	go func() {
+		u, err := client.WaitForRelease(ctx, label)
+		if err == nil && (u.Label != label || !e.sc.VerifyUpdate(e.key.Pub, u)) {
+			err = errors.New("not the verified update for the label")
+		}
+		got <- err
+	}()
+	waitSubscribers(t, e.server.Subscribers, 1)
+	if err := e.server.PublishLabel(label); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatalf("WaitForRelease after a cut long-poll: %v", err)
+	}
+	if n := ft.Requests(); n != 2 {
+		t.Fatalf("%d requests, want the cut long-poll and one retry", n)
+	}
+}
+
+func TestWaitForGivesUpWhenServerUnreachable(t *testing.T) {
+	// When the server is down entirely, WaitForRelease gives up once the
+	// retry policy's attempts are spent instead of spinning forever.
+	e := newEnv(t)
+	ft := faulthttp.New(e.ts.Client().Transport,
+		&faulthttp.Rule{Err: errors.New("connection refused")})
+	client := NewClient(e.ts.URL, e.set, e.key.Pub,
+		WithHTTPClient(ft.Client()),
+		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := client.WaitForRelease(ctx, e.sched.Label(e.clock.Now())); err == nil {
+		t.Fatal("WaitForRelease succeeded against an unreachable server")
+	}
+	if n := ft.Requests(); n != 2 {
+		t.Fatalf("%d requests, want MaxAttempts = 2", n)
+	}
+}
+
+func TestWaitForReleaseLeaksNoGoroutines(t *testing.T) {
+	// However a wait ends — the publish answers it, the caller cancels,
+	// or the server drains (503) — no client goroutine outlives it and
+	// the hub holds no subscription for it.
+	for _, tc := range []struct {
+		name string
+		end  func(t *testing.T, e *env, cancel context.CancelFunc)
+		ok   func(error) bool
+	}{
+		{"publish", func(t *testing.T, e *env, _ context.CancelFunc) {
+			e.clock.Advance(time.Minute)
+			if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+				t.Error(err)
+			}
+		}, func(err error) bool { return err == nil }},
+		{"cancel", func(_ *testing.T, _ *env, cancel context.CancelFunc) { cancel() },
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"drain", func(_ *testing.T, e *env, _ context.CancelFunc) { e.server.Drain() },
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "503") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			e.ts.Client().CloseIdleConnections()
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.client.WaitForRelease(ctx, e.sched.Next(e.clock.Now()))
+				done <- err
+			}()
+			waitSubscribers(t, e.server.Subscribers, 1)
+			tc.end(t, e, cancel)
+			if err := <-done; !tc.ok(err) {
+				t.Fatalf("WaitForRelease ended by %s: %v", tc.name, err)
+			}
+			waitSubscribers(t, e.server.hub.count, 0)
+			e.ts.Client().CloseIdleConnections()
+			waitGoroutines(t, before, "a wait ended by "+tc.name)
+		})
+	}
+}
+
+func TestWaitForReleaseSendsOnlyLongPolls(t *testing.T) {
+	// A wait for a label two epochs ahead costs the server one held
+	// request per hold and nothing else: no /v1/update polling, no
+	// /v1/stream, and exactly one verification — the earlier epoch's
+	// publish does not wake it.
+	e := newEnv(t)
+	var mu sync.Mutex
+	paths := map[string]int{}
+	origin := e.server.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths[r.URL.Path]++
+		mu.Unlock()
+		origin.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	reg := obs.NewRegistry()
+	const perAttempt = 300 * time.Millisecond
+	client := NewClient(ts.URL, e.set, e.key.Pub, WithHTTPClient(ts.Client()), WithClientMetrics(reg),
+		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, PerAttempt: perAttempt}))
+	hold := client.pollHold()
+	target := e.sched.Label(e.clock.Now().Add(2 * time.Minute))
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		u, err := client.WaitForRelease(context.Background(), target)
+		if err == nil && u.Label != target {
+			err = errors.New("wrong label")
+		}
+		done <- err
+	}()
+	for range 2 {
+		time.Sleep(500 * time.Millisecond)
+		e.clock.Advance(time.Minute)
+		if _, err := e.server.PublishUpTo(e.clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+
+	mu.Lock()
+	defer mu.Unlock()
+	waits := paths["/v1/wait/"+target]
+	if len(paths) != 1 || waits == 0 {
+		t.Fatalf("requests by path %v, want only /v1/wait/%s", paths, target)
+	}
+	if limit := 1 + int(elapsed/hold); waits > limit {
+		t.Fatalf("%d long-polls in %v with a %v hold, want at most %d", waits, elapsed, hold, limit)
+	}
+	if n := reg.Histogram("client.verify_ns").Count(); n != 1 {
+		t.Fatalf("client.verify_ns count %d, want 1", n)
 	}
 }

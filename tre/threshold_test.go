@@ -115,7 +115,7 @@ func TestPublicCatchUpAndLongPoll(t *testing.T) {
 	if len(ups) != len(labels) {
 		t.Fatalf("caught up %d of %d", len(ups), len(labels))
 	}
-	if _, err := client.WaitForReleaseLongPoll(context.Background(), labels[0]); err != nil {
+	if _, err := client.WaitForRelease(context.Background(), labels[0]); err != nil {
 		t.Fatalf("long-poll on published label: %v", err)
 	}
 }

@@ -139,9 +139,6 @@ func RelayWithMetrics(m *Metrics) timeserver.RelayOption { return timeserver.Rel
 // RelayWithLogger emits the relay's structured events to l.
 func RelayWithLogger(l *EventLogger) timeserver.RelayOption { return timeserver.RelayWithLogger(l) }
 
-// RelayWithRetry substitutes the relay's upstream reconnect backoff.
-func RelayWithRetry(p RetryPolicy) timeserver.RelayOption { return timeserver.RelayWithRetry(p) }
-
 // NewHTTPServer wraps a handler in an http.Server with production
 // limits (header-read timeout, idle timeout, header size cap) suited
 // to the long-lived /v1/wait and /v1/stream connections.
