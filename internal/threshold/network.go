@@ -50,9 +50,8 @@ type QuorumClient struct {
 	Metrics *obs.Registry
 }
 
-// rewaitPause is how long WaitForRelease pauses after a fan-out that
-// fell short of the quorum before it asks every member again. Members
-// it already has answer from their clients' caches.
+// rewaitPause is how long a quorum wait pauses before it asks a member
+// whose wait failed again.
 const rewaitPause = time.Second
 
 // Update returns the group's key update for label, succeeding as soon
@@ -67,22 +66,33 @@ func (qc *QuorumClient) Update(ctx context.Context, label string) (core.KeyUpdat
 // WaitForRelease blocks until the label's quorum combines or the
 // context ends. Each member is waited on through its own long-poll
 // (timeserver.Client.WaitForRelease), so there is no poll interval.
-// EVERY shortfall is treated as transient — a shard that is down,
-// partitioned, or behind may recover and tip the quorum later — which
-// is exactly the availability contract the k-of-n deployment exists
-// for: a QuorumError re-enters the fan-out after rewaitPause.
+// EVERY member failure but a bad update is treated as transient — a
+// shard that is down, partitioned, or behind may recover and tip the
+// quorum later — which is exactly the availability contract the k-of-n
+// deployment exists for: a member whose wait fails is asked again after
+// rewaitPause, while the others keep waiting, and the first K verified
+// partials combine.
 func (qc *QuorumClient) WaitForRelease(ctx context.Context, label string) (core.KeyUpdate, error) {
+	upd, err := qc.gather(ctx, label, waitMember)
+	if err != nil && ctx.Err() != nil {
+		return core.KeyUpdate{}, fmt.Errorf("threshold: wait for %q: %w (last: %v)", label, ctx.Err(), err)
+	}
+	return upd, err
+}
+
+// waitMember waits for one member's partial until it verifies, fails
+// verification, or ctx ends.
+func waitMember(c *timeserver.Client, ctx context.Context, label string) (core.KeyUpdate, error) {
 	for {
-		upd, err := qc.gather(ctx, label, (*timeserver.Client).WaitForRelease)
-		var qe *QuorumError
-		if !errors.As(err, &qe) {
-			return upd, err
+		u, err := c.WaitForRelease(ctx, label)
+		if err == nil || errors.Is(err, timeserver.ErrBadUpdate) {
+			return u, err
 		}
 		t := time.NewTimer(rewaitPause)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return core.KeyUpdate{}, fmt.Errorf("threshold: wait for %q: %w (last: %v)", label, ctx.Err(), err)
+			return u, err
 		case <-t.C:
 		}
 	}

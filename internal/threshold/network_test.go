@@ -279,18 +279,20 @@ func TestQuorumWaitForReleaseHonorsContext(t *testing.T) {
 	}
 }
 
-// A fan-out that falls short of the quorum re-enters after rewaitPause;
-// the member it already had answers from its client's cache, so only
-// the member that failed is asked again.
-func TestQuorumWaitForReleaseReentersAfterShortfall(t *testing.T) {
-	e := newNetEnv(t, 2, 2, nil)
+// A member whose wait fails is asked again after rewaitPause while the
+// others keep waiting. 2 of 3: member 1 fails its first request, member
+// 2 has published, member 3 is reachable but never publishes (its
+// long-poll stays parked). The wait combines members 1 and 2 soon after
+// member 1 recovers, without waiting on member 3.
+func TestQuorumWaitForReleaseRetriesFailedMember(t *testing.T) {
+	e := newNetEnv(t, 2, 3, []bool{true, true, false})
 	ft := faulthttp.New(e.hts[0].Client().Transport,
 		&faulthttp.Rule{From: 1, To: 1, Err: errors.New("connection refused")})
 	e.shards[0].Client = timeserver.NewClient(e.hts[0].URL, e.set, e.shards[0].Client.ServerPublicKey(),
 		timeserver.WithHTTPClient(ft.Client()), timeserver.WithRetry(timeserver.NoRetry))
 	qc := &QuorumClient{Set: e.set, GroupPub: e.setup.GroupPub, K: 2, Shards: e.shards}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	start := time.Now()
 	upd, err := qc.WaitForRelease(ctx, e.label)
@@ -300,15 +302,16 @@ func TestQuorumWaitForReleaseReentersAfterShortfall(t *testing.T) {
 	if !core.NewScheme(e.set).VerifyUpdate(e.setup.GroupPub, upd) {
 		t.Fatal("quorum update must verify")
 	}
-	if d := time.Since(start); d < rewaitPause {
-		t.Fatalf("returned after %v, before the re-entry pause of %v", d, rewaitPause)
+	if d := time.Since(start); d < rewaitPause || d > rewaitPause+3*time.Second {
+		t.Fatalf("returned after %v, want soon after the retry pause of %v", d, rewaitPause)
 	}
 	if n := ft.Requests(); n != 2 {
 		t.Fatalf("failing member asked %d times, want 2", n)
 	}
 	if n := e.srvs[1].Served(); n != 1 {
-		t.Fatalf("healthy member served %d requests, want 1 (the re-entry reads the cache)", n)
+		t.Fatalf("healthy member served %d requests, want 1", n)
 	}
+	waitFor(t, func() bool { return e.srvs[2].Subscribers() == 0 })
 }
 
 // waitGoroutines polls until at most n goroutines are left and fails
