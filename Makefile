@@ -17,7 +17,7 @@ help:
 	@echo "  all                build + vet + test (default)"
 	@echo "  help               this list"
 	@echo "  help-check         fail when this list and the Makefile's targets differ"
-	@echo "  ci                 the CI gate: help-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets + 386 ff/curve/bls381 tests"
+	@echo "  ci                 the CI gate: help-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -183,15 +183,15 @@ lint:
 # are absent: a 64-bit non-amd64 build, and 32-bit and arm64 vets of
 # both field packages' no-assembly file sets, all offline from GOROOT;
 # host vet's asmdecl and framepointer passes cover the assembly itself.
-# The third runs the field, curve and BLS12-381 tests on a 32-bit
-# target, where big.Word is 32 bits wide and no assembly exists: the
-# recoder's big.Int entry, the Straus walk under ScalarMult and MSM, and
-# the Go fe product under the whole pairing and hash suite run there,
-# not only compile (~50 s).
+# The third runs the field, curve, Type-1 pairing and BLS12-381 tests on
+# a 32-bit target, where big.Word is 32 bits wide and no assembly exists:
+# the recoder's big.Int entry, the Straus walk under ScalarMult and MSM,
+# the Miller loops on point limbs, and the Go fe product under the whole
+# pairing and hash suite run there, not only compile (~50 s).
 ci: help-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/bls381/
-	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/ ./internal/bls381/
+	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/ ./internal/pairing/ ./internal/bls381/
 
 # Historical pre-commit name.
 check: ci

@@ -11,8 +11,8 @@ import (
 var sinkBool bool
 
 // BenchmarkPairCheck is the evidence for the Type-1 prepared mode
-// (ROADMAP item 13(a): a precomputation stays while it buys 1.5×): the
-// key-update equation ê(G, sig) = ê(sG, h) through a PreparedKey's
+// (ROADMAP item 13's preamble: a precomputation stays while it buys
+// 1.5×): the key-update equation ê(G, sig) = ê(sG, h) through a PreparedKey's
 // PairCheck — two stored line schedules, one shared final
 // exponentiation — against the unprepared SamePairing it stands in for,
 // at Test160 and SS512.

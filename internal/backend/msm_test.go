@@ -44,7 +44,12 @@ func offSubgroup(b backend.Backend, q curve.Point) (curve.Point, bool) {
 	if b.Asymmetric() {
 		return curve.Point{}, false
 	}
-	return b.Add(backend.G2, q, curve.Point{X: new(big.Int), Y: new(big.Int)}), true
+	c, _ := b.(*backend.Symmetric).Type1()
+	two, err := c.NewPoint(new(big.Int), new(big.Int))
+	if err != nil {
+		panic(err)
+	}
+	return b.Add(backend.G2, q, two), true
 }
 
 // msmInput builds n seeded terms that walk every shape the verifier and

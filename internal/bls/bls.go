@@ -70,7 +70,7 @@ func NewPrivateKey(set *params.Set, g curve.Point, s *big.Int) (*PrivateKey, err
 	}
 	return &PrivateKey{
 		S:   new(big.Int).Set(s),
-		Pub: PublicKey{G: g.Clone(), SG: sg, SG2: sg2},
+		Pub: PublicKey{G: g, SG: sg, SG2: sg2},
 	}, nil
 }
 

@@ -47,7 +47,12 @@ func (f flagged) InSubgroup(g backend.Group, p curve.Point) bool {
 // reduced Tate pairing kills the torsion component, so the pairing
 // EQUATION still holds: only the subgroup clause rejects it.
 func withTorsion(set *params.Set, sig curve.Point) curve.Point {
-	return set.B.Add(backend.G2, sig, curve.Point{X: new(big.Int), Y: new(big.Int)})
+	c, _ := set.B.(*backend.Symmetric).Type1()
+	two, err := c.NewPoint(new(big.Int), new(big.Int))
+	if err != nil {
+		panic(err)
+	}
+	return set.B.Add(backend.G2, sig, two)
 }
 
 // TestPredicate is the one table over the one predicate — signature is

@@ -57,7 +57,7 @@ func wrapG2(p *g2Affine) curve.Point { return curve.NewExtPoint(&g2Ext{p: *p}, p
 // a programming error.
 func unwrapG1(p curve.Point) g1Affine {
 	if p.Ext == nil {
-		if p.X == nil {
+		if p.Equal(curve.Infinity()) {
 			return g1Infinity()
 		}
 		panic("bls381: Type-1 point passed to the bls12381 backend")
@@ -71,7 +71,7 @@ func unwrapG1(p curve.Point) g1Affine {
 
 func unwrapG2(p curve.Point) g2Affine {
 	if p.Ext == nil {
-		if p.X == nil {
+		if p.Equal(curve.Infinity()) {
 			return g2Infinity()
 		}
 		panic("bls381: Type-1 point passed to the bls12381 backend")

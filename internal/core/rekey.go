@@ -12,7 +12,7 @@ import (
 // key via VerifyReKeyedKey.
 func (sc *Scheme) ReKeyForServer(upriv *UserKeyPair, newServer ServerPublicKey) UserPublicKey {
 	return UserPublicKey{
-		AG:  upriv.Pub.AG.Clone(), // the CA-certified half is unchanged
+		AG:  upriv.Pub.AG, // the CA-certified half is unchanged
 		ASG: sc.Set.B.ScalarMult(backend.G1, upriv.A, newServer.SG),
 	}
 }

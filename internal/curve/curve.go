@@ -8,14 +8,15 @@
 // distortion map ψ(x, y) = (−x, i·y) into E(F_{p²}) makes the Tate
 // pairing symmetric (Type-1).
 //
-// The package provides the group law, scalar multiplication, hashing to
-// the subgroup (the paper's H1), and a canonical compressed point
-// encoding. Scalar multiplication is one walk — Straus's interleaving
-// over width-4 NAFs in Jacobian coordinates on the field's Montgomery
-// limb layer (msm.go, montjac.go), which ScalarMult runs on one point
-// and MSM on many. Its oracle is internal/ref's textbook double-and-add
-// ladder over the affine math/big group law (Add, Double): a different
-// algorithm on a different number type.
+// Points hold Montgomery limbs (ff.Mont) from construction on; math/big
+// enters only with bytes, hash output or a caller's integers (Unmarshal,
+// the hash, NewPoint) and leaves through Affine. The group law, the
+// x-only subgroup ladder (xladder.go) and scalar multiplication — one
+// Straus walk over width-4 NAFs in Jacobian coordinates (msm.go,
+// montjac.go), which ScalarMult runs on one point and MSM on many — all
+// run on limbs. Their oracle is internal/ref's affine math/big group law
+// and double-and-add ladder: a different algorithm on a different number
+// type.
 package curve
 
 import (
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"timedrelease/internal/ff"
 )
@@ -45,24 +47,40 @@ type Curve struct {
 // Point is an affine point on E, or the point at infinity.
 // The zero value is the point at infinity.
 //
+// A Type-1 point holds its coordinates as Montgomery limbs of the
+// curve's field (ff.Mont): X ‖ Y in one 2n-limb vector, written once
+// by the constructor and never again, so points share it freely.
 // Points of non-Type-1 backends (internal/backend) reuse this struct
-// as their transport type: they carry an opaque handle in Ext and
-// leave X and Y nil. Such points flow only through their own backend's
-// operations; the Type-1 arithmetic in this package never sees them.
+// as their transport type: they carry an opaque handle in Ext and no
+// limbs. Such points flow only through their own backend's operations;
+// the Type-1 arithmetic in this package never sees them.
 //
 // A point carries the proof of its own subgroup membership: member is
-// set by UnmarshalSubgroup alone, right after its test passed, and kept
-// by Clone. Group operations and struct literals build points with the
-// bit clear, and nothing writes to X or Y after construction, so a set
-// bit always describes the coordinates beside it. InSubgroup answers
-// from it without a ladder; Equal ignores it.
+// set by UnmarshalSubgroup alone, right after its test passed. Group
+// operations build points with the bit clear, and the limbs beside a
+// set bit never change, so the bit always describes them. InSubgroup
+// answers from it without a ladder; Equal ignores it.
 type Point struct {
-	X, Y   *big.Int
+	xy     ff.MontElem
 	inf    bool
 	member bool
 
 	// Ext is the opaque external-backend point, nil for Type-1 points.
 	Ext ExtPoint
+}
+
+// newAffine returns a finite point on fresh n-limb coordinates, with
+// x and y the views its constructor fills.
+func newAffine(n int) (p Point, x, y ff.MontElem) {
+	xy := make(ff.MontElem, 2*n)
+	return Point{xy: xy}, xy[:n], xy[n:]
+}
+
+// Limbs returns p's affine coordinates as Montgomery limbs of the
+// curve's field. They are p's own storage: read them, never write them.
+func (p Point) Limbs() (x, y ff.MontElem) {
+	n := len(p.xy) / 2
+	return p.xy[:n], p.xy[n:]
 }
 
 // ExtPoint is the handle an external (asymmetric) pairing backend
@@ -113,32 +131,55 @@ func Infinity() Point { return Point{inf: true} }
 
 // NewPoint returns the affine point (x, y) after an on-curve check.
 func (c *Curve) NewPoint(x, y *big.Int) (Point, error) {
-	p := Point{X: c.F.Reduce(x), Y: c.F.Reduce(y)}
+	m := c.F.Mont()
+	p, xm, ym := newAffine(m.Limbs())
+	m.ToMont(xm, c.F.Reduce(x))
+	m.ToMont(ym, c.F.Reduce(y))
 	if !c.IsOnCurve(p) {
 		return Point{}, errors.New("curve: point is not on the curve")
 	}
 	return p, nil
 }
 
+// Affine returns p's affine coordinates as integers in [0, p), or nil
+// and nil for the identity: the boundary to math/big, for tests and
+// the oracles in internal/ref.
+func (c *Curve) Affine(p Point) (x, y *big.Int) {
+	if p.inf {
+		return nil, nil
+	}
+	px, py := p.Limbs()
+	return new(big.Int).SetBytes(c.F.AppendMontBytes(nil, px)), new(big.Int).SetBytes(c.F.AppendMontBytes(nil, py))
+}
+
 // IsInfinity reports whether p is the identity.
 func (p Point) IsInfinity() bool { return p.inf }
 
-// rhs returns x³ + x mod p.
-func (c *Curve) rhs(x *big.Int) *big.Int {
-	x3 := c.F.Mul(c.F.Sqr(x), x)
-	return c.F.Add(x3, x)
+// rhs sets dst = x³ + x.
+func (c *Curve) rhs(dst, x ff.MontElem) {
+	m := c.F.Mont()
+	m.Sqr(dst, x)
+	m.Mul(dst, dst, x)
+	m.Add(dst, dst, x)
 }
 
 // IsOnCurve reports whether p satisfies the curve equation (infinity is
-// on the curve).
+// on the curve, a point without coordinates is not).
 func (c *Curve) IsOnCurve(p Point) bool {
-	if p.inf {
+	m := c.F.Mont()
+	switch {
+	case p.inf:
 		return true
-	}
-	if !c.F.IsReduced(p.X) || !c.F.IsReduced(p.Y) {
+	case len(p.xy) != 2*m.Limbs():
 		return false
 	}
-	return c.F.Equal(c.F.Sqr(p.Y), c.rhs(p.X))
+	a := m.GetArena()
+	defer a.Release()
+	x, y := p.Limbs()
+	lhs, rhs := a.Elem(), a.Elem()
+	m.Sqr(lhs, y)
+	c.rhs(rhs, x)
+	return m.Equal(lhs, rhs)
 }
 
 // InSubgroup reports whether p lies in the order-q subgroup. A point
@@ -151,28 +192,30 @@ func (c *Curve) InSubgroup(p Point) bool {
 	case !c.IsOnCurve(p):
 		return false
 	}
-	return p.inf || c.qTorsion(p.X)
+	x, _ := p.Limbs()
+	return p.inf || c.qTorsion(x)
 }
 
 // Equal reports whether two points are equal.
 func (c *Curve) Equal(p, q Point) bool { return p.Equal(q) }
 
 // Equal reports whether p and q are the same point, whichever backend
-// owns them: Type-1 points compare coordinates, external-backend points
-// compare through their handle, and a point of one representation never
-// equals a finite point of the other. Code that holds points without a
-// backend in hand (the archive's conflict check) compares through this.
+// owns them: Type-1 points compare limbs (Montgomery form is canonical),
+// external-backend points compare through their handle, and a point of
+// one representation never equals a finite point of the other. Code
+// that holds points without a backend in hand (the archive's conflict
+// check) compares through this.
 func (p Point) Equal(q Point) bool {
 	// A coordinate-less, untagged point is the identity (zero value).
-	pInf := p.inf || (p.X == nil && p.Ext == nil)
-	qInf := q.inf || (q.X == nil && q.Ext == nil)
+	pInf := p.inf || (p.xy == nil && p.Ext == nil)
+	qInf := q.inf || (q.xy == nil && q.Ext == nil)
 	switch {
 	case pInf || qInf:
 		return pInf == qInf
 	case p.Ext != nil || q.Ext != nil:
 		return p.Ext != nil && q.Ext != nil && p.Ext.ExtEqual(q.Ext)
 	}
-	return p.X.Cmp(q.X) == 0 && p.Y.Cmp(q.Y) == 0
+	return slices.Equal(p.xy, q.xy)
 }
 
 // Neg returns -p.
@@ -180,11 +223,18 @@ func (c *Curve) Neg(p Point) Point {
 	if p.inf {
 		return p
 	}
-	return Point{X: new(big.Int).Set(p.X), Y: c.F.Neg(p.Y)}
+	m := c.F.Mont()
+	px, py := p.Limbs()
+	r, x, y := newAffine(m.Limbs())
+	m.Set(x, px)
+	m.Neg(y, py)
+	return r
 }
 
-// Add returns p+q using affine formulas. A sum never carries the member
-// bit, not even the operand returned as-is when the other is ∞.
+// Add returns p+q: the Jacobian addition of jacMontOps with both Z = 1,
+// which doubles on p = q and yields ∞ on p = −q, and one inversion back
+// to affine. A sum never carries the member bit, not even the operand
+// returned as-is when the other is ∞.
 func (c *Curve) Add(p, q Point) Point {
 	if p.inf {
 		q.member = false
@@ -194,38 +244,19 @@ func (c *Curve) Add(p, q Point) Point {
 		p.member = false
 		return p
 	}
-	if p.X.Cmp(q.X) == 0 {
-		if p.Y.Cmp(q.Y) != 0 || p.Y.Sign() == 0 {
-			// q = -p (or doubling a 2-torsion point): identity.
-			return Infinity()
-		}
-		return c.Double(p)
-	}
-	lambda := c.F.Mul(c.F.Sub(q.Y, p.Y), c.F.Inv(c.F.Sub(q.X, p.X)))
-	return c.chord(p, q, lambda)
+	m := c.F.Mont()
+	a := m.GetArena()
+	defer a.Release()
+	var o jacMontOps
+	jacMontOpsIn(&o, m, a)
+	one, acc := a.Elem(), newJacMontPointIn(a)
+	m.SetOne(one)
+	px, py := p.Limbs()
+	qx, qy := q.Limbs()
+	o.set(acc, jacMontPoint{X: px, Y: py, Z: one})
+	o.add(acc, acc, jacMontPoint{X: qx, Y: qy, Z: one})
+	return o.fromJacMont(acc)
 }
-
-// Double returns 2p using affine formulas. The tangent slope for
-// y² = x³ + x is (3x² + 1)/(2y).
-func (c *Curve) Double(p Point) Point {
-	if p.inf || p.Y.Sign() == 0 {
-		return Infinity()
-	}
-	num := c.F.Add(c.F.Mul(big3, c.F.Sqr(p.X)), big1)
-	lambda := c.F.Mul(num, c.F.Inv(c.F.Double(p.Y)))
-	return c.chord(p, p, lambda)
-}
-
-// chord completes an affine add/double given the line slope λ through
-// p and q: x3 = λ² − x_p − x_q, y3 = λ(x_p − x3) − y_p.
-func (c *Curve) chord(p, q Point, lambda *big.Int) Point {
-	x3 := c.F.Sub(c.F.Sub(c.F.Sqr(lambda), p.X), q.X)
-	y3 := c.F.Sub(c.F.Mul(lambda, c.F.Sub(p.X, x3)), p.Y)
-	return Point{X: x3, Y: y3}
-}
-
-// Sub returns p−q.
-func (c *Curve) Sub(p, q Point) Point { return c.Add(p, c.Neg(q)) }
 
 // RandScalar returns a uniform scalar in Z_q^* — the range from which
 // the paper draws private keys and encryption randomness. The scalar
@@ -235,19 +266,8 @@ func (c *Curve) RandScalar(rng io.Reader) (*big.Int, error) {
 	return c.qField.RandNonZero(rng)
 }
 
-// Clone returns an independent copy of p, member bit included.
-// External-backend points are immutable, so their handle is shared.
-func (p Point) Clone() Point {
-	if p.Ext != nil {
-		return p
-	}
-	if p.inf {
-		return Infinity()
-	}
-	return Point{X: new(big.Int).Set(p.X), Y: new(big.Int).Set(p.Y), member: p.member}
-}
-
-// String renders the point for debugging.
+// String renders the point for debugging. A Type-1 point shows its
+// Montgomery limbs: it carries no field context to leave the domain.
 func (p Point) String() string {
 	if p.Ext != nil {
 		return fmt.Sprintf("%s/G%d point", p.Ext.ExtBackend(), p.Ext.ExtGroup())
@@ -255,5 +275,5 @@ func (p Point) String() string {
 	if p.inf {
 		return "∞"
 	}
-	return fmt.Sprintf("(%v, %v)", p.X, p.Y)
+	return fmt.Sprintf("%x", []uint64(p.xy))
 }

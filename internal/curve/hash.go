@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,39 +75,44 @@ func (c *Curve) HashSum(dst string, scalars []*big.Int, msgs [][]byte) Point {
 // Montgomery limbs: since p ≡ 3 (mod 4), y = (x³+x)^((p+1)/4) is a root
 // exactly when y² = x³+x, so one exponentiation and a squaring replace a
 // Legendre symbol and a modular square root; the parity rule picks y.
+// Only an accepted candidate allocates its point.
 func (c *Curve) pointFromX(x *big.Int, parity byte) (Point, bool) {
 	m := c.F.Mont()
 	a := m.GetArena()
 	defer a.Release()
-	xm, rhs, y := a.Elem(), a.Elem(), a.Elem()
+	xm, rhs, y, y2 := a.Elem(), a.Elem(), a.Elem(), a.Elem()
 	m.ToMont(xm, x)
-	m.Sqr(rhs, xm)
-	m.Mul(rhs, rhs, xm)
-	m.Add(rhs, rhs, xm)
+	c.rhs(rhs, xm)
 	if m.IsZero(rhs) {
 		return Point{}, false
 	}
 	m.Exp(y, rhs, c.sqrtExp)
-	if m.Sqr(xm, y); !m.Equal(xm, rhs) {
+	if m.Sqr(y2, y); !m.Equal(y2, rhs) {
 		return Point{}, false
 	}
-	yb := m.FromMont(nil, y)
-	if byte(yb.Bit(0)) != parity {
-		yb = c.F.Neg(yb)
+	if c.parity(y) != parity {
+		m.Neg(y, y)
 	}
-	return Point{X: x, Y: yb}, true
+	p, px, py := newAffine(m.Limbs())
+	m.Set(px, xm)
+	m.Set(py, y)
+	return p, true
 }
 
 // RandomPoint samples a uniformly random point of E(F_p) (any order) by
 // rejection over x, with a random y parity so both roots are reachable.
+// A nil rng reads crypto/rand.
 func (c *Curve) RandomPoint(rng io.Reader) (Point, error) {
+	if rng == nil {
+		rng = rand.Reader
+	}
 	for {
 		x, err := c.F.Rand(rng)
 		if err != nil {
 			return Point{}, err
 		}
 		var b [1]byte
-		if _, err := io.ReadFull(orRandReader(rng), b[:]); err != nil {
+		if _, err := io.ReadFull(rng, b[:]); err != nil {
 			return Point{}, fmt.Errorf("curve: sampling y sign: %w", err)
 		}
 		if p, ok := c.pointFromX(x, b[0]&1); ok {

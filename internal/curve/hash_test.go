@@ -6,11 +6,17 @@ import (
 	"testing"
 )
 
+// rhsBig returns x³ + x mod p in math/big.
+func rhsBig(c *Curve, x *big.Int) *big.Int {
+	r := new(big.Int).Exp(x, big.NewInt(3), nil)
+	return r.Mod(r.Add(r, x), c.F.P())
+}
+
 // pointFromXModSqrt is pointFromX as it was before the limb square root:
 // x³+x in math/big, big.Int.ModSqrt (which fails on non-residues), and
 // the same parity rule. Kept as the oracle.
 func pointFromXModSqrt(c *Curve, x *big.Int, parity byte) (Point, bool) {
-	rhs := c.rhs(x)
+	rhs := rhsBig(c, x)
 	if rhs.Sign() == 0 {
 		return Point{}, false
 	}
@@ -19,9 +25,10 @@ func pointFromXModSqrt(c *Curve, x *big.Int, parity byte) (Point, bool) {
 		return Point{}, false
 	}
 	if byte(y.Bit(0)) != parity {
-		y = c.F.Neg(y)
+		y.Sub(c.F.P(), y)
 	}
-	return Point{X: x, Y: y}, true
+	p, err := c.NewPoint(x, y)
+	return p, err == nil
 }
 
 // TestPointFromXMatchesModSqrt: on x = 0, 1, 2, p−1 and seeded random x

@@ -1,10 +1,10 @@
 package curve
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
+
+	"timedrelease/internal/ff"
 )
 
 // Compressed point encoding tags. The encoding is 1+ByteLen bytes:
@@ -29,26 +29,19 @@ func (c *Curve) Marshal(p Point) []byte {
 // capacity — e.g. a stack buffer — the call performs no heap
 // allocation.
 func (c *Curve) AppendMarshal(dst []byte, p Point) []byte {
-	n := c.MarshalSize()
-	off := len(dst)
-	if cap(dst)-off >= n {
-		dst = dst[:off+n]
-		clear(dst[off:])
-	} else {
-		dst = append(dst, make([]byte, n)...)
-	}
-	out := dst[off:]
 	if p.inf {
-		out[0] = tagInfinity
-		return dst
+		return append(append(dst, tagInfinity), make([]byte, c.F.ByteLen())...)
 	}
-	if p.Y.Bit(0) == 1 {
-		out[0] = tagOddY
-	} else {
-		out[0] = tagEvenY
-	}
-	p.X.FillBytes(out[1:])
-	return dst
+	x, y := p.Limbs()
+	return c.F.AppendMontBytes(append(dst, tagEvenY|c.parity(y)), x)
+}
+
+// parity returns the low bit of the integer in [0, p) whose Montgomery
+// form is y, the bit the encoding's tag carries.
+func (c *Curve) parity(y ff.MontElem) byte {
+	var buf [256]byte // the widest field ff.NewField accepts, 2048 bits
+	b := c.F.AppendMontBytes(buf[:0], y)
+	return b[len(b)-1] & 1
 }
 
 // Unmarshal decodes a compressed encoding, rejecting anything that is
@@ -90,17 +83,9 @@ func (c *Curve) UnmarshalSubgroup(b []byte) (Point, error) {
 	if err != nil || p.inf {
 		return p, err
 	}
-	if !c.qTorsion(p.X) {
+	if x, _ := p.Limbs(); !c.qTorsion(x) {
 		return Point{}, errors.New("curve: point is not in the prime-order subgroup")
 	}
 	p.member = true
 	return p, nil
-}
-
-// orRandReader substitutes crypto/rand.Reader for a nil reader.
-func orRandReader(rng io.Reader) io.Reader {
-	if rng == nil {
-		return rand.Reader
-	}
-	return rng
 }

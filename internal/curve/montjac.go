@@ -7,7 +7,8 @@ import "timedrelease/internal/ff"
 // every coordinate in the Montgomery domain of the base field. Jacobian
 // arithmetic avoids the per-operation field inversion of the affine
 // formulas, which dominates scalar-multiplication cost (measured in
-// experiment E4); the differential tests pin it to the affine oracle.
+// experiment E4); the differential tests pin it to internal/ref's
+// affine oracle.
 type jacMontPoint struct {
 	X, Y, Z ff.MontElem
 }
@@ -157,17 +158,18 @@ func (o *jacMontOps) add(dst, p, q jacMontPoint) {
 }
 
 // fromJacMont normalises to affine, (X/Z², Y/Z³), with one Montgomery
-// inversion and converts back to big.Int coordinates at the boundary.
+// inversion, into a fresh point.
 func (o *jacMontOps) fromJacMont(j jacMontPoint) Point {
 	m := o.m
 	if m.IsZero(j.Z) {
 		return Infinity()
 	}
-	zi, zi2, x, y := o.t1, o.t2, o.t3, o.t4
+	p, x, y := newAffine(m.Limbs())
+	zi, zi2 := o.t1, o.t2
 	m.Inv(zi, j.Z)
 	m.Sqr(zi2, zi)
 	m.Mul(x, j.X, zi2)
 	m.Mul(zi2, zi2, zi) // Z⁻³
 	m.Mul(y, j.Y, zi2)
-	return Point{X: m.FromMont(nil, x), Y: m.FromMont(nil, y)}
+	return p
 }

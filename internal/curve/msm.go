@@ -31,7 +31,7 @@ const scalarDigits = 2049
 // are used as-is (callers working in the subgroup reduce mod q), and p
 // may be any curve point. It is the one-point Straus walk on the
 // calling goroutine: the digits on the stack, every temporary from a
-// pooled arena, one inversion and two conversions at the end.
+// pooled arena, one inversion at the end.
 func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")
@@ -124,8 +124,9 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 // non-identity p; two is scratch for 2P.
 func (o *jacMontOps) oddMultiples(t []jacMontPoint, p Point, two jacMontPoint) {
 	m := o.m
-	m.ToMont(t[0].X, p.X)
-	m.ToMont(t[0].Y, p.Y)
+	x, y := p.Limbs()
+	m.Set(t[0].X, x)
+	m.Set(t[0].Y, y)
 	m.SetOne(t[0].Z)
 	o.double(two, t[0])
 	for i := 1; i < msmTable; i++ {

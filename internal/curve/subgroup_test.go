@@ -14,8 +14,8 @@ func inSubgroupJacobian(c *Curve, p Point) bool {
 }
 
 // TestMemberBit pins where the member bit comes from: UnmarshalSubgroup
-// sets it and Clone keeps it; the plain decoder, struct literals and
-// every group operation leave it clear, and Equal ignores it.
+// sets it; the plain decoder, NewPoint and every group operation leave
+// it clear, and Equal ignores it.
 func TestMemberBit(t *testing.T) {
 	c := testCurve(t)
 	g := testGen(t, c)
@@ -32,14 +32,11 @@ func TestMemberBit(t *testing.T) {
 	if p, err := c.Unmarshal(c.Marshal(g)); err != nil || p.member {
 		t.Fatalf("plain Unmarshal: member bit %v, error %v", p.member, err)
 	}
-	lit := Point{X: m.X, Y: m.Y}
-	if lit.member || !lit.Equal(m) || !m.Equal(lit) || !c.Equal(lit, m) {
-		t.Fatal("a literal with a member's coordinates must equal it and carry no bit")
+	lit, err := c.NewPoint(c.Affine(m))
+	if err != nil || lit.member || !lit.Equal(m) || !m.Equal(lit) || !c.Equal(lit, m) {
+		t.Fatalf("a point built from a member's coordinates must equal it and carry no bit (%v)", err)
 	}
-	if cl := m.Clone(); !cl.member || !cl.Equal(m) {
-		t.Fatal("Clone dropped the member bit")
-	}
-	m2, err := c.UnmarshalSubgroup(c.Marshal(c.Double(g)))
+	m2, err := c.UnmarshalSubgroup(c.Marshal(c.Add(g, g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +46,6 @@ func TestMemberBit(t *testing.T) {
 		"Add(∞, m)":       c.Add(Infinity(), m),
 		"Add(m, ∞)":       c.Add(m, Infinity()),
 		"Add(m, m)":       c.Add(m, m),
-		"Sub":             c.Sub(m, m2),
-		"Double":          c.Double(m),
 		"Neg":             c.Neg(m),
 		"ScalarMult":      c.ScalarMult(three, m),
 		"ScalarMult by 1": c.ScalarMult(big1, m),
@@ -66,8 +61,8 @@ func TestMemberBit(t *testing.T) {
 }
 
 // TestInSubgroupAllocs: a decoded point answers from its bit, so the
-// check runs neither the ladder nor the curve equation (which allocates
-// math/big temporaries); the ladder itself works on a pooled arena.
+// check runs neither the ladder nor the curve equation; the ladder
+// itself works on a pooled arena.
 func TestInSubgroupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -80,9 +75,36 @@ func TestInSubgroupAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkBool = c.InSubgroup(m) }); n != 0 {
 		t.Errorf("InSubgroup of a decoded point allocates %v times per call, want 0", n)
 	}
-	c.qTorsion(g.X) // warm the arena pool
-	if n := testing.AllocsPerRun(10, func() { sinkBool = c.qTorsion(g.X) }); n != 0 {
+	x, _ := g.Limbs()
+	c.qTorsion(x) // warm the arena pool
+	if n := testing.AllocsPerRun(10, func() { sinkBool = c.qTorsion(x) }); n != 0 {
 		t.Errorf("the x-only ladder allocates %v times per call, want 0", n)
+	}
+}
+
+// TestPointAllocs: the curve equation and equality read a point's limbs
+// in place, and a decode allocates three times: the x integer, its
+// words and the point's one limb vector.
+func TestPointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, g := ss512(t)
+	h := c.Neg(g)
+	enc := c.Marshal(g)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		want float64
+	}{
+		{"IsOnCurve", func() { sinkBool = c.IsOnCurve(g) }, 0},
+		{"Equal", func() { sinkBool = c.Equal(g, h) }, 0},
+		{"UnmarshalSubgroup", func() { _, _ = c.UnmarshalSubgroup(enc) }, 3},
+	} {
+		tc.fn() // warm the arena pool
+		if n := testing.AllocsPerRun(20, tc.fn); n != tc.want {
+			t.Errorf("%s allocates %v times per call, want %v", tc.name, n, tc.want)
+		}
 	}
 }
 
@@ -153,7 +175,10 @@ func TestInSubgroupLadderMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			two := Point{X: new(big.Int), Y: new(big.Int)} // (0, 0)
+			two, err := c.NewPoint(new(big.Int), new(big.Int)) // (0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			points := []Point{Infinity(), g, two, c.Add(g, two)}
 			for _, low := range lowOrderPoints(t, c, rng) {
 				points = append(points, low, c.Add(g, low))
@@ -214,7 +239,10 @@ func FuzzUnmarshalSubgroup(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	two := Point{X: new(big.Int), Y: new(big.Int)}
+	two, err := c.NewPoint(new(big.Int), new(big.Int))
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, p := range []Point{Infinity(), g, c.Neg(g), r, c.ScalarMult(c.Q, r), two, c.Add(g, two)} {
 		f.Add(c.Marshal(p))
 	}

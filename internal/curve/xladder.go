@@ -1,9 +1,9 @@
 package curve
 
-import "math/big"
+import "timedrelease/internal/ff"
 
 // qTorsion reports whether [q]P = ∞ for a point P of E(F_p) with
-// x-coordinate x: the subgroup test, on the x-only Montgomery ladder.
+// x-coordinate limbs x1: the subgroup test, on the x-only Montgomery ladder.
 //
 // y² = x³ + x is the Montgomery curve B·y² = x³ + A·x² + x with A = 0,
 // B = 1. Curve.New insists on p ≡ 3 (mod 4), so −1 is not a square and
@@ -26,15 +26,13 @@ import "math/big"
 //
 // It ends on R0 = [q]P, which is ∞ exactly when its Z is 0. Every
 // temporary comes from a pooled arena: the test allocates nothing.
-func (c *Curve) qTorsion(x *big.Int) bool {
-	if x.Sign() == 0 {
+func (c *Curve) qTorsion(x1 ff.MontElem) bool {
+	m := c.F.Mont()
+	if m.IsZero(x1) {
 		return false
 	}
-	m := c.F.Mont()
 	a := m.GetArena()
 	defer a.Release()
-	x1 := a.Elem()
-	m.ToMont(x1, x)
 	x0, z0, xP, zP := a.Elem(), a.Elem(), a.Elem(), a.Elem()
 	m.SetOne(x0) // R0 = ∞ = (1 : 0)
 	m.Set(xP, x1)

@@ -2,17 +2,15 @@
 // quadratic extension F_{p²} = F_p[i]/(i²+1), the two fields underlying
 // the supersingular pairing group of the Type-1 backend.
 //
-// There are two layers. Field is the plain, allocating math/big F_p:
-// API boundaries (encodings, hashing, sampling, parameter checks) use
-// it. The hot paths — pairing, Jacobian ladders, target-group
-// arithmetic — run on the fixed-limb Montgomery layer every Field
-// carries: Mont for F_p and Fp2Mont for F_{p²}, the only F_{p²} in the
-// tree. TestMont* and the Fuzz* targets pin it operation by operation
-// against Field and against the math/big F_{p²} oracle in internal/ref.
-// Neither layer is constant time: only Mont's generated kernels
-// (mont_kernel.go, 3 and 8 limbs) reduce by selects, while the loop
-// widths, every exponentiation and math/big branch (see Mont and the
-// repository README for the threat-model discussion).
+// Field holds the modulus and the integer boundary: encoding, reduction
+// and sampling on *big.Int. All arithmetic runs on the fixed-limb
+// Montgomery layer every Field carries: Mont for F_p and Fp2Mont for
+// F_{p²}, the only F_{p²} in the tree. TestMont* and the Fuzz* targets
+// pin it operation by operation against math/big, and the F_{p²} tower
+// against internal/ref's oracle. Only Mont's generated kernels
+// (mont_kernel.go, 3 and 8 limbs) reduce by selects; the loop widths,
+// every exponentiation and the math/big boundary branch (see Mont and
+// the repository README for the threat-model discussion).
 package ff
 
 import (
@@ -29,12 +27,11 @@ var (
 	big3 = big.NewInt(3)
 )
 
-// Field is an arithmetic context for the prime field F_p.
+// Field is the context of the prime field F_p: the modulus, its
+// integer encoding and its Montgomery layer.
 type Field struct {
 	p       *big.Int // modulus, an odd prime
 	byteLen int      // fixed-width encoding length
-
-	pMinus1 *big.Int // p-1, cached for Rand and exponent reductions
 
 	// mont is the fixed-limb Montgomery layer, never nil: NewField
 	// refuses a modulus it cannot be built for.
@@ -59,7 +56,6 @@ func NewField(p *big.Int) (*Field, error) {
 	f := &Field{
 		p:       new(big.Int).Set(p),
 		byteLen: (p.BitLen() + 7) / 8,
-		pMinus1: new(big.Int).Sub(p, big1),
 	}
 	f.mont = newMont(f.p)
 	return f, nil
@@ -83,58 +79,6 @@ func (f *Field) IsReduced(x *big.Int) bool {
 // Reduce returns x mod p as a new integer.
 func (f *Field) Reduce(x *big.Int) *big.Int {
 	return new(big.Int).Mod(x, f.p)
-}
-
-// Add returns a+b mod p.
-func (f *Field) Add(a, b *big.Int) *big.Int {
-	r := new(big.Int).Add(a, b)
-	if r.Cmp(f.p) >= 0 {
-		r.Sub(r, f.p)
-	}
-	return r
-}
-
-// Sub returns a-b mod p.
-func (f *Field) Sub(a, b *big.Int) *big.Int {
-	r := new(big.Int).Sub(a, b)
-	if r.Sign() < 0 {
-		r.Add(r, f.p)
-	}
-	return r
-}
-
-// Neg returns -a mod p.
-func (f *Field) Neg(a *big.Int) *big.Int {
-	if a.Sign() == 0 {
-		return new(big.Int)
-	}
-	return new(big.Int).Sub(f.p, a)
-}
-
-// Mul returns a*b mod p.
-func (f *Field) Mul(a, b *big.Int) *big.Int {
-	return new(big.Int).Mod(new(big.Int).Mul(a, b), f.p)
-}
-
-// Sqr returns a² mod p.
-func (f *Field) Sqr(a *big.Int) *big.Int { return f.Mul(a, a) }
-
-// Double returns 2a mod p.
-func (f *Field) Double(a *big.Int) *big.Int { return f.Add(a, a) }
-
-// Inv returns a⁻¹ mod p. It panics if a ≡ 0, which indicates a logic
-// error in the caller (all call sites guard the zero case).
-func (f *Field) Inv(a *big.Int) *big.Int {
-	r := new(big.Int).ModInverse(a, f.p)
-	if r == nil {
-		panic("ff: inverse of zero (or modulus not prime)")
-	}
-	return r
-}
-
-// Exp returns a^e mod p for a non-negative exponent e.
-func (f *Field) Exp(a, e *big.Int) *big.Int {
-	return new(big.Int).Exp(a, e, f.p)
 }
 
 // Rand returns a uniformly random field element drawn from rng
@@ -181,6 +125,3 @@ func (f *Field) SetBytes(b []byte) (*big.Int, error) {
 	}
 	return r, nil
 }
-
-// Equal reports whether two reduced elements are equal.
-func (f *Field) Equal(a, b *big.Int) bool { return a.Cmp(b) == 0 }

@@ -117,60 +117,86 @@ func TestWNAFRecoding(t *testing.T) {
 	}
 }
 
+// mont returns a's Montgomery form in a fresh element.
+func mont(m *Mont, a *big.Int) MontElem {
+	e := m.NewElem()
+	m.ToMont(e, a)
+	return e
+}
+
+// fresh wraps a two-operand Mont operation to return a fresh element.
+func fresh(m *Mont, op func(dst, x, y MontElem)) func(x, y MontElem) MontElem {
+	return func(x, y MontElem) MontElem {
+		r := m.NewElem()
+		op(r, x, y)
+		return r
+	}
+}
+
+// TestFieldAxiomsQuick checks the field axioms on the Montgomery layer,
+// the only F_p arithmetic in production.
 func TestFieldAxiomsQuick(t *testing.T) {
 	f := testField(t)
+	m := f.Mont()
+	add, sub, mul := fresh(m, m.Add), fresh(m, m.Sub), fresh(m, m.Mul)
+	unary := func(op func(dst, x MontElem)) func(x MontElem) MontElem {
+		return func(x MontElem) MontElem {
+			r := m.NewElem()
+			op(r, x)
+			return r
+		}
+	}
+	neg, inv, sqr, dbl := unary(m.Neg), unary(m.Inv), unary(m.Sqr), unary(m.Double)
+	elem := func(seed int64) MontElem { return mont(m, randElem(f, seed)) }
 	cfg := &quick.Config{MaxCount: 200}
 
 	commutative := func(x, y int64) bool {
-		a, b := randElem(f, x), randElem(f, y)
-		return f.Equal(f.Add(a, b), f.Add(b, a)) && f.Equal(f.Mul(a, b), f.Mul(b, a))
+		a, b := elem(x), elem(y)
+		return m.Equal(add(a, b), add(b, a)) && m.Equal(mul(a, b), mul(b, a))
 	}
 	if err := quick.Check(commutative, cfg); err != nil {
 		t.Error(err)
 	}
 
 	associative := func(x, y, z int64) bool {
-		a, b, c := randElem(f, x), randElem(f, y), randElem(f, z)
-		return f.Equal(f.Add(f.Add(a, b), c), f.Add(a, f.Add(b, c))) &&
-			f.Equal(f.Mul(f.Mul(a, b), c), f.Mul(a, f.Mul(b, c)))
+		a, b, c := elem(x), elem(y), elem(z)
+		return m.Equal(add(add(a, b), c), add(a, add(b, c))) &&
+			m.Equal(mul(mul(a, b), c), mul(a, mul(b, c)))
 	}
 	if err := quick.Check(associative, cfg); err != nil {
 		t.Error(err)
 	}
 
 	distributive := func(x, y, z int64) bool {
-		a, b, c := randElem(f, x), randElem(f, y), randElem(f, z)
-		return f.Equal(f.Mul(a, f.Add(b, c)), f.Add(f.Mul(a, b), f.Mul(a, c)))
+		a, b, c := elem(x), elem(y), elem(z)
+		return m.Equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
 	}
 	if err := quick.Check(distributive, cfg); err != nil {
 		t.Error(err)
 	}
 
 	inverses := func(x int64) bool {
-		a := randElem(f, x)
-		if !f.Equal(f.Add(a, f.Neg(a)), new(big.Int)) {
+		a := elem(x)
+		if !m.IsZero(add(a, neg(a))) {
 			return false
 		}
-		if a.Sign() == 0 {
-			return true
-		}
-		return f.Equal(f.Mul(a, f.Inv(a)), big.NewInt(1))
+		return m.IsZero(a) || m.IsOne(mul(a, inv(a)))
 	}
 	if err := quick.Check(inverses, cfg); err != nil {
 		t.Error(err)
 	}
 
 	subIsAddNeg := func(x, y int64) bool {
-		a, b := randElem(f, x), randElem(f, y)
-		return f.Equal(f.Sub(a, b), f.Add(a, f.Neg(b)))
+		a, b := elem(x), elem(y)
+		return m.Equal(sub(a, b), add(a, neg(b)))
 	}
 	if err := quick.Check(subIsAddNeg, cfg); err != nil {
 		t.Error(err)
 	}
 
 	sqrMatchesMul := func(x int64) bool {
-		a := randElem(f, x)
-		return f.Equal(f.Sqr(a), f.Mul(a, a)) && f.Equal(f.Double(a), f.Add(a, a))
+		a := elem(x)
+		return m.Equal(sqr(a), mul(a, a)) && m.Equal(dbl(a), add(a, a))
 	}
 	if err := quick.Check(sqrMatchesMul, cfg); err != nil {
 		t.Error(err)
@@ -179,28 +205,32 @@ func TestFieldAxiomsQuick(t *testing.T) {
 
 func TestExpMatchesRepeatedMul(t *testing.T) {
 	f := testField(t)
+	m := f.Mont()
 	a, err := f.RandNonZero(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := big.NewInt(1)
+	am, acc, got := mont(m, a), m.NewElem(), m.NewElem()
+	m.SetOne(acc)
 	for e := 0; e < 20; e++ {
-		got := f.Exp(a, big.NewInt(int64(e)))
-		if !f.Equal(got, acc) {
+		if m.Exp(got, am, big.NewInt(int64(e))); !m.Equal(got, acc) {
 			t.Fatalf("Exp(a, %d) mismatch", e)
 		}
-		acc = f.Mul(acc, a)
+		m.Mul(acc, acc, am)
 	}
 }
 
 func TestFermatLittleTheorem(t *testing.T) {
 	f := testField(t)
+	m := f.Mont()
+	pm1 := new(big.Int).Sub(f.p, big1)
 	for i := 0; i < 10; i++ {
 		a, err := f.RandNonZero(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !f.Equal(f.Exp(a, f.pMinus1), big.NewInt(1)) {
+		am := mont(m, a)
+		if m.Exp(am, am, pm1); !m.IsOne(am) {
 			t.Fatal("a^(p-1) != 1")
 		}
 	}
@@ -235,7 +265,7 @@ func TestSqrtAndLegendre(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sq := f.Sqr(a)
+		sq := modP(f, new(big.Int).Mul(a, a))
 		if f.Legendre(sq) != 1 {
 			t.Fatal("square has Legendre symbol != 1")
 		}
@@ -243,7 +273,7 @@ func TestSqrtAndLegendre(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Sqrt of a square: %v", err)
 		}
-		if !f.Equal(f.Sqr(r), sq) {
+		if modP(f, r.Mul(r, r)).Cmp(sq) != 0 {
 			t.Fatal("Sqrt result does not square back")
 		}
 		switch f.Legendre(a) {
@@ -282,7 +312,7 @@ func TestBytesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SetBytes: %v", err)
 		}
-		if !f.Equal(a, back) {
+		if a.Cmp(back) != 0 {
 			t.Fatal("byte round trip mismatch")
 		}
 	}
@@ -321,13 +351,13 @@ func TestRandIsInRangeAndVaried(t *testing.T) {
 }
 
 func TestInvZeroPanics(t *testing.T) {
-	f := testField(t)
+	m := testField(t).Mont()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Inv(0) must panic")
 		}
 	}()
-	f.Inv(new(big.Int))
+	m.Inv(m.NewElem(), m.NewElem())
 }
 
 func TestReduceAndIsReduced(t *testing.T) {

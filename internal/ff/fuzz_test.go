@@ -32,7 +32,7 @@ func fuzzReduce(fld *Field, b []byte) *big.Int {
 }
 
 // FuzzFpArith cross-checks every Montgomery base-field operation
-// against the big.Int reference on fuzzer-chosen operands, at both
+// against math/big on fuzzer-chosen operands, at both
 // kernel widths and one loop width, and each kernel against its loop
 // form; Mul also against the Go kernel, which at SS512 checks the MULX
 // assembly wherever it is dispatched.
@@ -52,12 +52,12 @@ func FuzzFpArith(f *testing.F) {
 			am, bm, rm, lm := m.NewElem(), m.NewElem(), m.NewElem(), m.NewElem()
 			m.ToMont(am, a)
 			m.ToMont(bm, b)
-			if got := m.FromMont(nil, am); got.Cmp(a) != 0 {
+			if got := fromMont(fld, am); got.Cmp(a) != 0 {
 				t.Fatalf("round trip: got %v want %v", got, a)
 			}
 			check := func(op string, want *big.Int) {
 				t.Helper()
-				if got := m.FromMont(nil, rm); got.Cmp(want) != 0 {
+				if got := fromMont(fld, rm); got.Cmp(want) != 0 {
 					t.Fatalf("p=%x %s(%v, %v) = %v, want %v", fld.P(), op, a, b, got, want)
 				}
 			}
@@ -68,26 +68,26 @@ func FuzzFpArith(f *testing.F) {
 				}
 			}
 			m.Add(rm, am, bm)
-			check("Add", fld.Add(a, b))
+			check("Add", modP(fld, new(big.Int).Add(a, b)))
 			vsLoop("Add", m.addLoop)
 			m.Sub(rm, am, bm)
-			check("Sub", fld.Sub(a, b))
+			check("Sub", modP(fld, new(big.Int).Sub(a, b)))
 			vsLoop("Sub", m.subLoop)
 			m.Mul(rm, am, bm)
-			check("Mul", fld.Mul(a, b))
+			check("Mul", modP(fld, new(big.Int).Mul(a, b)))
 			vsLoop("Mul", m.mulLoop)
 			vsLoop("Mul (Go kernel)", m.mulGo)
 			m.Sqr(rm, am)
-			check("Sqr", fld.Sqr(a))
+			check("Sqr", modP(fld, new(big.Int).Mul(a, a)))
 			m.Neg(rm, am)
-			check("Neg", fld.Neg(a))
+			check("Neg", modP(fld, new(big.Int).Neg(a)))
 			vsLoop("Neg", func(dst, x, _ MontElem) { m.negLoop(dst, x) })
 			if a.Sign() != 0 {
 				m.Inv(rm, am)
-				check("Inv", fld.Inv(a))
+				check("Inv", new(big.Int).ModInverse(a, fld.p))
 			}
 			m.Exp(rm, am, b)
-			check("Exp", fld.Exp(a, b))
+			check("Exp", new(big.Int).Exp(a, b, fld.p))
 		}
 	})
 }

@@ -8,8 +8,8 @@ import (
 
 // maxMontLimbs bounds the modulus size the fixed-limb layer accepts
 // (32 × 64 = 2048 bits, comfortably above the largest preset); it sizes
-// the stack buffers of Mul, Exp and FromMont. NewField refuses anything
-// wider.
+// the stack buffers of Mul, Exp and AppendMontBytes. NewField refuses
+// anything wider.
 const maxMontLimbs = 32
 
 // HasMULX reports whether this CPU runs the MULX/ADX assembly kernels:
@@ -25,10 +25,10 @@ func HasMULX() bool { return useMULX }
 type MontElem []uint64
 
 // Mont is the fixed-width-limb Montgomery arithmetic context for F_p,
-// the one production representation of the hot paths: the pairing's
-// Miller loops, the final exponentiation and the curve's Jacobian
-// ladders all run on MontElem vectors end-to-end and convert to big.Int
-// only at API boundaries.
+// the one production representation of F_p: curve points hold MontElem
+// coordinates at rest, and the group law, the ladders, the Miller loops
+// and the final exponentiation run on them. Integers enter through
+// ToMont and leave through Field.AppendMontBytes.
 //
 // A Mont context is immutable after construction and safe for
 // concurrent use; per-call scratch lives on the callers' stacks.
@@ -286,24 +286,10 @@ func (m *Mont) ToMont(dst MontElem, x *big.Int) {
 	m.Mul(dst, dst, m.r2)
 }
 
-// FromMont converts a Montgomery-form element back to a reduced
-// big.Int, writing into dst (allocated when nil) and returning it.
-// REDC(x·1) = x·R⁻¹ mod p undoes the domain shift.
-func (m *Mont) FromMont(dst *big.Int, x MontElem) *big.Int {
-	var plain [maxMontLimbs]uint64
-	tmp := MontElem(plain[:m.n])
-	var lit [maxMontLimbs]uint64
-	lit[0] = 1
-	m.Mul(tmp, x, lit[:m.n])
-	if dst == nil {
-		dst = new(big.Int)
-	}
-	return bigFromLimbs(dst, tmp)
-}
-
 // AppendMontBytes appends Bytes of the element whose Montgomery form is
 // x — the fixed-width big-endian encoding — converting out of the
-// domain on the stack, without a big.Int.
+// domain on the stack, without a big.Int. It is the one way out of the
+// domain: REDC(x·1) = x·R⁻¹ mod p undoes the shift.
 func (f *Field) AppendMontBytes(dst []byte, x MontElem) []byte {
 	m := f.mont
 	var plain, lit [maxMontLimbs]uint64
@@ -340,28 +326,4 @@ func limbsFromBig(dst []uint64, x *big.Int) {
 		}
 		dst[i] = lo | hi<<32
 	}
-}
-
-// bigFromLimbs sets dst to the non-negative integer with the given
-// little-endian limbs and returns dst, reusing dst's storage when it is
-// large enough.
-func bigFromLimbs(dst *big.Int, src []uint64) *big.Int {
-	if bits.UintSize == 64 {
-		words := dst.Bits()
-		if cap(words) >= len(src) {
-			words = words[:len(src)]
-		} else {
-			words = make([]big.Word, len(src))
-		}
-		for i, v := range src {
-			words[i] = big.Word(v)
-		}
-		return dst.SetBits(words)
-	}
-	words := make([]big.Word, 2*len(src))
-	for i, v := range src {
-		words[2*i] = big.Word(uint32(v))
-		words[2*i+1] = big.Word(v >> 32)
-	}
-	return dst.SetBits(words)
 }

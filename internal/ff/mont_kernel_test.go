@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 	mrand "math/rand"
@@ -82,12 +83,21 @@ func (m *Mont) canonical(x []uint64) bool {
 	return b == 1
 }
 
+// bigFromLimbs returns the integer with the little-endian limbs src.
+func bigFromLimbs(src []uint64) *big.Int {
+	b := make([]byte, 8*len(src))
+	for i, v := range src {
+		binary.BigEndian.PutUint64(b[8*(len(src)-1-i):], v)
+	}
+	return new(big.Int).SetBytes(b)
+}
+
 // montEdgeOperands are the raw limb patterns the carry and borrow chains
 // can trip on: the ends of [0, p), the two halves (so sums land on
 // exactly p−1, p and p+1), R and R² mod p, and every operand below p
 // that has a limb — or a run of low limbs — of all ones.
 func montEdgeOperands(m *Mont) []MontElem {
-	p := bigFromLimbs(new(big.Int), m.p)
+	p := bigFromLimbs(m.p)
 	limbs := func(v *big.Int) MontElem {
 		e := m.NewElem()
 		limbsFromBig(e, v)
@@ -148,13 +158,13 @@ func TestMontKernelMatchesBigAndLoop(t *testing.T) {
 		z, zl, zx, zy := m.NewElem(), m.NewElem(), m.NewElem(), m.NewElem()
 		check := func(x, y MontElem) {
 			t.Helper()
-			xv, yv := bigFromLimbs(new(big.Int), x), bigFromLimbs(new(big.Int), y)
+			xv, yv := bigFromLimbs(x), bigFromLimbs(y)
 			for _, op := range ops {
 				op.run(z, x, y)
 				if !m.canonical(z) {
 					t.Fatalf("p=%x %s(%x, %x) = %x is not reduced below p", p, op.name, xv, yv, z)
 				}
-				if want := op.want(xv, yv); bigFromLimbs(new(big.Int), z).Cmp(want) != 0 {
+				if want := op.want(xv, yv); bigFromLimbs(z).Cmp(want) != 0 {
 					t.Fatalf("p=%x %s(%x, %x) = %x, want %x", p, op.name, xv, yv, z, want)
 				}
 				if op.loop(zl, x, y); !slices.Equal(zl, z) {
@@ -185,7 +195,7 @@ func TestMontKernelMatchesBigAndLoop(t *testing.T) {
 			}
 			comp := m.NewElem() // p − x as raw limbs; p itself for x = 0 excluded
 			if !m.IsZero(x) {
-				limbsFromBig(comp, new(big.Int).Sub(p, bigFromLimbs(new(big.Int), x)))
+				limbsFromBig(comp, new(big.Int).Sub(p, bigFromLimbs(x)))
 			}
 			check(x, comp)
 		}
@@ -231,10 +241,10 @@ func TestMontExpMatchesLadder(t *testing.T) {
 	for _, f := range append(montFields(t), kernelFields(t)[:4]...) {
 		m, p := f.Mont(), f.P()
 		exps := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16),
-			big.NewInt(17), big.NewInt(255), big.NewInt(256), new(big.Int).Sub(p, big2), f.pMinus1,
+			big.NewInt(17), big.NewInt(255), big.NewInt(256), new(big.Int).Sub(p, big2), new(big.Int).Sub(p, big1),
 			new(big.Int).Rsh(new(big.Int).Add(p, big1), 2)}
 		var bases []MontElem
-		for _, v := range []*big.Int{big.NewInt(0), big1, f.pMinus1} {
+		for _, v := range []*big.Int{big.NewInt(0), big1, new(big.Int).Sub(p, big1)} {
 			b := m.NewElem()
 			m.ToMont(b, v)
 			bases = append(bases, b)

@@ -176,15 +176,6 @@ func (st *millerStateMont) add(px, py ff.MontElem, a, b, c ff.MontElem) bool {
 	return true
 }
 
-// toMontPointIn converts an affine point's coordinates into Montgomery
-// form in arena storage (the point must not be the identity).
-func (pr *Pairing) toMontPointIn(p curve.Point, a *ff.Arena) (x, y ff.MontElem) {
-	x, y = a.Elem(), a.Elem()
-	pr.m.ToMont(x, p.X)
-	pr.m.ToMont(y, p.Y)
-	return x, y
-}
-
 // millerMontIn evaluates the Miller function f_{q,P} at ψ(Q) with the
 // Jacobian inversion-free loop, without the final exponentiation, every
 // temporary carved from the caller's arena. P and Q must be
@@ -194,8 +185,8 @@ func (pr *Pairing) toMontPointIn(p curve.Point, a *ff.Arena) (x, y ff.MontElem) 
 // final exponentiation eliminates.
 func (pr *Pairing) millerMontIn(p, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 	m, e2m := pr.m, pr.e2m
-	px, py := pr.toMontPointIn(p, ar)
-	qx, qy := pr.toMontPointIn(q, ar)
+	px, py := p.Limbs()
+	qx, qy := q.Limbs()
 	st := newMillerStateMontIn(m, px, py, ar)
 	f := e2m.OneIn(ar)
 	g := e2m.ElemIn(ar)
@@ -253,7 +244,7 @@ func (pr *Pairing) finalExpMontIn(f ff.Fp2MontElem, a *ff.Arena) ff.Fp2MontElem 
 // Miller value exactly (same normalised lines).
 func (pr *Pairing) millerPreparedMontIn(pp *PreparedPoint, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 	m, e2m := pr.m, pr.e2m
-	qx, qy := pr.toMontPointIn(q, ar)
+	qx, qy := q.Limbs()
 	f := e2m.OneIn(ar)
 	// The imaginary part of every line value is the constant y_Q.
 	g := ff.Fp2MontElem{A: ar.Elem(), B: qy}

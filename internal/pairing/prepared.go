@@ -56,7 +56,7 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 	m := pr.m
 	ar := m.GetArena()
 	defer ar.Release()
-	px, py := pr.toMontPointIn(p, ar)
+	px, py := p.Limbs()
 	st := newMillerStateMontIn(m, px, py, ar)
 	steps := make([]preparedStep, len(pr.schedule))
 
@@ -92,11 +92,10 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 		}
 	}
 
-	// One inversion for every denominator: the full product leaves the
-	// limbs once, for math/big's inversion (far cheaper than the limb
-	// layer's Fermat ladder). Walking back, acc = (C₀·…·Cᵢ)⁻¹ gives
-	// Cᵢ⁻¹ = acc·prefix[i], and acc·Cᵢ steps it down to i−1.
-	m.ToMont(acc, pr.C.F.Inv(m.FromMont(nil, acc)))
+	// One inversion for every denominator. Walking back,
+	// acc = (C₀·…·Cᵢ)⁻¹ gives Cᵢ⁻¹ = acc·prefix[i], and acc·Cᵢ steps it
+	// down to i−1.
+	m.Inv(acc, acc)
 	for i := len(lines) - 1; i >= 0; i-- {
 		m.Mul(c, acc, prefix[i])
 		m.Mul(acc, acc, cs[i])

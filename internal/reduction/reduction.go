@@ -156,7 +156,7 @@ func (s *Simulator) Challenge(label string, msgLen int) (*core.Ciphertext, error
 	if _, err := io.ReadFull(s.rng, x); err != nil {
 		return nil, err
 	}
-	return &core.Ciphertext{U: s.xG.Clone(), V: x}, nil
+	return &core.Ciphertext{U: s.xG, V: x}, nil
 }
 
 // H2 answers (and records) the adversary's H2 queries. Consistency with

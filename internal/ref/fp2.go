@@ -10,11 +10,10 @@ import (
 )
 
 // Fp2 is the math/big arithmetic context of F_{p²} = F_p[i]/(i²+1),
-// built over the allocating ff.Field methods. The construction needs
-// −1 to be a non-residue mod p, i.e. p ≡ 3 (mod 4) — the condition the
-// supersingular curve y² = x³ + x needs anyway.
+// built over Fp. The construction needs −1 to be a non-residue mod p,
+// i.e. p ≡ 3 (mod 4) — the condition y² = x³ + x needs anyway.
 type Fp2 struct {
-	Fp *ff.Field
+	Fp Fp
 }
 
 // Fp2Elem is an element a + b·i of F_{p²} with a, b reduced mod p.
@@ -31,7 +30,7 @@ func NewFp2(fp *ff.Field) (*Fp2, error) {
 	if fp.P().Bit(0) != 1 || fp.P().Bit(1) != 1 {
 		return nil, errors.New("ref: F_{p²} = F_p[i]/(i²+1) needs p ≡ 3 (mod 4)")
 	}
-	return &Fp2{Fp: fp}, nil
+	return &Fp2{Fp: NewFp(fp)}, nil
 }
 
 // Zero returns the additive identity.
@@ -164,8 +163,8 @@ func (e *Fp2) Limbs(x Fp2Elem) ff.Fp2MontElem {
 
 // FromLimbs converts a limb-form element back to math/big.
 func (e *Fp2) FromLimbs(x ff.Fp2MontElem) Fp2Elem {
-	m := e.Fp.Mont()
-	return Fp2Elem{A: m.FromMont(nil, x.A), B: m.FromMont(nil, x.B)}
+	out := func(x ff.MontElem) *big.Int { return new(big.Int).SetBytes(e.Fp.AppendMontBytes(nil, x)) }
+	return Fp2Elem{A: out(x.A), B: out(x.B)}
 }
 
 // String renders the element as "a + b·i" for debugging.

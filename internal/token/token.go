@@ -1,6 +1,6 @@
 // Package token implements Privacy Pass-style blind access tokens
 // over the pairing backend: anonymous metered access to the serving
-// tier (ROADMAP item 4).
+// tier (docs/TOKENS.md).
 //
 // The paper's headline property is that subscribers stay anonymous
 // against a passive server, but a production deployment still needs

@@ -302,7 +302,11 @@ func TestRedeemRejectsOffSubgroupSig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	torsion := curve.Point{X: new(big.Int), Y: new(big.Int)}
+	c, _ := set.B.(*backend.Symmetric).Type1()
+	torsion, err := c.NewPoint(new(big.Int), new(big.Int))
+	if err != nil {
+		t.Fatal(err)
+	}
 	forged := toks[0]
 	forged.Sig = set.B.Add(backend.G2, forged.Sig, torsion)
 	if set.B.InSubgroup(backend.G2, forged.Sig) {
