@@ -17,7 +17,7 @@ help:
 	@echo "  all                build + vet + test (default)"
 	@echo "  help               this list"
 	@echo "  help-check         fail when this list and the Makefile's targets differ"
-	@echo "  ci                 the CI gate: help-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
+	@echo "  ci                 the CI gate: help-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token/curve tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -176,8 +176,9 @@ lint:
 # path, so nothing is exempt). This is what .github/workflows/ci.yml executes.
 # The first recipe line runs the packages whose fork-joins split across
 # cores (core's checked encapsulation, bls's batch verification and the
-# token unblinding built on it) on one processor, where parallel.For runs
-# every index inline and in order. The second pins that the tree builds
+# token unblinding built on it, curve's HashSum, which hashes its
+# candidates per MSM chunk, one chunk per processor) on one processor,
+# where parallel.For runs every index inline and in order. The second pins that the tree builds
 # where the architecture forks (the amd64 MULX/ADX kernels, ff's
 # mont_amd64.s and bls381's fe_amd64.s, both printed by ff's genMontAsm)
 # are absent: a 64-bit non-amd64 build, and 32-bit and arm64 vets of
@@ -189,7 +190,7 @@ lint:
 # the Miller loops on point limbs, and the Go fe product under the whole
 # pairing and hash suite run there, not only compile (~50 s).
 ci: help-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
-	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/
+	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/ ./internal/curve/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/bls381/
 	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/ ./internal/pairing/ ./internal/bls381/
 

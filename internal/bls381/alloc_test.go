@@ -7,8 +7,9 @@ import (
 )
 
 // TestPairingAllocs is the BLS12-381 row of the zero-allocation contract
-// (docs/PERFORMANCE.md §3): the Miller loop makes and applies each line
-// in place, so a pairing stays off the heap, and the two-pairing
+// (docs/PERFORMANCE.md §3): the base-field inverse runs on the stack,
+// the Miller loop makes and applies each line in place, so a pairing
+// stays off the heap, and the two-pairing
 // equality checks — samePairing and the prepared key's pair-check behind
 // every signature verification — allocate at most their argument
 // slices, nothing per Miller step.
@@ -20,12 +21,14 @@ func TestPairingAllocs(t *testing.T) {
 	p, q := randG1(t), randG2(t)
 	g1, g2 := be.Generator(backend.G1), be.Generator(backend.G2)
 	pk := be.PrepareKey(g1, g1, g2)
+	var inv fe
 	for _, op := range []struct {
 		name  string
 		bound float64
 		run   func()
 	}{
 		{"pair", 0, func() { pair(&p, &q) }},
+		{"fe.inv", 0, func() { inv.inv(&p.x) }},
 		{"samePairing", 3, func() {
 			if !samePairing(&p, &q, &p, &q) {
 				t.Fatal("trivially equal pairings differ")

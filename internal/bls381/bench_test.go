@@ -138,6 +138,24 @@ func BenchmarkFeMul(b *testing.B) {
 	})
 }
 
+// BenchmarkFeInv times the binary-GCD inverse beside its Fermat oracle
+// x^(p−2), so one stretch gives the ratio.
+func BenchmarkFeInv(b *testing.B) {
+	initCtx()
+	x := randFe(b)
+	var z fe
+	b.Run("gcd", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			z.inv(&x)
+		}
+	})
+	b.Run("fermat", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			feInvFermat(&z, &x)
+		}
+	})
+}
+
 func BenchmarkFeMulLoop(b *testing.B) {
 	initCtx()
 	x := randFe(b)

@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"math/big"
 	"sync"
+
+	"timedrelease/internal/ff"
 )
 
 // Curve constants. x is the BLS parameter: p and r are polynomials in
@@ -67,10 +69,12 @@ var ctx struct {
 	half    fe // 1/2
 	beta    fe // the cube root of unity for which φ(x, y) = (βx, y) is [−x²] on G1
 
-	// The fixed public exponents of fe.exp, as plain limbs: p−2 (Fermat
-	// inverse), (p+1)/4 (square root, p ≡ 3 mod 4), (p−3)/4 (the inverse
-	// square root fe2.sqrt works on) and (p−1)/2 (the sign bound).
-	pm2, sqrtExp, isqrtExp, eulerExp fe
+	// The fixed public exponents of fe.exp, as plain limbs: (p+1)/4
+	// (square root, p ≡ 3 mod 4), (p−3)/4 (the inverse square root
+	// fe2.sqrt works on) and (p−1)/2 (the sign bound).
+	sqrtExp, isqrtExp, eulerExp fe
+
+	mont *ff.Mont // ff's context for p, whose six-limb Montgomery form is fe's: fe.inv runs its Inv
 
 	// Frobenius: w^p = γ1·w with γ1 = ξ^((p−1)/6), so v^p = γ1²·v and
 	// (v²)^p = γ1⁴·v².
@@ -95,9 +99,13 @@ func initCtx() {
 		}
 
 		initFeArith()
+		f, err := ff.NewField(ctx.p)
+		if err != nil {
+			panic("bls381: " + err.Error())
+		}
+		ctx.mont = f.Mont()
 
 		one := big.NewInt(1)
-		ctx.pm2 = feLimbsOf(new(big.Int).Sub(ctx.p, big.NewInt(2)))
 		ctx.sqrtExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 2))
 		ctx.isqrtExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Sub(ctx.p, big.NewInt(3)), 2))
 		ctx.eulerExp = feLimbsOf(new(big.Int).Rsh(new(big.Int).Sub(ctx.p, one), 1))
@@ -153,12 +161,13 @@ func (z *fe) exp(x *fe, e *fe) {
 	*z = acc
 }
 
-// inv is the Fermat inverse x^(p−2); panics on zero.
+// inv sets z = x⁻¹ with ff's fixed-iteration binary-GCD inverse
+// (Mont.Inv); panics on zero.
 func (z *fe) inv(x *fe) {
 	if x.isZero() {
 		panic("bls381: inverse of zero")
 	}
-	z.exp(x, &ctx.pm2)
+	ctx.mont.Inv(z[:], x[:])
 }
 
 // fromBig loads a (not necessarily reduced) big.Int into Montgomery form.

@@ -257,12 +257,12 @@ func TestFeKernelConstants(t *testing.T) {
 
 // TestFeExpMatchesLadder pins the fixed-window fe.exp to the binary
 // ladder it replaced: seeded bases plus 0, 1, p−1, and the exponents
-// that exercise an empty walk, a single window, a window boundary and
-// the three production exponents.
+// that exercise an empty walk, a single window, a window boundary, the
+// Fermat oracle's p−2 and the production exponents.
 func TestFeExpMatchesLadder(t *testing.T) {
 	initCtx()
 	exps := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16),
-		rawBig(&ctx.pm2), rawBig(&ctx.sqrtExp), rawBig(&ctx.eulerExp)}
+		rawBig(&fermatExp), rawBig(&ctx.sqrtExp), rawBig(&ctx.eulerExp)}
 	var zero, pm1 fe
 	pm1.fromBig(new(big.Int).Sub(ctx.p, big.NewInt(1)))
 	bases := []fe{zero, ctx.one, pm1}
@@ -298,4 +298,62 @@ func TestFeExpMatchesLadder(t *testing.T) {
 	if want := new(big.Int).ModInverse(pm1.toBig(), ctx.p); inv.toBig().Cmp(want) != 0 {
 		t.Fatalf("inv(p−1) = %x, want %x", inv.toBig(), want)
 	}
+}
+
+// fermatExp is p−2: x^(p−2) is the Fermat inverse, fe.inv's oracle.
+var fermatExp = feLimbsOf(new(big.Int).Sub(mustBig(pHex), big.NewInt(2)))
+
+// feInvFermat sets z = x^(p−2), the inverse fe.inv computed before the
+// binary GCD.
+func feInvFermat(z, x *fe) { z.exp(x, &fermatExp) }
+
+// TestFeInvMatchesFermat pins the binary-GCD fe.inv to the Fermat
+// inverse and to big.ModInverse on 1, 2, p−1, (p−1)/2, (p+1)/2, powers
+// of two across every limb, the same values as raw Montgomery limbs,
+// and seeded random elements, in place and out of place; and inverting
+// zero still panics.
+func TestFeInvMatchesFermat(t *testing.T) {
+	initCtx()
+	one := big.NewInt(1)
+	pm1 := new(big.Int).Sub(ctx.p, one)
+	vals := []*big.Int{one, big.NewInt(2), pm1, new(big.Int).Rsh(pm1, 1), new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 1)}
+	for k := 1; k < ctx.p.BitLen(); k += 7 {
+		vals = append(vals, new(big.Int).Lsh(one, uint(k)))
+	}
+	n := 5000
+	if testing.Short() || raceEnabled {
+		n = 500
+	}
+	rng := mrand.New(mrand.NewSource(8))
+	for i := 0; i < n; i++ {
+		vals = append(vals, new(big.Int).Add(new(big.Int).Rand(rng, pm1), one))
+	}
+	var xs []fe
+	for _, v := range vals {
+		var x fe
+		x.fromBig(v)
+		xs = append(xs, x, feLimbsOf(v)) // the element v, and the limbs v
+	}
+	for _, x := range xs {
+		var got, want fe
+		got.inv(&x)
+		feInvFermat(&want, &x)
+		if got != want {
+			t.Fatalf("inv(%x) = %x, Fermat %x", x.toBig(), got.toBig(), want.toBig())
+		}
+		if got.toBig().Cmp(new(big.Int).ModInverse(x.toBig(), ctx.p)) != 0 {
+			t.Fatalf("inv(%x) = %x is not the inverse", x.toBig(), got.toBig())
+		}
+		y := x
+		if y.inv(&y); y != want {
+			t.Fatalf("inv(%x) in place differs", x.toBig())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inv(0) did not panic")
+		}
+	}()
+	var z, zero fe
+	z.inv(&zero)
 }

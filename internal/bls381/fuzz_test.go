@@ -17,7 +17,8 @@ func feFromFuzz(b []byte) (fe, *big.Int) {
 
 // FuzzFeArith differentially checks the generated six-limb base-field
 // kernel (fe_mul.go: mul, add, sub, double, neg) and what is built on it
-// (sqr, inv, the byte codec) against math/big on arbitrary operands, mul
+// (sqr, the byte codec, and inv, also against its Fermat oracle on the
+// operand and on its raw limbs) against math/big on arbitrary operands, mul
 // also as the loop-form oracle feMulLoop and as the Go kernel called
 // directly, which checks the MULX assembly wherever mul dispatches to
 // it; every result must be canonical (limb-wise < p) and survive the
@@ -63,6 +64,15 @@ func FuzzFeArith(f *testing.F) {
 		if av.Sign() != 0 {
 			r.inv(&a)
 			check("inv", &r, new(big.Int).ModInverse(av, p))
+			var want fe
+			if feInvFermat(&want, &a); r != want {
+				t.Fatalf("inv(%v) = %x, Fermat oracle %x", av, rawBig(&r), rawBig(&want))
+			}
+			raw := feLimbsOf(av) // av's limbs as a Montgomery form: the engine's input edges
+			r.inv(&raw)
+			if feInvFermat(&want, &raw); r != want {
+				t.Fatalf("inv(limbs %v) = %x, Fermat oracle %x", av, rawBig(&r), rawBig(&want))
+			}
 		}
 		// z = x, z = y and z = x = y: in place on copies.
 		r = a

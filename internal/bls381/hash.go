@@ -72,9 +72,8 @@ func hashToFieldFp2(msg []byte, dst string) (u0, u1 fe2) {
 
 // svdwMaps is the straight-line Shallue–van de Woestijne map of RFC 9380
 // §6.6.1 for E'(Fp2) (A = 0, B = 4+4i, Z = −1), run on u0 and u1 at
-// once: their two inv0(tv3) share one inversion by Montgomery's trick
-// (each falls back to its own inv0 when either tv3 is 0), and the
-// residue tests of g(x1), g(x2) are the norm roots sqrtNorm then reuses.
+// once; the residue tests of g(x1), g(x2) are the norm roots sqrtNorm
+// then reuses.
 // Outputs equal the one-at-a-time map's (TestSvdwMatchesParent), are on
 // the twist and NOT yet in G2; callers clear the cofactor. u comes from
 // public labels or client-local seeds, so the branches leak nothing.
@@ -90,18 +89,10 @@ func svdwMaps(u0, u1 *fe2) (p [2]g2Affine) {
 		tv1[i].sub(&one, &tv1[i])
 		tv3[i].mul(&tv1[i], &tv2[i])
 	}
-	var t fe2
-	if t.mul(&tv3[0], &tv3[1]); t.isZero() { // inv0: the exceptional case maps through zero
-		for i := range tv3 {
-			if !tv3[i].isZero() {
-				tv3[i].inv(&tv3[i])
-			}
+	for i := range tv3 {
+		if !tv3[i].isZero() { // inv0: the exceptional case maps through zero
+			tv3[i].inv(&tv3[i])
 		}
-	} else {
-		t.inv(&t)
-		tv3[0], tv3[1] = tv3[1], tv3[0]
-		tv3[0].mul(&tv3[0], &t)
-		tv3[1].mul(&tv3[1], &t)
 	}
 	for i, u := range us {
 		var tv4, x, y fe2

@@ -85,6 +85,31 @@ func BenchmarkHashToGroup(b *testing.B) {
 	}
 }
 
+// BenchmarkHashCandidate times, at SS512 on one stretch, a hash's
+// try-loop ("candidate", over 64 labels: about two tries each) against
+// one lift of an x that does lift ("pointFromX"); their ratio is what
+// a hash pays in square-root-sized units.
+func BenchmarkHashCandidate(b *testing.B) {
+	c, _ := ss512(b)
+	labels := make([][]byte, 64)
+	xs := make([]*big.Int, len(labels))
+	for i := range labels {
+		labels[i] = []byte{byte(i), 'T'}
+		p, _ := c.hashCandidate("bench-dst", labels[i], 0)
+		xs[i], _ = c.Affine(p)
+	}
+	b.Run("candidate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink, _ = c.hashCandidate("bench-dst", labels[i%len(labels)], 0)
+		}
+	})
+	b.Run("pointFromX", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink, _ = c.pointFromX(xs[i%len(xs)], 0)
+		}
+	})
+}
+
 // BenchmarkMSM times one cold-start page's worth of each batch sum at
 // SS512 — 48 terms under 128-bit scalars — against the ladders it
 // replaced: "sigs" is Σ eᵢ·σᵢ over subgroup points, "hashes" the whole

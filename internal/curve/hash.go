@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/big"
 
+	"timedrelease/internal/ff"
 	"timedrelease/internal/rohash"
 )
 
@@ -35,18 +36,25 @@ func (c *Curve) HashToGroup(dst string, msg []byte) Point {
 
 // hashCandidate runs steps 1–2 of HashToGroup from counter ctr on: the
 // first candidate that lifts to a point of E(F_p) — anywhere on the
-// curve, cofactor not cleared — and the counter that produced it.
+// curve, cofactor not cleared — and the counter that produced it. A try
+// reduces the expanded bytes on limbs, and the Legendre symbol of x³+x
+// turns a non-square away before any exponentiation.
 func (c *Curve) hashCandidate(dst string, msg []byte, ctr uint32) (Point, uint32) {
+	m := c.F.Mont()
+	a := m.GetArena()
+	defer a.Release()
+	x, rhs := a.Elem(), a.Elem()
+	tag := "TRE-H1:" + dst
+	data := rohash.Concat(make([]byte, 4), msg) // the counter is bytes 4–7
+	// One extra byte beyond the x-candidate supplies the y-parity bit.
+	n := (c.F.BitLen()+7+128)/8 + 1
 	for ; ; ctr++ {
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], ctr)
-		data := rohash.Concat(cb[:], msg)
-		// One extra byte beyond the x-candidate supplies the y-parity bit.
-		n := (c.F.BitLen()+7+128)/8 + 1
-		raw := rohash.Expand("TRE-H1:"+dst, data, n)
-		parity := raw[len(raw)-1] & 1
-		x := new(big.Int).Mod(new(big.Int).SetBytes(raw[:len(raw)-1]), c.F.P())
-		if p, ok := c.pointFromX(x, parity); ok {
+		binary.BigEndian.PutUint32(data[4:8], ctr)
+		raw := rohash.Expand(tag, data, n)
+		m.SetWideBytes(x, raw[:n-1])
+		c.rhs(rhs, x)
+		if m.Legendre(rhs) == 1 {
+			p, _ := c.lift(x, rhs, raw[n-1]&1, a)
 			return p, ctr
 		}
 	}
@@ -69,23 +77,29 @@ func (c *Curve) HashSum(dst string, scalars []*big.Int, msgs [][]byte) Point {
 	}))
 }
 
-// pointFromX lifts a reduced x-candidate to a curve point with the
-// requested y parity, reporting false when x³+x is zero (a 2-torsion
-// point, useless for the odd-order subgroup) or a non-square. It runs on
-// Montgomery limbs: since p ≡ 3 (mod 4), y = (x³+x)^((p+1)/4) is a root
-// exactly when y² = x³+x, so one exponentiation and a squaring replace a
-// Legendre symbol and a modular square root; the parity rule picks y.
-// Only an accepted candidate allocates its point.
+// pointFromX lifts a reduced x to a curve point with the requested y
+// parity, reporting false when x³+x is zero (a 2-torsion point, useless
+// for the odd-order subgroup) or a non-square.
 func (c *Curve) pointFromX(x *big.Int, parity byte) (Point, bool) {
 	m := c.F.Mont()
 	a := m.GetArena()
 	defer a.Release()
-	xm, rhs, y, y2 := a.Elem(), a.Elem(), a.Elem(), a.Elem()
+	xm, rhs := a.Elem(), a.Elem()
 	m.ToMont(xm, x)
 	c.rhs(rhs, xm)
+	return c.lift(xm, rhs, parity, a)
+}
+
+// lift is pointFromX on the Montgomery forms of x and rhs = x³+x. Since
+// p ≡ 3 (mod 4), y = rhs^((p+1)/4) is a root exactly when y² = rhs: one
+// exponentiation and a squaring decide and compute it. Only an accepted
+// point allocates; temporaries come from a.
+func (c *Curve) lift(x, rhs ff.MontElem, parity byte, a *ff.Arena) (Point, bool) {
+	m := c.F.Mont()
 	if m.IsZero(rhs) {
 		return Point{}, false
 	}
+	y, y2 := a.Elem(), a.Elem()
 	m.Exp(y, rhs, c.sqrtExp)
 	if m.Sqr(y2, y); !m.Equal(y2, rhs) {
 		return Point{}, false
@@ -94,7 +108,7 @@ func (c *Curve) pointFromX(x *big.Int, parity byte) (Point, bool) {
 		m.Neg(y, y)
 	}
 	p, px, py := newAffine(m.Limbs())
-	m.Set(px, xm)
+	m.Set(px, x)
 	m.Set(py, y)
 	return p, true
 }

@@ -71,6 +71,52 @@ func BenchmarkMontSub(b *testing.B) {
 	benchMont(b, func(m *Mont, x, y MontElem) { m.Sub(x, x, y) })
 }
 
+// BenchmarkMontInv times, per width, the binary-GCD Inv ("gcd") beside
+// its Fermat oracle x^(p−2) ("fermat"), so one stretch gives the ratio.
 func BenchmarkMontInv(b *testing.B) {
-	benchMont(b, func(m *Mont, x, y MontElem) { m.Inv(x, y) })
+	for _, row := range benchMontFields {
+		m, x, y := benchOperands(b, row.p)
+		pm2 := limbsBig(m.p)
+		pm2.Sub(pm2, big2)
+		b.Run(row.name+"/gcd", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Inv(x, y)
+			}
+		})
+		b.Run(row.name+"/fermat", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Exp(x, y, pm2)
+			}
+		})
+	}
+}
+
+// BenchmarkLegendre times, per width, the binary-GCD Legendre symbol
+// ("gcd") beside the (p+1)/4 exponentiation a hash candidate paid
+// before it ("exp").
+func BenchmarkLegendre(b *testing.B) {
+	for _, row := range benchMontFields {
+		m, x, y := benchOperands(b, row.p)
+		e := limbsBig(m.p)
+		e.Rsh(e.Add(e, big1), 2)
+		b.Run(row.name+"/gcd", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Legendre(y)
+			}
+		})
+		b.Run(row.name+"/exp", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Exp(x, y, e)
+			}
+		})
+	}
+}
+
+// limbsBig returns the integer with little-endian limbs x.
+func limbsBig(x []uint64) *big.Int {
+	z := new(big.Int)
+	for i := len(x) - 1; i >= 0; i-- {
+		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(x[i]))
+	}
+	return z
 }

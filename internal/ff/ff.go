@@ -7,10 +7,11 @@
 // Montgomery layer every Field carries: Mont for F_p and Fp2Mont for
 // F_{p²}, the only F_{p²} in the tree. TestMont* and the Fuzz* targets
 // pin it operation by operation against math/big, and the F_{p²} tower
-// against internal/ref's oracle. Only Mont's generated kernels
-// (mont_kernel.go, 3 and 8 limbs) reduce by selects; the loop widths,
-// every exponentiation and the math/big boundary branch (see Mont and
-// the repository README for the threat-model discussion).
+// against internal/ref's oracle. Mont reduces by selects at every width
+// (the generated kernels in mont_kernel.go at 3 and 8 limbs, the loop
+// forms elsewhere) and inverts in fixed time (bingcd.go); every
+// exponentiation, the Legendre symbol and the math/big boundary branch
+// (see Mont and the repository README for the threat-model discussion).
 package ff
 
 import (

@@ -237,8 +237,9 @@ func TestFermatLittleTheorem(t *testing.T) {
 }
 
 // ErrNotSquare, Legendre and Sqrt are the math/big square-root oracle:
-// production lifts points with one exponentiation on limbs
-// (curve.pointFromX), and these stay here for the tests that pin it.
+// production screens hash candidates with Mont.Legendre and lifts
+// points with one exponentiation on limbs (curve.lift), and these stay
+// here for the tests that pin them.
 var ErrNotSquare = errors.New("ff: element is not a square")
 
 // Legendre returns the Legendre symbol (a/p): 1 if a is a non-zero

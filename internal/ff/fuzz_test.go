@@ -35,7 +35,9 @@ func fuzzReduce(fld *Field, b []byte) *big.Int {
 // against math/big on fuzzer-chosen operands, at both
 // kernel widths and one loop width, and each kernel against its loop
 // form; Mul also against the Go kernel, which at SS512 checks the MULX
-// assembly wherever it is dispatched.
+// assembly wherever it is dispatched. The binary-GCD Inv and Legendre
+// run on the operand and on its raw limbs, against the Fermat inverse
+// and big.Jacobi, and the two operands' bytes go through SetWideBytes.
 func FuzzFpArith(f *testing.F) {
 	fields := fuzzSetup(f)
 	p := fields[1].P()
@@ -85,6 +87,28 @@ func FuzzFpArith(f *testing.F) {
 			if a.Sign() != 0 {
 				m.Inv(rm, am)
 				check("Inv", new(big.Int).ModInverse(a, fld.p))
+				vsLoop("Inv (Fermat oracle)", func(dst, x, _ MontElem) { m.Exp(dst, x, new(big.Int).Sub(fld.p, big2)) })
+			}
+			if got, want := m.Legendre(am), big.Jacobi(a, fld.p); got != want {
+				t.Fatalf("p=%x Legendre(%v) = %d, big.Jacobi %d", fld.P(), a, got, want)
+			}
+			// a's limbs taken as a Montgomery form: the engine's own
+			// input is then the fuzzer's value, edges included.
+			limbsFromBig(lm, a)
+			if got, want := m.Legendre(lm), big.Jacobi(a, fld.p); got != want {
+				t.Fatalf("p=%x Legendre(limbs %v) = %d, big.Jacobi %d", fld.P(), a, got, want)
+			}
+			if a.Sign() != 0 {
+				m.Inv(rm, lm)
+				m.Exp(lm, lm, new(big.Int).Sub(fld.p, big2))
+				if !m.Equal(rm, lm) {
+					t.Fatalf("p=%x Inv(limbs %v) = %x, Fermat oracle %x", fld.P(), a, rm, lm)
+				}
+			}
+			// The fuzzer's bytes as a wide hash output, reduced on limbs.
+			if wide := append(append([]byte(nil), ab...), bb...); len(wide) <= 16*m.n {
+				m.SetWideBytes(rm, wide)
+				check("SetWideBytes", modP(fld, new(big.Int).SetBytes(wide)))
 			}
 			m.Exp(rm, am, b)
 			check("Exp", new(big.Int).Exp(a, b, fld.p))

@@ -32,20 +32,22 @@ type MontElem []uint64
 //
 // A Mont context is immutable after construction and safe for
 // concurrent use; per-call scratch lives on the callers' stacks.
-// Like the rest of the package it is NOT constant time. Mul, Add, Sub,
-// Double and Neg run straight-line at the generated kernel widths
-// (mont_kernel.go, and mont_amd64.s for the 8-limb Mul on CPUs with
-// MULX and ADX), reducing by selects and masks; at every other width
-// their loop forms branch on a carry, a borrow, a limb comparison or
-// x = 0. Exp and Inv skip zero exponent digits (see docs/FIELD.md and
-// the README threat model).
+// Mul, Add, Sub, Double and Neg reduce by selects and masks at every
+// width: straight-line at the generated kernel widths (mont_kernel.go,
+// and mont_amd64.s for the 8-limb Mul on CPUs with MULX and ADX),
+// through normalize at the others. Inv runs a fixed count of binary-GCD
+// iterations with mask-selected steps (bingcd.go). Exp skips zero
+// digits of its public exponent, and Legendre stops when its GCD does
+// (see docs/FIELD.md and the README threat model).
 type Mont struct {
 	n   int      // limb count
 	p   []uint64 // modulus, little-endian limbs
 	n0  uint64   // -p⁻¹ mod 2^64 (the REDC constant)
 	one MontElem // R mod p, the Montgomery form of 1
 	r2  []uint64 // R² mod p, the to-Montgomery conversion factor
-	pm2 *big.Int // p-2, the Fermat inversion exponent
+
+	invIters int      // Inv's fixed outer-iteration count (bingcd.go)
+	invFix   []uint64 // Inv's correction 2^(64·⌈invIters/2⌉ − 31·invIters)·R³ mod p
 
 	// arenas recycles scratch arenas (arena.go) across hot-path calls;
 	// the pool is safe for concurrent use, so a Mont context stays
@@ -58,9 +60,8 @@ type Mont struct {
 func newMont(p *big.Int) *Mont {
 	n := (p.BitLen() + 63) / 64
 	m := &Mont{
-		n:   n,
-		p:   make([]uint64, n),
-		pm2: new(big.Int).Sub(p, big2),
+		n: n,
+		p: make([]uint64, n),
 	}
 	limbsFromBig(m.p, p)
 
@@ -73,12 +74,21 @@ func newMont(p *big.Int) *Mont {
 	}
 	m.n0 = -inv
 
-	// R mod p and R² mod p via big.Int, once at construction.
+	// R and R² mod p via big.Int, once at construction.
 	r := new(big.Int).Lsh(big1, uint(64*n))
 	m.one = make(MontElem, n)
 	limbsFromBig(m.one, new(big.Int).Mod(r, p))
 	m.r2 = make([]uint64, n)
 	limbsFromBig(m.r2, new(big.Int).Mod(new(big.Int).Mul(r, r), p))
+
+	// Inv's iterations: the binary GCD converges within 2|p| − 1 steps,
+	// approximations included (Pornin's bound). Its correction: the steps
+	// scale v by 2^(−31·iters), each of the ⌈iters/2⌉ reductions in
+	// gcdUpdateUV by 2^−64, and input and output are Montgomery forms.
+	m.invIters = (2*p.BitLen() + invSteps - 2) / invSteps
+	fix := new(big.Int).Lsh(big1, uint(64*((m.invIters+1)/2)-invSteps*m.invIters+3*64*n))
+	m.invFix = make([]uint64, n)
+	limbsFromBig(m.invFix, fix.Mod(fix, p))
 	m.arenas.New = func() any { return &Arena{m: m} }
 	return m
 }
@@ -127,68 +137,54 @@ func (m *Mont) Equal(x, y MontElem) bool {
 	return acc == 0
 }
 
-// geqP reports whether x >= p.
-func (m *Mont) geqP(x []uint64) bool {
-	for i := m.n - 1; i >= 0; i-- {
-		if x[i] != m.p[i] {
-			return x[i] > m.p[i]
-		}
+// normalize brings x + 2^(64n)·top (top −1, 0 or 1 modulo 2^64), in
+// (−p, 2p), into [0, p) with masks: add p if negative, else subtract it
+// and add it back if that went below zero.
+func (m *Mont) normalize(x []uint64, top uint64) {
+	neg := uint64(int64(top) >> 63)
+	c := ^neg & 1 // −p as 2^(64n) − p: the complement plus one
+	for i, p := range m.p {
+		x[i], c = bits.Add64(x[i], p^^neg, c)
 	}
-	return true
-}
-
-// subP sets dst = x - p (caller guarantees x >= p, possibly with an
-// implicit carry word that the final borrow cancels).
-func (m *Mont) subP(dst, x []uint64) {
-	var borrow uint64
-	for i := 0; i < m.n; i++ {
-		dst[i], borrow = bits.Sub64(x[i], m.p[i], borrow)
+	back := uint64(int64(top+c-^neg&1) >> 63)
+	c = 0
+	for i, p := range m.p {
+		x[i], c = bits.Add64(x[i], p&back, c)
 	}
 }
 
-// addLoop is Add at a loop width: one conditional subtraction of p.
+// addLoop is Add at a loop width: the sum with its carry, normalized.
 func (m *Mont) addLoop(dst, x, y MontElem) {
 	var carry uint64
 	for i := 0; i < m.n; i++ {
 		dst[i], carry = bits.Add64(x[i], y[i], carry)
 	}
-	if carry != 0 || m.geqP(dst) {
-		m.subP(dst, dst)
-	}
+	m.normalize(dst, carry)
 }
 
 // Double sets dst = 2x mod p.
 func (m *Mont) Double(dst, x MontElem) { m.Add(dst, x, x) }
 
-// subLoop is Sub at a loop width: one conditional add-back of p.
+// subLoop is Sub at a loop width: the difference with its borrow,
+// normalized.
 func (m *Mont) subLoop(dst, x, y MontElem) {
 	var borrow uint64
 	for i := 0; i < m.n; i++ {
 		dst[i], borrow = bits.Sub64(x[i], y[i], borrow)
 	}
-	if borrow != 0 {
-		var carry uint64
-		for i := 0; i < m.n; i++ {
-			dst[i], carry = bits.Add64(dst[i], m.p[i], carry)
-		}
-	}
+	m.normalize(dst, -borrow)
 }
 
-// negLoop is Neg at a loop width.
+// negLoop is Neg at a loop width: 0 − x.
 func (m *Mont) negLoop(dst, x MontElem) {
-	if m.IsZero(x) {
-		m.SetZero(dst)
-		return
-	}
-	var borrow uint64
-	for i := 0; i < m.n; i++ {
-		dst[i], borrow = bits.Sub64(m.p[i], x[i], borrow)
-	}
+	var zero [maxMontLimbs]uint64
+	m.subLoop(dst, zero[:m.n], x)
 }
 
 // mulLoop is Mul at a loop width, and the kernels' differential oracle:
 // CIOS (coarsely integrated operand scanning), the interleaved
-// t ← (t + x·yᵢ + mᵢ·p)/2^64 keeping an n+2-word accumulator on the stack.
+// t ← (t + x·yᵢ + mᵢ·p)/2^64 keeping an n+2-word accumulator on the
+// stack, below 2p at the end, then normalized.
 func (m *Mont) mulLoop(dst, x, y MontElem) {
 	var t [maxMontLimbs + 2]uint64
 	n := m.n
@@ -223,10 +219,7 @@ func (m *Mont) mulLoop(dst, x, y MontElem) {
 		t[n] = t[n+1] + c1
 		t[n+1] = 0
 	}
-	if t[n] != 0 || m.geqP(t[:n]) {
-		m.subP(dst, t[:n])
-		return
-	}
+	m.normalize(t[:n], t[n])
 	copy(dst, t[:n])
 }
 
@@ -237,8 +230,8 @@ func (m *Mont) Sqr(dst, x MontElem) { m.Mul(dst, x, x) }
 // e in fixed 4-bit windows from the top digit against a stack table
 // x⁰…x¹⁵: four squarings per window and one multiplication per non-zero
 // digit, no heap allocation. dst may alias x. Skipping zero digits makes
-// the time depend on e; the production exponents are public (Inv's p−2,
-// the curve's square-root exponent (p+1)/4).
+// the time depend on e; the production exponent is public (the curve's
+// square-root exponent (p+1)/4).
 func (m *Mont) Exp(dst, x MontElem, e *big.Int) {
 	if e.Sign() < 0 {
 		panic("ff: negative exponent in Montgomery Exp")
@@ -269,21 +262,31 @@ func (m *Mont) Exp(dst, x MontElem, e *big.Int) {
 	copy(dst, a)
 }
 
-// Inv sets dst = x⁻¹ mod p via Fermat's little theorem (x^(p−2)),
-// keeping the whole computation on limb vectors. It panics on zero,
-// matching Field.Inv.
-func (m *Mont) Inv(dst, x MontElem) {
-	if m.IsZero(x) {
-		panic("ff: inverse of zero (Montgomery backend)")
-	}
-	m.Exp(dst, x, m.pm2)
-}
-
 // ToMont converts a reduced big.Int in [0, p) into Montgomery form:
 // REDC(x · R²) = x·R mod p.
 func (m *Mont) ToMont(dst MontElem, x *big.Int) {
 	limbsFromBig(dst, x)
 	m.Mul(dst, dst, m.r2)
+}
+
+// SetWideBytes sets dst to the Montgomery form of the big-endian b mod
+// p, for b of at most 16·n bytes (a hash output with bits to spare).
+// With b = hi·R + lo, that is REDC(lo·R²) + REDC(REDC(hi·R²)·R²); a
+// product of an operand below R by a reduced one stays below 2p.
+func (m *Mont) SetWideBytes(dst MontElem, b []byte) {
+	n := m.n
+	if len(b) > 16*n {
+		panic("ff: SetWideBytes input wider than two elements")
+	}
+	var w [2 * maxMontLimbs]uint64
+	for k := range b {
+		w[k/8] |= uint64(b[len(b)-1-k]) << (8 * (k % 8))
+	}
+	hi := w[n : 2*n]
+	m.Mul(hi, hi, m.r2)
+	m.Mul(hi, hi, m.r2)
+	m.Mul(dst, w[:n], m.r2)
+	m.Add(dst, dst, hi)
 }
 
 // AppendMontBytes appends Bytes of the element whose Montgomery form is

@@ -97,7 +97,7 @@ func (e *Fp2Mont) SqrInto(dst *Fp2MontElem, x Fp2MontElem, s *Fp2MontScratch) {
 }
 
 // InvInto sets dst = x⁻¹ = conj(x)/norm(x), with the one base-field
-// inversion on the Fermat limb path; dst may alias x. Panics on zero.
+// inversion by Mont.Inv; dst may alias x. Panics on zero.
 func (e *Fp2Mont) InvInto(dst *Fp2MontElem, x Fp2MontElem, s *Fp2MontScratch) {
 	if e.IsZero(x) {
 		panic("ff: inverse of zero in F_{p²} (Montgomery backend)")
