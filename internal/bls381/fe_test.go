@@ -309,7 +309,8 @@ func feInvFermat(z, x *fe) { z.exp(x, &fermatExp) }
 
 // TestFeInvMatchesFermat pins the binary-GCD fe.inv to the Fermat
 // inverse and to big.ModInverse on 1, 2, p−1, (p−1)/2, (p+1)/2, powers
-// of two across every limb, the same values as raw Montgomery limbs,
+// of two in steps of 7 and on both sides of every limb boundary, the
+// same values as raw Montgomery limbs,
 // and seeded random elements, in place and out of place; and inverting
 // zero still panics.
 func TestFeInvMatchesFermat(t *testing.T) {
@@ -317,8 +318,10 @@ func TestFeInvMatchesFermat(t *testing.T) {
 	one := big.NewInt(1)
 	pm1 := new(big.Int).Sub(ctx.p, one)
 	vals := []*big.Int{one, big.NewInt(2), pm1, new(big.Int).Rsh(pm1, 1), new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 1)}
-	for k := 1; k < ctx.p.BitLen(); k += 7 {
-		vals = append(vals, new(big.Int).Lsh(one, uint(k)))
+	for k := 1; k < ctx.p.BitLen(); k++ {
+		if k%7 == 0 || k%64 == 63 || k%64 == 0 {
+			vals = append(vals, new(big.Int).Lsh(one, uint(k)))
+		}
 	}
 	n := 5000
 	if testing.Short() || raceEnabled {

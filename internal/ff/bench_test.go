@@ -76,7 +76,7 @@ func BenchmarkMontSub(b *testing.B) {
 func BenchmarkMontInv(b *testing.B) {
 	for _, row := range benchMontFields {
 		m, x, y := benchOperands(b, row.p)
-		pm2 := limbsBig(m.p)
+		pm2 := bigFromLimbs(m.p)
 		pm2.Sub(pm2, big2)
 		b.Run(row.name+"/gcd", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -97,7 +97,7 @@ func BenchmarkMontInv(b *testing.B) {
 func BenchmarkLegendre(b *testing.B) {
 	for _, row := range benchMontFields {
 		m, x, y := benchOperands(b, row.p)
-		e := limbsBig(m.p)
+		e := bigFromLimbs(m.p)
 		e.Rsh(e.Add(e, big1), 2)
 		b.Run(row.name+"/gcd", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -110,13 +110,4 @@ func BenchmarkLegendre(b *testing.B) {
 			}
 		})
 	}
-}
-
-// limbsBig returns the integer with little-endian limbs x.
-func limbsBig(x []uint64) *big.Int {
-	z := new(big.Int)
-	for i := len(x) - 1; i >= 0; i-- {
-		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(x[i]))
-	}
-	return z
 }

@@ -36,14 +36,16 @@ func gcdFields(t *testing.T) []*ff.Field {
 }
 
 // gcdInputs returns the structural edges — 1, 2, p−1, (p−1)/2, (p+1)/2,
-// and 2^k for k from 1 to |p|−1 in steps that hit every limb boundary
-// — then n seeded random elements of [1, p).
+// and 2^k below p for k in steps of 7 and on both sides of every limb
+// boundary — then n seeded random elements of [1, p).
 func gcdInputs(p *big.Int, n int, seed int64) []*big.Int {
 	one := big.NewInt(1)
 	pm1 := new(big.Int).Sub(p, one)
 	xs := []*big.Int{one, big.NewInt(2), pm1, new(big.Int).Rsh(pm1, 1), new(big.Int).Rsh(new(big.Int).Add(p, one), 1)}
-	for k := 1; k < p.BitLen(); k += 7 {
-		xs = append(xs, new(big.Int).Lsh(one, uint(k)))
+	for k := 1; k < p.BitLen(); k++ {
+		if k%7 == 0 || k%64 == 63 || k%64 == 0 {
+			xs = append(xs, new(big.Int).Lsh(one, uint(k)))
+		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
@@ -151,7 +153,7 @@ func TestInvIterationsFixed(t *testing.T) {
 		r3 := new(big.Int).Lsh(big.NewInt(1), uint(3*64*m.Limbs()))
 		fix := new(big.Int).Lsh(r3, uint(64*((iters+1)/2)))
 		fix.Mul(fix, new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(31*iters)), p)).Mod(fix, p)
-		if got := limbsToBig(m.InvFix()); got.Cmp(fix) != 0 {
+		if got := ff.BigFromLimbs(m.InvFix()); got.Cmp(fix) != 0 {
 			t.Fatalf("|p|=%d: correction %x, want %x", p.BitLen(), got, fix)
 		}
 		x, v := m.NewElem(), make([]uint64, m.Limbs())
@@ -186,12 +188,4 @@ func TestGCDZeroAlloc(t *testing.T) {
 			t.Errorf("|p|=%d: Inv allocates %v times per call", f.BitLen(), n)
 		}
 	}
-}
-
-func limbsToBig(x []uint64) *big.Int {
-	z := new(big.Int)
-	for i := len(x) - 1; i >= 0; i-- {
-		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(x[i]))
-	}
-	return z
 }

@@ -24,4 +24,6 @@ func (m *Mont) InvIters() int { return m.invIters }
 
 func (m *Mont) InvFix() []uint64 { return m.invFix }
 
+var BigFromLimbs = bigFromLimbs
+
 const RaceEnabled = raceEnabled
