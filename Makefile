@@ -8,7 +8,7 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help help-check build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help help-check roadmap-check build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
@@ -17,7 +17,8 @@ help:
 	@echo "  all                build + vet + test (default)"
 	@echo "  help               this list"
 	@echo "  help-check         fail when this list and the Makefile's targets differ"
-	@echo "  ci                 the CI gate: help-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token/curve tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
+	@echo "  roadmap-check      fail when a \"ROADMAP item N\" or \"item N(x)\" citation names neither a live item of ROADMAP.md nor a retired number"
+	@echo "  ci                 the CI gate: help-check + roadmap-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token/curve tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
@@ -59,6 +60,31 @@ help-check:
 		exit 1; \
 	fi; \
 	echo "help-check: make help lists all $$(echo "$$want" | grep -c .) targets"
+
+# Citations of ROADMAP items in code and docs (ROADMAP item 9(a)):
+# every "ROADMAP item N" or "item N(x)" in the Go files, this Makefile,
+# .github/, README, DESIGN, EXPERIMENTS and docs/*.md must name a live
+# item or sub-item of ROADMAP.md's open items, or a number on its
+# retired list (a retired item retires its sub-items). docs/perf-log/
+# is history and is not scanned. The first awk prints "L <n>" for each
+# live item header ("N. **…", not the suggested order's "**Item…"),
+# "L <n>(x)" for each "(x)" that opens a line inside it, and "R <ref>"
+# for each reference before the colon of a retired-list line.
+CITE := ROADMAP item [0-9]+(\([a-z]+\))?|item [0-9]+\([a-z]+\)
+roadmap-check:
+	@{ awk '/^## Open items/ { open = 1; next } /^## / { open = 0 } !open { next } \
+		/^Retired numbers/ { ret = 1; next } ret && /^$$/ { ret = 0 } \
+		ret && /^- / { s = $$0; sub(/:.*/, "", s); \
+			while (match(s, /[0-9]+(\([a-z]+\))?/)) { print "R", substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH) } next } \
+		/^[0-9]+\. \*\*/ && !/^[0-9]+\. \*\*Items? / { n = $$0; sub(/\..*/, "", n); print "L", n; next } \
+		n != "" && match($$0, /^ +\([a-z]+\)/) { s = substr($$0, RSTART, RLENGTH); gsub(/ /, "", s); print "L", n s }' ROADMAP.md; \
+	  { grep -rnoE --include='*.go' --exclude-dir=.bench_build '$(CITE)' . ; \
+	    grep -rnoE '$(CITE)' Makefile .github README.md DESIGN.md EXPERIMENTS.md docs/*.md; } | sed 's/^/C /'; } \
+	| awk '$$1 == "L" { live[$$2] = 1; next } $$1 == "R" { ret[$$2] = 1; next } \
+		{ c++; ref = $$0; sub(/.*item /, "", ref); n = ref; sub(/\(.*/, "", n); \
+		  if (!(ref in live) && !(ref in ret) && !(n in ret)) { bad++; print "stale citation: " substr($$0, 3) } } \
+		END { if (bad) { print "roadmap-check FAILED: " bad " citation(s) name no live or retired ROADMAP item"; exit 1 } \
+		      print "roadmap-check: all " c " citations name a live or retired ROADMAP item" }'
 
 build:
 	$(GO) build ./...
@@ -168,7 +194,8 @@ lint:
 		echo "lint: govulncheck skipped: tool not installed (CI enforces)"; \
 	fi
 
-# The CI gate: `make help` against the rules, static checks, the nested benchmark module's build and
+# The CI gate: `make help` against the rules, ROADMAP citations against
+# its items, static checks, the nested benchmark module's build and
 # its reduced-size run, one import ratchet on the pairing layer, one
 # shuffled test run, one race run — each pass exactly once (the race
 # detector covers the WHOLE module; the concurrency reaches from the
@@ -189,7 +216,7 @@ lint:
 # the recoder's big.Int entry, the Straus walk under ScalarMult and MSM,
 # the Miller loops on point limbs, and the Go fe product under the whole
 # pairing and hash suite run there, not only compile (~50 s).
-ci: help-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
+ci: help-check roadmap-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/ ./internal/curve/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/bls381/
 	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/ ./internal/pairing/ ./internal/bls381/

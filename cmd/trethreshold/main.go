@@ -1,10 +1,10 @@
 // Command trethreshold operates the k-of-n threshold time-authority
-// extension: deal shares, run one member as a network time server,
-// export a share as an ordinary treserver key, issue partial updates
-// offline, and combine partials into the group's key update.
+// extension: deal shares, export a share as an ordinary treserver key
+// (a member is a plain time server: treserver -key shard1.key), issue
+// partial updates offline, and combine partials into the group's key
+// update.
 //
 //	trethreshold deal    -preset SS512 -k 3 -n 5 -out-dir ./authority
-//	trethreshold serve   -preset SS512 -share authority/share-1.key -addr :8441
 //	trethreshold export-server-key -preset SS512 -share authority/share-1.key -out shard1.key
 //	trethreshold partial -preset SS512 -share authority/share-2.key \
 //	                     -label 2027-01-01T00:00:00Z -out p2.bin
@@ -15,18 +15,15 @@
 // public key: receivers use it with trectl/the library unchanged, and
 // the combined update is byte-identical to a single-server one. `deal`
 // also writes one member-N.pub per share — the ordinary server public
-// key a member's `serve` process answers under, which clients pin with
+// key a member's treserver answers under, which clients pin with
 // `trectl decrypt -member N=url=member-N.pub`.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 
 	"timedrelease/internal/keyfile"
 	"timedrelease/internal/threshold"
@@ -47,14 +44,6 @@ func run(args []string) error {
 	switch args[0] {
 	case "deal":
 		return deal(args[1:])
-	case "serve":
-		cfg, err := parseServeFlags(args[1:], os.Stderr)
-		if err != nil {
-			return err
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		return runServe(ctx, cfg, os.Stdout)
 	case "export-server-key":
 		return exportServerKey(args[1:])
 	case "partial":
@@ -67,7 +56,7 @@ func run(args []string) error {
 }
 
 func usage() error {
-	fmt.Fprintln(os.Stderr, `usage: trethreshold <deal|serve|export-server-key|partial|combine> [flags]
+	fmt.Fprintln(os.Stderr, `usage: trethreshold <deal|export-server-key|partial|combine> [flags]
 run a subcommand with -h for its flags`)
 	return fmt.Errorf("unknown or missing subcommand")
 }
@@ -99,8 +88,8 @@ func deal(args []string) error {
 		}
 	}
 	codec := tre.NewCodec(set)
-	// Each member's serve process answers under its own ordinary server
-	// key; clients pin these per-member keys in quorum mode.
+	// Each member's treserver answers under its own ordinary server key;
+	// clients pin these per-member keys in quorum mode.
 	for _, share := range setup.Shares {
 		memberPub := tre.ShardServerKey(set, share).Pub
 		path := filepath.Join(*outDir, fmt.Sprintf("member-%d.pub", share.Index))

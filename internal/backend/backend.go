@@ -18,10 +18,10 @@
 // reduction states its problem in one group) gate on Asymmetric and
 // return ErrSymmetricOnly rather than silently computing nonsense.
 //
-// Points travel as curve.Point values: Type-1 backends use the affine
-// big.Int coordinates, asymmetric backends carry an opaque handle in
-// the Ext field (see curve.ExtPoint). Mixing points of different
-// backends or groups is a programming error and panics.
+// Every value that crosses the interface — a curve.Point, a GT — is a
+// vector of Montgomery limbs that only its own backend interprets, and
+// its width tells the backends and groups apart. Mixing values of
+// different backends or groups is a programming error and panics.
 package backend
 
 import (
@@ -30,6 +30,7 @@ import (
 	"math/big"
 
 	"timedrelease/internal/curve"
+	"timedrelease/internal/pairing"
 )
 
 // Group tags which source group an operation acts in.
@@ -65,15 +66,17 @@ func (g Group) String() string {
 // configuration error, not a transient failure.
 var ErrSymmetricOnly = errors.New("backend: construction requires a Type-1 (symmetric) pairing; this backend is asymmetric")
 
-// GT is an opaque target-group element. Only the backend that produced
-// it can operate on it; the GT* methods panic on foreign values.
-type GT any
+// GT is a target-group element: Montgomery limbs of its backend's
+// extension field, A ‖ B of F_{p²} on Type-1 (2n limbs) and Fp12's
+// twelve coefficients on BLS12-381 (72). The GT* methods panic on a
+// value of another width. A GT is never written after it is returned,
+// so values may be shared across goroutines.
+type GT []uint64
 
 // PointPair is one ê(P, Q) factor of a pairing product; P ∈ G1,
-// Q ∈ G2.
-type PointPair struct {
-	P, Q curve.Point
-}
+// Q ∈ G2. It is the Type-1 pairing's own factor, so Symmetric passes a
+// product through as it is.
+type PointPair = pairing.PointPair
 
 // PreparedKey is a server verification key (G, sG, sG2) with whatever
 // per-backend pairing precomputation pays off for repeated checks. On

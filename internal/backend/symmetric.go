@@ -107,16 +107,10 @@ func (b *Symmetric) ParsePoint(_ Group, data []byte) (curve.Point, error) {
 }
 
 // Pair computes the modified Tate pairing ê(p, q).
-func (b *Symmetric) Pair(p, q curve.Point) GT { return b.pr.Pair(p, q) }
+func (b *Symmetric) Pair(p, q curve.Point) GT { return GT(b.pr.Pair(p, q)) }
 
 // PairProduct computes Π ê(Pᵢ, Qᵢ) with one final exponentiation.
-func (b *Symmetric) PairProduct(pairs []PointPair) GT {
-	pp := make([]pairing.PointPair, len(pairs))
-	for i, f := range pairs {
-		pp[i] = pairing.PointPair{P: f.P, Q: f.Q}
-	}
-	return b.pr.PairProduct(pp)
-}
+func (b *Symmetric) PairProduct(pairs []PointPair) GT { return GT(b.pr.PairProduct(pairs)) }
 
 // SamePairing reports ê(a1, b1) == ê(a2, b2).
 func (b *Symmetric) SamePairing(a1, b1, a2, b2 curve.Point) bool {
@@ -150,21 +144,21 @@ func (pk *symPrepared) SameKey(ag, asg curve.Point) bool {
 }
 
 // GTOne returns 1 ∈ F_{p²}.
-func (b *Symmetric) GTOne() GT { return b.pr.GTOne() }
+func (b *Symmetric) GTOne() GT { return GT(b.pr.GTOne()) }
 
 // GTEqual reports target-group equality.
-func (b *Symmetric) GTEqual(x, y GT) bool { return b.pr.GTEqual(x.(pairing.GT), y.(pairing.GT)) }
+func (b *Symmetric) GTEqual(x, y GT) bool { return b.pr.GTEqual(pairing.GT(x), pairing.GT(y)) }
 
 // GTIsOne reports whether x is the identity.
-func (b *Symmetric) GTIsOne(x GT) bool { return b.pr.GTIsOne(x.(pairing.GT)) }
+func (b *Symmetric) GTIsOne(x GT) bool { return b.pr.GTIsOne(pairing.GT(x)) }
 
 // GTMul returns x·y in F_{p²}.
-func (b *Symmetric) GTMul(x, y GT) GT { return b.pr.GTMul(x.(pairing.GT), y.(pairing.GT)) }
+func (b *Symmetric) GTMul(x, y GT) GT { return GT(b.pr.GTMul(pairing.GT(x), pairing.GT(y))) }
 
 // GTExpUnitary runs the conjugation-as-inversion signed-window ladder.
 func (b *Symmetric) GTExpUnitary(x GT, k *big.Int) GT {
-	return b.pr.GTExpUnitary(x.(pairing.GT), k)
+	return GT(b.pr.GTExpUnitary(pairing.GT(x), k))
 }
 
 // GTBytes returns the canonical fixed-width F_{p²} encoding.
-func (b *Symmetric) GTBytes(x GT) []byte { return b.pr.GTBytes(x.(pairing.GT)) }
+func (b *Symmetric) GTBytes(x GT) []byte { return b.pr.GTBytes(pairing.GT(x)) }

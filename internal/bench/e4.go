@@ -63,7 +63,8 @@ func RunE4(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv := e2.Limbs(ref.MillerAffine(c, p, q))
+		l := e2.Limbs(ref.MillerAffine(c, p, q))
+		mv := append(append([]uint64{}, l.A...), l.B...) // the GT vector A ‖ B
 		finalExp := timeOp(iters, func() { sink = pr.FinalExp(mv) })
 		smJac := timeOp(iters, func() { sink = c.ScalarMult(k, p) })
 		smAff := timeOp(iters, func() { sink = ref.ScalarMultAffine(c, k, p) })

@@ -9,14 +9,17 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/curve"
+	"timedrelease/internal/ff"
 )
 
 // This file adapts the curve implementation to the backend.Backend
-// interface. Points travel as curve.Point values whose Ext field holds
-// an immutable affine point of the owning group; the big.Int X/Y slots
-// stay nil. Unwrapping accepts the untagged identity (curve.Infinity()
-// or a zero-value Point), so generic scheme code that starts a sum
-// from curve.Infinity keeps working.
+// interface. Every value crosses it as one vector of Montgomery limbs
+// (fe): a G1 point x ‖ y (12 limbs), a G2 point x.c0 ‖ x.c1 ‖ y.c0 ‖ y.c1
+// (24), a GT value fe12's twelve coefficients in tower order (72). A
+// value of another width — the other group's, or the Type-1 backend's —
+// panics, but a coordinate-less point (curve.Infinity(), the zero value)
+// is the identity of either group, so generic scheme code that starts a
+// sum from curve.Infinity keeps working.
 
 // BackendName is the Name() of the BLS12-381 backend.
 const BackendName = "bls12381"
@@ -31,56 +34,52 @@ const (
 	dstSuffix = "_BLS12381G2_XMD:SHA-256_SVDW_RO_"
 )
 
-type g1Ext struct{ p g1Affine }
-
-func (e *g1Ext) ExtBackend() string { return BackendName }
-func (e *g1Ext) ExtGroup() int      { return 1 }
-func (e *g1Ext) ExtEqual(o curve.ExtPoint) bool {
-	q, ok := o.(*g1Ext)
-	return ok && e.p.equal(&q.p)
+// flat returns the limbs of fs, in order, as one fresh vector.
+func flat(fs ...*fe) ff.MontElem {
+	v := make(ff.MontElem, 0, len(fs)*feLimbs)
+	for _, f := range fs {
+		v = append(v, f[:]...)
+	}
+	return v
 }
 
-type g2Ext struct{ p g2Affine }
-
-func (e *g2Ext) ExtBackend() string { return BackendName }
-func (e *g2Ext) ExtGroup() int      { return 2 }
-func (e *g2Ext) ExtEqual(o curve.ExtPoint) bool {
-	q, ok := o.(*g2Ext)
-	return ok && e.p.equal(&q.p)
+// unflat reads v back into fs, in order.
+func unflat(v []uint64, fs ...*fe) {
+	for i, f := range fs {
+		*f = fe(v[i*feLimbs:])
+	}
 }
 
-func wrapG1(p *g1Affine) curve.Point { return curve.NewExtPoint(&g1Ext{p: *p}, p.inf) }
-func wrapG2(p *g2Affine) curve.Point { return curve.NewExtPoint(&g2Ext{p: *p}, p.inf) }
+func wrapG1(p *g1Affine) curve.Point { return curve.FromLimbs(flat(&p.x, &p.y), p.inf) }
 
-// unwrapG1 extracts the affine G1 point. Untagged points are accepted
-// only as the identity; a tagged point of another backend or group is
-// a programming error.
-func unwrapG1(p curve.Point) g1Affine {
-	if p.Ext == nil {
-		if p.Equal(curve.Infinity()) {
-			return g1Infinity()
-		}
-		panic("bls381: Type-1 point passed to the bls12381 backend")
-	}
-	e, ok := p.Ext.(*g1Ext)
-	if !ok {
-		panic(fmt.Sprintf("bls381: G1 operation on a %s/G%d point", p.Ext.ExtBackend(), p.Ext.ExtGroup()))
-	}
-	return e.p
+func wrapG2(p *g2Affine) curve.Point {
+	return curve.FromLimbs(flat(&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1), p.inf)
 }
 
-func unwrapG2(p curve.Point) g2Affine {
-	if p.Ext == nil {
-		if p.Equal(curve.Infinity()) {
-			return g2Infinity()
-		}
-		panic("bls381: Type-1 point passed to the bls12381 backend")
+// unwrap reads p's coordinates into fs, x's then y's, and reports
+// whether p is the identity. A point of group g has len(fs) coordinate
+// limb groups; one of any other width is a programming error.
+func unwrap(p curve.Point, g backend.Group, fs ...*fe) (inf bool) {
+	x, y := p.Limbs()
+	if len(x) != 0 && len(x)+len(y) != len(fs)*feLimbs {
+		panic(fmt.Sprintf("bls381: %v operation on a %d-limb point", g, len(x)+len(y)))
 	}
-	e, ok := p.Ext.(*g2Ext)
-	if !ok {
-		panic(fmt.Sprintf("bls381: G2 operation on a %s/G%d point", p.Ext.ExtBackend(), p.Ext.ExtGroup()))
+	if len(x) == 0 || p.IsInfinity() {
+		return true
 	}
-	return e.p
+	unflat(x, fs[:len(fs)/2]...)
+	unflat(y, fs[len(fs)/2:]...)
+	return false
+}
+
+func unwrapG1(p curve.Point) (a g1Affine) {
+	a.inf = unwrap(p, backend.G1, &a.x, &a.y)
+	return a
+}
+
+func unwrapG2(p curve.Point) (a g2Affine) {
+	a.inf = unwrap(p, backend.G2, &a.x.c0, &a.x.c1, &a.y.c0, &a.y.c1)
+	return a
 }
 
 // Backend is the BLS12-381 implementation of backend.Backend.
@@ -114,11 +113,9 @@ func (b *Backend) Generator(g backend.Group) curve.Point {
 // Infinity returns the identity of g.
 func (b *Backend) Infinity(g backend.Group) curve.Point {
 	if g == backend.G2 {
-		inf := g2Infinity()
-		return wrapG2(&inf)
+		return wrapG2(&g2Affine{inf: true})
 	}
-	inf := g1Infinity()
-	return wrapG1(&inf)
+	return wrapG1(&g1Affine{inf: true})
 }
 
 // Add returns p+q.
@@ -327,7 +324,8 @@ func (b *Backend) ParsePoint(g backend.Group, data []byte) (curve.Point, error) 
 // Pair computes the optimal-ate pairing e(p, q).
 func (b *Backend) Pair(p, q curve.Point) backend.GT {
 	pa, qa := unwrapG1(p), unwrapG2(q)
-	return &gtElem{v: pair(&pa, &qa)}
+	v := pair(&pa, &qa)
+	return wrapGT(&v)
 }
 
 // PairProduct computes Π e(Pᵢ, Qᵢ) with one shared Miller loop and
@@ -339,7 +337,8 @@ func (b *Backend) PairProduct(pairs []backend.PointPair) backend.GT {
 		pa, qa := unwrapG1(f.P), unwrapG2(f.Q)
 		ps[i], qs[i] = &pa, &qa
 	}
-	return &gtElem{v: pairProduct(ps, qs)}
+	v := pairProduct(ps, qs)
+	return wrapGT(&v)
 }
 
 // SamePairing reports e(a1, b1) == e(a2, b2) via the single product
@@ -375,57 +374,73 @@ func (pk *blsPrepared) SameKey(ag, asg curve.Point) bool {
 	return samePairing(&aga, &pk.sg2, &asga, &ctx.g2)
 }
 
-// gtElem wraps an fe12 pairing value as an opaque backend.GT.
-type gtElem struct{ v fe12 }
-
-func asGT(x backend.GT) *gtElem {
-	e, ok := x.(*gtElem)
-	if !ok {
-		panic("bls381: foreign GT element")
+// coeffs returns z's twelve Fp coefficients in tower order, c0.b0.c0
+// first and c1.b2.c1 last: the order of GTBytes and of a GT's limbs.
+func (z *fe12) coeffs() [12]*fe {
+	return [12]*fe{
+		&z.c0.b0.c0, &z.c0.b0.c1, &z.c0.b1.c0, &z.c0.b1.c1, &z.c0.b2.c0, &z.c0.b2.c1,
+		&z.c1.b0.c0, &z.c1.b0.c1, &z.c1.b1.c0, &z.c1.b1.c1, &z.c1.b2.c0, &z.c1.b2.c1,
 	}
-	return e
+}
+
+func wrapGT(v *fe12) backend.GT {
+	c := v.coeffs()
+	return backend.GT(flat(c[:]...))
+}
+
+// unwrapGT reads x back as an Fp12 value, panicking on any other width.
+func unwrapGT(x backend.GT) (v fe12) {
+	if len(x) != 12*feLimbs {
+		panic(fmt.Sprintf("bls381: a %d-limb GT value, Fp12 has %d", len(x), 12*feLimbs))
+	}
+	c := v.coeffs()
+	unflat(x, c[:]...)
+	return v
 }
 
 // GTOne returns 1 ∈ Fp12.
 func (b *Backend) GTOne() backend.GT {
 	var one fe12
 	one.setOne()
-	return &gtElem{v: one}
+	return wrapGT(&one)
 }
 
 // GTEqual reports target-group equality.
-func (b *Backend) GTEqual(x, y backend.GT) bool { return asGT(x).v.equal(&asGT(y).v) }
+func (b *Backend) GTEqual(x, y backend.GT) bool {
+	xv, yv := unwrapGT(x), unwrapGT(y)
+	return xv.equal(&yv)
+}
 
 // GTIsOne reports whether x is the identity.
-func (b *Backend) GTIsOne(x backend.GT) bool { return asGT(x).v.isOne() }
+func (b *Backend) GTIsOne(x backend.GT) bool {
+	v := unwrapGT(x)
+	return v.isOne()
+}
 
 // GTMul returns x·y.
 func (b *Backend) GTMul(x, y backend.GT) backend.GT {
-	var out fe12
-	out.mul(&asGT(x).v, &asGT(y).v)
-	return &gtElem{v: out}
+	xv, yv := unwrapGT(x), unwrapGT(y)
+	xv.mul(&xv, &yv)
+	return wrapGT(&xv)
 }
 
 // GTExpUnitary runs the signed-window ladder with conjugation as
 // inversion; pairing outputs are unitary, which is the precondition.
 func (b *Backend) GTExpUnitary(x backend.GT, k *big.Int) backend.GT {
 	k = reduceScalar(k)
+	v := unwrapGT(x)
 	var out fe12
-	out.expUnitary(&asGT(x).v, k)
-	return &gtElem{v: out}
+	out.expUnitary(&v, k)
+	return wrapGT(&out)
 }
 
 // GTBytes returns the canonical 576-byte encoding: the twelve Fp
-// coefficients in tower order (c0.b0.c0 first, c1.b2.c1 last), each
-// 48 bytes big-endian.
+// coefficients in tower order, each 48 bytes big-endian.
 func (b *Backend) GTBytes(x backend.GT) []byte {
-	v := &asGT(x).v
+	v := unwrapGT(x)
 	out := make([]byte, 0, 12*feByteLen)
-	for _, c6 := range []*fe6{&v.c0, &v.c1} {
-		for _, c2 := range []*fe2{&c6.b0, &c6.b1, &c6.b2} {
-			out = c2.c0.bytes(out)
-			out = c2.c1.bytes(out)
-		}
+	for _, c := range v.coeffs() {
+		out = c.bytes(out)
 	}
 	return out
 }

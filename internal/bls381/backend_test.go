@@ -87,10 +87,11 @@ func TestBackendHandsOutMembersOnly(t *testing.T) {
 	}
 }
 
-// TestPointEqualOnExtPoints pins curve.Point.Equal on this backend's
-// points: they carry no X/Y, so backend-less callers (the archive's
-// conflict check) see them only through ExtEqual.
-func TestPointEqualOnExtPoints(t *testing.T) {
+// TestPointEqualOnLimbPoints pins curve.Point.Equal on this backend's
+// points, which backend-less callers (the archive's conflict check)
+// compare by their limbs: the two groups' vectors differ in width, and
+// every identity equals every other.
+func TestPointEqualOnLimbPoints(t *testing.T) {
 	b := New()
 	g1, g2 := b.Generator(backend.G1), b.Generator(backend.G2)
 	two := b.Add(backend.G2, g2, g2)

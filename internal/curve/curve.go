@@ -50,10 +50,9 @@ type Curve struct {
 // A Type-1 point holds its coordinates as Montgomery limbs of the
 // curve's field (ff.Mont): X ‖ Y in one 2n-limb vector, written once
 // by the constructor and never again, so points share it freely.
-// Points of non-Type-1 backends (internal/backend) reuse this struct
-// as their transport type: they carry an opaque handle in Ext and no
-// limbs. Such points flow only through their own backend's operations;
-// the Type-1 arithmetic in this package never sees them.
+// Points of the other backend (internal/bls381) travel in the same
+// vector (FromLimbs), with 6- or 12-limb coordinates no Type-1 preset
+// has; this package's operations panic on a point of another width.
 //
 // A point carries the proof of its own subgroup membership: member is
 // set by UnmarshalSubgroup alone, right after its test passed. Group
@@ -64,9 +63,6 @@ type Point struct {
 	xy     ff.MontElem
 	inf    bool
 	member bool
-
-	// Ext is the opaque external-backend point, nil for Type-1 points.
-	Ext ExtPoint
 }
 
 // newAffine returns a finite point on fresh n-limb coordinates, with
@@ -76,31 +72,26 @@ func newAffine(n int) (p Point, x, y ff.MontElem) {
 	return Point{xy: xy}, xy[:n], xy[n:]
 }
 
-// Limbs returns p's affine coordinates as Montgomery limbs of the
-// curve's field. They are p's own storage: read them, never write them.
+// Limbs returns p's affine coordinates as Montgomery limbs, the two
+// halves of its vector: p's own storage, read them, never write them.
 func (p Point) Limbs() (x, y ff.MontElem) {
 	n := len(p.xy) / 2
 	return p.xy[:n], p.xy[n:]
 }
 
-// ExtPoint is the handle an external (asymmetric) pairing backend
-// stores inside a Point. Implementations are immutable.
-type ExtPoint interface {
-	// ExtBackend names the owning backend, for diagnostics.
-	ExtBackend() string
-	// ExtGroup returns the source group (1 or 2) the point belongs to.
-	ExtGroup() int
-	// ExtEqual reports whether o is the same point of the same backend
-	// and group.
-	ExtEqual(o ExtPoint) bool
+// limbs returns p's coordinates, panicking on a point of another
+// width: one of another curve or backend.
+func (c *Curve) limbs(p Point) (x, y ff.MontElem) {
+	if n := c.F.Mont().Limbs(); len(p.xy) != 2*n {
+		panic(fmt.Sprintf("curve: a %d-limb point on a %d-limb curve", len(p.xy), 2*n))
+	}
+	return p.Limbs()
 }
 
-// NewExtPoint wraps an external-backend point handle. isInf mirrors
-// the backend's identity flag so Point.IsInfinity answers uniformly
-// across backends.
-func NewExtPoint(e ExtPoint, isInf bool) Point {
-	return Point{Ext: e, inf: isInf}
-}
+// FromLimbs wraps another backend's point: xy holds its coordinates as
+// that backend lays them out, inf flags its identity, and the point
+// owns xy from here on, never writing it. The member bit stays clear.
+func FromLimbs(xy ff.MontElem, inf bool) Point { return Point{xy: xy, inf: inf} }
 
 // New returns a curve context after checking the structural relation
 // q·h = p+1 and that p ≡ 3 (mod 4) (supersingularity of y² = x³+x).
@@ -200,20 +191,17 @@ func (c *Curve) InSubgroup(p Point) bool {
 func (c *Curve) Equal(p, q Point) bool { return p.Equal(q) }
 
 // Equal reports whether p and q are the same point, whichever backend
-// owns them: Type-1 points compare limbs (Montgomery form is canonical),
-// external-backend points compare through their handle, and a point of
-// one representation never equals a finite point of the other. Code
-// that holds points without a backend in hand (the archive's conflict
-// check) compares through this.
+// owns them: finite points compare limbs (Montgomery form is
+// canonical), so points of different widths — different groups or
+// backends — never compare equal, and every identity equals every
+// other. Code that holds points without a backend in hand (the
+// archive's conflict check) compares through this.
 func (p Point) Equal(q Point) bool {
-	// A coordinate-less, untagged point is the identity (zero value).
-	pInf := p.inf || (p.xy == nil && p.Ext == nil)
-	qInf := q.inf || (q.xy == nil && q.Ext == nil)
-	switch {
-	case pInf || qInf:
+	// A coordinate-less point is the identity (zero value).
+	pInf := p.inf || p.xy == nil
+	qInf := q.inf || q.xy == nil
+	if pInf || qInf {
 		return pInf == qInf
-	case p.Ext != nil || q.Ext != nil:
-		return p.Ext != nil && q.Ext != nil && p.Ext.ExtEqual(q.Ext)
 	}
 	return slices.Equal(p.xy, q.xy)
 }
@@ -224,7 +212,7 @@ func (c *Curve) Neg(p Point) Point {
 		return p
 	}
 	m := c.F.Mont()
-	px, py := p.Limbs()
+	px, py := c.limbs(p)
 	r, x, y := newAffine(m.Limbs())
 	m.Set(x, px)
 	m.Neg(y, py)
@@ -251,8 +239,8 @@ func (c *Curve) Add(p, q Point) Point {
 	jacMontOpsIn(&o, m, a)
 	one, acc := a.Elem(), newJacMontPointIn(a)
 	m.SetOne(one)
-	px, py := p.Limbs()
-	qx, qy := q.Limbs()
+	px, py := c.limbs(p)
+	qx, qy := c.limbs(q)
 	o.set(acc, jacMontPoint{X: px, Y: py, Z: one})
 	o.add(acc, acc, jacMontPoint{X: qx, Y: qy, Z: one})
 	return o.fromJacMont(acc)
@@ -269,9 +257,6 @@ func (c *Curve) RandScalar(rng io.Reader) (*big.Int, error) {
 // String renders the point for debugging. A Type-1 point shows its
 // Montgomery limbs: it carries no field context to leave the domain.
 func (p Point) String() string {
-	if p.Ext != nil {
-		return fmt.Sprintf("%s/G%d point", p.Ext.ExtBackend(), p.Ext.ExtGroup())
-	}
 	if p.inf {
 		return "∞"
 	}

@@ -32,7 +32,7 @@ func (c *Curve) AppendMarshal(dst []byte, p Point) []byte {
 	if p.inf {
 		return append(append(dst, tagInfinity), make([]byte, c.F.ByteLen())...)
 	}
-	x, y := p.Limbs()
+	x, y := c.limbs(p)
 	return c.F.AppendMontBytes(append(dst, tagEvenY|c.parity(y)), x)
 }
 

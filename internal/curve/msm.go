@@ -51,7 +51,8 @@ func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 		tbl[i] = newJacMontPointIn(a)
 	}
 	acc := newJacMontPointIn(a)
-	o.oddMultiples(tbl[:], p, acc)
+	x, y := c.limbs(p)
+	o.oddMultiples(tbl[:], x, y, acc)
 	o.setInfinity(acc)
 	ff.Straus([][]int8{digits}, func() { o.double(acc, acc) }, func(_ int, d int8) { o.addDigit(acc, tbl[:], d) })
 	return o.fromJacMont(acc)
@@ -110,7 +111,8 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 				digits[j] = ff.AppendWNAF(digits[j], scalars[lo+j], msmWindow)
 			}
 			if len(digits[j]) != 0 {
-				o.oddMultiples(tbl[j*msmTable:], p, acc)
+				x, y := c.limbs(p)
+				o.oddMultiples(tbl[j*msmTable:], x, y, acc)
 			}
 		}
 		o.setInfinity(acc)
@@ -121,10 +123,9 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 }
 
 // oddMultiples sets t[0…msmTable) = P, 3P, 5P, 7P for the affine,
-// non-identity p; two is scratch for 2P.
-func (o *jacMontOps) oddMultiples(t []jacMontPoint, p Point, two jacMontPoint) {
+// non-identity P = (x, y); two is scratch for 2P.
+func (o *jacMontOps) oddMultiples(t []jacMontPoint, x, y ff.MontElem, two jacMontPoint) {
 	m := o.m
-	x, y := p.Limbs()
 	m.Set(t[0].X, x)
 	m.Set(t[0].Y, y)
 	m.SetOne(t[0].Z)

@@ -185,8 +185,8 @@ func (st *millerStateMont) add(px, py ff.MontElem, a, b, c ff.MontElem) bool {
 // final exponentiation eliminates.
 func (pr *Pairing) millerMontIn(p, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 	m, e2m := pr.m, pr.e2m
-	px, py := p.Limbs()
-	qx, qy := q.Limbs()
+	px, py := pr.limbs(p)
+	qx, qy := pr.limbs(q)
 	st := newMillerStateMontIn(m, px, py, ar)
 	f := e2m.OneIn(ar)
 	g := e2m.ElemIn(ar)
@@ -244,7 +244,7 @@ func (pr *Pairing) finalExpMontIn(f ff.Fp2MontElem, a *ff.Arena) ff.Fp2MontElem 
 // Miller value exactly (same normalised lines).
 func (pr *Pairing) millerPreparedMontIn(pp *PreparedPoint, q curve.Point, ar *ff.Arena) ff.Fp2MontElem {
 	m, e2m := pr.m, pr.e2m
-	qx, qy := q.Limbs()
+	qx, qy := pr.limbs(q)
 	f := e2m.OneIn(ar)
 	// The imaginary part of every line value is the constant y_Q.
 	g := ff.Fp2MontElem{A: ar.Elem(), B: qy}

@@ -19,7 +19,7 @@
 // FinalExp and the GT* operations — runs that projective loop and a
 // Frobenius final exponentiation on Montgomery limb vectors (mont.go,
 // which also carries the line derivations), and a target-group value
-// stays on limbs (GT is ff.Fp2MontElem) until GTBytes encodes it. The
+// stays on limbs (GT is the 2n-limb vector A ‖ B) until GTBytes encodes it. The
 // oracle is the textbook algorithm in internal/ref — affine math/big
 // arithmetic with one inversion per step and a plain f^((p²−1)/q)
 // exponentiation — and the differential tests hold every entry point
@@ -34,6 +34,7 @@ package pairing
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 
 	"timedrelease/internal/curve"
@@ -41,11 +42,11 @@ import (
 	"timedrelease/internal/parallel"
 )
 
-// GT is the target group: the order-q subgroup of F_{p²}*, on limbs. A
-// GT value returned by this package is never written again — the GT*
-// operations return fresh elements — so values may be shared across
-// goroutines (core.Encryptor caches its bases).
-type GT = ff.Fp2MontElem
+// GT is the target group, the order-q subgroup of F_{p²}*: a + b·i as
+// one 2n-limb vector A ‖ B, which backend.GT carries unchanged. A GT
+// value returned by this package is never written again, so values may
+// be shared across goroutines (core.Encryptor caches its bases).
+type GT = ff.MontElem
 
 // Pairing binds a curve context to its extension field and caches the
 // Miller-loop schedule and the recoded final-exponentiation cofactor.
@@ -87,11 +88,29 @@ func New(c *curve.Curve) (*Pairing, error) {
 	}, nil
 }
 
+// elem returns the F_{p²} view of x's two halves, panicking on a value
+// of another width: one of another curve or backend.
+func (pr *Pairing) elem(x GT) ff.Fp2MontElem {
+	n := pr.m.Limbs()
+	if len(x) != 2*n {
+		panic(fmt.Sprintf("pairing: a %d-limb GT value in a %d-limb target group", len(x), 2*n))
+	}
+	return ff.Fp2MontElem{A: x[:n:n], B: x[n:]}
+}
+
 // own copies an arena-held value into a fresh GT the caller keeps.
 func (pr *Pairing) own(x ff.Fp2MontElem) GT {
-	out := pr.e2m.NewElem()
-	pr.e2m.Set(&out, x)
-	return out
+	return append(append(make(GT, 0, 2*len(x.A)), x.A...), x.B...)
+}
+
+// limbs returns p's coordinates, panicking on a point of another width:
+// one of another curve or backend.
+func (pr *Pairing) limbs(p curve.Point) (x, y ff.MontElem) {
+	x, y = p.Limbs()
+	if n := pr.m.Limbs(); len(x) != n || len(y) != n {
+		panic(fmt.Sprintf("pairing: a point with %d-limb coordinates on a %d-limb curve", len(x), n))
+	}
+	return x, y
 }
 
 // Pair computes ê(P, Q): the projective (inversion-free) Miller loop
@@ -100,7 +119,7 @@ func (pr *Pairing) own(x ff.Fp2MontElem) GT {
 // identity the result is 1.
 func (pr *Pairing) Pair(p, q curve.Point) GT {
 	if p.IsInfinity() || q.IsInfinity() {
-		return pr.e2m.One()
+		return pr.GTOne()
 	}
 	a := pr.m.GetArena()
 	defer a.Release()
@@ -120,7 +139,7 @@ func (pr *Pairing) Pair(p, q curve.Point) GT {
 func (pr *Pairing) FinalExp(f GT) GT {
 	a := pr.m.GetArena()
 	defer a.Release()
-	return pr.own(pr.finalExpMontIn(f, a))
+	return pr.own(pr.finalExpMontIn(pr.elem(f), a))
 }
 
 // PointPair is one (P, Q) factor of a pairing product.
@@ -141,21 +160,17 @@ const parallelThreshold = 2
 // commutative, so the result is bit-identical to the sequential loop).
 func (pr *Pairing) PairProduct(pairs []PointPair) GT {
 	e2m := pr.e2m
-	millers := make([]ff.Fp2MontElem, len(pairs))
+	millers := make([]GT, len(pairs)) // nil where a factor is 1
 	work := func(i int) {
 		pq := pairs[i]
 		if pq.P.IsInfinity() || pq.Q.IsInfinity() {
-			millers[i] = e2m.One()
 			return
 		}
 		// Each worker holds its own pooled arena for the loop's
 		// temporaries; the Miller value must outlive it, so it is
-		// copied into a caller-owned element before release.
+		// copied out before release.
 		a := pr.m.GetArena()
-		f := pr.millerMontIn(pq.P, pq.Q, a)
-		out := e2m.NewElem()
-		e2m.Set(&out, f)
-		millers[i] = out
+		millers[i] = pr.own(pr.millerMontIn(pq.P, pq.Q, a))
 		a.Release()
 	}
 	if len(pairs) >= parallelThreshold {
@@ -170,7 +185,9 @@ func (pr *Pairing) PairProduct(pairs []PointPair) GT {
 	acc := e2m.OneIn(a)
 	s := e2m.ScratchIn(a)
 	for _, m := range millers {
-		e2m.MulInto(&acc, acc, m, s)
+		if m != nil {
+			e2m.MulInto(&acc, acc, pr.elem(m), s)
+		}
 	}
 	return pr.own(pr.finalExpMontIn(acc, a))
 }
@@ -185,25 +202,25 @@ func (pr *Pairing) SamePairing(a1, b1, a2, b2 curve.Point) bool {
 		{P: pr.C.Neg(a1), Q: b1},
 		{P: a2, Q: b2},
 	})
-	return pr.e2m.IsOne(gt)
+	return pr.GTIsOne(gt)
 }
 
 // GTOne returns 1 ∈ GT.
-func (pr *Pairing) GTOne() GT { return pr.e2m.One() }
+func (pr *Pairing) GTOne() GT { return pr.own(pr.e2m.One()) }
 
 // GTEqual reports whether x == y.
-func (pr *Pairing) GTEqual(x, y GT) bool { return pr.e2m.Equal(x, y) }
+func (pr *Pairing) GTEqual(x, y GT) bool { return pr.e2m.Equal(pr.elem(x), pr.elem(y)) }
 
 // GTIsOne reports whether x == 1.
-func (pr *Pairing) GTIsOne(x GT) bool { return pr.e2m.IsOne(x) }
+func (pr *Pairing) GTIsOne(x GT) bool { return pr.e2m.IsOne(pr.elem(x)) }
 
 // GTMul returns x·y as a fresh element.
 func (pr *Pairing) GTMul(x, y GT) GT {
 	a := pr.m.GetArena()
 	defer a.Release()
-	out := pr.e2m.NewElem()
-	pr.e2m.MulInto(&out, x, y, pr.e2m.ScratchIn(a))
-	return out
+	out := pr.e2m.ElemIn(a)
+	pr.e2m.MulInto(&out, pr.elem(x), pr.elem(y), pr.e2m.ScratchIn(a))
+	return pr.own(out)
 }
 
 // GTExpUnitary returns x^k for a unitary x (every GT value is) and a
@@ -212,14 +229,14 @@ func (pr *Pairing) GTMul(x, y GT) GT {
 func (pr *Pairing) GTExpUnitary(x GT, k *big.Int) GT {
 	a := pr.m.GetArena()
 	defer a.Release()
-	out := pr.e2m.NewElem()
-	pr.e2m.ExpUnitaryWNAFInto(&out, x, ff.UnitaryWNAF(k), pr.e2m.ScratchIn(a), a)
-	return out
+	out := pr.e2m.ElemIn(a)
+	pr.e2m.ExpUnitaryWNAFInto(&out, pr.elem(x), ff.UnitaryWNAF(k), pr.e2m.ScratchIn(a), a)
+	return pr.own(out)
 }
 
 // GTBytes returns the fixed-width encoding Field.Bytes(A) ‖ Field.Bytes(B)
 // of x, the input of every H2 mask.
 func (pr *Pairing) GTBytes(x GT) []byte {
-	f := pr.C.F
-	return f.AppendMontBytes(f.AppendMontBytes(make([]byte, 0, 2*f.ByteLen()), x.A), x.B)
+	f, v := pr.C.F, pr.elem(x)
+	return f.AppendMontBytes(f.AppendMontBytes(make([]byte, 0, 2*f.ByteLen()), v.A), v.B)
 }

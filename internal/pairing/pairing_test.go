@@ -231,7 +231,7 @@ func TestGTValuesAreNeverWritten(t *testing.T) {
 		if !bytes.Equal(pr.GTBytes(x), x0) || !bytes.Equal(pr.GTBytes(y), y0) {
 			t.Fatalf("%s wrote to an operand", name)
 		}
-		if &z.A[0] == &x.A[0] || &z.A[0] == &y.A[0] || &z.B[0] == &x.B[0] || &z.B[0] == &y.B[0] {
+		if &z[0] == &x[0] || &z[0] == &y[0] {
 			t.Fatalf("%s returned an operand's storage", name)
 		}
 	}

@@ -56,7 +56,7 @@ func (pr *Pairing) Precompute(p curve.Point) *PreparedPoint {
 	m := pr.m
 	ar := m.GetArena()
 	defer ar.Release()
-	px, py := p.Limbs()
+	px, py := pr.limbs(p)
 	st := newMillerStateMontIn(m, px, py, ar)
 	steps := make([]preparedStep, len(pr.schedule))
 
@@ -112,7 +112,7 @@ func (pp *PreparedPoint) IsInfinity() bool { return pp.infinity }
 // returns bit-for-bit the same value as Pair(P, Q).
 func (pr *Pairing) PairPrepared(pp *PreparedPoint, q curve.Point) GT {
 	if pp.infinity || q.IsInfinity() {
-		return pr.e2m.One()
+		return pr.GTOne()
 	}
 	a := pr.m.GetArena()
 	defer a.Release()
@@ -133,9 +133,9 @@ func (pr *Pairing) SamePairingPrepared(p1 *PreparedPoint, q1 curve.Point, p2 *Pr
 	case lhsTrivial && rhsTrivial:
 		return true
 	case lhsTrivial:
-		return e2m.IsOne(pr.PairPrepared(p2, q2))
+		return pr.GTIsOne(pr.PairPrepared(p2, q2))
 	case rhsTrivial:
-		return e2m.IsOne(pr.PairPrepared(p1, q1))
+		return pr.GTIsOne(pr.PairPrepared(p1, q1))
 	}
 	a := pr.m.GetArena()
 	defer a.Release()

@@ -435,7 +435,7 @@ func (v *publicView) handleLabels(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Production http.Server limits shared by the serving daemons
-// (cmd/treserver, cmd/trerelay, trethreshold serve). A stuck or
+// (cmd/treserver, cmd/trerelay). A stuck or
 // malicious header-writer is cut off at ReadHeaderTimeout; idle
 // keep-alive connections are reaped; headers
 // are capped well under the default 1 MiB (this protocol needs a
