@@ -8,7 +8,7 @@ GO ?= go
 # Fuzz budget per target; the nightly workflow shrinks it.
 FUZZTIME ?= 30s
 
-.PHONY: all help help-check roadmap-check build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
+.PHONY: all help help-check roadmap-check fuzz-check build bench-build bench-smoke bench-pair spine test test-shuffle vet fmt-check lint ci check cover cover-ratchet bench bench-stream bench-rounds race experiments experiments-quick fuzz fuzz-smoke loc docker clean
 
 all: build vet test
 
@@ -17,14 +17,15 @@ help:
 	@echo "  all                build + vet + test (default)"
 	@echo "  help               this list"
 	@echo "  help-check         fail when this list and the Makefile's targets differ"
+	@echo "  fuzz-check         fail when a func Fuzz* in the root module and the fuzz targets of make fuzz differ"
 	@echo "  roadmap-check      fail when a \"ROADMAP item N\" or \"item N(x)\" citation names neither a live item of ROADMAP.md nor a retired number"
-	@echo "  ci                 the CI gate: help-check + roadmap-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token/curve tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
+	@echo "  ci                 the CI gate: help-check + roadmap-check + fuzz-check + vet + gofmt -l + bench-build + bench-smoke + spine + shuffled tests + race tests + GOMAXPROCS=1 core/bls/token/curve tests + arm64 build + 386/arm64 vets + 386 ff/curve/pairing/bls381 tests"
 	@echo "  check              alias for ci (pre-commit habit)"
 	@echo "  build              go build ./..."
 	@echo "  bench-build        build + vet the nested benchmark/ module against this tree"
 	@echo "  bench-smoke        run the nested benchmark/ module's tests: every workload, traced and untraced, at reduced size"
 	@echo "  bench-pair         W=<workload> N=<pairs> BASE=<rev>: alternate benchmark/run.sh between BASE and this tree, print each run and the medians"
-	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow; serving binaries link no oracle or experiment code"
+	@echo "  spine              ratchet: non-test packages importing internal/pairing directly vs .spine-allow; serving binaries link no oracle, experiment or variant-scheme code; internal/wire links no variant scheme"
 	@echo "  test               go test ./..."
 	@echo "  test-shuffle       go test -shuffle=on ./..."
 	@echo "  vet                go vet ./..."
@@ -40,8 +41,8 @@ help:
 	@echo "  experiments        regenerate the EXPERIMENTS.md tables (slow)"
 	@echo "  experiments-quick  reduced sweeps at Test160"
 	@echo "  fuzz               fuzz campaign, FUZZTIME=$(FUZZTIME) per target"
-	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token decoders only"
-	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (item 3(b)), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), the serving tier (internal/timeserver, internal/token), the Type-1 stack (internal/ff + internal/curve + internal/pairing) and its math/big oracle (internal/ref), then generated assembly lines on their own line"
+	@echo "  fuzz-smoke         PR-tier fuzz lane: the wire/armor/token/params decoders only"
+	@echo "  loc                non-test Go lines outside benchmark/ (the ROADMAP item 3 figure): total, internal/archive, internal/bls + internal/backend, variants + baselines + reduction (kept out of the serving binaries by make spine), the pre-benchmark harness (item 4), internal/core + internal/bls381 (item 13), the serving tier (internal/timeserver, internal/token), the Type-1 stack (internal/ff + internal/curve + internal/pairing) and its math/big oracle (internal/ref), then generated assembly lines on their own line"
 	@echo "  docker             build the serving-tier images (treserver, trerelay)"
 	@echo "  clean              go clean ./..."
 
@@ -60,6 +61,24 @@ help-check:
 		exit 1; \
 	fi; \
 	echo "help-check: make help lists all $$(echo "$$want" | grep -c .) targets"
+
+# Every fuzz target must be fuzzed: each `func Fuzz*` in a _test.go file
+# of the root module (benchmark/ is its own module) against the
+# `-fuzz <target> ... <package>` lines `make fuzz` runs, as
+# "<package> <target>" pairs, in both directions.
+fuzz-check:
+	@want=$$(grep -rEo --include='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]+' . \
+		| sed -E 's#^\./(.*)/[^/]*_test\.go:func (.*)#./\1 \2#' | sort -u); \
+	got=$$($(MAKE) -s --no-print-directory -n fuzz | awk '{ for (i = 1; i < NF; i++) if ($$i == "-fuzz") print $$NF, $$(i+1) }' | sort -u); \
+	missing=$$(echo "$$want" | grep -vxF -e "$$got"); \
+	extra=$$(echo "$$got" | grep -vxF -e "$$want"); \
+	if [ -n "$$missing$$extra" ]; then \
+		echo "fuzz-check FAILED: the fuzz targets in the tree and make fuzz differ"; \
+		[ -z "$$missing" ] || echo "not in make fuzz: $$missing"; \
+		[ -z "$$extra" ] || echo "in make fuzz but no such target: $$extra"; \
+		exit 1; \
+	fi; \
+	echo "fuzz-check: make fuzz runs all $$(echo "$$want" | grep -c .) fuzz targets"
 
 # Citations of ROADMAP items in code and docs (ROADMAP item 9(a)):
 # every "ROADMAP item N" or "item N(x)" in the Go files, this Makefile,
@@ -141,9 +160,15 @@ bench-pair:
 # listed package that no longer imports it passes with a reminder to
 # trim the list, so the count can only go down. The second check keeps
 # the serving binaries' dependency graph free of the math/big oracles
-# (internal/ref) and of experiment code (internal/bench,
-# internal/baseline/..., internal/reduction).
+# (internal/ref), of experiment code (internal/bench,
+# internal/baseline/..., internal/reduction) and of the paper's variant
+# schemes (internal/idtre, hibe, resilient, multiserver, policylock:
+# receiver-side constructions the passive server never runs; their
+# public names live in tre/variants). The third keeps internal/wire,
+# which every serving binary links, free of the variant schemes: each
+# owns its own encoding on wire's cursor.
 SERVING := ./cmd/treserver ./cmd/trerelay ./cmd/trethreshold ./cmd/trectl
+VARIANTS := idtre|hibe|resilient|multiserver|policylock
 spine:
 	@got=$$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \
 		| awk '{ for (i = 2; i <= NF; i++) if ($$i == "timedrelease/internal/pairing") print $$1 }' \
@@ -157,11 +182,16 @@ spine:
 	if [ -n "$$new" ]; then \
 		echo "spine ratchet FAILED: new direct importers of internal/pairing (go through backend.Backend):"; echo "$$new"; exit 1; \
 	fi
-	@bad=$$($(GO) list -deps $(SERVING) | grep -xE 'timedrelease/internal/(ref|bench|reduction|baseline(/.*)?)'); \
+	@bad=$$($(GO) list -deps $(SERVING) | grep -xE 'timedrelease/internal/(ref|bench|reduction|baseline(/.*)?|$(VARIANTS))'); \
 	if [ -n "$$bad" ]; then \
-		echo "spine FAILED: a serving binary links oracle or experiment code:"; echo "$$bad"; exit 1; \
+		echo "spine FAILED: a serving binary links oracle, experiment or variant-scheme code:"; echo "$$bad"; exit 1; \
 	fi; \
-	echo "spine: serving binaries link none of internal/ref, internal/bench, internal/baseline/..., internal/reduction"
+	echo "spine: serving binaries link none of internal/ref, internal/bench, internal/baseline/..., internal/reduction, internal/{idtre,hibe,resilient,multiserver,policylock}"
+	@bad=$$($(GO) list -deps ./internal/wire | grep -xE 'timedrelease/internal/($(VARIANTS))'); \
+	if [ -n "$$bad" ]; then \
+		echo "spine FAILED: internal/wire links a variant scheme (the variant owns its encoding):"; echo "$$bad"; exit 1; \
+	fi; \
+	echo "spine: internal/wire links no variant scheme"
 
 vet:
 	$(GO) vet ./...
@@ -195,7 +225,7 @@ lint:
 	fi
 
 # The CI gate: `make help` against the rules, ROADMAP citations against
-# its items, static checks, the nested benchmark module's build and
+# its items, fuzz targets against `make fuzz`, static checks, the nested benchmark module's build and
 # its reduced-size run, one import ratchet on the pairing layer, one
 # shuffled test run, one race run — each pass exactly once (the race
 # detector covers the WHOLE module; the concurrency reaches from the
@@ -216,7 +246,7 @@ lint:
 # the recoder's big.Int entry, the Straus walk under ScalarMult and MSM,
 # the Miller loops on point limbs, and the Go fe product under the whole
 # pairing and hash suite run there, not only compile (~50 s).
-ci: help-check roadmap-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
+ci: help-check roadmap-check fuzz-check vet fmt-check lint bench-build bench-smoke spine test-shuffle race
 	GOMAXPROCS=1 $(GO) test -short ./internal/core/ ./internal/bls/ ./internal/token/ ./internal/curve/
 	GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/bls381/ && GOARCH=386 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/ff/ && GOARCH=arm64 $(GO) vet ./internal/bls381/
 	GOARCH=386 $(GO) test -short ./internal/ff/ ./internal/curve/ ./internal/pairing/ ./internal/bls381/
@@ -279,7 +309,8 @@ experiments-quick:
 	$(GO) run ./cmd/trebench -quick
 
 # Fuzz campaign over every wire decoder (including the armored round
-# ciphertext format), the differential field-arithmetic targets
+# ciphertext format, the parameter-set parser, the policy-lock ciphertext
+# and the HIBE node key and tree ciphertext), the differential field-arithmetic targets
 # (Montgomery backend vs big.Int reference, plus the BLS12-381 base
 # field, Fp12 tower and compressed G2 decoder, the BLS12-381 endomorphism
 # ladders vs the windowed ladder, and the multi-scalar multiplication vs
@@ -297,6 +328,10 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalServerPublicKey -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzParamsUnmarshal -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalPolicyCiphertext -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzHIBEDecode -fuzztime $(FUZZTIME) ./internal/hibe
 	$(GO) test -run XXX -fuzz FuzzUnmarshalSubgroup -fuzztime $(FUZZTIME) ./internal/curve
 	$(GO) test -run XXX -fuzz FuzzRoundFromLabel -fuzztime $(FUZZTIME) ./internal/beacon
 	$(GO) test -run XXX -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/ff
@@ -312,7 +347,8 @@ fuzz:
 
 # PR-tier fuzz smoke lane: only the attacker-reachable decoders (wire
 # formats, the armored ciphertext container, the token formats, the
-# Type-1 point decoder and its subgroup test), each
+# server key and parameter set FetchBootstrap decodes from whatever URL
+# it is given, the Type-1 point decoder and its subgroup test), each
 # for a short budget — CI runs `make fuzz-smoke FUZZTIME=5s` on every
 # pull request; the full campaign stays nightly.
 fuzz-smoke:
@@ -323,14 +359,16 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzArmoredDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenRequestDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzTokenDecode -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzUnmarshalServerPublicKey -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzParamsUnmarshal -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzUnmarshalSubgroup -fuzztime $(FUZZTIME) ./internal/curve
 
 # The size figure ROADMAP item 3 tracks: lines of non-test Go outside
 # the benchmark/ module (plain `wc -l`: blanks and comments count, so
 # deleting comments is visible as what it is), for the whole repo, for
 # internal/archive, for the BLS-over-backend layer, for the §5 variants,
-# baselines and the appendix reduction (what ROADMAP item 3(b) moves out
-# of the serving binaries' dependency graph) and for the pre-benchmark
+# baselines and the appendix reduction (code `make spine` keeps out of
+# the serving binaries' dependency graph) and for the pre-benchmark
 # harness ROADMAP item 4 retires, for internal/core and internal/bls381
 # (ROADMAP item 13's acceptance figures), for the serving tier,
 # internal/timeserver and internal/token, and for the Type-1 stack

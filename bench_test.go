@@ -29,6 +29,7 @@ import (
 	"timedrelease/internal/timefmt"
 	"timedrelease/internal/timeserver"
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 const benchLabel = "2026-07-05T12:00:00Z"
@@ -137,7 +138,7 @@ func BenchmarkE1_HybridDecrypt(b *testing.B) {
 
 func BenchmarkE1_IDTREEncrypt(b *testing.B) {
 	set := tre.MustPreset("Test160")
-	id := tre.NewIDScheme(set)
+	id := variants.NewIDScheme(set)
 	scheme := tre.NewScheme(set)
 	server, err := scheme.ServerKeyGen(nil)
 	if err != nil {
@@ -455,7 +456,7 @@ func BenchmarkE9_RivestHorizon1Day(b *testing.B) {
 
 // --- E10: HIBE time tree ----------------------------------------------------------------
 
-func benchTree(b *testing.B) (*resilient.Scheme, []tre.TreeNodeKey, *tre.TreeCiphertext, uint64) {
+func benchTree(b *testing.B) (*resilient.Scheme, []variants.TreeNodeKey, *variants.TreeCiphertext, uint64) {
 	b.Helper()
 	set := tre.MustPreset("Test160")
 	rs, err := resilient.NewScheme(set, 16)

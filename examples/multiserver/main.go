@@ -12,19 +12,20 @@ import (
 	"timedrelease/internal/backend"
 	"timedrelease/internal/bls"
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 func main() {
 	set := tre.MustPreset("Test160")
 	scheme := tre.NewScheme(set)
-	multi := tre.NewMultiScheme(set)
+	multi := variants.NewMultiScheme(set)
 
 	// Three independent time servers, each with its own generator and
 	// key — they need not know of each other's existence.
 	names := []string{"NIST", "PTB", "NICT"}
 	var (
 		servers []*tre.ServerKeyPair
-		group   tre.ServerGroup
+		group   variants.ServerGroup
 	)
 	for range names {
 		k, err := set.B.RandScalar(nil)

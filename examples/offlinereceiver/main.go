@@ -17,6 +17,7 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func main() {
 		missed, missed*set.B.PointLen(backend.G2), opened)
 
 	// --- Path 2: HIBE time tree ----------------------------------------
-	rs, err := tre.NewResilientScheme(set, 12) // 4096 epochs
+	rs, err := variants.NewResilientScheme(set, 12) // 4096 epochs
 	if err != nil {
 		log.Fatal(err)
 	}

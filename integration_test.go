@@ -19,6 +19,7 @@ import (
 
 	"timedrelease/internal/backend"
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 // liveStack is a running server + verifying client on real time.
@@ -306,7 +307,7 @@ func TestIntegrationVariantsComposeOverOneServer(t *testing.T) {
 	}
 
 	// ID-TRE sharing the same update stream.
-	id := tre.NewIDScheme(set)
+	id := variants.NewIDScheme(set)
 	idCT, err := id.Encrypt(nil, server.Pub, "bob", label, []byte("id-tre"))
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +318,8 @@ func TestIntegrationVariantsComposeOverOneServer(t *testing.T) {
 	}
 
 	// Policy lock with a threshold policy, CCA mode.
-	pl := tre.NewPolicyScheme(set)
-	policy, err := tre.ThresholdPolicy(2, []string{"legal", "finance", "security"})
+	pl := variants.NewPolicyScheme(set)
+	policy, err := variants.ThresholdPolicy(2, []string{"legal", "finance", "security"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestIntegrationVariantsComposeOverOneServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atts := []tre.Attestation{pl.Attest(server, "security"), pl.Attest(server, "legal")}
+	atts := []variants.Attestation{pl.Attest(server, "security"), pl.Attest(server, "legal")}
 	if got, err := pl.DecryptCCA(server.Pub, alice, atts, plCT); err != nil || string(got) != "policy" {
 		t.Fatalf("policy CCA: %q %v", got, err)
 	}

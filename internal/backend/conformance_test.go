@@ -190,3 +190,44 @@ func TestBackendPreparedKey(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroPointIsIdentity pins curve.Point's documented zero value: on
+// every backend and group, curve.Point{} is the identity to Add, Neg,
+// ScalarMult, Pair and AppendPoint, and equals the backend's own.
+func TestZeroPointIsIdentity(t *testing.T) {
+	var zero curve.Point
+	if !zero.IsInfinity() {
+		t.Fatal("curve.Point{} does not report IsInfinity")
+	}
+	k := big.NewInt(7)
+	for _, name := range []string{"Test160", "SS512", params.PresetBLS12381} {
+		t.Run(name, func(t *testing.T) {
+			b := params.MustPreset(name).B
+			for _, g := range []backend.Group{backend.G1, backend.G2} {
+				gen, inf := b.Generator(g), b.Infinity(g)
+				for _, c := range []struct {
+					op        string
+					got, want curve.Point
+				}{
+					{"Add(0, G)", b.Add(g, zero, gen), gen},
+					{"Add(G, 0)", b.Add(g, gen, zero), gen},
+					{"Add(0, 0)", b.Add(g, zero, zero), inf},
+					{"Add(0, ∞)", b.Add(g, zero, inf), inf},
+					{"Neg(0)", b.Neg(g, zero), inf},
+					{"[k]0", b.ScalarMult(g, k, zero), inf},
+				} {
+					if !b.Equal(g, c.got, c.want) {
+						t.Errorf("%v %s = %v, want %v", g, c.op, c.got, c.want)
+					}
+				}
+				if !b.Equal(g, zero, inf) || !bytes.Equal(b.AppendPoint(nil, g, zero), b.AppendPoint(nil, g, inf)) {
+					t.Errorf("%v: curve.Point{} is not the backend's identity", g)
+				}
+			}
+			g1, g2 := b.Generator(backend.G1), b.Generator(backend.G2)
+			if !b.GTIsOne(b.Pair(zero, g2)) || !b.GTIsOne(b.Pair(g1, zero)) {
+				t.Error("a pairing with curve.Point{} is not 1")
+			}
+		})
+	}
+}

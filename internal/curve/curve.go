@@ -45,7 +45,8 @@ type Curve struct {
 }
 
 // Point is an affine point on E, or the point at infinity.
-// The zero value is the point at infinity.
+// The zero value is the point at infinity: a point is finite only when
+// a constructor says so, whatever backend or width it belongs to.
 //
 // A Type-1 point holds its coordinates as Montgomery limbs of the
 // curve's field (ff.Mont): X ‖ Y in one 2n-limb vector, written once
@@ -61,7 +62,7 @@ type Curve struct {
 // answers from it without a ladder; Equal ignores it.
 type Point struct {
 	xy     ff.MontElem
-	inf    bool
+	finite bool
 	member bool
 }
 
@@ -69,7 +70,7 @@ type Point struct {
 // x and y the views its constructor fills.
 func newAffine(n int) (p Point, x, y ff.MontElem) {
 	xy := make(ff.MontElem, 2*n)
-	return Point{xy: xy}, xy[:n], xy[n:]
+	return Point{xy: xy, finite: true}, xy[:n], xy[n:]
 }
 
 // Limbs returns p's affine coordinates as Montgomery limbs, the two
@@ -91,7 +92,7 @@ func (c *Curve) limbs(p Point) (x, y ff.MontElem) {
 // FromLimbs wraps another backend's point: xy holds its coordinates as
 // that backend lays them out, inf flags its identity, and the point
 // owns xy from here on, never writing it. The member bit stays clear.
-func FromLimbs(xy ff.MontElem, inf bool) Point { return Point{xy: xy, inf: inf} }
+func FromLimbs(xy ff.MontElem, inf bool) Point { return Point{xy: xy, finite: !inf} }
 
 // New returns a curve context after checking the structural relation
 // q·h = p+1 and that p ≡ 3 (mod 4) (supersingularity of y² = x³+x).
@@ -110,6 +111,11 @@ func New(f *ff.Field, q, h *big.Int) (*Curve, error) {
 	if q.Bit(0) == 0 {
 		return nil, errors.New("curve: subgroup order q must be odd")
 	}
+	if f.Mont().Limbs() < 2 {
+		// HashToGroup reduces 16 bytes past the field width on limbs,
+		// at most two elements wide.
+		return nil, errors.New("curve: p must exceed 64 bits")
+	}
 	qf, err := ff.NewField(q)
 	if err != nil {
 		return nil, fmt.Errorf("curve: subgroup order: %w", err)
@@ -118,7 +124,7 @@ func New(f *ff.Field, q, h *big.Int) (*Curve, error) {
 }
 
 // Infinity returns the point at infinity (the group identity).
-func Infinity() Point { return Point{inf: true} }
+func Infinity() Point { return Point{} }
 
 // NewPoint returns the affine point (x, y) after an on-curve check.
 func (c *Curve) NewPoint(x, y *big.Int) (Point, error) {
@@ -136,7 +142,7 @@ func (c *Curve) NewPoint(x, y *big.Int) (Point, error) {
 // and nil for the identity: the boundary to math/big, for tests and
 // the oracles in internal/ref.
 func (c *Curve) Affine(p Point) (x, y *big.Int) {
-	if p.inf {
+	if !p.finite {
 		return nil, nil
 	}
 	px, py := p.Limbs()
@@ -144,7 +150,7 @@ func (c *Curve) Affine(p Point) (x, y *big.Int) {
 }
 
 // IsInfinity reports whether p is the identity.
-func (p Point) IsInfinity() bool { return p.inf }
+func (p Point) IsInfinity() bool { return !p.finite }
 
 // rhs sets dst = x³ + x.
 func (c *Curve) rhs(dst, x ff.MontElem) {
@@ -159,7 +165,7 @@ func (c *Curve) rhs(dst, x ff.MontElem) {
 func (c *Curve) IsOnCurve(p Point) bool {
 	m := c.F.Mont()
 	switch {
-	case p.inf:
+	case !p.finite:
 		return true
 	case len(p.xy) != 2*m.Limbs():
 		return false
@@ -184,7 +190,7 @@ func (c *Curve) InSubgroup(p Point) bool {
 		return false
 	}
 	x, _ := p.Limbs()
-	return p.inf || c.qTorsion(x)
+	return !p.finite || c.qTorsion(x)
 }
 
 // Equal reports whether two points are equal.
@@ -197,18 +203,15 @@ func (c *Curve) Equal(p, q Point) bool { return p.Equal(q) }
 // other. Code that holds points without a backend in hand (the
 // archive's conflict check) compares through this.
 func (p Point) Equal(q Point) bool {
-	// A coordinate-less point is the identity (zero value).
-	pInf := p.inf || p.xy == nil
-	qInf := q.inf || q.xy == nil
-	if pInf || qInf {
-		return pInf == qInf
+	if !p.finite || !q.finite {
+		return p.finite == q.finite
 	}
 	return slices.Equal(p.xy, q.xy)
 }
 
 // Neg returns -p.
 func (c *Curve) Neg(p Point) Point {
-	if p.inf {
+	if !p.finite {
 		return p
 	}
 	m := c.F.Mont()
@@ -224,11 +227,11 @@ func (c *Curve) Neg(p Point) Point {
 // to affine. A sum never carries the member bit, not even the operand
 // returned as-is when the other is ∞.
 func (c *Curve) Add(p, q Point) Point {
-	if p.inf {
+	if !p.finite {
 		q.member = false
 		return q
 	}
-	if q.inf {
+	if !q.finite {
 		p.member = false
 		return p
 	}
@@ -257,7 +260,7 @@ func (c *Curve) RandScalar(rng io.Reader) (*big.Int, error) {
 // String renders the point for debugging. A Type-1 point shows its
 // Montgomery limbs: it carries no field context to leave the domain.
 func (p Point) String() string {
-	if p.inf {
+	if !p.finite {
 		return "∞"
 	}
 	return fmt.Sprintf("%x", []uint64(p.xy))

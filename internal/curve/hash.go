@@ -28,7 +28,7 @@ func (c *Curve) HashToGroup(dst string, msg []byte) Point {
 	for ctr := uint32(0); ; ctr++ {
 		var p Point
 		p, ctr = c.hashCandidate(dst, msg, ctr)
-		if g := c.ScalarMult(c.H, p); !g.inf {
+		if g := c.ScalarMult(c.H, p); g.finite {
 			return g
 		}
 	}
@@ -144,7 +144,7 @@ func (c *Curve) RandomSubgroupPoint(rng io.Reader) (Point, error) {
 			return Point{}, err
 		}
 		g := c.ScalarMult(c.H, p)
-		if !g.inf {
+		if g.finite {
 			return g, nil
 		}
 	}

@@ -29,7 +29,7 @@ func (c *Curve) Marshal(p Point) []byte {
 // capacity — e.g. a stack buffer — the call performs no heap
 // allocation.
 func (c *Curve) AppendMarshal(dst []byte, p Point) []byte {
-	if p.inf {
+	if !p.finite {
 		return append(append(dst, tagInfinity), make([]byte, c.F.ByteLen())...)
 	}
 	x, y := c.limbs(p)
@@ -80,7 +80,7 @@ func (c *Curve) Unmarshal(b []byte) (Point, error) {
 // the result answers without running it again.
 func (c *Curve) UnmarshalSubgroup(b []byte) (Point, error) {
 	p, err := c.Unmarshal(b)
-	if err != nil || p.inf {
+	if err != nil || !p.finite {
 		return p, err
 	}
 	if x, _ := p.Limbs(); !c.qTorsion(x) {

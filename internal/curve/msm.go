@@ -36,7 +36,7 @@ func (c *Curve) ScalarMult(k *big.Int, p Point) Point {
 	if k.Sign() < 0 {
 		panic("curve: negative scalar")
 	}
-	if k.Sign() == 0 || p.inf {
+	if k.Sign() == 0 || !p.finite {
 		return Infinity()
 	}
 	var buf [scalarDigits]int8
@@ -107,7 +107,7 @@ func (c *Curve) msmChunk(scalars []*big.Int, at func(i int) Point, lo, hi int) P
 		for j := 0; j < blk; j++ {
 			digits[j] = digits[j][:0]
 			p := at(lo + j)
-			if !p.inf {
+			if p.finite {
 				digits[j] = ff.AppendWNAF(digits[j], scalars[lo+j], msmWindow)
 			}
 			if len(digits[j]) != 0 {

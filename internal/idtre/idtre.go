@@ -27,6 +27,7 @@ import (
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
+	"timedrelease/internal/wire"
 )
 
 // IdentityDomain is the H1 domain tag for identities; distinct from the
@@ -64,6 +65,29 @@ func (sc *Scheme) VerifyUserKey(spub core.ServerPublicKey, priv UserPrivateKey) 
 type Ciphertext struct {
 	U curve.Point
 	V []byte
+}
+
+// MarshalCiphertext encodes an ID-TRE ciphertext: U ‖ len(V) ‖ V.
+func (sc *Scheme) MarshalCiphertext(ct *Ciphertext) []byte {
+	out := sc.Set.B.AppendPoint(nil, backend.G1, ct.U)
+	return wire.AppendBytes32(out, ct.V)
+}
+
+// UnmarshalCiphertext decodes an ID-TRE ciphertext.
+func (sc *Scheme) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
+	r := wire.NewReader(sc.Set, data)
+	u, err := r.Point(backend.G1)
+	if err != nil {
+		return nil, fmt.Errorf("idtre: U: %w", err)
+	}
+	v, err := r.Bytes32()
+	if err != nil {
+		return nil, fmt.Errorf("idtre: V: %w", err)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return &Ciphertext{U: u, V: v}, nil
 }
 
 // Encrypt encrypts msg to (identity, release label) under the server's

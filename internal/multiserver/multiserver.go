@@ -38,6 +38,7 @@ import (
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
+	"timedrelease/internal/wire"
 )
 
 // ErrUpdateCount reports a decryption attempt with a different number
@@ -134,6 +135,47 @@ func (sc *Scheme) VerifyUserPublicKey(servers ServerGroup, upub UserPublicKey) b
 type Ciphertext struct {
 	Us []curve.Point // rG₁ … rG_N
 	V  []byte
+}
+
+// MarshalCiphertext encodes a multi-server ciphertext: a u16 header
+// count, the header points, and the payload.
+func (sc *Scheme) MarshalCiphertext(ct *Ciphertext) []byte {
+	out := wire.AppendU16(nil, len(ct.Us))
+	for _, u := range ct.Us {
+		out = sc.Set.B.AppendPoint(out, backend.G1, u)
+	}
+	return wire.AppendBytes32(out, ct.V)
+}
+
+// UnmarshalCiphertext decodes a multi-server ciphertext. On an
+// asymmetric set it returns backend.ErrSymmetricOnly rather than an
+// object no scheme can consume.
+func (sc *Scheme) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
+	if sc.Set.Asymmetric() {
+		return nil, backend.ErrSymmetricOnly
+	}
+	r := wire.NewReader(sc.Set, data)
+	n, err := r.U16()
+	if err != nil {
+		return nil, fmt.Errorf("multiserver: header count: %w", err)
+	}
+	if n == 0 {
+		return nil, errors.New("multiserver: ciphertext needs at least one header")
+	}
+	us := make([]curve.Point, n)
+	for i := range us {
+		if us[i], err = r.Point(backend.G1); err != nil {
+			return nil, fmt.Errorf("multiserver: header %d: %w", i, err)
+		}
+	}
+	v, err := r.Bytes32()
+	if err != nil {
+		return nil, fmt.Errorf("multiserver: V: %w", err)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return &Ciphertext{Us: us, V: v}, nil
 }
 
 // Encrypt verifies the receiver's combined key and produces the

@@ -67,6 +67,9 @@ func FromPQ(name string, p, q *big.Int) (*Set, error) {
 	if p == nil || q == nil {
 		return nil, errors.New("params: nil prime")
 	}
+	if q.Sign() <= 0 {
+		return nil, errors.New("params: q must be positive")
+	}
 	pp1 := new(big.Int).Add(p, big.NewInt(1))
 	h, rem := new(big.Int).QuoRem(pp1, q, new(big.Int))
 	if rem.Sign() != 0 {

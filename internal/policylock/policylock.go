@@ -35,6 +35,7 @@ import (
 	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 	"timedrelease/internal/rohash"
+	"timedrelease/internal/wire"
 )
 
 // ConditionDomain is the H1 domain tag for witness conditions, distinct
@@ -138,6 +139,80 @@ type Ciphertext struct {
 	Policy  Policy
 	Headers []ClauseHeader
 	V       []byte // M ⊕ Expand(κ)
+}
+
+// MarshalCiphertext encodes a policy-locked ciphertext: the policy in
+// its textual syntax, the clause headers, and the payload.
+func (sc *Scheme) MarshalCiphertext(ct *Ciphertext) []byte {
+	out := wire.AppendBytes16(nil, []byte(ct.Policy.String()))
+	out = wire.AppendU16(out, len(ct.Headers))
+	for _, h := range ct.Headers {
+		out = sc.Set.B.AppendPoint(out, backend.G1, h.U)
+		out = wire.AppendBytes16(out, h.Wrap)
+	}
+	return wire.AppendBytes32(out, ct.V)
+}
+
+// UnmarshalCiphertext decodes a policy-locked ciphertext, checking that
+// the header count matches the parsed policy's clause count.
+func (sc *Scheme) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
+	r := wire.NewReader(sc.Set, data)
+	text, err := r.Bytes16()
+	if err != nil {
+		return nil, fmt.Errorf("policylock: policy text: %w", err)
+	}
+	policy, err := ParsePolicy(string(text))
+	if err != nil {
+		return nil, err
+	}
+	n, err := r.U16()
+	if err != nil {
+		return nil, fmt.Errorf("policylock: header count: %w", err)
+	}
+	if n != len(policy.Clauses) {
+		return nil, fmt.Errorf("policylock: %d headers for %d policy clauses", n, len(policy.Clauses))
+	}
+	ct := &Ciphertext{Policy: policy, Headers: make([]ClauseHeader, n)}
+	for i := range ct.Headers {
+		h := &ct.Headers[i]
+		if h.U, err = r.Point(backend.G1); err != nil {
+			return nil, fmt.Errorf("policylock: header %d point: %w", i, err)
+		}
+		if h.Wrap, err = r.Bytes16(); err != nil {
+			return nil, fmt.Errorf("policylock: header %d wrap: %w", i, err)
+		}
+	}
+	if ct.V, err = r.Bytes32(); err != nil {
+		return nil, fmt.Errorf("policylock: V: %w", err)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return ct, nil
+}
+
+// MarshalAttestation encodes a witness attestation: condition ‖ point.
+func (sc *Scheme) MarshalAttestation(a Attestation) []byte {
+	out := wire.AppendBytes16(nil, []byte(a.Condition))
+	return sc.Set.B.AppendPoint(out, backend.G2, a.Point)
+}
+
+// UnmarshalAttestation decodes a witness attestation (verification
+// against the witness key is VerifyAttestation).
+func (sc *Scheme) UnmarshalAttestation(data []byte) (Attestation, error) {
+	r := wire.NewReader(sc.Set, data)
+	cond, err := r.Bytes16()
+	if err != nil {
+		return Attestation{}, fmt.Errorf("policylock: attestation condition: %w", err)
+	}
+	pt, err := r.Point(backend.G2)
+	if err != nil {
+		return Attestation{}, fmt.Errorf("policylock: attestation point: %w", err)
+	}
+	if err := r.Done(); err != nil {
+		return Attestation{}, err
+	}
+	return Attestation{Condition: string(cond), Point: pt}, nil
 }
 
 // keyLen is the length of the inner message key κ.

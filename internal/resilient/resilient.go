@@ -18,13 +18,13 @@
 package resilient
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"timedrelease/internal/hibe"
 	"timedrelease/internal/params"
+	"timedrelease/internal/wire"
 )
 
 // Scheme is a missing-update-resilient timed-release scheme over a
@@ -172,44 +172,35 @@ func isPrefix(prefix, full []string) bool {
 // publishes per epoch — static bytes servable from any dumb channel,
 // verifiable by VerifyCover at the receiver.
 func (sc *Scheme) MarshalCover(cover []hibe.NodeKey) []byte {
-	out := binary.BigEndian.AppendUint16(nil, uint16(len(cover)))
+	out := wire.AppendU16(nil, len(cover))
 	for _, k := range cover {
-		b := sc.H.MarshalNodeKey(k)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
+		out = wire.AppendBytes32(out, sc.H.MarshalNodeKey(k))
 	}
 	return out
 }
 
 // UnmarshalCover decodes a cover publication.
 func (sc *Scheme) UnmarshalCover(data []byte) ([]hibe.NodeKey, error) {
-	if len(data) < 2 {
-		return nil, errors.New("resilient: truncated cover")
+	r := wire.NewReader(sc.H.Set, data)
+	n, err := r.U16()
+	if err != nil {
+		return nil, fmt.Errorf("resilient: cover size: %w", err)
 	}
-	n := int(binary.BigEndian.Uint16(data[:2]))
-	rest := data[2:]
 	if n == 0 || n > sc.Depth+1 {
 		return nil, fmt.Errorf("resilient: implausible cover size %d", n)
 	}
-	out := make([]hibe.NodeKey, 0, n)
-	for i := 0; i < n; i++ {
-		if len(rest) < 4 {
-			return nil, errors.New("resilient: truncated cover entry")
-		}
-		l := int(binary.BigEndian.Uint32(rest[:4]))
-		rest = rest[4:]
-		if l < 0 || len(rest) < l {
-			return nil, errors.New("resilient: truncated cover entry body")
-		}
-		k, err := sc.H.UnmarshalNodeKey(rest[:l])
+	out := make([]hibe.NodeKey, n)
+	for i := range out {
+		b, err := r.Bytes32()
 		if err != nil {
 			return nil, fmt.Errorf("resilient: cover entry %d: %w", i, err)
 		}
-		out = append(out, k)
-		rest = rest[l:]
+		if out[i], err = sc.H.UnmarshalNodeKey(b); err != nil {
+			return nil, fmt.Errorf("resilient: cover entry %d: %w", i, err)
+		}
 	}
-	if len(rest) != 0 {
-		return nil, errors.New("resilient: trailing bytes after cover")
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,50 +1,47 @@
 package threshold
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/params"
+	"timedrelease/internal/wire"
 )
 
 // Wire encoding for partial updates (index ‖ label-len ‖ label ‖ point),
 // used when shard operators exchange partials out of band (e.g. the
-// trethreshold CLI). Strict: truncation, trailing bytes and non-subgroup
-// points are rejected.
+// trethreshold CLI), on internal/wire's strict cursor: truncation,
+// trailing bytes and non-subgroup points are rejected.
 
 // MarshalPartial encodes a partial update.
 func MarshalPartial(set *params.Set, pu PartialUpdate) []byte {
-	out := binary.BigEndian.AppendUint16(nil, uint16(pu.Index))
-	out = binary.BigEndian.AppendUint16(out, uint16(len(pu.Label)))
-	out = append(out, pu.Label...)
+	out := wire.AppendU16(nil, pu.Index)
+	out = wire.AppendBytes16(out, []byte(pu.Label))
 	return set.B.AppendPoint(out, backend.G2, pu.Point)
 }
 
 // UnmarshalPartial decodes a partial update. Verification against the
 // shard's public key is separate (VerifyPartial).
 func UnmarshalPartial(set *params.Set, data []byte) (PartialUpdate, error) {
-	if len(data) < 4 {
-		return PartialUpdate{}, errors.New("threshold: truncated partial update")
+	r := wire.NewReader(set, data)
+	idx, err := r.U16()
+	if err != nil {
+		return PartialUpdate{}, fmt.Errorf("threshold: partial index: %w", err)
 	}
-	idx := int(binary.BigEndian.Uint16(data[:2]))
 	if idx == 0 {
 		return PartialUpdate{}, errors.New("threshold: partial index must be >= 1")
 	}
-	lblLen := int(binary.BigEndian.Uint16(data[2:4]))
-	rest := data[4:]
-	if len(rest) < lblLen {
-		return PartialUpdate{}, errors.New("threshold: truncated partial label")
+	label, err := r.Bytes16()
+	if err != nil {
+		return PartialUpdate{}, fmt.Errorf("threshold: partial label: %w", err)
 	}
-	label := string(rest[:lblLen])
-	rest = rest[lblLen:]
-	if len(rest) != set.B.PointLen(backend.G2) {
-		return PartialUpdate{}, fmt.Errorf("threshold: partial point is %d bytes, want %d", len(rest), set.B.PointLen(backend.G2))
-	}
-	pt, err := set.B.ParsePoint(backend.G2, rest)
+	pt, err := r.Point(backend.G2)
 	if err != nil {
 		return PartialUpdate{}, fmt.Errorf("threshold: partial point: %w", err)
 	}
-	return PartialUpdate{Index: idx, Label: label, Point: pt}, nil
+	if err := r.Done(); err != nil {
+		return PartialUpdate{}, err
+	}
+	return PartialUpdate{Index: idx, Label: string(label), Point: pt}, nil
 }

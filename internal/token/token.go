@@ -138,7 +138,7 @@ func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []cur
 		}
 		sigs[i] = set.B.ScalarMult(backend.G2, rInv, signed[i])
 		hashes[i] = p.T
-		if p.T.Equal(curve.Point{}) { // built by hand, no T kept
+		if p.T.IsInfinity() { // built by hand, no T kept
 			hashes[i] = set.B.HashToG2(Domain, p.Seed[:])
 		}
 	}

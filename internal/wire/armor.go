@@ -79,7 +79,7 @@ func (c *Codec) EncodeArmored(a Armored) []byte {
 	body = binary.BigEndian.AppendUint64(body, a.Round)
 	body = binary.BigEndian.AppendUint64(body, uint64(int64(a.Period)))
 	body = binary.BigEndian.AppendUint64(body, uint64(a.Genesis.UnixNano()))
-	body = appendBytes32(body, a.Envelope)
+	body = AppendBytes32(body, a.Envelope)
 
 	enc := base64.StdEncoding.EncodeToString(body)
 	var out bytes.Buffer
@@ -113,12 +113,12 @@ func (c *Codec) DecodeArmored(data []byte) (Armored, error) {
 	if err != nil {
 		return Armored{}, err
 	}
-	r := &reader{buf: body}
-	magic, err := r.take(len(armorMagic))
+	r := NewReader(c.Set, body)
+	magic, err := r.Take(len(armorMagic))
 	if err != nil || string(magic) != armorMagic {
 		return Armored{}, ErrNotArmored
 	}
-	fpr, err := r.take(8)
+	fpr, err := r.Take(8)
 	if err != nil {
 		return Armored{}, fmt.Errorf("wire: armored fingerprint: %w", err)
 	}
@@ -141,11 +141,11 @@ func (c *Codec) DecodeArmored(data []byte) (Armored, error) {
 	if int64(periodNs) <= 0 {
 		return Armored{}, errors.New("wire: armored period is not positive")
 	}
-	env, err := r.bytes32()
+	env, err := r.Bytes32()
 	if err != nil {
 		return Armored{}, fmt.Errorf("wire: armored envelope: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return Armored{}, err
 	}
 	return Armored{
@@ -158,8 +158,8 @@ func (c *Codec) DecodeArmored(data []byte) (Armored, error) {
 
 // u64 reads a big-endian uint64 (armor header fields only; wire
 // structures keep the 16/32-bit length discipline).
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
+func (r *Reader) u64() (uint64, error) {
+	b, err := r.Take(8)
 	if err != nil {
 		return 0, err
 	}

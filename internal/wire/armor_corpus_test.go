@@ -21,9 +21,9 @@ var armorCorpus = flag.Bool("armor-corpus", false, "rewrite the FuzzArmoredDecod
 
 func goldenArmoredFile(tb testing.TB) (*Codec, []byte) {
 	tb.Helper()
-	codec, sc, server, user := goldenFixtures(tb)
+	codec, sc, server, user := GoldenFixtures(tb)
 	const label = "2026-01-01T00:07:00Z"
-	ct, err := sc.EncryptCCA(constReader(0x5a), server.Pub, user.Pub, label, []byte("golden round message"))
+	ct, err := sc.EncryptCCA(ConstReader(0x5a), server.Pub, user.Pub, label, []byte("golden round message"))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -49,12 +49,12 @@ const maxCatchUpPrealloc = 4096
 func (c *Codec) MarshalCatchUpResponse(r CatchUpResponse) []byte {
 	ptLen := c.Set.B.PointLen(backend.G2)
 	out := make([]byte, 0, 8+len(r.Updates)*(2+16+ptLen)+ptLen+32)
-	out = appendU32(out, r.Total)
-	out = appendU32(out, len(r.Updates))
+	out = AppendU32(out, r.Total)
+	out = AppendU32(out, len(r.Updates))
 	for _, u := range r.Updates {
 		out = append(out, c.MarshalKeyUpdate(u)...)
 	}
-	out = c.appendPoint(out, backend.G2, r.Aggregate)
+	out = c.Set.B.AppendPoint(out, backend.G2, r.Aggregate)
 	return append(out, r.Root[:]...)
 }
 
@@ -63,14 +63,14 @@ func (c *Codec) MarshalCatchUpResponse(r CatchUpResponse) []byte {
 // body claims to carry — without touching a point, so a caller can
 // refuse an oversized page before paying for it.
 func CatchUpHeader(data []byte) (total, n int, err error) {
-	return catchUpHeader(&reader{buf: data})
+	return catchUpHeader(NewReader(nil, data))
 }
 
-func catchUpHeader(r *reader) (total, n int, err error) {
-	if total, err = r.u32(); err != nil {
+func catchUpHeader(r *Reader) (total, n int, err error) {
+	if total, err = r.U32(); err != nil {
 		return 0, 0, fmt.Errorf("wire: catchup total: %w", err)
 	}
-	if n, err = r.u32(); err != nil {
+	if n, err = r.U32(); err != nil {
 		return 0, 0, fmt.Errorf("wire: catchup count: %w", err)
 	}
 	if n > total {
@@ -90,7 +90,7 @@ func catchUpHeader(r *reader) (total, n int, err error) {
 // are the server's is NOT checked here — that is the client's job
 // against its pinned server key.
 func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
-	r := &reader{buf: data}
+	r := NewReader(c.Set, data)
 	total, n, err := catchUpHeader(r)
 	if err != nil {
 		return CatchUpResponse{}, err
@@ -103,11 +103,11 @@ func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
 	}
 	ptLen := c.Set.B.PointLen(backend.G2)
 	for i := 0; i < n; i++ {
-		label, err := r.bytes16()
+		label, err := r.Bytes16()
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d label: %w", i, err)
 		}
-		raw, err := r.take(ptLen)
+		raw, err := r.Take(ptLen)
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d point: %w", i, err)
 		}
@@ -119,24 +119,24 @@ func (c *Codec) UnmarshalCatchUpResponse(data []byte) (CatchUpResponse, error) {
 	}
 	errs := make([]error, n)
 	parallel.For(n, func(i int) {
-		out.Updates[i].Point, errs[i] = c.parsePoint(backend.G2, raws[i])
+		out.Updates[i].Point, errs[i] = parsePoint(c.Set, backend.G2, raws[i])
 	})
 	for i, err := range errs {
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d point: %w", i, err)
 		}
 	}
-	agg, err := c.point(r, backend.G2)
+	agg, err := r.Point(backend.G2)
 	if err != nil {
 		return CatchUpResponse{}, fmt.Errorf("wire: catchup aggregate: %w", err)
 	}
 	out.Aggregate = agg
-	root, err := r.take(32)
+	root, err := r.Take(32)
 	if err != nil {
 		return CatchUpResponse{}, fmt.Errorf("wire: catchup root: %w", err)
 	}
 	copy(out.Root[:], root)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return CatchUpResponse{}, err
 	}
 	if n == 0 && (!out.Aggregate.IsInfinity() || out.Root != [32]byte{}) {

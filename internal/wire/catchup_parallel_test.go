@@ -18,12 +18,12 @@ import (
 // serialCatchUpDecode is the reference the parallel decoder is held
 // to: one pass, one point at a time, first error wins.
 func serialCatchUpDecode(c *Codec, data []byte) (CatchUpResponse, error) {
-	r := &reader{buf: data}
-	total, err := r.u32()
+	r := NewReader(c.Set, data)
+	total, err := r.U32()
 	if err != nil {
 		return CatchUpResponse{}, fmt.Errorf("wire: catchup total: %w", err)
 	}
-	n, err := r.u32()
+	n, err := r.U32()
 	if err != nil {
 		return CatchUpResponse{}, fmt.Errorf("wire: catchup count: %w", err)
 	}
@@ -32,11 +32,11 @@ func serialCatchUpDecode(c *Codec, data []byte) (CatchUpResponse, error) {
 	}
 	out := CatchUpResponse{Total: total}
 	for i := 0; i < n; i++ {
-		label, err := r.bytes16()
+		label, err := r.Bytes16()
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d label: %w", i, err)
 		}
-		pt, err := c.point(r, backend.G2)
+		pt, err := r.Point(backend.G2)
 		if err != nil {
 			return CatchUpResponse{}, fmt.Errorf("wire: catchup update %d point: %w", i, err)
 		}
@@ -45,15 +45,15 @@ func serialCatchUpDecode(c *Codec, data []byte) (CatchUpResponse, error) {
 		}
 		out.Updates = append(out.Updates, core.KeyUpdate{Label: string(label), Point: pt})
 	}
-	if out.Aggregate, err = c.point(r, backend.G2); err != nil {
+	if out.Aggregate, err = r.Point(backend.G2); err != nil {
 		return CatchUpResponse{}, fmt.Errorf("wire: catchup aggregate: %w", err)
 	}
-	root, err := r.take(32)
+	root, err := r.Take(32)
 	if err != nil {
 		return CatchUpResponse{}, fmt.Errorf("wire: catchup root: %w", err)
 	}
 	copy(out.Root[:], root)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return CatchUpResponse{}, err
 	}
 	if n == 0 && (!out.Aggregate.IsInfinity() || out.Root != [32]byte{}) {

@@ -49,15 +49,15 @@ type Envelope struct {
 // MarshalEnvelope encodes an envelope.
 func (c *Codec) MarshalEnvelope(e Envelope) []byte {
 	out := []byte{Version, byte(e.Kind)}
-	out = appendBytes16(out, []byte(e.Label))
-	return appendBytes32(out, e.Payload)
+	out = AppendBytes16(out, []byte(e.Label))
+	return AppendBytes32(out, e.Payload)
 }
 
 // UnmarshalEnvelope decodes an envelope, rejecting unknown versions and
 // kinds.
 func (c *Codec) UnmarshalEnvelope(data []byte) (Envelope, error) {
-	r := &reader{buf: data}
-	hdr, err := r.take(2)
+	r := NewReader(c.Set, data)
+	hdr, err := r.Take(2)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -70,15 +70,15 @@ func (c *Codec) UnmarshalEnvelope(data []byte) (Envelope, error) {
 	default:
 		return Envelope{}, fmt.Errorf("wire: unknown payload kind %d", hdr[1])
 	}
-	label, err := r.bytes16()
+	label, err := r.Bytes16()
 	if err != nil {
 		return Envelope{}, fmt.Errorf("wire: envelope label: %w", err)
 	}
-	payload, err := r.bytes32()
+	payload, err := r.Bytes32()
 	if err != nil {
 		return Envelope{}, fmt.Errorf("wire: envelope payload: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return Envelope{}, err
 	}
 	return Envelope{Kind: kind, Label: string(label), Payload: payload}, nil
@@ -88,22 +88,22 @@ func (c *Codec) UnmarshalEnvelope(data []byte) (Envelope, error) {
 
 // MarshalCiphertext encodes a basic ciphertext ⟨U, V⟩.
 func (c *Codec) MarshalCiphertext(ct *core.Ciphertext) []byte {
-	out := c.appendPoint(nil, backend.G1, ct.U)
-	return appendBytes32(out, ct.V)
+	out := c.Set.B.AppendPoint(nil, backend.G1, ct.U)
+	return AppendBytes32(out, ct.V)
 }
 
 // UnmarshalCiphertext decodes a basic ciphertext.
 func (c *Codec) UnmarshalCiphertext(data []byte) (*core.Ciphertext, error) {
-	r := &reader{buf: data}
-	u, err := c.point(r, backend.G1)
+	r := NewReader(c.Set, data)
+	u, err := r.Point(backend.G1)
 	if err != nil {
 		return nil, fmt.Errorf("wire: ciphertext U: %w", err)
 	}
-	v, err := r.bytes32()
+	v, err := r.Bytes32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: ciphertext V: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &core.Ciphertext{U: u, V: v}, nil
@@ -111,27 +111,27 @@ func (c *Codec) UnmarshalCiphertext(data []byte) (*core.Ciphertext, error) {
 
 // MarshalCCACiphertext encodes an FO ciphertext ⟨U, W, V⟩.
 func (c *Codec) MarshalCCACiphertext(ct *core.CCACiphertext) []byte {
-	out := c.appendPoint(nil, backend.G1, ct.U)
-	out = appendBytes16(out, ct.W)
-	return appendBytes32(out, ct.V)
+	out := c.Set.B.AppendPoint(nil, backend.G1, ct.U)
+	out = AppendBytes16(out, ct.W)
+	return AppendBytes32(out, ct.V)
 }
 
 // UnmarshalCCACiphertext decodes an FO ciphertext.
 func (c *Codec) UnmarshalCCACiphertext(data []byte) (*core.CCACiphertext, error) {
-	r := &reader{buf: data}
-	u, err := c.point(r, backend.G1)
+	r := NewReader(c.Set, data)
+	u, err := r.Point(backend.G1)
 	if err != nil {
 		return nil, fmt.Errorf("wire: cca U: %w", err)
 	}
-	w, err := r.bytes16()
+	w, err := r.Bytes16()
 	if err != nil {
 		return nil, fmt.Errorf("wire: cca W: %w", err)
 	}
-	v, err := r.bytes32()
+	v, err := r.Bytes32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: cca V: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &core.CCACiphertext{U: u, W: w, V: v}, nil
@@ -139,32 +139,32 @@ func (c *Codec) UnmarshalCCACiphertext(data []byte) (*core.CCACiphertext, error)
 
 // MarshalREACTCiphertext encodes a REACT ciphertext ⟨U, W, V, Tag⟩.
 func (c *Codec) MarshalREACTCiphertext(ct *core.REACTCiphertext) []byte {
-	out := c.appendPoint(nil, backend.G1, ct.U)
-	out = appendBytes16(out, ct.W)
-	out = appendBytes32(out, ct.V)
-	return appendBytes16(out, ct.Tag)
+	out := c.Set.B.AppendPoint(nil, backend.G1, ct.U)
+	out = AppendBytes16(out, ct.W)
+	out = AppendBytes32(out, ct.V)
+	return AppendBytes16(out, ct.Tag)
 }
 
 // UnmarshalREACTCiphertext decodes a REACT ciphertext.
 func (c *Codec) UnmarshalREACTCiphertext(data []byte) (*core.REACTCiphertext, error) {
-	r := &reader{buf: data}
-	u, err := c.point(r, backend.G1)
+	r := NewReader(c.Set, data)
+	u, err := r.Point(backend.G1)
 	if err != nil {
 		return nil, fmt.Errorf("wire: react U: %w", err)
 	}
-	w, err := r.bytes16()
+	w, err := r.Bytes16()
 	if err != nil {
 		return nil, fmt.Errorf("wire: react W: %w", err)
 	}
-	v, err := r.bytes32()
+	v, err := r.Bytes32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: react V: %w", err)
 	}
-	tag, err := r.bytes16()
+	tag, err := r.Bytes16()
 	if err != nil {
 		return nil, fmt.Errorf("wire: react Tag: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &core.REACTCiphertext{U: u, W: w, V: v, Tag: tag}, nil
@@ -172,22 +172,22 @@ func (c *Codec) UnmarshalREACTCiphertext(data []byte) (*core.REACTCiphertext, er
 
 // MarshalHybridCiphertext encodes a hybrid ciphertext ⟨U, Box⟩.
 func (c *Codec) MarshalHybridCiphertext(ct *core.HybridCiphertext) []byte {
-	out := c.appendPoint(nil, backend.G1, ct.U)
-	return appendBytes32(out, ct.Box)
+	out := c.Set.B.AppendPoint(nil, backend.G1, ct.U)
+	return AppendBytes32(out, ct.Box)
 }
 
 // UnmarshalHybridCiphertext decodes a hybrid ciphertext.
 func (c *Codec) UnmarshalHybridCiphertext(data []byte) (*core.HybridCiphertext, error) {
-	r := &reader{buf: data}
-	u, err := c.point(r, backend.G1)
+	r := NewReader(c.Set, data)
+	u, err := r.Point(backend.G1)
 	if err != nil {
 		return nil, fmt.Errorf("wire: hybrid U: %w", err)
 	}
-	box, err := r.bytes32()
+	box, err := r.Bytes32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: hybrid Box: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return &core.HybridCiphertext{U: u, Box: box}, nil

@@ -127,20 +127,6 @@ func FuzzUnmarshalCCACiphertext(f *testing.F) {
 	})
 }
 
-func FuzzUnmarshalPolicyCiphertext(f *testing.F) {
-	codec, _, _ := fuzzCodec(f)
-	f.Add([]byte{0, 1, 'a', 0, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ct, err := codec.UnmarshalPolicyCiphertext(data)
-		if err != nil {
-			return
-		}
-		if got := codec.MarshalPolicyCiphertext(ct); string(got) != string(data) {
-			t.Fatalf("decode/encode not canonical")
-		}
-	})
-}
-
 func FuzzParamsUnmarshal(f *testing.F) {
 	set := params.MustPreset("Test160")
 	f.Add(set.Marshal())

@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 // This file regenerates the golden vectors when run with
 //   go test ./internal/wire -run TestPrintGoldenVectors -golden-print
@@ -18,37 +18,11 @@ import (
 	"timedrelease/internal/hibe"
 	"timedrelease/internal/idtre"
 	"timedrelease/internal/multiserver"
-	"timedrelease/internal/params"
 	"timedrelease/internal/policylock"
+	"timedrelease/internal/wire"
 )
 
 var goldenPrint = flag.Bool("golden-print", false, "print golden vectors")
-
-func goldenFixtures(tb testing.TB) (*Codec, *core.Scheme, *core.ServerKeyPair, *core.UserKeyPair) {
-	tb.Helper()
-	set := params.MustPreset("Test160")
-	sc := core.NewScheme(set)
-	// Fixed scalars: nothing random anywhere.
-	server, err := bls.NewPrivateKey(set, set.G, big.NewInt(0x1234567))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	user, err := sc.UserKeyFromScalar(server.Pub, big.NewInt(0x89abcde))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return NewCodec(set), sc, server, user
-}
-
-// constReader yields a repeating byte pattern — a deterministic "rng".
-type constReader byte
-
-func (c constReader) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(c)
-	}
-	return len(p), nil
-}
 
 // goldenVector is one named encoding the golden constants pin.
 type goldenVector struct {
@@ -58,13 +32,14 @@ type goldenVector struct {
 
 // goldenObjects derives every pinned encoding from fixed scalars and
 // the constant "rng": the core objects first, then one ciphertext (or
-// key) per scheme variant. Variants without a codec method of their own
-// are framed with the codec method of the same shape.
+// key) per scheme variant, each in the encoding its own package owns.
+// Variants without a codec of their own are framed with the codec of
+// the same shape.
 func goldenObjects(tb testing.TB) []goldenVector {
 	tb.Helper()
-	codec, sc, server, user := goldenFixtures(tb)
+	codec, sc, server, user := wire.GoldenFixtures(tb)
 	set := codec.Set
-	rng := constReader(0x5a)
+	rng := wire.ConstReader(0x5a)
 	const label = "2026-07-05T12:00:00Z"
 	msg := []byte("golden message")
 	must := func(err error) {
@@ -94,7 +69,7 @@ func goldenObjects(tb testing.TB) []goldenVector {
 	splitCT, err := id.SplitEncrypt(rng, server.Pub, ts.Pub, "alice", label, msg)
 	must(err)
 	out = append(out, goldenVector{"idtre split ciphertext",
-		codec.MarshalIDCiphertext(&idtre.Ciphertext{U: splitCT.U, V: splitCT.V})})
+		id.MarshalCiphertext(&idtre.Ciphertext{U: splitCT.U, V: splitCT.V})})
 
 	pl := policylock.NewScheme(set)
 	policy, err := policylock.ParsePolicy("board ok & audit ok | emergency")
@@ -102,7 +77,7 @@ func goldenObjects(tb testing.TB) []goldenVector {
 	plCT, err := pl.EncryptCCA(rng, server.Pub, user.Pub, policy, msg)
 	must(err)
 	out = append(out, goldenVector{"policy cca ciphertext",
-		codec.MarshalPolicyCiphertext(&policylock.Ciphertext{Policy: plCT.Policy, Headers: plCT.Headers, V: plCT.V})})
+		pl.MarshalCiphertext(&policylock.Ciphertext{Policy: plCT.Policy, Headers: plCT.Headers, V: plCT.V})})
 
 	ms := multiserver.NewScheme(set)
 	g2 := set.B.ScalarMult(backend.G1, big.NewInt(0xabcdef), set.G)
@@ -113,7 +88,7 @@ func goldenObjects(tb testing.TB) []goldenVector {
 	must(err)
 	msCT, err := ms.Encrypt(rng, group, msUser.Pub, label, msg)
 	must(err)
-	out = append(out, goldenVector{"multiserver ciphertext", codec.MarshalMultiCiphertext(msCT)})
+	out = append(out, goldenVector{"multiserver ciphertext", ms.MarshalCiphertext(msCT)})
 
 	h := hibe.NewScheme(set, "golden")
 	root, err := h.RootKeyGen(rng)
@@ -133,7 +108,7 @@ func goldenObjects(tb testing.TB) []goldenVector {
 	ibeCT, err := ibe.Encrypt(rng, master.Pub, "alice", msg)
 	must(err)
 	out = append(out, goldenVector{"bfibe ciphertext",
-		codec.MarshalIDCiphertext(&idtre.Ciphertext{U: ibeCT.U, V: ibeCT.V})})
+		id.MarshalCiphertext(&idtre.Ciphertext{U: ibeCT.U, V: ibeCT.V})})
 	return out
 }
 

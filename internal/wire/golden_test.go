@@ -1,9 +1,11 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
 	"encoding/hex"
 	"testing"
+
+	"timedrelease/internal/wire"
 )
 
 // Golden vectors pin the wire format: these constants were produced by
@@ -43,7 +45,7 @@ func TestGoldenVectorsMatch(t *testing.T) {
 func TestGoldenEnvelopeStillDecrypts(t *testing.T) {
 	// The recorded envelope must decode and decrypt with the fixed keys —
 	// i.e. today's code reads yesterday's ciphertexts.
-	codec, sc, server, user := goldenFixtures(t)
+	codec, sc, server, user := wire.GoldenFixtures(t)
 	env, err := codec.UnmarshalEnvelope(mustHex(t, golden["sealed envelope"]))
 	if err != nil {
 		t.Fatal(err)

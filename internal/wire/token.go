@@ -56,16 +56,16 @@ func (c *Codec) UnmarshalTokenResponse(data []byte) ([]curve.Point, error) {
 }
 
 func (c *Codec) marshalPointBatch(pts []curve.Point) []byte {
-	out := appendU16(nil, len(pts))
+	out := AppendU16(nil, len(pts))
 	for _, p := range pts {
-		out = c.appendPoint(out, backend.G2, p)
+		out = c.Set.B.AppendPoint(out, backend.G2, p)
 	}
 	return out
 }
 
 func (c *Codec) unmarshalPointBatch(data []byte) ([]curve.Point, error) {
-	r := &reader{buf: data}
-	n, err := r.u16()
+	r := NewReader(c.Set, data)
+	n, err := r.U16()
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func (c *Codec) unmarshalPointBatch(data []byte) ([]curve.Point, error) {
 	}
 	pts := make([]curve.Point, n)
 	for i := range pts {
-		p, err := c.point(r, backend.G2)
+		p, err := r.Point(backend.G2)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func (c *Codec) unmarshalPointBatch(data []byte) ([]curve.Point, error) {
 		}
 		pts[i] = p
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return pts, nil
@@ -92,29 +92,29 @@ func (c *Codec) unmarshalPointBatch(data []byte) ([]curve.Point, error) {
 // MarshalToken encodes a redemption credential: the 32-byte seed and
 // the unblinded signature point.
 func (c *Codec) MarshalToken(seed []byte, sig curve.Point) []byte {
-	out := appendBytes16(nil, seed)
-	return c.appendPoint(out, backend.G2, sig)
+	out := AppendBytes16(nil, seed)
+	return c.Set.B.AppendPoint(out, backend.G2, sig)
 }
 
 // UnmarshalToken decodes a redemption credential, enforcing the seed
 // length and signature subgroup membership.
 func (c *Codec) UnmarshalToken(data []byte) ([]byte, curve.Point, error) {
-	r := &reader{buf: data}
-	seed, err := r.bytes16()
+	r := NewReader(c.Set, data)
+	seed, err := r.Bytes16()
 	if err != nil {
 		return nil, curve.Point{}, err
 	}
 	if len(seed) != tokenSeedLen {
 		return nil, curve.Point{}, fmt.Errorf("wire: token seed is %d bytes, want %d", len(seed), tokenSeedLen)
 	}
-	sig, err := c.point(r, backend.G2)
+	sig, err := r.Point(backend.G2)
 	if err != nil {
 		return nil, curve.Point{}, err
 	}
 	if sig.IsInfinity() {
 		return nil, curve.Point{}, errors.New("wire: token signature is the identity")
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, curve.Point{}, err
 	}
 	return seed, sig, nil

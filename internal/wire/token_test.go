@@ -39,15 +39,15 @@ func TestTokenBatchRoundTrip(t *testing.T) {
 func TestTokenBatchRejects(t *testing.T) {
 	set := params.MustPreset("Test160")
 	codec := NewCodec(set)
-	if _, err := codec.UnmarshalTokenRequest(appendU16(nil, 0)); !errors.Is(err, ErrTokenBatch) {
+	if _, err := codec.UnmarshalTokenRequest(AppendU16(nil, 0)); !errors.Is(err, ErrTokenBatch) {
 		t.Fatalf("zero count: %v", err)
 	}
-	if _, err := codec.UnmarshalTokenRequest(appendU16(nil, maxTokenBatch+1)); !errors.Is(err, ErrTokenBatch) {
+	if _, err := codec.UnmarshalTokenRequest(AppendU16(nil, maxTokenBatch+1)); !errors.Is(err, ErrTokenBatch) {
 		t.Fatalf("oversized count: %v", err)
 	}
 	// Identity point in the batch.
-	enc := appendU16(nil, 1)
-	enc = codec.appendPoint(enc, backend.G2, set.B.Infinity(backend.G2))
+	enc := AppendU16(nil, 1)
+	enc = codec.Set.B.AppendPoint(enc, backend.G2, set.B.Infinity(backend.G2))
 	if _, err := codec.UnmarshalTokenRequest(enc); err == nil {
 		t.Fatal("identity point accepted")
 	}
@@ -105,7 +105,7 @@ func FuzzTokenRequestDecode(f *testing.F) {
 	set := params.MustPreset("Test160")
 	codec := NewCodec(set)
 	f.Add(codec.MarshalTokenRequest(testPoints(f, set, 2)))
-	f.Add(appendU16(nil, 0))
+	f.Add(AppendU16(nil, 0))
 	f.Add([]byte{0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

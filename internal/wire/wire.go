@@ -1,9 +1,12 @@
-// Package wire defines canonical binary encodings for every object that
-// crosses a trust boundary: public keys, time-bound key updates,
-// ciphertexts, and the application-level envelope a sender actually
-// transmits. All encodings are length-delimited, versioned and strict —
-// any trailing garbage, truncation, or non-canonical point encoding is
-// rejected, and points are checked for subgroup membership on decode.
+// Package wire defines canonical binary encodings for the core objects
+// that cross a trust boundary: public keys, time-bound key updates,
+// ciphertexts, catch-up pages, tokens, and the application-level
+// envelope a sender actually transmits. All encodings are
+// length-delimited, versioned and strict — any trailing garbage,
+// truncation, or non-canonical point encoding is rejected, and points
+// are checked for subgroup membership on decode. The variant schemes
+// own their encodings and build them on this package's Reader and
+// Append helpers; wire imports none of them.
 package wire
 
 import (
@@ -45,13 +48,25 @@ type Codec struct {
 // NewCodec returns a codec bound to the parameter set.
 func NewCodec(set *params.Set) *Codec { return &Codec{Set: set} }
 
-// --- primitive helpers -------------------------------------------------
+// --- the strict cursor ---------------------------------------------------
 
-type reader struct {
+// Reader is the one strict cursor every decoder in the tree reads
+// through, this package's and those of the packages that own their
+// formats (the variant schemes, threshold partials): a read past the
+// end fails with ErrTruncated, Done fails with ErrTrailing on leftover
+// bytes, and Point validates curve and subgroup membership and names
+// ErrBackendMismatch.
+type Reader struct {
+	set *params.Set
 	buf []byte
 }
 
-func (r *reader) take(n int) ([]byte, error) {
+// NewReader returns a cursor over data whose points are decoded under
+// set (nil for a structure without points).
+func NewReader(set *params.Set, data []byte) *Reader { return &Reader{set: set, buf: data} }
+
+// Take consumes the next n bytes.
+func (r *Reader) Take(n int) ([]byte, error) {
 	if n < 0 || len(r.buf) < n {
 		return nil, ErrTruncated
 	}
@@ -60,16 +75,18 @@ func (r *reader) take(n int) ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) u16() (int, error) {
-	b, err := r.take(2)
+// U16 reads a big-endian 16-bit length or count.
+func (r *Reader) U16() (int, error) {
+	b, err := r.Take(2)
 	if err != nil {
 		return 0, err
 	}
 	return int(binary.BigEndian.Uint16(b)), nil
 }
 
-func (r *reader) u32() (int, error) {
-	b, err := r.take(4)
+// U32 reads a big-endian 32-bit length or count of at most 2³¹.
+func (r *Reader) U32() (int, error) {
+	b, err := r.Take(4)
 	if err != nil {
 		return 0, err
 	}
@@ -80,68 +97,75 @@ func (r *reader) u32() (int, error) {
 	return int(v), nil
 }
 
-func (r *reader) bytes16() ([]byte, error) {
-	n, err := r.u16()
+// Bytes16 reads a U16-length-prefixed byte string.
+func (r *Reader) Bytes16() ([]byte, error) {
+	n, err := r.U16()
 	if err != nil {
 		return nil, err
 	}
-	return r.take(n)
+	return r.Take(n)
 }
 
-func (r *reader) bytes32() ([]byte, error) {
-	n, err := r.u32()
+// Bytes32 reads a U32-length-prefixed byte string.
+func (r *Reader) Bytes32() ([]byte, error) {
+	n, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
-	return r.take(n)
+	return r.Take(n)
 }
 
-func (r *reader) done() error {
+// Point reads one compressed point of group g with subgroup validation.
+func (r *Reader) Point(g backend.Group) (curve.Point, error) {
+	raw, err := r.Take(r.set.B.PointLen(g))
+	if err != nil {
+		return curve.Point{}, err
+	}
+	return parsePoint(r.set, g, raw)
+}
+
+// Done fails when bytes remain after a complete structure.
+func (r *Reader) Done() error {
 	if len(r.buf) != 0 {
 		return ErrTrailing
 	}
 	return nil
 }
 
-func appendU16(b []byte, v int) []byte {
+// AppendU16 appends v as a big-endian 16-bit field.
+func AppendU16(b []byte, v int) []byte {
 	if v < 0 || v > 0xffff {
 		panic("wire: u16 overflow")
 	}
 	return binary.BigEndian.AppendUint16(b, uint16(v))
 }
 
-func appendU32(b []byte, v int) []byte {
+// AppendU32 appends v as a big-endian 32-bit field.
+func AppendU32(b []byte, v int) []byte {
 	if v < 0 || int64(v) > 1<<31 {
 		panic("wire: u32 overflow")
 	}
 	return binary.BigEndian.AppendUint32(b, uint32(v))
 }
 
-func appendBytes16(b, data []byte) []byte {
-	b = appendU16(b, len(data))
+// AppendBytes16 appends data behind its U16 length.
+func AppendBytes16(b, data []byte) []byte {
+	b = AppendU16(b, len(data))
 	return append(b, data...)
 }
 
-func appendBytes32(b, data []byte) []byte {
-	b = appendU32(b, len(data))
+// AppendBytes32 appends data behind its U32 length.
+func AppendBytes32(b, data []byte) []byte {
+	b = AppendU32(b, len(data))
 	return append(b, data...)
-}
-
-// point reads one compressed point of group g with subgroup validation.
-func (c *Codec) point(r *reader, g backend.Group) (curve.Point, error) {
-	raw, err := r.take(c.Set.B.PointLen(g))
-	if err != nil {
-		return curve.Point{}, err
-	}
-	return c.parsePoint(g, raw)
 }
 
 // parsePoint decodes one PointLen(g)-byte encoding: on the curve, in
-// the subgroup, and of this codec's backend.
-func (c *Codec) parsePoint(g backend.Group, raw []byte) (curve.Point, error) {
-	pt, err := c.Set.B.ParsePoint(g, raw)
+// the subgroup, and of set's backend.
+func parsePoint(set *params.Set, g backend.Group, raw []byte) (curve.Point, error) {
+	pt, err := set.B.ParsePoint(g, raw)
 	if err != nil {
-		if foreignTag(c.Set.Asymmetric(), raw[0]) {
+		if foreignTag(set.Asymmetric(), raw[0]) {
 			return curve.Point{}, fmt.Errorf("%w: %v", ErrBackendMismatch, err)
 		}
 		return curve.Point{}, err
@@ -158,11 +182,6 @@ func foreignTag(asymmetric bool, tag byte) bool {
 	return asymmetric != (tag&0x80 != 0)
 }
 
-// appendPoint appends the canonical encoding of a group-g point.
-func (c *Codec) appendPoint(dst []byte, g backend.Group, p curve.Point) []byte {
-	return c.Set.B.AppendPoint(dst, g, p)
-}
-
 // --- public keys --------------------------------------------------------
 
 // MarshalServerPublicKey encodes (G, sG), and on asymmetric sets also
@@ -170,10 +189,10 @@ func (c *Codec) appendPoint(dst []byte, g backend.Group, p curve.Point) []byte {
 // right pairing slot. The Type-1 encoding is unchanged from the
 // pre-backend format.
 func (c *Codec) MarshalServerPublicKey(pk core.ServerPublicKey) []byte {
-	out := c.appendPoint(nil, backend.G1, pk.G)
-	out = c.appendPoint(out, backend.G1, pk.SG)
+	out := c.Set.B.AppendPoint(nil, backend.G1, pk.G)
+	out = c.Set.B.AppendPoint(out, backend.G1, pk.SG)
 	if c.Set.Asymmetric() {
-		out = c.appendPoint(out, backend.G2, pk.SG2)
+		out = c.Set.B.AppendPoint(out, backend.G2, pk.SG2)
 	}
 	return out
 }
@@ -183,12 +202,12 @@ func (c *Codec) MarshalServerPublicKey(pk core.ServerPublicKey) []byte {
 // ê(sG, G2) = ê(G, sG2), so a decoded key can never carry mismatched
 // G1/G2 halves. On symmetric sets SG2 is set to SG.
 func (c *Codec) UnmarshalServerPublicKey(data []byte) (core.ServerPublicKey, error) {
-	r := &reader{buf: data}
-	g, err := c.point(r, backend.G1)
+	r := NewReader(c.Set, data)
+	g, err := r.Point(backend.G1)
 	if err != nil {
 		return core.ServerPublicKey{}, fmt.Errorf("wire: server key G: %w", err)
 	}
-	sg, err := c.point(r, backend.G1)
+	sg, err := r.Point(backend.G1)
 	if err != nil {
 		return core.ServerPublicKey{}, fmt.Errorf("wire: server key sG: %w", err)
 	}
@@ -197,7 +216,7 @@ func (c *Codec) UnmarshalServerPublicKey(data []byte) (core.ServerPublicKey, err
 	}
 	sg2 := sg
 	if c.Set.Asymmetric() {
-		sg2, err = c.point(r, backend.G2)
+		sg2, err = r.Point(backend.G2)
 		if err != nil {
 			return core.ServerPublicKey{}, fmt.Errorf("wire: server key sG2: %w", err)
 		}
@@ -205,7 +224,7 @@ func (c *Codec) UnmarshalServerPublicKey(data []byte) (core.ServerPublicKey, err
 			return core.ServerPublicKey{}, errors.New("wire: server key contains the identity")
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return core.ServerPublicKey{}, err
 	}
 	if c.Set.Asymmetric() && !c.Set.B.SamePairing(sg, c.Set.G2, g, sg2) {
@@ -216,24 +235,24 @@ func (c *Codec) UnmarshalServerPublicKey(data []byte) (core.ServerPublicKey, err
 
 // MarshalUserPublicKey encodes (aG, asG); both halves live in G1.
 func (c *Codec) MarshalUserPublicKey(pk core.UserPublicKey) []byte {
-	out := c.appendPoint(nil, backend.G1, pk.AG)
-	return c.appendPoint(out, backend.G1, pk.ASG)
+	out := c.Set.B.AppendPoint(nil, backend.G1, pk.AG)
+	return c.Set.B.AppendPoint(out, backend.G1, pk.ASG)
 }
 
 // UnmarshalUserPublicKey decodes and validates (aG, asG). Note that the
 // pairing well-formedness check is separate (core.VerifyUserPublicKey) —
 // this only enforces curve/subgroup validity.
 func (c *Codec) UnmarshalUserPublicKey(data []byte) (core.UserPublicKey, error) {
-	r := &reader{buf: data}
-	ag, err := c.point(r, backend.G1)
+	r := NewReader(c.Set, data)
+	ag, err := r.Point(backend.G1)
 	if err != nil {
 		return core.UserPublicKey{}, fmt.Errorf("wire: user key aG: %w", err)
 	}
-	asg, err := c.point(r, backend.G1)
+	asg, err := r.Point(backend.G1)
 	if err != nil {
 		return core.UserPublicKey{}, fmt.Errorf("wire: user key asG: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return core.UserPublicKey{}, err
 	}
 	return core.UserPublicKey{AG: ag, ASG: asg}, nil
@@ -244,23 +263,23 @@ func (c *Codec) UnmarshalUserPublicKey(data []byte) (core.UserPublicKey, error) 
 // MarshalKeyUpdate encodes a time-bound key update (label ‖ point).
 // The update is a BLS signature s·H1(T), a G2 point.
 func (c *Codec) MarshalKeyUpdate(u core.KeyUpdate) []byte {
-	out := appendBytes16(nil, []byte(u.Label))
-	return c.appendPoint(out, backend.G2, u.Point)
+	out := AppendBytes16(nil, []byte(u.Label))
+	return c.Set.B.AppendPoint(out, backend.G2, u.Point)
 }
 
 // UnmarshalKeyUpdate decodes an update. The signature itself still
 // requires verification against the server public key (VerifyUpdate).
 func (c *Codec) UnmarshalKeyUpdate(data []byte) (core.KeyUpdate, error) {
-	r := &reader{buf: data}
-	label, err := r.bytes16()
+	r := NewReader(c.Set, data)
+	label, err := r.Bytes16()
 	if err != nil {
 		return core.KeyUpdate{}, fmt.Errorf("wire: update label: %w", err)
 	}
-	pt, err := c.point(r, backend.G2)
+	pt, err := r.Point(backend.G2)
 	if err != nil {
 		return core.KeyUpdate{}, fmt.Errorf("wire: update point: %w", err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return core.KeyUpdate{}, err
 	}
 	return core.KeyUpdate{Label: string(label), Point: pt}, nil

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 // The end-to-end flows below run the public facade on the Type-3
@@ -255,7 +256,7 @@ func TestSignedVariantsOnBothBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			id := tre.NewIDScheme(set)
+			id := variants.NewIDScheme(set)
 			priv := id.ExtractUserKey(key, "bob@example.org")
 			if !id.VerifyUserKey(key.Pub, priv) {
 				t.Fatal("extracted identity key must verify")
@@ -268,7 +269,7 @@ func TestSignedVariantsOnBothBackends(t *testing.T) {
 				t.Fatal("identity key verified for a different identity")
 			}
 
-			pl := tre.NewPolicyScheme(set)
+			pl := variants.NewPolicyScheme(set)
 			att := pl.Attest(key, "task X is complete")
 			if !pl.VerifyAttestation(key.Pub, att) {
 				t.Fatal("attestation must verify")
@@ -308,7 +309,7 @@ func TestSignedVariantsOnBothBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			policy, err := tre.ParsePolicy("task X is complete & audit ok | emergency")
+			policy, err := variants.ParsePolicy("task X is complete & audit ok | emergency")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,10 +317,10 @@ func TestSignedVariantsOnBothBackends(t *testing.T) {
 			if err != nil {
 				t.Fatalf("policy Encrypt: %v", err)
 			}
-			if _, err := pl.Decrypt(receiver, []tre.Attestation{pl.Attest(key, "audit ok")}, plCT); !errors.Is(err, tre.ErrPolicyUnsatisfied) {
+			if _, err := pl.Decrypt(receiver, []variants.Attestation{pl.Attest(key, "audit ok")}, plCT); !errors.Is(err, variants.ErrPolicyUnsatisfied) {
 				t.Fatalf("half-attested clause: err=%v, want ErrPolicyUnsatisfied", err)
 			}
-			atts := []tre.Attestation{pl.Attest(key, "audit ok"), pl.Attest(key, "task X is complete")}
+			atts := []variants.Attestation{pl.Attest(key, "audit ok"), pl.Attest(key, "task X is complete")}
 			if got, err := pl.Decrypt(receiver, atts, plCT); err != nil || !bytes.Equal(got, msg) {
 				t.Fatalf("policy Decrypt: %q %v", got, err)
 			}

@@ -61,24 +61,6 @@ func ExampleScheme_DeriveEpochKey() {
 	// for the laptop
 }
 
-// Policy locks (§5.3.2): witness-attested conditions instead of time.
-func ExamplePolicyScheme() {
-	set := tre.MustPreset("Test160")
-	scheme := tre.NewScheme(set)
-	pl := tre.NewPolicyScheme(set)
-	witness, _ := scheme.ServerKeyGen(nil)
-	alice, _ := scheme.UserKeyGen(witness.Pub, nil)
-
-	policy, _ := tre.ParsePolicy("ceo approves & cfo approves | emergency")
-	ct, _ := pl.Encrypt(nil, witness.Pub, alice.Pub, policy, []byte("break glass"))
-
-	atts := []tre.Attestation{pl.Attest(witness, "emergency")}
-	msg, _ := pl.Decrypt(alice, atts, ct)
-	fmt.Printf("%s\n", msg)
-	// Output:
-	// break glass
-}
-
 // Threshold time servers: any 2 of 3 shards release the epoch.
 func ExampleThresholdDeal() {
 	set := tre.MustPreset("Test160")

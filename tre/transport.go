@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"timedrelease/internal/archive"
-	"timedrelease/internal/hibe"
 	"timedrelease/internal/obs"
-	"timedrelease/internal/resilient"
 	"timedrelease/internal/timefmt"
 	"timedrelease/internal/timeserver"
 	"timedrelease/internal/wire"
@@ -219,25 +217,3 @@ const (
 
 // NewCodec returns a codec for the parameter set.
 func NewCodec(set *Params) *Codec { return wire.NewCodec(set) }
-
-// Missing-update resilience (paper §6 future work): a HIBE time tree
-// whose per-epoch publication covers ALL past epochs in O(log N) keys.
-type (
-	// ResilientScheme is the time-tree scheme.
-	ResilientScheme = resilient.Scheme
-	// TreeRootKey is the time server's HIBE root key.
-	TreeRootKey = hibe.RootKey
-	// TreeNodeKey is a published (or derived) subtree key bundle.
-	TreeNodeKey = hibe.NodeKey
-	// TreeCiphertext is a ciphertext addressed to one epoch leaf.
-	TreeCiphertext = hibe.Ciphertext
-)
-
-// ErrNotCovered reports that the published cover does not reach the
-// requested epoch yet.
-var ErrNotCovered = resilient.ErrNotCovered
-
-// NewResilientScheme returns a time-tree scheme over 2^depth epochs.
-func NewResilientScheme(set *Params, depth int) (*ResilientScheme, error) {
-	return resilient.NewScheme(set, depth)
-}

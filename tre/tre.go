@@ -3,11 +3,13 @@
 // Timed Release Cryptography" (ICDCS 2005).
 //
 // It re-exports the core TRE scheme and every companion facility —
-// parameters, the passive time server and verifying client, the
-// identity-based variant, multi-server encryption, policy locks, the
-// missing-update-resilient time tree, and wire encodings — so downstream
-// users import exactly one module path. The implementations live in
-// internal/ packages, one per subsystem; see DESIGN.md for the map.
+// parameters, the passive time server and verifying client, threshold
+// servers, beacon rounds, tokens and wire encodings. The paper's
+// variant schemes (identity-based TRE, policy locks, multi-server
+// encryption, the missing-update-resilient time tree) are receiver-side
+// constructions over the same update and live in package tre/variants,
+// outside the serving binaries. The implementations live in internal/
+// packages, one per subsystem; see DESIGN.md for the map.
 //
 // # Quickstart
 //

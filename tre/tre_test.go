@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 // These tests exercise the library exclusively through the public facade
@@ -57,7 +58,7 @@ func TestPublicVariantsExist(t *testing.T) {
 	}
 
 	// ID-TRE through the facade.
-	id := tre.NewIDScheme(set)
+	id := variants.NewIDScheme(set)
 	priv := id.ExtractUserKey(server, "alice")
 	idCT, err := id.Encrypt(nil, server.Pub, "alice", "label", []byte("id"))
 	if err != nil {
@@ -68,12 +69,12 @@ func TestPublicVariantsExist(t *testing.T) {
 	}
 
 	// Policy lock through the facade.
-	pl := tre.NewPolicyScheme(set)
+	pl := variants.NewPolicyScheme(set)
 	user, err := scheme.UserKeyGen(server.Pub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, err := tre.ParsePolicy("a & b")
+	policy, err := variants.ParsePolicy("a & b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +82,17 @@ func TestPublicVariantsExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atts := []tre.Attestation{pl.Attest(server, "a"), pl.Attest(server, "b")}
+	atts := []variants.Attestation{pl.Attest(server, "a"), pl.Attest(server, "b")}
 	if got, err := pl.Decrypt(user, atts, plCT); err != nil || string(got) != "pl" {
 		t.Fatalf("policy lock: %q %v", got, err)
 	}
-	if _, err := pl.Decrypt(user, atts[:1], plCT); !errors.Is(err, tre.ErrPolicyUnsatisfied) {
+	if _, err := pl.Decrypt(user, atts[:1], plCT); !errors.Is(err, variants.ErrPolicyUnsatisfied) {
 		t.Fatalf("partial attestation: %v", err)
 	}
 
 	// Multi-server through the facade.
-	multi := tre.NewMultiScheme(set)
-	group := tre.ServerGroup{server.Pub}
+	multi := variants.NewMultiScheme(set)
+	group := variants.ServerGroup{server.Pub}
 	mUser, err := multi.UserKeyGen(group, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +106,7 @@ func TestPublicVariantsExist(t *testing.T) {
 	}
 
 	// Resilient time tree through the facade.
-	rs, err := tre.NewResilientScheme(set, 4)
+	rs, err := variants.NewResilientScheme(set, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

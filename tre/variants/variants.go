@@ -1,9 +1,19 @@
-package tre
+// Package variants is the public API of the paper's variant schemes,
+// all receiver-side constructions over the one passive time server of
+// package tre: identity-based TRE (§5.2), policy locks (§5.3.2),
+// multi-server TRE (§5.3.5) and the missing-update-resilient HIBE time
+// tree (§6). Each owns its ciphertext and key encodings
+// (MarshalCiphertext and friends on its scheme). The set arguments are
+// *tre.Params. The serving binaries do not link this package.
+package variants
 
 import (
+	"timedrelease/internal/hibe"
 	"timedrelease/internal/idtre"
 	"timedrelease/internal/multiserver"
+	"timedrelease/internal/params"
 	"timedrelease/internal/policylock"
+	"timedrelease/internal/resilient"
 )
 
 // Identity-based timed release encryption (paper §5.2). The same time
@@ -21,7 +31,7 @@ type (
 )
 
 // NewIDScheme returns an ID-TRE instance over the parameter set.
-func NewIDScheme(set *Params) *IDScheme { return idtre.NewScheme(set) }
+func NewIDScheme(set *params.Set) *IDScheme { return idtre.NewScheme(set) }
 
 // Multi-server timed release encryption (paper §5.3.5): decryption
 // requires the updates of ALL chosen servers.
@@ -39,7 +49,7 @@ type (
 )
 
 // NewMultiScheme returns a multi-server TRE instance.
-func NewMultiScheme(set *Params) *MultiScheme { return multiserver.NewScheme(set) }
+func NewMultiScheme(set *params.Set) *MultiScheme { return multiserver.NewScheme(set) }
 
 // Policy-lock encryption (paper §5.3.2): release is gated on witness
 // attestations of arbitrary conditions instead of the passage of time.
@@ -59,7 +69,7 @@ type (
 var ErrPolicyUnsatisfied = policylock.ErrPolicyUnsatisfied
 
 // NewPolicyScheme returns a policy-lock instance.
-func NewPolicyScheme(set *Params) *PolicyScheme { return policylock.NewScheme(set) }
+func NewPolicyScheme(set *params.Set) *PolicyScheme { return policylock.NewScheme(set) }
 
 // ParsePolicy parses "a & b | c" (AND binds tighter than OR).
 func ParsePolicy(expr string) (Policy, error) { return policylock.ParsePolicy(expr) }
@@ -68,4 +78,26 @@ func ParsePolicy(expr string) (Policy, error) { return policylock.ParsePolicy(ex
 // expansion (refused beyond 256 clauses).
 func ThresholdPolicy(k int, conditions []string) (Policy, error) {
 	return policylock.Threshold(k, conditions)
+}
+
+// Missing-update resilience (paper §6 future work): a HIBE time tree
+// whose per-epoch publication covers ALL past epochs in O(log N) keys.
+type (
+	// ResilientScheme is the time-tree scheme.
+	ResilientScheme = resilient.Scheme
+	// TreeRootKey is the time server's HIBE root key.
+	TreeRootKey = hibe.RootKey
+	// TreeNodeKey is a published (or derived) subtree key bundle.
+	TreeNodeKey = hibe.NodeKey
+	// TreeCiphertext is a ciphertext addressed to one epoch leaf.
+	TreeCiphertext = hibe.Ciphertext
+)
+
+// ErrNotCovered reports that the published cover does not reach the
+// requested epoch yet.
+var ErrNotCovered = resilient.ErrNotCovered
+
+// NewResilientScheme returns a time-tree scheme over 2^depth epochs.
+func NewResilientScheme(set *params.Set, depth int) (*ResilientScheme, error) {
+	return resilient.NewScheme(set, depth)
 }

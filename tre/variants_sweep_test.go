@@ -13,6 +13,7 @@ import (
 	"timedrelease/internal/baseline/rivest"
 	"timedrelease/internal/hibe"
 	"timedrelease/tre"
+	"timedrelease/tre/variants"
 )
 
 // TestVariantsNeverPanic calls every exported method of the §5 variants
@@ -88,11 +89,11 @@ func variantSweep(t *testing.T, set *tre.Params) []sweepStep {
 	add := func(name string, call func() error) { steps = append(steps, sweepStep{name, call}) }
 
 	// ID-TRE (§5.2), basic, FO and split-authority.
-	id := tre.NewIDScheme(set)
+	id := variants.NewIDScheme(set)
 	var (
-		idPriv tre.IDUserPrivateKey
-		idCT   *tre.IDCiphertext
-		idCCA  *tre.IDCCACiphertext
+		idPriv variants.IDUserPrivateKey
+		idCT   *variants.IDCiphertext
+		idCCA  *variants.IDCCACiphertext
 	)
 	add("idtre.ExtractUserKey+VerifyUserKey", func() error {
 		idPriv = id.ExtractUserKey(server, "bob")
@@ -128,14 +129,14 @@ func variantSweep(t *testing.T, set *tre.Params) []sweepStep {
 	})
 
 	// Policy locks (§5.3.2), basic and FO.
-	pl := tre.NewPolicyScheme(set)
-	policy, err := tre.ThresholdPolicy(2, []string{"a", "b", "c"})
+	pl := variants.NewPolicyScheme(set)
+	policy, err := variants.ThresholdPolicy(2, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var atts []tre.Attestation
+	var atts []variants.Attestation
 	add("policylock.Attest+VerifyAttestation", func() error {
-		atts = []tre.Attestation{pl.Attest(server, "c"), pl.Attest(server, "a")}
+		atts = []variants.Attestation{pl.Attest(server, "c"), pl.Attest(server, "a")}
 		return want(pl.VerifyAttestation(server.Pub, atts[0]), "attestation does not verify")
 	})
 	add("policylock.Encrypt+Decrypt", func() error {
@@ -156,7 +157,7 @@ func variantSweep(t *testing.T, set *tre.Params) []sweepStep {
 	})
 
 	// HIBE time tree (§6) and the resilient cover sets built on it.
-	rs, err := tre.NewResilientScheme(set, 4)
+	rs, err := variants.NewResilientScheme(set, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +226,11 @@ func variantSweep(t *testing.T, set *tre.Params) []sweepStep {
 	// Multi-server (§5.3.5): the Type-1 construction. On an asymmetric
 	// set every step must answer with the gate (or false), whatever it is
 	// handed.
-	multi := tre.NewMultiScheme(set)
-	group := tre.ServerGroup{server.Pub, other.Pub}
+	multi := variants.NewMultiScheme(set)
+	group := variants.ServerGroup{server.Pub, other.Pub}
 	var (
-		multiUser *tre.MultiUserKeyPair
-		multiCT   *tre.MultiCiphertext
+		multiUser *variants.MultiUserKeyPair
+		multiCT   *variants.MultiCiphertext
 	)
 	add("multiserver.SumSG", func() error {
 		return want(!multi.SumSG(group).IsInfinity(), "Σ sᵢGᵢ is the identity")
@@ -243,14 +244,14 @@ func variantSweep(t *testing.T, set *tre.Params) []sweepStep {
 		return err
 	})
 	add("multiserver.VerifyUserPublicKey", func() error {
-		var pub tre.MultiUserPublicKey
+		var pub variants.MultiUserPublicKey
 		if multiUser != nil {
 			pub = multiUser.Pub
 		}
 		return want(multi.VerifyUserPublicKey(group, pub) == !set.Asymmetric(), "combined-key check gave the wrong answer")
 	})
 	add("multiserver.Encrypt", func() (err error) {
-		var pub tre.MultiUserPublicKey
+		var pub variants.MultiUserPublicKey
 		if multiUser != nil {
 			pub = multiUser.Pub
 		}
