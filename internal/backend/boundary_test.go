@@ -96,7 +96,10 @@ func TestForeignValuesPanic(t *testing.T) {
 // TestBoundaryAllocs pins the heap allocations of the operations every
 // scheme call crosses the backend boundary through, so a change to the
 // point or GT handle cannot add one. A result the caller keeps (a
-// point's limbs, a GT value, an encoding) is one allocation.
+// point's limbs, a GT value, an encoding) is one allocation. SS512's
+// SamePairing keeps one more than BLS12-381's: the closure its
+// two-factor Miller fan-out hands the worker pool (AllocsPerRun runs at
+// GOMAXPROCS 1, so the pool's goroutines do not show here).
 func TestBoundaryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -107,7 +110,7 @@ func TestBoundaryAllocs(t *testing.T) {
 		b    backend.Backend
 		want bounds
 	}{
-		{"SS512", params.MustPreset("SS512").B, bounds{1, 1, 1, 0, 3, 1, 1, 1, 7}},
+		{"SS512", params.MustPreset("SS512").B, bounds{1, 1, 1, 0, 3, 1, 1, 1, 1}},
 		{"BLS12-381", bls381.New(), bounds{1, 1, 1, 0, 3, 1, 1, 1, 0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

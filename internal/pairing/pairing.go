@@ -192,17 +192,36 @@ func (pr *Pairing) PairProduct(pairs []PointPair) GT {
 	return pr.own(pr.finalExpMontIn(acc, a))
 }
 
-// SamePairing reports whether ê(a1, b1) == ê(a2, b2), evaluated as a
-// single product ê(−a1, b1)·ê(a2, b2) == 1 so only one final
-// exponentiation is needed. This is the workhorse behind key-update
+// SamePairing reports whether ê(a1, b1) == ê(a2, b2), evaluated as
+// conj(f₁)·f₂ == 1 for the two Miller values under one shared final
+// exponentiation: conjugation is the p-power Frobenius of F_{p²}, and on
+// the unitary target group x^p = x⁻¹, so it inverts ê(a1, b1) in place
+// of a negated point. The two Miller loops fan out to the worker pool
+// and write their values into slots of one arena, so only the fan-out
+// reaches the heap. This is the workhorse behind key-update
 // verification and public-key well-formedness checks; when the first
 // arguments are fixed across calls, SamePairingPrepared is faster still.
 func (pr *Pairing) SamePairing(a1, b1, a2, b2 curve.Point) bool {
-	gt := pr.PairProduct([]PointPair{
-		{P: pr.C.Neg(a1), Q: b1},
-		{P: a2, Q: b2},
+	e2m := pr.e2m
+	a := pr.m.GetArena()
+	defer a.Release()
+	f1, f2 := e2m.OneIn(a), e2m.OneIn(a) // 1 where a factor is trivial
+	parallel.For(2, func(i int) {
+		dst, p, q := f1, a1, b1
+		if i == 1 {
+			dst, p, q = f2, a2, b2
+		}
+		if p.IsInfinity() || q.IsInfinity() {
+			return
+		}
+		w := pr.m.GetArena()
+		e2m.Set(&dst, pr.millerMontIn(p, q, w))
+		w.Release()
 	})
-	return pr.GTIsOne(gt)
+	f := f1 // &f1 would move f1, captured above, to the heap
+	e2m.ConjInto(&f, f)
+	e2m.MulInto(&f, f, f2, e2m.ScratchIn(a))
+	return e2m.IsOne(pr.finalExpMontIn(f, a))
 }
 
 // GTOne returns 1 ∈ GT.

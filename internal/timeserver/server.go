@@ -112,6 +112,10 @@ func NewServer(set *params.Set, key *core.ServerKeyPair, sched timefmt.Schedule,
 		o(s)
 	}
 	s.checkTokenKeySeparation()
+	if s.gate != nil && s.issuer != nil {
+		// redeem with the key: one G2 multiplication, not a pair-check
+		s.gate = s.gate.KeyedBy(s.issuer)
+	}
 	s.hub.instrument(s.reg)
 	return s
 }

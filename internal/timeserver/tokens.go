@@ -20,10 +20,12 @@ import (
 // surfaces — /v1/catchup (bulk ranges) and /v1/stream (a held-open
 // connection) — while staying exactly as passive and user-blind as
 // before: issuance signs a uniformly random blinded point (no identity
-// attached, none exists), redemption is one prepared pairing plus a
+// attached, none exists), redemption is one signature check plus a
 // double-spend ledger lookup, and the single-label endpoints stay
 // open, matching the paper's "anyone may read the current time"
-// baseline.
+// baseline. A gate beside an issuer of the same key checks
+// S = x·H1(seed) (token.Verifier.KeyedBy); one that holds only the
+// public key checks the pairing.
 //
 // The issuance key is structurally separate from the timed-release
 // key: blind issuance signs attacker-chosen group elements, so signing
@@ -144,7 +146,7 @@ func (v *publicView) handleTokenIssue(w http.ResponseWriter, r *http.Request) {
 //
 //	401 — no token presented        → ErrTokenRequired
 //	400 — token undecodable
-//	403 — signature fails the pairing check
+//	403 — signature fails verification (pairing or keyed check)
 //	409 — token already spent       → token.ErrDoubleSpend
 //	503 — spend ledger cannot persist (fail closed)
 func (v *publicView) requireToken(h http.HandlerFunc) http.HandlerFunc {

@@ -9,10 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
+	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 	"timedrelease/internal/timefmt"
 	"timedrelease/internal/token"
@@ -355,5 +358,148 @@ func TestGatedServerSpendLedgerRecovery(t *testing.T) {
 	}
 	if audit.Torn || audit.Records != 3 || audit.Duplicates != 0 {
 		t.Fatalf("post-recovery audit %+v; want 3 clean records", audit)
+	}
+}
+
+// pairCounter counts the pairing checks made through a Set: every
+// prepared key it hands out counts its PairCheck calls.
+type pairCounter struct {
+	backend.Backend
+	checks atomic.Int64
+}
+
+func (c *pairCounter) PrepareKey(g, sg, sg2 curve.Point) backend.PreparedKey {
+	return countedKey{c.Backend.PrepareKey(g, sg, sg2), &c.checks}
+}
+
+func (c *pairCounter) SamePairing(a1, b1, a2, b2 curve.Point) bool {
+	c.checks.Add(1)
+	return c.Backend.SamePairing(a1, b1, a2, b2)
+}
+
+type countedKey struct {
+	backend.PreparedKey
+	checks *atomic.Int64
+}
+
+func (k countedKey) PairCheck(h, sig curve.Point) bool {
+	k.checks.Add(1)
+	return k.PreparedKey.PairCheck(h, sig)
+}
+
+// mintTokens issues n tokens from iss without a server.
+func mintTokens(t *testing.T, set *params.Set, iss *token.Issuer, n int) []token.Token {
+	t.Helper()
+	pending, blinded, err := token.Blind(set, nil, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed, err := iss.SignBlinded(blinded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks, err := token.Unblind(set, iss.Public(), pending, signed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return toks
+}
+
+// countedGate boots a server that issues under iss and gates on a
+// verifier of gateKey, over a backend that counts pairing checks, and
+// returns a function presenting a token on a catch-up page.
+func countedGate(t *testing.T, iss *token.Issuer, gateKey core.ServerPublicKey) (*pairCounter, func(token.Token) int) {
+	t.Helper()
+	preset := params.MustPreset("Test160")
+	pc := &pairCounter{Backend: preset.B}
+	set := *preset
+	set.B = pc
+	key, err := core.NewScheme(&set).ServerKeyGen(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(&set, key, timefmt.MustSchedule(time.Minute),
+		WithClock(func() time.Time { return time.Date(2026, 7, 5, 12, 0, 30, 0, time.UTC) }),
+		WithTokenIssuer(iss),
+		WithTokenGate(token.NewVerifier(&set, gateKey, token.NewLedger())))
+	if _, err := srv.PublishUpTo(time.Date(2026, 7, 5, 12, 0, 30, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return pc, func(tok token.Token) int {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/catchup?from=2026-07-05T12:00:00Z&to=2026-07-05T12:01:00Z", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TokenHeader, base64.StdEncoding.EncodeToString(token.EncodeToken(srv.codec, tok)))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+}
+
+// TestTokenGateBoundToItsIssuer: a gate next to the issuer of its
+// tokens redeems with the issuance key — 200, then 409 on the replay,
+// 403 on a forgery — and makes no pairing check doing so.
+func TestTokenGateBoundToItsIssuer(t *testing.T) {
+	set := params.MustPreset("Test160")
+	iss, err := token.GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := token.GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, redeem := countedGate(t, iss, iss.Public())
+	toks := mintTokens(t, set, iss, 2)
+	forged := mintTokens(t, set, other, 1)[0]
+	pc.checks.Store(0)
+	for _, step := range []struct {
+		name string
+		tok  token.Token
+		want int
+	}{
+		{"fresh token", toks[0], http.StatusOK},
+		{"replay", toks[0], http.StatusConflict},
+		{"forgery", forged, http.StatusForbidden},
+		{"another fresh token", toks[1], http.StatusOK},
+	} {
+		if got := redeem(step.tok); got != step.want {
+			t.Fatalf("%s: %d, want %d", step.name, got, step.want)
+		}
+	}
+	if n := pc.checks.Load(); n != 0 {
+		t.Fatalf("the gate bound to its issuer made %d pairing checks", n)
+	}
+}
+
+// TestTokenGateForeignKeyKeepsPairing: a gate whose key is not its
+// issuer's stays on the pairing path. It admits the foreign issuer's
+// tokens, one pair-check each, and refuses its own issuer's.
+func TestTokenGateForeignKeyKeepsPairing(t *testing.T) {
+	set := params.MustPreset("Test160")
+	iss, err := token.GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := token.GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, redeem := countedGate(t, iss, foreign.Public())
+	pc.checks.Store(0)
+	if got := redeem(mintTokens(t, set, foreign, 1)[0]); got != http.StatusOK {
+		t.Fatalf("foreign issuer's token: %d, want 200", got)
+	}
+	if got := redeem(mintTokens(t, set, iss, 1)[0]); got != http.StatusForbidden {
+		t.Fatalf("own issuer's token on a foreign-key gate: %d, want 403", got)
+	}
+	if n := pc.checks.Load(); n != 2 {
+		t.Fatalf("the foreign-key gate made %d pairing checks for 2 redemptions, want 2", n)
 	}
 }

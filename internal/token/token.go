@@ -12,7 +12,8 @@
 //	         r ← [1, q-1],  B = r·T            (blinded request)
 //	server:  S′ = x·B                          (blind signature, key x)
 //	client:  S = r⁻¹·S′ = x·T                  (unblinded token)
-//	redeem:  present (seed, S); server checks ê(G, S) = ê(xG, H1(seed))
+//	redeem:  present (seed, S); a gate checks ê(G, S) = ê(xG, H1(seed)),
+//	         or S = x·H1(seed) when it holds x (Verifier.KeyedBy)
 //
 // The server's view of an issuance is a uniformly random G2 point B:
 // for ANY candidate token T′ there is exactly one blinding factor r′
@@ -20,7 +21,9 @@
 // which token it blinds (pinned by TestBlindingUnlinkabilityWitness).
 // The redemption check is the very pairing equation the scheme already
 // uses for key updates, so both the Symmetric and BLS12-381 backends
-// verify tokens on the prepared fixed-argument path.
+// verify tokens on the prepared fixed-argument path. The gate beside
+// the issuer owns x and recomputes x·H1(seed) instead (one G2
+// multiplication), comparing encodings in constant time.
 //
 // SECURITY — key and domain separation. Blind issuance signs an
 // attacker-chosen group element. If the issuance key were the
@@ -54,8 +57,8 @@ const Domain = "access-token"
 // SeedLen is the token preimage length.
 const SeedLen = 32
 
-// ErrBadToken reports a redemption whose signature fails the pairing
-// check against the issuance key.
+// ErrBadToken reports a redemption whose signature fails verification
+// against the issuance key.
 var ErrBadToken = errors.New("token: signature fails verification against issuance key")
 
 // ErrDoubleSpend reports a token that was already redeemed.

@@ -18,7 +18,8 @@ type (
 	// key (never the timed-release key; NewTimeServer refuses that).
 	TokenIssuer = token.Issuer
 	// TokenVerifier admits redemptions: one prepared pairing plus a
-	// double-spend ledger lookup.
+	// double-spend ledger lookup. A time server that also issues under
+	// the verifier's key redeems with the key instead (no pairing).
 	TokenVerifier = token.Verifier
 	// TokenLedger is the sharded, optionally durable double-spend set.
 	TokenLedger = token.Ledger
