@@ -340,6 +340,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFp12Arith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzG2Marshal -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzScalarMult -fuzztime $(FUZZTIME) ./internal/bls381
+	$(GO) test -run XXX -fuzz FuzzG2FixedBase -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzMSM -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run XXX -fuzz FuzzClientDecodeUpdate -fuzztime $(FUZZTIME) ./internal/timeserver
 	$(GO) test -run XXX -fuzz FuzzMetricsSnapshot -fuzztime $(FUZZTIME) ./internal/obs

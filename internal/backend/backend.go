@@ -99,6 +99,11 @@ type PreparedKey interface {
 	SameKey(ag, asg curve.Point) bool
 }
 
+// BaseMul multiplies one point fixed ahead by varying scalars: k ↦ k·p
+// for non-negative k, reduced as ScalarMult reduces it. Safe for
+// concurrent use.
+type BaseMul func(k *big.Int) curve.Point
+
 // Backend is one complete pairing setting: two source groups, the
 // scalar field, serialization, hash-to-G2 and the bilinear pairing.
 // Implementations are immutable after construction and safe for
@@ -126,6 +131,11 @@ type Backend interface {
 	// split), which every point it hands out is; the two agree wherever
 	// p is in the subgroup.
 	ScalarMult(g Group, k *big.Int, p curve.Point) curve.Point
+	// PrepareBase readies p ∈ g for multiplication by many scalars.
+	// BLS12-381 builds a table of a G2 point's multiples, which its
+	// multiplications walk with no doubling; Type-1 backends and
+	// BLS12-381's G1 answer with ScalarMult.
+	PrepareBase(g Group, p curve.Point) BaseMul
 	// MSM returns Σ scalarsᵢ·pointsᵢ in g as one multi-scalar
 	// multiplication: the point Σ ScalarMult + Add gives on subgroup
 	// points. Scalars (one per point) must be non-negative and are

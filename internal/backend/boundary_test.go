@@ -99,19 +99,21 @@ func TestForeignValuesPanic(t *testing.T) {
 // point's limbs, a GT value, an encoding) is one allocation. SS512's
 // SamePairing keeps one more than BLS12-381's: the closure its
 // two-factor Miller fan-out hands the worker pool (AllocsPerRun runs at
-// GOMAXPROCS 1, so the pool's goroutines do not show here).
+// GOMAXPROCS 1, so the pool's goroutines do not show here). A prepared
+// key's PairCheck allocates nothing on either backend family.
 func TestBoundaryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	type bounds struct{ addG2, negG1, scalarMultG1, equal, parseG2, pair, gtMul, gtBytes, samePairing float64 }
+	type bounds struct{ addG2, negG1, scalarMultG1, equal, parseG2, pair, gtMul, gtBytes, samePairing, pairCheck float64 }
 	for _, c := range []struct {
 		name string
 		b    backend.Backend
 		want bounds
 	}{
-		{"SS512", params.MustPreset("SS512").B, bounds{1, 1, 1, 0, 3, 1, 1, 1, 1}},
-		{"BLS12-381", bls381.New(), bounds{1, 1, 1, 0, 3, 1, 1, 1, 0}},
+		{"Test160", params.MustPreset("Test160").B, bounds{1, 1, 1, 0, 3, 1, 1, 1, 1, 0}},
+		{"SS512", params.MustPreset("SS512").B, bounds{1, 1, 1, 0, 3, 1, 1, 1, 1, 0}},
+		{"BLS12-381", bls381.New(), bounds{1, 1, 1, 0, 3, 1, 1, 1, 0, 0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			b := c.b
@@ -120,6 +122,7 @@ func TestBoundaryAllocs(t *testing.T) {
 			p1, p2 := b.ScalarMult(backend.G1, k, g1), b.ScalarMult(backend.G2, k, g2)
 			enc := b.AppendPoint(nil, backend.G2, p2)
 			gt := b.Pair(p1, p2)
+			pk := b.PrepareKey(g1, p1, p2)
 			for _, op := range []struct {
 				name  string
 				bound float64
@@ -140,6 +143,11 @@ func TestBoundaryAllocs(t *testing.T) {
 				{"SamePairing", c.want.samePairing, func() {
 					if !b.SamePairing(p1, g2, g1, p2) {
 						t.Fatal("ê(kG1, G2) != ê(G1, kG2)")
+					}
+				}},
+				{"PreparedKey.PairCheck", c.want.pairCheck, func() {
+					if !pk.PairCheck(g2, p2) {
+						t.Fatal("ê(G1, kG2) != ê(kG1, G2) on the prepared key")
 					}
 				}},
 			} {

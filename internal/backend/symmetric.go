@@ -65,6 +65,12 @@ func (b *Symmetric) ScalarMult(_ Group, k *big.Int, p curve.Point) curve.Point {
 	return b.c.ScalarMult(k, p)
 }
 
+// PrepareBase answers with the ladder: the Type-1 curve keeps no
+// fixed-base table (ROADMAP item 13).
+func (b *Symmetric) PrepareBase(_ Group, p curve.Point) BaseMul {
+	return func(k *big.Int) curve.Point { return b.c.ScalarMult(k, p) }
+}
+
 // MSM returns Σ scalarsᵢ·pointsᵢ.
 func (b *Symmetric) MSM(_ Group, scalars []*big.Int, points []curve.Point) curve.Point {
 	return b.c.MSM(scalars, points)

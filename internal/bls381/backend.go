@@ -190,6 +190,22 @@ func (b *Backend) ScalarMult(g backend.Group, k *big.Int, p curve.Point) curve.P
 	return wrapG1(&out)
 }
 
+// PrepareBase returns k ↦ k·p. A G2 point other than the identity gets
+// a table of its multiples (fixedbase.go), about five ladders' work to
+// build; the generator's is built once per process, on first use. G1
+// points and the identity keep the ladder.
+func (b *Backend) PrepareBase(g backend.Group, p curve.Point) backend.BaseMul {
+	if g == backend.G2 {
+		if pa := unwrapG2(p); !pa.inf {
+			if pa.equal(&ctx.g2) {
+				return g2GenTable().mul
+			}
+			return newG2Table(&pa).mul
+		}
+	}
+	return func(k *big.Int) curve.Point { return b.ScalarMult(g, k, p) }
+}
+
 // MSM returns Σ scalarsᵢ·pointsᵢ (scalars walked as given).
 func (b *Backend) MSM(g backend.Group, scalars []*big.Int, points []curve.Point) curve.Point {
 	if len(scalars) != len(points) {

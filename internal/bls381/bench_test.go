@@ -204,3 +204,23 @@ func BenchmarkFeNeg(b *testing.B) {
 		feNeg(&z, &z)
 	}
 }
+
+// BenchmarkG2FixedBase is BenchmarkG2ScalarMult's multiplication on
+// the generator's table ("walk", Jacobian result as there), and the
+// cost of building the table of a new base ("table").
+func BenchmarkG2FixedBase(b *testing.B) {
+	k := randScalarT(b)
+	b.Run("walk", func(b *testing.B) {
+		t := g2GenTable()
+		var j g2Jac
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.walk(&j, k)
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			newG2Table(&ctx.g2)
+		}
+	})
+}

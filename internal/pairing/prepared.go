@@ -122,9 +122,9 @@ func (pr *Pairing) PairPrepared(pp *PreparedPoint, q curve.Point) GT {
 // SamePairingPrepared reports whether ê(P1, q1) == ê(P2, q2) for two
 // prepared first arguments, with two table-driven Miller loops and one
 // shared final exponentiation. The equality is evaluated as
-// ê(P1, −q1)·ê(P2, q2) == 1: negating the *second* argument is free and
-// inverts the pairing by bilinearity, so no negated PreparedPoint is
-// needed.
+// ê(P1, q1)⁻¹·ê(P2, q2) == 1, the inverse taken by conjugating the
+// first Miller value as SamePairing does: the final exponentiation
+// maps conj(f) = f^p to ê^p = ê⁻¹, so neither argument is negated.
 func (pr *Pairing) SamePairingPrepared(p1 *PreparedPoint, q1 curve.Point, p2 *PreparedPoint, q2 curve.Point) bool {
 	e2m := pr.e2m
 	lhsTrivial := p1.infinity || q1.IsInfinity()
@@ -139,8 +139,9 @@ func (pr *Pairing) SamePairingPrepared(p1 *PreparedPoint, q1 curve.Point, p2 *Pr
 	}
 	a := pr.m.GetArena()
 	defer a.Release()
-	m := pr.millerPreparedMontIn(p1, pr.C.Neg(q1), a)
+	m := pr.millerPreparedMontIn(p1, q1, a)
 	m2 := pr.millerPreparedMontIn(p2, q2, a)
+	e2m.ConjInto(&m, m)
 	e2m.MulInto(&m, m, m2, e2m.ScratchIn(a))
 	return e2m.IsOne(pr.finalExpMontIn(m, a))
 }

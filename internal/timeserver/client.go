@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"timedrelease/internal/core"
@@ -42,6 +43,8 @@ type Client struct {
 	noCache bool
 	retry   RetryPolicy
 	wallet  *token.Wallet // nil: no tokens attached (tokens.go)
+
+	issuanceKey atomic.Pointer[issuanceKey] // last validated token issuance key (tokens.go)
 
 	mu    sync.RWMutex
 	cache map[string]core.KeyUpdate

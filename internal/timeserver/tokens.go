@@ -1,6 +1,7 @@
 package timeserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"timedrelease/internal/backend"
-	"timedrelease/internal/bls"
 	"timedrelease/internal/obs"
 	"timedrelease/internal/token"
 )
@@ -219,7 +219,7 @@ func (c *Client) FetchTokens(ctx context.Context, n int) error {
 	if n <= 0 || n > token.MaxBatch {
 		return fmt.Errorf("timeserver: token batch must be in [1, %d]", token.MaxBatch)
 	}
-	pub, err := c.fetchIssuanceKey(ctx)
+	key, err := c.fetchIssuanceKey(ctx)
 	if err != nil {
 		return err
 	}
@@ -241,7 +241,7 @@ func (c *Client) FetchTokens(ctx context.Context, n int) error {
 	if err != nil {
 		return fmt.Errorf("timeserver: token response: %w", err)
 	}
-	toks, err := token.Unblind(c.sc.Set, pub, pending, signed)
+	toks, err := key.Unblind(pending, signed)
 	if err != nil {
 		return err
 	}
@@ -252,26 +252,43 @@ func (c *Client) FetchTokens(ctx context.Context, n int) error {
 	return nil
 }
 
-// fetchIssuanceKey retrieves and decodes /v1/tokens/key. The key is
-// fetched per call rather than pinned: a server swapping issuance keys
-// only invalidates its own tokens (Unblind verifies against whatever
-// key signed), it cannot forge anything.
-func (c *Client) fetchIssuanceKey(ctx context.Context) (bls.PublicKey, error) {
+// issuanceKey is the last issuance key a client validated: its exact
+// encoding and the token.Key prepared from it.
+type issuanceKey struct {
+	raw []byte
+	key *token.Key
+}
+
+// fetchIssuanceKey retrieves /v1/tokens/key on every call and decodes
+// it when its bytes differ from the last key this client validated.
+// The key is fetched per call rather than pinned: a server swapping
+// issuance keys only invalidates its own tokens (Unblind verifies
+// against whatever key signed), it cannot forge anything. Unchanged
+// bytes decode to the same key with the same verdict, so they reuse
+// the validated key and its x·G2 table instead of running the G2
+// mirror pair-check and building the table again; bytes that fail
+// validation are never kept, and fail on every call.
+func (c *Client) fetchIssuanceKey(ctx context.Context) (*token.Key, error) {
 	body, status, err := c.get(ctx, "/v1/tokens/key")
 	if err != nil {
-		return bls.PublicKey{}, err
+		return nil, err
 	}
 	if status == http.StatusNotFound {
-		return bls.PublicKey{}, errors.New("timeserver: server does not issue tokens")
+		return nil, errors.New("timeserver: server does not issue tokens")
 	}
 	if status != http.StatusOK {
-		return bls.PublicKey{}, fmt.Errorf("timeserver: token key endpoint returned %d", status)
+		return nil, fmt.Errorf("timeserver: token key endpoint returned %d", status)
+	}
+	if last := c.issuanceKey.Load(); last != nil && bytes.Equal(last.raw, body) {
+		return last.key, nil
 	}
 	pub, err := c.codec.UnmarshalServerPublicKey(body)
 	if err != nil {
-		return bls.PublicKey{}, fmt.Errorf("timeserver: token key: %w", err)
+		return nil, fmt.Errorf("timeserver: token key: %w", err)
 	}
-	return pub, nil
+	key := token.NewKey(c.sc.Set, pub)
+	c.issuanceKey.Store(&issuanceKey{raw: body, key: key})
+	return key, nil
 }
 
 // popTokenHeader pops one wallet token and renders the redemption

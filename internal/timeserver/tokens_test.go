@@ -362,10 +362,12 @@ func TestGatedServerSpendLedgerRecovery(t *testing.T) {
 }
 
 // pairCounter counts the pairing checks made through a Set: every
-// prepared key it hands out counts its PairCheck calls.
+// prepared key it hands out counts its PairCheck calls. samePairings
+// counts the unprepared ones apart, the G2 mirror check of a decoded
+// key among them.
 type pairCounter struct {
 	backend.Backend
-	checks atomic.Int64
+	checks, samePairings atomic.Int64
 }
 
 func (c *pairCounter) PrepareKey(g, sg, sg2 curve.Point) backend.PreparedKey {
@@ -374,6 +376,7 @@ func (c *pairCounter) PrepareKey(g, sg, sg2 curve.Point) backend.PreparedKey {
 
 func (c *pairCounter) SamePairing(a1, b1, a2, b2 curve.Point) bool {
 	c.checks.Add(1)
+	c.samePairings.Add(1)
 	return c.Backend.SamePairing(a1, b1, a2, b2)
 }
 

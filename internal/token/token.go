@@ -9,15 +9,19 @@
 // squares that circle:
 //
 //	client:  seed ← 32 random bytes, T = H1(TokenDomain, seed) ∈ G2
-//	         r ← [1, q-1],  B = r·T            (blinded request)
+//	         r ← [1, q-1],  B = T + r·G2       (blinded request)
 //	server:  S′ = x·B                          (blind signature, key x)
-//	client:  S = r⁻¹·S′ = x·T                  (unblinded token)
+//	client:  S = S′ − r·(x·G2) = x·T           (unblinded token)
 //	redeem:  present (seed, S); a gate checks ê(G, S) = ê(xG, H1(seed)),
 //	         or S = x·H1(seed) when it holds x (Verifier.KeyedBy)
 //
+// This is Boldyreva's additive blinding (PKC 2003). Both client
+// multiplications are by fixed bases, G2 and the key's x·G2
+// (bls.PublicKey.SG2; x·G on Type-1), which BLS12-381 walks on tables
+// of their multiples (Backend.PrepareBase); a Key keeps the x·G2 table.
 // The server's view of an issuance is a uniformly random G2 point B:
 // for ANY candidate token T′ there is exactly one blinding factor r′
-// with r′·T′ = B, so B is information-theoretically independent of
+// with T′ + r′·G2 = B, so B is information-theoretically independent of
 // which token it blinds (pinned by TestBlindingUnlinkabilityWitness).
 // The redemption check is the very pairing equation the scheme already
 // uses for key updates, so both the Symmetric and BLS12-381 backends
@@ -89,8 +93,9 @@ type Pending struct {
 }
 
 // Blind generates n fresh token preimages and returns their blinded
-// curve points B_i = r_i·H1(Domain, seed_i) alongside the pending
-// state needed to unblind the issuer's response.
+// curve points B_i = H1(Domain, seed_i) + r_i·G2 alongside the pending
+// state needed to unblind the issuer's response. Each token draws its
+// seed, then its blinding factor, from rng.
 func Blind(set *params.Set, rng io.Reader, n int) ([]Pending, []curve.Point, error) {
 	if n <= 0 {
 		return nil, nil, errors.New("token: batch size must be positive")
@@ -112,40 +117,63 @@ func Blind(set *params.Set, rng io.Reader, n int) ([]Pending, []curve.Point, err
 	return pending, blinded, nil
 }
 
-// blindPoint computes r·t. Split out (and kept deterministic in r) so
-// the unlinkability test can sweep explicit blinding factors.
+// blindPoint computes t + r·G2. Split out (and kept deterministic in r)
+// so the unlinkability test can sweep explicit blinding factors.
 func blindPoint(set *params.Set, t curve.Point, r *big.Int) curve.Point {
-	return set.B.ScalarMult(backend.G2, r, t)
+	return set.B.Add(backend.G2, t, set.B.PrepareBase(backend.G2, set.G2)(r))
 }
 
-// Unblind applies r⁻¹ to each signed blinded point and verifies the
-// results against the issuance key before anything reaches the wallet:
-// S = r⁻¹·(x·r·T) = x·T, checked by ê(G, S) = ê(xG, T) for the whole
-// batch in one blinded equation (bls.VerifyBatchHashed; every S is
-// still subgroup-tested on its own). A malicious issuer returning
-// garbage (or signing under a swapped key) yields ErrBadToken and no
-// tokens here, never a dud credential spent later.
+// Key is an issuance public key made ready to unblind against: its
+// prepared pairing check and x·G2 prepared for multiplication by the
+// blinding factors. On BLS12-381 preparing x·G2 costs about what it
+// saves on one batch of 8, so a client keeps its Key for as long as
+// the issuer serves the same key (timeserver.Client does). Blind
+// blinds by the canonical G2, so on Type-1 the key must be over the
+// canonical generator (GenerateIssuer's); one over another generator
+// unblinds nothing but ErrBadToken.
+type Key struct {
+	set *params.Set
+	pk  backend.PreparedKey
+	xG2 backend.BaseMul
+}
+
+// NewKey prepares pub for unblinding. It does not validate pub: decode
+// it with wire.UnmarshalServerPublicKey first.
+func NewKey(set *params.Set, pub bls.PublicKey) *Key {
+	return &Key{set: set, pk: set.B.PrepareKey(pub.G, pub.SG, pub.SG2), xG2: set.B.PrepareBase(backend.G2, pub.SG2)}
+}
+
+// Unblind is Key.Unblind against pub, prepared for this one call.
 func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []curve.Point) ([]Token, error) {
+	return NewKey(set, pub).Unblind(pending, signed)
+}
+
+// Unblind removes each blinding from the signed blinded points and
+// verifies the results against the issuance key before anything
+// reaches the wallet: S = S′ − r·(x·G2) = x·(T + r·G2) − r·x·G2 = x·T,
+// checked by ê(G, S) = ê(xG, T) for the whole batch in one blinded
+// equation (bls.VerifyBatchHashed; every S is still subgroup-tested on
+// its own). A malicious issuer returning garbage (or signing under a
+// swapped key) yields ErrBadToken and no tokens here, never a dud
+// credential spent later.
+func (k *Key) Unblind(pending []Pending, signed []curve.Point) ([]Token, error) {
 	if len(signed) != len(pending) {
 		return nil, fmt.Errorf("token: issuer returned %d signatures for %d requests", len(signed), len(pending))
 	}
+	b := k.set.B
 	hashes := make([]curve.Point, len(pending))
 	sigs := make([]curve.Point, len(pending))
 	for i, p := range pending {
 		if p.R == nil || p.R.Sign() <= 0 {
 			return nil, errors.New("token: pending entry has no blinding factor")
 		}
-		rInv := new(big.Int).ModInverse(p.R, set.Q)
-		if rInv == nil {
-			return nil, errors.New("token: blinding factor not invertible")
-		}
-		sigs[i] = set.B.ScalarMult(backend.G2, rInv, signed[i])
+		sigs[i] = b.Add(backend.G2, signed[i], b.Neg(backend.G2, k.xG2(p.R)))
 		hashes[i] = p.T
 		if p.T.IsInfinity() { // built by hand, no T kept
-			hashes[i] = set.B.HashToG2(Domain, p.Seed[:])
+			hashes[i] = b.HashToG2(Domain, p.Seed[:])
 		}
 	}
-	ok, err := bls.VerifyBatchHashed(set, set.B.PrepareKey(pub.G, pub.SG, pub.SG2), hashes, sigs, nil)
+	ok, err := bls.VerifyBatchHashed(k.set, k.pk, hashes, sigs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("token: verifying issuance: %w", err)
 	}

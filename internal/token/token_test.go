@@ -144,8 +144,8 @@ func TestIssuerRejectsMalformedBatches(t *testing.T) {
 // point B — is information-theoretically independent of which token it
 // blinds. Discrete logs of real H1 outputs are unknowable, so the test
 // works over token points with KNOWN dlogs T_i = w_i·G2 and exhibits
-// the witness explicitly: for a blinded request B = r₁·T₁, the factor
-// r₂ = r₁·w₁·w₂⁻¹ satisfies r₂·T₂ = B. The SAME observed B is
+// the witness explicitly: for a blinded request B = T₁ + r₁·G2, the
+// factor r₂ = w₁ + r₁ − w₂ satisfies T₂ + r₂·G2 = B. The SAME observed B is
 // consistent with EVERY candidate token under a uniformly distributed
 // blinding factor, so the issuer's transcript carries zero information
 // about the token — this is the algebraic core, swept over many
@@ -172,10 +172,9 @@ func TestBlindingUnlinkabilityWitness(t *testing.T) {
 				}
 				b := blindPoint(set, t1, r1)
 
-				// The explaining factor for token 2: r₂ = r₁·w₁·w₂⁻¹.
-				w2inv := new(big.Int).ModInverse(w2, set.Q)
-				r2 := new(big.Int).Mul(r1, w1)
-				r2.Mul(r2, w2inv)
+				// The explaining factor for token 2: r₂ = w₁ + r₁ − w₂.
+				r2 := new(big.Int).Add(w1, r1)
+				r2.Sub(r2, w2)
 				r2.Mod(r2, set.Q)
 
 				if got := blindPoint(set, t2, r2); !set.B.Equal(backend.G2, got, b) {
@@ -187,9 +186,9 @@ func TestBlindingUnlinkabilityWitness(t *testing.T) {
 }
 
 // TestBlindingInjective pins the flip side: distinct blinding factors
-// give distinct blinded points (r ↦ r·T is a bijection on the group),
-// so the uniform choice of r makes B uniform — the distribution half
-// of the unlinkability argument.
+// give distinct blinded points (r ↦ T + r·G2 is a bijection from the
+// scalars onto the group), so the uniform choice of r makes B uniform —
+// the distribution half of the unlinkability argument.
 func TestBlindingInjective(t *testing.T) {
 	set := params.MustPreset("Test160")
 	w, err := set.B.RandScalar(nil)
@@ -289,9 +288,9 @@ func TestRedeemRejectsOffSubgroupSig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An explicit blinding factor with an odd inverse (3), so that
-	// unblinding keeps a 2-torsion component instead of doubling it away.
-	pending := []Pending{{Seed: [SeedLen]byte{1}, R: new(big.Int).ModInverse(big.NewInt(3), set.Q)}}
+	// An explicit blinding factor; additive unblinding keeps a torsion
+	// component of the response as it is.
+	pending := []Pending{{Seed: [SeedLen]byte{1}, R: big.NewInt(3)}}
 	blinded := []curve.Point{blindPoint(set, set.B.HashToG2(Domain, pending[0].Seed[:]), pending[0].R)}
 	signed, err := iss.SignBlinded(blinded)
 	if err != nil {

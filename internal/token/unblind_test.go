@@ -148,15 +148,23 @@ func TestUnblindAdmitsExactlyHonestBatches(t *testing.T) {
 	}
 }
 
-// countingBackend counts the hash-to-curve calls made through a Set.
+// countingBackend counts the hash-to-curve calls and the variable-base
+// G2 multiplications made through a Set.
 type countingBackend struct {
 	backend.Backend
-	hashes atomic.Int64
+	hashes, ladders atomic.Int64
 }
 
 func (c *countingBackend) HashToG2(domain string, msg []byte) curve.Point {
 	c.hashes.Add(1)
 	return c.Backend.HashToG2(domain, msg)
+}
+
+func (c *countingBackend) ScalarMult(g backend.Group, k *big.Int, p curve.Point) curve.Point {
+	if g == backend.G2 {
+		c.ladders.Add(1)
+	}
+	return c.Backend.ScalarMult(g, k, p)
 }
 
 // TestIssuanceHashesEachSeedOnce: the client hashes a seed when it
@@ -192,4 +200,106 @@ func TestIssuanceHashesEachSeedOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIssuanceMakesNoG2Ladder: on BLS12-381 the client's two
+// multiplications per token are by fixed bases, G2 and x·G2, walked on
+// tables — Blind and Unblind make no variable-base G2 ScalarMult, while
+// the issuer makes one per token (the counter's own check). Type-1
+// backends answer PrepareBase with the ladder itself.
+func TestIssuanceMakesNoG2Ladder(t *testing.T) {
+	preset := params.MustPreset(params.PresetBLS12381)
+	set := *preset
+	cb := &countingBackend{Backend: preset.B}
+	set.B = cb
+	iss, err := GenerateIssuer(&set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := NewKey(&set, iss.Public())
+	for _, n := range []int{1, 8} {
+		cb.ladders.Store(0)
+		pending, blinded, err := Blind(&set, nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cb.ladders.Swap(0); got != 0 {
+			t.Fatalf("Blind(%d) made %d G2 ladders, want 0", n, got)
+		}
+		signed, err := iss.SignBlinded(blinded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cb.ladders.Swap(0); got != int64(n) {
+			t.Fatalf("SignBlinded(%d) made %d G2 ladders, want %d", n, got, n)
+		}
+		for _, unblind := range []func() ([]Token, error){
+			func() ([]Token, error) { return key.Unblind(pending, signed) },
+			func() ([]Token, error) { return Unblind(&set, iss.Public(), pending, signed) },
+		} {
+			if toks, err := unblind(); err != nil || len(toks) != n {
+				t.Fatalf("Unblind(%d): %d tokens, %v", n, len(toks), err)
+			}
+			if got := cb.ladders.Swap(0); got != 0 {
+				t.Fatalf("Unblind(%d) made %d G2 ladders, want 0", n, got)
+			}
+		}
+	}
+}
+
+// TestUnblindRejectsCompensatingPair: D added to one response and taken
+// from another passes through additive unblinding unchanged, S_i + D
+// and S_j − D, so ΣS is the honest sum and only the batch check's
+// per-response blinders can see it.
+func TestUnblindRejectsCompensatingPair(t *testing.T) {
+	for _, set := range tokenPresets(t) {
+		is := newIssuance(t, set, 4)
+		d := set.B.ScalarMult(backend.G2, big.NewInt(0xD), set.G2)
+		signed := append([]curve.Point(nil), is.signed...)
+		signed[1] = set.B.Add(backend.G2, signed[1], d)
+		signed[3] = set.B.Add(backend.G2, signed[3], set.B.Neg(backend.G2, d))
+		if toks, err := Unblind(set, is.iss.Public(), is.pending, signed); !errors.Is(err, ErrBadToken) || toks != nil {
+			t.Fatalf("%s: got %d tokens and %v, want none and ErrBadToken", set.Name, len(toks), err)
+		}
+	}
+}
+
+// BenchmarkIssuance times one BLS12-381 issuance of 8 tokens stage by
+// stage: Blind, SignBlinded, Unblind against a kept Key (the client's
+// path) and Unblind preparing the key for the call.
+func BenchmarkIssuance(b *testing.B) {
+	set := params.MustPreset(params.PresetBLS12381)
+	iss, err := GenerateIssuer(set, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := NewKey(set, iss.Public())
+	pending, blinded, err := Blind(set, nil, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	signed, err := iss.SignBlinded(blinded)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("blind", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Blind(set, nil, 8)
+		}
+	})
+	b.Run("sign_blinded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			iss.SignBlinded(blinded)
+		}
+	})
+	b.Run("unblind", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			key.Unblind(pending, signed)
+		}
+	})
+	b.Run("unblind_new_key", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Unblind(set, iss.Public(), pending, signed)
+		}
+	})
 }
