@@ -237,7 +237,8 @@ lint:
 # candidates per MSM chunk, one chunk per processor) on one processor,
 # where parallel.For runs every index inline and in order. The second pins that the tree builds
 # where the architecture forks (the amd64 MULX/ADX kernels, ff's
-# mont_amd64.s and bls381's fe_amd64.s, both printed by ff's genMontAsm)
+# mont_amd64.s and bls381's fe_amd64.s, printed with every Go kernel by
+# internal/ff/mont_gen_test.go)
 # are absent: a 64-bit non-amd64 build, and 32-bit and arm64 vets of
 # both field packages' no-assembly file sets, all offline from GOROOT;
 # host vet's asmdecl and framepointer passes cover the assembly itself.

@@ -162,11 +162,7 @@ func (c *Client) Latest(ctx context.Context) (core.KeyUpdate, error) {
 	if status != http.StatusOK {
 		return core.KeyUpdate{}, fmt.Errorf("timeserver: unexpected status %d", status)
 	}
-	u, err := c.codec.UnmarshalKeyUpdate(body)
-	if err != nil {
-		return core.KeyUpdate{}, err
-	}
-	return c.verifyAndCache(u.Label, body)
+	return c.verifyAndCache("", body)
 }
 
 // Labels returns all published labels. A list over the 1 MiB body cap
@@ -214,14 +210,15 @@ func (c *Client) store(u core.KeyUpdate) {
 	c.mu.Unlock()
 }
 
-// verifyAndCache decodes, verifies and caches an update body.
+// verifyAndCache decodes, verifies and caches an update body that must
+// answer for label; "" takes whichever label the body carries.
 func (c *Client) verifyAndCache(label string, body []byte) (core.KeyUpdate, error) {
 	defer c.met.verifyNS.Since(time.Now())
 	u, err := c.codec.UnmarshalKeyUpdate(body)
 	if err != nil {
 		return core.KeyUpdate{}, err
 	}
-	if u.Label != label {
+	if label != "" && u.Label != label {
 		return core.KeyUpdate{}, fmt.Errorf("timeserver: server returned update for %q, asked for %q", u.Label, label)
 	}
 	if !c.sc.VerifyUpdate(c.spub, u) {

@@ -145,6 +145,12 @@ func TestClientRejectsForgedUpdate(t *testing.T) {
 	if _, err := c.Update(context.Background(), label); !errors.Is(err, ErrBadUpdate) {
 		t.Fatalf("forged update: err=%v, want ErrBadUpdate", err)
 	}
+	if _, err := c.Latest(context.Background()); !errors.Is(err, ErrBadUpdate) {
+		t.Fatalf("forged latest: err=%v, want ErrBadUpdate", err)
+	}
+	if n := c.CachedLen(); n != 0 {
+		t.Fatalf("CachedLen = %d after two forged updates, want 0", n)
+	}
 }
 
 func TestClientCaches(t *testing.T) {

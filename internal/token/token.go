@@ -144,6 +144,7 @@ func NewKey(set *params.Set, pub bls.PublicKey) *Key {
 }
 
 // Unblind is Key.Unblind against pub, prepared for this one call.
+// No production caller; kept for benchmark/ until ROADMAP item 23.
 func Unblind(set *params.Set, pub bls.PublicKey, pending []Pending, signed []curve.Point) ([]Token, error) {
 	return NewKey(set, pub).Unblind(pending, signed)
 }
