@@ -3,11 +3,13 @@ package bls381_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math/big"
 	"math/rand"
 	"testing"
 
 	"timedrelease/internal/backend"
 	"timedrelease/internal/core"
+	"timedrelease/internal/curve"
 	"timedrelease/internal/params"
 	"timedrelease/internal/token"
 )
@@ -39,5 +41,36 @@ func TestHashToG2Digest(t *testing.T) {
 				t.Errorf("digest %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// gtDigest is the SHA-256 digest TestGTDigest must reproduce.
+const gtDigest = "8606f9a1c30ad08d7b44f8f152679c16214c73b76f14fc68048f1b5c294a10bf"
+
+// TestGTDigest pins BLS12-381's target group byte for byte: a SHA-256
+// over the GTBytes of Pair, PairProduct and GTExpUnitary outputs on
+// seeded multiples of the generators. A change to the Miller loop, its
+// line evaluations, the final exponentiation, the unitary ladder or the
+// tower moves the digest.
+func TestGTDigest(t *testing.T) {
+	set := params.MustPreset(params.PresetBLS12381)
+	b := set.B
+	rng := rand.New(rand.NewSource(7))
+	scalar := func() *big.Int { return new(big.Int).Rand(rng, b.Order()) }
+	g1 := func() curve.Point { return b.ScalarMult(backend.G1, scalar(), b.Generator(backend.G1)) }
+	g2 := func() curve.Point { return b.ScalarMult(backend.G2, scalar(), b.Generator(backend.G2)) }
+	h := sha256.New()
+	for i := 0; i < 8; i++ {
+		e := b.Pair(g1(), g2())
+		h.Write(b.GTBytes(e))
+		h.Write(b.GTBytes(b.GTExpUnitary(e, scalar())))
+		pairs := make([]backend.PointPair, 1+i%3)
+		for j := range pairs {
+			pairs[j] = backend.PointPair{P: g1(), Q: g2()}
+		}
+		h.Write(b.GTBytes(b.PairProduct(pairs)))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != gtDigest {
+		t.Errorf("digest %s, want %s", got, gtDigest)
 	}
 }

@@ -12,11 +12,11 @@ import (
 // Fixtures shared with the external tests (package wire_test), which
 // import the variant schemes and so cannot be compiled into package wire.
 
-// GoldenFixtures returns the Test160 codec and scheme with the fixed
-// server and receiver keys every golden vector is derived from.
-func GoldenFixtures(tb testing.TB) (*Codec, *core.Scheme, *core.ServerKeyPair, *core.UserKeyPair) {
+// GoldenFixtures returns the codec and scheme of a preset with the
+// fixed server and receiver keys every golden vector is derived from.
+func GoldenFixtures(tb testing.TB, preset string) (*Codec, *core.Scheme, *core.ServerKeyPair, *core.UserKeyPair) {
 	tb.Helper()
-	set := params.MustPreset("Test160")
+	set := params.MustPreset(preset)
 	sc := core.NewScheme(set)
 	// Fixed scalars: nothing random anywhere.
 	server, err := bls.NewPrivateKey(set, set.G, big.NewInt(0x1234567))

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"timedrelease/internal/backend"
@@ -18,7 +19,9 @@ import (
 	"timedrelease/internal/hibe"
 	"timedrelease/internal/idtre"
 	"timedrelease/internal/multiserver"
+	"timedrelease/internal/params"
 	"timedrelease/internal/policylock"
+	"timedrelease/internal/token"
 	"timedrelease/internal/wire"
 )
 
@@ -37,7 +40,7 @@ type goldenVector struct {
 // the same shape.
 func goldenObjects(tb testing.TB) []goldenVector {
 	tb.Helper()
-	codec, sc, server, user := wire.GoldenFixtures(tb)
+	codec, sc, server, user := wire.GoldenFixtures(tb, "Test160")
 	set := codec.Set
 	rng := wire.ConstReader(0x5a)
 	const label = "2026-07-05T12:00:00Z"
@@ -109,7 +112,42 @@ func goldenObjects(tb testing.TB) []goldenVector {
 	must(err)
 	out = append(out, goldenVector{"bfibe ciphertext",
 		id.MarshalCiphertext(&idtre.Ciphertext{U: ibeCT.U, V: ibeCT.V})})
-	return out
+	return append(out, goldenBLS12381(tb)...)
+}
+
+// goldenBLS12381 derives the BLS12-381 rows: the server key, a key
+// update, and one blind-token issuance (its request frame and the first
+// unblinded token) under a fixed issuance scalar and a seeded rng.
+func goldenBLS12381(tb testing.TB) []goldenVector {
+	tb.Helper()
+	codec, sc, server, _ := wire.GoldenFixtures(tb, params.PresetBLS12381)
+	set := codec.Set
+	key, err := bls.NewPrivateKey(set, set.G, big.NewInt(0x2468ace))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	iss, err := token.NewIssuer(set, key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pending, blinded, err := token.Blind(set, rand.New(rand.NewSource(51)), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	signed, err := iss.SignBlinded(blinded)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	toks, err := token.NewKey(set, iss.Public()).Unblind(pending, signed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []goldenVector{
+		{"bls12381 server public key", codec.MarshalServerPublicKey(server.Pub)},
+		{"bls12381 key update", codec.MarshalKeyUpdate(sc.IssueUpdate(server, "2026-07-05T12:00:00Z"))},
+		{"bls12381 token request", codec.MarshalTokenRequest(blinded)},
+		{"bls12381 token", token.EncodeToken(codec, toks[0])},
+	}
 }
 
 func TestPrintGoldenVectors(t *testing.T) {
