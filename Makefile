@@ -316,7 +316,8 @@ experiments-quick:
 # field, Fp12 tower and compressed G2 decoder, the BLS12-381 endomorphism
 # ladders vs the windowed ladder, and the multi-scalar multiplication vs
 # the naive sum on both backends), the Type-1 point decoder's subgroup
-# verdict vs the Jacobian [q]P oracle, the client's HTTP
+# verdict vs the Jacobian [q]P oracle, the token gate's keyed verdict
+# vs its pairing verdict on raw bytes, the client's HTTP
 # update parsing, the beacon round↔label mapping, the metrics JSON
 # encoder and the crc-framed log replay under updates.log and spend.log.
 # Checked-in seed corpora live under <pkg>/testdata/fuzz/<Target>/.
@@ -334,6 +335,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzUnmarshalPolicyCiphertext -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzHIBEDecode -fuzztime $(FUZZTIME) ./internal/hibe
 	$(GO) test -run XXX -fuzz FuzzUnmarshalSubgroup -fuzztime $(FUZZTIME) ./internal/curve
+	$(GO) test -run XXX -fuzz FuzzTokenGate -fuzztime $(FUZZTIME) ./internal/token
 	$(GO) test -run XXX -fuzz FuzzRoundFromLabel -fuzztime $(FUZZTIME) ./internal/beacon
 	$(GO) test -run XXX -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/ff
 	$(GO) test -run XXX -fuzz FuzzFp2Arith -fuzztime $(FUZZTIME) ./internal/ff

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"testing"
+
+	"timedrelease/internal/backend"
 )
 
 func BenchmarkPairing(b *testing.B) {
@@ -89,6 +91,23 @@ func BenchmarkFe2Sqrt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkBool = z.sqrt(&xs[i%len(xs)])
+	}
+}
+
+// BenchmarkG2Decode is ParsePoint on G2: decompression (one Fp2 square
+// root) and the ψ subgroup test, cycling through 16 random points.
+func BenchmarkG2Decode(b *testing.B) {
+	var be Backend
+	encs := make([][]byte, 16)
+	for i := range encs {
+		q := randG2(b)
+		encs[i] = marshalG2(nil, &q)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := be.ParsePoint(backend.G2, encs[i%len(encs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -131,10 +131,12 @@ func (z *fe2) sqrt(x *fe2) bool {
 
 // sqrtNorm is sqrt given x's norm root n (n² = c0² + c1²): the root is
 // x0 + c1/(2x0)·i with x0 = √d for whichever of d = (c0 ± n)/2 is a
-// square. One exponentiation t = d^((p−3)/4) both tests d (d·t² = 1)
-// and gives x0 = d·t and 1/(2x0) = t/2, no inversion; the other d costs
-// a second. The root is the one the four-exponentiation form returned
-// (TestFp2Sqrt pins it). Writes z only on success; z may alias x.
+// square. One exponentiation t = d^((p−3)/4) on d = (c0 + n)/2 settles
+// both: if d·t² = 1, x0 = d·t and 1/(2x0) = t/2; otherwise d·t² = −1,
+// the other d is (t·c1/2)² and the root is ±(t·c1/2 − d·t·i), signed so
+// its real part is a square (one Legendre symbol; −1 is no square). That
+// is the root the four-exponentiation form returned (TestFp2Sqrt pins
+// it). Writes z only on success; z may alias x.
 func (z *fe2) sqrtNorm(x *fe2, n *fe) bool {
 	var d, t, s fe
 	var c, sq fe2
@@ -147,14 +149,17 @@ func (z *fe2) sqrtNorm(x *fe2, n *fe) bool {
 	} else {
 		t.exp(&d, &ctx.isqrtExp)
 		s.sqr(&t)
-		if s.mul(&s, &d); !s.isOne() {
-			d.sub(&x.c0, n)
-			d.mul(&d, &ctx.half)
-			t.exp(&d, &ctx.isqrtExp)
-		}
 		c.c0.mul(&d, &t)
 		c.c1.mul(&x.c1, &t)
 		c.c1.mul(&c.c1, &ctx.half)
+		if s.mul(&s, &d); !s.isOne() {
+			c.c0, c.c1 = c.c1, c.c0
+			if ctx.mont.Legendre(c.c0[:]) > 0 {
+				c.c1.neg(&c.c1)
+			} else {
+				c.c0.neg(&c.c0)
+			}
+		}
 	}
 	// c² == x guards non-square inputs and a wrong n.
 	if sq.sqr(&c); !sq.equal(x) {

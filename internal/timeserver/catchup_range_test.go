@@ -512,6 +512,7 @@ func TestCatchUpEmptyPageClaimingTotalFallsBack(t *testing.T) {
 type countingBackend struct {
 	backend.Backend
 	inSubgroup, hashToG2, scalarMult, hashSum, msm atomic.Int64
+	parseG2                                        atomic.Int64 // G2 decodes, successful or not
 }
 
 func (c *countingBackend) calls() string {
@@ -522,6 +523,13 @@ func (c *countingBackend) calls() string {
 func (c *countingBackend) InSubgroup(g backend.Group, p curve.Point) bool {
 	c.inSubgroup.Add(1)
 	return c.Backend.InSubgroup(g, p)
+}
+
+func (c *countingBackend) ParsePoint(g backend.Group, data []byte) (curve.Point, error) {
+	if g == backend.G2 {
+		c.parseG2.Add(1)
+	}
+	return c.Backend.ParsePoint(g, data)
 }
 
 func (c *countingBackend) HashToG2(domain string, msg []byte) curve.Point {

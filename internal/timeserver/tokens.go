@@ -142,10 +142,11 @@ func (v *publicView) handleTokenIssue(w http.ResponseWriter, r *http.Request) {
 }
 
 // requireToken wraps a handler with token admission when the server is
-// gated. Status mapping (mirrored by the client's typed errors):
+// gated, redeeming the raw bytes (token.Verifier.RedeemEncoded). Status
+// mapping (mirrored by the client's typed errors):
 //
 //	401 — no token presented        → ErrTokenRequired
-//	400 — token undecodable
+//	400 — token undecodable (a spent seed answers 409 first)
 //	403 — signature fails verification (pairing or keyed check)
 //	409 — token already spent       → token.ErrDoubleSpend
 //	503 — spend ledger cannot persist (fail closed)
@@ -166,19 +167,16 @@ func (v *publicView) requireToken(h http.HandlerFunc) http.HandlerFunc {
 			http.Error(w, "malformed token encoding", http.StatusBadRequest)
 			return
 		}
-		t, err := token.DecodeToken(v.codec, raw)
-		if err != nil {
-			v.tokenMet.invalid.Inc()
-			http.Error(w, "malformed token", http.StatusBadRequest)
-			return
-		}
 		start := time.Now()
-		err = v.gate.Redeem(t)
+		err = v.gate.RedeemEncoded(raw)
 		v.tokenMet.redeemNS.Since(start)
 		switch {
 		case err == nil:
 			v.tokenMet.redeemed.Inc()
 			h(w, r)
+		case errors.Is(err, token.ErrMalformed):
+			v.tokenMet.invalid.Inc()
+			http.Error(w, "malformed token", http.StatusBadRequest)
 		case errors.Is(err, token.ErrDoubleSpend):
 			v.tokenMet.doubleSpend.Inc()
 			http.Error(w, "token already spent", http.StatusConflict)

@@ -409,14 +409,16 @@ func mintTokens(t *testing.T, set *params.Set, iss *token.Issuer, n int) []token
 }
 
 // countedGate boots a server that issues under iss and gates on a
-// verifier of gateKey, over a backend that counts pairing checks, and
-// returns a function presenting a token on a catch-up page.
-func countedGate(t *testing.T, iss *token.Issuer, gateKey core.ServerPublicKey) (*pairCounter, func(token.Token) int) {
+// verifier of gateKey, over a backend that counts pairing checks and
+// group operations, and returns a function presenting a token on a
+// catch-up page.
+func countedGate(t *testing.T, iss *token.Issuer, gateKey core.ServerPublicKey) (*pairCounter, *countingBackend, func(token.Token) int) {
 	t.Helper()
 	preset := params.MustPreset("Test160")
 	pc := &pairCounter{Backend: preset.B}
+	cb := &countingBackend{Backend: pc}
 	set := *preset
-	set.B = pc
+	set.B = cb
 	key, err := core.NewScheme(&set).ServerKeyGen(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +432,7 @@ func countedGate(t *testing.T, iss *token.Issuer, gateKey core.ServerPublicKey) 
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return pc, func(tok token.Token) int {
+	return pc, cb, func(tok token.Token) int {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/catchup?from=2026-07-05T12:00:00Z&to=2026-07-05T12:01:00Z", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -458,7 +460,7 @@ func TestTokenGateBoundToItsIssuer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, redeem := countedGate(t, iss, iss.Public())
+	pc, _, redeem := countedGate(t, iss, iss.Public())
 	toks := mintTokens(t, set, iss, 2)
 	forged := mintTokens(t, set, other, 1)[0]
 	pc.checks.Store(0)
@@ -494,7 +496,7 @@ func TestTokenGateForeignKeyKeepsPairing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, redeem := countedGate(t, iss, foreign.Public())
+	pc, _, redeem := countedGate(t, iss, foreign.Public())
 	pc.checks.Store(0)
 	if got := redeem(mintTokens(t, set, foreign, 1)[0]); got != http.StatusOK {
 		t.Fatalf("foreign issuer's token: %d, want 200", got)
@@ -504,5 +506,58 @@ func TestTokenGateForeignKeyKeepsPairing(t *testing.T) {
 	}
 	if n := pc.checks.Load(); n != 2 {
 		t.Fatalf("the foreign-key gate made %d pairing checks for 2 redemptions, want 2", n)
+	}
+}
+
+// TestTokenGateDecodes counts the G2 decodes per redemption. The gate
+// beside its issuer settles an honest token and a re-spent seed on
+// encodings alone and decodes only the point it refuses; a gate on
+// another key checks the pairing and decodes every point it does not
+// refuse as a replay.
+func TestTokenGateDecodes(t *testing.T) {
+	set := params.MustPreset("Test160")
+	iss, err := token.GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := token.GenerateIssuer(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := mintTokens(t, set, iss, 1)
+	forged := mintTokens(t, set, other, 2)
+	type step struct {
+		name            string
+		tok             token.Token
+		status, decodes int
+	}
+	for _, gate := range []struct {
+		name  string
+		key   core.ServerPublicKey
+		steps []step
+	}{
+		{"keyed", iss.Public(), []step{
+			{"fresh token", toks[0], http.StatusOK, 0},
+			{"re-spent seed", toks[0], http.StatusConflict, 0},
+			{"forgery", forged[0], http.StatusForbidden, 1},
+		}},
+		{"public key", other.Public(), []step{
+			{"fresh token", forged[1], http.StatusOK, 1},
+			{"wrong signer", toks[0], http.StatusForbidden, 1},
+			{"re-spent seed", forged[1], http.StatusConflict, 0},
+		}},
+	} {
+		t.Run(gate.name, func(t *testing.T) {
+			_, cb, redeem := countedGate(t, iss, gate.key)
+			for _, s := range gate.steps {
+				cb.parseG2.Store(0)
+				if got := redeem(s.tok); got != s.status {
+					t.Fatalf("%s: %d, want %d", s.name, got, s.status)
+				}
+				if n := cb.parseG2.Load(); n != int64(s.decodes) {
+					t.Errorf("%s: %d G2 decodes, want %d", s.name, n, s.decodes)
+				}
+			}
+		})
 	}
 }

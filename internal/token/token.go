@@ -65,6 +65,10 @@ const SeedLen = 32
 // against the issuance key.
 var ErrBadToken = errors.New("token: signature fails verification against issuance key")
 
+// ErrMalformed reports a presented token that does not decode: bad
+// framing, or a point that is no G2 subgroup point or is the identity.
+var ErrMalformed = errors.New("token: malformed")
+
 // ErrDoubleSpend reports a token that was already redeemed.
 var ErrDoubleSpend = errors.New("token: already spent")
 

@@ -72,7 +72,7 @@ func OpenWallet(path string, set *params.Set) (*Wallet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("token: wallet %s: bad line: %w", path, err)
 		}
-		t, err := decodeToken(w.codec, raw)
+		t, err := DecodeToken(w.codec, raw)
 		if err != nil {
 			return nil, fmt.Errorf("token: wallet %s: %w", path, err)
 		}
@@ -159,10 +159,6 @@ func EncodeToken(codec *wire.Codec, t Token) []byte {
 
 // DecodeToken parses a wire-encoded redemption credential.
 func DecodeToken(codec *wire.Codec, data []byte) (Token, error) {
-	return decodeToken(codec, data)
-}
-
-func decodeToken(codec *wire.Codec, data []byte) (Token, error) {
 	seed, sig, err := codec.UnmarshalToken(data)
 	if err != nil {
 		return Token{}, err

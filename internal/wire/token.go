@@ -96,26 +96,53 @@ func (c *Codec) MarshalToken(seed []byte, sig curve.Point) []byte {
 	return c.Set.B.AppendPoint(out, backend.G2, sig)
 }
 
-// UnmarshalToken decodes a redemption credential, enforcing the seed
-// length and signature subgroup membership.
-func (c *Codec) UnmarshalToken(data []byte) ([]byte, curve.Point, error) {
-	r := NewReader(c.Set, data)
-	seed, err := r.Bytes16()
+// UnmarshalToken decodes a redemption credential: SplitToken's framing,
+// then UnmarshalTokenSig on the point field.
+func (c *Codec) UnmarshalToken(data []byte) (seed []byte, sig curve.Point, err error) {
+	seed, enc, err := c.SplitToken(data)
+	if err == nil {
+		sig, err = c.UnmarshalTokenSig(enc)
+	}
 	if err != nil {
-		return nil, curve.Point{}, err
-	}
-	if len(seed) != tokenSeedLen {
-		return nil, curve.Point{}, fmt.Errorf("wire: token seed is %d bytes, want %d", len(seed), tokenSeedLen)
-	}
-	sig, err := r.Point(backend.G2)
-	if err != nil {
-		return nil, curve.Point{}, err
-	}
-	if sig.IsInfinity() {
-		return nil, curve.Point{}, errors.New("wire: token signature is the identity")
-	}
-	if err := r.Done(); err != nil {
 		return nil, curve.Point{}, err
 	}
 	return seed, sig, nil
+}
+
+// SplitToken checks a redemption credential's framing alone: a 32-byte
+// seed, one G2 point field, no trailing bytes. It returns the seed and
+// the point field undecoded, so a gate holding the issuance key can
+// compare the field with the encoding it expects before any point work.
+func (c *Codec) SplitToken(data []byte) (seed, enc []byte, err error) {
+	r := NewReader(c.Set, data)
+	if seed, err = r.Bytes16(); err != nil {
+		return nil, nil, err
+	}
+	if len(seed) != tokenSeedLen {
+		return nil, nil, fmt.Errorf("wire: token seed is %d bytes, want %d", len(seed), tokenSeedLen)
+	}
+	if enc, err = r.Take(c.Set.B.PointLen(backend.G2)); err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return seed, enc, nil
+}
+
+// UnmarshalTokenSig decodes a token's point field (SplitToken's second
+// result), enforcing subgroup membership and refusing the identity.
+func (c *Codec) UnmarshalTokenSig(enc []byte) (curve.Point, error) {
+	r := NewReader(c.Set, enc)
+	sig, err := r.Point(backend.G2)
+	if err == nil && sig.IsInfinity() {
+		err = errors.New("wire: token signature is the identity")
+	}
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return curve.Point{}, err
+	}
+	return sig, nil
 }
